@@ -10,7 +10,7 @@ proves two things:
   every estimator produce *byte-identical* matrices (the subsystem's
   determinism contract, asserted hard);
 - **speed** -- the ``processes`` schedule of the expensive ``full-dp``
-  estimator beats the legacy serial ``full_dp_distance_matrix`` path
+  estimator beats the serial ``all_pairs(seqs, "full-dp")`` path
   wall-clock on any host with >= 2 cores (a single-core host can only
   tie: processes pays fork/pickle overhead with no extra compute to
   spend it on, so the gate is core-conditional like
@@ -42,7 +42,6 @@ from _util import FULL, REPORT_DIR, fmt_table, write_report
 
 from repro.datagen.rose import generate_family
 from repro.distance import all_pairs
-from repro.msa.distances import full_dp_distance_matrix
 
 #: backend=None is the serial in-process path.
 BACKENDS = (None, "threads", "processes")
@@ -159,7 +158,7 @@ def run_distance_scaling(workers=4, repeats=2):
     n_head = max(workloads)
     seqs = workloads[n_head]
     legacy_wall, legacy_d = _measure(
-        lambda: full_dp_distance_matrix(seqs), repeats
+        lambda: all_pairs(seqs, "full-dp"), repeats
     )
     par_wall = next(
         r["wall_s"]

@@ -69,6 +69,81 @@ def _emit_json(payload: object, dest: str, dash_stream=None) -> None:
             fh.write(text + "\n")
 
 
+#: The guide-tree pipeline's flag group, declared once: flag ->
+#: (stage, config field it sets, argparse keywords).  Sub-commands pick
+#: the flags they carry with :func:`_add_stage_flags`;
+#: :func:`_stage_specs` turns the parsed flags into the two configs.
+_STAGE_FLAGS = {
+    "--distance": ("distance", "estimator", dict(
+        metavar="NAME",
+        help="distance estimator for the guide-tree stage (see `repro "
+        "distances`): 'ktuple' (fast, alignment-free), 'kmer-fraction', "
+        "'kband', or 'full-dp' (accurate, O(L^2) per pair). For "
+        "sample-align-d it configures the per-bucket local aligners; "
+        "for serve/loadtest it is the default folded (pre-hash) into "
+        "guide-tree engine requests that don't choose one.",
+    )),
+    "--distance-backend": ("distance", "backend", dict(
+        metavar="NAME",
+        help="execution backend for the all-pairs distance stage "
+        "('threads', 'processes' or 'pool'; output is byte-identical "
+        "to the serial stage). Guide-tree engines only.",
+    )),
+    "--distance-out": ("distance", "out", dict(
+        choices=["memory", "condensed", "memmap"],
+        help="distance-matrix placement: 'memory' (dense), 'condensed' "
+        "(flat upper triangle, half the RAM; the default) or 'memmap' "
+        "(disk-backed tile store -- O(tile) resident memory at genome "
+        "scale). Byte-identical values. Guide-tree engines only.",
+    )),
+    "--distance-store-dir": ("distance", "store_dir", dict(
+        metavar="DIR",
+        help="tile-store directory for --distance-out memmap (default: "
+        "a fresh temporary store; a fixed DIR makes the distance stage "
+        "resumable across runs)",
+    )),
+    "--tree": ("tree", "builder", dict(
+        metavar="NAME",
+        help="guide-tree builder (see `repro trees`): 'upgma', 'wpgma', "
+        "'nj', or 'single-linkage'. For sample-align-d it configures "
+        "the per-bucket local aligners; for serve/loadtest it is the "
+        "default folded (pre-hash) into guide-tree engine requests that "
+        "don't choose one.",
+    )),
+    "--tree-backend": ("tree", "backend", dict(
+        metavar="NAME",
+        help="execution backend for the DAG-scheduled progressive merge "
+        "('threads', 'processes' or 'pool'; byte-identical to the "
+        "serial walk). Guide-tree engines only.",
+    )),
+}
+
+
+def _add_stage_flags(parser: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags or _STAGE_FLAGS:
+        parser.add_argument(flag, default=None, **_STAGE_FLAGS[flag][2])
+
+
+def _stage_specs(args: argparse.Namespace) -> dict:
+    """The ``--distance*`` / ``--tree*`` flags as ``{stage: config
+    dict}``, validated through :class:`~repro.distance.DistanceConfig` /
+    :class:`~repro.tree.TreeConfig` (``ValueError`` on a bad name).  A
+    stage none of whose flags was given (or that the sub-command does
+    not carry) is left out."""
+    from repro.tree import STAGE_CONFIGS
+
+    fields = {stage: {} for stage in STAGE_CONFIGS}
+    for flag, (stage, name, _) in _STAGE_FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            fields[stage][name] = value
+    return {
+        stage: config_cls(**fields[stage]).to_dict()
+        for stage, config_cls in STAGE_CONFIGS.items()
+        if fields[stage]
+    }
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -117,56 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         "for repeated runs). Alignments are byte-identical across "
         "backends.",
     )
-    p_align.add_argument(
-        "--distance",
-        default=None,
-        metavar="NAME",
-        help="distance estimator for the guide-tree stage (see `repro "
-        "distances`): 'ktuple' (fast, alignment-free), 'kmer-fraction', "
-        "'kband', or 'full-dp' (accurate, O(L^2) per pair). For "
-        "sample-align-d it configures the per-bucket local aligners.",
-    )
-    p_align.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the all-pairs distance stage "
-        "('threads', 'processes' or 'pool'; output is byte-identical "
-        "to the serial stage). Guide-tree engines only.",
-    )
-    p_align.add_argument(
-        "--distance-out",
-        default=None,
-        choices=["memory", "condensed", "memmap"],
-        help="distance-matrix placement: 'memory' (dense), 'condensed' "
-        "(flat upper triangle, half the RAM; the default) or 'memmap' "
-        "(disk-backed tile store -- O(tile) resident memory at genome "
-        "scale). Byte-identical values. Guide-tree engines only.",
-    )
-    p_align.add_argument(
-        "--distance-store-dir",
-        default=None,
-        metavar="DIR",
-        help="tile-store directory for --distance-out memmap (default: "
-        "a fresh temporary store; a fixed DIR makes the distance stage "
-        "resumable across runs)",
-    )
-    p_align.add_argument(
-        "--tree",
-        default=None,
-        metavar="NAME",
-        help="guide-tree builder (see `repro trees`): 'upgma', 'wpgma', "
-        "'nj', or 'single-linkage'. For sample-align-d it configures "
-        "the per-bucket local aligners.",
-    )
-    p_align.add_argument(
-        "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the DAG-scheduled progressive merge "
-        "('threads', 'processes' or 'pool'; byte-identical to the "
-        "serial walk). Guide-tree engines only.",
-    )
+    _add_stage_flags(p_align)
     p_align.add_argument(
         "--json",
         nargs="?",
@@ -411,53 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         "'processes' to serve Sample-Align-D on real cores, or 'pool' "
         "to reuse warm workers across requests)",
     )
-    p_serve.add_argument(
-        "--distance",
-        default=None,
-        metavar="NAME",
-        help="default distance estimator folded into guide-tree engine "
-        "requests that don't choose one (pre-hash, so caching/coalescing "
-        "see it; see `repro distances`)",
-    )
-    p_serve.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for those requests' all-pairs "
-        "distance stage ('threads', 'processes' or 'pool')",
-    )
-    p_serve.add_argument(
-        "--distance-out",
-        default=None,
-        choices=["memory", "condensed", "memmap"],
-        help="default distance-matrix placement folded into guide-tree "
-        "engine requests that don't choose one (pre-hash); 'memmap' "
-        "bounds the gateway's resident memory via the disk-backed "
-        "tile store",
-    )
-    p_serve.add_argument(
-        "--distance-store-dir",
-        default=None,
-        metavar="DIR",
-        help="tile-store directory for --distance-out memmap "
-        "(default: fresh temporary stores)",
-    )
-    p_serve.add_argument(
-        "--tree",
-        default=None,
-        metavar="NAME",
-        help="default guide-tree builder folded into guide-tree engine "
-        "requests that don't choose one (pre-hash, so caching/coalescing "
-        "see it; see `repro trees`)",
-    )
-    p_serve.add_argument(
-        "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for those requests' "
-        "DAG-scheduled progressive merge ('threads', 'processes' or "
-        "'pool')",
-    )
+    _add_stage_flags(p_serve)
 
     p_load = sub.add_parser(
         "loadtest", help="drive an in-process gateway with synthetic traffic"
@@ -496,33 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="default execution backend for distributed requests "
         "('threads', 'processes' or 'pool')",
     )
-    p_load.add_argument(
-        "--distance",
-        default=None,
-        metavar="NAME",
-        help="default distance estimator folded into guide-tree engine "
-        "requests (pre-hash; see `repro distances`)",
-    )
-    p_load.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for the distance stage of those "
-        "requests ('threads', 'processes' or 'pool')",
-    )
-    p_load.add_argument(
-        "--tree",
-        default=None,
-        metavar="NAME",
-        help="default guide-tree builder folded into guide-tree engine "
-        "requests (pre-hash; see `repro trees`)",
-    )
-    p_load.add_argument(
+    _add_stage_flags(
+        p_load, "--distance", "--distance-backend", "--tree",
         "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="default execution backend for the progressive merge of "
-        "those requests ('threads', 'processes' or 'pool')",
     )
     p_load.add_argument(
         "--trace-out",
@@ -561,20 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "-p", "--procs", type=int, default=4, help="virtual processors"
     )
-    p_trace.add_argument(
-        "--distance-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the all-pairs distance stage "
-        "('threads', 'processes' or 'pool'); adds <stage>.dispatch/.rank "
-        "spans to the trace",
-    )
-    p_trace.add_argument(
-        "--tree-backend",
-        default=None,
-        metavar="NAME",
-        help="execution backend for the DAG-scheduled progressive merge",
-    )
+    _add_stage_flags(p_trace, "--distance-backend", "--tree-backend")
     p_trace.add_argument(
         "-n", "--n-sequences", type=int, default=12,
         help="synthetic family size (no-input mode)",
@@ -614,123 +557,47 @@ def _cmd_align(args: argparse.Namespace) -> int:
     # Bad user input (unknown names, empty input) becomes a clean error;
     # failures *inside* an engine run keep their traceback.
     try:
-        from repro.distance import get_estimator, validate_backend_name
-        from repro.engine.registry import (
-            engine_distance_options,
-            engine_tree_options,
-        )
-        from repro.tree import get_builder
+        from repro.engine.registry import engine_stages
 
         get_engine(engine)  # fail fast on unknown engine names
-        if args.distance is not None:
-            get_estimator(args.distance)  # fail fast on unknown estimators
-        validate_backend_name(args.distance_backend, "--distance-backend")
-        if args.tree is not None:
-            get_builder(args.tree)  # fail fast on unknown builders
-        validate_backend_name(args.tree_backend, "--tree-backend")
+        specs = _stage_specs(args)
+        # Sample-Align-D hands the stage flags to its per-bucket local
+        # aligners; every other engine takes them itself.
+        sample_align_d = engine.lower() == "sample-align-d"
+        target = args.local_aligner if sample_align_d else engine
+        for stage in specs:
+            if stage not in engine_stages(target):
+                raise ValueError(
+                    f"{'local aligner' if sample_align_d else 'engine'} "
+                    f"{target!r} does not take --{stage} (no pluggable "
+                    f"guide-tree {stage} stage)"
+                )
         config = None
         engine_kwargs = {}
-        if engine.lower() == "sample-align-d":
-            for flag, value in (
-                ("--distance-backend", args.distance_backend),
-                ("--tree-backend", args.tree_backend),
-            ):
-                if value is not None:
-                    print(
-                        f"error: {flag} does not apply to "
-                        "sample-align-d (its ranks may not nest a second "
-                        "execution backend); use --distance/--tree to "
-                        "configure the per-bucket local aligners, or "
-                        "--backend to place the ranks themselves",
-                        file=sys.stderr,
-                    )
-                    return 2
-            if args.distance_store_dir is not None:
+        if sample_align_d:
+            if specs.get("distance", {}).get("store_dir") is not None:
                 # One fixed store dir shared by many per-bucket distance
                 # stages would thrash (each bucket's header evicts the
                 # previous bucket's tiles).
-                print(
-                    "error: --distance-store-dir does not apply to "
+                raise ValueError(
+                    "--distance-store-dir does not apply to "
                     "sample-align-d (each bucket runs its own distance "
-                    "stage; a shared tile store would thrash)",
-                    file=sys.stderr,
+                    "stage; a shared tile store would thrash)"
                 )
-                return 2
-            local_kwargs = {}
-            for opt, value, options_of, what in (
-                ("distance", args.distance, engine_distance_options,
-                 "distance estimator (no guide-tree distance stage)"),
-                ("distance_out", args.distance_out,
-                 engine_distance_options,
-                 "distance placement (no guide-tree distance stage)"),
-                ("tree", args.tree, engine_tree_options,
-                 "tree builder (no guide-tree stage)"),
-            ):
-                if value is None:
-                    continue
-                if opt not in options_of(args.local_aligner):
-                    print(
-                        f"error: local aligner {args.local_aligner!r} "
-                        f"does not take a --{opt} {what}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                local_kwargs[opt] = value
             config = SampleAlignDConfig(
                 local_aligner=args.local_aligner,
                 backend=args.backend,
-                local_aligner_kwargs=local_kwargs,
+                local_aligner_kwargs=specs,
             )
         else:
             if args.backend is not None:
-                print(
-                    f"error: --backend currently applies only to the "
+                raise ValueError(
+                    f"--backend currently applies only to the "
                     f"sample-align-d engine, not {engine!r} (the "
                     f"parallel-baseline SPMD program is closure-based and "
-                    f"sequential engines have no ranks to place)",
-                    file=sys.stderr,
+                    f"sequential engines have no ranks to place)"
                 )
-                return 2
-            for seam, options_of, pairs in (
-                ("distance", engine_distance_options, (
-                    ("distance", args.distance),
-                    ("distance_backend", args.distance_backend),
-                    ("distance_out", args.distance_out),
-                    ("distance_store_dir", args.distance_store_dir),
-                )),
-                ("tree", engine_tree_options, (
-                    ("tree", args.tree),
-                    ("tree_backend", args.tree_backend),
-                )),
-            ):
-                supported = options_of(engine)
-                for opt, value in pairs:
-                    if value is None:
-                        continue
-                    if opt not in supported:
-                        if seam in supported:
-                            # e.g. parallel-baseline: it *has* a
-                            # pluggable distance/tree stage, but runs it
-                            # inside its own SPMD ranks.
-                            reason = (
-                                f"its {seam} stage runs inside its own "
-                                "SPMD ranks, which may not nest a second "
-                                f"execution backend; use --{seam} to "
-                                "pick the "
-                                + ("estimator" if seam == "distance"
-                                   else "builder")
-                            )
-                        else:
-                            reason = (
-                                f"no pluggable guide-tree {seam} stage"
-                            )
-                        print(
-                            f"error: engine {engine!r} does not take "
-                            f"--{opt.replace('_', '-')} ({reason})",
-                            file=sys.stderr,
-                        )
-                        return 2
-                    engine_kwargs[opt] = value
+            engine_kwargs = specs
         request = AlignRequest(
             sequences=tuple(seqs),
             engine=engine,
@@ -740,7 +607,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
             engine_kwargs=engine_kwargs,
         )
         if request.engine_kwargs:
-            # Build once up front so bad distance options error cleanly.
+            # Build once up front so bad stage specs error cleanly.
             get_engine(request.engine, **request.engine_kwargs)
     except (KeyError, ValueError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
@@ -824,10 +691,7 @@ def _cmd_aligners(_args: argparse.Namespace) -> int:
 def _cmd_engines(args: argparse.Namespace) -> int:
     from repro.distance import estimator_info
     from repro.engine import available_engines
-    from repro.engine.registry import (
-        engine_distance_options,
-        engine_tree_options,
-    )
+    from repro.engine.registry import engine_stages
     from repro.parcomp.backends import available_backends
     from repro.tree import builder_info
 
@@ -837,10 +701,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
                 {
                     "name": name,
                     "kind": kind,
-                    "distance_options": sorted(
-                        engine_distance_options(name)
-                    ),
-                    "tree_options": sorted(engine_tree_options(name)),
+                    "stages": sorted(engine_stages(name)),
                 }
                 for name, kind in available_engines().items()
             ],
@@ -851,12 +712,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         _emit_json(payload, args.json)
         return 0
     for name, kind in available_engines().items():
-        seams = "".join(
-            tag for tag, opts in (
-                ("+distance", engine_distance_options(name)),
-                ("+tree", engine_tree_options(name)),
-            ) if opts
-        )
+        seams = "".join(f"+{stage}" for stage in sorted(engine_stages(name)))
         print(f"{name:<20} {kind:<12} {seams}")
     print(
         f"\nexecution backends for distributed engines (--backend): "
@@ -1275,6 +1131,7 @@ def _build_gateway(args: argparse.Namespace):
     )
     from repro.serve import AlignmentGateway, ResultStore
 
+    specs = _stage_specs(args)  # before anything is opened: may raise
     cache_size = getattr(args, "cache_size", 128)
     if args.store:
         budget_mb = getattr(args, "store_budget_mb", 256.0)
@@ -1298,12 +1155,8 @@ def _build_gateway(args: argparse.Namespace):
         rate=getattr(args, "rate", None),
         burst=getattr(args, "burst", None),
         default_backend=getattr(args, "backend", None),
-        default_distance=getattr(args, "distance", None),
-        default_distance_backend=getattr(args, "distance_backend", None),
-        default_distance_out=getattr(args, "distance_out", None),
-        default_distance_store_dir=getattr(args, "distance_store_dir", None),
-        default_tree=getattr(args, "tree", None),
-        default_tree_backend=getattr(args, "tree_backend", None),
+        default_distance=specs.get("distance"),
+        default_tree=specs.get("tree"),
     )
 
 
@@ -1457,16 +1310,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             track_alignment=False,
         )
         seqs = list(fam.sequences)
-    engine_kwargs = {
-        opt: value
-        for opt, value in (
-            ("distance_backend", args.distance_backend),
-            ("tree_backend", args.tree_backend),
-        )
-        if value is not None
-    }
     try:
         # Fail fast on unknown engines / options the engine cannot take.
+        engine_kwargs = _stage_specs(args)
         get_engine(args.engine, **engine_kwargs)
         request = AlignRequest(
             sequences=tuple(seqs),

@@ -27,7 +27,10 @@ class SampleAlignDConfig:
         Registry name of the sequential MSA system run on each bucket
         (paper: "any sequential multiple alignment system"; MUSCLE there).
     local_aligner_kwargs:
-        Extra keyword arguments for the local aligner factory.
+        Extra keyword arguments for the local aligner factory.  A
+        ``distance`` / ``tree`` stage spec in here (or in
+        ``root_aligner_kwargs``) may not carry a ``backend`` /
+        ``workers`` choice: the ranks place the work.
     root_aligner:
         Aligner used at the root on the ``p`` local ancestors (defaults to
         the local aligner).
@@ -125,6 +128,20 @@ class SampleAlignDConfig:
                     f"{role} {name!r} is not a registered sequential "
                     f"aligner; available: {names}"
                 )
+        # Likewise for a stage spec that places itself on a second
+        # execution backend: the ranks may not nest one.
+        from repro.engine.registry import engine_stages
+        from repro.tree import STAGE_CONFIGS
+
+        for name, kwargs in (
+            (self.local_aligner, self.local_aligner_kwargs),
+            (self.root_aligner or self.local_aligner, self.root_aligner_kwargs),
+        ):
+            for stage, config_cls in STAGE_CONFIGS.items():
+                if stage in kwargs and stage in engine_stages(name):
+                    config_cls.coerce(kwargs[stage]).require_unplaced(
+                        "sample-align-d"
+                    )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form; inverse of :meth:`from_dict`.

@@ -29,7 +29,7 @@ from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.align.refine import refine_alignment
 from repro.align.scoring import sp_score
-from repro.msa.distances import ktuple_distance_matrix
+from repro.distance import all_pairs
 from repro.seq.alignment import Alignment
 
 __all__ = ["refine_bucket_alignment", "bucket_level_refine"]
@@ -49,7 +49,7 @@ def refine_bucket_alignment(
     if rounds <= 0 or aln.n_rows < 3:
         return aln
     seqs = list(aln.ungapped())
-    tree = upgma(ktuple_distance_matrix(seqs), [s.id for s in seqs])
+    tree = upgma(all_pairs(seqs, "ktuple"), [s.id for s in seqs])
     rng = None if seed is None else np.random.default_rng(seed)
     return refine_alignment(
         aln, tree, scoring, max_rounds=rounds, rng=rng

@@ -2,9 +2,8 @@
 
 The all-pairs distance stage is the scalability wall of guide-tree MSA
 -- the very problem the source paper attacks -- yet it used to be
-computed serially through three overlapping code paths
-(:mod:`repro.msa.distances`, :mod:`repro.kmer.distance`,
-``pairwise_identity``).  This package unifies them:
+computed serially through three overlapping code paths.  This package
+unifies them:
 
 - :mod:`~repro.distance.estimators` -- the
   :class:`DistanceEstimator` protocol and registry (``ktuple``,
@@ -29,7 +28,8 @@ computed serially through three overlapping code paths
 
 Every guide-tree baseline (ClustalW-like, MUSCLE-like, MAFFT-like,
 center-star, the stage-parallel CLUSTALW) routes its distance stage
-through here via ``distance=`` / ``distance_backend=`` options, so one
+through here via its ``distance=`` spec (a name, a
+:class:`DistanceConfig` or its dict form), so one
 ``--distance-backend processes`` flag puts the distance stage of any of
 them on real cores.
 """

@@ -1,26 +1,23 @@
 """Serializable configuration of a distance stage.
 
-:class:`DistanceConfig` is the dict-round-trippable form of "which
-estimator, with which knobs, executed where" -- the shape that travels
-through ``engine_kwargs`` (it is JSON-able, so request content hashes
-and the serving layer's coalescing keys see the effective choice) and
-through baseline dataclass fields.
+:class:`DistanceConfig` is the one description of a distance stage --
+which estimator, with which knobs, executed where, placed where.  It is
+JSON-able, so it travels through ``engine_kwargs`` (request content
+hashes and the serving layer's coalescing keys see the effective
+choice) and it is what an aligner's ``distance=`` field resolves to.
 
-Baselines accept the full spectrum of ``distance=`` values and funnel
-them through :func:`resolve_distance_stage`:
-
-- ``None`` -- the baseline's historical default estimator;
-- a registry name (``"full-dp"``) -- constructed with the baseline's
-  scoring defaults;
-- a dict -- ``DistanceConfig.from_dict`` (the JSON/engine_kwargs form);
-- a :class:`DistanceConfig`;
-- a ready :class:`~repro.distance.estimators.DistanceEstimator` instance.
+A ``distance=`` spec is any of: ``None`` (the aligner's historical
+estimator, serial, in memory), a registry name (``"full-dp"``), a
+:class:`DistanceConfig` or its dict form, or a ready
+:class:`~repro.distance.estimators.DistanceEstimator` instance.
+:func:`resolve_distance_stage` turns a spec into ``(estimator, config)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.distance.estimators import (
     DistanceEstimator,
@@ -31,6 +28,7 @@ from repro.distance.transforms import TRANSFORMS
 
 __all__ = [
     "DistanceConfig",
+    "StageConfig",
     "resolve_distance_stage",
     "scoring_estimator_defaults",
     "validate_backend_name",
@@ -42,8 +40,8 @@ def scoring_estimator_defaults(
 ) -> Dict[str, Dict[str, Any]]:
     """Per-estimator constructor defaults derived from a baseline's knobs.
 
-    The by-name path of :func:`resolve_distance_stage` uses these so
-    ``distance="full-dp"`` picks up the aligner's own scoring
+    :func:`resolve_distance_stage` applies these to a *named* estimator,
+    so ``distance="full-dp"`` picks up the aligner's own scoring
     matrix/gaps and ``distance="ktuple"`` its ``kmer_k``.
     """
     return {
@@ -67,8 +65,94 @@ def validate_backend_name(backend: Optional[str], what: str = "backend") -> None
         )
 
 
+class StageConfig:
+    """What :class:`DistanceConfig` and :class:`~repro.tree.TreeConfig`
+    share: the spec forms they accept, dict round-trips, the field-wise
+    merge the gateway folds defaults with, and the placement checks.
+
+    Every field is optional; ``None`` means "the aligner's (or the
+    registry's) default".  The first field names what runs (estimator /
+    builder); ``backend`` / ``workers`` say where.
+    """
+
+    #: "distance" / "tree" -- the stage, for error messages.
+    _stage: ClassVar[str]
+    #: The class a ready-made instance of this stage has.
+    _made: ClassVar[type]
+    #: Fields holding registry names, lower-cased on construction so
+    #: equal specs compare, serialise and hash equal.
+    _names: ClassVar[Tuple[str, ...]]
+    #: ``{qualifier: the field it qualifies}`` -- see :meth:`over`.
+    _follows: ClassVar[Mapping[str, str]]
+
+    def _normalise(self) -> None:
+        for name in self._names:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, str(value).lower())
+        validate_backend_name(self.backend, f"{self._stage} backend")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"{self._stage} workers must be >= 1 (or None)")
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-able form; inverse of :meth:`from_dict`."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]):
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys {sorted(unknown)}")
+        return cls(**dict(data))
+
+    @classmethod
+    def coerce(cls, spec: Any):
+        """Any ``distance=`` / ``tree=`` spec as a config.
+
+        A ready estimator/builder instance carries no placement, so it
+        coerces to the empty config.
+        """
+        if spec is None or isinstance(spec, cls._made):
+            return cls()
+        if isinstance(spec, cls):
+            return spec
+        if isinstance(spec, str):
+            return cls(spec)
+        if isinstance(spec, Mapping):
+            return cls.from_dict(spec)
+        raise ValueError(
+            f"{cls._stage} must be a registry name, a {cls.__name__} (or "
+            f"its dict form), a {cls._made.__name__}, or None -- got {spec!r}"
+        )
+
+    def over(self, default: "StageConfig"):
+        """Field-wise merge with ``default``; this config's fields win.
+
+        A qualifier (``k``, ``store_dir``, ``anchors``, ...) is inherited
+        only together with the field it qualifies: a request that names
+        its own estimator does not pick up the default estimator's ``k``.
+        """
+        merged = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            lead = self._follows.get(f.name)
+            if value is None and (lead is None or getattr(self, lead) is None):
+                value = getattr(default, f.name)
+            merged[f.name] = value
+        return type(self)(**merged)
+
+    def require_unplaced(self, who: str) -> None:
+        """The one "ranks may not nest a second backend" check."""
+        if self.backend is not None or self.workers is not None:
+            raise ValueError(
+                f"{who} runs its {self._stage} stage inside its own SPMD "
+                f"ranks; a nested {self._stage} backend/workers choice "
+                f"(--{self._stage}-backend) is not supported"
+            )
+
+
 @dataclass(frozen=True)
-class DistanceConfig:
+class DistanceConfig(StageConfig):
     """One distance stage, described completely (validated, JSON-able).
 
     Attributes
@@ -76,14 +160,15 @@ class DistanceConfig:
     estimator:
         Registry name (``"ktuple"``, ``"kmer-fraction"``, ``"full-dp"``,
         ``"kband"``; see :func:`repro.distance.available_estimators`).
+        ``None`` = the aligner's historical estimator.
     k:
         k-mer length for the alignment-free estimators (``None`` = the
         estimator's/baseline's default; rejected by estimators without a
-        ``k``).
+        ``k``).  Needs a named ``estimator``.
     transform:
         Identity post-transform (``"linear"`` or ``"kimura"``; ``None``
         = estimator default).  Rejected by ``ktuple`` (its distance is
-        not on an identity scale).
+        not on an identity scale).  Needs a named ``estimator``.
     backend:
         Execution backend of the tiled all-pairs scheduler
         (``"threads"``/``"processes"``/``"pool"``; ``None`` = compute serially).
@@ -91,15 +176,16 @@ class DistanceConfig:
         Rank count for the scheduler (``None`` = host core count).
     out:
         Result placement (see :data:`repro.distance.OUT_MODES`):
-        ``"memory"`` (dense, the historical default), ``"condensed"``
-        (the flat upper triangle, half the RAM), or ``"memmap"``
-        (disk-backed tile store; O(tile) working memory).
+        ``"memory"`` (dense), ``"condensed"`` (the flat upper triangle,
+        half the RAM), or ``"memmap"`` (disk-backed tile store; O(tile)
+        working memory).  ``None`` = the caller's default.
     store_dir:
         Tile-store directory for ``out="memmap"`` (``None`` = a fresh
-        temporary store; pass a path to make the run resumable).
+        temporary store; pass a path to make the run resumable).  A
+        path, so never lower-cased.
     """
 
-    estimator: str = "ktuple"
+    estimator: Optional[str] = None
     k: Optional[int] = None
     transform: Optional[str] = None
     backend: Optional[str] = None
@@ -107,16 +193,28 @@ class DistanceConfig:
     out: Optional[str] = None
     store_dir: Optional[str] = None
 
+    _stage = "distance"
+    _made = DistanceEstimator
+    _names = ("estimator", "backend", "out")
+    _follows = {"k": "estimator", "transform": "estimator", "store_dir": "out"}
+
     def __post_init__(self) -> None:
         from repro.distance.allpairs import OUT_MODES
 
-        if self.out is not None and str(self.out).lower() not in OUT_MODES:
+        self._normalise()
+        if self.out is not None and self.out not in OUT_MODES:
             raise ValueError(
                 f"unknown distance out mode {self.out!r}; one of {OUT_MODES}"
             )
-        if self.store_dir is not None and str(self.out).lower() != "memmap":
-            raise ValueError("store_dir requires out='memmap'")
-        if str(self.estimator).lower() not in available_estimators():
+        if self.store_dir is not None and self.out != "memmap":
+            raise ValueError("distance store_dir requires out='memmap'")
+        if self.estimator is None:
+            if self.k is not None or self.transform is not None:
+                raise ValueError(
+                    "k / transform qualify a named estimator; set "
+                    "estimator too"
+                )
+        elif self.estimator not in available_estimators():
             raise ValueError(
                 f"unknown distance estimator {self.estimator!r}; "
                 f"available: {available_estimators()}"
@@ -128,38 +226,14 @@ class DistanceConfig:
                 f"unknown identity transform {self.transform!r}; "
                 f"one of {list(TRANSFORMS)}"
             )
-        validate_backend_name(self.backend, "distance backend")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None)")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able form; inverse of :meth:`from_dict`."""
-        return {
-            "estimator": self.estimator,
-            "k": self.k,
-            "transform": self.transform,
-            "backend": self.backend,
-            "workers": self.workers,
-            "out": self.out,
-            "store_dir": self.store_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DistanceConfig":
-        unknown = set(data) - {
-            "estimator", "k", "transform", "backend", "workers",
-            "out", "store_dir",
-        }
-        if unknown:
-            raise ValueError(
-                f"unknown DistanceConfig keys {sorted(unknown)}"
-            )
-        return cls(**dict(data))
 
     def make_estimator(
         self, defaults: Optional[Mapping[str, Any]] = None
     ) -> DistanceEstimator:
-        """Build the estimator; explicit fields win over ``defaults``."""
+        """Build the estimator; explicit fields win over ``defaults``.
+
+        ``estimator=None`` builds the registry default.
+        """
         kwargs: Dict[str, Any] = dict(defaults or {})
         if self.k is not None:
             kwargs["k"] = self.k
@@ -169,75 +243,27 @@ class DistanceConfig:
 
 
 def resolve_distance_stage(
-    distance: Union[
-        str, dict, DistanceConfig, DistanceEstimator, None
-    ] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
+    distance: Any = None,
     *,
-    out: Optional[str] = None,
-    store_dir: Optional[str] = None,
     default: Optional[Callable[[], DistanceEstimator]] = None,
     estimator_defaults: Optional[Mapping[str, Mapping[str, Any]]] = None,
-) -> Tuple[
-    DistanceEstimator, Optional[str], Optional[int],
-    Optional[str], Optional[str],
-]:
-    """Normalise a baseline's distance options to ``(estimator, backend,
-    workers, out, store_dir)``.
+) -> Tuple[DistanceEstimator, DistanceConfig]:
+    """Turn a ``distance=`` spec into ``(estimator, config)``.
 
-    ``default`` builds the baseline's historical estimator when
-    ``distance`` is None.  ``estimator_defaults`` maps registry names to
-    constructor defaults (e.g. the baseline's scoring matrix for
-    ``"full-dp"``), applied when the estimator is selected *by name*;
-    explicit :class:`DistanceConfig` fields win over them.  Explicit
-    ``backend``/``workers``/``out``/``store_dir`` arguments win over the
-    config's.  ``out`` stays ``None`` (caller's choice of default) when
-    neither names a placement.
+    ``config`` carries the placement (``backend``/``workers``/``out``/
+    ``store_dir``).  ``default`` builds the aligner's historical
+    estimator when the spec names none.  ``estimator_defaults`` maps
+    registry names to constructor defaults (e.g. the aligner's scoring
+    matrix for ``"full-dp"``), applied to a named estimator; explicit
+    config fields win over them.
     """
-    estimator_defaults = estimator_defaults or {}
-    config: Optional[DistanceConfig] = None
-    if isinstance(distance, Mapping):
-        distance = DistanceConfig.from_dict(distance)
-    if isinstance(distance, DistanceConfig):
-        config = distance
-        est = config.make_estimator(
-            estimator_defaults.get(str(config.estimator).lower())
-        )
-    elif isinstance(distance, DistanceEstimator):
-        est = distance
-    elif isinstance(distance, str):
-        key = distance.lower()
-        try:
-            est = get_estimator(key, **dict(estimator_defaults.get(key, {})))
-        except KeyError as exc:
-            raise ValueError(exc.args[0] if exc.args else str(exc)) from None
-    elif distance is None:
+    config = DistanceConfig.coerce(distance)
+    if isinstance(distance, DistanceEstimator):
+        return distance, config
+    if config.estimator is None:
         est = default() if default is not None else get_estimator(None)
     else:
-        raise ValueError(
-            "distance must be an estimator name, a DistanceConfig (or its "
-            f"dict form), a DistanceEstimator, or None -- got {distance!r}"
+        est = config.make_estimator(
+            (estimator_defaults or {}).get(config.estimator)
         )
-    if backend is None and config is not None:
-        backend = config.backend
-    if workers is None and config is not None:
-        workers = config.workers
-    if out is None and config is not None:
-        out = config.out
-    if store_dir is None and config is not None:
-        store_dir = config.store_dir
-    validate_backend_name(backend, "distance backend")
-    if workers is not None and workers < 1:
-        raise ValueError("distance workers must be >= 1 (or None)")
-    if out is not None:
-        from repro.distance.allpairs import OUT_MODES
-
-        out = str(out).lower()
-        if out not in OUT_MODES:
-            raise ValueError(
-                f"unknown distance out mode {out!r}; one of {OUT_MODES}"
-            )
-    if store_dir is not None and out != "memmap":
-        raise ValueError("distance store_dir requires out='memmap'")
-    return est, backend, workers, out, store_dir
+    return est, config

@@ -1,9 +1,8 @@
 """Identity/distance post-transforms shared by every estimator.
 
-These are the *single* home of the identity-to-distance math that used
-to be duplicated between :mod:`repro.msa.distances` (Kimura) and
-:mod:`repro.kmer.distance` (the calibrated fractional-identity map);
-both legacy modules now delegate here.
+These are the *single* home of the identity-to-distance math (Kimura,
+and the calibrated fractional-identity map that
+:mod:`repro.kmer.distance` delegates here).
 
 Two transforms are registered:
 

@@ -25,8 +25,7 @@ __all__ = [
     "EngineEntry",
     "available_engines",
     "available_sequential_aligners",
-    "engine_distance_options",
-    "engine_tree_options",
+    "engine_stages",
     "get_engine",
     "get_sequential_aligner",
     "register_engine",
@@ -35,21 +34,13 @@ __all__ = [
     "unregister_sequential_aligner",
 ]
 
-#: The distance-seam kwargs a guide-tree engine can accept (see
-#: :mod:`repro.distance`); registry entries advertise the subset they
-#: support so the serving gateway and the CLI can thread defaults
-#: through ``engine_kwargs`` without guessing.
-DISTANCE_OPTION_NAMES = (
-    "distance",
-    "distance_backend",
-    "distance_workers",
-    "distance_out",
-    "distance_store_dir",
-)
-
-#: The tree-seam kwargs a guide-tree engine can accept (see
-#: :mod:`repro.tree`); advertised the same way as the distance seam.
-TREE_OPTION_NAMES = ("tree", "tree_backend", "tree_workers")
+#: The configurable pipeline stages an engine factory may take as
+#: keyword arguments: ``distance=`` (:mod:`repro.distance`) and
+#: ``tree=`` (:mod:`repro.tree`), each a name, a config dict or a
+#: config.  Entries advertise the subset they take so the serving
+#: gateway and the CLI can thread specs through ``engine_kwargs``
+#: without guessing.
+STAGE_NAMES = ("distance", "tree")
 
 
 @dataclass(frozen=True)
@@ -62,14 +53,12 @@ class EngineEntry:
     #: For sequential entries, the raw SequentialMsaAligner factory that
     #: the legacy ``repro.msa.get_aligner`` path returns directly.
     seq_factory: Optional[Callable] = None
-    #: Which distance-seam kwargs (subset of DISTANCE_OPTION_NAMES) the
-    #: engine factory accepts.  Empty for engines without a pluggable
-    #: guide-tree distance stage (T-Coffee, ProbCons, Sample-Align-D --
-    #: the latter takes them via ``local_aligner_kwargs`` instead).
-    distance_options: FrozenSet[str] = frozenset()
-    #: Which tree-seam kwargs (subset of TREE_OPTION_NAMES) the engine
-    #: factory accepts; same conventions as ``distance_options``.
-    tree_options: FrozenSet[str] = frozenset()
+    #: Which of :data:`STAGE_NAMES` the factory takes.  Empty for
+    #: engines without a guide-tree pipeline (T-Coffee, ProbCons) and
+    #: for Sample-Align-D, which takes them via ``local_aligner_kwargs``.
+    #: A distributed engine places its own ranks, so a spec given to it
+    #: may not carry a ``backend`` / ``workers`` choice.
+    stages: FrozenSet[str] = frozenset()
 
 
 _ENGINES: Dict[str, EngineEntry] = {}
@@ -92,17 +81,14 @@ def _register(entry: EngineEntry, overwrite: bool) -> None:
     _ENGINES[entry.name] = entry
 
 
-def _option_set(
-    options: Iterable[str], names: tuple, what: str
-) -> FrozenSet[str]:
-    opts = frozenset(options)
-    unknown = opts - set(names)
+def _stage_set(stages: Iterable[str]) -> FrozenSet[str]:
+    unknown = set(stages) - set(STAGE_NAMES)
     if unknown:
         raise ValueError(
-            f"unknown {what} options {sorted(unknown)}; "
-            f"subset of {list(names)}"
+            f"unknown pipeline stages {sorted(unknown)}; "
+            f"subset of {list(STAGE_NAMES)}"
         )
-    return opts
+    return frozenset(stages)
 
 
 def register_engine(
@@ -110,34 +96,21 @@ def register_engine(
     factory: Callable[..., Aligner],
     kind: str = "distributed",
     overwrite: bool = False,
-    distance_options: Iterable[str] = (),
-    tree_options: Iterable[str] = (),
+    stages: Iterable[str] = (),
 ) -> None:
     """Register an engine factory under a unified-registry name.
 
     ``factory(**kwargs)`` must return an :class:`Aligner`.  Use
     :func:`register_sequential_aligner` instead when all you have is a
     :class:`~repro.msa.base.SequentialMsaAligner` factory -- that keeps
-    the name visible to the legacy ``repro.msa`` paths too.
-    ``distance_options`` / ``tree_options`` advertise which of the
-    :mod:`repro.distance` / :mod:`repro.tree` seam kwargs the factory
-    accepts (see :func:`engine_distance_options` /
-    :func:`engine_tree_options`).
+    the name visible to the legacy ``repro.msa`` paths too.  ``stages``
+    advertises which of ``distance=`` / ``tree=`` the factory takes
+    (see :func:`engine_stages`).
     """
     if kind not in ("sequential", "distributed"):
         raise ValueError("kind must be 'sequential' or 'distributed'")
     _register(
-        EngineEntry(
-            name.lower(),
-            kind,
-            factory,
-            distance_options=_option_set(
-                distance_options, DISTANCE_OPTION_NAMES, "distance"
-            ),
-            tree_options=_option_set(
-                tree_options, TREE_OPTION_NAMES, "tree"
-            ),
-        ),
+        EngineEntry(name.lower(), kind, factory, stages=_stage_set(stages)),
         overwrite,
     )
 
@@ -146,18 +119,14 @@ def register_sequential_aligner(
     name: str,
     seq_factory: Callable,
     overwrite: bool = False,
-    distance_options: Iterable[str] = (),
-    tree_options: Iterable[str] = (),
+    stages: Iterable[str] = (),
 ) -> None:
     """Register a sequential MSA factory in the unified name space.
 
     The name becomes usable both as an engine (``get_engine(name)``, the
     ``align`` facade, the service) and through the legacy
-    ``repro.msa.get_aligner`` path.  Pass ``distance_options`` /
-    ``tree_options`` when the factory accepts the
-    :mod:`repro.distance` / :mod:`repro.tree` seam kwargs
-    (``distance``/``distance_backend``/``distance_workers`` and
-    ``tree``/``tree_backend``/``tree_workers``).
+    ``repro.msa.get_aligner`` path.  Pass ``stages`` when the factory
+    takes ``distance=`` / ``tree=`` stage specs.
     """
     key = name.lower()
 
@@ -168,16 +137,8 @@ def register_sequential_aligner(
 
     _register(
         EngineEntry(
-            key,
-            "sequential",
-            engine_factory,
-            seq_factory,
-            distance_options=_option_set(
-                distance_options, DISTANCE_OPTION_NAMES, "distance"
-            ),
-            tree_options=_option_set(
-                tree_options, TREE_OPTION_NAMES, "tree"
-            ),
+            key, "sequential", engine_factory, seq_factory,
+            stages=_stage_set(stages),
         ),
         overwrite,
     )
@@ -216,24 +177,14 @@ def available_sequential_aligners() -> List[str]:
     return sorted(n for n, e in _ENGINES.items() if e.kind == "sequential")
 
 
-def engine_distance_options(name: str) -> FrozenSet[str]:
-    """Which :mod:`repro.distance` seam kwargs the engine accepts.
+def engine_stages(name: str) -> FrozenSet[str]:
+    """Which of ``distance=`` / ``tree=`` the engine's factory takes.
 
-    Empty set for unknown names (callers treat those as "not
-    distance-capable" rather than erroring -- the registry is open).
+    Empty set for unknown names (callers treat those as "no guide-tree
+    pipeline" rather than erroring -- the registry is open).
     """
     entry = _ENGINES.get(name.lower())
-    return entry.distance_options if entry is not None else frozenset()
-
-
-def engine_tree_options(name: str) -> FrozenSet[str]:
-    """Which :mod:`repro.tree` seam kwargs the engine accepts.
-
-    Empty set for unknown names, mirroring
-    :func:`engine_distance_options`.
-    """
-    entry = _ENGINES.get(name.lower())
-    return entry.tree_options if entry is not None else frozenset()
+    return entry.stages if entry is not None else frozenset()
 
 
 def get_engine(name: str, **kwargs) -> Aligner:
@@ -279,12 +230,8 @@ def _seq(module: str, cls: str, **preset):
     return factory
 
 
-#: The guide-tree systems whose distance stage routes through
-#: :func:`repro.distance.all_pairs` and whose tree stage routes through
-#: :mod:`repro.tree` (they accept both full seams).
-_GUIDE_TREE_DISTANCE_OPTIONS = frozenset(DISTANCE_OPTION_NAMES)
-_GUIDE_TREE_TREE_OPTIONS = frozenset(TREE_OPTION_NAMES)
-
+# The guide-tree systems: distance stage through
+# repro.distance.all_pairs, tree stage through repro.tree.
 _BUILTIN_SEQUENTIAL = {
     # MUSCLE family (paper Table 2: MUSCLE and MUSCLE-p).
     "muscle": _seq("repro.msa.muscle", "MuscleLike"),
@@ -305,12 +252,7 @@ _BUILTIN_SEQUENTIAL = {
 }
 
 for _name, _factory in _BUILTIN_SEQUENTIAL.items():
-    register_sequential_aligner(
-        _name,
-        _factory,
-        distance_options=_GUIDE_TREE_DISTANCE_OPTIONS,
-        tree_options=_GUIDE_TREE_TREE_OPTIONS,
-    )
+    register_sequential_aligner(_name, _factory, stages=STAGE_NAMES)
 
 # Consistency-based systems: no guide-tree distance or tree stage.
 register_sequential_aligner(
@@ -334,12 +276,6 @@ def _parallel_baseline_factory(**kwargs) -> Aligner:
 
 
 register_engine("sample-align-d", _sample_align_d_factory)
-# The stage-parallel baseline parallelises its distance and merge
-# stages inside its own SPMD program, so it takes estimator/builder
-# choices but no nested backend/workers.
 register_engine(
-    "parallel-baseline",
-    _parallel_baseline_factory,
-    distance_options=("distance", "distance_out", "distance_store_dir"),
-    tree_options=("tree",),
+    "parallel-baseline", _parallel_baseline_factory, stages=STAGE_NAMES
 )

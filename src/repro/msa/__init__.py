@@ -23,23 +23,14 @@ into Sample-Align-D as the per-processor local aligner (paper: "align
 sequences in each processor using any sequential multiple alignment
 system").
 
-All guide-tree distance stages route through the unified
-:mod:`repro.distance` subsystem: every baseline accepts ``distance=``
-(any registered estimator -- ``ktuple``, ``kmer-fraction``, ``full-dp``,
-``kband``) plus ``distance_backend=``/``distance_workers=`` to run the
-all-pairs stage on the execution backends with byte-identical output.
-The old helpers (:func:`ktuple_distance_matrix`,
-:func:`full_dp_distance_matrix`, :func:`kimura_distance`,
-:func:`alignment_identity_matrix`) remain as thin delegates.
+The guide-tree baselines (all but T-Coffee) share one pipeline,
+:class:`~repro.msa.base.GuideTreeStages`: ``distance=`` picks and places
+the all-pairs stage (:mod:`repro.distance`), ``tree=`` the builder and
+the merge schedule (:mod:`repro.tree`); each takes a registry name, a
+config or its dict form.  Execution backends give byte-identical output.
 """
 
 from repro.msa.base import SequentialMsaAligner
-from repro.msa.distances import (
-    alignment_identity_matrix,
-    full_dp_distance_matrix,
-    kimura_distance,
-    ktuple_distance_matrix,
-)
 from repro.msa.muscle import MuscleLike
 from repro.msa.clustalw import ClustalWLike
 from repro.msa.tcoffee import TCoffeeLike
@@ -62,12 +53,8 @@ __all__ = [
     "ParallelClustalW",
     "SequentialMsaAligner",
     "TCoffeeLike",
-    "alignment_identity_matrix",
     "available_aligners",
-    "full_dp_distance_matrix",
     "get_aligner",
-    "kimura_distance",
-    "ktuple_distance_matrix",
     "register_aligner",
     "unregister_aligner",
 ]

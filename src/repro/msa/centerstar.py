@@ -24,17 +24,10 @@ import numpy as np
 from repro.align.guide_tree import GuideTree
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.progressive import progressive_align
-from repro.distance import (
-    CondensedMatrix,
-    KtupleDistance,
-    all_pairs,
-    resolve_distance_stage,
-    scoring_estimator_defaults,
-)
-from repro.msa.base import SequentialMsaAligner
+from repro.distance import CondensedMatrix
+from repro.msa.base import GuideTreeStages, SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
-from repro.tree import resolve_tree_stage
 
 __all__ = ["CenterStar", "center_star_tree"]
 
@@ -77,7 +70,7 @@ def center_star_tree(d: np.ndarray, labels: TSequence[str]) -> GuideTree:
 
 
 @dataclass
-class CenterStar(SequentialMsaAligner):
+class CenterStar(GuideTreeStages, SequentialMsaAligner):
     """Center-star progressive aligner.
 
     Parameters
@@ -87,82 +80,31 @@ class CenterStar(SequentialMsaAligner):
     kmer_k:
         k of the distance estimate used to pick the center.
     distance:
-        Distance-stage override routed through :mod:`repro.distance`
-        (estimator name, :class:`~repro.distance.DistanceConfig`/dict,
-        or instance; default: ``ktuple`` with ``kmer_k``).
-    distance_backend / distance_workers:
-        Run the all-pairs stage on an execution backend
-        (:func:`repro.distance.all_pairs`); byte-identical output.
-    distance_out / distance_store_dir:
-        Result placement of the all-pairs stage (``"memory"``/
-        ``"condensed"``/``"memmap"``; default ``"condensed"``).
-        ``distance_store_dir`` points ``"memmap"`` at a resumable
-        on-disk tile store.
+        Distance stage (see :class:`~repro.msa.base.GuideTreeStages`;
+        default: ``ktuple`` with ``kmer_k``).
     tree:
-        ``None`` (default) keeps the classic center-star caterpillar
-        merge order.  Any :mod:`repro.tree` builder selection (name,
-        :class:`~repro.tree.TreeConfig`/dict, or instance) replaces it
-        with a real guide tree over the same cheap distance matrix.
-    tree_backend / tree_workers:
-        Run the DAG-scheduled progressive merge on an execution backend
-        (:func:`repro.tree.progressive_merge`).  Note the caterpillar
-        default is a chain (no parallelism to exploit); real builders
-        via ``tree=`` produce wide DAGs.  Byte-identical output.
+        Guide-tree stage.  While it names no builder, the classic
+        center-star caterpillar merge order is kept (a chain: a merge
+        ``backend`` has no parallelism to exploit there); naming one
+        replaces it with a real guide tree over the same cheap distance
+        matrix.
     """
 
     scoring: ProfileAlignConfig = field(default_factory=ProfileAlignConfig)
     kmer_k: int = 4
     distance: object = None
-    distance_backend: str | None = None
-    distance_workers: int | None = None
-    distance_out: str | None = None
-    distance_store_dir: str | None = None
     tree: object = None
-    tree_backend: str | None = None
-    tree_workers: int | None = None
 
     name = "center-star"
-
-    def __post_init__(self) -> None:
-        self._distance_stage()  # fail fast on bad distance options
-        self._tree_stage()  # fail fast on bad tree options
-
-    def _distance_stage(self):
-        return resolve_distance_stage(
-            self.distance,
-            self.distance_backend,
-            self.distance_workers,
-            out=self.distance_out,
-            store_dir=self.distance_store_dir,
-            default=lambda: KtupleDistance(k=self.kmer_k),
-            estimator_defaults=scoring_estimator_defaults(
-                self.scoring.matrix, self.scoring.gaps, self.kmer_k
-            ),
-        )
-
-    def _tree_stage(self):
-        # ``tree=None`` means the caterpillar star order, not a registry
-        # default -- signalled by a None builder.
-        if self.tree is None:
-            from repro.distance import validate_backend_name
-
-            validate_backend_name(self.tree_backend, "tree backend")
-            if self.tree_workers is not None and self.tree_workers < 1:
-                raise ValueError("tree workers must be >= 1 (or None)")
-            return None, self.tree_backend, self.tree_workers
-        return resolve_tree_stage(
-            self.tree, self.tree_backend, self.tree_workers
-        )
+    default_builder = None  # the caterpillar star order
 
     def align(self, seqs: TSequence[Sequence]) -> Alignment:
         sset = self._validate_input(seqs)
         if len(sset) == 1:
             return Alignment.from_single(sset[0])
         ids = sset.ids
-        est, backend, workers, out, store_dir = self._distance_stage()
-        d = all_pairs(list(sset), est, backend=backend, workers=workers,
-                      out=out or "condensed", store_dir=store_dir)
-        builder, tbackend, tworkers = self._tree_stage()
+        d = self._distances(list(sset))
+        builder, merge = self._tree_stage()
         tree = (
             center_star_tree(d, ids)
             if builder is None
@@ -171,5 +113,5 @@ class CenterStar(SequentialMsaAligner):
         # progressive_align already returns rows in input order.
         return progressive_align(
             list(sset), tree, self.scoring,
-            backend=tbackend, workers=tworkers,
+            backend=merge.backend, workers=merge.workers,
         )

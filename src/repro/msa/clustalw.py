@@ -17,15 +17,8 @@ import numpy as np
 from repro.align.guide_tree import GuideTree
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.progressive import progressive_align
-from repro.distance import (
-    FullDpDistance,
-    KtupleDistance,
-    all_pairs,
-    resolve_distance_stage,
-    scoring_estimator_defaults,
-)
-from repro.msa.base import SequentialMsaAligner
-from repro.tree import get_builder, resolve_tree_stage
+from repro.distance import FullDpDistance
+from repro.msa.base import GuideTreeStages, SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
 
@@ -65,7 +58,7 @@ def clustal_sequence_weights(tree: GuideTree) -> np.ndarray:
 
 
 @dataclass
-class ClustalWLike(SequentialMsaAligner):
+class ClustalWLike(GuideTreeStages, SequentialMsaAligner):
     """CLUSTALW-architecture aligner.
 
     Parameters
@@ -75,38 +68,17 @@ class ClustalWLike(SequentialMsaAligner):
         residue-specific / hydrophilic-run gap modifiers are switched on
         (:mod:`repro.align.gapmod`).
     distance_mode:
-        ``"full"`` (pairwise DP identities, O(N^2 L^2)) or ``"ktuple"``
-        (alignment-free, the fast mode for larger N).  The legacy knob;
-        ``distance=`` (below) wins when set.
+        The historical estimator: ``"full"`` (pairwise DP identities,
+        O(N^2 L^2)) or ``"ktuple"`` (alignment-free, the fast mode for
+        larger N).  An estimator named by ``distance=`` wins.
     kmer_k:
         k used in ``ktuple`` mode.
     distance:
-        Distance-stage override routed through :mod:`repro.distance`:
-        any registered estimator name (``"full-dp"``, ``"kband"``,
-        ``"ktuple"``, ``"kmer-fraction"``), a
-        :class:`~repro.distance.DistanceConfig` (or its dict form), or
-        an estimator instance.  Names pick up this aligner's scoring
-        matrix/gaps and ``kmer_k`` as defaults.
-    distance_backend / distance_workers:
-        Execute the all-pairs stage on an execution backend
-        (:func:`repro.distance.all_pairs`; ``"processes"`` uses real
-        cores).  Output is byte-identical to the serial stage.
-    distance_out / distance_store_dir:
-        Result placement of the all-pairs stage (``"memory"``/
-        ``"condensed"``/``"memmap"``; default ``"condensed"`` -- the
-        tree builders read it natively).  ``distance_store_dir`` points
-        ``"memmap"`` at a resumable on-disk tile store.
+        Distance stage (see :class:`~repro.msa.base.GuideTreeStages`).
+        Named estimators pick up this aligner's scoring matrix/gaps and
+        ``kmer_k`` as defaults.
     tree:
-        Guide-tree builder routed through :mod:`repro.tree`: any
-        registered builder name (``"nj"``, ``"upgma"``, ``"wpgma"``,
-        ``"single-linkage"``), a :class:`~repro.tree.TreeConfig` (or its
-        dict form), or a builder instance.  Default: CLUSTALW's
-        neighbour joining.
-    tree_backend / tree_workers:
-        Execute the DAG-scheduled progressive merge on an execution
-        backend (:func:`repro.tree.progressive_merge`; ``"processes"``
-        runs independent subtree merges on real cores).  Output is
-        byte-identical to the serial walk.
+        Guide-tree stage (default: CLUSTALW's neighbour joining).
     """
 
     scoring: ProfileAlignConfig = field(
@@ -115,61 +87,33 @@ class ClustalWLike(SequentialMsaAligner):
     distance_mode: str = "ktuple"
     kmer_k: int = 4
     distance: object = None
-    distance_backend: str | None = None
-    distance_workers: int | None = None
-    distance_out: str | None = None
-    distance_store_dir: str | None = None
     tree: object = None
-    tree_backend: str | None = None
-    tree_workers: int | None = None
 
     name = "clustalw"
+    default_builder = "nj"
 
     def __post_init__(self) -> None:
         if self.distance_mode not in ("full", "ktuple"):
             raise ValueError("distance_mode must be 'full' or 'ktuple'")
-        self._distance_stage()  # fail fast on bad distance options
-        self._tree_stage()  # fail fast on bad tree options
+        super().__post_init__()
 
-    def _distance_stage(self):
-        dp_defaults = {"matrix": self.scoring.matrix, "gaps": self.scoring.gaps}
-        return resolve_distance_stage(
-            self.distance,
-            self.distance_backend,
-            self.distance_workers,
-            out=self.distance_out,
-            store_dir=self.distance_store_dir,
-            default=lambda: (
-                FullDpDistance(**dp_defaults)
-                if self.distance_mode == "full"
-                else KtupleDistance(k=self.kmer_k)
-            ),
-            estimator_defaults=scoring_estimator_defaults(
-                self.scoring.matrix, self.scoring.gaps, self.kmer_k
-            ),
-        )
-
-    def _tree_stage(self):
-        return resolve_tree_stage(
-            self.tree,
-            self.tree_backend,
-            self.tree_workers,
-            default=lambda: get_builder("nj"),
-        )
+    def _default_estimator(self):
+        if self.distance_mode == "full":
+            return FullDpDistance(
+                matrix=self.scoring.matrix, gaps=self.scoring.gaps
+            )
+        return super()._default_estimator()
 
     def align(self, seqs: TSequence[Sequence]) -> Alignment:
         sset = self._validate_input(seqs)
         if len(sset) == 1:
             return Alignment.from_single(sset[0])
         ids = sset.ids
-        est, backend, workers, out, store_dir = self._distance_stage()
-        d = all_pairs(list(sset), est, backend=backend, workers=workers,
-                      out=out or "condensed", store_dir=store_dir)
-        builder, tbackend, tworkers = self._tree_stage()
-        tree = builder.build(d, ids)
+        builder, merge = self._tree_stage()
+        tree = builder.build(self._distances(list(sset)), ids)
         weights = clustal_sequence_weights(tree)
         aln = progressive_align(
             list(sset), tree, self.scoring, weights,
-            backend=tbackend, workers=tworkers,
+            backend=merge.backend, workers=merge.workers,
         )
         return aln.select_rows(ids)

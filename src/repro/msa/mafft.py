@@ -26,17 +26,10 @@ from repro.align.profile import Profile, merge_profiles
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
-from repro.distance import (
-    KtupleDistance,
-    all_pairs,
-    resolve_distance_stage,
-    scoring_estimator_defaults,
-)
-from repro.msa.base import SequentialMsaAligner
+from repro.msa.base import GuideTreeStages, SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.alphabet import PROTEIN
 from repro.seq.sequence import Sequence
-from repro.tree import get_builder, resolve_tree_stage
 
 __all__ = ["MafftLike", "fft_anchor_segments"]
 
@@ -210,7 +203,7 @@ def align_profiles_anchored(
 
 
 @dataclass
-class MafftLike(SequentialMsaAligner):
+class MafftLike(GuideTreeStages, SequentialMsaAligner):
     """MAFFT-architecture aligner.
 
     Parameters
@@ -226,24 +219,10 @@ class MafftLike(SequentialMsaAligner):
     seed:
         Refinement visit-order seed.
     distance:
-        Distance-stage override routed through :mod:`repro.distance`
-        (estimator name, :class:`~repro.distance.DistanceConfig`/dict,
-        or instance; default: MAFFT's 6-mer ``ktuple`` distance).
-    distance_backend / distance_workers:
-        Run the all-pairs stage on an execution backend
-        (:func:`repro.distance.all_pairs`); byte-identical output.
-    distance_out / distance_store_dir:
-        Result placement of the all-pairs stage (``"memory"``/
-        ``"condensed"``/``"memmap"``; default ``"condensed"``).
-        ``distance_store_dir`` points ``"memmap"`` at a resumable
-        on-disk tile store.
+        Distance stage (see :class:`~repro.msa.base.GuideTreeStages`;
+        default: MAFFT's 6-mer ``ktuple`` distance).
     tree:
-        Guide-tree builder routed through :mod:`repro.tree` (builder
-        name, :class:`~repro.tree.TreeConfig`/dict, or instance;
-        default: MAFFT's neighbour joining).
-    tree_backend / tree_workers:
-        Run the DAG-scheduled progressive merge on an execution backend
-        (:func:`repro.tree.progressive_merge`); byte-identical output.
+        Guide-tree stage (default: MAFFT's neighbour joining).
     """
 
     mode: str = "nwnsi"
@@ -252,62 +231,33 @@ class MafftLike(SequentialMsaAligner):
     iterations: int = 2
     seed: int | None = 0
     distance: object = None
-    distance_backend: str | None = None
-    distance_workers: int | None = None
-    distance_out: str | None = None
-    distance_store_dir: str | None = None
     tree: object = None
-    tree_backend: str | None = None
-    tree_workers: int | None = None
+
+    default_builder = "nj"
 
     def __post_init__(self) -> None:
         if self.mode not in ("nwnsi", "fftnsi"):
             raise ValueError("mode must be 'nwnsi' or 'fftnsi'")
         self.name = f"mafft-{self.mode}"
-        self._distance_stage()  # fail fast on bad distance options
-        self._tree_stage()  # fail fast on bad tree options
-
-    def _distance_stage(self):
-        return resolve_distance_stage(
-            self.distance,
-            self.distance_backend,
-            self.distance_workers,
-            out=self.distance_out,
-            store_dir=self.distance_store_dir,
-            default=lambda: KtupleDistance(k=self.kmer_k),
-            estimator_defaults=scoring_estimator_defaults(
-                self.scoring.matrix, self.scoring.gaps, self.kmer_k
-            ),
-        )
-
-    def _tree_stage(self):
-        return resolve_tree_stage(
-            self.tree,
-            self.tree_backend,
-            self.tree_workers,
-            default=lambda: get_builder("nj"),
-        )
+        super().__post_init__()
 
     def align(self, seqs: TSequence[Sequence]) -> Alignment:
         sset = self._validate_input(seqs)
         if len(sset) == 1:
             return Alignment.from_single(sset[0])
         ids = sset.ids
-        est, backend, workers, out, store_dir = self._distance_stage()
-        d = all_pairs(list(sset), est, backend=backend, workers=workers,
-                      out=out or "condensed", store_dir=store_dir)
-        builder, tbackend, tworkers = self._tree_stage()
-        tree = builder.build(d, ids)
+        builder, merge = self._tree_stage()
+        tree = builder.build(self._distances(list(sset)), ids)
         merge_fn = None
         if self.mode == "fftnsi":
             # partial over the module-level function stays picklable, so
-            # tree_backend="processes" works under any start method.
+            # a "processes" merge works under any start method.
             merge_fn = functools.partial(
                 align_profiles_anchored, config=self.scoring
             )
         aln = progressive_align(list(sset), tree, self.scoring,
                                 merge_fn=merge_fn,
-                                backend=tbackend, workers=tworkers)
+                                backend=merge.backend, workers=merge.workers)
         if self.iterations > 0 and len(sset) > 2:
             rng = None if self.seed is None else np.random.default_rng(self.seed)
             aln = refine_alignment(

@@ -23,24 +23,16 @@ import numpy as np
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
-from repro.distance import (
-    KtupleDistance,
-    alignment_identity_matrix,
-    all_pairs,
-    kimura_distance,
-    resolve_distance_stage,
-    scoring_estimator_defaults,
-)
-from repro.msa.base import SequentialMsaAligner
+from repro.distance import alignment_identity_matrix, kimura_distance
+from repro.msa.base import GuideTreeStages, SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
-from repro.tree import get_builder, resolve_tree_stage
 
 __all__ = ["MuscleLike"]
 
 
 @dataclass
-class MuscleLike(SequentialMsaAligner):
+class MuscleLike(GuideTreeStages, SequentialMsaAligner):
     """MUSCLE-architecture progressive aligner.
 
     Parameters
@@ -63,31 +55,15 @@ class MuscleLike(SequentialMsaAligner):
     seed:
         Seed for the refinement visit order (None = deterministic order).
     distance:
-        Stage-1 distance estimator override routed through
-        :mod:`repro.distance` (name, :class:`~repro.distance
-        .DistanceConfig`/dict, or estimator instance; default: the
-        classic ``ktuple`` draft distance with ``kmer_k``).  Stage 2
-        always re-estimates from the draft alignment
+        Stage-1 distance stage (see
+        :class:`~repro.msa.base.GuideTreeStages`; default: the classic
+        ``ktuple`` draft distance with ``kmer_k``).  Stage 2 always
+        re-estimates from the draft alignment
         (:func:`repro.distance.alignment_identity_matrix` +
         Kimura transform).
-    distance_backend / distance_workers:
-        Run the stage-1 all-pairs on an execution backend
-        (:func:`repro.distance.all_pairs`); byte-identical output.
-    distance_out / distance_store_dir:
-        Stage-1 result placement (``"memory"``/``"condensed"``/
-        ``"memmap"``; default ``"condensed"`` -- the tree builders read
-        it natively, so the dense matrix is never materialised).
-        ``distance_store_dir`` points ``"memmap"`` at a resumable
-        on-disk tile store.
     tree:
-        Guide-tree builder routed through :mod:`repro.tree` (builder
-        name, :class:`~repro.tree.TreeConfig`/dict, or instance;
-        default: MUSCLE's UPGMA).  Applies to both the stage-1 draft
-        tree and the stage-2 rebuild.
-    tree_backend / tree_workers:
-        Run the DAG-scheduled progressive merges of both stages on an
-        execution backend (:func:`repro.tree.progressive_merge`);
-        byte-identical output.
+        Guide-tree stage (default: MUSCLE's UPGMA).  Applies to both
+        the stage-1 draft tree and the stage-2 rebuild, merges included.
     """
 
     scoring: ProfileAlignConfig = field(default_factory=ProfileAlignConfig)
@@ -98,40 +74,9 @@ class MuscleLike(SequentialMsaAligner):
     anchored: bool = False
     seed: int | None = 0
     distance: object = None
-    distance_backend: str | None = None
-    distance_workers: int | None = None
-    distance_out: str | None = None
-    distance_store_dir: str | None = None
     tree: object = None
-    tree_backend: str | None = None
-    tree_workers: int | None = None
 
     name = "muscle"
-
-    def __post_init__(self) -> None:
-        self._distance_stage()  # fail fast on bad distance options
-        self._tree_stage()  # fail fast on bad tree options
-
-    def _distance_stage(self):
-        return resolve_distance_stage(
-            self.distance,
-            self.distance_backend,
-            self.distance_workers,
-            out=self.distance_out,
-            store_dir=self.distance_store_dir,
-            default=lambda: KtupleDistance(k=self.kmer_k),
-            estimator_defaults=scoring_estimator_defaults(
-                self.scoring.matrix, self.scoring.gaps, self.kmer_k
-            ),
-        )
-
-    def _tree_stage(self):
-        return resolve_tree_stage(
-            self.tree,
-            self.tree_backend,
-            self.tree_workers,
-            default=lambda: get_builder("upgma"),
-        )
 
     def align(self, seqs: TSequence[Sequence]) -> Alignment:
         sset = self._validate_input(seqs)
@@ -146,21 +91,18 @@ class MuscleLike(SequentialMsaAligner):
             from repro.msa.mafft import align_profiles_anchored
 
             # partial over the module-level function stays picklable, so
-            # tree_backend="processes" works under any start method.
+            # a "processes" merge works under any start method.
             merge_fn = functools.partial(
                 align_profiles_anchored, config=self.scoring
             )
 
         # Stage 1: draft tree from alignment-free k-mer distances (or any
         # estimator/builder from the repro.distance / repro.tree registries).
-        est, backend, workers, out, store_dir = self._distance_stage()
-        builder, tbackend, tworkers = self._tree_stage()
-        d1 = all_pairs(list(sset), est, backend=backend, workers=workers,
-                       out=out or "condensed", store_dir=store_dir)
-        tree = builder.build(d1, ids)
+        builder, merge = self._tree_stage()
+        tree = builder.build(self._distances(list(sset)), ids)
         aln = progressive_align(list(sset), tree, self.scoring,
                                 merge_fn=merge_fn,
-                                backend=tbackend, workers=tworkers)
+                                backend=merge.backend, workers=merge.workers)
 
         # Stage 2: re-estimate distances from the draft, realign.
         if self.two_stage and len(sset) > 2:
@@ -169,7 +111,8 @@ class MuscleLike(SequentialMsaAligner):
             tree = builder.build(d2, aln.ids)
             aln = progressive_align(list(sset), tree, self.scoring,
                                     merge_fn=merge_fn,
-                                    backend=tbackend, workers=tworkers)
+                                    backend=merge.backend,
+                                    workers=merge.workers)
 
         # Stage 3: tree-dependent restricted partitioning.
         if self.refine and len(sset) > 2:

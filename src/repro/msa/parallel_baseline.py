@@ -33,14 +33,8 @@ from typing import Optional, Sequence as TSequence
 
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.progressive import progressive_align
-from repro.distance import (
-    KtupleDistance,
-    all_pairs,
-    resolve_distance_stage,
-    scoring_estimator_defaults,
-)
+from repro.msa.base import GuideTreeStages
 from repro.msa.clustalw import clustal_sequence_weights
-from repro.tree import get_builder, resolve_tree_stage
 from repro.parcomp.comm import VirtualComm
 from repro.parcomp.cost import CostModel
 from repro.parcomp.launcher import SpmdResult, run_spmd
@@ -64,7 +58,7 @@ class ParallelBaselineResult:
 
 
 @dataclass
-class ParallelClustalW:
+class ParallelClustalW(GuideTreeStages):
     """Stage-parallel CLUSTALW (distances parallel, alignment sequential).
 
     Parameters
@@ -74,27 +68,20 @@ class ParallelClustalW:
     kmer_k:
         k of the distance stage.
     distance:
-        Distance estimator run (in parallel) by stage 1: a registry name
-        (``"ktuple"``, ``"full-dp"``, ...), a
-        :class:`~repro.distance.DistanceConfig`/dict, or an estimator
-        instance.  Default: the classic ``ktuple`` distance with
-        ``kmer_k``.  The stage executes cooperatively inside the SPMD
-        program (``repro.distance.all_pairs(..., comm=comm)``), so the
-        ledger meters its communication; a ``backend``/``workers``
-        choice inside ``distance`` is rejected -- the virtual cluster
-        *is* the backend here.
-    distance_out / distance_store_dir:
-        Result placement of the cooperative distance stage
-        (``"memory"``/``"condensed"``/``"memmap"``; default
-        ``"condensed"``).  With ``"memmap"`` the ranks write disjoint
+        Distance stage (see :class:`~repro.msa.base.GuideTreeStages`;
+        default: the classic ``ktuple`` distance with ``kmer_k``).  It
+        executes cooperatively inside the SPMD program
+        (``repro.distance.all_pairs(..., comm=comm)``), so the ledger
+        meters its communication; a ``backend``/``workers`` choice
+        inside the spec is rejected -- the virtual cluster *is* the
+        backend here.  With ``out="memmap"`` the ranks write disjoint
         tile shares into one store and every rank returns a view over
         the same consolidated file.
     tree:
-        Guide-tree builder run (redundantly, stage 2 is cheap) on every
-        rank: a registry name (``"nj"``, ``"upgma"``, ...), a
-        :class:`~repro.tree.TreeConfig`/dict, or a builder instance.
-        Default: CLUSTALW's neighbour joining.  As with ``distance``, a
-        nested ``backend``/``workers`` choice is rejected.
+        Guide-tree stage, built redundantly on every rank (stage 2 is
+        cheap; default: CLUSTALW's neighbour joining).  As with
+        ``distance``, a nested ``backend``/``workers`` choice is
+        rejected.
     merge_mode:
         ``"root"`` (default) reproduces the surveyed systems: stage 3
         runs only on the root, which is exactly the Amdahl cap the
@@ -109,53 +96,19 @@ class ParallelClustalW:
     scoring: ProfileAlignConfig = field(default_factory=ProfileAlignConfig)
     kmer_k: int = 4
     distance: object = None
-    distance_out: str | None = None
-    distance_store_dir: str | None = None
     tree: object = None
     merge_mode: str = "root"
 
     name = "parallel-clustalw"
+    default_builder = "nj"
 
     def __post_init__(self) -> None:
         if self.merge_mode not in ("root", "cooperative"):
             raise ValueError("merge_mode must be 'root' or 'cooperative'")
-        self._distance_estimator()  # fail fast on bad distance options
-        self._tree_builder()  # fail fast on bad tree options
-
-    def _distance_stage(self):
-        est, backend, workers, out, store_dir = resolve_distance_stage(
-            self.distance,
-            out=self.distance_out,
-            store_dir=self.distance_store_dir,
-            default=lambda: KtupleDistance(k=self.kmer_k),
-            estimator_defaults=scoring_estimator_defaults(
-                self.scoring.matrix, self.scoring.gaps, self.kmer_k
-            ),
-        )
-        if backend is not None or workers is not None:
-            raise ValueError(
-                "parallel-baseline runs its distance stage inside its own "
-                "SPMD program (n_procs ranks); a nested distance "
-                "backend/workers choice is not supported"
-            )
-        return est, out, store_dir
-
-    def _distance_estimator(self):
-        return self._distance_stage()[0]
-
-    def _tree_builder(self):
-        builder, backend, workers = resolve_tree_stage(
-            self.tree, default=lambda: get_builder("nj")
-        )
-        if backend is not None or workers is not None:
-            raise ValueError(
-                "parallel-baseline runs its merge stage inside its own "
-                "SPMD program (n_procs ranks); a nested tree "
-                "backend/workers choice is not supported -- use "
-                "merge_mode='cooperative' to parallelise the merge over "
-                "the ranks themselves"
-            )
-        return builder
+        # Resolving fails fast on a bad spec; the virtual cluster is the
+        # backend here, so neither stage may place itself.
+        for _, config in (self._distance_stage(), self._tree_stage()):
+            config.require_unplaced("parallel-baseline")
 
     def align(
         self,
@@ -174,16 +127,14 @@ class ParallelClustalW:
             )
         seq_list = list(sset)
         scoring = self.scoring
-        estimator, out, store_dir = self._distance_stage()
-        builder = self._tree_builder()
+        builder = self._tree_stage()[0]
         cooperative = self.merge_mode == "cooperative"
 
         def program(comm: VirtualComm):
             # Stage 1 (parallel): all-pairs distances through the unified
             # subsystem -- tiles split over the ranks, allgathered (or,
             # out="memmap", written once to a shared tile store).
-            d = all_pairs(seq_list, estimator, comm=comm,
-                          out=out or "condensed", store_dir=store_dir)
+            d = self._distances(seq_list, comm=comm)
             # Stage 2 (replicated, cheap): guide tree + weights.
             tree = builder.build(d, [s.id for s in seq_list])
             weights = clustal_sequence_weights(tree)

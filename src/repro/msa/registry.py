@@ -42,8 +42,7 @@ def register_aligner(
     name: str,
     factory: Callable[..., SequentialMsaAligner],
     overwrite: bool = False,
-    distance_options: tuple = (),
-    tree_options: tuple = (),
+    stages: tuple = (),
 ) -> None:
     """Register a custom aligner factory (plug-in point for users).
 
@@ -51,18 +50,14 @@ def register_aligner(
     valid for ``repro.align(..., engine=name)`` and as a
     ``SampleAlignDConfig.local_aligner``.  Re-registration raises unless
     ``overwrite=True`` (the escape hatch for tests and plug-ins swapping
-    engines).  Pass ``distance_options`` / ``tree_options`` when the
-    factory accepts the :mod:`repro.distance` / :mod:`repro.tree` seam
-    kwargs (``distance`` / ``distance_backend`` / ``distance_workers``
-    and ``tree`` / ``tree_backend`` / ``tree_workers``).
+    engines).  Pass ``stages`` (a subset of ``("distance", "tree")``)
+    when the factory takes ``distance=`` / ``tree=`` stage specs.
     """
     from repro.engine.registry import register_sequential_aligner
 
     try:
         register_sequential_aligner(
-            name, factory, overwrite=overwrite,
-            distance_options=distance_options,
-            tree_options=tree_options,
+            name, factory, overwrite=overwrite, stages=stages
         )
     except ValueError as exc:
         if "already registered" in str(exc):

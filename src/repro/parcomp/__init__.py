@@ -37,7 +37,6 @@ from repro.parcomp.backends import (
     register_backend,
 )
 from repro.parcomp.launcher import run_spmd
-from repro.parcomp.trace import render_timeline, render_traffic, traffic_matrix
 
 __all__ = [
     "CommEvent",
@@ -56,8 +55,5 @@ __all__ = [
     "estimate_nbytes",
     "get_backend",
     "register_backend",
-    "render_timeline",
-    "render_traffic",
     "run_spmd",
-    "traffic_matrix",
 ]

@@ -6,8 +6,6 @@ Sampling (Shi & Schaeffer 1992) applied with k-mer ranks as keys:
 - :mod:`repro.samplesort.regular_sampling` -- evenly spaced local samples,
   root-side pivot selection, bucket assignment, and the 2N/p occupancy
   bound the paper leans on in section 3.
-- :mod:`repro.samplesort.parallel_sort` -- a complete PSRS sort over the
-  virtual cluster (standalone demonstration + tests of the substrate).
 """
 
 from repro.samplesort.regular_sampling import (
@@ -16,12 +14,10 @@ from repro.samplesort.regular_sampling import (
     max_bucket_bound,
     regular_sample,
 )
-from repro.samplesort.parallel_sort import parallel_sample_sort
 
 __all__ = [
     "bucket_assignments",
     "choose_pivots",
     "max_bucket_bound",
-    "parallel_sample_sort",
     "regular_sample",
 ]

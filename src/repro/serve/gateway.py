@@ -34,14 +34,17 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence as TSequence
 
+from repro.distance import DistanceConfig, validate_backend_name
 from repro.engine.api import AlignRequest, AlignResult
+from repro.engine.registry import available_engines, engine_stages
 from repro.engine.service import AlignmentService
 from repro.obs.metrics import Histogram, HistogramSnapshot
 from repro.obs.metrics import percentile as _obs_percentile
 from repro.obs.tracing import span
+from repro.tree import TreeConfig
 
 __all__ = [
     "AlignmentGateway",
@@ -220,35 +223,25 @@ class AlignmentGateway:
         plain Sample-Align-D request on real cores.  Applied at
         admission, *before* hashing, so coalescing and the result cache
         key see the effective request.
-    default_distance / default_distance_backend:
-        Distance-stage defaults for engines whose registry entry
-        advertises the :mod:`repro.distance` seam (the guide-tree
-        baselines and ``parallel-baseline``): requests that do not pick
-        their own ``distance`` / ``distance_backend`` engine kwarg get
-        these folded in -- how ``repro serve --distance-backend
-        processes`` puts every baseline's all-pairs stage on real
-        cores.  Also applied pre-hash, so coalescing and caching key on
-        the effective distance configuration.
-    default_distance_out / default_distance_store_dir:
-        Distance-stage result placement defaults, folded the same way:
-        ``default_distance_out="memmap"`` (with an optional store
-        directory) routes every unopinionated guide-tree baseline's
-        all-pairs stage through the disk-backed tile store
-        (:mod:`repro.distance.tilestore`), bounding the gateway's
-        resident memory at genome scale.  Applied pre-hash like the
-        other distance defaults.
-    default_tree / default_tree_backend:
-        Tree-stage defaults, symmetric with the distance pair: engines
-        whose registry entry advertises the :mod:`repro.tree` seam get
-        an unopinionated request's ``tree`` (guide-tree builder) /
-        ``tree_backend`` (DAG-scheduled merge placement) folded in
-        pre-hash -- how ``repro serve --tree-backend processes`` puts
-        every baseline's progressive merge on real cores while keeping
-        coalescing and the result cache keyed on the effective request.
+    default_distance / default_tree:
+        Stage defaults for engines whose registry entry takes the
+        ``distance=`` / ``tree=`` specs (the guide-tree baselines and
+        ``parallel-baseline``), each a registry name, a
+        :class:`~repro.distance.DistanceConfig` /
+        :class:`~repro.tree.TreeConfig`, or its dict form -- what runs
+        and where, e.g. ``default_distance={"backend": "pool"}`` puts
+        every baseline's all-pairs stage on the warm pool and
+        ``{"out": "memmap"}`` bounds resident memory at genome scale.
+        Folded field-wise into such a request's own spec (the
+        request's fields win; distributed engines place their own
+        ranks, so they never inherit ``backend`` / ``workers``) and
+        written back as the merged config's dict, pre-hash like
+        ``default_backend``.  A gateway without stage defaults rewrites
+        nothing.
     pool:
         A configured :class:`~repro.pool.WorkerPool` to serve
-        ``backend="pool"`` requests from.  Whenever any of the three
-        backend defaults above is ``"pool"`` (or ``pool`` is passed
+        ``backend="pool"`` requests from.  Whenever ``default_backend``
+        or a stage default's backend is ``"pool"`` (or ``pool`` is passed
         explicitly), the gateway owns one worker pool for its lifetime:
         it constructs the pool at startup (warm workers before the first
         request), installs it as the process default so every engine /
@@ -271,70 +264,13 @@ class AlignmentGateway:
         max_tickets: int = 4096,
         close_service: bool = True,
         default_backend: Optional[str] = None,
-        default_distance: Optional[str] = None,
-        default_distance_backend: Optional[str] = None,
-        default_distance_out: Optional[str] = None,
-        default_distance_store_dir: Optional[str] = None,
-        default_tree: Optional[str] = None,
-        default_tree_backend: Optional[str] = None,
+        default_distance: Any = None,
+        default_tree: Any = None,
         pool: Optional[Any] = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if default_backend is not None:
-            from repro.parcomp.backends import available_backends
-
-            if default_backend.lower() not in available_backends():
-                raise ValueError(
-                    f"default_backend {default_backend!r} is not a "
-                    f"registered execution backend; available: "
-                    f"{available_backends()}"
-                )
-        if default_distance is not None:
-            from repro.distance import available_estimators
-
-            if str(default_distance).lower() not in available_estimators():
-                raise ValueError(
-                    f"default_distance {default_distance!r} is not a "
-                    f"registered distance estimator; available: "
-                    f"{available_estimators()}"
-                )
-        if default_distance_backend is not None:
-            from repro.distance import validate_backend_name
-
-            validate_backend_name(
-                default_distance_backend, "default_distance_backend"
-            )
-        if default_distance_out is not None:
-            from repro.distance import OUT_MODES
-
-            if str(default_distance_out).lower() not in OUT_MODES:
-                raise ValueError(
-                    f"default_distance_out {default_distance_out!r} is not "
-                    f"a distance out mode; one of {list(OUT_MODES)}"
-                )
-        if (
-            default_distance_store_dir is not None
-            and str(default_distance_out).lower() != "memmap"
-        ):
-            raise ValueError(
-                "default_distance_store_dir requires "
-                "default_distance_out='memmap'"
-            )
-        if default_tree is not None:
-            from repro.tree import available_builders
-
-            if str(default_tree).lower() not in available_builders():
-                raise ValueError(
-                    f"default_tree {default_tree!r} is not a registered "
-                    f"tree builder; available: {available_builders()}"
-                )
-        if default_tree_backend is not None:
-            from repro.distance import validate_backend_name
-
-            validate_backend_name(
-                default_tree_backend, "default_tree_backend"
-            )
+        validate_backend_name(default_backend, "default_backend")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         if rate is not None and rate <= 0:
@@ -356,35 +292,19 @@ class AlignmentGateway:
         self._max_tickets = max_tickets
         self._rate = rate
         self._burst = resolved_burst
-        # Store the lowered registry names: the folded engine_kwargs feed
-        # content hashes, so 'KTuple' and 'ktuple' must not split
-        # cache/coalescing keys.
         self._default_backend = (
             None if default_backend is None else default_backend.lower()
         )
-        self._default_distance = (
-            None if default_distance is None else default_distance.lower()
-        )
-        self._default_distance_backend = (
-            None
-            if default_distance_backend is None
-            else default_distance_backend.lower()
-        )
-        self._default_distance_out = (
-            None
-            if default_distance_out is None
-            else default_distance_out.lower()
-        )
-        # A path, not a registry name: never lowered.
-        self._default_distance_store_dir = default_distance_store_dir
-        self._default_tree = (
-            None if default_tree is None else default_tree.lower()
-        )
-        self._default_tree_backend = (
-            None
-            if default_tree_backend is None
-            else default_tree_backend.lower()
-        )
+        # Only the stage defaults that say something: a gateway without
+        # any rewrites nothing.
+        self._stage_defaults = {
+            stage: config
+            for stage, config in (
+                ("distance", DistanceConfig.coerce(default_distance)),
+                ("tree", TreeConfig.coerce(default_tree)),
+            )
+            if config != type(config)()
+        }
         # LRU-bounded: client_id comes off the wire, so an unbounded
         # table is a memory leak under adversarial ids.  (Per-client
         # limiting with open identities can always be dodged by minting
@@ -418,8 +338,7 @@ class AlignmentGateway:
         self._prev_default_pool: Optional[Any] = None
         wants_pool = pool is not None or "pool" in {
             self._default_backend,
-            self._default_distance_backend,
-            self._default_tree_backend,
+            *(c.backend for c in self._stage_defaults.values()),
         }
         if wants_pool:
             from repro.pool import WorkerPool, set_default_pool
@@ -553,18 +472,15 @@ class AlignmentGateway:
         return ticket
 
     def _effective_request(self, request: AlignRequest) -> AlignRequest:
-        """Fold the gateway's defaults into an unopinionated request.
-
-        Three independent rewrites, all pre-hash so coalescing and the
-        result cache key on the *effective* request:
+        """Fold the gateway's defaults into a request, pre-hash, so
+        coalescing and the result cache key on the *effective* request:
 
         - execution backend: distributed engines with no explicit choice
           (no config, no ``backend`` engine kwarg);
-        - distance stage: engines whose registry entry advertises the
-          :mod:`repro.distance` seam and that did not pick their own
-          ``distance`` / ``distance_backend``;
-        - tree stage: likewise for the :mod:`repro.tree` seam
-          (``tree`` / ``tree_backend``).
+        - stage defaults: engines whose registry entry takes the stage
+          get the default merged under their own ``distance`` / ``tree``
+          spec (request fields win), written back in canonical dict
+          form so every spelling of one spec hashes alike.
         """
         updates: Dict[str, Any] = {}
         if (
@@ -574,64 +490,24 @@ class AlignmentGateway:
             and "backend" not in request.engine_kwargs
         ):
             updates["backend"] = self._default_backend
-        if (
-            self._default_distance is not None
-            or self._default_distance_backend is not None
-            or self._default_distance_out is not None
-        ):
-            from repro.engine.registry import engine_distance_options
-
-            supported = engine_distance_options(request.engine)
-            if (
-                self._default_distance is not None
-                and "distance" in supported
-                and "distance" not in request.engine_kwargs
-            ):
-                updates["distance"] = self._default_distance
-            if (
-                self._default_distance_backend is not None
-                and "distance_backend" in supported
-                and "distance_backend" not in request.engine_kwargs
-            ):
-                updates["distance_backend"] = self._default_distance_backend
-            if (
-                self._default_distance_out is not None
-                and "distance_out" in supported
-                and "distance_out" not in request.engine_kwargs
-            ):
-                updates["distance_out"] = self._default_distance_out
-                if (
-                    self._default_distance_store_dir is not None
-                    and "distance_store_dir" in supported
-                    and "distance_store_dir" not in request.engine_kwargs
-                ):
-                    updates["distance_store_dir"] = (
-                        self._default_distance_store_dir
-                    )
-        if (
-            self._default_tree is not None
-            or self._default_tree_backend is not None
-        ):
-            from repro.engine.registry import engine_tree_options
-
-            supported = engine_tree_options(request.engine)
-            if (
-                self._default_tree is not None
-                and "tree" in supported
-                and "tree" not in request.engine_kwargs
-            ):
-                updates["tree"] = self._default_tree
-            if (
-                self._default_tree_backend is not None
-                and "tree_backend" in supported
-                and "tree_backend" not in request.engine_kwargs
-            ):
-                updates["tree_backend"] = self._default_tree_backend
+        if self._stage_defaults:
+            stages = engine_stages(request.engine)
+            places_own_ranks = (
+                available_engines().get(request.engine.lower())
+                == "distributed"
+            )
+            for stage, default in self._stage_defaults.items():
+                if stage not in stages:
+                    continue
+                if places_own_ranks:
+                    default = replace(default, backend=None, workers=None)
+                own = type(default).coerce(request.engine_kwargs.get(stage))
+                merged = own.over(default)
+                if merged != type(merged)():
+                    updates[stage] = merged.to_dict()
         if not updates:
             return request
-        import dataclasses
-
-        return dataclasses.replace(
+        return replace(
             request,
             engine_kwargs={**request.engine_kwargs, **updates},
         )
@@ -693,10 +569,9 @@ class AlignmentGateway:
         out["queue_depth"] = self._queue.qsize()
         out["inflight"] = inflight
         out["default_backend"] = self._default_backend
-        out["default_distance"] = self._default_distance
-        out["default_distance_backend"] = self._default_distance_backend
-        out["default_tree"] = self._default_tree
-        out["default_tree_backend"] = self._default_tree_backend
+        for stage in ("distance", "tree"):
+            default = self._stage_defaults.get(stage)
+            out[f"default_{stage}"] = default and default.to_dict()
         out["latency"] = {
             "count": lat.count,
             "p50_s": lat.quantile(0.50),

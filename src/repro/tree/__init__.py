@@ -27,9 +27,9 @@ subtrees are independent.  This package unifies that stage the same way
 
 Every guide-tree baseline (ClustalW-like, MUSCLE-like, MAFFT-like,
 center-star, the stage-parallel CLUSTALW) routes its tree stage through
-here via ``tree=`` / ``tree_backend=`` options, so one
-``--tree-backend processes`` flag puts the progressive merge of any of
-them on real cores.
+here via its ``tree=`` spec (a name, a :class:`TreeConfig` or its dict
+form), so one ``--tree-backend processes`` flag puts the progressive
+merge of any of them on real cores.
 """
 
 from repro.tree.anchors import (
@@ -51,7 +51,7 @@ from repro.tree.builders import (
     register_builder,
     unregister_builder,
 )
-from repro.tree.config import TreeConfig, resolve_tree_stage
+from repro.tree.config import STAGE_CONFIGS, TreeConfig, resolve_tree_stage
 from repro.tree.merge import progressive_merge
 from repro.tree.schedule import MergeSchedule, merge_schedule
 
@@ -59,6 +59,7 @@ __all__ = [
     "AnchorTreeBuilder",
     "DEFAULT_BUILDER",
     "MergeSchedule",
+    "STAGE_CONFIGS",
     "anchor_guide_tree",
     "select_anchors",
     "NeighborJoiningBuilder",

@@ -1,44 +1,43 @@
 """Serializable configuration of a guide-tree stage.
 
-:class:`TreeConfig` is the dict-round-trippable form of "which tree
-builder, executed where" -- the shape that travels through
-``engine_kwargs`` (it is JSON-able, so request content hashes and the
-serving layer's coalescing keys see the effective choice) and through
-baseline dataclass fields.  ``backend``/``workers`` here place the
+:class:`TreeConfig` is the one description of a tree stage -- which
+builder, executed where.  It is JSON-able, so it travels through
+``engine_kwargs`` (request content hashes and the serving layer's
+coalescing keys see the effective choice) and it is what an aligner's
+``tree=`` field resolves to.  ``backend``/``workers`` here place the
 *progressive merge DAG* (:func:`repro.tree.progressive_merge`), not the
 tree construction itself -- building the tree is cheap; replaying it is
 the serial hot path worth scheduling.
 
-Baselines accept the full spectrum of ``tree=`` values and funnel them
-through :func:`resolve_tree_stage`:
-
-- ``None`` -- the baseline's historical default builder;
-- a registry name (``"nj"``, ``"upgma"``, ...);
-- a dict -- ``TreeConfig.from_dict`` (the JSON/engine_kwargs form);
-- a :class:`TreeConfig`;
-- a ready :class:`~repro.tree.builders.TreeBuilder` instance.
+A ``tree=`` spec is any of: ``None`` (the aligner's historical builder,
+merged serially), a registry name (``"nj"``), a :class:`TreeConfig` or
+its dict form, or a ready :class:`~repro.tree.builders.TreeBuilder`
+instance.  :func:`resolve_tree_stage` turns a spec into
+``(builder, config)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.distance.config import validate_backend_name
+from repro.distance.config import DistanceConfig, StageConfig
 from repro.tree.builders import TreeBuilder, available_builders, get_builder
 
-__all__ = ["TreeConfig", "resolve_tree_stage"]
+__all__ = ["STAGE_CONFIGS", "TreeConfig", "resolve_tree_stage"]
 
 
 @dataclass(frozen=True)
-class TreeConfig:
+class TreeConfig(StageConfig):
     """One guide-tree stage, described completely (validated, JSON-able).
 
     Attributes
     ----------
     builder:
         Registry name (``"upgma"``, ``"wpgma"``, ``"nj"``,
-        ``"single-linkage"``; see :func:`repro.tree.available_builders`).
+        ``"single-linkage"``, ``"anchor"``; see
+        :func:`repro.tree.available_builders`).  ``None`` = the
+        aligner's historical builder.
     backend:
         Execution backend of the DAG-scheduled progressive merge
         (``"threads"``/``"processes"``/``"pool"``; ``None`` = merge serially).
@@ -57,29 +56,35 @@ class TreeConfig:
         the builder's default seed, not "no seed").
     """
 
-    builder: str = "upgma"
+    builder: Optional[str] = None
     backend: Optional[str] = None
     workers: Optional[int] = None
     anchors: Optional[int] = None
     anchor_base: Optional[str] = None
     anchor_seed: Optional[int] = None
 
+    _stage = "tree"
+    _made = TreeBuilder
+    _names = ("builder", "backend", "anchor_base")
+    _follows = {
+        "anchors": "builder", "anchor_base": "builder",
+        "anchor_seed": "builder",
+    }
+
     def __post_init__(self) -> None:
-        if str(self.builder).lower() not in available_builders():
+        self._normalise()
+        if (
+            self.builder is not None
+            and self.builder not in available_builders()
+        ):
             raise ValueError(
                 f"unknown tree builder {self.builder!r}; "
                 f"available: {available_builders()}"
             )
-        validate_backend_name(self.backend, "tree backend")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 (or None)")
-        anchor_opts = {
-            "anchors": self.anchors,
-            "anchor_base": self.anchor_base,
-            "anchor_seed": self.anchor_seed,
-        }
-        set_opts = sorted(k for k, v in anchor_opts.items() if v is not None)
-        if set_opts and str(self.builder).lower() != "anchor":
+        set_opts = sorted(
+            name for name in self._follows if getattr(self, name) is not None
+        )
+        if set_opts and self.builder != "anchor":
             raise ValueError(
                 f"{set_opts} only apply to the 'anchor' builder, "
                 f"not {self.builder!r}"
@@ -88,36 +93,16 @@ class TreeConfig:
             raise ValueError("anchors must be >= 1 (or None)")
         if (
             self.anchor_base is not None
-            and str(self.anchor_base).lower() not in available_builders()
+            and self.anchor_base not in available_builders()
         ):
             raise ValueError(
                 f"unknown anchor base builder {self.anchor_base!r}; "
                 f"available: {available_builders()}"
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-able form; inverse of :meth:`from_dict`."""
-        return {
-            "builder": self.builder,
-            "backend": self.backend,
-            "workers": self.workers,
-            "anchors": self.anchors,
-            "anchor_base": self.anchor_base,
-            "anchor_seed": self.anchor_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TreeConfig":
-        unknown = set(data) - {
-            "builder", "backend", "workers",
-            "anchors", "anchor_base", "anchor_seed",
-        }
-        if unknown:
-            raise ValueError(f"unknown TreeConfig keys {sorted(unknown)}")
-        return cls(**dict(data))
-
     def make_builder(self) -> TreeBuilder:
-        """Build the configured tree builder."""
+        """Build the configured tree builder (``builder=None`` builds
+        the registry default)."""
         kwargs: Dict[str, Any] = {}
         if self.anchors is not None:
             kwargs["anchors"] = self.anchors
@@ -128,45 +113,26 @@ class TreeConfig:
         return get_builder(self.builder, **kwargs)
 
 
-def resolve_tree_stage(
-    tree: Union[str, dict, TreeConfig, TreeBuilder, None] = None,
-    backend: Optional[str] = None,
-    workers: Optional[int] = None,
-    *,
-    default: Optional[Callable[[], TreeBuilder]] = None,
-) -> Tuple[TreeBuilder, Optional[str], Optional[int]]:
-    """Normalise a baseline's tree options to ``(builder, backend,
-    workers)``.
+#: The pipeline's configurable stages and the config class of each --
+#: the keys are the ``distance=`` / ``tree=`` keyword names.
+STAGE_CONFIGS = {"distance": DistanceConfig, "tree": TreeConfig}
 
-    ``default`` builds the baseline's historical builder when ``tree``
-    is None (e.g. neighbour joining for the CLUSTALW-like aligner).
-    Explicit ``backend``/``workers`` arguments win over the config's.
+
+def resolve_tree_stage(
+    tree: Any = None,
+    *,
+    default: Optional[Callable[[], Optional[TreeBuilder]]] = None,
+) -> Tuple[Optional[TreeBuilder], TreeConfig]:
+    """Turn a ``tree=`` spec into ``(builder, config)``.
+
+    ``config`` carries the merge placement (``backend``/``workers``).
+    ``default`` builds the aligner's historical builder when the spec
+    names none (e.g. neighbour joining for the CLUSTALW-like aligner;
+    center-star returns ``None`` there -- its own caterpillar order).
     """
-    config: Optional[TreeConfig] = None
-    if isinstance(tree, Mapping):
-        tree = TreeConfig.from_dict(tree)
-    if isinstance(tree, TreeConfig):
-        config = tree
-        builder = config.make_builder()
-    elif isinstance(tree, TreeBuilder):
-        builder = tree
-    elif isinstance(tree, str):
-        try:
-            builder = get_builder(tree.lower())
-        except KeyError as exc:
-            raise ValueError(exc.args[0] if exc.args else str(exc)) from None
-    elif tree is None:
-        builder = default() if default is not None else get_builder(None)
-    else:
-        raise ValueError(
-            "tree must be a builder name, a TreeConfig (or its dict "
-            f"form), a TreeBuilder, or None -- got {tree!r}"
-        )
-    if backend is None and config is not None:
-        backend = config.backend
-    if workers is None and config is not None:
-        workers = config.workers
-    validate_backend_name(backend, "tree backend")
-    if workers is not None and workers < 1:
-        raise ValueError("tree workers must be >= 1 (or None)")
-    return builder, backend, workers
+    config = TreeConfig.coerce(tree)
+    if isinstance(tree, TreeBuilder):
+        return tree, config
+    if config.builder is None:
+        return (default() if default is not None else get_builder(None)), config
+    return config.make_builder(), config

@@ -64,7 +64,7 @@ class TestCategoryStructure:
         assert (counts == 1).sum() >= 15
 
     def test_rv20_orphans_more_divergent(self, cases):
-        from repro.msa.distances import alignment_identity_matrix
+        from repro.distance import alignment_identity_matrix
 
         case = next(c for c in cases if c.category == "RV20")
         ident = alignment_identity_matrix(case.reference)

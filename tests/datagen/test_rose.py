@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datagen.rose import BACKGROUND, RoseParams, generate_family
-from repro.msa.distances import full_dp_distance_matrix
+from repro.distance import all_pairs
 
 
 class TestParams:
@@ -67,8 +67,8 @@ class TestGeneration:
         """Higher relatedness (rose PAM convention) => lower identity."""
         close = generate_family(6, 80, relatedness=60, seed=3)
         far = generate_family(6, 80, relatedness=900, seed=3)
-        d_close = full_dp_distance_matrix(list(close.sequences))
-        d_far = full_dp_distance_matrix(list(far.sequences))
+        d_close = all_pairs(list(close.sequences), "full-dp")
+        d_far = all_pairs(list(far.sequences), "full-dp")
         off = ~np.eye(6, dtype=bool)
         assert d_far[off].mean() > d_close[off].mean()
 

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.distance import KtupleDistance, all_pairs, condensed_pair_indices
+from repro.distance import (
+    FullDpDistance,
+    KtupleDistance,
+    all_pairs,
+    condensed_pair_indices,
+)
 from repro.parcomp.launcher import run_spmd
 from repro.seq.sequence import Sequence
 
@@ -37,16 +42,11 @@ class TestValidation:
             all_pairs([Sequence("a", "MKV"), Sequence("z", "")])
 
     def test_legacy_delegates_validate_too(self):
-        from repro.msa.distances import (
-            full_dp_distance_matrix,
-            ktuple_distance_matrix,
-        )
-
-        for fn in (ktuple_distance_matrix, full_dp_distance_matrix):
+        for est in (KtupleDistance(), FullDpDistance()):
             with pytest.raises(ValueError):
-                fn([])
+                all_pairs([], est)
             with pytest.raises(ValueError):
-                fn([Sequence("a", "MKV")])
+                all_pairs([Sequence("a", "MKV")], est)
 
     def test_bad_workers(self, family):
         with pytest.raises(ValueError):

@@ -64,12 +64,10 @@ class TestEveryEstimatorProperties:
 
 class TestKtuple:
     def test_matches_legacy_helper(self, tiny_seqs):
-        from repro.msa.distances import ktuple_distance_matrix
-
         seqs = list(tiny_seqs)
-        legacy = ktuple_distance_matrix(seqs, k=3)
-        new = all_pairs(seqs, "ktuple", k=3)
-        assert legacy.tobytes() == new.tobytes()
+        by_instance = all_pairs(seqs, KtupleDistance(k=3))
+        by_name = all_pairs(seqs, "ktuple", k=3)
+        assert by_instance.tobytes() == by_name.tobytes()
 
     def test_identical_sequences_distance_zero(self):
         seqs = seqs_from(["MKVAWDEN", "MKVAWDEN"])
@@ -94,12 +92,10 @@ class TestKtuple:
 
 class TestFullDpAndKband:
     def test_full_dp_matches_legacy_helper(self, tiny_seqs):
-        from repro.msa.distances import full_dp_distance_matrix
-
         seqs = list(tiny_seqs)[:4]
-        legacy = full_dp_distance_matrix(seqs)
-        new = all_pairs(seqs, "full-dp")
-        assert legacy.tobytes() == new.tobytes()
+        by_instance = all_pairs(seqs, FullDpDistance())
+        by_name = all_pairs(seqs, "full-dp")
+        assert by_instance.tobytes() == by_name.tobytes()
 
     def test_kband_agrees_with_full_dp(self, tiny_seqs):
         seqs = list(tiny_seqs)[:4]
@@ -139,15 +135,16 @@ class TestTransforms:
     def test_legacy_delegates_are_shared(self):
         import repro.distance.transforms as t
         from repro.kmer import distance as kd
-        from repro.msa import distances as md
 
         x = np.array([0.1, 0.6])
         assert np.array_equal(
             kd.fractional_identity_estimate(x),
             t.fractional_identity_estimate(x),
         )
-        assert md.kimura_distance is t.kimura_distance
-        assert md.alignment_identity_matrix is t.alignment_identity_matrix
+        import repro.distance as rd
+
+        assert rd.kimura_distance is t.kimura_distance
+        assert rd.alignment_identity_matrix is t.alignment_identity_matrix
 
 
 class TestRegistry:
@@ -207,34 +204,64 @@ class TestDistanceConfig:
             DistanceConfig.from_dict({"estimator": "ktuple", "tile": 9})
 
     def test_resolve_from_dict_carries_backend(self):
-        est, backend, workers, out, store_dir = resolve_distance_stage(
+        est, cfg = resolve_distance_stage(
             {"estimator": "ktuple", "k": 6, "backend": "threads",
              "workers": 3}
         )
-        assert est.k == 6 and backend == "threads" and workers == 3
-        assert out is None and store_dir is None
+        assert est.k == 6 and cfg.backend == "threads" and cfg.workers == 3
+        assert cfg.out is None and cfg.store_dir is None
 
     def test_explicit_args_win_over_config(self):
-        est, backend, workers, out, store_dir = resolve_distance_stage(
-            DistanceConfig(estimator="ktuple", backend="threads", workers=4),
-            backend="processes",
-            workers=2,
+        # The one way to override a placement is another config:
+        # field-wise, the overriding config's fields win.
+        base = DistanceConfig(estimator="ktuple", backend="threads", workers=4)
+        est, cfg = resolve_distance_stage(
+            DistanceConfig(backend="processes", workers=2).over(base)
         )
-        assert backend == "processes" and workers == 2
+        assert est.name == "ktuple"
+        assert cfg.backend == "processes" and cfg.workers == 2
+        with pytest.raises(TypeError):
+            resolve_distance_stage(base, backend="processes", workers=2)
+
+    def test_placement_only_spec_keeps_the_default_estimator(self):
+        est, cfg = resolve_distance_stage(
+            {"backend": "pool"}, default=lambda: FullDpDistance()
+        )
+        assert est.name == "full-dp" and cfg.backend == "pool"
+
+    def test_merge_keeps_qualifiers_with_what_they_qualify(self):
+        default = DistanceConfig(
+            "kmer-fraction", transform="kimura", out="memmap",
+            store_dir="/tmp/ts",
+        )
+        merged = DistanceConfig("ktuple", out="memory").over(default)
+        assert merged == DistanceConfig("ktuple", out="memory")
+        assert DistanceConfig().over(default) == default
+
+    def test_registry_names_normalise_to_lower_case(self):
+        assert DistanceConfig("KTuple", backend="Threads", out="MemMap",
+                              store_dir="/Tmp/TS") == DistanceConfig(
+            "ktuple", backend="threads", out="memmap", store_dir="/Tmp/TS")
+        assert (DistanceConfig("KTuple").to_dict()
+                == DistanceConfig("ktuple").to_dict())
 
     def test_resolve_carries_out_and_store_dir(self):
-        est, backend, workers, out, store_dir = resolve_distance_stage(
+        _, cfg = resolve_distance_stage(
             DistanceConfig(
                 estimator="ktuple", out="memmap", store_dir="/tmp/ts"
             )
         )
-        assert out == "memmap" and store_dir == "/tmp/ts"
-        _, _, _, out, _ = resolve_distance_stage("ktuple", out="condensed")
-        assert out == "condensed"
+        assert cfg.out == "memmap" and cfg.store_dir == "/tmp/ts"
+        _, cfg = resolve_distance_stage(
+            {"estimator": "ktuple", "out": "condensed"}
+        )
+        assert cfg.out == "condensed"
         with pytest.raises(ValueError):
-            resolve_distance_stage("ktuple", out="ram")
+            resolve_distance_stage({"estimator": "ktuple", "out": "ram"})
         with pytest.raises(ValueError):
-            resolve_distance_stage("ktuple", store_dir="/tmp/ts")
+            resolve_distance_stage(
+                {"estimator": "ktuple", "store_dir": "/tmp/ts"}
+            )
         with pytest.raises(ValueError):
             DistanceConfig(out="nope")
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.distance import DistanceConfig, KtupleDistance
 from repro.engine import AlignRequest
-from repro.engine.registry import engine_distance_options
+from repro.engine.registry import engine_stages
 from repro.msa import (
     CenterStar,
     ClustalWLike,
@@ -30,15 +30,16 @@ class TestBaselineSeam:
         """threads/processes distance stages reproduce the serial result
         byte-for-byte (the acceptance criterion)."""
         serial = make().align(tiny_seqs)
-        threads = make(distance_backend="threads",
-                       distance_workers=2).align(tiny_seqs)
+        threads = make(
+            distance={"backend": "threads", "workers": 2}
+        ).align(tiny_seqs)
         assert serial == threads
         assert serial.to_fasta() == threads.to_fasta()
 
     def test_processes_distance_backend_identical(self, tiny_seqs):
         serial = ClustalWLike().align(tiny_seqs)
         procs = ClustalWLike(
-            distance_backend="processes", distance_workers=2
+            distance={"backend": "processes", "workers": 2}
         ).align(tiny_seqs)
         assert serial.to_fasta() == procs.to_fasta()
 
@@ -71,9 +72,11 @@ class TestBaselineSeam:
         with pytest.raises((ValueError, KeyError)):
             make(distance="nope")
         with pytest.raises(ValueError):
-            make(distance_backend="gpu")
+            make(distance={"backend": "gpu"})
         with pytest.raises(ValueError):
-            make(distance_workers=0)
+            make(distance={"workers": 0})
+        with pytest.raises(TypeError):
+            make(distance_backend="threads")  # the removed flat spelling
 
     def test_parallel_baseline_estimator_choice(self, tiny_seqs):
         """The stage-parallel baseline can now parallelise full-DP."""
@@ -96,8 +99,7 @@ class TestEngineSeam:
         via = repro.align(
             tiny_seqs,
             engine="center-star",
-            distance="ktuple",
-            distance_backend="threads",
+            distance={"estimator": "ktuple", "backend": "threads"},
         )
         assert base.alignment == via.alignment
 
@@ -111,17 +113,12 @@ class TestEngineSeam:
         assert plain.content_hash() != opinionated.content_hash()
 
     def test_registry_advertises_the_seam(self):
-        for name in ("clustalw", "muscle", "mafft-nwnsi", "center-star"):
-            assert engine_distance_options(name) == {
-                "distance", "distance_backend", "distance_workers",
-                "distance_out", "distance_store_dir",
-            }
-        assert engine_distance_options("parallel-baseline") == {
-            "distance", "distance_out", "distance_store_dir"
-        }
-        assert engine_distance_options("tcoffee") == frozenset()
-        assert engine_distance_options("sample-align-d") == frozenset()
-        assert engine_distance_options("not-an-engine") == frozenset()
+        for name in ("clustalw", "muscle", "mafft-nwnsi", "center-star",
+                     "parallel-baseline"):
+            assert engine_stages(name) == {"distance", "tree"}
+        assert engine_stages("tcoffee") == frozenset()
+        assert engine_stages("sample-align-d") == frozenset()
+        assert engine_stages("not-an-engine") == frozenset()
 
     def test_sample_align_d_local_aligner_distance(self, tiny_seqs):
         """The distance choice reaches the per-bucket local aligners."""
@@ -142,13 +139,14 @@ class TestGatewaySeam:
             tuple(tiny_seqs),
             engine="center-star",
             engine_kwargs={
-                "distance": "ktuple", "distance_backend": "threads"
+                "distance": DistanceConfig(
+                    "ktuple", backend="threads"
+                ).to_dict()
             },
         )
         with AlignmentGateway(
             n_workers=1,
-            default_distance="ktuple",
-            default_distance_backend="threads",
+            default_distance={"estimator": "ktuple", "backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == expected.content_hash()
@@ -160,18 +158,26 @@ class TestGatewaySeam:
             engine="center-star",
             engine_kwargs={"distance": "kmer-fraction"},
         )
+        # The request's own estimator wins; only its spelling is
+        # canonicalised.
+        effective = AlignRequest(
+            tuple(tiny_seqs),
+            engine="center-star",
+            engine_kwargs={
+                "distance": DistanceConfig("kmer-fraction").to_dict()
+            },
+        )
         with AlignmentGateway(
             n_workers=1, default_distance="ktuple"
         ) as gw:
             ticket = gw.submit(request)
-            assert ticket.request_hash == request.content_hash()
+            assert ticket.request_hash == effective.content_hash()
 
     def test_non_capable_engine_untouched(self, tiny_seqs):
         request = AlignRequest(tuple(tiny_seqs), engine="tcoffee")
         with AlignmentGateway(
             n_workers=1,
-            default_distance="full-dp",
-            default_distance_backend="threads",
+            default_distance={"estimator": "full-dp", "backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == request.content_hash()
@@ -183,10 +189,10 @@ class TestGatewaySeam:
         explicit = AlignRequest(
             tuple(tiny_seqs),
             engine="center-star",
-            engine_kwargs={"distance_backend": "threads"},
+            engine_kwargs={"distance": {"backend": "threads"}},
         )
         with AlignmentGateway(
-            n_workers=1, default_distance_backend="threads"
+            n_workers=1, default_distance={"backend": "threads"}
         ) as gw:
             t1 = gw.submit(plain)
             t2 = gw.submit(explicit)
@@ -197,29 +203,30 @@ class TestGatewaySeam:
         with pytest.raises(ValueError):
             AlignmentGateway(n_workers=1, default_distance="nope")
         with pytest.raises(ValueError):
-            AlignmentGateway(n_workers=1, default_distance_backend="gpu")
+            AlignmentGateway(
+                n_workers=1, default_distance={"backend": "gpu"}
+            )
+        with pytest.raises(TypeError):
+            AlignmentGateway(n_workers=1, default_distance_backend="threads")
 
     def test_metrics_expose_distance_defaults(self):
         with AlignmentGateway(
             n_workers=1,
-            default_distance="ktuple",
-            default_distance_backend="threads",
+            default_distance={"estimator": "ktuple", "backend": "threads"},
         ) as gw:
             m = gw.metrics()
-            assert m["default_distance"] == "ktuple"
-            assert m["default_distance_backend"] == "threads"
+            assert m["default_distance"]["estimator"] == "ktuple"
+            assert m["default_distance"]["backend"] == "threads"
 
     def test_defaults_case_normalised(self, tiny_seqs):
         """'KTuple' and 'ktuple' defaults must not split cache keys."""
         request = AlignRequest(tuple(tiny_seqs), engine="center-star")
         with AlignmentGateway(
             n_workers=1,
-            default_distance="KTuple",
-            default_distance_backend="Threads",
+            default_distance={"estimator": "KTuple", "backend": "Threads"},
         ) as upper, AlignmentGateway(
             n_workers=1,
-            default_distance="ktuple",
-            default_distance_backend="threads",
+            default_distance={"estimator": "ktuple", "backend": "threads"},
         ) as lower:
             assert (
                 upper.submit(request).request_hash

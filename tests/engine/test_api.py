@@ -183,3 +183,28 @@ class TestConfigSerialization:
     def test_error_lists_available_names(self):
         with pytest.raises(ValueError, match="muscle"):
             SampleAlignDConfig(local_aligner="nope")
+
+    @pytest.mark.parametrize("kwargs_field",
+                             ["local_aligner_kwargs", "root_aligner_kwargs"])
+    @pytest.mark.parametrize("spec", [
+        {"distance": {"backend": "pool"}},
+        {"distance": {"estimator": "full-dp", "workers": 2}},
+        {"tree": {"builder": "nj", "backend": "threads"}},
+    ])
+    def test_rejects_a_nested_stage_placement(self, kwargs_field, spec):
+        """The ranks may not nest a second backend: fail at construction
+        (this used to die inside a pool worker)."""
+        with pytest.raises(ValueError, match="nested"):
+            SampleAlignDConfig(backend="pool", **{kwargs_field: spec})
+
+    def test_accepts_unplaced_stage_specs(self):
+        SampleAlignDConfig(
+            local_aligner_kwargs={
+                "distance": {"estimator": "full-dp", "out": "memory"},
+                "tree": "nj",
+            },
+            # tcoffee has no stages: its kwargs are its own business.
+            root_aligner="tcoffee",
+            root_aligner_kwargs={},
+        )
+

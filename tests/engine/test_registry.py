@@ -12,6 +12,7 @@ from repro.engine import (
 )
 from repro.engine.registry import (
     available_sequential_aligners,
+    engine_stages,
     register_sequential_aligner,
 )
 from repro.msa import available_aligners, get_aligner
@@ -155,3 +156,42 @@ class TestPlugins:
     def test_sequential_section_view(self):
         assert set(available_sequential_aligners()) == set(available_aligners())
         assert "sample-align-d" not in available_sequential_aligners()
+
+
+GUIDE_TREE_ALIGNERS = sorted(
+    name for name in available_aligners()
+    if {"distance", "tree"} <= engine_stages(name)
+)
+
+
+class TestOneSpellingOfTheStages:
+    def test_the_builtin_guide_tree_aligners_are_found(self):
+        assert {"muscle", "muscle-p", "muscle-draft", "clustalw",
+                "clustalw-full", "mafft-nwnsi", "mafft-fftnsi",
+                "center-star"} <= set(GUIDE_TREE_ALIGNERS)
+
+    @pytest.mark.parametrize(
+        "cls_of",
+        [lambda name=name: type(get_aligner(name))
+         for name in GUIDE_TREE_ALIGNERS]
+        + [lambda: ParallelClustalW],
+        ids=GUIDE_TREE_ALIGNERS + ["parallel-baseline"],
+    )
+    def test_pipeline_fields_are_distance_and_tree_only(self, cls_of):
+        import dataclasses
+        import re
+
+        names = {f.name for f in dataclasses.fields(cls_of())}
+        assert {"distance", "tree"} <= names
+        # ``distance_mode`` is CLUSTALW's historical-estimator selector
+        # (full / ktuple), not a second spelling of a stage option.
+        flat = {n for n in names if re.fullmatch(r"distance_.*|tree_.*", n)}
+        assert flat <= {"distance_mode"}
+
+    def test_removed_registry_kwargs_raise(self):
+        with pytest.raises(TypeError):
+            register_engine(
+                "x", lambda **kw: None, distance_options=("distance",)
+            )
+        with pytest.raises(TypeError):
+            register_aligner("x", CenterStar, tree_options=("tree",))

@@ -7,16 +7,12 @@ from repro.align.guide_tree import neighbor_joining, upgma
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig
 from repro.metrics import qscore
-from repro.msa import (
-    ClustalWLike,
-    MafftLike,
-    MuscleLike,
-    TCoffeeLike,
+from repro.distance import (
     alignment_identity_matrix,
-    full_dp_distance_matrix,
+    all_pairs,
     kimura_distance,
-    ktuple_distance_matrix,
 )
+from repro.msa import ClustalWLike, MafftLike, MuscleLike, TCoffeeLike
 from repro.msa.clustalw import clustal_sequence_weights
 from repro.msa.mafft import align_profiles_anchored, fft_anchor_segments
 from repro.msa.registry import get_aligner, register_aligner
@@ -26,16 +22,16 @@ from repro.seq.sequence import Sequence
 
 class TestDistances:
     def test_ktuple_diagonal_zero(self, tiny_seqs):
-        d = ktuple_distance_matrix(list(tiny_seqs), k=3)
+        d = all_pairs(list(tiny_seqs), "ktuple", k=3)
         assert np.allclose(np.diag(d), 0.0)
 
     def test_full_dp_identical_zero(self):
         seqs = [Sequence("a", "MKTAYI"), Sequence("b", "MKTAYI")]
-        d = full_dp_distance_matrix(seqs)
+        d = all_pairs(seqs, "full-dp")
         assert d[0, 1] == pytest.approx(0.0)
 
     def test_full_dp_symmetric(self, tiny_seqs):
-        d = full_dp_distance_matrix(list(tiny_seqs)[:4])
+        d = all_pairs(list(tiny_seqs)[:4], "full-dp")
         assert np.allclose(d, d.T)
 
     def test_alignment_identity_matrix(self):
@@ -105,7 +101,7 @@ class TestMuscleStages:
 
 class TestClustalW:
     def test_weights_positive_mean_one(self, tiny_seqs):
-        d = ktuple_distance_matrix(list(tiny_seqs), k=3)
+        d = all_pairs(list(tiny_seqs), "ktuple", k=3)
         tree = neighbor_joining(d, tiny_seqs.ids)
         w = clustal_sequence_weights(tree)
         assert (w > 0).all()

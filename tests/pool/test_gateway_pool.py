@@ -70,7 +70,7 @@ class TestGatewayOwnedPool:
 
     def test_tree_backend_alone_wants_a_pool(self):
         with AlignmentGateway(
-            n_workers=1, default_tree_backend="pool"
+            n_workers=1, default_tree={"backend": "pool"}
         ) as gw:
             assert gw.pool is not None
 

@@ -261,3 +261,52 @@ class TestSharedService:
             import json
 
             json.dumps(metrics)
+
+    def test_every_default_can_be_read_back(self, tmp_path):
+        """/metrics reports the three effective defaults whole -- placement
+        (out / store_dir) included, not just names and backends."""
+        distance = {
+            "estimator": "kmer-fraction", "k": 5, "backend": "threads",
+            "workers": 2, "out": "memmap", "store_dir": str(tmp_path),
+        }
+        tree = {"builder": "anchor", "backend": "threads", "anchors": 4,
+                "anchor_base": "nj", "anchor_seed": 3}
+        with AlignmentGateway(
+            n_workers=1, default_backend="Threads",
+            default_distance=distance, default_tree=tree,
+        ) as gw:
+            metrics = gw.metrics()
+        assert metrics["default_backend"] == "threads"
+        for key, given in (("default_distance", distance),
+                           ("default_tree", tree)):
+            for field, value in given.items():
+                assert metrics[key][field] == value
+
+    def test_no_stage_defaults_report_none_and_rewrite_nothing(
+        self, make_request, counting_engine
+    ):
+        request = make_request(engine="muscle")
+        with AlignmentGateway(n_workers=1) as gw:
+            metrics = gw.metrics()
+            assert metrics["default_distance"] is None
+            assert metrics["default_tree"] is None
+            assert gw.submit(request).request_hash == request.content_hash()
+
+    def test_distributed_engine_never_inherits_a_backend(self, make_request):
+        """parallel-baseline places its own ranks: it takes the default's
+        estimator and placement-free fields, not backend / workers."""
+        request = make_request(engine="parallel-baseline")
+        with AlignmentGateway(
+            n_workers=1,
+            default_distance={"estimator": "kmer-fraction",
+                              "backend": "threads", "workers": 2},
+            default_tree={"backend": "threads"},
+        ) as gw:
+            ticket = gw.submit(request)
+            result = ticket.wait(60)
+        folded = ticket._entry.request.engine_kwargs
+        assert folded["distance"]["estimator"] == "kmer-fraction"
+        assert folded["distance"]["backend"] is None
+        assert folded["distance"]["workers"] is None
+        assert "tree" not in folded  # nothing left of a backend-only default
+        assert result.alignment.n_rows == 5

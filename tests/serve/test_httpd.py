@@ -7,6 +7,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.config import SampleAlignDConfig
 from repro.serve import AlignmentGateway, serve_in_thread
 
 
@@ -122,6 +123,19 @@ class TestEndpoints:
                   {"request": _align_body(make_request, seed=9),
                    "timeout": "soon"})
         assert err.value.code == 400
+
+    def test_nested_backend_in_config_400(self, server, make_request):
+        """A stage spec that places itself on a second backend inside
+        Sample-Align-D's ranks is refused at the door, not inside a rank."""
+        body = _align_body(make_request, engine="sample-align-d")
+        for kwargs_key, stage in (("local_aligner_kwargs", "distance"),
+                                  ("root_aligner_kwargs", "tree")):
+            config = SampleAlignDConfig().to_dict()
+            config[kwargs_key] = {stage: {"backend": "pool"}}
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(server, "/align", {**body, "config": config})
+            assert err.value.code == 400
+            assert "nested" in json.loads(err.value.read())["error"]
 
     def test_engine_failure_500(self, server, make_request):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -490,7 +490,7 @@ class TestDistanceCli:
         assert rc == 0
         report = json.loads(dest.read_text())
         gw = report["gateway"]
-        assert gw["default_distance_backend"] == "threads"
+        assert gw["default_distance"]["backend"] == "threads"
         assert report["requests"]["errors"] == 0
 
     def test_serve_unknown_distance_clean_error(self, capsys):
@@ -510,13 +510,12 @@ class TestDistanceCli:
         assert main(["engines", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         by_name = {e["name"]: e for e in payload["engines"]}
-        assert by_name["clustalw"]["distance_options"] == [
-            "distance", "distance_backend", "distance_out",
-            "distance_store_dir", "distance_workers"
+        assert by_name["clustalw"]["stages"] == ["distance", "tree"]
+        assert by_name["parallel-baseline"]["stages"] == [
+            "distance", "tree"
         ]
-        assert by_name["parallel-baseline"]["distance_options"] == [
-            "distance", "distance_out", "distance_store_dir"
-        ]
+        assert by_name["tcoffee"]["stages"] == []
+        assert "distance_options" not in by_name["clustalw"]
         assert "kband" in payload["distance_estimators"]
 
 

@@ -145,7 +145,9 @@ class TestBuilderMath:
 class TestTreeConfig:
     def test_defaults_valid(self):
         cfg = TreeConfig()
-        assert cfg.builder == "upgma"
+        # No builder named: the aligner's historical default applies;
+        # on its own the config builds the registry default.
+        assert cfg.builder is None
         assert cfg.make_builder().name == "upgma"
 
     def test_dict_roundtrip(self):
@@ -154,6 +156,13 @@ class TestTreeConfig:
         import json
 
         json.dumps(cfg.to_dict())  # JSON-able (engine_kwargs contract)
+
+    def test_registry_names_normalise_to_lower_case(self):
+        assert TreeConfig("NJ", backend="Threads") == TreeConfig(
+            "nj", backend="threads")
+        upper = TreeConfig("Anchor", anchors=4, anchor_base="UPGMA")
+        assert upper.to_dict() == TreeConfig(
+            "anchor", anchors=4, anchor_base="upgma").to_dict()
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown TreeConfig keys"):
@@ -170,24 +179,36 @@ class TestTreeConfig:
 
 class TestResolveTreeStage:
     def test_none_uses_default_factory(self):
-        builder, backend, workers = resolve_tree_stage(
+        builder, cfg = resolve_tree_stage(
             None, default=lambda: NeighborJoiningBuilder()
         )
         assert builder.name == "nj"
-        assert backend is None and workers is None
+        assert cfg.backend is None and cfg.workers is None
 
     def test_name_and_config_and_instance(self):
         for tree in ("wpgma", TreeConfig(builder="wpgma"),
                      {"builder": "wpgma"}, get_builder("wpgma")):
-            builder, _, _ = resolve_tree_stage(tree)
+            builder, _ = resolve_tree_stage(tree)
             assert builder.name == "wpgma"
 
     def test_config_backend_flows_unless_overridden(self):
         cfg = TreeConfig(builder="nj", backend="threads", workers=2)
-        _, backend, workers = resolve_tree_stage(cfg)
-        assert (backend, workers) == ("threads", 2)
-        _, backend, workers = resolve_tree_stage(cfg, "processes", 4)
-        assert (backend, workers) == ("processes", 4)
+        _, placed = resolve_tree_stage(cfg)
+        assert (placed.backend, placed.workers) == ("threads", 2)
+        # The one way to override a placement is another config:
+        # field-wise, the overriding config's fields win.
+        over = TreeConfig(backend="processes", workers=4).over(cfg)
+        builder, placed = resolve_tree_stage(over)
+        assert builder.name == "nj"
+        assert (placed.backend, placed.workers) == ("processes", 4)
+        with pytest.raises(TypeError):
+            resolve_tree_stage(cfg, "processes", 4)
+
+    def test_placement_only_spec_keeps_the_default_builder(self):
+        builder, placed = resolve_tree_stage(
+            {"backend": "threads"}, default=lambda: NeighborJoiningBuilder()
+        )
+        assert builder.name == "nj" and placed.backend == "threads"
 
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -195,9 +216,9 @@ class TestResolveTreeStage:
         with pytest.raises(ValueError):
             resolve_tree_stage(123)
         with pytest.raises(ValueError):
-            resolve_tree_stage("nj", "gpu")
+            resolve_tree_stage({"builder": "nj", "backend": "gpu"})
         with pytest.raises(ValueError):
-            resolve_tree_stage("nj", None, 0)
+            resolve_tree_stage({"builder": "nj", "workers": 0})
 
     def test_protocol_subclass_accepted(self):
         class Star(TreeBuilder):
@@ -206,5 +227,5 @@ class TestResolveTreeStage:
             def build(self, dist, labels=None):
                 return get_builder("upgma").build(dist, labels)
 
-        builder, _, _ = resolve_tree_stage(Star())
+        builder, _ = resolve_tree_stage(Star())
         assert builder.name == "star-test"

@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro.engine import AlignRequest
-from repro.engine.registry import engine_tree_options
+from repro.engine.registry import engine_stages
 from repro.msa import (
     CenterStar,
     ClustalWLike,
@@ -31,15 +31,16 @@ class TestBaselineSeam:
         """threads/processes merge stages reproduce the serial result
         byte-for-byte (the acceptance criterion, through the baselines)."""
         serial = make().align(tiny_seqs)
-        threads = make(tree_backend="threads",
-                       tree_workers=2).align(tiny_seqs)
+        threads = make(
+            tree={"backend": "threads", "workers": 2}
+        ).align(tiny_seqs)
         assert serial == threads
         assert serial.to_fasta() == threads.to_fasta()
 
     def test_processes_tree_backend_identical(self, tiny_seqs):
         serial = ClustalWLike().align(tiny_seqs)
         procs = ClustalWLike(
-            tree_backend="processes", tree_workers=2
+            tree={"backend": "processes", "workers": 2}
         ).align(tiny_seqs)
         assert serial.to_fasta() == procs.to_fasta()
 
@@ -73,7 +74,7 @@ class TestBaselineSeam:
         serial = MafftLike(mode="fftnsi", iterations=0).align(tiny_seqs)
         procs = MafftLike(
             mode="fftnsi", iterations=0,
-            tree_backend="processes", tree_workers=2,
+            tree={"backend": "processes", "workers": 2},
         ).align(tiny_seqs)
         assert serial.to_fasta() == procs.to_fasta()
         import functools
@@ -110,7 +111,7 @@ class TestBaselineSeam:
         # The caterpillar is a chain (max_width 1) -- the scheduler must
         # degrade gracefully and stay byte-identical.
         serial = CenterStar().align(tiny_seqs)
-        par = CenterStar(tree_backend="threads").align(tiny_seqs)
+        par = CenterStar(tree={"backend": "threads"}).align(tiny_seqs)
         assert serial.to_fasta() == par.to_fasta()
 
     @pytest.mark.parametrize("make", BASELINES)
@@ -118,9 +119,11 @@ class TestBaselineSeam:
         with pytest.raises((ValueError, KeyError)):
             make(tree="nope")
         with pytest.raises(ValueError):
-            make(tree_backend="gpu")
+            make(tree={"backend": "gpu"})
         with pytest.raises(ValueError):
-            make(tree_workers=0)
+            make(tree={"workers": 0})
+        with pytest.raises(TypeError):
+            make(tree_backend="threads")  # the removed flat spelling
 
     def test_parallel_baseline_builder_choice(self, tiny_seqs):
         res = ParallelClustalW(tree="upgma").align(tiny_seqs, n_procs=3)
@@ -153,8 +156,7 @@ class TestEngineSeam:
         via = repro.align(
             tiny_seqs,
             engine="clustalw",
-            tree="nj",
-            tree_backend="threads",
+            tree={"builder": "nj", "backend": "threads"},
         )
         assert base.alignment == via.alignment
 
@@ -168,14 +170,12 @@ class TestEngineSeam:
         assert plain.content_hash() != opinionated.content_hash()
 
     def test_registry_advertises_the_seam(self):
-        for name in ("clustalw", "muscle", "mafft-nwnsi", "center-star"):
-            assert engine_tree_options(name) == {
-                "tree", "tree_backend", "tree_workers"
-            }
-        assert engine_tree_options("parallel-baseline") == {"tree"}
-        assert engine_tree_options("tcoffee") == frozenset()
-        assert engine_tree_options("sample-align-d") == frozenset()
-        assert engine_tree_options("not-an-engine") == frozenset()
+        for name in ("clustalw", "muscle", "mafft-nwnsi", "center-star",
+                     "parallel-baseline"):
+            assert "tree" in engine_stages(name)
+        assert engine_stages("tcoffee") == frozenset()
+        assert engine_stages("sample-align-d") == frozenset()
+        assert engine_stages("not-an-engine") == frozenset()
 
     def test_sample_align_d_local_aligner_tree(self, tiny_seqs):
         """The builder choice reaches the per-bucket local aligners."""
@@ -194,12 +194,15 @@ class TestEngineSeam:
         register_aligner(
             "tree-capable-test",
             lambda **kw: CenterStar(**kw),
-            tree_options=("tree", "tree_backend"),
+            stages=("tree",),
         )
         try:
-            assert engine_tree_options("tree-capable-test") == {
-                "tree", "tree_backend"
-            }
+            assert engine_stages("tree-capable-test") == {"tree"}
+            with pytest.raises(ValueError, match="unknown pipeline stages"):
+                register_aligner(
+                    "tree-capable-test", CenterStar, overwrite=True,
+                    stages=("tree_backend",),
+                )
         finally:
             unregister_aligner("tree-capable-test")
 
@@ -210,12 +213,13 @@ class TestGatewaySeam:
         expected = AlignRequest(
             tuple(tiny_seqs),
             engine="center-star",
-            engine_kwargs={"tree": "upgma", "tree_backend": "threads"},
+            engine_kwargs={
+                "tree": TreeConfig("upgma", backend="threads").to_dict()
+            },
         )
         with AlignmentGateway(
             n_workers=1,
-            default_tree="upgma",
-            default_tree_backend="threads",
+            default_tree={"builder": "upgma", "backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == expected.content_hash()
@@ -227,16 +231,22 @@ class TestGatewaySeam:
             engine="center-star",
             engine_kwargs={"tree": "nj"},
         )
+        # The request's own builder wins; only its spelling is
+        # canonicalised.
+        effective = AlignRequest(
+            tuple(tiny_seqs),
+            engine="center-star",
+            engine_kwargs={"tree": TreeConfig("nj").to_dict()},
+        )
         with AlignmentGateway(n_workers=1, default_tree="upgma") as gw:
             ticket = gw.submit(request)
-            assert ticket.request_hash == request.content_hash()
+            assert ticket.request_hash == effective.content_hash()
 
     def test_non_capable_engine_untouched(self, tiny_seqs):
         request = AlignRequest(tuple(tiny_seqs), engine="tcoffee")
         with AlignmentGateway(
             n_workers=1,
-            default_tree="nj",
-            default_tree_backend="threads",
+            default_tree={"builder": "nj", "backend": "threads"},
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == request.content_hash()
@@ -246,10 +256,10 @@ class TestGatewaySeam:
         explicit = AlignRequest(
             tuple(tiny_seqs),
             engine="center-star",
-            engine_kwargs={"tree_backend": "threads"},
+            engine_kwargs={"tree": {"backend": "threads"}},
         )
         with AlignmentGateway(
-            n_workers=1, default_tree_backend="threads"
+            n_workers=1, default_tree={"backend": "threads"}
         ) as gw:
             t1 = gw.submit(plain)
             t2 = gw.submit(explicit)
@@ -260,26 +270,27 @@ class TestGatewaySeam:
         with pytest.raises(ValueError):
             AlignmentGateway(n_workers=1, default_tree="nope")
         with pytest.raises(ValueError):
-            AlignmentGateway(n_workers=1, default_tree_backend="gpu")
+            AlignmentGateway(n_workers=1, default_tree={"backend": "gpu"})
+        with pytest.raises(TypeError):
+            AlignmentGateway(n_workers=1, default_tree_backend="threads")
 
     def test_metrics_expose_tree_defaults(self):
         with AlignmentGateway(
             n_workers=1,
-            default_tree="nj",
-            default_tree_backend="threads",
+            default_tree={"builder": "nj", "backend": "threads"},
         ) as gw:
             m = gw.metrics()
-            assert m["default_tree"] == "nj"
-            assert m["default_tree_backend"] == "threads"
+            assert m["default_tree"]["builder"] == "nj"
+            assert m["default_tree"]["backend"] == "threads"
 
     def test_defaults_case_normalised(self, tiny_seqs):
         request = AlignRequest(tuple(tiny_seqs), engine="center-star")
         with AlignmentGateway(
-            n_workers=1, default_tree="UPGMA",
-            default_tree_backend="Threads",
+            n_workers=1,
+            default_tree={"builder": "UPGMA", "backend": "Threads"},
         ) as upper, AlignmentGateway(
-            n_workers=1, default_tree="upgma",
-            default_tree_backend="threads",
+            n_workers=1,
+            default_tree={"builder": "upgma", "backend": "threads"},
         ) as lower:
             assert (
                 upper.submit(request).request_hash
@@ -391,8 +402,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert "tree_builders" in payload
         by_name = {e["name"]: e for e in payload["engines"]}
-        assert by_name["clustalw"]["tree_options"] == [
-            "tree", "tree_backend", "tree_workers"
-        ]
-        assert by_name["parallel-baseline"]["tree_options"] == ["tree"]
-        assert by_name["sample-align-d"]["tree_options"] == []
+        assert "tree" in by_name["clustalw"]["stages"]
+        assert "tree" in by_name["parallel-baseline"]["stages"]
+        assert by_name["parallel-baseline"]["kind"] == "distributed"
+        assert by_name["sample-align-d"]["stages"] == []
