@@ -2,18 +2,20 @@
 
 Not a paper figure: this is the first entry of the perf trajectory the
 ROADMAP asks for.  The same Sample-Align-D workload runs on the
-``threads`` backend (the original virtual cluster -- GIL-bound, so p
-ranks share one core's worth of Python compute) and on the
-``processes`` backend (one OS process per rank -- compute actually
-spreads over host cores).  The report records per-backend wall clock,
-the speedup of processes over threads, and proof that both backends
-produced the *same alignment bytes* -- the backend contract.
+``threads`` backend (the virtual cluster -- ranks run one at a time, so
+its wall clock is about the serial work on one core) and on the
+``processes`` backend (one OS process per rank -- compute can spread
+over host cores, at the price of starting p processes and pickling every
+payload on each call).  The report records per-backend wall clock, the
+ratio of the two, and proof that both backends produced the *same
+alignment bytes* -- the backend contract, and the only thing gated.
 
-Reading the numbers: the processes win scales with host cores.  On a
-single-core host the two backends necessarily tie (processes pays a
-small fork/pickle tax); from 2 cores up the processes backend pulls
-ahead, approaching min(p, cores)x on the compute-bound phase.  The JSON
-therefore records ``host_cores`` next to every timing.
+Reading the numbers: the ratio is reported, not asserted.  What
+processes gains is bounded by min(p, host_cores) on the compute phase
+and what it pays is per call, so which side wins depends on the host and
+the size of the job: at N=128, p=4 on a 2-core host processes measured
+0.37x of threads (1.71 s against 0.63 s).  The JSON records
+``host_cores`` next to every timing.
 
 Output: benchmarks/reports/backend_scaling.json (machine-readable, the
 perf-tracking artifact) plus the usual text report.
@@ -102,8 +104,7 @@ def run_backend_scaling(n_procs=4, repeats=2):
         f"host_cores={cores}\n\n{table}\n\n"
         f"identical alignments: {identical}\n"
         f"processes speedup over threads: {speedup:.2f}x "
-        f"(>1 means processes wins; bounded by min(p, host_cores) "
-        f"on the compute phase)"
+        f"(>1 means processes wins; reported, not gated)"
     )
     write_report("backend_scaling", text)
 
@@ -138,24 +139,9 @@ def test_backend_scaling(benchmark):
     payload = once(benchmark, run_backend_scaling)
     # The hard contract: backends must agree on the bytes.
     assert payload["identical_alignments"]
-    # The perf claim is core-bound: a multi-core host must see the
-    # processes backend win; a single-core host can only tie.
-    if payload["host_cores"] >= 2:
-        assert payload["processes_beat_threads"]
 
 
 if __name__ == "__main__":
     result = run_backend_scaling()
-    ok = result["identical_alignments"]
-    # Same gate as the pytest entry: multi-core hosts (CI) must see the
-    # processes backend win; single-core hosts can only tie.
-    if result["host_cores"] >= 2:
-        ok = ok and result["processes_beat_threads"]
-        if not result["processes_beat_threads"]:
-            print(
-                f"FAIL: processes did not beat threads on a "
-                f"{result['host_cores']}-core host "
-                f"({result['processes_speedup_over_threads']:.2f}x)",
-                file=sys.stderr,
-            )
-    sys.exit(0 if ok else 1)
+    # Same gate as the pytest entry.
+    sys.exit(0 if result["identical_alignments"] else 1)

@@ -185,8 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="execution backend for distributed engines: 'threads' "
-        "(default; virtual cluster, best modeled-time fidelity, GIL-bound "
-        "compute), 'processes' (one OS process per rank; use it to "
+        "(default; virtual cluster, ranks run one at a time: wall time "
+        "about the serial work, best modeled-time fidelity), "
+        "'processes' (one OS process per rank; use it to "
         "actually parallelize on a multi-core host), or 'pool' "
         "(persistent warm workers with shared-memory transport; best "
         "for repeated runs). Alignments are byte-identical across "
@@ -719,8 +720,8 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         f"{', '.join(available_backends())}"
     )
     print(
-        "  threads:   virtual cluster -- modeled-time fidelity, compute "
-        "GIL-bound to one core"
+        "  threads:   virtual cluster -- ranks run one at a time: wall "
+        "about the serial work, modeled-time fidelity"
     )
     print(
         "  processes: one OS process per rank -- wall clock scales with "

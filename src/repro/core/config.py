@@ -70,10 +70,11 @@ class SampleAlignDConfig:
         Break rank ties by sequence id so runs are order-independent.
     backend:
         Execution backend running the SPMD ranks: ``"threads"`` (the
-        default virtual cluster; best modeled-time fidelity, GIL-bound),
-        ``"processes"`` (one OS process per rank; real parallel
-        compute on multi-core hosts), or ``"pool"`` (persistent warm
-        workers with shared-memory transport; process parallelism
+        default virtual cluster; ranks run one at a time, so wall time
+        is about the serial work and the modeled clocks are free of
+        contention), ``"processes"`` (one OS process per rank; real
+        parallel compute on multi-core hosts), or ``"pool"`` (persistent
+        warm workers with shared-memory transport; process parallelism
         without per-run spawn cost).  ``None`` defers to the caller /
         launcher default.  Backends produce byte-identical alignments.
     """

@@ -51,7 +51,7 @@ class MsaResult:
         The configuration the run used.
     backend:
         Name of the execution backend that ran the SPMD ranks
-        (``"threads"`` or ``"processes"``).
+        (``"threads"``, ``"processes"`` or ``"pool"``).
     """
 
     alignment: Alignment

@@ -12,7 +12,11 @@ enabled it:
    (so propagation rides whatever wire the backend already has --
    thread closure, process pickle, or the pool's shm blob),
 3. wraps each rank's work in a ``<stage>.rank`` span recorded into a
-   rank-local buffer,
+   rank-local buffer; on the ``threads`` backend, where ranks run one at
+   a time, the span also carries ``compute_s`` (the rank's
+   ``thread_time`` total, as the ledger has it) and ``parked_s`` (wall
+   seconds it spent without the run token), so overlapping rank spans
+   read as running versus parked,
 4. ships spans *and* a metrics delta back inside :class:`_TracedReturn`
    and unwraps them at the parent: spans are stitched under the
    dispatch span, and the delta is merged into the parent's registry --
@@ -77,11 +81,20 @@ class _TracedRankFn:
         self.stage = stage
 
     def __call__(self, comm: Any, *args: Any, **kwargs: Any) -> "_TracedReturn":
+        from repro.parcomp.comm import Fabric
+
         buf, token = install_context(self.ctx)
         try:
             before = registry().snapshot()
-            with span(f"{self.stage}.rank", rank=comm.rank):
+            with span(f"{self.stage}.rank", rank=comm.rank) as rank_span:
                 result = self.fn(comm, *args, **kwargs)
+                fabric = comm.fabric
+                if isinstance(fabric, Fabric) and fabric.parked_s is not None:
+                    comm.finalize()  # publish the compute total now
+                    rank_span.set(
+                        compute_s=float(fabric.ledger.compute[comm.rank]),
+                        parked_s=fabric.parked_s[comm.rank],
+                    )
             delta = registry().snapshot().diff(before)
             return _TracedReturn(
                 result=result,

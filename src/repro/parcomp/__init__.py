@@ -11,12 +11,14 @@ communication, the coarse-grained model the paper itself uses in its
 section-3 analysis).
 
 *Where* the ranks execute is an :class:`ExecutionBackend`: ``"threads"``
-(the original in-process fabric -- modeled-time fidelity, GIL-bound
-compute), ``"processes"`` (one OS process per rank over queues -- real
-parallel compute on multi-core hosts), or ``"pool"`` (persistent warm
-workers from :mod:`repro.pool` with shared-memory transport -- process
-parallelism without the per-run spawn cost).  All produce
-byte-identical program results and equivalent ledgers.
+(the in-process fabric -- ranks run one at a time, so wall time is about
+the serial work and the modeled clocks are free of contention; no
+speed-up over one core, by design), ``"processes"`` (one OS process per
+rank over queues -- real parallel compute on multi-core hosts), or
+``"pool"`` (persistent warm workers from :mod:`repro.pool` with
+shared-memory transport -- process parallelism without the per-run spawn
+cost).  All produce byte-identical program results and equivalent
+ledgers.
 
 - :mod:`repro.parcomp.cost` -- cost model, payload sizing, event ledger.
 - :mod:`repro.parcomp.comm` -- the transport seam and :class:`VirtualComm`.

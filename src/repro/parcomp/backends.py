@@ -6,11 +6,13 @@ API, message metering, logical clocks) are identical across backends, so
 a program produces byte-identical results no matter which backend executes
 it.  Three backends ship:
 
-- ``"threads"`` (:class:`ThreadBackend`) -- the original virtual cluster:
-  one daemon thread per rank sharing a :class:`~repro.parcomp.comm.Fabric`.
-  Zero startup cost and per-rank ``thread_time`` clocks make it the
-  fidelity choice for *modeled* cluster time, but the GIL serialises the
-  compute, so p ranks never run faster than one host core.
+- ``"threads"`` (:class:`ThreadBackend`) -- the virtual cluster: one
+  daemon thread per rank sharing a :class:`~repro.parcomp.comm.Fabric`,
+  whose run token lets one rank execute at a time and changes hands at
+  blocking communication calls.  Zero startup cost, wall time about the
+  serial work, and per-rank ``thread_time`` clocks free of contention
+  make it the fidelity choice for *modeled* cluster time; p ranks never
+  run faster than one host core, by design.
 - ``"processes"`` (:class:`ProcessBackend`) -- one OS process per rank
   (stdlib :mod:`multiprocessing`), queues for the wire.  Ranks really run
   in parallel, so Sample-Align-D's wall clock scales with host cores; the
@@ -131,16 +133,28 @@ class ExecutionBackend(ABC):
 
 
 class ThreadBackend(ExecutionBackend):
-    """One daemon thread per rank over a shared in-process fabric.
+    """One daemon thread per rank over a shared in-process fabric, run
+    one rank at a time.
+
+    Each run's :class:`~repro.parcomp.comm.Fabric` owns one run token.  A
+    rank thread holds it around its whole program and hands it over only
+    inside a blocking ``recv``/collective/``barrier`` whose message or
+    barrier generation is not there yet, so the wall time is about the
+    serial work and every rank's ``thread_time`` clock is free of
+    interpreter-lock contention.  There is no speed-up over one core, by
+    design.  A rank that blocks *outside* the communicator
+    (``time.sleep``, file I/O in a ``TileStore`` rank) keeps the token
+    while it does; that is the price of one-at-a-time.
 
     Parameters
     ----------
     abort_join_timeout:
         How long to wait for surviving rank threads after a rank failure
-        before giving up on them.  A rank stuck in a long compute phase
-        (it only observes the abort at its next communication call) is
-        left behind as a daemon thread rather than hanging the caller;
-        the raised error notes the leak.
+        before giving up on them.  Parked ranks leave at once; a rank
+        stuck in a long compute phase (it only observes the abort at its
+        next communication call) is left behind as a daemon thread
+        rather than hanging the caller, and the raised error notes the
+        leak.
     """
 
     name = "threads"
@@ -165,6 +179,7 @@ class ThreadBackend(ExecutionBackend):
         errors: List[tuple] = []
 
         def runner(rank: int) -> None:
+            fabric.acquire(rank)
             comm = VirtualComm(fabric, rank)
             try:
                 extra = tuple(rank_args[rank]) if rank_args is not None else ()
@@ -176,6 +191,7 @@ class ThreadBackend(ExecutionBackend):
                 fabric.fail(exc)
             finally:
                 comm.finalize()
+                fabric.release(rank)
 
         threads = [
             threading.Thread(

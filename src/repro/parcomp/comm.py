@@ -9,15 +9,17 @@ logical clocks see the true message pattern a real MPI implementation
 would produce, message by message.
 
 Logical clocks: each rank's clock advances by its measured thread CPU
-time between communication calls (``time.thread_time`` -- unaffected by
-the other rank threads sharing the host core), by ``alpha + beta*nbytes``
-per sent message, and synchronises with the sender's clock on receive.
-The final clocks give the modeled cluster time of the run.
+time between communication calls (``time.thread_time``; on the in-process
+fabric ranks run one at a time, so it is free of interpreter-lock
+contention), by ``alpha + beta*nbytes`` per sent message, and
+synchronises with the sender's clock on receive.  The final clocks give
+the modeled cluster time of the run.
 
 :class:`Transport` is the seam between :class:`VirtualComm` (the rank-side
 API and clock bookkeeping, shared by every execution backend) and how
 bytes actually move.  :class:`Fabric` is the in-process implementation
-(one shared mailbox, rank threads); the ``processes`` backend in
+(one shared mailbox, rank threads that hand one run token to each other
+at blocking calls); the ``processes`` backend in
 :mod:`repro.parcomp.backends` provides a pipe/queue implementation with
 one OS process per rank.
 """
@@ -30,6 +32,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.obs.tracing import tracing_enabled
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger, estimate_nbytes
 
 __all__ = ["Fabric", "Transport", "VirtualComm", "SpmdAbort"]
@@ -78,9 +81,20 @@ class Transport(abc.ABC):
 class Fabric(Transport):
     """Shared state of one virtual-cluster run (the in-process transport).
 
-    Blocked ranks park on a condition variable and are woken by the
-    matching :meth:`post`, barrier completion, or :meth:`fail` -- there is
-    no sleep-poll, so an idle rank costs nothing until its message lands.
+    The fabric owns the run's one *token*: a rank thread holds it whenever
+    it executes program code, so ranks run one at a time instead of
+    contending for the interpreter lock.  The launcher brackets each
+    rank's program with :meth:`acquire` / :meth:`release`; in between the
+    token changes hands only where the holder would block anyway --
+    inside :meth:`collect` and :meth:`barrier`, and only when the message
+    or the barrier generation is not already there.  Rank 0 holds the
+    token from the start, so which rank runs first does not depend on
+    thread start order.
+
+    A rank without the token parks on the condition variable.  Nobody can
+    proceed while the token is held, so only giving it up (and
+    :meth:`fail`) notifies: :meth:`post` wakes no one.  A rank that blocks
+    outside these calls keeps the token while it does.
     """
 
     def __init__(self, n_ranks: int, cost_model: CostModel | None = None) -> None:
@@ -94,11 +108,61 @@ class Fabric(Transport):
         # mailbox[(dst, src, tag)] -> deque of (payload, ready_time)
         self._mail: Dict[Tuple[int, int, int], deque] = {}
         self._failed: Optional[BaseException] = None
+        #: Rank holding the run token; ``None`` while it is free.
+        self._holder: Optional[int] = 0
+        #: Per-rank wall seconds parked in collect/barrier without the
+        #: token; kept only while tracing is on (``None`` otherwise).
+        self.parked_s: Optional[List[float]] = (
+            [0.0] * n_ranks if tracing_enabled() else None
+        )
         # Barrier bookkeeping (generation counting).
         self._barrier_count = 0
         self._barrier_gen = 0
         self._barrier_acc = 0.0
         self._barrier_results: Dict[int, float] = {}
+
+    # -- the run token ----------------------------------------------------------
+
+    def acquire(self, rank: int) -> None:
+        """Block until ``rank`` holds the token (before its program starts).
+
+        Not an abort point: like any rank that is not inside a blocking
+        call, one that starts after a failure meets it at its first
+        :meth:`collect` or :meth:`barrier`.
+        """
+        with self._cond:
+            while self._holder not in (None, rank):
+                self._cond.wait()
+            self._holder = rank
+
+    def release(self, rank: int) -> None:
+        """Give the token up for good (after the rank's program ended).
+
+        A no-op for a rank that left :meth:`collect` or :meth:`barrier`
+        with :class:`SpmdAbort`: it gave the token up when it parked.
+        """
+        with self._cond:
+            if self._holder == rank:
+                self._holder = None
+                self._cond.notify_all()
+
+    def _park(self, ready: Callable[[], Any]) -> None:
+        """Hand the token over until ``ready()`` holds, then take it back.
+
+        Called with the lock held by the token holder.  Raises
+        :class:`SpmdAbort`, without the token, once the run has failed.
+        """
+        t0 = time.perf_counter()
+        rank = self._holder
+        self._holder = None
+        self._cond.notify_all()
+        while self._failed is None and not (self._holder is None and ready()):
+            # Woken by whoever gives the token up next, or by fail().
+            self._cond.wait()
+        if self.parked_s is not None:
+            self.parked_s[rank] += time.perf_counter() - t0
+        self.check_failed()
+        self._holder = rank
 
     # -- failure propagation ----------------------------------------------------
 
@@ -116,50 +180,39 @@ class Fabric(Transport):
 
     def post(self, src: int, dst: int, tag: int, payload: Any,
              ready_time: float, nbytes: int, kind: str) -> None:
-        with self._cond:
+        with self._lock:
             self._mail.setdefault((dst, src, tag), deque()).append(
                 (payload, ready_time)
             )
             self.ledger.events.append(
                 CommEvent(kind, src, dst, nbytes, tag, send_clock=ready_time)
             )
-            self._cond.notify_all()
 
     def collect(self, dst: int, src: int, tag: int) -> Tuple[Any, float]:
         key = (dst, src, tag)
         with self._cond:
-            while True:
-                if self._failed is not None:
-                    raise SpmdAbort(f"another rank failed: {self._failed!r}")
-                box = self._mail.get(key)
-                if box:
-                    return box.popleft()
-                # Pure condition wait: post()/fail() notify, so there is
-                # no wakeup to poll for.
-                self._cond.wait()
+            self.check_failed()
+            if not self._mail.get(key):
+                self._park(lambda: self._mail.get(key))
+            return self._mail[key].popleft()
 
     # -- barrier ----------------------------------------------------------------------
 
     def barrier(self, clock: float) -> float:
         """Synchronise all ranks; returns the max clock across them."""
         with self._cond:
+            self.check_failed()
             gen = self._barrier_gen
             self._barrier_count += 1
             self._barrier_acc = max(self._barrier_acc, clock)
             if self._barrier_count == self.n_ranks:
+                # The last arrival keeps the token and carries on.
                 self._barrier_results[gen] = self._barrier_acc
                 self._barrier_count = 0
                 self._barrier_acc = 0.0
                 self._barrier_gen += 1
-                self._cond.notify_all()
             else:
-                while self._barrier_gen == gen:
-                    if self._failed is not None:
-                        raise SpmdAbort(
-                            f"another rank failed: {self._failed!r}"
-                        )
-                    # Woken by the last arrival's notify_all or by fail().
-                    self._cond.wait()
+                self._park(lambda: self._barrier_gen != gen)
             return self._barrier_results[gen]
 
 

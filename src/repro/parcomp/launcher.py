@@ -3,9 +3,11 @@
 ``run_spmd(n_ranks, fn, ...)`` runs ``fn(comm, *args, **kwargs)`` once per
 rank, each rank with its own :class:`~repro.parcomp.comm.VirtualComm`.
 *Where* the ranks execute is a backend choice (see
-:mod:`repro.parcomp.backends`): ``backend="threads"`` (default) keeps the
-original in-process virtual cluster, ``backend="processes"`` gives every
-rank its own OS process so the program runs on real cores.  Either way the
+:mod:`repro.parcomp.backends`): ``backend="threads"`` (default) is the
+in-process virtual cluster, whose ranks run one at a time;
+``backend="processes"`` gives every rank its own OS process and
+``backend="pool"`` a warm worker, so the program runs on real cores.
+Either way the
 first rank failure aborts the whole job (surviving ranks raise
 :class:`~repro.parcomp.comm.SpmdAbort` out of their next blocking wait)
 and the original exception is re-raised to the caller with the failing
@@ -47,8 +49,8 @@ def run_spmd(
         Alpha-beta model for the logical clocks (default: gigabit cluster).
     backend:
         Execution backend: a registered name (``"threads"``,
-        ``"processes"``), an :class:`ExecutionBackend` instance, or None
-        for the default (``"threads"``).
+        ``"processes"``, ``"pool"``), an :class:`ExecutionBackend`
+        instance, or None for the default (``"threads"``).
 
     Returns
     -------

@@ -141,9 +141,9 @@ def measure_backend_throughput(
     """Measure a backend's real Sample-Align-D throughput on this host.
 
     The calibrated model predicts *cluster* time assuming every rank has
-    its own processor; the ``threads`` backend breaks that assumption
-    (the GIL serialises rank compute) while ``processes`` honours it up
-    to the host's core count.  This probe aligns an evenly-spaced
+    its own processor; the ``threads`` backend does not (its ranks run
+    one at a time, so its wall time is about the serial work) while
+    ``processes`` and ``pool`` honour it up to the host's core count.  This probe aligns an evenly-spaced
     subsample of ``seqs`` (at most ``probe_size`` sequences) at each
     rank count in ``procs`` with the given backend and measures real
     wall time, so a plan can recommend from *measured* backend

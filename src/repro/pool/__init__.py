@@ -1,7 +1,8 @@
 """repro.pool: persistent worker pool with shared-memory transport.
 
-The third execution backend.  Where ``threads`` shares one core behind
-the GIL and ``processes`` pays a fork per rank per call, ``"pool"`` keeps
+The third execution backend.  Where ``threads`` runs its ranks one at a
+time on one core and ``processes`` pays a fork per rank per call,
+``"pool"`` keeps
 a supervised set of long-lived worker processes warm and reuses them for
 every SPMD run, all-pairs distance schedule and progressive merge --
 repeated short jobs pay a queue round-trip instead of a process start,

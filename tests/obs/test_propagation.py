@@ -44,14 +44,15 @@ def seqs():
 def canonical(records):
     """Backend-independent view of a span set, as sorted JSON lines.
 
-    Drops per-rank identity (pids, tids, ids, timings) and the
-    dispatch/pool spans' backend-specific attributes; keeps names,
+    Drops per-rank identity (pids, tids, ids, timings -- including the
+    ``compute_s``/``parked_s`` seconds a ``threads`` rank span carries)
+    and the dispatch/pool spans' backend-specific attributes; keeps names,
     logical attributes, and each span's parent *name* -- which pins the
     tree shape without depending on id values.
     """
     by_id = {r.span_id: r for r in records}
     drop_attrs = {"backend", "rank", "attempt", "shm_msgs", "shm_bytes",
-                  "pickle_msgs", "pickle_bytes"}
+                  "pickle_msgs", "pickle_bytes", "compute_s", "parked_s"}
     lines = []
     for r in records:
         if r.name == "pool.dispatch":
@@ -150,3 +151,39 @@ class TestMetricsRideHome:
             batched.value if batched else 0
         )
         assert total >= 10  # C(5,2) pairs
+
+
+def _spin_ring(comm):
+    """Some compute, then a ring exchange every rank has to park in."""
+    sum(i * i for i in range(20_000))
+    comm.send(comm.rank, (comm.rank + 1) % comm.size, tag=1)
+    return comm.recv((comm.rank - 1) % comm.size, tag=1)
+
+
+class TestThreadsRankTiming:
+    """A ``threads`` rank span says how long the rank ran and how long it
+    was parked without the run token."""
+
+    def test_rank_span_carries_compute_and_parked(self):
+        from repro.parcomp import run_spmd
+
+        enable_tracing()
+        with collect(tee=False) as buf:
+            res = run_spmd(3, _spin_ring, backend="threads")
+        ranks = [r for r in buf.records() if r.name == "spmd.rank"]
+        assert sorted(r.attrs["rank"] for r in ranks) == [0, 1, 2]
+        for r in ranks:
+            in_ledger = res.ledger.compute[r.attrs["rank"]]
+            assert 0.0 < r.attrs["compute_s"] <= in_ledger
+            assert in_ledger - r.attrs["compute_s"] < 0.01
+            assert 0.0 <= r.attrs["parked_s"] <= r.dur
+        # Rank 0 runs first and has to wait for rank 2's message.
+        assert next(r for r in ranks if r.attrs["rank"] == 0).attrs["parked_s"] > 0
+
+    def test_other_backends_and_untraced_runs_record_neither(self, seqs):
+        from repro.parcomp.comm import Fabric
+
+        assert Fabric(2).parked_s is None  # tracing is off: no timing kept
+        _, records = run_traced_all_pairs(seqs, "processes")
+        for r in records:
+            assert "parked_s" not in r.attrs and "compute_s" not in r.attrs

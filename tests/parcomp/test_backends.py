@@ -8,6 +8,10 @@ outright.
 """
 
 import multiprocessing as mp
+import operator
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -187,19 +191,28 @@ class TestSampleAlignDEquivalence:
 
     @pytest.fixture(scope="class")
     def runs(self, family):
+        """``{n_procs: {backend: result}}`` at a small p and at the
+        paper's 16 ranks (more ranks than cores, buckets of one or two)."""
         return {
-            name: sample_align_d(family, n_procs=4, backend=name)
-            for name in BACKENDS
+            p: {
+                name: sample_align_d(family, n_procs=p, backend=name)
+                for name in BACKENDS
+            }
+            for p in (4, 16)
         }
 
     def test_identical_alignments(self, runs):
-        assert (
-            runs["threads"].alignment.to_fasta()
-            == runs["processes"].alignment.to_fasta()
-        )
+        for by_backend in runs.values():
+            assert (
+                by_backend["threads"].alignment.to_fasta()
+                == by_backend["processes"].alignment.to_fasta()
+            )
 
     def test_identical_sp_scores(self, runs):
-        assert runs["threads"].sp == pytest.approx(runs["processes"].sp)
+        for by_backend in runs.values():
+            assert by_backend["threads"].sp == pytest.approx(
+                by_backend["processes"].sp
+            )
 
     def test_identical_per_rank_message_counts(self, runs):
         def counts(res):
@@ -208,12 +221,24 @@ class TestSampleAlignDEquivalence:
                 out[e.src] += 1
             return out
 
-        assert counts(runs["threads"]) == counts(runs["processes"])
+        for by_backend in runs.values():
+            assert counts(by_backend["threads"]) == counts(
+                by_backend["processes"]
+            )
+
+    def test_identical_ledger_totals(self, runs):
+        for by_backend in runs.values():
+            threads, processes = (
+                by_backend[name].ledger for name in ("threads", "processes")
+            )
+            assert threads.n_messages() == processes.n_messages() > 0
+            assert threads.total_bytes() == processes.total_bytes()
 
     def test_backend_recorded(self, runs):
-        for name, res in runs.items():
-            assert res.backend == name
-            assert f"backend={name}" in res.summary()
+        for by_backend in runs.values():
+            for name, res in by_backend.items():
+                assert res.backend == name
+                assert f"backend={name}" in res.summary()
 
     def test_config_backend_drives_run(self, family):
         res = sample_align_d(
@@ -331,6 +356,151 @@ class TestHardenedShutdown:
             ThreadBackend(abort_join_timeout=0.0)
         with pytest.raises(ValueError):
             ProcessBackend(abort_join_timeout=-1.0)
+
+
+# -- the threads backend's run token ----------------------------------------
+
+
+class _Inside:
+    """Counts the ranks that are inside program code right now."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.now = 0
+        self.peak = 0
+
+    def __enter__(self):
+        with self._lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self.now -= 1
+
+
+def _work_between_collectives(comm, inside):
+    for _ in range(3):
+        with inside:
+            sum(i * i for i in range(2_000))
+            time.sleep(0.001)  # a free-running schedule overlaps here
+        comm.allreduce(comm.rank, op=operator.add)
+        with inside:
+            sum(i * i for i in range(2_000))
+        comm.barrier()
+    return inside.peak
+
+
+def _every_collective_then_chain(comm):
+    """All collectives and a barrier, then a chain in which rank r can
+    only finish after rank r-1 has: ranks end at different times."""
+    size, rank = comm.size, comm.rank
+    out = {
+        "bcast": comm.bcast("seed" if rank == 0 else None, root=0),
+        "scatter": comm.scatter(
+            list(range(size)) if rank == 0 else None, root=0
+        ),
+        "gather": comm.gather(rank, root=size - 1),
+        "allgather": comm.allgather(rank),
+        "alltoall": comm.alltoall([rank * 100 + d for d in range(size)]),
+        "reduce": comm.reduce(rank, op=operator.add, root=0),
+        "allreduce": comm.allreduce(1, op=operator.add),
+    }
+    comm.barrier()
+    if rank > 0:
+        out["chain"] = comm.recv(rank - 1, tag=7)
+    if rank + 1 < size:
+        comm.send(rank, rank + 1, tag=7)
+    return out
+
+
+def _rank_seven_down(comm):
+    if comm.rank == 7:
+        raise ValueError("rank 7 down")
+    comm.recv(7, tag=5)
+
+
+def _send_then_fail(comm, reached):
+    if comm.rank == 0:
+        comm.recv(1, tag=4)
+        reached.append("rank 0 ran on after the failure")
+    else:
+        comm.send("too late", 0, tag=4)
+        raise ValueError("rank 1 down")
+
+
+def _bounded(fn, timeout=60.0):
+    """Run ``fn`` on a helper thread so a lost token fails, not hangs."""
+    box = {}
+
+    def target():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            box["error"] = exc
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "run_spmd did not return: a rank is stuck"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestOneRankAtATime:
+    @pytest.mark.parametrize("size", [2, 3, 16])
+    def test_never_two_ranks_in_program_code(self, size):
+        inside = _Inside()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # make any overlap likely to show
+        try:
+            res = _bounded(lambda: run_spmd(
+                size, _work_between_collectives, args=(inside,),
+                backend="threads",
+            ))
+        finally:
+            sys.setswitchinterval(interval)
+        assert res.results == [1] * size
+        assert inside.now == 0
+
+    @pytest.mark.parametrize("size", [1, 16])
+    def test_every_collective_with_staggered_finishes(self, size):
+        baseline = threading.active_count()
+        res = _bounded(lambda: run_spmd(
+            size, _every_collective_then_chain, backend="threads"
+        ))
+        everyone = list(range(size))
+        for rank, out in enumerate(res.results):
+            assert out["bcast"] == "seed"
+            assert out["scatter"] == rank
+            assert out["gather"] == (everyone if rank == size - 1 else None)
+            assert out["allgather"] == everyone
+            assert out["alltoall"] == [s * 100 + rank for s in everyone]
+            assert out["reduce"] == (sum(everyone) if rank == 0 else None)
+            assert out["allreduce"] == size
+            assert out.get("chain") == (rank - 1 if rank else None)
+        assert threading.active_count() == baseline
+
+    def test_failure_before_first_comm_call_frees_parked_ranks(self):
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="rank 7 failed") as exc_info:
+            _bounded(lambda: run_spmd(16, _rank_seven_down, backend="threads"))
+        assert isinstance(exc_info.value.__cause__, ValueError)
+        assert "still unwinding" not in str(exc_info.value)
+        assert threading.active_count() == baseline
+
+    def test_parked_rank_runs_no_program_code_after_a_failure(self):
+        """Rank 0 parks first; its message is there when rank 1 fails, but
+        it never held the token again, so it leaves with SpmdAbort."""
+        reached = []
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="rank 1 failed"):
+            _bounded(lambda: run_spmd(
+                2, _send_then_fail, args=(reached,), backend="threads"
+            ))
+        assert reached == []
+        assert threading.active_count() == baseline
 
 
 def _string_tag(comm):
