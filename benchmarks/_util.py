@@ -13,6 +13,7 @@ Environment knobs:
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -50,3 +51,19 @@ def once(benchmark, fn, *args, **kwargs):
     """Run a workload exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1,
                               iterations=1, warmup_rounds=0)
+
+
+@contextlib.contextmanager
+def explicit_pool(max_workers: int):
+    """A ``max_workers``-slot pool as the process default for the block,
+    so a ``backend="pool"`` arm runs on warm workers whatever the host's
+    core count (the default pool may hold two slots, and more ranks than
+    slots run cold on a one-shot pool)."""
+    from repro.pool import WorkerPool, set_default_pool
+
+    with WorkerPool(max_workers=max_workers) as pool:
+        previous = set_default_pool(pool)
+        try:
+            yield pool
+        finally:
+            set_default_pool(previous)

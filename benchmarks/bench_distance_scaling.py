@@ -1,20 +1,19 @@
 """Distance-stage scaling -- the tiled all-pairs scheduler vs serial.
 
-Not a paper figure: the second entry of the perf trajectory the ROADMAP
-asks for (after bench_backend_scaling).  The all-pairs distance stage is
+Not a paper figure: an entry of the perf trajectory the ROADMAP
+asks for.  The all-pairs distance stage is
 the scalability wall of guide-tree MSA; this bench measures the unified
 ``repro.distance`` subsystem over an estimator x backend x N grid and
 proves two things:
 
-- **equivalence** -- serial, ``threads`` and ``processes`` schedules of
+- **equivalence** -- serial, ``threads`` and ``pool`` schedules of
   every estimator produce *byte-identical* matrices (the subsystem's
   determinism contract, asserted hard);
-- **speed** -- the ``processes`` schedule of the expensive ``full-dp``
+- **speed** -- the ``pool`` schedule of the expensive ``full-dp``
   estimator beats the serial ``all_pairs(seqs, "full-dp")`` path
   wall-clock on any host with >= 2 cores (a single-core host can only
-  tie: processes pays fork/pickle overhead with no extra compute to
-  spend it on, so the gate is core-conditional like
-  bench_backend_scaling's);
+  tie: the pool pays dispatch/pickle overhead with no extra compute to
+  spend it on, so the gate is core-conditional);
 - **batching** -- the batched DP kernel (``repro.align.batchdp``, on by
   default) makes even the *serial* full-DP stage >= 3x faster than the
   per-pair kernel (``REPRO_DP_BATCH_PAIRS=0``), measured head-to-head
@@ -38,13 +37,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _util import FULL, REPORT_DIR, fmt_table, write_report
+from _util import FULL, REPORT_DIR, explicit_pool, fmt_table, write_report
 
 from repro.datagen.rose import generate_family
 from repro.distance import all_pairs
 
 #: backend=None is the serial in-process path.
-BACKENDS = (None, "threads", "processes")
+BACKENDS = (None, "threads", "pool")
 ESTIMATORS = ("ktuple", "kband", "full-dp")
 
 #: Serial full-dp N=48 wall recorded by this bench *before* the batched
@@ -80,6 +79,11 @@ def _measure(fn, repeats):
 
 
 def run_distance_scaling(workers=4, repeats=2):
+    with explicit_pool(workers):
+        return _run_distance_scaling(workers, repeats)
+
+
+def _run_distance_scaling(workers, repeats):
     workloads = _workloads()
     cores = os.cpu_count() or 1
 
@@ -164,10 +168,10 @@ def run_distance_scaling(workers=4, repeats=2):
         r["wall_s"]
         for r in grid
         if r["estimator"] == "full-dp"
-        and r["backend"] == "processes"
+        and r["backend"] == "pool"
         and r["n"] == n_head
     )
-    par_d = all_pairs(seqs, "full-dp", backend="processes", workers=workers)
+    par_d = all_pairs(seqs, "full-dp", backend="pool", workers=workers)
     speedup = legacy_wall / par_wall
     headline_identical = legacy_d.tobytes() == par_d.tobytes()
 
@@ -181,7 +185,7 @@ def run_distance_scaling(workers=4, repeats=2):
         f"{table}\n\n"
         f"byte-identical matrices across schedules: {identical}\n"
         f"full-dp N={n_head}: serial legacy {legacy_wall:.3f}s vs "
-        f"processes all_pairs {par_wall:.3f}s -> {speedup:.2f}x "
+        f"pool all_pairs {par_wall:.3f}s -> {speedup:.2f}x "
         f"(>1 means the parallel path wins; bounded by min(workers, "
         f"host_cores))\n"
         f"batched DP kernel, serial full-dp N={n_batch}: per-pair "
@@ -206,7 +210,7 @@ def run_distance_scaling(workers=4, repeats=2):
         "full_dp": {
             "n": n_head,
             "serial_legacy_wall_s": legacy_wall,
-            "processes_wall_s": par_wall,
+            "pool_wall_s": par_wall,
             "speedup": speedup,
             "identical": headline_identical,
             "parallel_beats_serial": speedup > 1.0,

@@ -12,8 +12,8 @@ through four gates:
   measured by ``resource.getrusage`` in a subprocess so the parent's
   allocations cannot pollute the number;
 - **placement equivalence** -- at a checkable N the memmap store holds
-  byte-identical values to the in-RAM matrix across all five schedules
-  (serial / threads / processes / pool / cooperative SPMD);
+  byte-identical values to the in-RAM matrix across all four schedules
+  (serial / threads / pool / cooperative SPMD);
 - **anchored trees end-to-end** -- ``anchor_guide_tree`` builds a guide
   tree straight from the sequences at N=20,000 through the O(K*N)
   rectangle, never touching O(N^2) work or memory (the exact path is
@@ -38,7 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _util import REPORT_DIR, fmt_table, write_report
+from _util import REPORT_DIR, explicit_pool, fmt_table, write_report
 
 #: The headline scale and the RAM cap it must respect.
 GENOME_N = int(os.environ.get("REPRO_EXTERNAL_N", "20000"))
@@ -169,11 +169,12 @@ def _equivalence(n):
         results["serial"] = all_pairs(
             seqs, "ktuple", out="memmap", store_dir=tmp / "serial"
         )
-        for backend in ("threads", "processes", "pool"):
-            results[backend] = all_pairs(
-                seqs, "ktuple", backend=backend, workers=3,
-                out="memmap", store_dir=tmp / backend,
-            )
+        with explicit_pool(3):
+            for backend in ("threads", "pool"):
+                results[backend] = all_pairs(
+                    seqs, "ktuple", backend=backend, workers=3,
+                    out="memmap", store_dir=tmp / backend,
+                )
 
         root = tmp / "spmd"
 

@@ -1,22 +1,22 @@
 """Merge-stage scaling -- the DAG-scheduled progressive merge vs serial.
 
-Not a paper figure: the third entry of the perf trajectory the ROADMAP
-asks for (after bench_backend_scaling and bench_distance_scaling).
+Not a paper figure: an entry of the perf trajectory the ROADMAP
+asks for (after bench_distance_scaling).
 After PR 4 parallelised the all-pairs distance stage, the strictly
 post-order progressive merge walk became the remaining serial hot path
 of every guide-tree baseline; this bench measures the unified
 ``repro.tree`` subsystem over a builder x backend x N grid and proves
 two things:
 
-- **equivalence** -- serial, ``threads`` and ``processes`` schedules of
+- **equivalence** -- serial, ``threads`` and ``pool`` schedules of
   the merge DAG produce *byte-identical* alignments for every
   registered tree builder (the subsystem's determinism contract,
   asserted hard);
-- **speed** -- the ``processes`` schedule of the merge DAG beats the
+- **speed** -- the ``pool`` schedule of the merge DAG beats the
   serial walk wall-clock on any host with >= 2 cores (a single-core
-  host can only tie: processes pays fork/pickle overhead with no extra
-  compute to spend it on, so the gate is core-conditional like the
-  sibling benches').
+  host can only tie: the pool pays dispatch/pickle overhead with no
+  extra compute to spend it on, so the gate is core-conditional like
+  the sibling benches').
 
 The report also records each tree's merge-schedule statistics (critical
 path, peak width, mean parallelism) -- the numbers that bound the
@@ -35,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from _util import FULL, REPORT_DIR, fmt_table, write_report
+from _util import FULL, REPORT_DIR, explicit_pool, fmt_table, write_report
 
 from repro.align.progressive import progressive_align
 from repro.datagen.rose import generate_family
@@ -43,7 +43,7 @@ from repro.distance import all_pairs
 from repro.tree import available_builders, get_builder, merge_schedule
 
 #: backend=None is the serial in-process walk.
-BACKENDS = (None, "threads", "processes")
+BACKENDS = (None, "threads", "pool")
 #: upgma gives balanced (wide) DAGs, nj slightly deeper ones.
 BUILDERS = ("upgma", "nj")
 
@@ -77,13 +77,18 @@ def _measure(fn, repeats):
 
 
 def run_merge_scaling(workers=None, repeats=2):
-    workloads = _workloads()
     cores = os.cpu_count() or 1
     if workers is None:
         # Match ranks to cores (allgather traffic grows with ranks, so
         # idle extra ranks only cost); floor of 2 keeps the schedule
         # genuinely parallel even on 1-core hosts.
         workers = min(4, max(2, cores))
+    with explicit_pool(workers):
+        return _run_merge_scaling(workers, repeats, cores)
+
+
+def _run_merge_scaling(workers, repeats, cores):
+    workloads = _workloads()
 
     grid = []  # rows: builder x backend x N
     schedules = {}
@@ -124,7 +129,7 @@ def run_merge_scaling(workers=None, repeats=2):
     for builder_name in available_builders():
         tree = get_builder(builder_name).build(d, [s.id for s in seqs])
         serial = progressive_align(seqs, tree).to_fasta()
-        for backend in ("threads", "processes"):
+        for backend in ("threads", "pool"):
             par = progressive_align(
                 seqs, tree, backend=backend, workers=2
             ).to_fasta()
@@ -140,7 +145,7 @@ def run_merge_scaling(workers=None, repeats=2):
     )
     par_wall = next(
         r["wall_s"] for r in grid
-        if r["builder"] == "upgma" and r["backend"] == "processes"
+        if r["builder"] == "upgma" and r["backend"] == "pool"
         and r["n"] == n_head
     )
     speedup = serial_wall / par_wall
@@ -164,7 +169,7 @@ def run_merge_scaling(workers=None, repeats=2):
         f"{table}\n\nmerge schedules:\n{sched_table}\n\n"
         f"byte-identical alignments across schedules/builders: "
         f"{identical}\n"
-        f"upgma N={n_head}: serial walk {serial_wall:.3f}s vs processes "
+        f"upgma N={n_head}: serial walk {serial_wall:.3f}s vs pool "
         f"merge DAG {par_wall:.3f}s -> {speedup:.2f}x "
         f"(>1 means the parallel merge wins; bounded by min(workers, "
         f"host_cores, schedule width))"
@@ -183,7 +188,7 @@ def run_merge_scaling(workers=None, repeats=2):
             "builder": "upgma",
             "n": n_head,
             "serial_wall_s": serial_wall,
-            "processes_wall_s": par_wall,
+            "pool_wall_s": par_wall,
             "speedup": speedup,
             "parallel_beats_serial": speedup > 1.0,
         },

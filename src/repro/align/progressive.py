@@ -8,7 +8,7 @@ Sample-Align-D runs inside every processor.
 Since the tree-subsystem refactor the walk is expressed as a task DAG
 (:func:`repro.tree.merge_schedule`): sibling subtrees are independent,
 so ``progressive_align`` can execute the merges serially (the default),
-on an execution backend (``backend="threads"|"processes"|"pool"``,
+on an execution backend (``backend="threads"|"pool"``,
 ``workers=N``), or cooperatively inside an existing SPMD program
 (``comm=``) -- with **byte-identical** alignments in every mode.
 """
@@ -115,7 +115,7 @@ def progressive_align(
     FFT-anchored aligner).
 
     Execution (see :func:`repro.tree.progressive_merge`): ``backend=None``
-    replays the merges serially; ``backend="threads"|"processes"|"pool"`` runs
+    replays the merges serially; ``backend="threads"|"pool"`` runs
     the merge DAG level-parallel over ``workers`` ranks; ``comm=`` joins
     an existing SPMD program cooperatively.  Alignments are
     byte-identical in every mode.

@@ -6,8 +6,8 @@ Commands
               (``--engine``: Sample-Align-D, the parallel baseline, or any
               sequential system) and write gapped FASTA.  ``--backend``
               picks the execution backend for distributed engines
-              (``threads`` virtual cluster, ``processes`` real cores,
-              or ``pool`` persistent warm workers).
+              (``threads`` virtual cluster or ``pool`` real cores on
+              persistent warm workers).
 ``generate``  Emit a rose-style synthetic family as FASTA (optionally the
               true alignment too).
 ``rank``      Print k-mer rank statistics of a FASTA file (centralized vs
@@ -33,9 +33,8 @@ Commands
               throughput on this host.
 ``serve``     Start the alignment-serving HTTP gateway (admission
               control, coalescing, optional disk-backed result store;
-              ``--backend processes`` runs distributed requests on real
-              cores, ``--backend pool`` keeps a warm worker pool alive
-              across requests).
+              ``--backend pool`` runs distributed requests on real
+              cores, on a warm worker pool kept alive across requests).
 ``loadtest``  Drive an in-process gateway with seeded synthetic traffic
               and report throughput/latency/hit-rates
               (``--trace-out FILE`` also records spans and writes a
@@ -86,7 +85,7 @@ _STAGE_FLAGS = {
     "--distance-backend": ("distance", "backend", dict(
         metavar="NAME",
         help="execution backend for the all-pairs distance stage "
-        "('threads', 'processes' or 'pool'; output is byte-identical "
+        "('threads' or 'pool'; output is byte-identical "
         "to the serial stage). Guide-tree engines only.",
     )),
     "--distance-out": ("distance", "out", dict(
@@ -113,7 +112,7 @@ _STAGE_FLAGS = {
     "--tree-backend": ("tree", "backend", dict(
         metavar="NAME",
         help="execution backend for the DAG-scheduled progressive merge "
-        "('threads', 'processes' or 'pool'; byte-identical to the "
+        "('threads' or 'pool'; byte-identical to the "
         "serial walk). Guide-tree engines only.",
     )),
 }
@@ -186,12 +185,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME",
         help="execution backend for distributed engines: 'threads' "
         "(default; virtual cluster, ranks run one at a time: wall time "
-        "about the serial work, best modeled-time fidelity), "
-        "'processes' (one OS process per rank; use it to "
-        "actually parallelize on a multi-core host), or 'pool' "
-        "(persistent warm workers with shared-memory transport; best "
-        "for repeated runs). Alignments are byte-identical across "
-        "backends.",
+        "about the serial work, best modeled-time fidelity) or 'pool' "
+        "(persistent warm worker processes with shared-memory "
+        "transport; use it to actually parallelize on a multi-core "
+        "host -- more ranks than pool slots run cold on a one-shot "
+        "pool). Alignments are byte-identical across backends.",
     )
     _add_stage_flags(p_align)
     p_align.add_argument(
@@ -264,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--backend", default=None, metavar="NAME",
         help="execution backend for the tiled all-pairs scheduler "
-        "('threads', 'processes' or 'pool'; default: serial)",
+        "('threads' or 'pool'; default: serial)",
     )
     p_dist.add_argument(
         "--workers", type=int, default=None,
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="also probe this execution backend's measured throughput "
-        "('threads', 'processes' or 'pool') on a workload subsample, and "
+        "('threads' or 'pool') on a workload subsample, and "
         "recommend from the measurement rather than the calibrated "
         "model alone (the model assumes one real core per rank, which "
         "the threads backend cannot honour)",
@@ -434,9 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="default execution backend for distributed requests that "
-        "don't choose one ('threads', 'processes' or 'pool'; pick "
-        "'processes' to serve Sample-Align-D on real cores, or 'pool' "
-        "to reuse warm workers across requests)",
+        "don't choose one ('threads' or 'pool'; pick 'pool' to serve "
+        "Sample-Align-D on real cores, reusing warm workers across "
+        "requests)",
     )
     _add_stage_flags(p_serve)
 
@@ -475,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NAME",
         help="default execution backend for distributed requests "
-        "('threads', 'processes' or 'pool')",
+        "('threads' or 'pool')",
     )
     _add_stage_flags(
         p_load, "--distance", "--distance-backend", "--tree",
@@ -724,13 +722,9 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         "about the serial work, modeled-time fidelity"
     )
     print(
-        "  processes: one OS process per rank -- wall clock scales with "
-        "host cores, identical output"
-    )
-    print(
-        "  pool:      persistent warm workers + shared-memory transport "
-        "-- processes parallelism without per-run spawn cost; best for "
-        "repeated runs and serving"
+        "  pool:      persistent warm worker processes + shared-memory "
+        "transport -- wall clock scales with host cores, identical "
+        "output; more ranks than pool slots run cold on a one-shot pool"
     )
     print(
         "\ndistance estimators (--distance; engines marked +distance route "
@@ -780,8 +774,8 @@ def _cmd_distances(args: argparse.Namespace) -> int:
         print(
             f"execution backends (--backend): "
             f"{', '.join(available_backends())} -- byte-identical output, "
-            "'processes'/'pool' run the pair DPs on real cores "
-            "('pool' reuses warm workers across calls)"
+            "'pool' runs the pair DPs on real cores, reusing warm "
+            "workers across calls"
         )
         return 0
 
@@ -892,8 +886,8 @@ def _cmd_trees(args: argparse.Namespace) -> int:
             "\nthe progressive merge DAG of any tree runs on any "
             f"execution backend (--tree-backend on align/serve/loadtest): "
             f"{', '.join(available_backends())} -- byte-identical output, "
-            "'processes'/'pool' merge independent subtrees on real cores "
-            "('pool' reuses warm workers across calls)"
+            "'pool' merges independent subtrees on real cores, reusing "
+            "warm workers across calls"
         )
         return 0
 

@@ -72,10 +72,10 @@ class SampleAlignDConfig:
         Execution backend running the SPMD ranks: ``"threads"`` (the
         default virtual cluster; ranks run one at a time, so wall time
         is about the serial work and the modeled clocks are free of
-        contention), ``"processes"`` (one OS process per rank; real
-        parallel compute on multi-core hosts), or ``"pool"`` (persistent
-        warm workers with shared-memory transport; process parallelism
-        without per-run spawn cost).  ``None`` defers to the caller /
+        contention) or ``"pool"`` (persistent warm worker processes
+        with shared-memory transport; real parallel compute on
+        multi-core hosts -- more ranks than pool slots run cold on a
+        one-shot pool).  ``None`` defers to the caller /
         launcher default.  Backends produce byte-identical alignments.
     """
 
@@ -98,14 +98,9 @@ class SampleAlignDConfig:
     backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None:
-            from repro.parcomp.backends import available_backends
+        from repro.distance.config import validate_backend_name
 
-            if self.backend.lower() not in available_backends():
-                raise ValueError(
-                    f"backend {self.backend!r} is not a registered "
-                    f"execution backend; available: {available_backends()}"
-                )
+        validate_backend_name(self.backend)
         if self.samples_per_proc is not None and self.samples_per_proc < 1:
             raise ValueError("samples_per_proc must be >= 1 (or None)")
         if not 0.0 <= self.ancestor_min_occupancy <= 1.0:

@@ -51,7 +51,7 @@ class MsaResult:
         The configuration the run used.
     backend:
         Name of the execution backend that ran the SPMD ranks
-        (``"threads"``, ``"processes"`` or ``"pool"``).
+        (``"threads"`` or ``"pool"``).
     """
 
     alignment: Alignment
@@ -123,7 +123,7 @@ def sample_align_d(
         placed on the nodes"); the *output* row order always follows the
         input regardless.
     backend:
-        Execution backend name (``"threads"``/``"processes"``/``"pool"``; see
+        Execution backend name (``"threads"``/``"pool"``; see
         :mod:`repro.parcomp.backends`).  An explicit argument wins over
         ``config.backend``; both ``None`` means the launcher default
         (``"threads"``).  The alignment is byte-identical either way.

@@ -14,7 +14,7 @@ unifies them:
   identity matrix (MUSCLE stage 2).
 - :mod:`~repro.distance.allpairs` -- :func:`all_pairs`, the tiled
   scheduler that runs the condensed upper triangle serially, on the
-  execution backends (``backend="threads"|"processes"|"pool"``, ``workers=N``),
+  execution backends (``backend="threads"|"pool"``, ``workers=N``),
   or cooperatively inside an existing SPMD program (``comm=``) --
   always producing byte-identical matrices, placed in RAM (dense or
   condensed) or on disk (``out="memmap"``).
@@ -30,7 +30,7 @@ Every guide-tree baseline (ClustalW-like, MUSCLE-like, MAFFT-like,
 center-star, the stage-parallel CLUSTALW) routes its distance stage
 through here via its ``distance=`` spec (a name, a
 :class:`DistanceConfig` or its dict form), so one
-``--distance-backend processes`` flag puts the distance stage of any of
+``--distance-backend pool`` flag puts the distance stage of any of
 them on real cores.
 """
 

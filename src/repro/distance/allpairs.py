@@ -5,8 +5,8 @@ matrix by tiling the condensed upper triangle (the ``n*(n-1)/2`` pairs)
 into chunks and executing the chunks
 
 - **serially** (``backend=None``, the default -- no scheduler overhead),
-- **on an execution backend** (``backend="threads"|"processes"|"pool"``,
-  ``workers=N`` -- the PR 3 registry; ``processes`` puts the per-pair
+- **on an execution backend** (``backend="threads"|"pool"``,
+  ``workers=N`` -- the PR 3 registry; ``pool`` puts the per-pair
   DPs on real cores), or
 - **cooperatively inside an existing SPMD program** (``comm=...`` --
   ranks split the tiles cyclically and allgather, which is how the
@@ -30,7 +30,7 @@ The **output placement** is independent of the schedule (``out=``):
 Determinism contract: a pair's value depends only on the two sequences
 and the estimator (see :class:`~repro.distance.estimators
 .DistanceEstimator`), and every pair is computed and written exactly
-once -- so serial, threads, processes and pool schedules produce
+once -- so serial, threads and pool schedules produce
 **byte-identical** values for any tiling, and the ``memmap`` condensed
 vector is byte-identical to the in-RAM one by construction.
 """
@@ -191,7 +191,7 @@ def _merge_out(n: int, parts, out: str):
 
 def _all_pairs_rank(comm, seqs, estimator, tile_pairs):
     """Rank program of the backend-scheduled mode (module-level so the
-    ``processes`` backend can pickle it under spawn/forkserver)."""
+    ``pool`` backend can pickle it)."""
     n = len(seqs)
     n_pairs = condensed_size(n)
     bounds = _tile_bounds(n_pairs, tile_pairs, comm.size)
@@ -267,7 +267,7 @@ def all_pairs(
     backend:
         ``None`` computes serially in-process; a registered execution
         backend name (or instance) schedules the tiles SPMD over
-        ``workers`` ranks (``"processes"`` for real cores).
+        ``workers`` ranks (``"pool"`` for real cores).
     workers:
         Rank count for the backend mode (default: host core count,
         capped at the pair count).  ``workers>1`` with ``backend=None``
@@ -301,7 +301,7 @@ def all_pairs(
     ``out="memory"``: ``(n, n)`` float64 symmetric matrix, zero
     diagonal.  Otherwise: a :class:`CondensedMatrix` over the condensed
     upper triangle.  Values are byte-identical across serial / threads /
-    processes / pool schedules and across every ``out`` placement.
+    pool schedules and across every ``out`` placement.
     """
     seqs = _validate_seqs(seqs)
     est = get_estimator(estimator, **estimator_kwargs)

@@ -171,7 +171,7 @@ class DistanceConfig(StageConfig):
         not on an identity scale).  Needs a named ``estimator``.
     backend:
         Execution backend of the tiled all-pairs scheduler
-        (``"threads"``/``"processes"``/``"pool"``; ``None`` = compute serially).
+        (``"threads"``/``"pool"``; ``None`` = compute serially).
     workers:
         Rank count for the scheduler (``None`` = host core count).
     out:

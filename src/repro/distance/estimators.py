@@ -271,7 +271,7 @@ class FullDpDistance(DistanceEstimator):
 
     O(L^2) per pair -- the expensive, accurate distance stage of
     CLUSTALW.  This is the estimator the tiled scheduler exists for:
-    its per-pair DPs parallelise embarrassingly over the ``processes``
+    its per-pair DPs parallelise embarrassingly over the ``pool``
     backend.
     """
 

@@ -79,7 +79,7 @@ class SampleAlignDEngine:
         Alpha-beta communication model for the modeled cluster time.
     backend:
         Default execution backend for runs through this engine instance
-        (``"threads"``/``"processes"``/``"pool"``).  A request whose config sets
+        (``"threads"``/``"pool"``).  A request whose config sets
         ``backend`` wins over this default; requests can also select it
         per-request via ``engine_kwargs={"backend": ...}`` (which builds
         the engine with that default).
@@ -89,14 +89,9 @@ class SampleAlignDEngine:
     kind = "distributed"
 
     def __init__(self, cost_model=None, backend=None) -> None:
-        if backend is not None:
-            from repro.parcomp.backends import available_backends
+        from repro.distance.config import validate_backend_name
 
-            if str(backend).lower() not in available_backends():
-                raise ValueError(
-                    f"backend {backend!r} is not a registered execution "
-                    f"backend; available: {available_backends()}"
-                )
+        validate_backend_name(backend)
         self.cost_model = cost_model
         self.backend = backend
 

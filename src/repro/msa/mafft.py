@@ -251,7 +251,7 @@ class MafftLike(GuideTreeStages, SequentialMsaAligner):
         merge_fn = None
         if self.mode == "fftnsi":
             # partial over the module-level function stays picklable, so
-            # a "processes" merge works under any start method.
+            # a "pool" merge can ship it to its workers.
             merge_fn = functools.partial(
                 align_profiles_anchored, config=self.scoring
             )

@@ -91,7 +91,7 @@ class MuscleLike(GuideTreeStages, SequentialMsaAligner):
             from repro.msa.mafft import align_profiles_anchored
 
             # partial over the module-level function stays picklable, so
-            # a "processes" merge works under any start method.
+            # a "pool" merge can ship it to its workers.
             merge_fn = functools.partial(
                 align_profiles_anchored, config=self.scoring
             )

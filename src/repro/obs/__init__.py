@@ -5,7 +5,7 @@ Two pillars, both built to cross the execution-backend seam:
 - **Metrics** (:mod:`repro.obs.metrics`): a process-wide registry of
   counters, gauges, and log-bucketed histograms.  Snapshots are small
   picklable dataclasses with an associative ``merge()``, so per-worker
-  metrics ride back from ``threads``/``processes``/``pool`` ranks the
+  metrics ride back from ``threads``/``pool`` ranks the
   same way timing ledgers already do.  Rendered as JSON (``to_dict``)
   or Prometheus text 0.0.4 (:mod:`repro.obs.prom`).
 - **Tracing** (:mod:`repro.obs.tracing`): ``with span(name, **attrs):``

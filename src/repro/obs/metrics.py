@@ -3,7 +3,7 @@
 The serving stack needs telemetry that survives two hostile conditions:
 long uptimes (a latency deque that must be sorted per snapshot gets more
 expensive the longer the server lives) and multi-process execution (the
-``processes``/``pool`` backends do their work in other address spaces).
+``pool`` backend does its work in other address spaces).
 Both are solved the same way the parcomp layer already solves timing --
 small picklable snapshots with an **associative, commutative**
 ``merge()``, so per-rank/per-worker metrics ride the existing

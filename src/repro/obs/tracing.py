@@ -9,8 +9,8 @@ three constraints:
    ``span(...)`` is one global-flag check returning a shared no-op
    singleton -- no allocation, no clock read.  The hot paths this
    instruments (DP cells, distance tiles) cannot afford more.
-2. **Spans cross process boundaries.**  The ``processes`` and ``pool``
-   backends run ranks in other address spaces.  A small picklable
+2. **Spans cross process boundaries.**  The ``pool`` backend
+   runs ranks in other address spaces.  A small picklable
    :class:`TraceContext` carries (trace id, parent span id) to the
    worker; the worker's spans come back as picklable
    :class:`SpanRecord` lists and are stitched under the dispatching

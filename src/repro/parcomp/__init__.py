@@ -13,12 +13,11 @@ section-3 analysis).
 *Where* the ranks execute is an :class:`ExecutionBackend`: ``"threads"``
 (the in-process fabric -- ranks run one at a time, so wall time is about
 the serial work and the modeled clocks are free of contention; no
-speed-up over one core, by design), ``"processes"`` (one OS process per
-rank over queues -- real parallel compute on multi-core hosts), or
-``"pool"`` (persistent warm workers from :mod:`repro.pool` with
-shared-memory transport -- process parallelism without the per-run spawn
-cost).  All produce byte-identical program results and equivalent
-ledgers.
+speed-up over one core, by design) or ``"pool"`` (persistent warm
+worker processes from :mod:`repro.pool` with shared-memory transport --
+real parallel compute on multi-core hosts; a run with more ranks than
+the pool has slots runs cold on a one-shot pool).  Both produce
+byte-identical program results and equivalent ledgers.
 
 - :mod:`repro.parcomp.cost` -- cost model, payload sizing, event ledger.
 - :mod:`repro.parcomp.comm` -- the transport seam and :class:`VirtualComm`.
@@ -31,7 +30,6 @@ from repro.parcomp.comm import Fabric, SpmdAbort, Transport, VirtualComm
 from repro.parcomp.backends import (
     DEFAULT_BACKEND,
     ExecutionBackend,
-    ProcessBackend,
     SpmdResult,
     ThreadBackend,
     available_backends,
@@ -46,7 +44,6 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ExecutionBackend",
     "Fabric",
-    "ProcessBackend",
     "SpmdAbort",
     "SpmdResult",
     "ThreadBackend",

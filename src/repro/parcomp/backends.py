@@ -4,7 +4,7 @@ An :class:`ExecutionBackend` decides *where* the ranks of an SPMD program
 run; the rank-side semantics (the :class:`~repro.parcomp.comm.VirtualComm`
 API, message metering, logical clocks) are identical across backends, so
 a program produces byte-identical results no matter which backend executes
-it.  Three backends ship:
+it.  Two backends ship:
 
 - ``"threads"`` (:class:`ThreadBackend`) -- the virtual cluster: one
   daemon thread per rank sharing a :class:`~repro.parcomp.comm.Fabric`,
@@ -13,23 +13,16 @@ it.  Three backends ship:
   serial work, and per-rank ``thread_time`` clocks free of contention
   make it the fidelity choice for *modeled* cluster time; p ranks never
   run faster than one host core, by design.
-- ``"processes"`` (:class:`ProcessBackend`) -- one OS process per rank
-  (stdlib :mod:`multiprocessing`), queues for the wire.  Ranks really run
-  in parallel, so Sample-Align-D's wall clock scales with host cores; the
-  price -- paid on *every call* -- is process startup and pickling
-  payloads across the boundary.  This is the cold-start reference
-  backend the pool is measured against.
-- ``"pool"`` (:class:`repro.pool.PoolBackend`) -- real cores without the
-  per-call startup: a persistent, supervised worker pool
-  (:mod:`repro.pool`) created once and reused across runs, with large
-  payloads riding zero-copy shared-memory segments instead of pickled
-  queues.
+- ``"pool"`` (:class:`repro.pool.PoolBackend`) -- real cores: a
+  persistent, supervised pool of worker processes (:mod:`repro.pool`)
+  created once and reused across runs, with large payloads riding
+  zero-copy shared-memory segments instead of pickled queues.  A run
+  with more ranks than the pool has slots runs cold, on a one-shot pool
+  sized for it.
 
 Rule of thumb: ``threads`` for studying the paper's communication model,
 ``pool`` for actually aligning fast -- especially the serving stack's
-repeated short jobs -- and ``processes`` as the simple cold-start
-baseline the pool's warm-start win is benchmarked against
-(``benchmarks/bench_pool_scaling.py``).
+repeated short jobs.
 
 Backends register by name (:func:`register_backend`) so callers select
 them with a string the whole stack -- driver, engine, service, gateway,
@@ -38,10 +31,6 @@ CLI -- passes through unchanged.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import pickle
-import queue as queue_mod
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -54,16 +43,14 @@ from typing import (
     List,
     Optional,
     Sequence as TSequence,
-    Tuple,
     Union,
 )
 
-from repro.parcomp.comm import Fabric, SpmdAbort, Transport, VirtualComm
-from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
+from repro.parcomp.comm import Fabric, SpmdAbort, VirtualComm
+from repro.parcomp.cost import CostModel, TimingLedger
 
 __all__ = [
     "ExecutionBackend",
-    "ProcessBackend",
     "SpmdResult",
     "ThreadBackend",
     "available_backends",
@@ -233,349 +220,6 @@ class ThreadBackend(ExecutionBackend):
 
 
 # ---------------------------------------------------------------------------
-# Processes backend (real cores).
-
-#: Reserved tag for transport-internal control messages (barrier clock
-#: exchange).  User tags are validated to be ints by VirtualComm, so a
-#: string tag can never collide with program traffic.
-_CTRL_TAG = "__ctrl__"
-
-#: How often a blocked rank process re-checks the shared failure flag.
-_PROC_POLL_S = 0.05
-
-
-class _ProcessRankTransport(Transport):
-    """Queue transport as seen from inside one rank process.
-
-    Each rank owns an inbox queue; ``post`` pickles the payload into the
-    destination's inbox, ``collect`` drains the own inbox into a local
-    ``(src, tag)``-keyed buffer until the wanted message arrives.  Send
-    events are recorded locally and shipped to the parent at the end of
-    the run, where the per-rank ledgers merge into one.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        n_ranks: int,
-        cost_model: CostModel,
-        inboxes: List[Any],
-        fail_event: Any,
-    ) -> None:
-        self.rank = rank
-        self.n_ranks = n_ranks
-        self.cost_model = cost_model or CostModel()
-        self.ledger = TimingLedger(n_ranks, self.cost_model)
-        self._inboxes = inboxes
-        self._fail_event = fail_event
-        self._buffer: Dict[Tuple[int, Any], deque] = {}
-
-    # -- failure propagation ------------------------------------------------
-
-    def fail(self, exc: BaseException) -> None:
-        self._fail_event.set()
-
-    def check_failed(self) -> None:
-        if self._fail_event.is_set():
-            raise SpmdAbort("another rank failed")
-
-    # -- point-to-point -----------------------------------------------------
-
-    def post(self, src: int, dst: int, tag: int, payload: Any,
-             ready_time: float, nbytes: int, kind: str) -> None:
-        self.ledger.events.append(
-            CommEvent(kind, src, dst, nbytes, tag, send_clock=ready_time)
-        )
-        self._inboxes[dst].put((src, tag, payload, ready_time))
-
-    def collect(self, dst: int, src: int, tag: int) -> Tuple[Any, float]:
-        key = (src, tag)
-        inbox = self._inboxes[dst]
-        while True:
-            box = self._buffer.get(key)
-            if box:
-                payload, ready = box.popleft()
-                return payload, ready
-            self.check_failed()
-            try:
-                m_src, m_tag, payload, ready = inbox.get(timeout=_PROC_POLL_S)
-            except queue_mod.Empty:
-                continue
-            self._buffer.setdefault((m_src, m_tag), deque()).append(
-                (payload, ready)
-            )
-
-    # -- barrier ------------------------------------------------------------
-
-    def barrier(self, clock: float) -> float:
-        """Clock-max exchange over unmetered control messages.
-
-        Linear fan-in at rank 0 then fan-out, on the reserved control
-        tag -- the same zero-event footprint the threads fabric's shared
-        barrier has, so ledgers stay comparable across backends.
-        """
-        if self.n_ranks == 1:
-            return clock
-        if self.rank == 0:
-            mx = clock
-            for src in range(1, self.n_ranks):
-                other, _ = self.collect(0, src, _CTRL_TAG)
-                mx = max(mx, other)
-            for dst in range(1, self.n_ranks):
-                self._inboxes[dst].put((0, _CTRL_TAG, mx, 0.0))
-            return mx
-        self._inboxes[0].put((self.rank, _CTRL_TAG, clock, 0.0))
-        result, _ = self.collect(self.rank, 0, _CTRL_TAG)
-        return float(result)
-
-
-def _process_rank_main(
-    rank: int,
-    n_ranks: int,
-    fn: Callable[..., Any],
-    extra: tuple,
-    args: tuple,
-    kwargs: Dict[str, Any],
-    cost_model: CostModel,
-    inboxes: List[Any],
-    fail_event: Any,
-    report_queue: Any,
-) -> None:
-    """Entry point of one rank process (module-level: spawn-picklable)."""
-    transport = _ProcessRankTransport(
-        rank, n_ranks, cost_model, inboxes, fail_event
-    )
-    comm = VirtualComm(transport, rank)
-    status, result, error = "ok", None, None
-    try:
-        result = fn(comm, *extra, *args, **kwargs)
-    except SpmdAbort:
-        status = "abort"
-    except BaseException as exc:  # noqa: BLE001 - shipped to the parent
-        status, error = "error", exc
-        transport.fail(exc)
-    finally:
-        comm.finalize()
-        report = {
-            "rank": rank,
-            "status": status,
-            "result": result,
-            "error": error,
-            "compute": float(transport.ledger.compute[rank]),
-            "clock": float(transport.ledger.clock[rank]),
-            "events": list(transport.ledger.events),
-        }
-        # Serialise here and ship the bytes: Queue.put pickles on a
-        # feeder thread, where an unpicklable report would fail
-        # *silently* and leave the parent waiting forever.  Pickling
-        # once in-rank both surfaces that error and avoids paying for
-        # the (potentially large) payload twice.
-        try:
-            blob = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            what = "result" if status == "ok" else "exception"
-            bad = result if status == "ok" else error
-            report["result"] = None
-            report["error"] = RuntimeError(
-                f"rank {rank} produced an unpicklable {what}: {bad!r}"
-            )
-            report["status"] = "error"
-            fail_event.set()
-            blob = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
-        report_queue.put(blob)
-        if status != "ok" or fail_event.is_set():
-            # Aborted peers may never drain our sends; don't let the
-            # queue feeder threads block this process's exit.
-            for box in inboxes:
-                box.cancel_join_thread()
-
-
-class ProcessBackend(ExecutionBackend):
-    """One OS process per rank; queues move the messages.
-
-    This is the *cold-start reference backend*: every :meth:`run` pays
-    rank-process creation and teardown, and every payload is pickled
-    through a queue.  That makes it the simplest way to use real cores
-    for one long run, and the baseline the persistent ``"pool"`` backend
-    (:mod:`repro.pool`) is measured against on repeated short jobs,
-    where the per-call startup dominates.
-
-    Parameters
-    ----------
-    start_method:
-        :mod:`multiprocessing` start method.  Default: the
-        ``REPRO_SPMD_START_METHOD`` environment variable if set, else
-        ``"fork"`` where available (fast, and rank closures need no
-        pickling), else the platform default.  Forking from a threaded
-        parent (the serving stack) is safe *here* because rank children
-        only touch run-local queues plus locks CPython re-initialises
-        after fork, but hosts that prefer strict hygiene (or Python
-        3.12+'s fork-with-threads deprecation) can export
-        ``REPRO_SPMD_START_METHOD=forkserver``; then the program
-        function, its arguments and every payload must be picklable --
-        module-level functions, not closures (``sample_align_d`` is).
-    abort_join_timeout:
-        Grace period for rank processes to unwind after a failure (or
-        after results are in) before they are terminated, then killed.
-        No child ever outlives :meth:`run`.
-    """
-
-    name = "processes"
-
-    def __init__(
-        self,
-        start_method: Optional[str] = None,
-        abort_join_timeout: float = 10.0,
-    ) -> None:
-        if abort_join_timeout <= 0:
-            raise ValueError("abort_join_timeout must be > 0")
-        if start_method is None:
-            start_method = os.environ.get("REPRO_SPMD_START_METHOD") or None
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
-        elif start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"unknown start method {start_method!r}; available: "
-                f"{mp.get_all_start_methods()}"
-            )
-        self.start_method = start_method
-        self.abort_join_timeout = abort_join_timeout
-
-    def run(
-        self,
-        n_ranks: int,
-        fn: Callable[..., Any],
-        args: TSequence[Any] = (),
-        rank_args: Optional[TSequence[TSequence[Any]]] = None,
-        cost_model: CostModel | None = None,
-        **kwargs: Any,
-    ) -> SpmdResult:
-        self._validate(n_ranks, rank_args)
-        cost_model = cost_model or CostModel()
-        ctx = mp.get_context(self.start_method)
-        inboxes = [ctx.Queue() for _ in range(n_ranks)]
-        report_queue = ctx.Queue()
-        fail_event = ctx.Event()
-        procs = []
-        for r in range(n_ranks):
-            extra = tuple(rank_args[r]) if rank_args is not None else ()
-            procs.append(
-                ctx.Process(
-                    target=_process_rank_main,
-                    args=(r, n_ranks, fn, extra, tuple(args), dict(kwargs),
-                          cost_model, inboxes, fail_event, report_queue),
-                    name=f"rank-{r}",
-                    daemon=True,
-                )
-            )
-        for p in procs:
-            p.start()
-
-        reports: Dict[int, Dict[str, Any]] = {}
-        crashed: Dict[int, BaseException] = {}
-        abort_deadline: Optional[float] = None
-        while len(reports.keys() | crashed.keys()) < n_ranks:
-            # Once the run is failing, surviving ranks get a bounded
-            # grace period to report; a rank stuck deep in compute (it
-            # only observes the abort at its next communication call)
-            # must not hang the caller -- _reap terminates it below.
-            if abort_deadline is None and (crashed or fail_event.is_set()):
-                abort_deadline = time.monotonic() + self.abort_join_timeout
-            if (abort_deadline is not None
-                    and time.monotonic() >= abort_deadline):
-                break
-            try:
-                rep = pickle.loads(report_queue.get(timeout=0.2))
-                reports[rep["rank"]] = rep
-            except queue_mod.Empty:
-                # A rank killed outside Python (segfault, OOM killer)
-                # exits non-zero and never reports; detect it, fail the
-                # survivors out of their waits, and synthesise its error.
-                # A clean exit (code 0) always has a report in flight --
-                # the runner puts it before exiting -- so keep waiting.
-                for r, p in enumerate(procs):
-                    if (not p.is_alive() and p.exitcode != 0
-                            and r not in reports and r not in crashed):
-                        crashed[r] = RuntimeError(
-                            f"rank process died without reporting "
-                            f"(exitcode {p.exitcode})"
-                        )
-                        fail_event.set()
-
-        self._reap(procs, timeout=self.abort_join_timeout)
-        for box in inboxes:
-            box.cancel_join_thread()
-            box.close()
-        report_queue.cancel_join_thread()
-        report_queue.close()
-
-        # Error precedence: a reported exception (the actual cause) over
-        # a synthesised crash, over "stuck" ranks terminated by _reap --
-        # the latter are symptoms of the abort, never the cause.  A crash
-        # after an "ok" report still fails the run, because setting the
-        # failure flag aborted the surviving ranks mid-computation.
-        reported_errors = {
-            r: rep["error"] for r, rep in reports.items()
-            if rep["status"] == "error"
-        }
-        stuck = [
-            r for r in range(n_ranks)
-            if r not in reports and r not in crashed
-        ]
-        errors: List[Tuple[int, BaseException]] = sorted(
-            list(reported_errors.items())
-            + [(r, exc) for r, exc in crashed.items()
-               if r not in reported_errors],
-            key=lambda pair: pair[0],
-        )
-        ledger = TimingLedger(n_ranks, cost_model)
-        results: List[Any] = [None] * n_ranks
-        for r in range(n_ranks):
-            rep = reports.get(r)
-            if rep is None:
-                continue
-            results[r] = rep["result"]
-            ledger.compute[r] = rep["compute"]
-            ledger.clock[r] = rep["clock"]
-        # Deterministic merge: rank-major, send order within a rank.
-        for r in sorted(reports):
-            ledger.events.extend(reports[r]["events"])
-
-        if errors:
-            rank, exc = errors[0]
-            note = (
-                f" ({len(stuck)} rank process(es) terminated while "
-                f"unwinding: {', '.join(f'rank-{r}' for r in stuck)})"
-                if stuck else ""
-            )
-            raise RuntimeError(f"rank {rank} failed: {exc!r}{note}") from exc
-        if stuck:  # failed flag raised but no cause surfaced: still a failure
-            raise RuntimeError(
-                f"rank(s) {', '.join(str(r) for r in stuck)} never "
-                "reported and were terminated"
-            )
-        return SpmdResult(results, ledger, backend=self.name)
-
-    @staticmethod
-    def _reap(procs: List[Any], timeout: float) -> None:
-        """Join every child within ``timeout``; escalate to terminate/kill."""
-        deadline = time.monotonic() + timeout
-        for p in procs:
-            p.join(max(deadline - time.monotonic(), 0.0))
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            if p.is_alive():
-                p.join(1.0)
-                if p.is_alive():  # pragma: no cover - last resort
-                    p.kill()
-                    p.join(1.0)
-
-
-# ---------------------------------------------------------------------------
 # Registry.
 
 _BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {}
@@ -647,5 +291,4 @@ def _pool_backend_factory() -> ExecutionBackend:
 
 
 register_backend("threads", ThreadBackend)
-register_backend("processes", ProcessBackend)
 register_backend("pool", _pool_backend_factory)

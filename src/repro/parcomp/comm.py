@@ -19,9 +19,9 @@ the modeled cluster time of the run.
 API and clock bookkeeping, shared by every execution backend) and how
 bytes actually move.  :class:`Fabric` is the in-process implementation
 (one shared mailbox, rank threads that hand one run token to each other
-at blocking calls); the ``processes`` backend in
-:mod:`repro.parcomp.backends` provides a pipe/queue implementation with
-one OS process per rank.
+at blocking calls); the ``pool`` backend in :mod:`repro.pool.workers`
+provides a queue/shared-memory implementation with one worker process
+per rank.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ class Transport(abc.ABC):
     """What :class:`VirtualComm` needs from a message-moving substrate.
 
     One instance is visible to each rank (the threads backend shares a
-    single :class:`Fabric` across rank threads; the processes backend
-    gives every rank process its own per-rank proxy).  Implementations
+    single :class:`Fabric` across rank threads; the pool backend gives
+    every rank's worker process its own per-rank proxy).  Implementations
     own a :class:`~repro.parcomp.cost.TimingLedger` that the rank's
     :meth:`VirtualComm.finalize` writes its totals into.
     """
@@ -223,7 +223,7 @@ class VirtualComm:
     pickle path; there is no upper-case buffer API because payload sizes,
     not bytes, are what the cost model meters.  The communicator is
     backend-agnostic: it talks to any :class:`Transport` (the in-process
-    :class:`Fabric`, or the processes backend's per-rank queue proxy) and
+    :class:`Fabric`, or the pool backend's per-rank queue proxy) and
     keeps all clock bookkeeping on this side of the seam so every backend
     meters communication identically.
     """
@@ -279,7 +279,7 @@ class VirtualComm:
             raise ValueError(f"bad destination rank {dest}")
         if not isinstance(tag, int) or isinstance(tag, bool):
             # Non-int tags are reserved for transport-internal control
-            # traffic (e.g. the processes backend's barrier exchange).
+            # traffic (e.g. the pool backend's barrier exchange).
             raise TypeError(f"tag must be an int, got {tag!r}")
         self._absorb_compute()
         nbytes = estimate_nbytes(obj)

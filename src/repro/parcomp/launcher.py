@@ -5,13 +5,12 @@ rank, each rank with its own :class:`~repro.parcomp.comm.VirtualComm`.
 *Where* the ranks execute is a backend choice (see
 :mod:`repro.parcomp.backends`): ``backend="threads"`` (default) is the
 in-process virtual cluster, whose ranks run one at a time;
-``backend="processes"`` gives every rank its own OS process and
-``backend="pool"`` a warm worker, so the program runs on real cores.
-Either way the
-first rank failure aborts the whole job (surviving ranks raise
-:class:`~repro.parcomp.comm.SpmdAbort` out of their next blocking wait)
-and the original exception is re-raised to the caller with the failing
-rank attached.
+``backend="pool"`` gives every rank a warm worker process, so the
+program runs on real cores (more ranks than pool slots: a one-shot pool,
+cold).  Either way the first rank failure aborts the whole job
+(surviving ranks raise :class:`~repro.parcomp.comm.SpmdAbort` out of
+their next blocking wait) and the original exception is re-raised to the
+caller with the failing rank attached.
 """
 
 from __future__ import annotations
@@ -49,8 +48,8 @@ def run_spmd(
         Alpha-beta model for the logical clocks (default: gigabit cluster).
     backend:
         Execution backend: a registered name (``"threads"``,
-        ``"processes"``, ``"pool"``), an :class:`ExecutionBackend`
-        instance, or None for the default (``"threads"``).
+        ``"pool"``), an :class:`ExecutionBackend` instance, or None for
+        the default (``"threads"``).
 
     Returns
     -------

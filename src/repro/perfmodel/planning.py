@@ -143,15 +143,16 @@ def measure_backend_throughput(
     The calibrated model predicts *cluster* time assuming every rank has
     its own processor; the ``threads`` backend does not (its ranks run
     one at a time, so its wall time is about the serial work) while
-    ``processes`` and ``pool`` honour it up to the host's core count.  This probe aligns an evenly-spaced
-    subsample of ``seqs`` (at most ``probe_size`` sequences) at each
-    rank count in ``procs`` with the given backend and measures real
-    wall time, so a plan can recommend from *measured* backend
-    throughput rather than the model alone.
+    ``pool`` honours it up to the host's core count (and its slot
+    count: more ranks than slots run cold on a one-shot pool).  This
+    probe aligns an evenly-spaced subsample of ``seqs`` (at most
+    ``probe_size`` sequences) at each rank count in ``procs`` with the
+    given backend and measures real wall time, so a plan can recommend
+    from *measured* backend throughput rather than the model alone.
 
     Returns a JSON-able dict: per-p wall seconds, measured speedups over
     p=1, the best measured rank count, and the host core count that
-    bounds what ``processes`` can deliver.
+    bounds what ``pool`` can deliver.
     """
     from repro.core.config import SampleAlignDConfig
     from repro.core.driver import sample_align_d

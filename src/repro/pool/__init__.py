@@ -1,13 +1,13 @@
 """repro.pool: persistent worker pool with shared-memory transport.
 
-The third execution backend.  Where ``threads`` runs its ranks one at a
-time on one core and ``processes`` pays a fork per rank per call,
-``"pool"`` keeps
-a supervised set of long-lived worker processes warm and reuses them for
-every SPMD run, all-pairs distance schedule and progressive merge --
-repeated short jobs pay a queue round-trip instead of a process start,
-and large payloads ride zero-copy shared-memory segments instead of
-pickled pipes.
+The real-core execution backend.  Where ``threads`` runs its ranks one
+at a time on one core, ``"pool"`` keeps a supervised set of long-lived
+worker processes warm and reuses them for every SPMD run, all-pairs
+distance schedule and progressive merge -- repeated short jobs pay a
+queue round-trip instead of a process start, and large payloads ride
+zero-copy shared-memory segments instead of pickled pipes.  A run with
+more ranks than the pool has slots runs cold, on a one-shot pool sized
+for it.
 
 Layout:
 

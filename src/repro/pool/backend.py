@@ -3,9 +3,8 @@
 :class:`PoolBackend` is the registry face of :mod:`repro.pool`: it
 satisfies the :class:`~repro.parcomp.backends.ExecutionBackend` contract
 (same program semantics, same abort semantics, byte-identical results)
-while executing ranks on a warm :class:`~repro.pool.workers.WorkerPool`
-instead of freshly spawned processes.  Two behaviours are layered on top
-of the raw pool:
+while executing ranks on a warm :class:`~repro.pool.workers.WorkerPool`.
+Two behaviours are layered on top of the raw pool:
 
 - **crash retry** -- a :class:`~repro.pool.workers.WorkerCrashError`
   means a worker *process* died, not that the program failed.  The rank
@@ -15,9 +14,11 @@ of the raw pool:
   byte-identical result or, after ``max_retries`` consecutive crashes,
   a ``RuntimeError``.  Program exceptions are never retried.
 - **capacity fallback** -- a pool has a fixed slot count; a run asking
-  for more ranks than that overflows to a cold
-  :class:`~repro.parcomp.backends.ProcessBackend` call (counted in
-  ``pool.stats()["fallback_runs"]``) rather than failing.
+  for more ranks than that runs cold, on a one-shot
+  :class:`~repro.pool.workers.WorkerPool` with one slot per rank that is
+  closed when the run ends (counted in ``pool.stats()["fallback_runs"]``).
+  It is dispatched, traced and crash-retried exactly like a run that
+  fits.
 
 Most callers never construct a pool: ``backend="pool"`` anywhere in the
 stack resolves to :func:`get_default_pool`, one process-wide pool created
@@ -29,12 +30,13 @@ every layer underneath them dispatches onto it.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import threading
 from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.tracing import span, tracing_enabled
-from repro.parcomp.backends import ExecutionBackend, ProcessBackend, SpmdResult
+from repro.parcomp.backends import ExecutionBackend, SpmdResult
 from repro.parcomp.cost import CostModel
 from repro.pool.workers import WorkerCrashError, WorkerPool
 
@@ -87,26 +89,30 @@ class PoolBackend(ExecutionBackend):
     ) -> SpmdResult:
         self._validate(n_ranks, rank_args)
         pool = self.pool
-        if n_ranks > pool.max_workers:
-            # Fixed slot count: overflow runs cold rather than failing.
+        overflow = n_ranks > pool.max_workers
+        if overflow:
             pool.note_fallback()
-            res = ProcessBackend(start_method=pool.start_method).run(
-                n_ranks, fn, args, rank_args, cost_model, **kwargs
-            )
-            return SpmdResult(res.results, res.ledger, backend=self.name)
         last_crash: Optional[WorkerCrashError] = None
         for _attempt in range(self.max_retries + 1):
             try:
+                # Fixed slot count: a run that does not fit gets a
+                # one-shot pool of its own size, per attempt, opened
+                # inside the span and closed on the way out.
                 with span(
                     "pool.dispatch", ranks=n_ranks, attempt=_attempt
-                ) as dispatch_span:
-                    result = pool.run_spmd(
+                ) as dispatch_span, (
+                    WorkerPool(
+                        max_workers=n_ranks, start_method=pool.start_method
+                    )
+                    if overflow else contextlib.nullcontext(pool)
+                ) as runner:
+                    result = runner.run_spmd(
                         n_ranks, fn, args, rank_args, cost_model, **kwargs
                     )
                     if tracing_enabled():
                         # stats() scans /dev/shm -- only pay for it when
                         # someone is looking at the trace.
-                        transport = pool.stats().get("transport", {})
+                        transport = runner.stats().get("transport", {})
                         dispatch_span.set(
                             shm_msgs=transport.get("shm_msgs"),
                             shm_bytes=transport.get("shm_bytes"),

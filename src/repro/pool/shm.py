@@ -1,7 +1,7 @@
 """Zero-copy payload transport over :mod:`multiprocessing.shared_memory`.
 
-The pool's wire problem: the ``processes`` backend pickles every payload
-into a queue, so a 10 MB profile block is serialised, copied into a pipe
+The pool's wire problem: pickling every payload into a queue means a
+10 MB profile block is serialised, copied into a pipe
 buffer kernel-side, and copied out again.  This module gives the pool a
 second lane: payloads above a size threshold ride a *named shared-memory
 segment* and only a tiny :class:`ShmRef` descriptor crosses the queue.

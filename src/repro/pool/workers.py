@@ -1,9 +1,8 @@
 """The persistent worker pool: long-lived rank processes, reused forever.
 
-The ``processes`` backend pays one ``fork``/``spawn`` per rank per call --
-fine for one long SPMD run, ruinous for the short repeated jobs the
-serving stack issues (`benchmarks/reports/backend_scaling.json` shows the
-startup cost swamping the work).  :class:`WorkerPool` moves that cost to
+One ``fork``/``spawn`` per rank per call is fine for one long SPMD run
+and ruinous for the short repeated jobs the serving stack issues, where
+the startup cost swamps the work.  :class:`WorkerPool` moves that cost to
 construction time: ``max_workers`` slot processes are created once
 (lazily, or eagerly via :meth:`warm_up`) and every subsequent
 :meth:`run_spmd`, ``distance.all_pairs`` or ``tree.progressive_merge``
@@ -67,8 +66,8 @@ from repro.pool.shm import (
 
 __all__ = ["WorkerCrashError", "WorkerPool"]
 
-#: Reserved non-int tag for barrier control traffic (matches the
-#: processes backend; VirtualComm rejects string tags from programs).
+#: Reserved non-int tag for barrier control traffic (VirtualComm rejects
+#: string tags from programs, so it can never collide with theirs).
 _CTRL_TAG = "__ctrl__"
 
 #: How often blocked loops re-check queues / the failure flag.
@@ -117,11 +116,14 @@ def _drain_queue(q: Any) -> int:
 class _PoolRankTransport(Transport):
     """Queue transport for one SPMD rank hosted on a pool slot.
 
-    Same wire semantics as the processes backend's transport -- per-rank
-    inbox, local ``(src, tag)`` buffer, linear barrier on the control
-    tag -- plus two pool twists: payloads are shm/pickle wires, and every
-    message carries the ``run_id`` so stale traffic from a previous
-    aborted run is unlinked and dropped instead of delivered.
+    Each rank owns an inbox queue: ``post`` puts into the destination's
+    inbox, ``collect`` drains the own inbox into a local ``(src, tag)``
+    buffer until the wanted message arrives, and the barrier is a linear
+    exchange on the control tag.  Payloads are shm/pickle wires, and
+    every message carries the ``run_id`` so stale traffic from a previous
+    aborted run is unlinked and dropped instead of delivered.  Send
+    events are recorded locally and shipped to the pool with the rank's
+    report, where the per-rank ledgers merge into one.
     """
 
     def __init__(
@@ -196,7 +198,9 @@ class _PoolRankTransport(Transport):
     # -- barrier ------------------------------------------------------------
 
     def barrier(self, clock: float) -> float:
-        """Linear clock-max fan-in/out on the control tag (unmetered)."""
+        """Linear clock-max fan-in/out on the control tag, unmetered --
+        the same zero-event footprint the threads fabric's shared barrier
+        has, so ledgers stay comparable across backends."""
         if self.n_ranks == 1:
             return clock
         if self.rank == 0:
@@ -223,9 +227,9 @@ def _report_wire(
 ) -> Tuple[str, Any]:
     """Encode a report, downgrading unpicklable payloads to an error.
 
-    Same rationale as the processes backend: pickling happens on the
-    queue feeder thread where a failure is silent, so serialise here and
-    surface the problem as the rank's error instead of a hang.
+    ``Queue.put`` pickles on a feeder thread, where an unpicklable
+    report would fail *silently* and leave the pool waiting forever, so
+    serialise here and surface the problem as the rank's error.
     """
     try:
         return _encode_and_forget(report, registry, threshold)
@@ -407,18 +411,19 @@ class WorkerPool:
     max_workers:
         Slot count, fixed for the pool's lifetime (queues must exist
         before workers are born).  Runs needing more ranks than this do
-        not fit -- :class:`~repro.pool.backend.PoolBackend` falls back to
-        the cold ``processes`` backend for those.
+        not fit -- :class:`~repro.pool.backend.PoolBackend` runs those
+        cold, on a one-shot pool with one slot per rank.
     min_workers:
         Idle shrink floor: the supervisor stops idle workers above this
         count after ``idle_timeout`` seconds without work.  They restart
         transparently on the next dispatch that needs them.
     start_method:
         :mod:`multiprocessing` start method; default is
-        ``REPRO_POOL_START_METHOD``, else ``REPRO_SPMD_START_METHOD``,
-        else ``fork`` where available.  Unlike the processes backend,
-        programs/arguments are *always* pickled (dispatch rides queues),
-        so module-level functions are required on every start method.
+        ``REPRO_POOL_START_METHOD``, else ``fork`` where available (hosts
+        that prefer strict hygiene over forking a threaded parent export
+        ``REPRO_POOL_START_METHOD=forkserver``).  Programs/arguments are
+        *always* pickled (dispatch rides queues), so module-level
+        functions are required on every start method.
     shm_threshold:
         Payload size (serialised bytes) at which transport switches from
         inline pickle to shared memory (``REPRO_POOL_SHM_THRESHOLD``
@@ -467,11 +472,7 @@ class WorkerPool:
         if abort_join_timeout <= 0:
             raise ValueError("abort_join_timeout must be > 0")
         if start_method is None:
-            start_method = (
-                os.environ.get("REPRO_POOL_START_METHOD")
-                or os.environ.get("REPRO_SPMD_START_METHOD")
-                or None
-            )
+            start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
         if start_method is None:
             start_method = (
                 "fork" if "fork" in mp.get_all_start_methods() else None
@@ -743,7 +744,8 @@ class WorkerPool:
         if n_ranks > self.max_workers:
             raise ValueError(
                 f"n_ranks={n_ranks} exceeds pool capacity "
-                f"{self.max_workers} (use PoolBackend for cold fallback)"
+                f"{self.max_workers} (PoolBackend runs such a job on a "
+                "one-shot pool)"
             )
         cost_model = cost_model or CostModel()
         with self._dispatch_lock:
@@ -973,7 +975,7 @@ class WorkerPool:
     # -- introspection -------------------------------------------------------
 
     def note_fallback(self) -> None:
-        """Record one run that overflowed to the cold processes backend."""
+        """Record one run that overflowed onto a one-shot pool."""
         with self._state_lock:
             self.fallback_runs += 1
 

@@ -44,7 +44,7 @@ from repro.engine.service import AlignmentService
 from repro.obs.metrics import Histogram, HistogramSnapshot
 from repro.obs.metrics import percentile as _obs_percentile
 from repro.obs.tracing import span
-from repro.tree import TreeConfig
+from repro.tree import STAGE_CONFIGS, TreeConfig
 
 __all__ = [
     "AlignmentGateway",
@@ -219,7 +219,7 @@ class AlignmentGateway:
     default_backend:
         Execution backend applied to distributed requests that do not
         choose one themselves (no ``config`` and no ``backend`` engine
-        kwarg) -- how ``repro serve --backend processes`` puts every
+        kwarg) -- how ``repro serve --backend pool`` puts every
         plain Sample-Align-D request on real cores.  Applied at
         admission, *before* hashing, so coalescing and the result cache
         key see the effective request.
@@ -324,6 +324,7 @@ class AlignmentGateway:
             "coalesced": 0,
             "rejected_queue_full": 0,
             "rejected_rate_limited": 0,
+            "rejected_bad_request": 0,
             "completed": 0,
             "failed": 0,
         }
@@ -405,8 +406,10 @@ class AlignmentGateway:
         """Admit one request; returns a waitable :class:`Ticket`.
 
         Raises :class:`RateLimitedError` or :class:`QueueFullError` when
-        the request is refused (nothing was enqueued), and
-        :class:`RuntimeError` after :meth:`close`.
+        the request is refused, :class:`ValueError` when it names an
+        unknown priority or an unregistered execution backend (nothing
+        was enqueued in either case), and :class:`RuntimeError` after
+        :meth:`close`.
 
         A coalesced request keeps the priority of the entry it joins; it
         consumes a rate-limit token but no queue slot.
@@ -417,6 +420,7 @@ class AlignmentGateway:
             raise ValueError(
                 f"unknown priority {priority!r} (one of {sorted(PRIORITIES)})"
             ) from None
+        self._check_backend_names(request)
         request = self._effective_request(request)
         key = request.content_hash()
         with span(
@@ -470,6 +474,22 @@ class AlignmentGateway:
             while len(self._tickets) > self._max_tickets:
                 self._tickets.popitem(last=False)
         return ticket
+
+    def _check_backend_names(self, request: AlignRequest) -> None:
+        """Refuse a request that names an unregistered execution backend
+        -- as Sample-Align-D's ``backend`` engine kwarg, or inside a
+        ``distance`` / ``tree`` spec of an engine that takes the stage
+        (coercing the spec runs the stage config's own checks)."""
+        kwargs = request.engine_kwargs
+        try:
+            if request.engine.lower() == "sample-align-d":
+                validate_backend_name(kwargs.get("backend"))
+            for stage in engine_stages(request.engine) & kwargs.keys():
+                STAGE_CONFIGS[stage].coerce(kwargs[stage])
+        except ValueError:
+            with self._lock:
+                self._counters["rejected_bad_request"] += 1
+            raise
 
     def _effective_request(self, request: AlignRequest) -> AlignRequest:
         """Fold the gateway's defaults into a request, pre-hash, so

@@ -15,7 +15,7 @@ A thin JSON-over-HTTP surface on top of
 
   Distributed requests choose their execution backend like any other
   knob: ``{"request": {"engine": "sample-align-d", "engine_kwargs":
-  {"backend": "processes"}, ...}}`` (or ``config.backend`` inside a full
+  {"backend": "pool"}, ...}}`` (or ``config.backend`` inside a full
   config dict).  Requests that stay silent inherit the gateway's
   ``default_backend`` (the ``repro serve --backend`` flag).
 - ``GET /jobs/<ticket_id>`` -- ticket status, plus the result once done.

@@ -18,7 +18,7 @@ subtrees are independent.  This package unifies that stage the same way
   scheduled exactly once, after both children).
 - :mod:`~repro.tree.merge` -- :func:`progressive_merge`, the DAG
   executor that folds leaf profiles up the tree serially, on the
-  execution backends (``backend="threads"|"processes"|"pool"``, ``workers=N``),
+  execution backends (``backend="threads"|"pool"``, ``workers=N``),
   or cooperatively inside an existing SPMD program (``comm=``) --
   always producing byte-identical alignments.
 - :mod:`~repro.tree.config` -- :class:`TreeConfig`, the validated,
@@ -28,7 +28,7 @@ subtrees are independent.  This package unifies that stage the same way
 Every guide-tree baseline (ClustalW-like, MUSCLE-like, MAFFT-like,
 center-star, the stage-parallel CLUSTALW) routes its tree stage through
 here via its ``tree=`` spec (a name, a :class:`TreeConfig` or its dict
-form), so one ``--tree-backend processes`` flag puts the progressive
+form), so one ``--tree-backend pool`` flag puts the progressive
 merge of any of them on real cores.
 """
 

@@ -40,7 +40,7 @@ class TreeConfig(StageConfig):
         aligner's historical builder.
     backend:
         Execution backend of the DAG-scheduled progressive merge
-        (``"threads"``/``"processes"``/``"pool"``; ``None`` = merge serially).
+        (``"threads"``/``"pool"``; ``None`` = merge serially).
     workers:
         Rank count for the merge scheduler (``None`` = host core count,
         capped at the schedule's peak width).

@@ -6,8 +6,8 @@ profiles up the guide tree by executing the
 
 - **serially** (``backend=None``, the default -- the classic post-order
   walk, no scheduler overhead),
-- **on an execution backend** (``backend="threads"|"processes"|"pool"``,
-  ``workers=N`` -- the PR 3 registry; ``processes`` puts the
+- **on an execution backend** (``backend="threads"|"pool"``,
+  ``workers=N`` -- the PR 3 registry; ``pool`` puts the
   profile-profile DPs of independent subtrees on real cores), or
 - **cooperatively inside an existing SPMD program** (``comm=...`` --
   ranks split each level's merges cyclically and allgather the merged
@@ -28,7 +28,7 @@ performance path; ``REPRO_DP_BATCH_PAIRS=0`` restores per-node merges.
 Determinism contract: a merge's output depends only on its two child
 profiles and the ``merge_node`` callable (which must itself be
 deterministic), and every internal node is computed exactly once -- so
-serial, threads, processes, pool and cooperative schedules produce
+serial, threads, pool and cooperative schedules produce
 **byte-identical** alignments for any level assignment, batched or not.
 """
 
@@ -173,8 +173,8 @@ def _children(
 
 def _merge_dag_rank(comm, profiles, tree, levels, merge_node):
     """Rank program of the backend-scheduled mode (module-level so the
-    ``processes`` backend can run it under its default fork start
-    method; a picklable ``merge_node`` is needed for spawn/forkserver).
+    ``pool`` backend can pickle it; ``merge_node`` must be picklable
+    too).
 
     Every rank holds the root at the end; only rank 0 reports it so the
     result queue carries one copy, not ``workers``."""
@@ -208,7 +208,7 @@ def progressive_merge(
     backend:
         ``None`` executes serially in-process; a registered execution
         backend name (or instance) runs the level schedule SPMD over
-        ``workers`` ranks (``"processes"`` for real cores).
+        ``workers`` ranks (``"pool"`` for real cores).
     workers:
         Rank count for the backend mode (default: host core count,
         capped at the schedule's peak width -- extra ranks could never

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.datagen.rose import generate_family
+from repro.pool import PoolBackend, WorkerPool, set_default_pool
+from repro.pool.shm import shm_dir_segments
 from repro.seq.sequence import Sequence, SequenceSet
 
 # Hypothesis: keep examples modest (DP kernels are exercised heavily) and
@@ -56,3 +58,35 @@ def diverse_family():
     return generate_family(
         n_sequences=40, mean_length=100, relatedness=700, seed=5
     )
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """An explicit five-slot pool installed as the process default.
+
+    The build host may have a single core, in which case the
+    process-default pool holds only two slots and anything needing more
+    ranks silently runs cold on a one-shot pool -- defeating every test
+    of the warm path.  Each module that runs ``backend="pool"`` therefore
+    asks for this fixture, and tears it down asserting the acceptance
+    bar: a closed pool leaves ``/dev/shm`` spotless.
+    """
+    p = WorkerPool(max_workers=5)
+    prev = set_default_pool(p)
+    try:
+        yield p
+    finally:
+        set_default_pool(prev)
+        p.close()
+        assert shm_dir_segments(p.name) == []
+
+
+@pytest.fixture()
+def one_shot_backend():
+    """A ``PoolBackend`` over a one-slot pool: a run of two or more ranks
+    does not fit and gets fresh worker processes for the call (the
+    one-shot overflow path; asserted taken at teardown)."""
+    with WorkerPool(max_workers=1) as one_slot:
+        yield PoolBackend(one_slot)
+        assert one_slot.stats()["fallback_runs"] >= 1
+        assert one_slot.stats()["runs"] == 0

@@ -65,16 +65,16 @@ class TestValidation:
 
 
 class TestBackendEquivalence:
-    """The acceptance contract: serial, threads and processes schedules
-    produce byte-identical matrices."""
+    """The acceptance contract: serial, threads and worker-process (pool)
+    schedules produce byte-identical matrices."""
 
     @pytest.mark.parametrize(
         "name", ["ktuple", "kmer-fraction", "full-dp", "kband"]
     )
-    def test_serial_threads_processes_identical(self, family, name):
+    def test_serial_threads_processes_identical(self, pool, family, name):
         serial = all_pairs(family, name)
         threads = all_pairs(family, name, backend="threads", workers=3)
-        procs = all_pairs(family, name, backend="processes", workers=2)
+        procs = all_pairs(family, name, backend="pool", workers=2)
         assert serial.tobytes() == threads.tobytes()
         assert serial.tobytes() == procs.tobytes()
 

@@ -56,11 +56,11 @@ class TestBatchedMatchesPerPair:
         got = all_pairs(family, name, backend="threads", workers=3)
         assert got.tobytes() == per_pair_base[name].tobytes()
 
-    def test_processes(self, family, per_pair_base, name):
-        got = all_pairs(family, name, backend="processes", workers=2)
+    def test_processes(self, one_shot_backend, family, per_pair_base, name):
+        got = all_pairs(family, name, backend=one_shot_backend, workers=2)
         assert got.tobytes() == per_pair_base[name].tobytes()
 
-    def test_pool(self, family, per_pair_base, name):
+    def test_pool(self, pool, family, per_pair_base, name):
         got = all_pairs(family, name, backend="pool", workers=2)
         assert got.tobytes() == per_pair_base[name].tobytes()
 

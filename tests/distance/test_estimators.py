@@ -216,12 +216,12 @@ class TestDistanceConfig:
         # field-wise, the overriding config's fields win.
         base = DistanceConfig(estimator="ktuple", backend="threads", workers=4)
         est, cfg = resolve_distance_stage(
-            DistanceConfig(backend="processes", workers=2).over(base)
+            DistanceConfig(backend="pool", workers=2).over(base)
         )
         assert est.name == "ktuple"
-        assert cfg.backend == "processes" and cfg.workers == 2
+        assert cfg.backend == "pool" and cfg.workers == 2
         with pytest.raises(TypeError):
-            resolve_distance_stage(base, backend="processes", workers=2)
+            resolve_distance_stage(base, backend="pool", workers=2)
 
     def test_placement_only_spec_keeps_the_default_estimator(self):
         est, cfg = resolve_distance_stage(

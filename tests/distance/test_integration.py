@@ -27,7 +27,7 @@ BASELINES = [
 class TestBaselineSeam:
     @pytest.mark.parametrize("make", BASELINES)
     def test_distance_backend_identical_alignment(self, make, tiny_seqs):
-        """threads/processes distance stages reproduce the serial result
+        """threads/pool distance stages reproduce the serial result
         byte-for-byte (the acceptance criterion)."""
         serial = make().align(tiny_seqs)
         threads = make(
@@ -36,10 +36,10 @@ class TestBaselineSeam:
         assert serial == threads
         assert serial.to_fasta() == threads.to_fasta()
 
-    def test_processes_distance_backend_identical(self, tiny_seqs):
+    def test_processes_distance_backend_identical(self, pool, tiny_seqs):
         serial = ClustalWLike().align(tiny_seqs)
         procs = ClustalWLike(
-            distance={"backend": "processes", "workers": 2}
+            distance={"backend": "pool", "workers": 2}
         ).align(tiny_seqs)
         assert serial.to_fasta() == procs.to_fasta()
 

@@ -52,7 +52,7 @@ class TestEveryEstimatorEveryPlacement:
 
 
 class TestEverySchedule:
-    """ktuple across serial / threads / processes / pool / SPMD: the
+    """ktuple across serial / threads / pool (warm and one-shot) / SPMD: the
     memmap store holds the same bytes no matter who wrote the tiles."""
 
     @pytest.fixture(scope="class")
@@ -66,14 +66,14 @@ class TestEverySchedule:
         )
         assert mm.condensed.tobytes() == expected
 
-    def test_processes(self, family, expected, tmp_path):
+    def test_processes(self, one_shot_backend, family, expected, tmp_path):
         mm = all_pairs(
-            family, "ktuple", backend="processes", workers=2,
+            family, "ktuple", backend=one_shot_backend, workers=2,
             out="memmap", store_dir=tmp_path / "s",
         )
         assert mm.condensed.tobytes() == expected
 
-    def test_pool(self, family, expected, tmp_path):
+    def test_pool(self, pool, family, expected, tmp_path):
         mm = all_pairs(
             family, "ktuple", backend="pool", workers=2,
             out="memmap", store_dir=tmp_path / "s",

@@ -14,9 +14,9 @@ def seqs(request):
 
 class TestEngineFactory:
     def test_engine_kwargs_build_backend_engine(self):
-        engine = get_engine("sample-align-d", backend="processes")
-        assert engine.backend == "processes"
-        assert "processes" in repr(engine)
+        engine = get_engine("sample-align-d", backend="pool")
+        assert engine.backend == "pool"
+        assert "pool" in repr(engine)
 
     def test_bad_backend_rejected_at_factory(self):
         with pytest.raises(ValueError, match="not a registered execution"):
@@ -24,19 +24,19 @@ class TestEngineFactory:
 
 
 class TestRequestPaths:
-    def test_engine_kwargs_backend_runs_processes(self, seqs):
+    def test_engine_kwargs_backend_runs_processes(self, pool, seqs):
         request = AlignRequest(
             sequences=seqs,
             engine="sample-align-d",
             n_procs=2,
-            engine_kwargs={"backend": "processes"},
+            engine_kwargs={"backend": "pool"},
         )
         with AlignmentService(max_workers=1) as svc:
             result = svc.run(request)
-        assert result.diagnostics["backend"] == "processes"
+        assert result.diagnostics["backend"] == "pool"
 
     def test_config_backend_wins_over_engine_default(self, seqs):
-        engine = get_engine("sample-align-d", backend="processes")
+        engine = get_engine("sample-align-d", backend="pool")
         request = AlignRequest(
             sequences=seqs,
             engine="sample-align-d",
@@ -54,14 +54,14 @@ class TestRequestPaths:
             result = svc.run(request)
         assert result.diagnostics["backend"] == "threads"
 
-    def test_backend_affects_cache_key(self, seqs):
+    def test_backend_affects_cache_key(self, pool, seqs):
         """Requests differing only in backend are distinct jobs."""
         base = dict(sequences=seqs, engine="sample-align-d", n_procs=2)
         r_threads = AlignRequest(
             config=SampleAlignDConfig(backend="threads"), **base
         )
         r_procs = AlignRequest(
-            config=SampleAlignDConfig(backend="processes"), **base
+            config=SampleAlignDConfig(backend="pool"), **base
         )
         assert r_threads.content_hash() != r_procs.content_hash()
         with AlignmentService(max_workers=1) as svc:
@@ -76,8 +76,8 @@ class TestRequestPaths:
             sequences=seqs,
             engine="sample-align-d",
             n_procs=2,
-            config=SampleAlignDConfig(backend="processes"),
+            config=SampleAlignDConfig(backend="pool"),
         )
         restored = AlignRequest.from_dict(request.to_dict())
-        assert restored.config.backend == "processes"
+        assert restored.config.backend == "pool"
         assert restored.content_hash() == request.content_hash()

@@ -4,9 +4,9 @@ The same tiled all-pairs computation must produce the same *logical*
 span tree on every backend: identical span names and attributes (modulo
 the backend's own identity and per-rank labels), identical parenting of
 ``distance.rank`` under ``distance.dispatch``, identical distance
-matrices.  Threads ranks share the parent's address space, processes and
-pool ranks pickle their spans home -- the canonicalised span sets must
-not be able to tell the difference.
+matrices.  Threads ranks share the parent's address space, pool ranks
+pickle their spans home -- the canonicalised span sets must not be able
+to tell the difference.
 """
 
 from __future__ import annotations
@@ -21,17 +21,9 @@ from repro.distance import all_pairs
 from repro.obs.tracing import collect, drain_spans, enable_tracing
 from repro.seq.sequence import Sequence
 
-BACKENDS = ["threads", "processes", "pool"]
+BACKENDS = ["threads", "pool"]
 
-
-@pytest.fixture(scope="module", autouse=True)
-def _close_pool_after_module():
-    """The pool backend warms a process-wide default pool; later suites
-    assert ``mp.active_children() == []``, so close it on the way out."""
-    yield
-    from repro.pool import close_default_pool
-
-    close_default_pool()
+pytestmark = pytest.mark.usefixtures("pool")
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +81,7 @@ class TestCrossBackendEquivalence:
             assert trees[backend] == trees["threads"], backend
 
     def test_rank_spans_parent_under_dispatch(self, seqs):
-        _, records = run_traced_all_pairs(seqs, "processes")
+        _, records = run_traced_all_pairs(seqs, "pool")
         by_id = {r.span_id: r for r in records}
         ranks = [r for r in records if r.name == "distance.rank"]
         assert len(ranks) == 2
@@ -128,7 +120,7 @@ class TestMetricsRideHome:
     def test_dp_counters_cross_process(self, seqs):
         """Rank-side DP work increments the *parent's* registry.
 
-        ``full-dp`` on the processes backend runs every pair DP in
+        ``full-dp`` on the pool backend runs every pair DP in
         foreign address spaces; the per-rank metric deltas ride home
         with the spans and are absorbed exactly once.
         """
@@ -138,7 +130,7 @@ class TestMetricsRideHome:
         drain_spans()
         before = registry().snapshot()
         with collect(tee=False):
-            d = all_pairs(seqs, "full-dp", backend="processes", workers=2,
+            d = all_pairs(seqs, "full-dp", backend="pool", workers=2,
                           tile_pairs=3)
         assert np.all(np.isfinite(d))
         delta = registry().snapshot().diff(before)
@@ -184,6 +176,6 @@ class TestThreadsRankTiming:
         from repro.parcomp.comm import Fabric
 
         assert Fabric(2).parked_s is None  # tracing is off: no timing kept
-        _, records = run_traced_all_pairs(seqs, "processes")
+        _, records = run_traced_all_pairs(seqs, "pool")
         for r in records:
             assert "parked_s" not in r.attrs and "compute_s" not in r.attrs

@@ -1,14 +1,18 @@
-"""Backend equivalence: threads and processes must be indistinguishable.
+"""Backend equivalence: threads and pool must be indistinguishable.
 
 The contract of :mod:`repro.parcomp.backends` is that *where* ranks run
 is invisible to the program: identical results, identical message
 patterns, identical failure semantics.  Everything here is parametrized
 over both backends and, where it matters, asserts cross-backend equality
-outright.
+outright.  ``"pool"`` resolves to the explicit five-slot pool of
+``tests/conftest.py``, so only the runs that ask for more than five ranks
+(and ``TestPoolOverflow``) take the one-shot overflow path.
 """
 
 import multiprocessing as mp
 import operator
+import os
+import signal
 import sys
 import threading
 import time
@@ -21,7 +25,6 @@ from repro.core.driver import sample_align_d
 from repro.parcomp import (
     CostModel,
     ExecutionBackend,
-    ProcessBackend,
     SpmdAbort,
     ThreadBackend,
     available_backends,
@@ -30,11 +33,26 @@ from repro.parcomp import (
     run_spmd,
 )
 from repro.parcomp.backends import unregister_backend
+from repro.pool import PoolBackend, WorkerPool
+from repro.pool.shm import shm_dir_segments
 
-BACKENDS = ["threads", "processes"]
+BACKENDS = ["threads", "pool"]
+
+pytestmark = pytest.mark.usefixtures("pool")
 
 
-# -- module-level SPMD programs (picklable for the processes backend) -------
+def _children():
+    return {p.pid for p in mp.active_children()}
+
+
+def _leaked(before, pool):
+    """What outlived the launcher: children born since ``before`` that
+    are not the pool's warm workers, and segments of the pool's name."""
+    born = _children() - before - set(pool.stats()["worker_pids"])
+    return sorted(born) + shm_dir_segments(pool.name)
+
+
+# -- module-level SPMD programs (picklable for the pool backend) ------------
 
 
 def _ring(comm):
@@ -69,14 +87,13 @@ def _send_array(comm):
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert "threads" in available_backends()
-        assert "processes" in available_backends()
+        assert available_backends() == ["pool", "threads"]
 
     def test_get_backend_default_is_threads(self):
         assert isinstance(get_backend(), ThreadBackend)
 
     def test_get_backend_by_name_case_insensitive(self):
-        assert isinstance(get_backend("PROCESSES"), ProcessBackend)
+        assert isinstance(get_backend("POOL"), PoolBackend)
 
     def test_get_backend_passthrough_instance(self):
         be = ThreadBackend()
@@ -101,9 +118,10 @@ class TestRegistry:
         with pytest.raises(KeyError):
             unregister_backend("custom")
 
-    def test_bad_process_start_method(self):
+    def test_bad_process_start_method(self, monkeypatch):
+        monkeypatch.setenv("REPRO_POOL_START_METHOD", "teleport")
         with pytest.raises(ValueError, match="start method"):
-            ProcessBackend(start_method="teleport")
+            WorkerPool(max_workers=1)
 
     def test_validation_shared_across_backends(self):
         for name in BACKENDS:
@@ -129,12 +147,12 @@ class TestProgramEquivalence:
             assert everyone == expect_gather
             assert total == size * (size + 1) // 2
 
-    def test_abort_propagates_and_nothing_leaks(self, backend):
+    def test_abort_propagates_and_nothing_leaks(self, backend, pool):
+        before = _children()
         with pytest.raises(RuntimeError, match="rank 1 failed") as exc_info:
             run_spmd(3, _fail_on_rank_one, backend=backend)
         assert isinstance(exc_info.value.__cause__, ValueError)
-        # Hardened shutdown: no rank may outlive the launcher.
-        assert mp.active_children() == []
+        assert _leaked(before, pool) == []
 
     def test_metering_and_charge_compute(self, backend):
         res = run_spmd(3, _send_array, backend=backend)
@@ -162,12 +180,12 @@ class TestCrossBackendLedgers:
             return counts, nbytes
 
         t_counts, t_bytes = per_rank(by_backend["threads"])
-        p_counts, p_bytes = per_rank(by_backend["processes"])
+        p_counts, p_bytes = per_rank(by_backend["pool"])
         assert t_counts == p_counts
         assert t_bytes == p_bytes
         assert (
             by_backend["threads"].ledger.bytes_by_kind()
-            == by_backend["processes"].ledger.bytes_by_kind()
+            == by_backend["pool"].ledger.bytes_by_kind()
         )
 
     def test_modeled_message_cost_identical(self):
@@ -180,7 +198,7 @@ class TestCrossBackendLedgers:
             assert res.modeled_time() >= 0.5
         assert (
             times["threads"].ledger.modeled_comm_time()
-            == pytest.approx(times["processes"].ledger.modeled_comm_time())
+            == pytest.approx(times["pool"].ledger.modeled_comm_time())
         )
 
 
@@ -192,7 +210,8 @@ class TestSampleAlignDEquivalence:
     @pytest.fixture(scope="class")
     def runs(self, family):
         """``{n_procs: {backend: result}}`` at a small p and at the
-        paper's 16 ranks (more ranks than cores, buckets of one or two)."""
+        paper's 16 ranks (more ranks than cores, buckets of one or two;
+        on ``pool`` also more ranks than slots: the one-shot overflow)."""
         return {
             p: {
                 name: sample_align_d(family, n_procs=p, backend=name)
@@ -205,13 +224,13 @@ class TestSampleAlignDEquivalence:
         for by_backend in runs.values():
             assert (
                 by_backend["threads"].alignment.to_fasta()
-                == by_backend["processes"].alignment.to_fasta()
+                == by_backend["pool"].alignment.to_fasta()
             )
 
     def test_identical_sp_scores(self, runs):
         for by_backend in runs.values():
             assert by_backend["threads"].sp == pytest.approx(
-                by_backend["processes"].sp
+                by_backend["pool"].sp
             )
 
     def test_identical_per_rank_message_counts(self, runs):
@@ -223,16 +242,16 @@ class TestSampleAlignDEquivalence:
 
         for by_backend in runs.values():
             assert counts(by_backend["threads"]) == counts(
-                by_backend["processes"]
+                by_backend["pool"]
             )
 
     def test_identical_ledger_totals(self, runs):
         for by_backend in runs.values():
-            threads, processes = (
-                by_backend[name].ledger for name in ("threads", "processes")
+            threads, pooled = (
+                by_backend[name].ledger for name in ("threads", "pool")
             )
-            assert threads.n_messages() == processes.n_messages() > 0
-            assert threads.total_bytes() == processes.total_bytes()
+            assert threads.n_messages() == pooled.n_messages() > 0
+            assert threads.total_bytes() == pooled.total_bytes()
 
     def test_backend_recorded(self, runs):
         for by_backend in runs.values():
@@ -244,15 +263,15 @@ class TestSampleAlignDEquivalence:
         res = sample_align_d(
             family[:8],
             n_procs=2,
-            config=SampleAlignDConfig(backend="processes"),
+            config=SampleAlignDConfig(backend="pool"),
         )
-        assert res.backend == "processes"
+        assert res.backend == "pool"
 
     def test_explicit_backend_wins_over_config(self, family):
         res = sample_align_d(
             family[:8],
             n_procs=2,
-            config=SampleAlignDConfig(backend="processes"),
+            config=SampleAlignDConfig(backend="pool"),
             backend="threads",
         )
         assert res.backend == "threads"
@@ -264,8 +283,8 @@ class TestSampleAlignDEquivalence:
 
 class TestConfigBackendField:
     def test_round_trip(self):
-        cfg = SampleAlignDConfig(backend="processes")
-        assert cfg.to_dict()["backend"] == "processes"
+        cfg = SampleAlignDConfig(backend="pool")
+        assert cfg.to_dict()["backend"] == "pool"
         assert SampleAlignDConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_default_none_round_trip(self):
@@ -340,22 +359,120 @@ class TestHardenedShutdown:
         assert "still unwinding" in str(exc_info.value)
 
     def test_processes_abort_terminates_stuck_rank(self):
+        """The pool recycles the worker of a rank stuck in compute."""
         import time as _time
 
-        backend = ProcessBackend(abort_join_timeout=0.5)
-        t0 = _time.monotonic()
-        with pytest.raises(RuntimeError, match="rank 0 failed") as exc_info:
-            run_spmd(2, _fail_fast_or_sleep, backend=backend)
-        elapsed = _time.monotonic() - t0
-        assert elapsed < 4.0
-        assert "terminated while unwinding" in str(exc_info.value)
-        assert mp.active_children() == []
+        with WorkerPool(max_workers=2, abort_join_timeout=0.5) as own:
+            t0 = _time.monotonic()
+            with pytest.raises(RuntimeError, match="rank 0 failed") as exc_info:
+                run_spmd(2, _fail_fast_or_sleep, backend=PoolBackend(own))
+            elapsed = _time.monotonic() - t0
+            assert elapsed < 4.0
+            assert "terminated while unwinding" in str(exc_info.value)
+            assert own.stats()["respawns"] > 0
+            assert run_spmd(2, _ring, backend=PoolBackend(own)).results == [1, 0]
+            pids = own.stats()["worker_pids"]
+        assert not _children() & set(pids)
+        assert shm_dir_segments(own.name) == []
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError):
             ThreadBackend(abort_join_timeout=0.0)
         with pytest.raises(ValueError):
-            ProcessBackend(abort_join_timeout=-1.0)
+            WorkerPool(max_workers=1, abort_join_timeout=-1.0)
+
+
+# -- more ranks than pool slots: the one-shot pool --------------------------
+
+
+def _kill_rank_three_once(comm, sentinel):
+    """Rank 3 SIGKILLs itself the first time through (then completes)."""
+    if comm.rank == 3 and not os.path.exists(sentinel):
+        with open(sentinel, "w"):
+            pass
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _ring(comm)
+
+
+def _one_shot_segments(keep):
+    """Segments of any pool this process made, except ``keep``'s: every
+    pool is named ``rpool-<pid>-<hex>``."""
+    return [
+        seg for seg in shm_dir_segments(f"rpool-{os.getpid()}-")
+        if not seg.startswith(keep.name)
+    ]
+
+
+class TestPoolOverflow:
+    """Five ranks on a two-slot pool: same answers as ``threads``, one
+    ``pool.dispatch`` span, crash retry, and nothing left behind."""
+
+    @pytest.fixture()
+    def own(self, pool):
+        before = _children()
+        with WorkerPool(max_workers=2) as own:
+            yield own
+            assert own.stats()["runs"] == 0  # never touched the warm slots
+            assert own.stats()["workers_alive"] == 0
+        assert _leaked(before, pool) == []
+        assert _one_shot_segments(pool) == []
+
+    @pytest.mark.parametrize("program", [_ring, _collective_mix])
+    def test_program_matches_threads(self, own, program):
+        from repro.obs.tracing import (
+            collect, disable_tracing, drain_spans, enable_tracing,
+        )
+
+        threads = run_spmd(5, program, backend="threads")
+        enable_tracing()
+        try:
+            drain_spans()
+            with collect(tee=False) as buf:
+                pooled = PoolBackend(own).run(5, program)
+        finally:
+            disable_tracing()
+            drain_spans()
+        assert pooled.results == threads.results
+        assert pooled.backend == "pool"
+        assert pooled.ledger.n_messages() == threads.ledger.n_messages() > 0
+        assert pooled.ledger.total_bytes() == threads.ledger.total_bytes()
+        assert own.stats()["fallback_runs"] == 1
+        dispatches = [r for r in buf.records() if r.name == "pool.dispatch"]
+        assert [(r.attrs["ranks"], r.attrs["attempt"]) for r in dispatches] == [
+            (5, 0)
+        ]
+
+    def test_sample_align_d_matches_threads(self, own, diverse_family):
+        family = list(diverse_family.sequences)[:24]
+        threads = sample_align_d(family, n_procs=5, backend="threads")
+        pooled = sample_align_d(family, n_procs=5, backend=PoolBackend(own))
+        assert pooled.alignment.to_fasta() == threads.alignment.to_fasta()
+        assert pooled.ledger.n_messages() == threads.ledger.n_messages() > 0
+        assert pooled.ledger.total_bytes() == threads.ledger.total_bytes()
+        assert pooled.backend == "pool"
+        assert own.stats()["fallback_runs"] == 1
+
+    def test_killed_rank_is_retried(self, own, tmp_path):
+        sentinel = str(tmp_path / "crashed-once")
+        res = PoolBackend(own).run(5, _kill_rank_three_once, args=(sentinel,))
+        assert res.results == [(r - 1) % 5 for r in range(5)]
+        assert os.path.exists(sentinel)  # the crash really happened
+        assert own.stats()["fallback_runs"] == 1  # one run, two attempts
+
+
+def test_processes_name_is_gone(tmp_path, capsys):
+    """No alias: registry, config and CLI all name what is available."""
+    from repro.cli import main
+
+    available = r"available: \['pool', 'threads'\]"
+    with pytest.raises(KeyError, match=available):
+        get_backend("processes")
+    with pytest.raises(ValueError, match=available):
+        SampleAlignDConfig(backend="processes")
+    fasta = tmp_path / "in.fasta"
+    fasta.write_text(">a\nMKTAYIAKQR\n>b\nMKTAYIAKQL\n")
+    assert main(["align", str(fasta), "--backend", "processes"]) == 2
+    assert "available: ['pool', 'threads']" in capsys.readouterr().err
 
 
 # -- the threads backend's run token ----------------------------------------

@@ -1,4 +1,4 @@
-"""Byte-identity of the pool backend against serial/threads/processes.
+"""Byte-identity of the pool backend against serial and threads.
 
 The pool joins the backend contract of :mod:`repro.parcomp.backends`:
 *where* ranks run is invisible to the program.  Every estimator, every

@@ -1,6 +1,7 @@
 """Backend selection through the serving layer: gateway and HTTP."""
 
 import json
+import urllib.error
 import urllib.request
 
 import pytest
@@ -27,17 +28,22 @@ def _post(port, payload, timeout=120):
         return resp.status, json.loads(resp.read())
 
 
+def _pool_gateway(pool):
+    """Default backend ``pool``, served from the explicit test pool."""
+    return AlignmentGateway(n_workers=1, default_backend="pool", pool=pool)
+
+
 class TestGatewayDefaultBackend:
-    def test_unopinionated_request_inherits_default(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+    def test_unopinionated_request_inherits_default(self, pool, seqs):
+        with _pool_gateway(pool) as gw:
             request = AlignRequest(
                 sequences=seqs, engine="sample-align-d", n_procs=2
             )
             result = gw.run(request, timeout=120)
-        assert result.diagnostics["backend"] == "processes"
+        assert result.diagnostics["backend"] == "pool"
 
-    def test_explicit_config_wins_over_default(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+    def test_explicit_config_wins_over_default(self, pool, seqs):
+        with _pool_gateway(pool) as gw:
             request = AlignRequest(
                 sequences=seqs,
                 engine="sample-align-d",
@@ -47,17 +53,17 @@ class TestGatewayDefaultBackend:
             result = gw.run(request, timeout=120)
         assert result.diagnostics["backend"] == "threads"
 
-    def test_sequential_requests_untouched(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+    def test_sequential_requests_untouched(self, pool, seqs):
+        with _pool_gateway(pool) as gw:
             request = AlignRequest(sequences=seqs, engine="center-star")
             ticket = gw.submit(request)
             # The request must pass through unrewritten: same hash.
             assert ticket.request_hash == request.content_hash()
             ticket.wait(60)
 
-    def test_rewrite_happens_before_coalescing(self, seqs):
-        """An explicit-processes request coalesces with a defaulted one."""
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+    def test_rewrite_happens_before_coalescing(self, pool, seqs):
+        """An explicit-pool request coalesces with a defaulted one."""
+        with _pool_gateway(pool) as gw:
             plain = AlignRequest(
                 sequences=seqs, engine="sample-align-d", n_procs=2
             )
@@ -65,7 +71,7 @@ class TestGatewayDefaultBackend:
                 sequences=seqs,
                 engine="sample-align-d",
                 n_procs=2,
-                engine_kwargs={"backend": "processes"},
+                engine_kwargs={"backend": "pool"},
             )
             t1 = gw.submit(plain)
             t2 = gw.submit(explicit)
@@ -77,15 +83,15 @@ class TestGatewayDefaultBackend:
         with pytest.raises(ValueError, match="not a registered execution"):
             AlignmentGateway(n_workers=1, default_backend="gpu")
 
-    def test_metrics_expose_default_backend(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
-            assert gw.metrics()["default_backend"] == "processes"
+    def test_metrics_expose_default_backend(self, pool, seqs):
+        with _pool_gateway(pool) as gw:
+            assert gw.metrics()["default_backend"] == "pool"
         with AlignmentGateway(n_workers=1) as gw:
             assert gw.metrics()["default_backend"] is None
 
 
 class TestHttpBackendSelection:
-    def test_post_align_with_backend_engine_kwargs(self, seqs):
+    def test_post_align_with_backend_engine_kwargs(self, pool, seqs):
         with AlignmentGateway(n_workers=1) as gw:
             server, thread = serve_in_thread(gw)
             try:
@@ -93,16 +99,16 @@ class TestHttpBackendSelection:
                     sequences=seqs[:6],
                     engine="sample-align-d",
                     n_procs=2,
-                    engine_kwargs={"backend": "processes"},
+                    engine_kwargs={"backend": "pool"},
                 )
                 status, body = _post(server.port, {"request": request.to_dict()})
             finally:
                 server.shutdown()
                 thread.join()
         assert status == 200
-        assert body["result"]["diagnostics"]["backend"] == "processes"
+        assert body["result"]["diagnostics"]["backend"] == "pool"
 
-    def test_post_align_with_config_backend(self, seqs):
+    def test_post_align_with_config_backend(self, pool, seqs):
         with AlignmentGateway(n_workers=1) as gw:
             server, thread = serve_in_thread(gw)
             try:
@@ -110,17 +116,17 @@ class TestHttpBackendSelection:
                     sequences=seqs[:6],
                     engine="sample-align-d",
                     n_procs=2,
-                    config=SampleAlignDConfig(backend="processes"),
+                    config=SampleAlignDConfig(backend="pool"),
                 )
                 status, body = _post(server.port, {"request": request.to_dict()})
             finally:
                 server.shutdown()
                 thread.join()
         assert status == 200
-        assert body["result"]["diagnostics"]["backend"] == "processes"
+        assert body["result"]["diagnostics"]["backend"] == "pool"
 
-    def test_gateway_default_reaches_http_clients(self, seqs):
-        with AlignmentGateway(n_workers=1, default_backend="processes") as gw:
+    def test_gateway_default_reaches_http_clients(self, pool, seqs):
+        with _pool_gateway(pool) as gw:
             server, thread = serve_in_thread(gw)
             try:
                 request = AlignRequest(
@@ -131,4 +137,34 @@ class TestHttpBackendSelection:
                 server.shutdown()
                 thread.join()
         assert status == 200
-        assert body["result"]["diagnostics"]["backend"] == "processes"
+        assert body["result"]["diagnostics"]["backend"] == "pool"
+
+    @pytest.mark.parametrize(
+        "engine, engine_kwargs",
+        [
+            ("sample-align-d", {"backend": "processes"}),
+            ("muscle", {"distance": {"backend": "mpi", "workers": 2}}),
+            ("muscle", {"tree": {"backend": "mpi", "workers": 2}}),
+        ],
+        ids=["engine-kwarg", "distance-spec", "tree-spec"],
+    )
+    def test_unregistered_backend_is_a_400(self, seqs, engine, engine_kwargs):
+        """Refused at admission: never enqueued, never run, counted."""
+        with AlignmentGateway(n_workers=1) as gw:
+            server, thread = serve_in_thread(gw)
+            try:
+                request = AlignRequest(
+                    sequences=seqs[:6], engine=engine,
+                    engine_kwargs=engine_kwargs,
+                )
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    _post(server.port, {"request": request.to_dict()})
+                metrics = gw.metrics()
+            finally:
+                server.shutdown()
+                thread.join()
+        assert info.value.code == 400
+        assert "['pool', 'threads']" in json.loads(info.value.read())["error"]
+        assert metrics["rejected_bad_request"] == 1
+        assert metrics["admitted"] == metrics["queue_depth"] == 0
+        assert metrics["service"]["computed"] == 0

@@ -278,14 +278,15 @@ class TestServeParser:
 
 
 class TestBackendFlag:
-    def test_align_backend_processes(self, fasta_file, capsys):
+    def test_align_backend_processes(self, pool, fasta_file, capsys):
+        """Ranks in worker processes: ``--backend pool``."""
         rc = main(
-            ["align", str(fasta_file), "-p", "2", "--backend", "processes"]
+            ["align", str(fasta_file), "-p", "2", "--backend", "pool"]
         )
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.out.startswith(">a")
-        assert "backend=processes" in captured.err
+        assert "backend=pool" in captured.err
 
     def test_align_backend_threads_is_explicit_default(self, fasta_file,
                                                        capsys):
@@ -294,21 +295,22 @@ class TestBackendFlag:
         assert rc == 0
         assert "backend=threads" in capsys.readouterr().err
 
-    def test_align_backend_json_reports_backend(self, fasta_file, tmp_path):
+    def test_align_backend_json_reports_backend(self, pool, fasta_file,
+                                                tmp_path):
         import json
 
         out = tmp_path / "run.json"
         rc = main(["align", str(fasta_file), "-p", "2", "--backend",
-                   "processes", "-o", str(tmp_path / "aln.fasta"),
+                   "pool", "-o", str(tmp_path / "aln.fasta"),
                    "--json", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
-        assert report["diagnostics"]["backend"] == "processes"
+        assert report["diagnostics"]["backend"] == "pool"
 
     def test_align_backend_rejected_for_sequential_engine(self, fasta_file,
                                                           capsys):
         rc = main(["align", str(fasta_file), "--engine", "center-star",
-                   "--backend", "processes"])
+                   "--backend", "pool"])
         assert rc == 2
         err = capsys.readouterr().err
         assert "--backend currently applies only to" in err
@@ -366,7 +368,7 @@ class TestBackendFlag:
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
         assert "execution backends" in out
-        assert "threads" in out and "processes" in out
+        assert "(--backend): pool, threads\n" in out
 
 
 class TestDistanceCli:

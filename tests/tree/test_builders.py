@@ -197,12 +197,12 @@ class TestResolveTreeStage:
         assert (placed.backend, placed.workers) == ("threads", 2)
         # The one way to override a placement is another config:
         # field-wise, the overriding config's fields win.
-        over = TreeConfig(backend="processes", workers=4).over(cfg)
+        over = TreeConfig(backend="pool", workers=4).over(cfg)
         builder, placed = resolve_tree_stage(over)
         assert builder.name == "nj"
-        assert (placed.backend, placed.workers) == ("processes", 4)
+        assert (placed.backend, placed.workers) == ("pool", 4)
         with pytest.raises(TypeError):
-            resolve_tree_stage(cfg, "processes", 4)
+            resolve_tree_stage(cfg, "pool", 4)
 
     def test_placement_only_spec_keeps_the_default_builder(self):
         builder, placed = resolve_tree_stage(

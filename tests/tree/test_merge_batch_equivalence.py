@@ -74,9 +74,9 @@ class TestLevelBatchedByteIdentity:
         ).to_fasta()
         assert batched == per_pair_reference[name]
 
-    @pytest.mark.parametrize("backend", ["threads", "processes", "pool"])
+    @pytest.mark.parametrize("backend", ["threads", "pool"])
     def test_backends_batched_match_per_pair(
-        self, backend, family_seqs, family_trees, per_pair_reference
+        self, pool, backend, family_seqs, family_trees, per_pair_reference
     ):
         out = progressive_align(
             family_seqs, family_trees["upgma"], backend=backend, workers=2

@@ -1,5 +1,6 @@
-"""The acceptance criterion: serial, threads, processes and cooperative
-progressive merges are byte-identical for every registered tree builder."""
+"""The acceptance criterion: serial, threads, pool (warm workers and
+one-shot processes) and cooperative progressive merges are byte-identical
+for every registered tree builder."""
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ class TestAllModesIdentical:
     @pytest.mark.parametrize(
         "name", ["upgma", "wpgma", "nj", "single-linkage"]
     )
-    def test_serial_threads_processes_comm(self, name, trees, tiny_seqs):
+    def test_serial_threads_processes_comm(self, pool, name, trees, tiny_seqs):
         tree = trees[name]
         seqs = list(tiny_seqs)
         serial = progressive_align(seqs, tree).to_fasta()
@@ -33,7 +34,7 @@ class TestAllModesIdentical:
             seqs, tree, backend="threads", workers=3
         ).to_fasta()
         procs = progressive_align(
-            seqs, tree, backend="processes", workers=2
+            seqs, tree, backend="pool", workers=2
         ).to_fasta()
         coop = run_spmd(
             3, lambda comm: progressive_align(seqs, tree, comm=comm).to_fasta()
@@ -42,7 +43,7 @@ class TestAllModesIdentical:
         assert procs == serial
         assert all(r == serial for r in coop.results)
 
-    def test_weighted_merge_identical(self, trees, tiny_seqs):
+    def test_weighted_merge_identical(self, pool, trees, tiny_seqs):
         """The CLUSTALW weighted path re-weights merged profiles; it must
         stay byte-identical too."""
         tree = trees["nj"]
@@ -53,7 +54,7 @@ class TestAllModesIdentical:
             seqs, tree, None, w, backend="threads", workers=2
         ).to_fasta()
         procs = progressive_align(
-            seqs, tree, None, w, backend="processes", workers=2
+            seqs, tree, None, w, backend="pool", workers=2
         ).to_fasta()
         assert threads == serial == procs
 
@@ -74,7 +75,7 @@ class TestAllModesIdentical:
         ).to_fasta()
         assert threads == serial
 
-    def test_larger_family_processes(self, small_family):
+    def test_larger_family_processes(self, one_shot_backend, small_family):
         from repro.align.guide_tree import upgma
 
         seqs = list(small_family.sequences)
@@ -82,7 +83,7 @@ class TestAllModesIdentical:
         tree = upgma(d, [s.id for s in seqs])
         serial = progressive_align(seqs, tree).to_fasta()
         procs = progressive_align(
-            seqs, tree, backend="processes", workers=2
+            seqs, tree, backend=one_shot_backend, workers=2
         ).to_fasta()
         assert procs == serial
 

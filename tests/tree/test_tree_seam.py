@@ -28,7 +28,7 @@ BASELINES = [
 class TestBaselineSeam:
     @pytest.mark.parametrize("make", BASELINES)
     def test_tree_backend_identical_alignment(self, make, tiny_seqs):
-        """threads/processes merge stages reproduce the serial result
+        """threads/pool merge stages reproduce the serial result
         byte-for-byte (the acceptance criterion, through the baselines)."""
         serial = make().align(tiny_seqs)
         threads = make(
@@ -37,10 +37,10 @@ class TestBaselineSeam:
         assert serial == threads
         assert serial.to_fasta() == threads.to_fasta()
 
-    def test_processes_tree_backend_identical(self, tiny_seqs):
+    def test_processes_tree_backend_identical(self, pool, tiny_seqs):
         serial = ClustalWLike().align(tiny_seqs)
         procs = ClustalWLike(
-            tree={"backend": "processes", "workers": 2}
+            tree={"backend": "pool", "workers": 2}
         ).align(tiny_seqs)
         assert serial.to_fasta() == procs.to_fasta()
 
@@ -65,16 +65,16 @@ class TestBaselineSeam:
             for s in seqs:
                 assert un[s.id].residues == s.residues
 
-    def test_anchored_merge_fn_survives_process_backend(self, tiny_seqs):
+    def test_anchored_merge_fn_survives_process_backend(self, pool, tiny_seqs):
         """The fftnsi/anchored merge hook must be picklable (a partial
-        over a module-level function, not a lambda) so the processes
-        backend works under any start method."""
+        over a module-level function, not a lambda) so the pool backend
+        can ship it to its worker processes."""
         import pickle
 
         serial = MafftLike(mode="fftnsi", iterations=0).align(tiny_seqs)
         procs = MafftLike(
             mode="fftnsi", iterations=0,
-            tree={"backend": "processes", "workers": 2},
+            tree={"backend": "pool", "workers": 2},
         ).align(tiny_seqs)
         assert serial.to_fasta() == procs.to_fasta()
         import functools
