@@ -42,12 +42,36 @@ those bits with the same state machine and the same tie-break order
 (diagonal > vertical > horizontal), so paths are identical by
 construction.
 
+Two score sources, one loop
+--------------------------
+The row loop reads substitution scores through one seam,
+``_PaddedBatch.score_row``, and two sources sit behind it:
+
+- **dense** (:func:`affine_align_batch` / :func:`affine_score_batch`):
+  the caller hands one score matrix per pair and they are stacked into a
+  pair-minor ``(m_max, n_max, K)`` float tensor.  This is for scores
+  that are not table look-ups -- profile-profile PSP matrices, k-band
+  masked matrices;
+- **gather** (:func:`gathered_align_batch` /
+  :func:`gathered_score_batch`, what the sequence-level
+  ``global_align_batch`` / ``global_score_batch`` call): the caller
+  hands residue codes and the substitution table, and each DP row's
+  scores are gathered from the table into one pooled ``(n_max, K)``
+  row.  No per-pair matrix and no stacked tensor exist; the values are
+  the same table entries, so results are bit-identical to the dense
+  source on ``table[x][:, y]``.
+
+Every other operation of the loop is shared.  ``dp.batch`` spans carry
+``scores="gather"|"dense"`` and ``dp.batch_gather_pairs`` counts the
+pairs that took the gather source.
+
 Memory is bounded: both modes keep O(K * n_max) float rows; alignment
-mode adds four bytes per padded cell, and the batch is chunked so the
-padded cell count stays under ``max_batch_cells`` (env
-``REPRO_DP_MAX_BATCH_CELLS``).  The estimator-facing batch size is a
-separate knob, ``REPRO_DP_BATCH_PAIRS`` (0 or 1 disables batching and
-falls back to the scalar kernel).
+mode adds four bytes per padded cell, the dense source adds its eight
+bytes per padded cell twice over (pair-major fill, pair-minor stack),
+and the batch is chunked so the padded cell count stays under
+``max_batch_cells`` (env ``REPRO_DP_MAX_BATCH_CELLS``).  The
+estimator-facing batch size is a separate knob, ``REPRO_DP_BATCH_PAIRS``
+(0 or 1 disables batching and falls back to the scalar kernel).
 """
 
 from __future__ import annotations
@@ -72,6 +96,8 @@ __all__ = [
     "affine_align_batch",
     "affine_score_batch",
     "dp_batch_pairs",
+    "gathered_align_batch",
+    "gathered_score_batch",
     "max_batch_cells_setting",
 ]
 
@@ -79,8 +105,13 @@ __all__ = [
 DEFAULT_BATCH_PAIRS = 128
 
 #: Default cap on padded DP cells per fused forward chunk
-#: (``REPRO_DP_MAX_BATCH_CELLS``); ~100 MB of stacked tables in
-#: alignment mode.
+#: (``REPRO_DP_MAX_BATCH_CELLS``).  In alignment mode a full chunk is
+#: ~16 MB of bool decision planes; the dense score source stacks another
+#: ~64 MB of float64 scores on top (two 8-byte tensors), the gather
+#: source (sequence pairs) none.  K=64 at L=250 still measures best
+#: for the full-DP distance stage with the gather source (1,128 pairs,
+#: CPU seconds, best of four alternating rounds: 1 M cells 1.20,
+#: 2 M 1.20, 4 M 1.12, 8.4 M 1.29).
 DEFAULT_MAX_BATCH_CELLS = 4_194_304
 
 # Batched-kernel counters, resolved once (same idiom as the scalar
@@ -89,6 +120,7 @@ DEFAULT_MAX_BATCH_CELLS = 4_194_304
 _BATCH_CALLS = _obs_registry().counter("dp.batch_calls")
 _BATCH_CELLS = _obs_registry().counter("dp.batch_cells")
 _BATCH_PAIRS = _obs_registry().counter("dp.batch_pairs")
+_BATCH_GATHER_PAIRS = _obs_registry().counter("dp.batch_gather_pairs")
 
 
 def dp_batch_pairs(default: int = DEFAULT_BATCH_PAIRS) -> int:
@@ -130,8 +162,9 @@ class _ScratchPool(threading.local):
     which the padding argument above guarantees are never read.
 
     Retained memory is bounded by the largest chunk served, i.e. by the
-    ``REPRO_DP_MAX_BATCH_CELLS`` budget (~100 MB of tables at the
-    default, and ~10 MB for typical distance-stage tiles).
+    ``REPRO_DP_MAX_BATCH_CELLS`` budget: ~16 MB of decision planes at
+    the default, plus ~64 MB of stacked scores once a dense-source
+    chunk that large has run.
     """
 
     def __init__(self) -> None:
@@ -208,23 +241,6 @@ def _chunk_bounds(
     return bounds
 
 
-def _empty_score(
-    m: int,
-    n: int,
-    open_x: np.ndarray,
-    ext_x: np.ndarray,
-    open_y: np.ndarray,
-    ext_y: np.ndarray,
-    tf: float,
-) -> float:
-    """Score of a degenerate pair (mirrors the scalar kernel's edge path)."""
-    if m == 0 and n == 0:
-        return 0.0
-    if m == 0:
-        return float(-tf * (open_y[0] + ext_y.sum())) if n else 0.0
-    return float(-tf * (open_x[0] + ext_x.sum()))
-
-
 def _empty_align(
     m: int,
     n: int,
@@ -245,14 +261,117 @@ def _empty_align(
     return AffineDPResult(score, x_map, y_map)
 
 
+class _DenseScores:
+    """Substitution scores given as one dense matrix per pair.
+
+    What the matrix-level entries get from their callers (profile-profile
+    PSP matrices, k-band masked matrices): scores that are not table
+    look-ups, so the rows have to be stacked.  The stack is filled
+    pair-major with contiguous per-pair copies, then transposed in one
+    bulk pass into the pair-minor ``(m_max, n_max, K)`` layout so the
+    row loop reads contiguous ``(n_max, K)`` slices.
+    """
+
+    kind = "dense"
+
+    def __init__(self, S_list: TSequence[np.ndarray]) -> None:
+        self.S_list = [
+            np.ascontiguousarray(S, dtype=np.float64) for S in S_list
+        ]
+        for S in self.S_list:
+            if S.ndim != 2:
+                raise ValueError("each pair-score matrix must be 2-D")
+        self.shapes = [S.shape for S in self.S_list]
+
+    def row_reader(self, ks: TSequence[int], mmax: int, nmax: int):
+        K = len(ks)
+        S_pm = _scratch.take("S_pm", (K, mmax, nmax))
+        for t, k in enumerate(ks):
+            m, n = self.shapes[k]
+            S_pm[t, :m, :n] = self.S_list[k]
+        S = _scratch.take("S", (mmax, nmax, K))
+        np.copyto(S, S_pm.transpose(1, 2, 0))
+        return S.__getitem__
+
+
+class _GatheredScores:
+    """Substitution scores looked up from one table, a DP row at a time.
+
+    For sequence pairs the score of cell ``(i, j)`` of pair ``k`` is
+    ``table[x_k[i], y_k[j]]``, so no per-pair matrix is ever built.  The
+    chunk holds two small pooled index blocks -- the ``x`` codes,
+    ``(m_max, K)``, and the ``y`` codes offset by ``k * width`` into a
+    ``(K, width)`` block of table rows, ``(n_max, K)`` -- and row ``i``
+    is two ``take`` calls: the K table rows that position ``i`` of each
+    ``x`` selects (K * width floats), then the ``(n_max, K)`` scores
+    out of those rows into a pooled float row.  The values are the same
+    table entries a dense stack would hold, so everything downstream is
+    bit-identical; working memory is O(K * n_max).  Padded lanes carry
+    code 0, a valid entry whose score lands in cells that are never
+    read.
+
+    The gathers run with a non-raising ``take`` mode (with ``out=``,
+    ``mode="raise"`` buffers the whole output), so the bounds check
+    fancy indexing gave for free is made here, once, over all codes.
+    """
+
+    kind = "gather"
+
+    def __init__(
+        self,
+        table: np.ndarray,
+        code_pairs: TSequence[Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        if table.ndim != 2:
+            raise ValueError("the substitution table must be 2-D")
+        self.table = table
+        self.xs = [np.asarray(x) for x, _y in code_pairs]
+        self.ys = [np.asarray(y) for _x, y in code_pairs]
+        for codes, size in zip((self.xs, self.ys), table.shape):
+            stacked = np.concatenate(codes) if codes else np.zeros(0)
+            if stacked.size and not (
+                0 <= int(stacked.min()) and int(stacked.max()) < size
+            ):
+                raise IndexError(
+                    f"residue code out of bounds for a substitution "
+                    f"table axis of size {size}"
+                )
+        self.shapes = [(len(x), len(y)) for x, y in zip(self.xs, self.ys)]
+
+    def row_reader(self, ks: TSequence[int], mmax: int, nmax: int):
+        K = len(ks)
+        table = self.table
+        width = table.shape[1]
+        x_code = _scratch.take("x_code", (mmax, K), dtype=np.intp)
+        y_idx = _scratch.take("y_idx", (nmax, K), dtype=np.intp)
+        x_code[:] = 0
+        y_idx[:] = 0
+        for t, k in enumerate(ks):
+            m, n = self.shapes[k]
+            x_code[:m, t] = self.xs[k]
+            y_idx[:n, t] = self.ys[k]
+        y_idx += np.arange(K) * width
+        x_rows = _scratch.take("x_rows", (K, width))
+        x_rows_flat = x_rows.reshape(-1)
+        row = _scratch.take("s_row", (nmax, K))
+
+        def read(r: int) -> np.ndarray:
+            table.take(x_code[r], axis=0, out=x_rows, mode="clip")
+            return x_rows_flat.take(y_idx, out=row, mode="clip")
+
+        return read
+
+
 class _PaddedBatch:
     """Length-padded pair-minor stack of K non-degenerate pair problems.
 
-    Holds the padded score stack ``S`` of shape ``(m_max, n_max, K)``
-    (filled pair-major with contiguous per-pair copies, then transposed
-    in one bulk pass so the row loop reads contiguous ``(n_max, K)``
-    slices), transposed padded penalty matrices, and per-pair exact
-    cumulative extension costs (computed in 1-D so they match the
+    ``score_row(r)`` is the seam the forward loop reads substitution
+    scores through: the ``(n_max, K)`` scores of x-position ``r`` against
+    every y-position, from whichever source the entry was given
+    (:class:`_DenseScores` or :class:`_GatheredScores`).  Besides that
+    the batch holds transposed padded penalty matrices and per-pair
+    exact cumulative extension costs (computed in 1-D so they match the
     scalar kernel bit for bit).
 
     ``uniform`` is the ``(open_x, ext_x, open_y, ext_y)`` scalar tuple
@@ -265,26 +384,27 @@ class _PaddedBatch:
 
     def __init__(
         self,
-        S_list: TSequence[np.ndarray],
+        scores: Any,
+        ks: TSequence[int],
         open_x: TSequence[np.ndarray],
         ext_x: TSequence[np.ndarray],
         open_y: TSequence[np.ndarray],
         ext_y: TSequence[np.ndarray],
         uniform: Optional[Tuple[float, float, float, float]] = None,
     ) -> None:
-        K = len(S_list)
+        K = len(ks)
         self.K = K
-        self.ms = np.array([s.shape[0] for s in S_list], dtype=np.int64)
-        self.ns = np.array([s.shape[1] for s in S_list], dtype=np.int64)
+        self.ms = np.array([scores.shapes[k][0] for k in ks], dtype=np.int64)
+        self.ns = np.array([scores.shapes[k][1] for k in ks], dtype=np.int64)
         mmax = int(self.ms.max())
         nmax = int(self.ns.max())
         self.mmax, self.nmax = mmax, nmax
         self.uniform = uniform
+        self.score_row = scores.row_reader(ks, mmax, nmax)
 
         # Pooled buffers: padded cells keep whatever bytes the pool held
         # before -- safe, because padded cells are never read (see the
         # module docstring), and zero-filling them is pure overhead.
-        S_pm = _scratch.take("S_pm", (K, mmax, nmax))
         cum_x_pm = _scratch.take("cum_x_pm", (K, mmax + 1))
         cum_y_pm = _scratch.take("cum_y_pm", (K, nmax + 1))
         cum_x_pm[:, 0] = 0.0
@@ -297,27 +417,23 @@ class _PaddedBatch:
             cum_x_pm[:, 1:] = np.cumsum(np.full(mmax, ex_s))
             cum_y_pm[:, 1:] = np.cumsum(np.full(nmax, ey_s))
             self.OX = self.EX = self.OY = None
-            for k in range(K):
-                m, n = int(self.ms[k]), int(self.ns[k])
-                S_pm[k, :m, :n] = S_list[k]
         else:
             OX_pm = _scratch.take("OX_pm", (K, mmax))
             EX_pm = _scratch.take("EX_pm", (K, mmax))
             OY_pm = _scratch.take("OY_pm", (K, nmax))
-            for k in range(K):
-                m, n = int(self.ms[k]), int(self.ns[k])
-                S_pm[k, :m, :n] = S_list[k]
-                OX_pm[k, :m] = open_x[k]
-                EX_pm[k, :m] = ext_x[k]
-                OY_pm[k, :n] = open_y[k]
+            for t, k in enumerate(ks):
+                m, n = int(self.ms[t]), int(self.ns[t])
+                OX_pm[t, :m] = open_x[k]
+                EX_pm[t, :m] = ext_x[k]
+                OY_pm[t, :n] = open_y[k]
                 # Per-pair 1-D cumsum: bit-identical to the scalar
                 # kernel's.
                 cx = np.cumsum(ext_x[k])
                 cy = np.cumsum(ext_y[k])
-                cum_x_pm[k, 1 : m + 1] = cx
-                cum_x_pm[k, m + 1 :] = cx[-1]
-                cum_y_pm[k, 1 : n + 1] = cy
-                cum_y_pm[k, n + 1 :] = cy[-1]
+                cum_x_pm[t, 1 : m + 1] = cx
+                cum_x_pm[t, m + 1 :] = cx[-1]
+                cum_y_pm[t, 1 : n + 1] = cy
+                cum_y_pm[t, n + 1 :] = cy[-1]
             # Transposed penalty matrices for pair-minor row blocks.
             self.OX = _scratch.take("OX", (mmax, K))
             self.EX = _scratch.take("EX", (mmax, K))
@@ -325,10 +441,6 @@ class _PaddedBatch:
             np.copyto(self.OX, OX_pm.T)
             np.copyto(self.EX, EX_pm.T)
             np.copyto(self.OY, OY_pm.T)
-        # One bulk transpose to the pair-minor layout the row loop
-        # reads; same values, so results are unchanged.
-        self.S = _scratch.take("S", (mmax, nmax, K))
-        np.copyto(self.S, S_pm.transpose(1, 2, 0))
         self.cum_x = _scratch.take("cum_x", (mmax + 1, K))
         self.cum_y = _scratch.take("cum_y", (nmax + 1, K))
         np.copyto(self.cum_x, cum_x_pm.T)
@@ -336,9 +448,9 @@ class _PaddedBatch:
         # Pairs grouped by row count: the forward loop captures each
         # pair's final row the moment row m_k is computed.
         self.by_m: dict = {}
-        for k, m in enumerate(self.ms.tolist()):
-            self.by_m.setdefault(int(m), []).append(k)
-        self.by_m = {m: np.array(ks) for m, ks in self.by_m.items()}
+        for t, m in enumerate(self.ms.tolist()):
+            self.by_m.setdefault(int(m), []).append(t)
+        self.by_m = {m: np.array(ts) for m, ts in self.by_m.items()}
 
 
 def _forward_batch(batch: _PaddedBatch, tf: float, align: bool):
@@ -362,7 +474,7 @@ def _forward_batch(batch: _PaddedBatch, tf: float, align: bool):
     """
     K, mmax, nmax = batch.K, batch.mmax, batch.nmax
     cum_x, cum_y = batch.cum_x, batch.cum_y
-    Sp = batch.S
+    score_row = batch.score_row
     uni = batch.uniform
     if uni is None:
         OX, EX, OY = batch.OX, batch.EX, batch.OY
@@ -486,7 +598,7 @@ def _forward_batch(batch: _PaddedBatch, tf: float, align: bool):
         np.maximum(pe1, t1, out=t1)
         np.subtract(t1, ex, out=ev)
         # Diagonal: previous row shifted.
-        np.add(ph0, Sp[i - 1], out=dg)
+        np.add(ph0, score_row(i - 1), out=dg)
         np.maximum(dg, ev, out=h0)
         # Horizontal gap via the exact prefix scan (see align.dp) in
         # log-step shifted-maximum form over contiguous row blocks:
@@ -677,26 +789,22 @@ def _is_scalar(value: Any) -> bool:
     )
 
 
-def _prepare(
-    S_list: TSequence[np.ndarray],
+def _normalise(
+    shapes: TSequence[Tuple[int, int]],
     gap_open: Any,
     gap_extend: Any,
     gap_open_y: Any,
     gap_extend_y: Any,
 ):
-    """Validate inputs and normalise penalties to per-pair vectors.
+    """Normalise penalties to per-pair vectors.
 
     Also detects the uniform-scalar-penalty hot path (all four penalty
     specs are plain scalars, as with :class:`~repro.seq.matrices
     .GapPenalties`), which the forward loop exploits for cheaper
     dispatch without changing any value.
     """
-    S_list = [np.ascontiguousarray(S, dtype=np.float64) for S in S_list]
-    for S in S_list:
-        if S.ndim != 2:
-            raise ValueError("each pair-score matrix must be 2-D")
-    ms = [S.shape[0] for S in S_list]
-    ns = [S.shape[1] for S in S_list]
+    ms = [m for m, _n in shapes]
+    ns = [n for _m, n in shapes]
     oy_raw = gap_open if gap_open_y is None else gap_open_y
     ey_raw = gap_extend if gap_extend_y is None else gap_extend_y
     uniform: Optional[Tuple[float, float, float, float]] = None
@@ -711,7 +819,100 @@ def _prepare(
     ext_x = _normalise_penalties(gap_extend, ms, "gap_extend")
     open_y = _normalise_penalties(oy_raw, ns, "gap_open_y")
     ext_y = _normalise_penalties(ey_raw, ns, "gap_extend_y")
-    return S_list, open_x, ext_x, open_y, ext_y, uniform
+    return open_x, ext_x, open_y, ext_y, uniform
+
+
+def _solve_batch(
+    scores: Any,
+    gap_open: Any,
+    gap_extend: Any,
+    gap_open_y: Any,
+    gap_extend_y: Any,
+    tf: float,
+    max_batch_cells: Optional[int],
+    align: bool,
+) -> Tuple[np.ndarray, Optional[List[Tuple[np.ndarray, np.ndarray]]]]:
+    """The one chunked driver behind every batched entry.
+
+    ``scores`` is a :class:`_DenseScores` or :class:`_GatheredScores`;
+    nothing else differs between the two.  Returns the ``(K,)`` optimal
+    scores and, in align mode, each pair's ``(x_map, y_map)`` (``None``
+    in score mode, where no decision planes are written).
+    """
+    shapes = scores.shapes
+    open_x, ext_x, open_y, ext_y, uniform = _normalise(
+        shapes, gap_open, gap_extend, gap_open_y, gap_extend_y
+    )
+    out = np.empty(len(shapes), dtype=np.float64)
+    maps: Optional[list] = [None] * len(shapes) if align else None
+
+    live: List[int] = []
+    for k, (m, n) in enumerate(shapes):
+        if m == 0 or n == 0:
+            res = _empty_align(
+                m, n, open_x[k], ext_x[k], open_y[k], ext_y[k], tf
+            )
+            out[k] = res.score
+            if align:
+                maps[k] = (res.x_map, res.y_map)
+        else:
+            live.append(k)
+    if not live:
+        return out, maps
+
+    budget = (
+        max_batch_cells_setting()
+        if max_batch_cells is None
+        else max(1, int(max_batch_cells))
+    )
+    gathered = scores.kind == "gather"
+    for a, b in _chunk_bounds([shapes[k] for k in live], budget):
+        ks = live[a:b]
+        batch = _PaddedBatch(
+            scores, ks, open_x, ext_x, open_y, ext_y, uniform=uniform
+        )
+        cells = int((batch.ms * batch.ns).sum())
+        _BATCH_CALLS.inc()
+        _BATCH_PAIRS.inc(len(ks))
+        _BATCH_CELLS.inc(cells)
+        if gathered:
+            _BATCH_GATHER_PAIRS.inc(len(ks))
+        with span(
+            "dp.batch",
+            pairs=len(ks),
+            cells=cells,
+            mode="align" if align else "score",
+            scores=scores.kind,
+        ):
+            last_rows, last_cols, planes = _forward_batch(batch, tf, align)
+            if align or tf != 1.0:
+                out[ks], bis, bjs = _terminal_best_batch(
+                    batch, last_rows, last_cols, tf
+                )
+            else:
+                out[ks] = last_rows[batch.ns, np.arange(len(ks))]
+            if align:
+                PA, PD, SE, SF = planes
+                for t, k in enumerate(ks):
+                    maps[k] = _traceback_bits(
+                        PA[:, :, t],
+                        PD[:, :, t],
+                        SE[:, :, t],
+                        SF[:, :, t],
+                        int(bis[t]),
+                        int(bjs[t]),
+                        *shapes[k],
+                    )
+    return out, maps
+
+
+def _as_results(
+    out: np.ndarray, maps: List[Tuple[np.ndarray, np.ndarray]]
+) -> List[AffineDPResult]:
+    return [
+        AffineDPResult(float(score), x_map, y_map)
+        for score, (x_map, y_map) in zip(out, maps)
+    ]
 
 
 def affine_score_batch(
@@ -729,59 +930,13 @@ def affine_score_batch(
     batch-level twist: each penalty is either a scalar shared by every
     pair, or a sequence of K per-pair specs (scalar or per-position
     vector).  Returns a ``(K,)`` float64 array byte-identical to calling
-    the scalar kernel per pair.  O(K * n_max) working memory.
+    the scalar kernel per pair.  O(K * n_max) working memory on top of
+    the stacked score matrices.
     """
-    S_list, open_x, ext_x, open_y, ext_y, uniform = _prepare(
-        S_list, gap_open, gap_extend, gap_open_y, gap_extend_y
-    )
-    K = len(S_list)
-    out = np.empty(K, dtype=np.float64)
-    if K == 0:
-        return out
-    tf = terminal_factor
-
-    live: List[int] = []
-    for k, S in enumerate(S_list):
-        m, n = S.shape
-        if m == 0 or n == 0:
-            out[k] = _empty_score(
-                m, n, open_x[k], ext_x[k], open_y[k], ext_y[k], tf
-            )
-        else:
-            live.append(k)
-    if not live:
-        return out
-
-    budget = (
-        max_batch_cells_setting()
-        if max_batch_cells is None
-        else max(1, int(max_batch_cells))
-    )
-    shapes = [S_list[k].shape for k in live]
-    for a, b in _chunk_bounds(shapes, budget):
-        ks = live[a:b]
-        batch = _PaddedBatch(
-            [S_list[k] for k in ks],
-            [open_x[k] for k in ks],
-            [ext_x[k] for k in ks],
-            [open_y[k] for k in ks],
-            [ext_y[k] for k in ks],
-            uniform=uniform,
-        )
-        cells = int((batch.ms * batch.ns).sum())
-        _BATCH_CALLS.inc()
-        _BATCH_PAIRS.inc(len(ks))
-        _BATCH_CELLS.inc(cells)
-        with span("dp.batch", pairs=len(ks), cells=cells, mode="score"):
-            last_rows, last_cols, _ = _forward_batch(batch, tf, align=False)
-            if tf == 1.0:
-                out[ks] = last_rows[batch.ns, np.arange(len(ks))]
-            else:
-                scores, _bi, _bj = _terminal_best_batch(
-                    batch, last_rows, last_cols, tf
-                )
-                out[ks] = scores
-    return out
+    return _solve_batch(
+        _DenseScores(S_list), gap_open, gap_extend, gap_open_y,
+        gap_extend_y, terminal_factor, max_batch_cells, align=False,
+    )[0]
 
 
 def affine_align_batch(
@@ -801,66 +956,55 @@ def affine_align_batch(
     so every result is byte-identical to per-pair
     :func:`~repro.align.dp.affine_align`.
     """
-    S_list, open_x, ext_x, open_y, ext_y, uniform = _prepare(
-        S_list, gap_open, gap_extend, gap_open_y, gap_extend_y
-    )
-    K = len(S_list)
-    results: List[Optional[AffineDPResult]] = [None] * K
-    tf = terminal_factor
-
-    live: List[int] = []
-    for k, S in enumerate(S_list):
-        m, n = S.shape
-        if m == 0 or n == 0:
-            results[k] = _empty_align(
-                m, n, open_x[k], ext_x[k], open_y[k], ext_y[k], tf
-            )
-        else:
-            live.append(k)
-    if not live:
-        return results  # type: ignore[return-value]
-
-    budget = (
-        max_batch_cells_setting()
-        if max_batch_cells is None
-        else max(1, int(max_batch_cells))
-    )
-    shapes = [S_list[k].shape for k in live]
-    for a, b in _chunk_bounds(shapes, budget):
-        ks = live[a:b]
-        batch = _PaddedBatch(
-            [S_list[k] for k in ks],
-            [open_x[k] for k in ks],
-            [ext_x[k] for k in ks],
-            [open_y[k] for k in ks],
-            [ext_y[k] for k in ks],
-            uniform=uniform,
+    return _as_results(
+        *_solve_batch(
+            _DenseScores(S_list), gap_open, gap_extend, gap_open_y,
+            gap_extend_y, terminal_factor, max_batch_cells, align=True,
         )
-        cells = int((batch.ms * batch.ns).sum())
-        _BATCH_CALLS.inc()
-        _BATCH_PAIRS.inc(len(ks))
-        _BATCH_CELLS.inc(cells)
-        with span("dp.batch", pairs=len(ks), cells=cells, mode="align"):
-            last_rows, last_cols, planes = _forward_batch(
-                batch, tf, align=True
-            )
-            PA, PD, SE, SF = planes
-            scores, bis, bjs = _terminal_best_batch(
-                batch, last_rows, last_cols, tf
-            )
-            for t, k in enumerate(ks):
-                m, n = S_list[k].shape
-                x_map, y_map = _traceback_bits(
-                    PA[:, :, t],
-                    PD[:, :, t],
-                    SE[:, :, t],
-                    SF[:, :, t],
-                    int(bis[t]),
-                    int(bjs[t]),
-                    m,
-                    n,
-                )
-                results[k] = AffineDPResult(
-                    float(scores[t]), x_map, y_map
-                )
-    return results  # type: ignore[return-value]
+    )
+
+
+def gathered_score_batch(
+    table: np.ndarray,
+    code_pairs: TSequence[Tuple[np.ndarray, np.ndarray]],
+    gap_open: Any,
+    gap_extend: Any,
+    gap_open_y: Any = None,
+    gap_extend_y: Any = None,
+    terminal_factor: float = 1.0,
+    max_batch_cells: Optional[int] = None,
+) -> np.ndarray:
+    """:func:`affine_score_batch` for scores that are table look-ups.
+
+    Pair ``k`` is ``(x_codes, y_codes)`` and its score matrix would be
+    ``table[x_codes][:, y_codes]`` -- which is never built: the row loop
+    gathers each row from ``table`` (see :class:`_GatheredScores`).
+    Byte-identical to the dense entry on those matrices.  A code outside
+    the table raises ``IndexError``.
+    """
+    return _solve_batch(
+        _GatheredScores(table, code_pairs), gap_open, gap_extend,
+        gap_open_y, gap_extend_y, terminal_factor, max_batch_cells,
+        align=False,
+    )[0]
+
+
+def gathered_align_batch(
+    table: np.ndarray,
+    code_pairs: TSequence[Tuple[np.ndarray, np.ndarray]],
+    gap_open: Any,
+    gap_extend: Any,
+    gap_open_y: Any = None,
+    gap_extend_y: Any = None,
+    terminal_factor: float = 1.0,
+    max_batch_cells: Optional[int] = None,
+) -> List[AffineDPResult]:
+    """:func:`affine_align_batch` for scores that are table look-ups
+    (see :func:`gathered_score_batch`)."""
+    return _as_results(
+        *_solve_batch(
+            _GatheredScores(table, code_pairs), gap_open, gap_extend,
+            gap_open_y, gap_extend_y, terminal_factor, max_batch_cells,
+            align=True,
+        )
+    )

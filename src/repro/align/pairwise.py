@@ -79,6 +79,15 @@ def _check_alphabets(x: Sequence, y: Sequence, matrix: SubstitutionMatrix) -> No
         )
 
 
+def _code_pairs(
+    pairs: TSequence[Tuple[Sequence, Sequence]], matrix: SubstitutionMatrix
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """What the batched entries hand the kernel: residue codes only."""
+    for x, y in pairs:
+        _check_alphabets(x, y, matrix)
+    return [(x.codes, y.codes) for x, y in pairs]
+
+
 def global_align(
     x: Sequence,
     y: Sequence,
@@ -102,19 +111,19 @@ def global_align_batch(
 ) -> List[PairwiseResult]:
     """Optimal global alignments of many sequence pairs, one fused DP.
 
-    Runs the batched kernel of :mod:`repro.align.batchdp` over the
-    stacked pair-score problems: results are **byte-identical** to
-    calling :func:`global_align` per pair, but the numpy dispatch cost
-    of the DP row loop is paid once per batch instead of once per pair
-    (5-20x on typical protein lengths).
+    Runs the batched kernel of :mod:`repro.align.batchdp`: results are
+    **byte-identical** to calling :func:`global_align` per pair, but the
+    numpy dispatch cost of the DP row loop is paid once per batch
+    instead of once per pair (5-20x on typical protein lengths).  No
+    per-pair score matrix is built: the kernel is handed the residue
+    codes and the substitution table and gathers each DP row's scores
+    from the table itself.
     """
-    from repro.align.batchdp import affine_align_batch
+    from repro.align.batchdp import gathered_align_batch
 
-    for x, y in pairs:
-        _check_alphabets(x, y, matrix)
-    S_list = [matrix.pair_scores(x.codes, y.codes) for x, y in pairs]
-    results = affine_align_batch(
-        S_list,
+    results = gathered_align_batch(
+        matrix.matrix,
+        _code_pairs(pairs, matrix),
         gaps.open,
         gaps.extend,
         terminal_factor=gaps.terminal_factor,
@@ -138,13 +147,11 @@ def global_score_batch(
     float64 scores, byte-identical to per-pair :func:`global_score`,
     O(K * n_max) working memory.
     """
-    from repro.align.batchdp import affine_score_batch
+    from repro.align.batchdp import gathered_score_batch
 
-    for x, y in pairs:
-        _check_alphabets(x, y, matrix)
-    S_list = [matrix.pair_scores(x.codes, y.codes) for x, y in pairs]
-    return affine_score_batch(
-        S_list,
+    return gathered_score_batch(
+        matrix.matrix,
+        _code_pairs(pairs, matrix),
         gaps.open,
         gaps.extend,
         terminal_factor=gaps.terminal_factor,

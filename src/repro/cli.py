@@ -516,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "-p", "--procs", type=int, default=4, help="virtual processors"
     )
-    _add_stage_flags(p_trace, "--distance-backend", "--tree-backend")
+    _add_stage_flags(
+        p_trace, "--distance", "--distance-backend", "--tree-backend"
+    )
     p_trace.add_argument(
         "-n", "--n-sequences", type=int, default=12,
         help="synthetic family size (no-input mode)",

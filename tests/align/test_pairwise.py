@@ -5,7 +5,9 @@ import pytest
 
 from repro.align.pairwise import (
     global_align,
+    global_align_batch,
     global_score,
+    global_score_batch,
     local_align,
     pairwise_identity,
 )
@@ -71,6 +73,42 @@ class TestGlobalAlign:
         res = global_align(s, t)
         assert res.n_columns == 1
         assert res.y_map.tolist() == [-1]
+
+
+class TestBatchedEntries:
+    """The gather path makes the bounds check that ``pair_scores``'
+    fancy indexing used to give for free."""
+
+    @staticmethod
+    def _corrupt(text: str, code: int) -> Sequence:
+        seq = Sequence("bad", text)
+        codes = seq.codes.copy()
+        codes[1] = code
+        seq._codes = codes
+        return seq
+
+    @pytest.mark.parametrize("entry", [global_align_batch, global_score_batch])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_out_of_range_code_raises_as_pair_scores_does(self, entry, side):
+        good = Sequence("ok", "MKTAYIAK")
+        bad = self._corrupt("MKTAYIAK", BLOSUM62.matrix.shape[0])
+        with pytest.raises(Exception) as scalar:
+            BLOSUM62.pair_scores(bad.codes, good.codes)
+        pair = (bad, good) if side == "x" else (good, bad)
+        with pytest.raises(Exception) as batched:
+            entry([(good, good), pair])
+        assert type(batched.value) is type(scalar.value) is IndexError
+
+    @pytest.mark.parametrize("entry", [global_align_batch, global_score_batch])
+    def test_alphabet_mismatch(self, entry):
+        s = Sequence("a", "ACGT", alphabet=DNA)
+        t = Sequence("b", "MKVA")
+        with pytest.raises(ValueError, match="alphabet"):
+            entry([(t, t), (s, t)])
+
+    def test_empty_batch(self):
+        assert global_align_batch([]) == []
+        assert global_score_batch([]).shape == (0,)
 
 
 class TestLocalAlign:

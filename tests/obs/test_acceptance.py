@@ -125,3 +125,97 @@ class TestPipelineCoverage:
         for event in doc["traceEvents"]:
             assert event["ph"] == "X"
             assert set(event) >= {"name", "ts", "dur", "pid", "tid", "args"}
+
+
+class TestScoreSourceIsVisible:
+    """Which batched-kernel path ran is readable from a trace and from
+    ``/metrics`` without reading code: ``dp.batch`` spans carry
+    ``scores="gather"|"dense"`` and ``dp.batch_gather_pairs`` counts the
+    pairs whose scores were gathered from the substitution table."""
+
+    @pytest.fixture(scope="class")
+    def fulldp_run(self):
+        from repro.obs.metrics import registry
+        from repro.obs.tracing import disable_tracing
+
+        fam = generate_family(
+            n_sequences=9, mean_length=50, seed=4, track_alignment=False
+        )
+        request = AlignRequest(
+            sequences=tuple(fam.sequences),
+            engine="clustalw",
+            engine_kwargs={"distance": "full-dp"},
+        )
+        drain_spans()
+        enable_tracing()
+        before = registry().snapshot()
+        gateway = AlignmentGateway(n_workers=1)
+        try:
+            gateway.submit(request, client_id="acceptance").wait(60)
+        finally:
+            gateway.close()
+            disable_tracing()
+        return drain_spans(), registry().snapshot().diff(before)
+
+    def test_distance_stage_spans_say_gather(self, fulldp_run):
+        records, _ = fulldp_run
+        by_id = {r.span_id: r for r in records}
+
+        def under(rec, name):
+            while rec is not None:
+                if rec.name == name:
+                    return True
+                rec = by_id.get(rec.parent_id)
+            return False
+
+        batches = [r for r in records if r.name == "dp.batch"]
+        in_distance = [r for r in batches if under(r, "distance.all_pairs")]
+        assert in_distance
+        assert {r.attrs["scores"] for r in in_distance} == {"gather"}
+        assert {r.attrs["mode"] for r in in_distance} == {"align"}
+        assert sum(r.attrs["pairs"] for r in in_distance) == 9 * 8 // 2
+        # Profile-profile merges score through PSP matrices, not table
+        # look-ups: whatever they batch stays on the dense stack.
+        for r in batches:
+            if under(r, "tree.merge"):
+                assert r.attrs["scores"] == "dense"
+
+    def test_counter_counts_only_gathered_pairs(self, fulldp_run):
+        _, delta = fulldp_run
+        assert delta.metrics["dp.batch_gather_pairs"].value == 9 * 8 // 2
+        assert (
+            delta.metrics["dp.batch_pairs"].value
+            >= delta.metrics["dp.batch_gather_pairs"].value
+        )
+
+    def test_dense_entries_do_not_count_as_gathered(self):
+        import numpy as np
+
+        from repro.align.batchdp import affine_align_batch
+        from repro.obs.metrics import registry
+        from repro.obs.tracing import collect
+
+        enable_tracing()
+        before = registry().snapshot()
+        with collect(tee=False) as buf:
+            affine_align_batch([np.zeros((4, 4)), np.zeros((5, 3))], 10.0, 0.5)
+        (rec,) = [r for r in buf.records() if r.name == "dp.batch"]
+        assert rec.attrs["scores"] == "dense"
+        delta = registry().snapshot().diff(before)
+        assert delta.metrics["dp.batch_pairs"].value == 2
+        gathered = delta.metrics.get("dp.batch_gather_pairs")
+        assert gathered is None or gathered.value == 0
+
+    def test_trace_and_prometheus_exports_carry_it(self, fulldp_run):
+        from repro.obs.metrics import registry
+        from repro.obs.prom import render_prometheus
+
+        records, _ = fulldp_run
+        events = to_chrome_trace(records)["traceEvents"]
+        sources = {
+            e["args"]["scores"] for e in events if e.get("name") == "dp.batch"
+        }
+        assert "gather" in sources
+        assert "dp_batch_gather_pairs" in render_prometheus(
+            registry().snapshot()
+        )

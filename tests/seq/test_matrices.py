@@ -84,6 +84,28 @@ class TestBundledMatrices:
         assert S.shape == (2, 3)
         assert S[0, 0] == 4 and S[1, 1] == 5
 
+    def test_pair_scores_is_c_contiguous_float64(self):
+        # The DP kernels copy a column-major score matrix once more
+        # before their first row; pair_scores must not hand them one.
+        rng = np.random.default_rng(5)
+        x = rng.integers(0, PROTEIN.size + 1, size=37).astype(np.uint8)
+        y = rng.integers(0, PROTEIN.size + 1, size=23).astype(np.uint8)
+        S = BLOSUM62.pair_scores(x, y)
+        assert S.flags.c_contiguous
+        assert S.dtype == np.float64
+        assert np.array_equal(S, BLOSUM62.matrix[np.ix_(x, y)])
+        for m, n in ((0, 4), (3, 0), (0, 0)):
+            E = BLOSUM62.pair_scores(x[:m], y[:n])
+            assert E.shape == (m, n) and E.dtype == np.float64
+
+    def test_pair_scores_out_of_range_code_raises(self):
+        bad = np.array([0, BLOSUM62.matrix.shape[0]], dtype=np.uint8)
+        ok = np.array([0, 1], dtype=np.uint8)
+        with pytest.raises(IndexError):
+            BLOSUM62.pair_scores(bad, ok)
+        with pytest.raises(IndexError):
+            BLOSUM62.pair_scores(ok, bad)
+
     def test_residue_part(self):
         assert BLOSUM62.residue_part.shape == (21, 21)
 
