@@ -4,13 +4,17 @@ Starts the serving stack on an ephemeral port (exactly what
 ``python -m repro serve --port 0`` builds), drives it over a real
 socket with stdlib urllib, and asserts the three things a deploy
 gate cares about: liveness, a correct alignment response, and sane
-metrics.  Exits non-zero on any failure.
+metrics -- then two distinct requests from two threads, which must both
+complete on the two-worker gateway (whose engines run one at a time
+behind the compute token) with the token's wait counters in
+``/metrics``.  Exits non-zero on any failure.
 
 Run:  PYTHONPATH=src python .github/scripts/gateway_smoke.py
 """
 
 import json
 import sys
+import threading
 import urllib.request
 
 from repro.serve import AlignmentGateway, serve_in_thread
@@ -52,6 +56,36 @@ def main() -> int:
             metrics = json.loads(resp.read())
         assert metrics["completed"] == 1, metrics
         print("metrics ok:", {k: metrics[k] for k in ("admitted", "completed")})
+
+        def post(tail, rows):
+            distinct = json.loads(body)
+            distinct["sequences"][0]["residues"] += tail
+            request = urllib.request.Request(
+                f"{base}/align", data=json.dumps(distinct).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=120) as resp:
+                rows.append(json.loads(resp.read())["result"]["n_rows"])
+
+        rows = []
+        clients = [
+            threading.Thread(target=post, args=(tail, rows))
+            for tail in ("LV", "IW")
+        ]
+        for client in clients:
+            client.start()
+        for client in clients:
+            client.join(timeout=120)
+        assert rows == [3, 3], rows
+        with urllib.request.urlopen(f"{base}/metrics", timeout=30) as resp:
+            metrics = json.loads(resp.read())
+        assert metrics["completed"] == 3 and metrics["failed"] == 0, metrics
+        service = metrics["service"]
+        assert service["computed"] == 3, service
+        assert {"compute_waits", "compute_wait_s"} <= service.keys(), service
+        print("two concurrent requests ok:",
+              {k: service[k] for k in ("computed", "compute_waits",
+                                       "compute_wait_s")})
         return 0
     finally:
         server.shutdown()

@@ -401,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8000, help="0 picks an ephemeral port"
     )
     p_serve.add_argument(
-        "--workers", type=int, default=4, help="gateway dispatcher threads"
+        "--workers", type=int, default=4,
+        help="requests in flight at once (gateway dispatcher threads and "
+        "service threads); in-process computes still run one at a time "
+        "per process, so this buys overlap of store I/O and "
+        "--backend pool runs, not parallel alignment",
     )
     p_serve.add_argument(
         "--queue-size", type=int, default=256, help="admission-queue bound"

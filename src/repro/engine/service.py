@@ -26,6 +26,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
@@ -33,6 +34,7 @@ from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Protocol,
@@ -43,6 +45,7 @@ from typing import (
 from repro.engine.api import AlignRequest, AlignResult
 from repro.engine.registry import get_engine
 from repro.obs.tracing import collect, span, stage_breakdown, tracing_enabled
+from repro.parcomp.token import COMPUTE_TOKEN
 
 __all__ = [
     "AlignJob",
@@ -264,9 +267,24 @@ class AlignmentService:
     Parameters
     ----------
     max_workers:
-        Thread-pool width (default: a small pool; alignment kernels are
-        numpy-bound so they release the GIL poorly -- the pool's value
-        is overlap of independent jobs, not intra-job speedup).
+        Thread-pool width: the bound on requests *in flight* (default
+        4).  It does not buy parallel in-process computes.  Alignment
+        kernels are many small numpy calls that release the GIL poorly,
+        and two of them trading it across two cores finish later than
+        one thread doing both jobs (measured 1.45x the serial sum on a
+        2-vCPU host), so every engine run takes the process-wide
+        :data:`~repro.parcomp.token.COMPUTE_TOKEN` and in-process
+        computes run **one at a time per process** -- across services
+        too, because the GIL is per process.  What the extra threads do
+        overlap with the running compute: engine construction, result
+        store I/O (``cache.put`` happens after the token is given
+        back), and runs dispatched onto worker processes
+        (``backend="pool"`` parks the token while the workers compute,
+        so the next in-process compute runs beside them; runs on *one*
+        :class:`~repro.pool.WorkerPool` still go one at a time, which is
+        that pool's own dispatch lock, not this token).  Time spent
+        waiting for the token is in ``stats["compute_wait_s"]`` and, on
+        a traced request, a ``service.token_wait`` span.
     cache_size:
         Capacity of the default in-memory LRU cache (0 disables
         caching).  Ignored when ``cache`` is given.
@@ -290,8 +308,12 @@ class AlignmentService:
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be >= 0")
+        if max_workers is None:
+            max_workers = 4
+        if max_workers < 1:
+            raise ValueError("max_workers must be >= 1")
         self._executor = ThreadPoolExecutor(
-            max_workers=max_workers or 4, thread_name_prefix="align-engine"
+            max_workers=max_workers, thread_name_prefix="align-engine"
         )
         if cache is not None:
             self._cache: Optional[CacheBackend] = cache
@@ -306,6 +328,8 @@ class AlignmentService:
         self._misses = 0
         self._computed = 0
         self._cache_put_failures = 0
+        self._compute_wait_s = 0.0
+        self._compute_waits = 0
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -386,6 +410,21 @@ class AlignmentService:
 
     # -- internals ---------------------------------------------------------
 
+    @contextmanager
+    def _compute_token(self) -> Iterator[None]:
+        """Hold the process's compute token for the body -- exactly the
+        ``engine.run`` call -- and account for the wait to get it."""
+        with span("service.token_wait"):
+            waited = COMPUTE_TOKEN.acquire()
+        try:
+            if waited:
+                with self._lock:
+                    self._compute_wait_s += waited
+                    self._compute_waits += 1
+            yield
+        finally:
+            COMPUTE_TOKEN.release()
+
     def _execute(self, request: AlignRequest, key: str) -> AlignResult:
         try:
             engine = get_engine(request.engine, **request.engine_kwargs)
@@ -399,14 +438,15 @@ class AlignmentService:
                     engine=request.engine,
                     n_seqs=len(request.sequences),
                     request_hash=key[:12],
-                ):
+                ), self._compute_token():
                     result = engine.run(request)
                 result.diagnostics = {
                     **result.diagnostics,
                     "stage_breakdown": stage_breakdown(trace_buf.records()),
                 }
             else:
-                result = engine.run(request)
+                with self._compute_token():
+                    result = engine.run(request)
             if self._cache is not None:
                 # Outside the lock (thread-safe backend, possibly disk
                 # I/O) and never fatal: a cache that cannot store costs
@@ -433,8 +473,11 @@ class AlignmentService:
         attach counts as a hit), ``served`` is an alias of ``hits``,
         ``computed`` counts engine runs that completed, ``evictions``
         comes from the backend, and ``cached``/``inflight`` are current
-        occupancies.  ``cache_backend`` carries the backend's own
-        counters (``None`` when caching is disabled).
+        occupancies.  ``compute_wait_s`` sums the seconds this
+        service's requests waited for the process's compute token and
+        ``compute_waits`` counts the acquisitions that had to wait.
+        ``cache_backend`` carries the backend's own counters (``None``
+        when caching is disabled).
         """
         backend_stats: Optional[Dict[str, Any]] = None
         if self._cache is not None:
@@ -449,6 +492,8 @@ class AlignmentService:
                 "cached": len(self._cache) if self._cache is not None else 0,
                 "inflight": len(self._inflight),
                 "cache_put_failures": self._cache_put_failures,
+                "compute_wait_s": self._compute_wait_s,
+                "compute_waits": self._compute_waits,
                 "cache_backend": backend_stats,
             }
 

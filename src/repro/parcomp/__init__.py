@@ -23,6 +23,9 @@ byte-identical program results and equivalent ledgers.
 - :mod:`repro.parcomp.comm` -- the transport seam and :class:`VirtualComm`.
 - :mod:`repro.parcomp.backends` -- the execution backends and registry.
 - :mod:`repro.parcomp.launcher` -- the SPMD launcher (``run_spmd``).
+- :mod:`repro.parcomp.token` -- the process's compute token: one
+  request's engine computes in-process at a time, and a ``pool``
+  dispatch parks it while the worker processes run.
 """
 
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger, estimate_nbytes

@@ -133,6 +133,15 @@ class ThreadBackend(ExecutionBackend):
     (``time.sleep``, file I/O in a ``TileStore`` rank) keeps the token
     while it does; that is the price of one-at-a-time.
 
+    Under an :class:`~repro.engine.service.AlignmentService` there is a
+    second token above this one: the service thread that called
+    :meth:`run` holds the process's compute token
+    (:data:`~repro.parcomp.token.COMPUTE_TOKEN`) and keeps it while it
+    sits in ``join`` -- it does not park it, because its ranks *are*
+    in-process compute.  The rank threads never touch that token; they
+    hand the fabric's run token among themselves, so the process still
+    has exactly one runnable compute thread.
+
     Parameters
     ----------
     abort_join_timeout:

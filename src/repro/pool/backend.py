@@ -38,6 +38,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.obs.tracing import span, tracing_enabled
 from repro.parcomp.backends import ExecutionBackend, SpmdResult
 from repro.parcomp.cost import CostModel
+from repro.parcomp.token import COMPUTE_TOKEN
 from repro.pool.workers import WorkerCrashError, WorkerPool
 
 __all__ = [
@@ -62,6 +63,22 @@ class PoolBackend(ExecutionBackend):
         Whole-run retries after worker *crashes* (program errors are
         never retried).  Sound because the repo's rank programs are
         deterministic and side-effect-free.
+
+    Who holds which token while blocked: a service request that gets
+    here holds the process's compute token
+    (:data:`~repro.parcomp.token.COMPUTE_TOKEN`), and all it does from
+    here on is wait for other processes.  :meth:`run` therefore parks
+    the token around every ``run_spmd`` dispatch -- the warm pool, a
+    one-shot overflow pool and each crash retry alike -- and takes it
+    back before returning (the wait to get it back is the
+    ``pool.token_wait`` span), so the next in-process compute runs
+    meanwhile, and so do dispatches onto *other* pools (two overflow
+    runs, each on its one-shot pool).  Two runs on one
+    :class:`WorkerPool` still go one after the other: that is the
+    pool's own dispatch lock (rank ``r`` runs on slot ``r``), as before
+    the token existed.  A caller that does not hold the token (a
+    direct ``run_request``, a rank thread of a ``threads`` run) neither
+    acquires nor releases it.
     """
 
     name = "pool"
@@ -106,9 +123,10 @@ class PoolBackend(ExecutionBackend):
                     )
                     if overflow else contextlib.nullcontext(pool)
                 ) as runner:
-                    result = runner.run_spmd(
-                        n_ranks, fn, args, rank_args, cost_model, **kwargs
-                    )
+                    with COMPUTE_TOKEN.parked():
+                        result = runner.run_spmd(
+                            n_ranks, fn, args, rank_args, cost_model, **kwargs
+                        )
                     if tracing_enabled():
                         # stats() scans /dev/shm -- only pay for it when
                         # someone is looking at the trace.

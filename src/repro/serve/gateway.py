@@ -201,7 +201,15 @@ class AlignmentGateway:
         passed in explicitly is also closed by :meth:`close` unless
         ``close_service=False``.
     n_workers:
-        Dispatcher threads draining the admission queue.
+        Dispatcher threads draining the admission queue: the bound on
+        admitted requests handed to the service at once (and the width
+        of the service the gateway creates for itself).  It buys
+        overlap of store hits, store writes and pool-dispatched runs
+        with the running compute, not parallel in-process computes --
+        the service runs those one at a time per process (see
+        :class:`~repro.engine.service.AlignmentService`), which is what
+        makes a two-worker cold pass cost about the serial sum of its
+        computes instead of 1.45x it.
     max_queue:
         Admission-queue bound; the depth at which new non-coalescing
         requests are rejected with :class:`QueueFullError`.
@@ -210,9 +218,6 @@ class AlignmentGateway:
         capacity; burst defaults to ``max(1, 2*rate)`` and must be at
         least 1, the cost of one request).  ``rate=None`` disables rate
         limiting.
-    latency_window:
-        Number of most-recent request latencies kept for the percentile
-        metrics.
     max_tickets:
         Bound on the ticket lookup table (oldest tickets are forgotten
         first; their computations are unaffected).
@@ -260,7 +265,6 @@ class AlignmentGateway:
         max_queue: int = 256,
         rate: Optional[float] = None,
         burst: Optional[float] = None,
-        latency_window: int = 4096,
         max_tickets: int = 4096,
         close_service: bool = True,
         default_backend: Optional[str] = None,
@@ -315,9 +319,7 @@ class AlignmentGateway:
         # Request latencies go into a bounded log-bucketed histogram:
         # O(1) per observation and O(buckets) per snapshot, versus the
         # old deque that was sorted in full on every metrics() call and
-        # forgot everything older than latency_window requests.  The
-        # parameter is kept for API compatibility but no longer bounds
-        # what the percentiles see.
+        # forgot everything older than its window.
         self._latencies = Histogram()
         self._counters = {
             "admitted": 0,

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import faulthandler
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.datagen.rose import generate_family
+from repro.parcomp.token import COMPUTE_TOKEN
 from repro.pool import PoolBackend, WorkerPool, set_default_pool
 from repro.pool.shm import shm_dir_segments
 from repro.seq.sequence import Sequence, SequenceSet
@@ -79,6 +83,24 @@ def pool():
         set_default_pool(prev)
         p.close()
         assert shm_dir_segments(p.name) == []
+
+
+@pytest.fixture()
+def compute_token():
+    """The process's compute token, free before and after the test.
+
+    Every test of the token asks for this fixture: its watchdog turns a
+    lost token (an executor thread parked on it for good, so closing the
+    service never returns) into a dump of every thread's stack and a
+    dead run instead of a session that never ends.
+    """
+    assert not COMPUTE_TOKEN._lock.locked()
+    faulthandler.dump_traceback_later(120, exit=True, file=sys.__stderr__)
+    try:
+        yield COMPUTE_TOKEN
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert not COMPUTE_TOKEN._lock.locked()
 
 
 @pytest.fixture()

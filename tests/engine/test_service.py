@@ -265,3 +265,168 @@ class TestLifecycle:
             assert counting_engine.calls == 1
             assert sum(j.cache_hit for j in jobs) == 1
             assert results[0].alignment == results[1].alignment
+
+
+class TestMaxWorkers:
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_below_one_is_refused(self, bad):
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            AlignmentService(max_workers=bad)
+
+    def test_none_is_the_default_width(self, req):
+        with AlignmentService(max_workers=None) as svc:
+            assert svc._executor._max_workers == 4
+            assert svc.run(req()).alignment.n_rows == 5
+
+
+# -- the compute token --------------------------------------------------------
+
+
+class OverlapEngine:
+    """Toy engine that records how many threads were inside ``run`` at
+    once, and raises on requests seeded 13."""
+
+    name = "overlap"
+    kind = "sequential"
+    lock = threading.Lock()
+    inside = 0
+    peak = 0
+
+    def run(self, request):
+        cls = OverlapEngine
+        with cls.lock:
+            cls.inside += 1
+            cls.peak = max(cls.peak, cls.inside)
+        try:
+            time.sleep(0.05)
+            if request.seed == 13:
+                raise RuntimeError("engine failed on purpose")
+            aln = Alignment.from_rows(
+                [s.id for s in request.sequences],
+                [s.residues.ljust(40, "-")[:40] for s in request.sequences],
+            )
+            return AlignResult(
+                alignment=aln, engine=self.name, sp=0.0, wall_time=0.0,
+                request_hash=request.content_hash(),
+            )
+        finally:
+            with cls.lock:
+                cls.inside -= 1
+
+
+@pytest.fixture()
+def overlap_engine():
+    OverlapEngine.inside = OverlapEngine.peak = 0
+    register_engine("overlap", lambda **kw: OverlapEngine(), overwrite=True)
+    yield OverlapEngine
+    unregister_engine("overlap")
+
+
+class TestComputeToken:
+    @pytest.mark.parametrize("n_services", [1, 2])
+    def test_one_compute_at_a_time(
+        self, req, overlap_engine, compute_token, n_services
+    ):
+        """Distinct requests never meet inside an engine -- nor across
+        two services: the token is the process's, not a service's."""
+        services = [AlignmentService(max_workers=2) for _ in range(n_services)]
+        try:
+            jobs = [
+                services[seed % n_services].submit(
+                    req(engine="overlap", seed=seed)
+                )
+                for seed in (1, 2, 3, 4)
+            ]
+            for job in jobs:
+                assert job.wait(timeout=30).alignment.n_rows == 5
+        finally:
+            for svc in services:
+                svc.close()
+        stats = [svc.stats for svc in services]
+        assert overlap_engine.peak == 1
+        assert sum(s["computed"] for s in stats) == 4
+        assert sum(s["compute_waits"] for s in stats) >= 1
+        assert sum(s["compute_wait_s"] for s in stats) > 0
+
+    def test_uncontended_run_counts_no_wait(
+        self, req, overlap_engine, compute_token
+    ):
+        with AlignmentService(max_workers=2) as svc:
+            svc.submit(req(engine="overlap")).wait(timeout=30)
+            assert svc.stats["compute_waits"] == 0
+            assert svc.stats["compute_wait_s"] == 0.0
+
+    def test_failing_engine_releases_the_token(
+        self, req, overlap_engine, compute_token
+    ):
+        with AlignmentService(max_workers=2) as svc:
+            bad = svc.submit(req(engine="overlap", seed=13))
+            with pytest.raises(RuntimeError, match="on purpose"):
+                bad.wait(timeout=30)
+            assert not compute_token._lock.locked()
+            good = svc.submit(req(engine="overlap", seed=1))
+            assert good.wait(timeout=30).alignment.n_rows == 5
+
+    def test_hits_and_attaches_do_not_wait_for_the_token(
+        self, req, counting_engine, compute_token
+    ):
+        with AlignmentService(max_workers=2) as svc:
+            cached = req(engine="counting", seed=1)
+            svc.run(cached)
+            counting_engine.started.clear()
+            counting_engine.release.clear()  # hold the next run mid-engine
+            blocked = req(engine="counting", seed=2)
+            first = svc.submit(blocked)
+            assert counting_engine.started.wait(timeout=10)
+            assert compute_token._lock.locked()  # ... with the token held
+            try:
+                hit = svc.submit(cached)
+                assert hit.cache_hit and hit.done
+                assert hit.wait(timeout=1).alignment.n_rows == 5
+                attach = svc.submit(blocked)
+                assert attach.cache_hit and not attach.done
+            finally:
+                counting_engine.release.set()
+            assert first.wait(timeout=30) is attach.wait(timeout=30)
+            assert counting_engine.calls == 2
+            assert svc.stats["compute_waits"] == 0
+
+    def test_close_drains_the_computing_and_the_waiting_job(
+        self, req, counting_engine, compute_token
+    ):
+        counting_engine.release.clear()
+        svc = AlignmentService(max_workers=2)
+        computing = svc.submit(req(engine="counting", seed=1))
+        assert counting_engine.started.wait(timeout=10)
+        waiting = svc.submit(req(engine="counting", seed=2))
+        # The second job's thread is (or is about to be) parked at the
+        # token; only the first has entered the engine.
+        assert counting_engine.calls == 1
+        threading.Timer(0.3, counting_engine.release.set).start()
+        svc.close()
+        assert computing.done and computing.status == "done"
+        assert waiting.done and waiting.status == "done"
+        assert counting_engine.calls == 2
+        assert svc.stats["compute_waits"] == 1
+
+    def test_stress_many_threads_never_overlap(
+        self, req, overlap_engine, compute_token
+    ):
+        """More service threads than cores, a short switch interval: the
+        engine still sees one thread at a time and every job completes."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with AlignmentService(max_workers=8, cache_size=0) as svc:
+                jobs = [
+                    svc.submit(req(engine="overlap", seed=100 + i))
+                    for i in range(16)
+                ]
+                for job in jobs:
+                    job.wait(timeout=60)
+                assert svc.stats["computed"] == 16
+        finally:
+            sys.setswitchinterval(interval)
+        assert overlap_engine.peak == 1

@@ -219,3 +219,73 @@ class TestScoreSourceIsVisible:
         assert "dp_batch_gather_pairs" in render_prometheus(
             registry().snapshot()
         )
+
+
+class TestTokenWaitIsAttributed:
+    """Two distinct requests on a two-thread service: the one that has to
+    wait for the compute token shows the wait as its own span, not as
+    unexplained ``service.execute`` time, and the service counts it."""
+
+    @pytest.fixture(scope="class")
+    def contended_run(self):
+        from repro.engine.service import AlignmentService
+        from repro.obs.tracing import disable_tracing
+
+        requests = [
+            AlignRequest(
+                sequences=tuple(
+                    generate_family(
+                        n_sequences=16, mean_length=100, seed=seed,
+                        track_alignment=False,
+                    ).sequences
+                ),
+                engine="muscle",
+            )
+            for seed in (21, 22)
+        ]
+        drain_spans()
+        enable_tracing()
+        try:
+            with AlignmentService(max_workers=2) as service:
+                for job in [service.submit(r) for r in requests]:
+                    job.wait(60)
+                stats = service.stats
+        finally:
+            disable_tracing()
+        return stats, drain_spans()
+
+    def test_token_wait_sits_under_service_execute(self, contended_run):
+        _, records = contended_run
+        by_id = {r.span_id: r for r in records}
+        waits = [r for r in records if r.name == "service.token_wait"]
+        assert len(waits) == 2
+        for wait in waits:
+            assert by_id[wait.parent_id].name == "service.execute"
+        stages = _index(stage_breakdown(records))
+        assert stages["service.token_wait"][1]["stage"] == "service.execute"
+
+    def test_wait_and_engine_account_for_service_execute(self, contended_run):
+        stats, records = contended_run
+        parts = ("service.token_wait", "engine.align", "engine.score")
+        executes = [r for r in records if r.name == "service.execute"]
+        assert len(executes) == 2
+        checked = 0
+        for execute in executes:
+            children = {
+                r.name: r.dur for r in records
+                if r.parent_id == execute.span_id and r.name in parts
+            }
+            assert set(children) == set(parts)
+            if children["engine.align"] < 0.05:
+                continue  # too short for a 5 % bound on this host
+            checked += 1
+            assert sum(children.values()) == pytest.approx(
+                execute.dur, rel=0.05
+            )
+        assert checked >= 1
+        # One of the two waited for the other, and the counters saw it.
+        waited = sum(
+            r.dur for r in records if r.name == "service.token_wait"
+        )
+        assert stats["compute_waits"] >= 1
+        assert stats["compute_wait_s"] == pytest.approx(waited, rel=0.05)

@@ -459,6 +459,49 @@ class TestPoolOverflow:
         assert os.path.exists(sentinel)  # the crash really happened
         assert own.stats()["fallback_runs"] == 1  # one run, two attempts
 
+    def test_token_holder_parks_on_every_attempt(
+        self, own, tmp_path, compute_token
+    ):
+        """The one-shot pool and the crash retry go through the same park
+        as a run that fits: a caller holding the compute token gives it
+        up for each ``run_spmd`` (another thread gets it meanwhile) and
+        has it back when ``run`` returns."""
+        from repro.obs.tracing import (
+            collect, disable_tracing, drain_spans, enable_tracing,
+        )
+
+        got_it = []
+
+        def bystander():
+            compute_token.acquire()
+            got_it.append(time.perf_counter())
+            compute_token.release()
+
+        sentinel = str(tmp_path / "crashed-once")
+        thread = threading.Thread(target=bystander)
+        enable_tracing()
+        compute_token.acquire()
+        try:
+            drain_spans()
+            thread.start()
+            with collect(tee=False) as buf:
+                res = PoolBackend(own).run(
+                    5, _kill_rank_three_once, args=(sentinel,)
+                )
+            returned = time.perf_counter()
+            assert compute_token.held()
+        finally:
+            compute_token.release()
+            disable_tracing()
+            drain_spans()
+            thread.join(timeout=10)
+        assert res.results == [(r - 1) % 5 for r in range(5)]
+        assert os.path.exists(sentinel)  # the crash really happened
+        assert got_it and got_it[0] < returned
+        names = [r.name for r in buf.records()]
+        assert names.count("pool.dispatch") == 2
+        assert names.count("pool.token_wait") == 2
+
 
 def test_processes_name_is_gone(tmp_path, capsys):
     """No alias: registry, config and CLI all name what is available."""
