@@ -14,22 +14,16 @@ proves two things:
   wall-clock on any host with >= 2 cores (a single-core host can only
   tie: the pool pays dispatch/pickle overhead with no extra compute to
   spend it on, so the gate is core-conditional);
-- **batching** -- the batched DP kernel (``repro.align.batchdp``, on by
-  default) makes even the *serial* full-DP stage >= 3x faster than the
-  per-pair kernel (``REPRO_DP_BATCH_PAIRS=0``), measured head-to-head
-  in the same run.  The ``kband`` estimator rides the same
-  contract: its batched band certification + traceback
-  (``REPRO_KBAND_BATCH=0`` to disable) must be byte-identical to the
-  per-pair loop, with the >= 1.5x end-to-end gate in
-  bench_merge_batch;
+- **batching** -- the batched DP kernel (``repro.align.batchdp``) makes
+  even the *serial* full-DP stage >= 3x faster than one scalar
+  ``global_align`` per pair, measured head-to-head in the same run with
+  byte-identical matrices;
 - **score source** -- the 1,128 pairs of the ``guidetree_fulldp`` shape
   (N=48, L=250) through the dense stack (``affine_align_batch`` over
   per-pair ``pair_scores`` matrices, what ``full-dp`` ran before PR 17)
   and through the table gather (``global_align_batch``, what it runs
-  now), alternating in this process: identities must be byte-equal, the
-  ratio is reported, and a ``kband`` time on the same pairs sits beside
-  the new ``full-dp`` time (the earn-or-delete evidence of ROADMAP
-  4(b)).
+  now), alternating in this process: identities must be byte-equal and
+  the ratio is reported.
 
 Output: benchmarks/reports/distance_scaling.json (machine-readable, the
 perf-tracking artifact) plus the usual text report.
@@ -48,14 +42,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _util import FULL, REPORT_DIR, explicit_pool, fmt_table, write_report
 
-from repro.align.batchdp import affine_align_batch, dp_batch_pairs
-from repro.align.pairwise import PairwiseResult
+from repro.align.batchdp import MAX_BATCH_PAIRS, affine_align_batch
+from repro.align.pairwise import PairwiseResult, global_align
 from repro.datagen.rose import generate_family
-from repro.distance import FullDpDistance, KbandDistance, all_pairs
+from repro.distance import FullDpDistance, all_pairs
 
 #: backend=None is the serial in-process path.
 BACKENDS = (None, "threads", "pool")
-ESTIMATORS = ("ktuple", "kband", "full-dp")
+ESTIMATORS = ("ktuple", "full-dp")
 
 
 def _workloads():
@@ -84,16 +78,26 @@ def _measure(fn, repeats):
     return best, result
 
 
+def _per_pair_full_dp(seqs):
+    """The ``full-dp`` matrix from one scalar ``global_align`` per pair."""
+    n = len(seqs)
+    d = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = 1.0 - global_align(seqs[i], seqs[j]).identity()
+    return d
+
+
 def _dense_stack_identities(estimator, seqs, ii, jj):
     """``FullDpDistance.pair_identities`` as it ran before the gather:
     one ``pair_scores`` matrix per pair, stacked by the dense entry."""
     matrix, gaps = estimator.matrix, estimator.gaps
-    chunk = dp_batch_pairs()
     out = np.empty(len(ii), dtype=np.float64)
-    for t0 in range(0, len(ii), chunk):
+    for t0 in range(0, len(ii), MAX_BATCH_PAIRS):
+        part = slice(t0, t0 + MAX_BATCH_PAIRS)
         pairs = [
             (seqs[int(a)], seqs[int(b)])
-            for a, b in zip(ii[t0 : t0 + chunk], jj[t0 : t0 + chunk])
+            for a, b in zip(ii[part], jj[part])
         ]
         res = affine_align_batch(
             [matrix.pair_scores(x.codes, y.codes) for x, y in pairs],
@@ -110,7 +114,7 @@ def _dense_stack_identities(estimator, seqs, ii, jj):
 
 def _score_source_comparison(rounds):
     """Dense stack vs table gather, alternating, on the same 1,128
-    pairs; one kband time on them beside the two."""
+    pairs."""
     n, length = (48, 250)
     fam = generate_family(
         n_sequences=n,
@@ -135,12 +139,6 @@ def _score_source_comparison(rounds):
             identities[name] = arms[name]()
             walls[name].append(time.perf_counter() - t0)
     med = {name: statistics.median(w) for name, w in walls.items()}
-    # kband once, outside the alternation: it is an order of magnitude
-    # away at this length, and its working set would sit between the two
-    # arms being compared.
-    t0 = time.perf_counter()
-    kband_ids = KbandDistance().pair_identities(seqs, ii, jj)
-    kband_wall = time.perf_counter() - t0
     return {
         "n": n,
         "length": length,
@@ -152,11 +150,6 @@ def _score_source_comparison(rounds):
         "dense_over_gather": med["dense"] / med["gather"],
         "identical": identities["dense"].tobytes()
         == identities["gather"].tobytes(),
-        "kband_wall_s": kband_wall,
-        "kband_over_full_dp": kband_wall / med["gather"],
-        "kband_identities_equal_full_dp": bool(
-            np.array_equal(kband_ids, identities["gather"])
-        ),
     }
 
 
@@ -205,31 +198,11 @@ def _run_distance_scaling(workers, repeats):
     batched_wall, batched_d = _measure(
         lambda: all_pairs(batch_seqs, "full-dp"), max(repeats, 3)
     )
-    os.environ["REPRO_DP_BATCH_PAIRS"] = "0"
-    try:
-        per_pair_wall, per_pair_d = _measure(
-            lambda: all_pairs(batch_seqs, "full-dp"), repeats
-        )
-    finally:
-        del os.environ["REPRO_DP_BATCH_PAIRS"]
+    per_pair_wall, per_pair_d = _measure(
+        lambda: _per_pair_full_dp(batch_seqs), repeats
+    )
     batch_speedup = per_pair_wall / batched_wall
     batch_identical = batched_d.tobytes() == per_pair_d.tobytes()
-
-    # Batched k-band certification (PR 9), head to head on the serial
-    # kband estimator: fused adaptive-doubling rounds + batched masked
-    # traceback vs the per-pair loop (``REPRO_KBAND_BATCH=0``).
-    kband_batched_wall, kband_batched_d = _measure(
-        lambda: all_pairs(batch_seqs, "kband"), max(repeats, 3)
-    )
-    os.environ["REPRO_KBAND_BATCH"] = "0"
-    try:
-        kband_pp_wall, kband_pp_d = _measure(
-            lambda: all_pairs(batch_seqs, "kband"), repeats
-        )
-    finally:
-        del os.environ["REPRO_KBAND_BATCH"]
-    kband_speedup = kband_pp_wall / kband_batched_wall
-    kband_identical = kband_batched_d.tobytes() == kband_pp_d.tobytes()
 
     source = _score_source_comparison(rounds=max(repeats, 3))
 
@@ -267,21 +240,12 @@ def _run_distance_scaling(workers, repeats):
         f"batched DP kernel, serial full-dp N={n_batch}: per-pair "
         f"{per_pair_wall:.3f}s vs batched {batched_wall:.3f}s -> "
         f"{batch_speedup:.2f}x (byte-identical: {batch_identical})\n"
-        f"batched k-band certification, serial kband N={n_batch}: "
-        f"per-pair {kband_pp_wall:.3f}s vs batched "
-        f"{kband_batched_wall:.3f}s -> {kband_speedup:.2f}x "
-        f"(byte-identical: {kband_identical})\n"
         f"score source, {source['pairs']} pairs of N={source['n']} "
         f"L={source['length']}, median of {source['rounds']} alternating "
         f"rounds: dense stack {source['dense_stack_wall_s']:.3f}s vs "
         f"table gather {source['gather_wall_s']:.3f}s -> "
         f"{source['dense_over_gather']:.2f}x (dense / gather; "
-        f"byte-identical identities: {source['identical']})\n"
-        f"kband on the same pairs (one run): "
-        f"{source['kband_wall_s']:.3f}s = "
-        f"{source['kband_over_full_dp']:.2f}x the full-dp (gather) time "
-        f"(identities equal full-dp's: "
-        f"{source['kband_identities_equal_full_dp']})"
+        f"byte-identical identities: {source['identical']})"
     )
     write_report("distance_scaling", text)
 
@@ -308,13 +272,6 @@ def _run_distance_scaling(workers, repeats):
             "identical": batch_identical,
         },
         "score_source": source,
-        "kband_batch": {
-            "n": n_batch,
-            "per_pair_wall_s": kband_pp_wall,
-            "batched_wall_s": kband_batched_wall,
-            "speedup": kband_speedup,
-            "identical": kband_identical,
-        },
     }
     REPORT_DIR.mkdir(exist_ok=True)
     (REPORT_DIR / "distance_scaling.json").write_text(
@@ -343,9 +300,6 @@ def test_distance_scaling(benchmark):
     # Score source: the gate is byte-equal identities; the ratio is a
     # report, not a gate (both arms are this host, this run).
     assert payload["score_source"]["identical"]
-    # Batched k-band certification: exact; the >= 1.5x end-to-end perf
-    # gate lives in bench_merge_batch.
-    assert payload["kband_batch"]["identical"]
 
 
 if __name__ == "__main__":

@@ -1,75 +1,33 @@
-"""Level-batched progressive merges + batched k-band certification.
+"""Level-batched progressive merges vs the per-node walk.
 
-The PR 9 perf artifact.  Two halves, two gates:
-
-- **merge** -- the serial progressive-merge walk groups each guide-tree
-  DAG level into one ``align_profiles_batch`` call.  Gate: the batched
-  walk beats the per-pair walk (``REPRO_DP_BATCH_PAIRS=0``) >= 1.8x at
-  N=80 on the merge_scaling workload, with *byte-identical* FASTA.
-- **kband** -- ``kband`` distance estimation certifies the adaptive
-  band breadth-first across pairs (``_certified_band_batch``) and runs
-  the masked traceback batched.  Gate: end-to-end ``all_pairs(...,
-  "kband")`` beats ``REPRO_KBAND_BATCH=0`` >= 1.5x, with byte-identical
-  distance matrices.
-
-Both sides of each comparison run interleaved (best-of-``repeats``,
-alternating) on the same host so load spikes hit both arms alike.
+The serial progressive-merge walk groups each guide-tree DAG level into
+one ``align_profiles_batch`` call.  The per-node arm is the same walk
+with an opaque ``merge_fn`` that calls the scalar ``align_profiles`` --
+the executor never level-batches a ``merge_fn``.  Both arms run
+interleaved (best-of-``repeats``, alternating) on the same host so load
+spikes hit both alike; the speedup is reported, and the only assert is
+*byte-identical* FASTA.
 
 Output: benchmarks/reports/merge_batch.json plus the text report.
 """
 
 import json
-import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _util import FULL, REPORT_DIR, fmt_table, write_report
 
-from repro.align.kband import _certified_band, _certified_band_batch
+from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.align.progressive import progressive_align
-from repro.align.scoring import BLOSUM62
 from repro.datagen.rose import generate_family
 from repro.distance import all_pairs
 from repro.tree import get_builder
 
-#: Same workload family as bench_merge_scaling; the gate cell is N=80.
+#: Same workload family as bench_merge_scaling.
 MERGE_SIZES = (48, 96) if FULL else (48, 80)
-MERGE_GATE_N = 96 if FULL else 80
-MERGE_GATE_MIN_SPEEDUP = 1.8
-#: The serial upgma N=80 wall recorded in merge_scaling.json before the
-#: level-batched walk landed (PR 8 kernels, per-node serial walk).  The
-#: gate divides this fixed baseline, not the in-run per-pair arm: the
-#: per-pair arm also got faster this PR (scalar table pooling, one-hot
-#: gather contiguity), and the acceptance number predates that.
-MERGE_RECORDED_BASELINE_S = 0.6238
-
-KBAND_N = 32 if FULL else 24
-KBAND_GATE_MIN_SPEEDUP = 1.5
-
-
-class _env:
-    """Temporarily pin one environment variable."""
-
-    def __init__(self, key, value):
-        self.key, self.value = key, value
-
-    def __enter__(self):
-        self.old = os.environ.get(self.key)
-        if self.value is None:
-            os.environ.pop(self.key, None)
-        else:
-            os.environ[self.key] = self.value
-
-    def __exit__(self, *exc):
-        if self.old is None:
-            os.environ.pop(self.key, None)
-        else:
-            os.environ[self.key] = self.old
 
 
 def _interleaved(fn_a, fn_b, repeats):
@@ -90,6 +48,11 @@ def _interleaved(fn_a, fn_b, repeats):
 
 
 def _merge_rows(repeats):
+    cfg = ProfileAlignConfig()
+
+    def scalar_merge(pa, pb):
+        return align_profiles(pa, pb, cfg)[0]
+
     rows = []
     for n in MERGE_SIZES:
         fam = generate_family(
@@ -103,108 +66,37 @@ def _merge_rows(repeats):
         d = all_pairs(seqs, "ktuple")
         tree = get_builder("upgma").build(d, [s.id for s in seqs])
 
-        def per_pair():
-            with _env("REPRO_DP_BATCH_PAIRS", "0"):
-                return progressive_align(seqs, tree).to_fasta()
+        def per_node():
+            return progressive_align(
+                seqs, tree, cfg, merge_fn=scalar_merge
+            ).to_fasta()
 
         def batched():
-            return progressive_align(seqs, tree).to_fasta()
+            return progressive_align(seqs, tree, cfg).to_fasta()
 
-        wall_pp, fasta_pp, wall_b, fasta_b = _interleaved(
-            per_pair, batched, repeats
+        wall_pn, fasta_pn, wall_b, fasta_b = _interleaved(
+            per_node, batched, repeats
         )
         rows.append(
             {
                 "n": n,
-                "per_pair_wall_s": wall_pp,
+                "per_node_wall_s": wall_pn,
                 "batched_wall_s": wall_b,
-                "speedup": wall_pp / wall_b,
-                "identical": fasta_pp == fasta_b,
+                "speedup": wall_pn / wall_b,
+                "identical": fasta_pn == fasta_b,
             }
         )
     return rows
 
 
-def _kband_rows(repeats):
-    fam = generate_family(
-        n_sequences=KBAND_N,
-        mean_length=300,
-        relatedness=250,
-        seed=29,
-        track_alignment=False,
-    )
-    seqs = list(fam.sequences)
-
-    # Certification micro-measure: the fused doubling loop alone, on
-    # the same substitution matrices the estimator will see.
-    S_list = [
-        BLOSUM62.pair_scores(seqs[i].codes, seqs[j].codes).astype(
-            np.float64
-        )
-        for i in range(0, KBAND_N, 2)
-        for j in (i + 1,)
-    ]
-
-    def cert_scalar():
-        return [_certified_band(S, 10.0, 0.5, 16) for S in S_list]
-
-    def cert_batch():
-        scores, ks = _certified_band_batch(S_list, 10.0, 0.5, 16)
-        return list(zip(scores, ks))
-
-    cw_s, cr_s, cw_b, cr_b = _interleaved(cert_scalar, cert_batch, repeats)
-    cert_identical = all(
-        a[0] == b[0] and int(a[1]) == int(b[1])
-        for a, b in zip(cr_s, cr_b)
-    )
-
-    # End-to-end estimator: the gated number.
-    def est_per_pair():
-        with _env("REPRO_KBAND_BATCH", "0"):
-            return all_pairs(seqs, "kband")
-
-    def est_batched():
-        return all_pairs(seqs, "kband")
-
-    ew_pp, d_pp, ew_b, d_b = _interleaved(est_per_pair, est_batched, repeats)
-    return {
-        "n": KBAND_N,
-        "pairs_micro": len(S_list),
-        "cert_per_pair_wall_s": cw_s,
-        "cert_batched_wall_s": cw_b,
-        "cert_speedup": cw_s / cw_b,
-        "cert_identical": cert_identical,
-        "estimator_per_pair_wall_s": ew_pp,
-        "estimator_batched_wall_s": ew_b,
-        "estimator_speedup": ew_pp / ew_b,
-        "estimator_identical": bool(np.array_equal(d_pp, d_b)),
-    }
-
-
 def run_merge_batch(repeats=5):
     merge_rows = _merge_rows(repeats)
-    kband = _kband_rows(repeats)
-
-    merge_gate_row = next(r for r in merge_rows if r["n"] == MERGE_GATE_N)
-    vs_recorded = (
-        MERGE_RECORDED_BASELINE_S / merge_gate_row["batched_wall_s"]
-    )
-    merge_ok = (
-        vs_recorded >= MERGE_GATE_MIN_SPEEDUP
-        and all(r["identical"] for r in merge_rows)
-    )
-    kband_ok = (
-        kband["estimator_speedup"] >= KBAND_GATE_MIN_SPEEDUP
-        and kband["estimator_identical"]
-        and kband["cert_identical"]
-    )
-
     table = fmt_table(
-        ["N", "per-pair s", "batched s", "speedup", "identical"],
+        ["N", "per-node s", "batched s", "speedup", "identical"],
         [
             [
                 r["n"],
-                f"{r['per_pair_wall_s']:.3f}",
+                f"{r['per_node_wall_s']:.3f}",
                 f"{r['batched_wall_s']:.3f}",
                 f"{r['speedup']:.2f}x",
                 r["identical"],
@@ -212,42 +104,16 @@ def run_merge_batch(repeats=5):
             for r in merge_rows
         ],
     )
-    text = (
-        f"level-batched serial merge vs per-pair walk "
-        f"(best of {repeats}, interleaved)\n\n{table}\n\n"
-        f"merge gate: N={MERGE_GATE_N} batched "
-        f"{merge_gate_row['batched_wall_s']:.3f}s = {vs_recorded:.2f}x "
-        f"vs the recorded {MERGE_RECORDED_BASELINE_S}s per-node baseline "
-        f"(>= {MERGE_GATE_MIN_SPEEDUP}x required, byte-identical); "
-        f"in-run per-pair arm {merge_gate_row['speedup']:.2f}x\n\n"
-        f"kband (N={kband['n']}): certification "
-        f"{kband['cert_speedup']:.2f}x "
-        f"({kband['pairs_micro']} pairs, identical scores+widths: "
-        f"{kband['cert_identical']}); estimator end-to-end "
-        f"{kband['estimator_speedup']:.2f}x "
-        f"(>= {KBAND_GATE_MIN_SPEEDUP}x required, identical matrix: "
-        f"{kband['estimator_identical']})"
+    write_report(
+        "merge_batch",
+        f"level-batched serial merge vs per-node (merge_fn) walk "
+        f"(best of {repeats}, interleaved)\n\n{table}",
     )
-    write_report("merge_batch", text)
 
     payload = {
         "bench": "merge_batch",
         "repeats": repeats,
         "merge": merge_rows,
-        "merge_gate": {
-            "n": MERGE_GATE_N,
-            "min_speedup": MERGE_GATE_MIN_SPEEDUP,
-            "recorded_baseline_s": MERGE_RECORDED_BASELINE_S,
-            "speedup_vs_recorded": vs_recorded,
-            "speedup_in_run": merge_gate_row["speedup"],
-            "ok": merge_ok,
-        },
-        "kband": kband,
-        "kband_gate": {
-            "min_speedup": KBAND_GATE_MIN_SPEEDUP,
-            "speedup": kband["estimator_speedup"],
-            "ok": kband_ok,
-        },
     }
     REPORT_DIR.mkdir(exist_ok=True)
     (REPORT_DIR / "merge_batch.json").write_text(
@@ -262,34 +128,8 @@ def test_merge_batch(benchmark):
 
     payload = once(benchmark, run_merge_batch)
     assert all(r["identical"] for r in payload["merge"])
-    assert payload["kband"]["estimator_identical"]
-    assert payload["kband"]["cert_identical"]
-    assert payload["merge_gate"]["ok"], (
-        f"level-batched merge "
-        f"{payload['merge_gate']['speedup_vs_recorded']:.2f}x "
-        f"< {MERGE_GATE_MIN_SPEEDUP}x vs recorded baseline at "
-        f"N={MERGE_GATE_N}"
-    )
-    assert payload["kband_gate"]["ok"], (
-        f"batched kband estimator {payload['kband_gate']['speedup']:.2f}x "
-        f"< {KBAND_GATE_MIN_SPEEDUP}x"
-    )
 
 
 if __name__ == "__main__":
     result = run_merge_batch()
-    ok = result["merge_gate"]["ok"] and result["kband_gate"]["ok"]
-    if not result["merge_gate"]["ok"]:
-        print(
-            f"FAIL: merge gate "
-            f"{result['merge_gate']['speedup_vs_recorded']:.2f}x "
-            f"< {MERGE_GATE_MIN_SPEEDUP}x",
-            file=sys.stderr,
-        )
-    if not result["kband_gate"]["ok"]:
-        print(
-            f"FAIL: kband gate {result['kband_gate']['speedup']:.2f}x "
-            f"< {KBAND_GATE_MIN_SPEEDUP}x",
-            file=sys.stderr,
-        )
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if all(r["identical"] for r in result["merge"]) else 1)

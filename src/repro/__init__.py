@@ -14,8 +14,8 @@ the paper depends on:
   and as Table-2 comparators (MUSCLE-like, CLUSTALW-like, T-Coffee-like,
   MAFFT-like).
 - :mod:`repro.distance` -- the unified distance subsystem: pluggable
-  pairwise estimators (``ktuple``, ``kmer-fraction``, ``full-dp``,
-  ``kband``; shared ``kimura`` post-transform) behind one registry, and
+  pairwise estimators (``ktuple``, ``kmer-fraction``, ``full-dp``;
+  shared ``kimura`` post-transform) behind one registry, and
   a tiled :func:`~repro.distance.all_pairs` scheduler that runs the
   condensed upper triangle serially, on the execution backends, or
   cooperatively inside an SPMD program -- byte-identical output either

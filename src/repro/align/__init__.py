@@ -29,7 +29,6 @@ import types as _types
 from repro.align.batchdp import affine_align_batch, affine_score_batch
 from repro.align.dp import AffineDPResult, affine_align, affine_score
 from repro.align.incremental import add_sequence, add_sequences
-from repro.align.kband import banded_align, banded_align_batch, banded_score
 from repro.align.pairwise import (
     PairwiseResult,
     global_align,
@@ -61,9 +60,6 @@ __all__ = [
     "affine_score_batch",
     "affine_sp_score",
     "align_profiles",
-    "banded_align",
-    "banded_align_batch",
-    "banded_score",
     "consensus_sequence",
     "global_align",
     "global_align_batch",

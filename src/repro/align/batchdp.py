@@ -50,8 +50,7 @@ The row loop reads substitution scores through one seam,
 - **dense** (:func:`affine_align_batch` / :func:`affine_score_batch`):
   the caller hands one score matrix per pair and they are stacked into a
   pair-minor ``(m_max, n_max, K)`` float tensor.  This is for scores
-  that are not table look-ups -- profile-profile PSP matrices, k-band
-  masked matrices;
+  that are not table look-ups -- profile-profile PSP matrices;
 - **gather** (:func:`gathered_align_batch` /
   :func:`gathered_score_batch`, what the sequence-level
   ``global_align_batch`` / ``global_score_batch`` call): the caller
@@ -69,9 +68,8 @@ Memory is bounded: both modes keep O(K * n_max) float rows; alignment
 mode adds four bytes per padded cell, the dense source adds its eight
 bytes per padded cell twice over (pair-major fill, pair-minor stack),
 and the batch is chunked so the padded cell count stays under
-``max_batch_cells`` (env ``REPRO_DP_MAX_BATCH_CELLS``).  The
-estimator-facing batch size is a separate knob, ``REPRO_DP_BATCH_PAIRS``
-(0 or 1 disables batching and falls back to the scalar kernel).
+``max_batch_cells`` (env ``REPRO_DP_MAX_BATCH_CELLS``).  Callers hand
+the kernel at most :data:`MAX_BATCH_PAIRS` pairs per call.
 """
 
 from __future__ import annotations
@@ -91,18 +89,18 @@ from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 
 __all__ = [
-    "DEFAULT_BATCH_PAIRS",
+    "MAX_BATCH_PAIRS",
     "DEFAULT_MAX_BATCH_CELLS",
     "affine_align_batch",
     "affine_score_batch",
-    "dp_batch_pairs",
     "gathered_align_batch",
     "gathered_score_batch",
     "max_batch_cells_setting",
 ]
 
-#: Default pairs per estimator-level batch (``REPRO_DP_BATCH_PAIRS``).
-DEFAULT_BATCH_PAIRS = 128
+#: Pairs per caller-level batch (the distance stage's chunks of a tile,
+#: the merge walk's chunks of a level).
+MAX_BATCH_PAIRS = 128
 
 #: Default cap on padded DP cells per fused forward chunk
 #: (``REPRO_DP_MAX_BATCH_CELLS``).  In alignment mode a full chunk is
@@ -121,22 +119,6 @@ _BATCH_CALLS = _obs_registry().counter("dp.batch_calls")
 _BATCH_CELLS = _obs_registry().counter("dp.batch_cells")
 _BATCH_PAIRS = _obs_registry().counter("dp.batch_pairs")
 _BATCH_GATHER_PAIRS = _obs_registry().counter("dp.batch_gather_pairs")
-
-
-def dp_batch_pairs(default: int = DEFAULT_BATCH_PAIRS) -> int:
-    """The estimator-level batch size from ``REPRO_DP_BATCH_PAIRS``.
-
-    ``0`` or ``1`` disables batching (per-pair scalar kernel); malformed
-    values fall back to ``default``.
-    """
-    raw = os.environ.get("REPRO_DP_BATCH_PAIRS")
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(0, value)
 
 
 def max_batch_cells_setting(default: int = DEFAULT_MAX_BATCH_CELLS) -> int:
@@ -265,11 +247,11 @@ class _DenseScores:
     """Substitution scores given as one dense matrix per pair.
 
     What the matrix-level entries get from their callers (profile-profile
-    PSP matrices, k-band masked matrices): scores that are not table
-    look-ups, so the rows have to be stacked.  The stack is filled
-    pair-major with contiguous per-pair copies, then transposed in one
-    bulk pass into the pair-minor ``(m_max, n_max, K)`` layout so the
-    row loop reads contiguous ``(n_max, K)`` slices.
+    PSP matrices): scores that are not table look-ups, so the rows have
+    to be stacked.  The stack is filled pair-major with contiguous
+    per-pair copies, then transposed in one bulk pass into the
+    pair-minor ``(m_max, n_max, K)`` layout so the row loop reads
+    contiguous ``(n_max, K)`` slices.
     """
 
     kind = "dense"

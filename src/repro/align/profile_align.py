@@ -221,32 +221,28 @@ def align_profiles_batch(
     left product is hoisted and cached, so a profile appearing in
     several pairs pays for it once), then the pair DPs run through
     :func:`repro.align.batchdp.affine_align_batch` in
-    ``REPRO_DP_BATCH_PAIRS``-sized chunks -- the same exact kernel the
-    distance stage batches through, so every returned ``(merged profile,
-    DP result)`` is **byte-identical** to per-pair
-    :func:`align_profiles`.  ``REPRO_DP_BATCH_PAIRS=0`` (or ``1``) falls
-    back to the per-pair path outright, as do batches smaller than
-    ``_MIN_BATCH_PAIRS`` (the narrow tail levels of a merge DAG, where
-    the fused kernel's flat per-row cost loses to the scalar one).
+    ``MAX_BATCH_PAIRS``-sized chunks -- the same exact kernel the
+    distance stage batches through, so every returned ``(merged
+    profile, DP result)`` is **byte-identical** to per-pair
+    :func:`align_profiles`.
+    Batches smaller than ``_MIN_BATCH_PAIRS`` take the per-pair path
+    (the narrow tail levels of a merge DAG, where the fused kernel's
+    flat per-row cost loses to the scalar one).
 
     The pairs must be independent (no profile may depend on another
     pair's output) -- exactly what one level of the merge DAG provides.
     """
     config = config or ProfileAlignConfig()
     pairs = list(pairs)
-    results: List[Tuple[Profile, AffineDPResult]] = []
-    if not pairs:
-        return results
-
-    from repro.align.batchdp import affine_align_batch, dp_batch_pairs
-
-    chunk = dp_batch_pairs()
-    if chunk <= 1 or len(pairs) < _MIN_BATCH_PAIRS:
+    if len(pairs) < _MIN_BATCH_PAIRS:
         return [align_profiles(px, py, config) for px, py in pairs]
 
+    from repro.align.batchdp import MAX_BATCH_PAIRS, affine_align_batch
+
+    results: List[Tuple[Profile, AffineDPResult]] = []
     tf = config.gaps.terminal_factor
-    for t0 in range(0, len(pairs), chunk):
-        part = pairs[t0 : t0 + chunk]
+    for t0 in range(0, len(pairs), MAX_BATCH_PAIRS):
+        part = pairs[t0 : t0 + MAX_BATCH_PAIRS]
         _PROFILE_BATCH_CALLS.inc()
         _PROFILE_BATCH_PAIRS.inc(len(part))
         with span(

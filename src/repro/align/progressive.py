@@ -78,14 +78,9 @@ class _MergeNode:
         """Whether the merge executor may hand this node whole levels.
 
         Only the default optimal profile-profile merge batches (a
-        ``merge_fn`` override is an opaque per-pair callable), and only
-        while ``REPRO_DP_BATCH_PAIRS`` enables the batched kernel --
-        so the env knob flips the whole merge walk between level-batched
-        and per-node, byte-identically.
+        ``merge_fn`` override is an opaque per-pair callable).
         """
-        from repro.align.batchdp import dp_batch_pairs
-
-        return self.merge_fn is None and dp_batch_pairs() > 1
+        return self.merge_fn is None
 
     def merge_level(self, steps, pairs) -> list:
         """Merge one level's independent pairs through the fused kernel."""

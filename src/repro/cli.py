@@ -76,8 +76,8 @@ _STAGE_FLAGS = {
     "--distance": ("distance", "estimator", dict(
         metavar="NAME",
         help="distance estimator for the guide-tree stage (see `repro "
-        "distances`): 'ktuple' (fast, alignment-free), 'kmer-fraction', "
-        "'kband', or 'full-dp' (accurate, O(L^2) per pair). For "
+        "distances`): 'ktuple' (fast, alignment-free), 'kmer-fraction' "
+        "or 'full-dp' (accurate, O(L^2) per pair). For "
         "sample-align-d it configures the per-bucket local aligners; "
         "for serve/loadtest it is the default folded (pre-hash) into "
         "guide-tree engine requests that don't choose one.",

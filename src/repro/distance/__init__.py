@@ -7,7 +7,7 @@ unifies them:
 
 - :mod:`~repro.distance.estimators` -- the
   :class:`DistanceEstimator` protocol and registry (``ktuple``,
-  ``kmer-fraction``, ``full-dp``, ``kband``), each a small picklable
+  ``kmer-fraction``, ``full-dp``), each a small picklable
   dataclass computing distances for arbitrary pair-index arrays.
 - :mod:`~repro.distance.transforms` -- the shared identity
   post-transforms (``linear``, ``kimura``) plus the alignment-derived
@@ -50,7 +50,6 @@ from repro.distance.estimators import (
     DEFAULT_ESTIMATOR,
     DistanceEstimator,
     FullDpDistance,
-    KbandDistance,
     KmerFractionDistance,
     KtupleDistance,
     available_estimators,
@@ -81,7 +80,6 @@ __all__ = [
     "DistanceConfig",
     "DistanceEstimator",
     "FullDpDistance",
-    "KbandDistance",
     "KmerFractionDistance",
     "KtupleDistance",
     "OUT_MODES",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.distance.estimators import (
+    _ESTIMATORS,
     DistanceEstimator,
     available_estimators,
     get_estimator,
@@ -46,7 +47,6 @@ def scoring_estimator_defaults(
     """
     return {
         "full-dp": {"matrix": matrix, "gaps": gaps},
-        "kband": {"matrix": matrix, "gaps": gaps},
         "ktuple": {"k": k},
         "kmer-fraction": {"k": k},
     }
@@ -158,8 +158,8 @@ class DistanceConfig(StageConfig):
     Attributes
     ----------
     estimator:
-        Registry name (``"ktuple"``, ``"kmer-fraction"``, ``"full-dp"``,
-        ``"kband"``; see :func:`repro.distance.available_estimators`).
+        Registry name (``"ktuple"``, ``"kmer-fraction"``, ``"full-dp"``;
+        see :func:`repro.distance.available_estimators`).
         ``None`` = the aligner's historical estimator.
     k:
         k-mer length for the alignment-free estimators (``None`` = the
@@ -219,6 +219,18 @@ class DistanceConfig(StageConfig):
                 f"unknown distance estimator {self.estimator!r}; "
                 f"available: {available_estimators()}"
             )
+        else:
+            # A plug-in factory that is not a dataclass says what it
+            # takes only when called (``get_estimator``'s ValueError).
+            factory = _ESTIMATORS[self.estimator].factory
+            if dataclasses.is_dataclass(factory):
+                takes = {f.name for f in dataclasses.fields(factory)}
+                for name in ("k", "transform"):
+                    if getattr(self, name) is not None and name not in takes:
+                        raise ValueError(
+                            f"distance estimator {self.estimator!r} takes "
+                            f"no {name!r}"
+                        )
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1 (or None)")
         if self.transform is not None and self.transform not in TRANSFORMS:

@@ -24,13 +24,9 @@ Registered estimators (speed/accuracy trade-offs):
     ``1 - fractional identity`` of the optimal global (Gotoh) alignment.
     O(L^2) per pair -- the expensive, accurate distance stage of
     CLUSTALW; the one worth parallelising over real cores.
-``kband``
-    Identity from the adaptive banded alignment with certified band
-    doubling: near full-DP accuracy at O(k*L) per pair for similar
-    sequences (MUSCLE's pairwise trick).
 
-Every identity-based estimator (``full-dp``, ``kband``,
-``kmer-fraction``) accepts ``transform="linear"|"kimura"`` -- the shared
+Every identity-based estimator (``full-dp``, ``kmer-fraction``)
+accepts ``transform="linear"|"kimura"`` -- the shared
 post-transform of :mod:`repro.distance.transforms`.  Plug-ins enter via
 :func:`register_estimator`.
 """
@@ -52,7 +48,6 @@ from repro.seq.sequence import Sequence
 __all__ = [
     "DistanceEstimator",
     "FullDpDistance",
-    "KbandDistance",
     "KmerFractionDistance",
     "KtupleDistance",
     "available_estimators",
@@ -291,106 +286,20 @@ class FullDpDistance(DistanceEstimator):
         jj: np.ndarray,
         state: Any = None,
     ) -> np.ndarray:
-        from repro.align.batchdp import dp_batch_pairs
-        from repro.align.pairwise import global_align, global_align_batch
+        from repro.align.batchdp import MAX_BATCH_PAIRS
+        from repro.align.pairwise import global_align_batch
 
+        # Chunking bounds working memory per tile; the batched DP is
+        # byte-identical to per-pair ``global_align`` at any chunk size.
         out = np.empty(len(ii), dtype=np.float64)
-        chunk = dp_batch_pairs()
-        if chunk > 1:
-            # Batched kernel: identical values (the batched DP is
-            # byte-identical to the per-pair one), K-fold less numpy
-            # dispatch.  Chunking bounds working memory per tile.
-            for t0 in range(0, len(ii), chunk):
-                pairs = [
-                    (seqs[int(a)], seqs[int(b)])
-                    for a, b in zip(ii[t0 : t0 + chunk], jj[t0 : t0 + chunk])
-                ]
-                res = global_align_batch(pairs, self.matrix, self.gaps)
-                for t, r in enumerate(res):
-                    out[t0 + t] = r.identity()
-            return out
-        for t in range(len(ii)):
-            out[t] = global_align(
-                seqs[int(ii[t])], seqs[int(jj[t])], self.matrix, self.gaps
-            ).identity()
-        return out
-
-    def pair_distances(
-        self,
-        seqs: TSequence[Sequence],
-        ii: np.ndarray,
-        jj: np.ndarray,
-        state: Any = None,
-    ) -> np.ndarray:
-        return identity_to_distance(
-            self.pair_identities(seqs, ii, jj, state), self.transform
-        )
-
-
-@dataclass(frozen=True)
-class KbandDistance(DistanceEstimator):
-    """Identity from the adaptive banded (k-band) global alignment.
-
-    Band doubling certifies the banded optimum equals the full-DP
-    optimum, so identities typically match ``full-dp`` at a fraction of
-    the DP area for similar sequences (MUSCLE's pairwise trick).
-
-    When the batched kernels are enabled both halves of the work run
-    fused across each chunk's pairs: band certification through
-    :func:`repro.align.kband._certified_band_batch` (bit-identical
-    scores and doubling decisions; ``REPRO_KBAND_BATCH=0`` restores the
-    per-pair loop) and the masked traceback DPs through
-    :func:`repro.align.batchdp.affine_align_batch`.
-    """
-
-    matrix: SubstitutionMatrix = field(default=BLOSUM62, repr=False)
-    gaps: GapPenalties = field(default_factory=GapPenalties, repr=False)
-    initial_band: int = 16
-    transform: str = "linear"
-
-    name = "kband"
-
-    def __post_init__(self) -> None:
-        if self.initial_band < 1:
-            raise ValueError("initial_band must be >= 1")
-        _check_transform(self.transform)
-
-    def pair_identities(
-        self,
-        seqs: TSequence[Sequence],
-        ii: np.ndarray,
-        jj: np.ndarray,
-        state: Any = None,
-    ) -> np.ndarray:
-        from repro.align.batchdp import dp_batch_pairs
-        from repro.align.kband import banded_align, banded_align_batch
-
-        out = np.empty(len(ii), dtype=np.float64)
-        chunk = dp_batch_pairs()
-        if chunk > 1:
-            # Both the band certification (fused adaptive doubling,
-            # see kband._certified_band_batch) and the masked traceback
-            # DPs run batched over the chunk -- identical values,
-            # K-fold less dispatch on both halves.
-            for t0 in range(0, len(ii), chunk):
-                pairs = [
-                    (seqs[int(a)], seqs[int(b)])
-                    for a, b in zip(ii[t0 : t0 + chunk], jj[t0 : t0 + chunk])
-                ]
-                res = banded_align_batch(
-                    pairs, self.matrix, self.gaps, initial_k=self.initial_band
-                )
-                for t, r in enumerate(res):
-                    out[t0 + t] = r.identity()
-            return out
-        for t in range(len(ii)):
-            out[t] = banded_align(
-                seqs[int(ii[t])],
-                seqs[int(jj[t])],
-                self.matrix,
-                self.gaps,
-                initial_k=self.initial_band,
-            ).identity()
+        for t0 in range(0, len(ii), MAX_BATCH_PAIRS):
+            part = slice(t0, t0 + MAX_BATCH_PAIRS)
+            pairs = [
+                (seqs[int(a)], seqs[int(b)])
+                for a, b in zip(ii[part], jj[part])
+            ]
+            res = global_align_batch(pairs, self.matrix, self.gaps)
+            out[part] = [r.identity() for r in res]
         return out
 
     def pair_distances(
@@ -514,10 +423,4 @@ register_estimator(
     FullDpDistance,
     "1 - identity of the optimal global (Gotoh) alignment; O(L^2) per "
     "pair, most accurate (CLUSTALW accurate mode) -- parallelise it",
-)
-register_estimator(
-    "kband",
-    KbandDistance,
-    "identity from adaptive banded alignment with certified band "
-    "doubling; near full-DP accuracy at O(k*L) per pair (MUSCLE trick)",
 )

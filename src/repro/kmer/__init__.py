@@ -16,7 +16,6 @@ from repro.kmer.counting import KmerCounter, kmer_codes
 from repro.kmer.distance import (
     kmer_match_fraction_matrix,
     kmer_distance_matrix,
-    fractional_identity_estimate,
 )
 from repro.kmer.rank import (
     RankConfig,
@@ -29,7 +28,6 @@ __all__ = [
     "KmerCounter",
     "RankConfig",
     "centralized_rank",
-    "fractional_identity_estimate",
     "globalized_rank",
     "kmer_codes",
     "kmer_distance_matrix",

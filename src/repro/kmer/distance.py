@@ -31,7 +31,6 @@ from repro.seq.sequence import Sequence
 __all__ = [
     "kmer_match_fraction_matrix",
     "kmer_distance_matrix",
-    "fractional_identity_estimate",
 ]
 
 
@@ -124,18 +123,3 @@ def kmer_distance_matrix(
 ) -> np.ndarray:
     """Edgar's k-mer distance ``1 - r_ij`` (square or rectangular)."""
     return 1.0 - kmer_match_fraction_matrix(seqs_a, seqs_b, counter)
-
-
-def fractional_identity_estimate(match_fraction: np.ndarray) -> np.ndarray:
-    """Estimate fractional identity from the k-mer match fraction.
-
-    .. deprecated::
-        Thin delegate; the shared post-transform now lives in
-        :func:`repro.distance.fractional_identity_estimate` (alongside
-        ``kimura_distance`` and ``identity_to_distance``).
-    """
-    from repro.distance.transforms import (
-        fractional_identity_estimate as _impl,
-    )
-
-    return _impl(match_fraction)

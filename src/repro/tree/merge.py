@@ -23,7 +23,7 @@ each rank's share of a level -- to one batched call, so the
 profile-profile DPs of a whole level run through the fused batched
 kernel instead of one numpy-dispatch-bound DP per merge.  The batched
 kernel is byte-identical to the per-pair one, so this is purely a
-performance path; ``REPRO_DP_BATCH_PAIRS=0`` restores per-node merges.
+performance path.
 
 Determinism contract: a merge's output depends only on its two child
 profiles and the ``merge_node`` callable (which must itself be

@@ -19,12 +19,10 @@ from hypothesis import strategies as st
 
 import repro
 from repro.align.batchdp import (
-    DEFAULT_BATCH_PAIRS,
     DEFAULT_MAX_BATCH_CELLS,
     _chunk_bounds,
     affine_align_batch,
     affine_score_batch,
-    dp_batch_pairs,
     gathered_align_batch,
     gathered_score_batch,
     max_batch_cells_setting,
@@ -372,20 +370,6 @@ class TestChunkBounds:
 
 
 class TestEnvKnobs:
-    def test_batch_pairs_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_BATCH_PAIRS", raising=False)
-        assert dp_batch_pairs() == DEFAULT_BATCH_PAIRS
-
-    def test_batch_pairs_parsing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DP_BATCH_PAIRS", "256")
-        assert dp_batch_pairs() == 256
-        monkeypatch.setenv("REPRO_DP_BATCH_PAIRS", "0")
-        assert dp_batch_pairs() == 0
-        monkeypatch.setenv("REPRO_DP_BATCH_PAIRS", "-3")
-        assert dp_batch_pairs() == 0
-        monkeypatch.setenv("REPRO_DP_BATCH_PAIRS", "banana")
-        assert dp_batch_pairs() == DEFAULT_BATCH_PAIRS
-
     def test_max_cells_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_DP_MAX_BATCH_CELLS", raising=False)
         assert max_batch_cells_setting() == DEFAULT_MAX_BATCH_CELLS

@@ -1,0 +1,84 @@
+"""Every affine-gap kernel entry against the scalar oracle.
+
+The batched entries are byte-compared with ``affine_align`` elsewhere
+(``test_batchdp.py``); that proves the three agree, not that they are
+right.  Here each entry is checked on its own against
+:func:`tests.align.oracles.scalar_gotoh`, including scaled terminal
+gaps, position-specific penalties and degenerate (empty) axes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.align.batchdp import affine_align_batch, gathered_align_batch
+from repro.align.dp import affine_align
+from tests.align.oracles import assert_valid_maps, path_score, scalar_gotoh
+
+PENALTIES = (0.0, 0.5, 1.0, 2.0, 7.5, 11.0)
+
+
+@st.composite
+def problems(draw):
+    """K ragged pair problems over one score table, mixed penalty specs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    A = draw(st.integers(2, 6))
+    table = rng.integers(-11, 17, size=(A, A)).astype(np.float64)
+    code_pairs, gaps = [], {"ox": [], "ex": [], "oy": [], "ey": []}
+    for _ in range(draw(st.integers(1, 4))):
+        m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+        code_pairs.append((rng.integers(0, A, m), rng.integers(0, A, n)))
+        for name, length in (("ox", m), ("ex", m), ("oy", n), ("ey", n)):
+            if draw(st.booleans()):
+                gaps[name].append(draw(st.sampled_from(PENALTIES)))
+            else:
+                gaps[name].append(rng.choice(PENALTIES, size=length))
+    tf = draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))
+    return table, code_pairs, gaps, tf
+
+
+def _dense(table, code_pairs):
+    return [table[np.ix_(x, y)] for x, y in code_pairs]
+
+
+def _scalar_entry(table, code_pairs, g, tf):
+    return [
+        affine_align(
+            S, g["ox"][k], g["ex"][k], g["oy"][k], g["ey"][k],
+            terminal_factor=tf,
+        )
+        for k, S in enumerate(_dense(table, code_pairs))
+    ]
+
+
+def _dense_batch_entry(table, code_pairs, g, tf):
+    return affine_align_batch(
+        _dense(table, code_pairs), g["ox"], g["ex"], g["oy"], g["ey"],
+        terminal_factor=tf,
+    )
+
+
+def _gathered_batch_entry(table, code_pairs, g, tf):
+    return gathered_align_batch(
+        table, code_pairs, g["ox"], g["ex"], g["oy"], g["ey"],
+        terminal_factor=tf,
+    )
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [_scalar_entry, _dense_batch_entry, _gathered_batch_entry],
+    ids=["affine_align", "affine_align_batch", "gathered_align_batch"],
+)
+@settings(max_examples=40, deadline=None)
+@given(problems())
+def test_kernel_entry_matches_oracle(entry, problem):
+    table, code_pairs, g, tf = problem
+    results = entry(table, code_pairs, g, tf)
+    for k, (S, res) in enumerate(zip(_dense(table, code_pairs), results)):
+        gaps = (g["ox"][k], g["ex"][k], g["oy"][k], g["ey"][k])
+        expected = scalar_gotoh(S, *gaps, tf=tf)
+        assert np.isclose(res.score, expected)
+        assert_valid_maps(res, *S.shape)
+        assert np.isclose(path_score(S, res, *gaps, tf=tf), expected)

@@ -68,9 +68,7 @@ class TestBackendEquivalence:
     """The acceptance contract: serial, threads and worker-process (pool)
     schedules produce byte-identical matrices."""
 
-    @pytest.mark.parametrize(
-        "name", ["ktuple", "kmer-fraction", "full-dp", "kband"]
-    )
+    @pytest.mark.parametrize("name", ["ktuple", "kmer-fraction", "full-dp"])
     def test_serial_threads_processes_identical(self, pool, family, name):
         serial = all_pairs(family, name)
         threads = all_pairs(family, name, backend="threads", workers=3)

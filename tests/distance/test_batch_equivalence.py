@@ -1,15 +1,16 @@
 """Batched vs per-pair DP distances: byte-identical on every backend.
 
-``REPRO_DP_BATCH_PAIRS=0`` switches the full-DP and k-band estimators
-back to the scalar per-pair kernel; the batched default must produce the
-same distance matrix to the last bit, whichever backend schedules the
-tiles.  (Backend workers may see either setting -- both sides of the
-switch are exact, so the bytes cannot differ.)
+The per-pair base is a plain loop over :func:`global_align` (the scalar
+kernel); the batched ``full-dp`` estimator must produce the same
+distance matrix to the last bit, whichever backend schedules the tiles
+and whatever the chunk size.
 """
 
 import numpy as np
 import pytest
 
+from repro.align import batchdp
+from repro.align.pairwise import global_align
 from repro.distance import all_pairs
 from repro.parcomp.launcher import run_spmd
 
@@ -27,42 +28,33 @@ def family():
 
 @pytest.fixture(scope="module")
 def per_pair_base(family):
-    """Serial distance matrices with batching disabled (scalar kernel)."""
-    import os
-
-    out = {}
-    old = os.environ.get("REPRO_DP_BATCH_PAIRS")
-    os.environ["REPRO_DP_BATCH_PAIRS"] = "0"
-    try:
-        for name in ("full-dp", "kband"):
-            out[name] = all_pairs(family, name)
-    finally:
-        if old is None:
-            del os.environ["REPRO_DP_BATCH_PAIRS"]
-        else:
-            os.environ["REPRO_DP_BATCH_PAIRS"] = old
-    return out
+    """The serial ``full-dp`` matrix from one scalar DP per pair."""
+    n = len(family)
+    base = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            base[i, j] = base[j, i] = (
+                1.0 - global_align(family[i], family[j]).identity()
+            )
+    return base.tobytes()
 
 
-@pytest.mark.parametrize("name", ["full-dp", "kband"])
+@pytest.mark.parametrize("name", ["full-dp"])
 class TestBatchedMatchesPerPair:
     def test_serial(self, family, per_pair_base, name):
-        assert (
-            all_pairs(family, name).tobytes()
-            == per_pair_base[name].tobytes()
-        )
+        assert all_pairs(family, name).tobytes() == per_pair_base
 
     def test_threads(self, family, per_pair_base, name):
         got = all_pairs(family, name, backend="threads", workers=3)
-        assert got.tobytes() == per_pair_base[name].tobytes()
+        assert got.tobytes() == per_pair_base
 
     def test_processes(self, one_shot_backend, family, per_pair_base, name):
         got = all_pairs(family, name, backend=one_shot_backend, workers=2)
-        assert got.tobytes() == per_pair_base[name].tobytes()
+        assert got.tobytes() == per_pair_base
 
     def test_pool(self, pool, family, per_pair_base, name):
         got = all_pairs(family, name, backend="pool", workers=2)
-        assert got.tobytes() == per_pair_base[name].tobytes()
+        assert got.tobytes() == per_pair_base
 
     def test_cooperative_spmd(self, family, per_pair_base, name):
         def program(comm):
@@ -70,12 +62,12 @@ class TestBatchedMatchesPerPair:
 
         spmd = run_spmd(2, program)
         for rank_matrix in spmd.results:
-            assert rank_matrix.tobytes() == per_pair_base[name].tobytes()
+            assert rank_matrix.tobytes() == per_pair_base
 
     def test_batch_size_never_changes_bytes(
         self, family, per_pair_base, name, monkeypatch
     ):
-        for size in ("2", "7", "64"):
-            monkeypatch.setenv("REPRO_DP_BATCH_PAIRS", size)
+        for size in (1, 2, 7, 64):
+            monkeypatch.setattr(batchdp, "MAX_BATCH_PAIRS", size)
             got = all_pairs(family, name)
-            assert got.tobytes() == per_pair_base[name].tobytes()
+            assert got.tobytes() == per_pair_base

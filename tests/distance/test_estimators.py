@@ -90,18 +90,12 @@ class TestKtuple:
             KtupleDistance(k=0)
 
 
-class TestFullDpAndKband:
+class TestFullDp:
     def test_full_dp_matches_legacy_helper(self, tiny_seqs):
         seqs = list(tiny_seqs)[:4]
         by_instance = all_pairs(seqs, FullDpDistance())
         by_name = all_pairs(seqs, "full-dp")
         assert by_instance.tobytes() == by_name.tobytes()
-
-    def test_kband_agrees_with_full_dp(self, tiny_seqs):
-        seqs = list(tiny_seqs)[:4]
-        full = all_pairs(seqs, "full-dp")
-        band = all_pairs(seqs, "kband")
-        assert np.allclose(full, band)
 
     def test_kimura_transform_monotone(self, tiny_seqs):
         seqs = list(tiny_seqs)[:4]
@@ -133,16 +127,10 @@ class TestTransforms:
             identity_to_distance(np.array([0.5]), "log")
 
     def test_legacy_delegates_are_shared(self):
-        import repro.distance.transforms as t
-        from repro.kmer import distance as kd
-
-        x = np.array([0.1, 0.6])
-        assert np.array_equal(
-            kd.fractional_identity_estimate(x),
-            t.fractional_identity_estimate(x),
-        )
         import repro.distance as rd
+        import repro.distance.transforms as t
 
+        assert rd.fractional_identity_estimate is t.fractional_identity_estimate
         assert rd.kimura_distance is t.kimura_distance
         assert rd.alignment_identity_matrix is t.alignment_identity_matrix
 
@@ -150,7 +138,7 @@ class TestTransforms:
 class TestRegistry:
     def test_builtins_present_with_descriptions(self):
         info = estimator_info()
-        assert set(info) >= {"ktuple", "kmer-fraction", "full-dp", "kband"}
+        assert set(info) == {"ktuple", "kmer-fraction", "full-dp"}
         assert all(info.values())
 
     def test_get_estimator_instance_passthrough(self):
@@ -202,6 +190,48 @@ class TestDistanceConfig:
             DistanceConfig(k=0)
         with pytest.raises(ValueError):
             DistanceConfig.from_dict({"estimator": "ktuple", "tile": 9})
+
+    def test_qualifier_the_estimator_does_not_take_is_rejected(self):
+        with pytest.raises(ValueError, match="'full-dp' takes no 'k'"):
+            DistanceConfig.from_dict({"estimator": "full-dp", "k": 3})
+        with pytest.raises(ValueError, match="'ktuple' takes no 'transform'"):
+            DistanceConfig(estimator="ktuple", transform="kimura")
+        assert resolve_distance_stage({"estimator": "ktuple", "k": 3})[0].k == 3
+        est, _ = resolve_distance_stage(
+            {"estimator": "full-dp", "transform": "kimura"}
+        )
+        assert est.transform == "kimura"
+        kf = DistanceConfig("kmer-fraction", k=3, transform="kimura")
+        assert kf.make_estimator() == get_estimator(
+            "kmer-fraction", k=3, transform="kimura"
+        )
+
+    def test_kband_name_is_gone(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert available_estimators() == ["full-dp", "kmer-fraction", "ktuple"]
+        fasta = tmp_path / "two.fasta"
+        fasta.write_text(">a\nMKVAWDEN\n>b\nMKVAWDQN\n")
+        for argv in (
+            ["align", str(fasta), "--engine", "clustalw", "--distance", "kband"],
+            ["distances", str(fasta), "--estimator", "kband"],
+        ):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "unknown distance estimator 'kband'" in err
+            assert "available: ['full-dp', 'kmer-fraction', 'ktuple']" in err
+        with pytest.raises(KeyError, match="unknown distance estimator"):
+            get_estimator("kband")
+        with pytest.raises(ValueError, match=r"unknown distance estimator "
+                           r"'kband'; available: \['full-dp'"):
+            DistanceConfig("kband")
+        with pytest.raises(ImportError):
+            import repro.align.kband  # noqa: F401
+        import repro.align
+        import repro.distance
+
+        assert not hasattr(repro.distance, "KbandDistance")
+        assert not hasattr(repro.align, "banded_align")
 
     def test_resolve_from_dict_carries_backend(self):
         est, cfg = resolve_distance_stage(

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.distance.transforms import fractional_identity_estimate
 from repro.kmer.counting import KmerCounter
 from repro.kmer.distance import (
-    fractional_identity_estimate,
     kmer_distance_matrix,
     kmer_match_fraction_matrix,
 )

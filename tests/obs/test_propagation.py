@@ -134,15 +134,8 @@ class TestMetricsRideHome:
                           tile_pairs=3)
         assert np.all(np.isfinite(d))
         delta = registry().snapshot().diff(before)
-        # The distance stage may run pairs through the scalar kernel or
-        # the batched one (REPRO_DP_BATCH_PAIRS); either way every pair
-        # is counted by exactly one of these.
-        scalar = delta.metrics.get("dp.align_calls")
-        batched = delta.metrics.get("dp.batch_pairs")
-        total = (scalar.value if scalar else 0) + (
-            batched.value if batched else 0
-        )
-        assert total >= 10  # C(5,2) pairs
+        # Every pair goes through the batched kernel in a worker.
+        assert delta.metrics["dp.batch_pairs"].value == 10  # C(5,2) pairs
 
 
 def _spin_ring(comm):

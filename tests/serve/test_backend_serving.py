@@ -168,3 +168,60 @@ class TestHttpBackendSelection:
         assert metrics["rejected_bad_request"] == 1
         assert metrics["admitted"] == metrics["queue_depth"] == 0
         assert metrics["service"]["computed"] == 0
+
+    @pytest.mark.parametrize(
+        "distance, message",
+        [
+            ({"estimator": "full-dp", "k": 3}, "'full-dp' takes no 'k'"),
+            ({"estimator": "ktuple", "transform": "kimura"},
+             "'ktuple' takes no 'transform'"),
+            ("kband", "unknown distance estimator 'kband'; available: "
+                      "['full-dp', 'kmer-fraction', 'ktuple']"),
+        ],
+        ids=["full-dp-k", "ktuple-transform", "kband"],
+    )
+    def test_bad_distance_spec_is_a_400(self, seqs, distance, message):
+        """A qualifier the estimator does not take (or a deleted name)
+        is refused at admission, not after a worker ran the engine."""
+        with AlignmentGateway(n_workers=1) as gw:
+            server, thread = serve_in_thread(gw)
+            try:
+                request = AlignRequest(
+                    sequences=seqs[:6], engine="clustalw",
+                    engine_kwargs={"distance": distance},
+                )
+                with pytest.raises(urllib.error.HTTPError) as info:
+                    _post(server.port, {"request": request.to_dict()})
+                metrics = gw.metrics()
+            finally:
+                server.shutdown()
+                thread.join()
+        assert info.value.code == 400
+        assert message in json.loads(info.value.read())["error"]
+        assert metrics["rejected_bad_request"] == 1
+        assert metrics["failed"] == 0
+        assert metrics["admitted"] == metrics["queue_depth"] == 0
+        assert metrics["service"]["computed"] == 0
+
+    @pytest.mark.parametrize(
+        "distance",
+        [
+            {"estimator": "ktuple", "k": 3},
+            {"estimator": "full-dp", "transform": "kimura"},
+        ],
+        ids=["ktuple-k", "full-dp-transform"],
+    )
+    def test_valid_distance_qualifier_still_runs(self, seqs, distance):
+        with AlignmentGateway(n_workers=1) as gw:
+            server, thread = serve_in_thread(gw)
+            try:
+                request = AlignRequest(
+                    sequences=seqs[:6], engine="clustalw",
+                    engine_kwargs={"distance": distance},
+                )
+                status, body = _post(server.port, {"request": request.to_dict()})
+            finally:
+                server.shutdown()
+                thread.join()
+        assert status == 200
+        assert body["result"]["alignment"]

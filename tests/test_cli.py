@@ -375,7 +375,7 @@ class TestDistanceCli:
     def test_distances_lists_estimators(self, capsys):
         assert main(["distances"]) == 0
         out = capsys.readouterr().out
-        for name in ("ktuple", "kmer-fraction", "full-dp", "kband"):
+        for name in ("ktuple", "kmer-fraction", "full-dp"):
             assert name in out
         assert "kimura" in out
 
@@ -518,7 +518,9 @@ class TestDistanceCli:
         ]
         assert by_name["tcoffee"]["stages"] == []
         assert "distance_options" not in by_name["clustalw"]
-        assert "kband" in payload["distance_estimators"]
+        assert sorted(payload["distance_estimators"]) == [
+            "full-dp", "kmer-fraction", "ktuple"
+        ]
 
 
 class TestTraceCli:

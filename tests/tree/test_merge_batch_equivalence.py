@@ -1,15 +1,17 @@
-"""Level-batched progressive merges are byte-identical to per-pair ones.
+"""Level-batched progressive merges are byte-identical to per-node ones.
 
-PR 9's tentpole: the merge executor hands each DAG level (or a rank's
-share of one) to ``align_profiles_batch``, which routes the fused
-batched DP kernel.  The kernel is proven exact, so every builder and
-every execution mode must produce byte-for-byte the FASTA the per-pair
-walk (``REPRO_DP_BATCH_PAIRS=0``) produces.
+The merge executor hands each DAG level (or a rank's share of one) to
+``align_profiles_batch``, which routes the fused batched DP kernel.
+The per-node reference is the same walk with an opaque ``merge_fn``
+that calls the scalar :func:`align_profiles` -- the executor never
+level-batches a ``merge_fn`` -- and every builder and every execution
+mode must produce byte-for-byte the FASTA that walk produces.
 """
 
 import numpy as np
 import pytest
 
+from repro.align import batchdp
 from repro.align.profile_align import (
     ProfileAlignConfig,
     align_profiles,
@@ -43,23 +45,24 @@ def family_trees(family_seqs):
     }
 
 
+def per_node_align(seqs, tree, weights=None):
+    """The scalar walk: one ``align_profiles`` call per internal node."""
+    cfg = ProfileAlignConfig()
+
+    def merge(pa, pb):
+        merged, _res = align_profiles(pa, pb, cfg)
+        return merged
+
+    return progressive_align(seqs, tree, cfg, weights, merge_fn=merge)
+
+
 @pytest.fixture(scope="module")
 def per_pair_reference(family_seqs, family_trees):
-    """Per-pair serial alignments with the batched kernel disabled."""
-    import os
-
-    old = os.environ.get("REPRO_DP_BATCH_PAIRS")
-    os.environ["REPRO_DP_BATCH_PAIRS"] = "0"
-    try:
-        return {
-            name: progressive_align(family_seqs, tree).to_fasta()
-            for name, tree in family_trees.items()
-        }
-    finally:
-        if old is None:
-            del os.environ["REPRO_DP_BATCH_PAIRS"]
-        else:
-            os.environ["REPRO_DP_BATCH_PAIRS"] = old
+    """Per-node serial alignments (scalar kernel only)."""
+    return {
+        name: per_node_align(family_seqs, tree).to_fasta()
+        for name, tree in family_trees.items()
+    }
 
 
 class TestLevelBatchedByteIdentity:
@@ -96,33 +99,35 @@ class TestLevelBatchedByteIdentity:
         assert all(r == per_pair_reference["nj"] for r in coop.results)
 
     def test_weighted_path_batched_matches_per_pair(
-        self, family_seqs, family_trees, monkeypatch
+        self, family_seqs, family_trees
     ):
         tree = family_trees["upgma"]
         w = clustal_sequence_weights(tree)
         batched = progressive_align(family_seqs, tree, None, w).to_fasta()
-        monkeypatch.setenv("REPRO_DP_BATCH_PAIRS", "0")
-        per_pair = progressive_align(family_seqs, tree, None, w).to_fasta()
-        assert batched == per_pair
+        assert batched == per_node_align(family_seqs, tree, w).to_fasta()
 
     def test_merge_fn_override_still_per_node(
         self, family_seqs, family_trees
     ):
         """A custom merge_fn is an opaque per-pair callable: the
-        executor must not try to level-batch it, and results match."""
-        cfg = ProfileAlignConfig()
+        executor must not try to level-batch it."""
+        from repro.obs.tracing import (
+            disable_tracing,
+            drain_spans,
+            enable_tracing,
+        )
 
-        def merge(pa, pb):
-            merged, _res = align_profiles(pa, pb, cfg)
-            return merged
+        drain_spans()
+        enable_tracing()
+        try:
+            per_node_align(family_seqs, family_trees["upgma"])
+        finally:
+            disable_tracing()
+        names = {r.name for r in drain_spans()}
+        assert "tree.merge_node" in names
+        assert "dp.profile_batch" not in names
 
-        tree = family_trees["upgma"]
-        out = progressive_align(
-            family_seqs, tree, cfg, merge_fn=merge
-        ).to_fasta()
-        assert out == progressive_align(family_seqs, tree, cfg).to_fasta()
-
-    @pytest.mark.parametrize("batch_pairs", ["2", "3", "8", "128"])
+    @pytest.mark.parametrize("batch_pairs", [2, 3, 8, 128])
     def test_chunk_size_grid(
         self,
         batch_pairs,
@@ -132,7 +137,7 @@ class TestLevelBatchedByteIdentity:
         monkeypatch,
     ):
         """Every chunking of a level is byte-identical."""
-        monkeypatch.setenv("REPRO_DP_BATCH_PAIRS", batch_pairs)
+        monkeypatch.setattr(batchdp, "MAX_BATCH_PAIRS", batch_pairs)
         out = progressive_align(
             family_seqs, family_trees["wpgma"]
         ).to_fasta()
