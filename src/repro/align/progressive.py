@@ -98,6 +98,7 @@ def progressive_align(
     backend: Optional[Any] = None,
     workers: Optional[int] = None,
     comm: Optional[Any] = None,
+    clades: Optional[Any] = None,
 ) -> Alignment:
     """Align ``seqs`` progressively along ``tree``.
 
@@ -114,6 +115,12 @@ def progressive_align(
     the merge DAG level-parallel over ``workers`` ranks; ``comm=`` joins
     an existing SPMD program cooperatively.  Alignments are
     byte-identical in every mode.
+
+    ``clades`` (internal; see :class:`repro.tree.merge.CladeTable`) lets
+    several calls over the *same* sequences, ``config`` and ``merge_fn``
+    share merged alignments: a subtree whose branching order an earlier
+    call already merged is not merged again.  Row weights change every
+    profile's frequencies, so a weighted call takes no table.
 
     Returns the final alignment with rows in the *input* sequence order.
     Raises a clean ``ValueError`` for fewer than two sequences or a tree
@@ -137,6 +144,10 @@ def progressive_align(
         raise ValueError("tree labels must match sequence ids exactly")
     leaf_index: Optional[Dict[str, int]] = None
     if sequence_weights is not None:
+        if clades is not None:
+            raise ValueError(
+                "a clade table cannot be shared by weighted merges"
+            )
         sequence_weights = np.asarray(sequence_weights, dtype=np.float64)
         if sequence_weights.shape != (len(seqs),):
             raise ValueError("need one weight per leaf")
@@ -162,6 +173,7 @@ def progressive_align(
         backend=backend,
         workers=workers,
         comm=comm,
+        clades=clades,
     )
     return root.alignment.select_rows([s.id for s in seqs])
 

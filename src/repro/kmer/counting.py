@@ -100,23 +100,50 @@ class KmerCounter:
 
     def count_vector(self, seq: Sequence) -> np.ndarray:
         """Dense count vector of shape ``(A**k,)`` (requires small space)."""
+        return self.count_matrix([seq])[0]
+
+    def count_matrix(self, seqs: Iterable[Sequence]) -> np.ndarray:
+        """Dense int32 ``(N, A**k)`` count matrix (rows follow input order).
+
+        One pass over all sequences: the projected codes are
+        concatenated, every window is radix-encoded at once, windows
+        that run across a sequence boundary are masked out, and the
+        surviving ``(row, k-mer)`` cells are counted straight into the
+        matrix -- sorted, so no dense 64-bit ``N * A**k`` scratch array
+        is built.
+        """
+        seqs = list(seqs)
         if not self.dense_ok:
             raise ValueError(
                 f"k-mer space {self.space_size} too large for dense counts; "
                 "use sorted_kmers/decorated_kmers instead"
             )
-        km = self.sequence_kmers(seq)
-        return np.bincount(km, minlength=self.space_size).astype(np.int32)
-
-    def count_matrix(self, seqs: Iterable[Sequence]) -> np.ndarray:
-        """Dense ``(N, A**k)`` count matrix (rows follow input order)."""
-        seqs = list(seqs)
-        if not self.dense_ok:
-            raise ValueError("k-mer space too large for a dense count matrix")
+        k, alpha = self.k, self.alphabet
         out = np.zeros((len(seqs), self.space_size), dtype=np.int32)
-        for i, s in enumerate(seqs):
-            km = self.sequence_kmers(s)
-            np.add.at(out[i], km, 1)
+        if not seqs:
+            return out
+        if isinstance(alpha, CompressedAlphabet) and all(
+            s.alphabet == alpha.parent for s in seqs
+        ):
+            # One projection for all rows instead of one per row.
+            codes = alpha.project(np.concatenate([s.codes for s in seqs]))
+        else:
+            codes = np.concatenate([self._target_codes(s) for s in seqs])
+        # Every window of the concatenation (kmer_codes also checks the
+        # codes' range), including the ones that straddle two rows.
+        kmers = kmer_codes(codes, k, alpha.size)
+        n_windows = kmers.size
+        if n_windows == 0:
+            return out
+        lengths = np.fromiter((len(s) for s in seqs), np.int64, len(seqs))
+        row = np.repeat(np.arange(len(seqs)), lengths)[:n_windows]
+        # A window belongs to the row of its first residue and is real
+        # only when it also ends inside that row.
+        inside = np.arange(k, n_windows + k) <= np.cumsum(lengths)[row]
+        cells, counts = np.unique(
+            row[inside] * self.space_size + kmers[inside], return_counts=True
+        )
+        out.reshape(-1)[cells] = counts
         return out
 
     # -- sparse representations (large k-mer spaces) ----------------------------

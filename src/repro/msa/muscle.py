@@ -3,7 +3,14 @@
 Stage 1 (draft): k-mer distances over a compressed alphabet, UPGMA guide
 tree, progressive alignment.
 Stage 2 (improved): pairwise identities re-estimated *from the draft
-alignment*, Kimura-corrected, new UPGMA tree, full re-alignment.
+alignment*, Kimura-corrected, new UPGMA tree, and -- as in MUSCLE --
+re-alignment of only the subtrees whose branching order changed: the two
+progressive walks of one ``align`` call share a per-call
+:class:`~repro.tree.merge.CladeTable`, so a stage-2 node whose ordered
+clade stage 1 already merged is rebuilt from that alignment and nothing
+beneath it runs.  A merged profile depends only on its ordered subtree
+and the scoring, so the result is byte-identical to re-merging every
+node.
 Stage 3 (refinement): tree-dependent restricted partitioning accepted on
 sum-of-pairs improvement.
 
@@ -27,6 +34,7 @@ from repro.distance import alignment_identity_matrix, kimura_distance
 from repro.msa.base import GuideTreeStages, SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
+from repro.tree.merge import CladeTable
 
 __all__ = ["MuscleLike"]
 
@@ -99,20 +107,27 @@ class MuscleLike(GuideTreeStages, SequentialMsaAligner):
         # Stage 1: draft tree from alignment-free k-mer distances (or any
         # estimator/builder from the repro.distance / repro.tree registries).
         builder, merge = self._tree_stage()
+        two_stage = self.two_stage and len(sset) > 2
+        # Both walks use the same leaves, scoring and merge_fn, which is
+        # what one table may span.
+        clades = CladeTable() if two_stage else None
         tree = builder.build(self._distances(list(sset)), ids)
         aln = progressive_align(list(sset), tree, self.scoring,
                                 merge_fn=merge_fn,
-                                backend=merge.backend, workers=merge.workers)
+                                backend=merge.backend, workers=merge.workers,
+                                clades=clades)
 
-        # Stage 2: re-estimate distances from the draft, realign.
-        if self.two_stage and len(sset) > 2:
+        # Stage 2: re-estimate distances from the draft, realign the
+        # subtrees whose branching order changed.
+        if two_stage:
             ident = alignment_identity_matrix(aln)
             d2 = kimura_distance(ident)
             tree = builder.build(d2, aln.ids)
             aln = progressive_align(list(sset), tree, self.scoring,
                                     merge_fn=merge_fn,
                                     backend=merge.backend,
-                                    workers=merge.workers)
+                                    workers=merge.workers,
+                                    clades=clades)
 
         # Stage 3: tree-dependent restricted partitioning.
         if self.refine and len(sset) > 2:

@@ -25,11 +25,25 @@ kernel instead of one numpy-dispatch-bound DP per merge.  The batched
 kernel is byte-identical to the per-pair one, so this is purely a
 performance path.
 
+Clade reuse: a caller that walks several trees over the *same* leaf
+profiles with the *same* ``merge_node`` (MUSCLE's stage 1 and stage 2)
+may hand every walk one :class:`CladeTable` (``clades=``).  A walk
+records each merged alignment under its ordered clade -- a leaf is its
+label, an internal node the pair (left clade, right clade) -- and,
+before it schedules anything, prunes the tree top-down from the root: a
+node whose clade is in the table is rebuilt from the stored alignment
+and nothing beneath it runs.  The serial walks (level-batched and
+post-order) and the cooperative one (every rank holds every profile, so
+every rank's table agrees) reuse; a backend-scheduled walk computes
+every node.
+
 Determinism contract: a merge's output depends only on its two child
 profiles and the ``merge_node`` callable (which must itself be
-deterministic), and every internal node is computed exactly once -- so
-serial, threads, pool and cooperative schedules produce
-**byte-identical** alignments for any level assignment, batched or not.
+deterministic) -- hence only on the node's ordered subtree -- and every
+internal node is computed at most once per table (exactly once with no
+table) -- so serial, threads, pool and cooperative schedules produce
+**byte-identical** alignments for any level assignment, batched or not,
+with or without a table.
 """
 
 from __future__ import annotations
@@ -39,13 +53,132 @@ from typing import Any, Callable, Dict, List, Optional, Sequence as TSequence
 
 from repro.align.guide_tree import GuideTree
 from repro.align.profile import Profile
+from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
+from repro.seq.alignment import Alignment
 from repro.tree.schedule import merge_schedule
 
-__all__ = ["progressive_merge"]
+__all__ = ["CladeTable", "progressive_merge"]
 
 #: ``merge_node(step, pa, pb) -> Profile`` -- the per-node merge.
 MergeNode = Callable[[int, Profile, Profile], Profile]
+
+# Internal nodes a walk took from its clade table instead of merging
+# (the reused node and everything beneath it).
+_REUSED_NODES = _obs_registry().counter("tree.merge_reused_nodes")
+
+
+def _profile_bytes(profile: Profile) -> int:
+    return (
+        profile.alignment.matrix.nbytes
+        + profile.counts.nbytes
+        + profile.frequencies.nbytes
+        + profile.occupancy.nbytes
+    )
+
+
+class CladeTable:
+    """Merged alignments of one aligner call, keyed by ordered clade.
+
+    Valid only across walks that start from the same leaf profiles
+    (leaves are keyed by label alone) and use the same ``merge_node``;
+    in a cooperative walk every rank brings its own table.  Clades are
+    interned to ints as they are first seen, so a node's key is a pair
+    of ints whatever its depth and a caterpillar tree costs O(N).
+
+    Only a merged profile's alignment is kept -- a few uint8 rows, where
+    the profile's count and frequency arrays cost some 340 bytes a
+    column -- and a hit rebuilds the profile from it.  That is exact for
+    every merge whose output *is* ``Profile(alignment)``; row-weighted
+    merges (CLUSTALW) replace the frequencies afterwards and must not
+    use a table.
+
+    Retention is bounded by what a walk already holds: a walk records
+    bottom-up and recording stops for good once the retained bytes
+    exceed the bytes of that walk's leaf profiles, so the small clades
+    -- the ones that recur -- are the ones kept.
+    """
+
+    def __init__(self) -> None:
+        self._ids: Dict[Any, int] = {}
+        self._alignments: Dict[int, Alignment] = {}
+        self.retained_bytes = 0
+
+    def __len__(self) -> int:
+        return len(self._alignments)
+
+    def node_keys(self, tree: GuideTree) -> List[int]:
+        """The interned clade of every node of ``tree``, by node id."""
+        ids = self._ids
+        keys = [ids.setdefault(label, len(ids)) for label in tree.labels]
+        for a, b in tree.merges:
+            clade = (keys[int(a)], keys[int(b)])
+            keys.append(ids.setdefault(clade, len(ids)))
+        return keys
+
+    def get(self, key: int) -> Optional[Profile]:
+        alignment = self._alignments.get(key)
+        return None if alignment is None else Profile(alignment)
+
+    def record(self, key: int, profile: Profile, budget: int) -> None:
+        """Keep ``profile`` unless ``budget`` bytes are already exceeded."""
+        if self.retained_bytes > budget:
+            return
+        self._alignments[key] = profile.alignment
+        self.retained_bytes += profile.alignment.matrix.nbytes
+
+
+class _Walk:
+    """One walk's working state: the node -> profile table, seeded with
+    the leaves and every profile taken from ``clades``, and the merge
+    steps that are left to run."""
+
+    def __init__(
+        self,
+        profiles: List[Profile],
+        tree: GuideTree,
+        clades: Optional[CladeTable],
+    ) -> None:
+        n = tree.n_leaves
+        self.tree = tree
+        self.table: Dict[int, Profile] = dict(enumerate(profiles))
+        self._clades = clades
+        if clades is None:
+            self.steps: Any = range(n - 1)
+            return
+        self._keys = clades.node_keys(tree)
+        self._budget = sum(_profile_bytes(p) for p in profiles)
+        self.steps = set()
+        pending = [tree.root]
+        while pending:
+            node = pending.pop()
+            if node < n:
+                continue
+            kept = clades.get(self._keys[node])
+            if kept is not None:
+                self.table[node] = kept
+            else:
+                self.steps.add(node - n)
+                pending.extend(int(c) for c in tree.merges[node - n])
+
+    @property
+    def reused(self) -> int:
+        return self.tree.n_leaves - 1 - len(self.steps)
+
+    def children(self, step: int) -> tuple:
+        a, b = self.tree.merges[step]
+        return self.table[int(a)], self.table[int(b)]
+
+    def finish(self, step: int, profile: Profile) -> None:
+        """Store a merged node and forget its inputs (which bounds the
+        working table); the clade table decides whether to keep it."""
+        a, b = self.tree.merges[step]
+        self.table.pop(int(a), None)
+        self.table.pop(int(b), None)
+        node = self.tree.n_leaves + step
+        self.table[node] = profile
+        if self._clades is not None:
+            self._clades.record(self._keys[node], profile, self._budget)
 
 
 def _validate(profiles: TSequence[Profile], tree: GuideTree) -> List[Profile]:
@@ -88,8 +221,7 @@ def _level_batch_wanted(merge_node: MergeNode) -> bool:
 
 
 def _merge_steps(
-    table: Dict[int, Profile],
-    tree: GuideTree,
+    walk: _Walk,
     steps: List[int],
     merge_node: MergeNode,
     batch: bool,
@@ -103,21 +235,20 @@ def _merge_steps(
     either way -- the batched kernel is exact.
     """
     if batch and len(steps) > 0:
-        pairs = [_children(table, tree, step) for step in steps]
+        pairs = [walk.children(step) for step in steps]
         with span("tree.merge_level", merges=len(steps)):
             merged = merge_node.merge_level(steps, pairs)
         return dict(zip(steps, merged))
     out: Dict[int, Profile] = {}
     for step in steps:
         with span("tree.merge_node", step=step):
-            out[step] = merge_node(step, *_children(table, tree, step))
+            out[step] = merge_node(step, *walk.children(step))
     return out
 
 
 def _run_levels(
     comm: Optional[Any],
-    profiles: List[Profile],
-    tree: GuideTree,
+    walk: _Walk,
     levels: TSequence[TSequence[int]],
     merge_node: MergeNode,
 ) -> Profile:
@@ -128,47 +259,36 @@ def _run_levels(
     consumed children are dropped level by level to bound memory.
     Within a level (or a rank's cyclic share of one) the merges are
     independent by construction, so they batch through the node's
-    ``merge_level`` when it advertises support.
+    ``merge_level`` when it advertises support.  Steps the walk took
+    from its clade table are not in ``walk.steps`` and do not run; every
+    rank pruned the same steps, so the levels stay collective.
     """
-    n = tree.n_leaves
     batch = _level_batch_wanted(merge_node)
-    table: Dict[int, Profile] = dict(enumerate(profiles))
     for level in levels:
+        level = [step for step in level if step in walk.steps]
+        if not level:
+            continue
         if comm is None or comm.size == 1:
-            done = _merge_steps(
-                table, tree, list(level), merge_node, batch
-            )
-            for step, prof in done.items():
-                table[n + step] = prof
+            done = _merge_steps(walk, level, merge_node, batch)
         else:
             share = [
                 step
                 for pos, step in enumerate(level)
                 if pos % comm.size == comm.rank
             ]
-            mine = _merge_steps(table, tree, share, merge_node, batch)
+            done = _merge_steps(walk, share, merge_node, batch)
             gathered = comm.allgather(
-                [(step, _pack(prof)) for step, prof in mine.items()]
+                [(step, _pack(prof)) for step, prof in done.items()]
             )
             for rank_parts in gathered:
                 for step, packed in rank_parts:
                     # Keep the locally computed object; unpack foreign
                     # ones (values are identical either way).
-                    table[n + step] = (
-                        mine[step] if step in mine else _unpack(packed)
-                    )
+                    if step not in done:
+                        done[step] = _unpack(packed)
         for step in level:
-            a, b = tree.merges[step]
-            table.pop(int(a), None)
-            table.pop(int(b), None)
-    return table[tree.root]
-
-
-def _children(
-    table: Dict[int, Profile], tree: GuideTree, step: int
-) -> tuple:
-    a, b = tree.merges[step]
-    return table[int(a)], table[int(b)]
+            walk.finish(step, done[step])
+    return walk.table[walk.tree.root]
 
 
 def _merge_dag_rank(comm, profiles, tree, levels, merge_node):
@@ -178,7 +298,9 @@ def _merge_dag_rank(comm, profiles, tree, levels, merge_node):
 
     Every rank holds the root at the end; only rank 0 reports it so the
     result queue carries one copy, not ``workers``."""
-    root = _run_levels(comm, profiles, tree, levels, merge_node)
+    root = _run_levels(
+        comm, _Walk(profiles, tree, None), levels, merge_node
+    )
     return root if comm.rank == 0 else None
 
 
@@ -191,6 +313,7 @@ def progressive_merge(
     workers: Optional[int] = None,
     comm: Optional[Any] = None,
     cost_model: Optional[Any] = None,
+    clades: Optional[CladeTable] = None,
 ) -> Profile:
     """Fold ``profiles`` up ``tree``; returns the root profile.
 
@@ -223,54 +346,52 @@ def progressive_merge(
         ``backend``/``workers``.
     cost_model:
         Alpha-beta model forwarded to the backend's timing ledger.
+    clades:
+        A :class:`CladeTable` shared with the other walks of the same
+        leaf profiles and ``merge_node``: nodes whose ordered clade it
+        holds are taken from it, the rest are merged and recorded.  The
+        backend-scheduled mode ignores it and computes every node.
     """
     profiles = _validate(profiles, tree)
 
-    if comm is not None:
-        if backend is not None or workers not in (None, 1):
-            raise ValueError(
-                "cooperative mode (comm=...) excludes backend=/workers="
-            )
-        with span(
-            "tree.merge", n_leaves=tree.n_leaves, mode="cooperative"
-        ):
-            schedule = merge_schedule(tree)
-            return _run_levels(
-                comm, profiles, tree, schedule.levels, merge_node
-            )
-
+    if comm is not None and (
+        backend is not None or workers not in (None, 1)
+    ):
+        raise ValueError(
+            "cooperative mode (comm=...) excludes backend=/workers="
+        )
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    if backend is None and workers in (None, 1):
-        if _level_batch_wanted(merge_node):
-            # Level-batched serial walk: the schedule's levels are sets
-            # of independent merges, exactly the batch the fused DP
-            # kernel consumes.  Byte-identical to the post-order walk
-            # (each node still computed once, from the same children).
-            with span("tree.merge", n_leaves=tree.n_leaves, mode="serial"):
-                schedule = merge_schedule(tree)
-                return _run_levels(
-                    None, profiles, tree, schedule.levels, merge_node
-                )
-        # The classic serial post-order walk: the merge list itself is a
-        # valid topological order, so no schedule is needed.
-        with span("tree.merge", n_leaves=tree.n_leaves, mode="serial"):
-            n = tree.n_leaves
-            table: Dict[int, Profile] = dict(enumerate(profiles))
-            for step in range(n - 1):
-                a, b = tree.merges[step]
-                with span("tree.merge_node", step=step):
-                    table[n + step] = merge_node(
-                        step, table.pop(int(a)), table.pop(int(b))
-                    )
-            return table[tree.root]
+
+    if comm is not None or (backend is None and workers in (None, 1)):
+        mode = "serial" if comm is None else "cooperative"
+        with span("tree.merge", n_leaves=tree.n_leaves, mode=mode) as sp:
+            walk = _Walk(profiles, tree, clades)
+            sp.set(merged=len(walk.steps), reused=walk.reused)
+            _REUSED_NODES.inc(walk.reused)
+            if comm is not None or _level_batch_wanted(merge_node):
+                # The schedule's levels are sets of independent merges:
+                # a rank's share of the work, and exactly the batch the
+                # fused DP kernel consumes.
+                levels = merge_schedule(tree).levels
+            else:
+                # The classic serial post-order walk: the merge list
+                # itself is a valid topological order, one node a time.
+                levels = [(step,) for step in range(tree.n_leaves - 1)]
+            return _run_levels(comm, walk, levels, merge_node)
 
     from repro.obs.propagate import run_traced
 
     schedule = merge_schedule(tree)
     n_workers = workers if workers is not None else (os.cpu_count() or 1)
     n_workers = max(1, min(n_workers, schedule.max_width))
-    with span("tree.merge", n_leaves=tree.n_leaves, mode="backend"):
+    with span(
+        "tree.merge",
+        n_leaves=tree.n_leaves,
+        mode="backend",
+        merged=tree.n_leaves - 1,
+        reused=0,
+    ):
         spmd = run_traced(
             backend,
             n_workers,

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.kmer.counting import KmerCounter, kmer_codes
-from repro.seq.alphabet import DAYHOFF6, MURPHY10, PROTEIN, Alphabet
+from repro.seq.alphabet import DAYHOFF6, MURPHY10, PROTEIN, SE_B14, Alphabet
 from repro.seq.sequence import Sequence
 
 
@@ -116,3 +116,86 @@ class TestKmerCounter:
         assert kc.count_vector(s).sum() == 0
         assert kc.n_kmers(s) == 0
         assert kc.decorated_kmers(s).size == 0
+
+
+def stacked_bincount(kc, seqs):
+    """The per-sequence reference: one ``np.bincount`` per row."""
+    rows = [
+        np.bincount(kc.sequence_kmers(s), minlength=kc.space_size)
+        for s in seqs
+    ]
+    return np.array(rows, dtype=np.int32).reshape(len(seqs), kc.space_size)
+
+
+class TestCountMatrixOnePass:
+    """``count_matrix`` counts every row in one pass over the
+    concatenated codes; windows across a row boundary must not count."""
+
+    @pytest.mark.parametrize(
+        "alphabet,k",
+        [
+            (alphabet, k)
+            for alphabet in (DAYHOFF6, SE_B14, PROTEIN)
+            for k in (1, 3, 4)
+            if KmerCounter(k, alphabet).dense_ok  # PROTEIN stops at k=3
+        ],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    @given(
+        texts=st.lists(
+            st.text(alphabet="ACDEFGHIKLMNPQRSTVWYX", max_size=12),
+            max_size=7,
+        )
+    )
+    def test_equals_stacked_bincount(self, alphabet, k, texts):
+        kc = KmerCounter(k=k, alphabet=alphabet)
+        seqs = [Sequence(f"s{i}", t) for i, t in enumerate(texts)]
+        got = kc.count_matrix(seqs)
+        assert got.dtype == np.int32
+        assert got.shape == (len(seqs), kc.space_size)
+        assert np.array_equal(got, stacked_bincount(kc, seqs))
+
+    def test_ragged_short_and_exact_lengths(self):
+        kc = KmerCounter(k=3)
+        seqs = [
+            Sequence("long", "MKVAMKVAWW"),
+            Sequence("short", "MK"),  # < k: no window, and none borrowed
+            Sequence("exact", "MKV"),  # == k: one window
+            Sequence("empty", ""),
+            Sequence("tail", "AMKV"),
+        ]
+        got = kc.count_matrix(seqs)
+        assert got.sum(axis=1).tolist() == [8, 0, 1, 0, 2]
+        assert np.array_equal(got, stacked_bincount(kc, seqs))
+
+    def test_all_rows_shorter_than_k(self):
+        kc = KmerCounter(k=4)
+        got = kc.count_matrix([Sequence("a", "MK"), Sequence("b", "V")])
+        assert got.shape == (2, kc.space_size) and not got.any()
+
+    def test_empty_list(self):
+        kc = KmerCounter(k=3)
+        got = kc.count_matrix([])
+        assert got.shape == (0, kc.space_size) and got.dtype == np.int32
+
+    def test_sequences_already_in_the_target_alphabet(self):
+        kc = KmerCounter(k=2, alphabet=DAYHOFF6)
+        mixed = [
+            Sequence("p", "MKVADENQW", alphabet=PROTEIN),
+            Sequence("d", "MKVADENQW", alphabet=DAYHOFF6),
+        ]
+        got = kc.count_matrix(mixed)
+        assert np.array_equal(got[0], got[1])
+        assert np.array_equal(got, stacked_bincount(kc, mixed))
+
+    def test_count_vector_is_a_row_of_the_matrix(self):
+        kc = KmerCounter(k=3)
+        s = Sequence("a", "MKVAMKVA")
+        assert np.array_equal(kc.count_vector(s), kc.count_matrix([s])[0])
+
+    def test_out_of_range_code_raises(self):
+        kc = KmerCounter(k=2, alphabet=PROTEIN)
+        bad = Sequence("a", "MKV")
+        bad._codes = np.array([0, PROTEIN.size, 1], dtype=np.uint8)
+        with pytest.raises(ValueError, match="out of range"):
+            kc.count_matrix([Sequence("ok", "MKVA"), bad])

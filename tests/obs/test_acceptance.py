@@ -221,6 +221,48 @@ class TestScoreSourceIsVisible:
         )
 
 
+class TestCladeReuseIsVisible:
+    """How much of a tree a walk took from its clade table is on every
+    ``tree.merge`` span (``merged`` nodes run, ``reused`` nodes taken)
+    and summed in ``tree.merge_reused_nodes``."""
+
+    def test_stage2_reuses_and_nothing_else_does(self, traced_run):
+        from repro.obs.metrics import registry
+        from repro.obs.tracing import disable_tracing
+
+        fam = generate_family(
+            n_sequences=16, mean_length=50, seed=8, track_alignment=False
+        )
+        request = AlignRequest(
+            sequences=tuple(fam.sequences), engine="muscle-p"
+        )
+        enable_tracing()
+        before = registry().snapshot()
+        gateway = AlignmentGateway(n_workers=1)
+        try:
+            gateway.submit(request, client_id="acceptance").wait(60)
+        finally:
+            gateway.close()
+            disable_tracing()
+        delta = registry().snapshot().diff(before)
+        stage1, stage2 = sorted(
+            (r for r in drain_spans() if r.name == "tree.merge"),
+            key=lambda r: r.t0,
+        )
+        assert stage1.attrs["reused"] == 0 and stage1.attrs["merged"] == 15
+        assert stage2.attrs["reused"] > 0
+        assert stage2.attrs["merged"] + stage2.attrs["reused"] == 15
+        assert (
+            delta.metrics["tree.merge_reused_nodes"].value
+            == stage2.attrs["reused"]
+        )
+        # ClustalW's weighted merges take no table.
+        _, records = traced_run
+        (clustalw,) = [r for r in records if r.name == "tree.merge"]
+        assert clustalw.attrs["reused"] == 0
+        assert clustalw.attrs["merged"] == clustalw.attrs["n_leaves"] - 1
+
+
 class TestTokenWaitIsAttributed:
     """Two distinct requests on a two-thread service: the one that has to
     wait for the compute token shows the wait as its own span, not as
