@@ -29,19 +29,43 @@ exact -- property-tested against a scalar reference implementation.
 Terminal gaps are scaled by ``terminal_factor`` (1.0 = fully penalised
 global alignment; 0.0 = free end gaps) via boundary initialisation plus a
 final sweep over the last row/column.
+
+Compiled row kernel.  On merge-sized rows (80-250 doubles) the eleven
+ufunc calls per row are dispatch cost, not arithmetic, so the row loop
+of the align-mode fill also exists as one C function
+(``_gotoh_rows.c``, built and loaded by :mod:`repro.align.ckernel`):
+per cell the same IEEE operations in the same order, hence H, E and F
+bit for bit the numpy loop's and every alignment byte-identical.  Which
+one runs is decided once per process from what the host has
+(:func:`kernel`): the compiled one when a C compiler and a private
+cache directory exist and the loaded code reproduces the numpy loop on
+a probe of the values where platforms differ (signed zeros, NaN);
+otherwise the numpy loop, with the reason on ``kernel().fallback``.
+There is no switch.  Row 0, the boundary vectors, the table pool, the
+terminal sweep, the traceback and the score-only mode are numpy/python
+on both paths.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from repro.align import ckernel
 from repro.obs.metrics import registry as _obs_registry
+from repro.obs.tracing import span
 
-__all__ = ["AffineDPResult", "affine_align", "affine_score", "NEG"]
+__all__ = [
+    "AffineDPResult",
+    "DPKernel",
+    "affine_align",
+    "affine_score",
+    "kernel",
+    "NEG",
+]
 
 #: Effectively minus infinity for the DP (finite so arithmetic stays clean).
 NEG = -1.0e30
@@ -52,6 +76,9 @@ _ALIGN_CALLS = _obs_registry().counter("dp.align_calls")
 _ALIGN_CELLS = _obs_registry().counter("dp.align_cells")
 _SCORE_CALLS = _obs_registry().counter("dp.score_calls")
 _SCORE_CELLS = _obs_registry().counter("dp.score_cells")
+# Processes (this one, and pool workers via their metric deltas) that
+# resolved to the numpy loop because the compiled kernel was unusable.
+_KERNEL_FALLBACKS = _obs_registry().counter("dp.kernel_fallbacks")
 
 
 class _TablePool(threading.local):
@@ -106,13 +133,98 @@ class AffineDPResult:
 
 
 def _as_vec(value, length: int, name: str) -> np.ndarray:
-    """Broadcast a scalar penalty to a per-position vector."""
+    """Broadcast a scalar penalty to a per-position vector (C-contiguous
+    native float64 whatever the caller's strides or byte order)."""
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim == 0:
         return np.full(length, float(arr))
     if arr.shape != (length,):
         raise ValueError(f"{name} must be scalar or length {length}")
-    return arr.astype(np.float64, copy=False)
+    return np.ascontiguousarray(arr)
+
+
+class DPKernel(NamedTuple):
+    """Which align-mode row loop this process runs (see :func:`kernel`).
+
+    ``name`` is ``"c"`` or ``"numpy"``; ``fallback`` is ``None`` under
+    ``"c"`` and otherwise why the compiled kernel is not in use
+    (``no_compiler`` / ``cache_unwritable`` / ``build_failed`` /
+    ``load_failed`` from :func:`repro.align.ckernel.load`, or
+    ``check_failed`` when it loaded but did not reproduce the numpy
+    loop's bytes on this host); ``rows`` is the loaded C function.
+    """
+
+    name: str
+    fallback: Optional[str] = None
+    rows: Optional[Callable[..., None]] = None
+
+    def describe(self) -> dict:
+        """The entries ``/metrics`` and ``repro trace`` show."""
+        out = {"dp.kernel": self.name}
+        if self.fallback is not None:
+            out["dp.kernel_fallback"] = self.fallback
+        return out
+
+
+_kernel: Optional[DPKernel] = None  # resolved on first use; tests monkeypatch
+_kernel_lock = threading.Lock()
+
+
+def kernel() -> DPKernel:
+    """The row kernel in use, resolved on first call and then fixed for
+    the life of the process (a cached build costs one ``cc --version``
+    and one ``dlopen``; an empty cache, one compile of 60 lines)."""
+    global _kernel
+    if _kernel is None:
+        # Resolved outside the lock (threads racing here each resolve;
+        # the build is atomic and idempotent) so that a pool forked
+        # meanwhile never inherits a lock held across a compile.
+        rows, reason = ckernel.load()
+        if rows is not None and not _reproduces_numpy(rows):
+            rows, reason = None, "check_failed"
+        with _kernel_lock:
+            if _kernel is None:
+                if rows is None:
+                    _KERNEL_FALLBACKS.inc()
+                    _kernel = DPKernel("numpy", reason)
+                else:
+                    _kernel = DPKernel("c", None, rows)
+    return _kernel
+
+
+def _reproduces_numpy(rows: Callable[..., None]) -> bool:
+    """Do the compiled and the numpy row loops write the same bytes here?
+
+    Ordinary values agree on any IEEE host by construction.  What a
+    platform is free to choose is which of ``+0.0`` / ``-0.0``
+    ``np.maximum`` returns and how NaN travels, so the probe is made of
+    exactly those: free end gaps (``-0.0`` boundaries), zero penalties,
+    signed-zero scores and one NaN.
+    """
+    S = np.array([
+        [0.0, -0.0, 1.0, 0.0],
+        [-0.0, 0.0, np.nan, -1.0],
+        [1.0, -0.0, 0.0, 0.0],
+    ])
+    gx, gy = np.zeros(3), np.array([0.0, 1.0, 0.0, 0.0])
+    filled = []
+    for use in (None, rows):
+        H, E, F, _cx, _cy = _forward(S, gx, gx, gy, gy, 0.0, True, rows=use)
+        filled.append(H.tobytes() + E.tobytes() + F.tobytes())
+    return filled[0] == filled[1]
+
+
+def _ptr(arr: np.ndarray, size: int) -> int:
+    """Address of ``arr`` for the C kernel, after checking it is the
+    ``size`` C-contiguous native doubles the kernel will index."""
+    if not (
+        arr.flags.c_contiguous and arr.dtype == np.float64 and arr.size == size
+    ):
+        raise ValueError(
+            "compiled DP kernel needs C-contiguous native float64 arrays; "
+            f"got dtype={arr.dtype}, shape={arr.shape}, strides={arr.strides}"
+        )
+    return arr.ctypes.data
 
 
 def _forward(
@@ -123,10 +235,15 @@ def _forward(
     ext_y: np.ndarray,
     tf: float,
     keep_matrices: bool,
+    rows: Optional[Callable[..., None]] = None,
 ):
     """Fill the DP tables.  Returns (H, E, F) full matrices when
     ``keep_matrices`` else the final row *and* final column of H
-    (score-only mode stays O(n) memory even with scaled terminal gaps)."""
+    (score-only mode stays O(n) memory even with scaled terminal gaps).
+
+    ``rows`` is the compiled row loop (:attr:`DPKernel.rows`) for the
+    matrix mode; ``None`` runs the numpy loop, which is also the
+    reference the compiled one is tested against."""
     m, n = S.shape
     cum_x = np.concatenate(([0.0], np.cumsum(ext_x)))  # C_x[i], i=0..m
     cum_y = np.concatenate(([0.0], np.cumsum(ext_y)))  # C_y[j], j=0..n
@@ -169,6 +286,18 @@ def _forward(
         cy_mid = cum_y[1:-1]
         cy1 = cum_y[1:]
         ok_tail = open_k[1:]
+
+    if rows is not None and keep_matrices and n:
+        cells = (m + 1) * (n + 1)
+        H[1:, 0] = bounds[1:]
+        E[1:, 0] = bounds[1:]
+        F[1:, 0] = NEG
+        rows(
+            m, n, _ptr(S, m * n), _ptr(open_x, m), _ptr(ext_x, m),
+            _ptr(open_k, n), _ptr(cum_y, n + 1), _ptr(term0s, m + 1),
+            _ptr(H, cells), _ptr(E, cells), _ptr(F, cells),
+        )
+        return H, E, F, cum_x, cum_y
 
     # Preallocated row scratch, written via ``out=`` so the row loop
     # allocates nothing (the old per-row temporaries dominated dispatch
@@ -333,13 +462,16 @@ def affine_align(
             score = -tf * (open_y[0] + ext_y.sum())
         return AffineDPResult(score, x_map, y_map)
 
-    H, E, F, cum_x, cum_y = _forward(
-        S, open_x, ext_x, open_y, ext_y, tf, keep_matrices=True
-    )
-    score, i, j = _terminal_best(
-        H[:, n], H[m, :], open_x, open_y, cum_x, cum_y, tf
-    )
-    x_map, y_map = _traceback(H, E, F, S, open_x, open_y, i, j, m, n)
+    kern = kernel()
+    with span("dp.align", m=m, n=n, kernel=kern.name):
+        H, E, F, cum_x, cum_y = _forward(
+            S, open_x, ext_x, open_y, ext_y, tf, keep_matrices=True,
+            rows=kern.rows,
+        )
+        score, i, j = _terminal_best(
+            H[:, n], H[m, :], open_x, open_y, cum_x, cum_y, tf
+        )
+        x_map, y_map = _traceback(H, E, F, S, open_x, open_y, i, j, m, n)
     return AffineDPResult(score, x_map, y_map)
 
 

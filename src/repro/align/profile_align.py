@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence as TSequence, Tuple
 
 import numpy as np
 
-from repro.align.dp import AffineDPResult, affine_align, affine_score
+from repro.align.dp import AffineDPResult, affine_align, affine_score, kernel
 from repro.align.profile import Profile, merge_profiles
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
@@ -41,11 +41,13 @@ __all__ = [
 _PROFILE_BATCH_CALLS = _obs_registry().counter("dp.profile_batch_calls")
 _PROFILE_BATCH_PAIRS = _obs_registry().counter("dp.profile_batch_pairs")
 
-#: Below this many pairs the fused kernel loses to the scalar one: its
-#: per-row dispatch cost is flat in K, so at K < 4 the extra ops (and
-#: the four decision-plane writes) outweigh the amortisation -- measured
-#: break-even K≈3-4 at merge-profile sizes.  Purely a performance
-#: threshold; both paths are byte-identical.
+#: Below this many pairs the fused kernel loses to the *numpy* scalar
+#: one: its per-row dispatch cost is flat in K, so at K < 4 the extra
+#: ops (and the four decision-plane writes) outweigh the amortisation --
+#: measured break-even K≈3-4 at merge-profile sizes.  Purely a
+#: performance threshold; both paths are byte-identical.  With the
+#: compiled scalar kernel loaded there is no such K (see
+#: :func:`align_profiles_batch`).
 _MIN_BATCH_PAIRS = 4
 
 
@@ -193,7 +195,12 @@ def align_profiles(
 ) -> tuple[Profile, AffineDPResult]:
     """Optimally align two profiles; returns the merged profile + DP result."""
     config = config or ProfileAlignConfig()
-    with span("dp.profile_align", x_cols=px.n_columns, y_cols=py.n_columns):
+    with span(
+        "dp.profile_align",
+        x_cols=px.n_columns,
+        y_cols=py.n_columns,
+        kernel=kernel().name,
+    ):
         S = profile_score_matrix(px, py, config)
         open_x, ext_x = config.gap_vectors(px)
         open_y, ext_y = config.gap_vectors(py)
@@ -225,16 +232,30 @@ def align_profiles_batch(
     distance stage batches through, so every returned ``(merged
     profile, DP result)`` is **byte-identical** to per-pair
     :func:`align_profiles`.
-    Batches smaller than ``_MIN_BATCH_PAIRS`` take the per-pair path
-    (the narrow tail levels of a merge DAG, where the fused kernel's
-    flat per-row cost loses to the scalar one).
+
+    Which of the two runs is a measured choice, made per scalar kernel
+    (:func:`repro.align.dp.kernel`) because fusing exists to amortise
+    numpy's per-row dispatch cost and the compiled row loop has none:
+
+    - ``numpy`` kernel: fused from ``_MIN_BATCH_PAIRS`` pairs up; below
+      that (the narrow tail levels of a merge DAG) per-pair, where the
+      fused kernel's flat per-row cost loses to the scalar one.
+    - ``c`` kernel: **always per-pair -- the fused path below is
+      unreachable.**  Per-pair compiled calls match or beat the fused
+      numpy DP across the K = 2..128 x L = 80/200/300 grid
+      (``benchmarks/bench_merge_batch.py`` re-measures it and writes
+      the table: 1.5-5x at L >= 200, 1.1-3.7x at L = 80 up to K = 32
+      and a tie beyond), so no K crosses over at merge sizes.  Only on
+      rows of ~40 columns does fusing win (up to 1.4x from K = 16 up);
+      that is a few milliseconds of a whole alignment and is not
+      routed on.
 
     The pairs must be independent (no profile may depend on another
     pair's output) -- exactly what one level of the merge DAG provides.
     """
     config = config or ProfileAlignConfig()
     pairs = list(pairs)
-    if len(pairs) < _MIN_BATCH_PAIRS:
+    if kernel().name == "c" or len(pairs) < _MIN_BATCH_PAIRS:
         return [align_profiles(px, py, config) for px, py in pairs]
 
     from repro.align.batchdp import MAX_BATCH_PAIRS, affine_align_batch

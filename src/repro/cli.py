@@ -1287,6 +1287,7 @@ def _print_stage_table(nodes, indent: int = 0, file=None) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.align.dp import kernel
     from repro.engine import AlignRequest, get_engine
     from repro.obs.tracing import (
         disable_tracing,
@@ -1342,6 +1343,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     write_chrome_trace(args.output, records)
     breakdown = stage_breakdown(records)
 
+    row_kernel = kernel().describe()
     payload = {
         "input": args.input,
         "engine": args.engine,
@@ -1350,6 +1352,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "n_spans": len(records),
         "trace_file": args.output,
         "stage_breakdown": breakdown,
+        **row_kernel,
     }
     if args.json is not None:
         _emit_json(payload, args.json, dash_stream=sys.stdout)
@@ -1359,6 +1362,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"({len(records)} spans)"
     )
     _print_stage_table(breakdown)
+    for key, value in row_kernel.items():
+        print(f"{key}: {value}")
     print(f"chrome trace written to {args.output} (load at ui.perfetto.dev)")
     return 0
 

@@ -75,29 +75,26 @@ def alignment_identity_matrix(aln: Alignment) -> np.ndarray:
     """Pairwise fractional identity induced by an existing MSA.
 
     Identity of rows (i, j) = identical residue pairs / columns where both
-    rows are non-gap (0 when they never overlap).  Fully vectorised in
-    blocks: O(N^2 L) numpy work.  This is MUSCLE's stage-2 re-estimate;
-    feed the result to :func:`kimura_distance` (or
-    :func:`identity_to_distance` with ``transform="kimura"``) for the
-    stage-2 tree distances.
+    rows are non-gap (0 when they never overlap).  Counted with one
+    matrix product per residue present: ``onehot_a @ onehot_a.T`` is the
+    number of columns where both rows carry residue ``a``, and
+    ``nongap @ nongap.T`` the number where both carry any -- sums of
+    0/1 products, so exact in float64 -- in O(N^2) memory beside the
+    input.  This is MUSCLE's stage-2 re-estimate; feed the result to
+    :func:`kimura_distance` (or :func:`identity_to_distance` with
+    ``transform="kimura"``) for the stage-2 tree distances.
     """
-    n, L = aln.matrix.shape
+    n, _L = aln.matrix.shape
     if n == 0:
         return np.zeros((0, 0))
-    gap = aln.alphabet.gap_code
     codes = aln.matrix
-    nongap = codes != gap
-    ident = np.eye(n)
-    block = max(1, (1 << 24) // max(L * n, 1))
-    for i0 in range(0, n, block):
-        a = codes[i0 : i0 + block]  # (b, L)
-        an = nongap[i0 : i0 + block]
-        both = an[:, None, :] & nongap[None, :, :]  # (b, n, L)
-        same = (a[:, None, :] == codes[None, :, :]) & both
-        overlap = both.sum(axis=2)
-        matches = same.sum(axis=2)
-        with np.errstate(invalid="ignore"):
-            frac = np.where(overlap > 0, matches / np.maximum(overlap, 1), 0.0)
-        ident[i0 : i0 + block] = frac
+    nongap = codes != aln.alphabet.gap_code
+    occupied = nongap.astype(np.float64)
+    overlap = occupied @ occupied.T
+    matches = np.zeros((n, n))
+    for residue in np.unique(codes[nongap]):
+        onehot = (codes == residue).astype(np.float64)
+        matches += onehot @ onehot.T
+    ident = np.where(overlap > 0, matches / np.maximum(overlap, 1), 0.0)
     np.fill_diagonal(ident, 1.0)
     return ident

@@ -37,6 +37,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Sequence as TSequence
 
+from repro.align.dp import kernel as dp_kernel
 from repro.distance import DistanceConfig, validate_backend_name
 from repro.engine.api import AlignRequest, AlignResult
 from repro.engine.registry import available_engines, engine_stages
@@ -604,6 +605,7 @@ class AlignmentGateway:
             "mean_s": lat.mean,
         }
         out["service"] = self._service.stats
+        out.update(dp_kernel().describe())
         if self._pool is not None:
             out["pool"] = self._pool.stats()
         return out

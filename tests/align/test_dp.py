@@ -117,3 +117,57 @@ class TestEdgeCases:
         r2 = affine_align(S, 1.0, 0.1)
         assert np.array_equal(r1.x_map, r2.x_map)
         assert np.array_equal(r1.y_map, r2.y_map)
+
+
+class TestCallerArrayLayouts:
+    """The compiled kernel indexes raw pointers, so whatever layout a
+    caller hands ``affine_align`` must reach it as C-contiguous native
+    float64 (a naive pointer hand-off reads the skipped elements of a
+    strided vector and walks a Fortran ``S`` column by column)."""
+
+    def _problem(self):
+        rng = np.random.default_rng(5)
+        m, n = 9, 13
+        S = rng.normal(0, 3, (m, n))
+        wide = {
+            name: rng.uniform(0.2, 6.0, 2 * length)
+            for name, length in (("ox", m), ("ex", m), ("oy", n), ("ey", n))
+        }
+        return S, wide
+
+    def _maps(self, S, ox, ex, oy, ey):
+        res = affine_align(S, ox, ex, oy, ey, terminal_factor=0.5)
+        return res.score, res.x_map.tolist(), res.y_map.tolist()
+
+    def test_strided_penalties_and_fortran_scores(self, dp_kernel):
+        S, wide = self._problem()
+        dense = {k: v[::2].copy() for k, v in wide.items()}
+        expected = scalar_gotoh(
+            S, dense["ox"], dense["ex"], dense["oy"], dense["ey"], tf=0.5
+        )
+        reference = self._maps(S, *dense.values())
+        assert np.isclose(reference[0], expected)
+        strided = [v[::2] for v in wide.values()]
+        assert not strided[0].flags.c_contiguous
+        assert self._maps(S, *strided) == reference
+        assert self._maps(np.asfortranarray(S), *strided) == reference
+        assert self._maps(np.hstack([S, S])[:, : S.shape[1]], *strided) == reference
+
+    def test_non_native_byte_order(self, dp_kernel):
+        S, wide = self._problem()
+        dense = [v[::2].copy() for v in wide.values()]
+        swapped = [v.astype(v.dtype.newbyteorder()) for v in dense]
+        assert not swapped[0].dtype.isnative
+        S_swapped = S.astype(S.dtype.newbyteorder())
+        assert self._maps(S_swapped, *swapped) == self._maps(S, *dense)
+
+    def test_kernel_refuses_a_pointer_it_cannot_index(self):
+        from repro.align.dp import _ptr
+
+        vec = np.arange(8.0)
+        assert _ptr(vec, 8) == vec.ctypes.data
+        for bad in (vec[::2], vec.astype(">f8"), vec.astype(np.float32)):
+            with pytest.raises(ValueError, match="C-contiguous native float64"):
+                _ptr(bad, bad.size)
+        with pytest.raises(ValueError, match="C-contiguous native float64"):
+            _ptr(vec, 9)

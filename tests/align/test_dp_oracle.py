@@ -5,15 +5,28 @@ The batched entries are byte-compared with ``affine_align`` elsewhere
 right.  Here each entry is checked on its own against
 :func:`tests.align.oracles.scalar_gotoh`, including scaled terminal
 gaps, position-specific penalties and degenerate (empty) axes.
+
+The scalar entry has two row loops (compiled and numpy, see
+``repro.align.dp.kernel``); it and the profile-level entries built on
+it are checked against the oracle under each.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.align.batchdp import affine_align_batch, gathered_align_batch
 from repro.align.dp import affine_align
+from repro.align.profile import Profile
+from repro.align.profile_align import (
+    ProfileAlignConfig,
+    align_profiles,
+    align_profiles_batch,
+    profile_score_matrix,
+)
+from repro.seq.alignment import Alignment
+from repro.seq.matrices import GapPenalties
 from tests.align.oracles import assert_valid_maps, path_score, scalar_gotoh
 
 PENALTIES = (0.0, 0.5, 1.0, 2.0, 7.5, 11.0)
@@ -66,6 +79,13 @@ def _gathered_batch_entry(table, code_pairs, g, tf):
     )
 
 
+def _assert_optimal(S, res, gaps, tf):
+    expected = scalar_gotoh(S, *gaps, tf=tf)
+    assert np.isclose(res.score, expected)
+    assert_valid_maps(res, *S.shape)
+    assert np.isclose(path_score(S, res, *gaps, tf=tf), expected)
+
+
 @pytest.mark.parametrize(
     "entry",
     [_scalar_entry, _dense_batch_entry, _gathered_batch_entry],
@@ -78,7 +98,63 @@ def test_kernel_entry_matches_oracle(entry, problem):
     results = entry(table, code_pairs, g, tf)
     for k, (S, res) in enumerate(zip(_dense(table, code_pairs), results)):
         gaps = (g["ox"][k], g["ex"][k], g["oy"][k], g["ey"][k])
-        expected = scalar_gotoh(S, *gaps, tf=tf)
-        assert np.isclose(res.score, expected)
-        assert_valid_maps(res, *S.shape)
-        assert np.isclose(path_score(S, res, *gaps, tf=tf), expected)
+        _assert_optimal(S, res, gaps, tf)
+
+
+# The kernel fixture is function-scoped and the same for every example.
+_PER_KERNEL = settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_PER_KERNEL
+@given(problems())
+def test_scalar_entry_matches_oracle_under_each_kernel(dp_kernel, problem):
+    table, code_pairs, g, tf = problem
+    results = _scalar_entry(table, code_pairs, g, tf)
+    for k, (S, res) in enumerate(zip(_dense(table, code_pairs), results)):
+        gaps = (g["ox"][k], g["ex"][k], g["oy"][k], g["ey"][k])
+        _assert_optimal(S, res, gaps, tf)
+
+
+@st.composite
+def profile_pairs(draw):
+    """Up to five pairs of small gappy profiles (one to three rows)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    letters = np.array(list("ACDEFGHIKLMNPQRSTVWY-"))
+
+    def profile(tag):
+        n_rows, n_cols = rng.integers(1, 4), rng.integers(1, 10)
+        rows = letters[rng.integers(0, 21, (n_rows, n_cols))]
+        rows[0] = letters[rng.integers(0, 20, n_cols)]  # no all-gap column
+        ids = [f"{tag}{r}" for r in range(n_rows)]
+        return Profile(Alignment.from_rows(ids, ["".join(r) for r in rows]))
+
+    n_pairs = draw(st.integers(1, 5))
+    pairs = [(profile(f"x{k}_"), profile(f"y{k}_")) for k in range(n_pairs)]
+    tf = draw(st.sampled_from((0.0, 0.3, 0.5, 1.0)))
+    return pairs, tf
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda pairs, cfg: [align_profiles(px, py, cfg) for px, py in pairs],
+        align_profiles_batch,
+    ],
+    ids=["align_profiles", "align_profiles_batch"],
+)
+@_PER_KERNEL
+@given(profile_pairs())
+def test_profile_entry_matches_oracle_under_each_kernel(
+    dp_kernel, entry, drawn
+):
+    pairs, tf = drawn
+    cfg = ProfileAlignConfig(gaps=GapPenalties(terminal_factor=tf))
+    for (px, py), (merged, res) in zip(pairs, entry(pairs, cfg)):
+        S = profile_score_matrix(px, py, cfg)
+        gaps = (*cfg.gap_vectors(px), *cfg.gap_vectors(py))
+        _assert_optimal(S, res, gaps, tf)
+        assert merged.n_columns == res.n_columns

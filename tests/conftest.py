@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import faulthandler
+import os
+import shutil
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.align import dp
 from repro.datagen.rose import generate_family
+from repro.obs.tracing import disable_tracing, drain_spans, enable_tracing
 from repro.parcomp.token import COMPUTE_TOKEN
 from repro.pool import PoolBackend, WorkerPool, set_default_pool
 from repro.pool.shm import shm_dir_segments
@@ -24,6 +29,77 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+# The compiled DP kernel is built into $XDG_CACHE_HOME.  The session --
+# and the pool workers it starts, which inherit the environment -- gets
+# a private one, so a test run neither trusts nor leaves anything in the
+# user's home.  Set at import: nothing may resolve the kernel before it.
+_KERNEL_CACHE = tempfile.mkdtemp(prefix="repro-test-cache-")
+os.environ["XDG_CACHE_HOME"] = _KERNEL_CACHE
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _remove_kernel_cache():
+    yield
+    shutil.rmtree(_KERNEL_CACHE, ignore_errors=True)
+
+
+_host_kernel = None
+
+
+def _force_kernel(monkeypatch, name: str) -> None:
+    """Run this test's in-process DPs on the named row kernel, whatever
+    an enclosing fixture forced; ``c`` skips where the host has none."""
+    global _host_kernel
+    if name == "numpy":
+        kern = dp.DPKernel("numpy", "forced")
+    else:
+        if _host_kernel is None:  # resolved once per session
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(dp, "_kernel", None)
+                _host_kernel = dp.kernel()
+        kern = _host_kernel
+        if kern.name != "c":
+            pytest.skip(f"no compiled kernel here: {kern.fallback}")
+    monkeypatch.setattr(dp, "_kernel", kern)
+
+
+@pytest.fixture(params=["c", "numpy"])
+def dp_kernel(request, monkeypatch) -> str:
+    """Each row kernel in turn.  Pool workers are other processes and
+    keep their own."""
+    _force_kernel(monkeypatch, request.param)
+    return request.param
+
+
+@pytest.fixture()
+def numpy_kernel(monkeypatch) -> None:
+    """The numpy row kernel -- the one under which profile merges take
+    the fused batched path (``align_profiles_batch``)."""
+    _force_kernel(monkeypatch, "numpy")
+
+
+@pytest.fixture()
+def compiled_kernel(monkeypatch) -> None:
+    """The compiled row kernel (skips on a host that cannot build it)."""
+    _force_kernel(monkeypatch, "c")
+
+
+@pytest.fixture()
+def traced():
+    """``traced(fn)`` runs ``fn()`` with tracing on and returns its
+    result and the span records it left in the process-wide buffer."""
+
+    def run(fn):
+        drain_spans()
+        enable_tracing()
+        try:
+            out = fn()
+        finally:
+            disable_tracing()
+        return out, drain_spans()
+
+    return run
 
 
 @pytest.fixture(scope="session")

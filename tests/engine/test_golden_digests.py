@@ -90,6 +90,15 @@ def test_fasta_is_byte_identical(case, golden):
     assert fasta_digest(engine, kwargs) == golden["fasta_sha256"][case]
 
 
+def test_every_engine_under_each_row_kernel(dp_kernel, golden):
+    """The parametrised test above runs whichever row kernel this host
+    resolves to; the bytes must not depend on that."""
+    for engine in available_engines():
+        assert fasta_digest(engine, {}) == golden["fasta_sha256"][engine], (
+            engine, dp_kernel,
+        )
+
+
 @pytest.mark.parametrize("case", sorted(HASH_REQUESTS))
 def test_content_hash_is_pinned(case, golden):
     engine, kwargs = HASH_REQUESTS[case]

@@ -108,6 +108,24 @@ class TestAlignEqualsNoTable:
         expected, _, _ = stages_without_table(aligner, seqs)
         assert aligner.align(seqs).to_fasta() == expected.to_fasta()
 
+    def test_byte_identical_under_each_row_kernel(self, dp_kernel, traced):
+        """Reuse does not care how a merge was computed: the level walk
+        fuses its wide levels under the numpy row kernel and runs them
+        pair by pair under the compiled one (read from the spans)."""
+        seqs = family(40, seed=7, length=60)
+        aligner = MuscleLike(refine=True)
+        expected, _, _ = stages_without_table(aligner, seqs)
+        got, spans = traced(lambda: aligner.align(seqs))
+        assert got.to_fasta() == expected.to_fasta()
+        fused = [r for r in spans if r.name == "dp.profile_batch"]
+        assert bool(fused) == (dp_kernel == "numpy")
+        per_pair = [r for r in spans if r.name == "dp.profile_align"]
+        assert {r.attrs["kernel"] for r in per_pair} == {dp_kernel}
+        reused = sum(
+            r.attrs["reused"] for r in spans if r.name == "tree.merge"
+        )
+        assert reused > 0
+
     @pytest.mark.parametrize("n", [3, 8, 24])
     def test_identical_sequences_stage2_merges_nothing(self, n):
         """Equal distances twice give the same tree twice: the stage-2

@@ -34,6 +34,7 @@ REQUIRED_STAGES = {
     # narrow for the fused kernel still emit per-pair DP spans inside.
     "tree.merge_level",
     "dp.profile_align",
+    "dp.align",
 }
 
 
@@ -331,3 +332,57 @@ class TestTokenWaitIsAttributed:
         )
         assert stats["compute_waits"] >= 1
         assert stats["compute_wait_s"] == pytest.approx(waited, rel=0.05)
+
+
+class TestRowKernelIsVisible:
+    """Which scalar row loop ran (compiled or numpy) is on every
+    ``dp.profile_align`` / ``dp.align`` span and in ``/metrics``, with
+    the reason when the numpy fallback was taken."""
+
+    def _run(self, traced):
+        fam = generate_family(
+            n_sequences=8, mean_length=40, seed=6, track_alignment=False
+        )
+        request = AlignRequest(sequences=tuple(fam.sequences), engine="muscle")
+
+        def serve():
+            gateway = AlignmentGateway(n_workers=1)
+            try:
+                gateway.submit(request, client_id="acceptance").wait(60)
+                return gateway.metrics()
+            finally:
+                gateway.close()
+
+        metrics, records = traced(serve)
+        return records, metrics
+
+    def test_spans_and_metrics_name_the_kernel(self, dp_kernel, traced):
+        from repro.obs.prom import render_prometheus
+
+        records, metrics = self._run(traced)
+        for name in ("dp.profile_align", "dp.align"):
+            spans = [r for r in records if r.name == name]
+            assert spans and {r.attrs["kernel"] for r in spans} == {dp_kernel}
+        by_id = {r.span_id: r for r in records}
+        fills = [r for r in records if r.name == "dp.align"]
+        assert {by_id[r.parent_id].name for r in fills} == {"dp.profile_align"}
+        assert metrics["dp.kernel"] == dp_kernel
+        prom = render_prometheus(None, extra={"gateway": metrics})
+        assert f'repro_gateway_dp_kernel_info{{kernel="{dp_kernel}"}} 1' in prom
+        if dp_kernel == "c":
+            assert "dp.kernel_fallback" not in metrics
+        else:
+            assert metrics["dp.kernel_fallback"] == "forced"
+            assert 'dp_kernel_fallback_info{fallback="forced"} 1' in prom
+
+    def test_counters_keep_their_meaning(self, dp_kernel, traced):
+        from repro.obs.metrics import registry
+
+        before = registry().snapshot()
+        records, _ = self._run(traced)
+        delta = registry().snapshot().diff(before)
+        fills = [r for r in records if r.name == "dp.align"]
+        assert delta.metrics["dp.align_calls"].value == len(fills)
+        assert delta.metrics["dp.align_cells"].value == sum(
+            r.attrs["m"] * r.attrs["n"] for r in fills
+        )

@@ -572,6 +572,28 @@ class TestTraceCli:
         }
         assert {stage_of(e) for e in by_source["dense"]} <= {"tree.merge"}
 
+    def test_trace_says_which_row_kernel_ran(
+        self, dp_kernel, tmp_path, capsys
+    ):
+        import json
+
+        out = tmp_path / "trace.json"
+        report = tmp_path / "stages.json"
+        args = ["trace", "--engine", "muscle", "-n", "6", "-l", "40",
+                "-o", str(out)]
+        assert main(args + ["--json", str(report)]) == 0
+        assert json.loads(report.read_text())["dp.kernel"] == dp_kernel
+        events = json.loads(out.read_text())["traceEvents"]
+        fills = [e for e in events if e["name"] == "dp.align"]
+        assert fills and {e["args"]["kernel"] for e in fills} == {dp_kernel}
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert f"dp.kernel: {dp_kernel}" in printed
+        # (the fixture's stand-in for no_compiler / cache_unwritable / ...)
+        assert ("dp.kernel_fallback: forced" in printed) == (
+            dp_kernel == "numpy"
+        )
+
     def test_trace_fasta_input_text_output(self, fasta_file, tmp_path,
                                            capsys):
         out = tmp_path / "trace.json"

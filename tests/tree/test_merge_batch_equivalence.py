@@ -6,12 +6,18 @@ The per-node reference is the same walk with an opaque ``merge_fn``
 that calls the scalar :func:`align_profiles` -- the executor never
 level-batches a ``merge_fn`` -- and every builder and every execution
 mode must produce byte-for-byte the FASTA that walk produces.
+
+``align_profiles_batch`` fuses only when the numpy row kernel is the
+one loaded (with the compiled one, per-pair calls are faster at every
+width), so the module pins the numpy kernel -- reference walk included
+-- and ``TestCompiledKernelRouting`` runs the level walk on the compiled
+kernel against that same reference.
 """
 
 import numpy as np
 import pytest
 
-from repro.align import batchdp
+from repro.align import batchdp, dp
 from repro.align.profile_align import (
     ProfileAlignConfig,
     align_profiles,
@@ -21,8 +27,17 @@ from repro.align.progressive import progressive_align
 from repro.datagen.rose import generate_family
 from repro.distance import all_pairs
 from repro.msa.clustalw import clustal_sequence_weights
+from repro.obs.metrics import registry
 from repro.parcomp.launcher import run_spmd
 from repro.tree import get_builder, merge_schedule
+
+NUMPY_KERNEL = dp.DPKernel("numpy", "forced")
+
+
+@pytest.fixture(autouse=True)
+def row_kernel(numpy_kernel):
+    """Every test here runs the numpy row kernel unless its class says
+    otherwise: that is where the fused path is live."""
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +73,13 @@ def per_node_align(seqs, tree, weights=None):
 
 @pytest.fixture(scope="module")
 def per_pair_reference(family_seqs, family_trees):
-    """Per-node serial alignments (scalar kernel only)."""
-    return {
-        name: per_node_align(family_seqs, tree).to_fasta()
-        for name, tree in family_trees.items()
-    }
+    """Per-node serial alignments (numpy scalar kernel only)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dp, "_kernel", NUMPY_KERNEL)
+        return {
+            name: per_node_align(family_seqs, tree).to_fasta()
+            for name, tree in family_trees.items()
+        }
 
 
 class TestLevelBatchedByteIdentity:
@@ -195,3 +212,39 @@ class TestAlignProfilesBatchApi:
             for level in merge_schedule(family_trees["upgma"]).levels
         ]
         assert max(widths) >= _MIN_BATCH_PAIRS
+
+    def test_per_pair_spans_name_the_numpy_kernel(
+        self, traced, family_seqs, family_trees
+    ):
+        _aln, spans = traced(
+            lambda: progressive_align(family_seqs, family_trees["upgma"])
+        )
+        per_pair = [r for r in spans if r.name == "dp.profile_align"]
+        assert per_pair  # the narrow levels near the root
+        assert {r.attrs["kernel"] for r in per_pair} == {"numpy"}
+
+
+class TestCompiledKernelRouting:
+    @pytest.fixture(autouse=True)
+    def row_kernel(self, compiled_kernel):
+        """Overrides the module's pin."""
+
+    @pytest.mark.parametrize(
+        "name", ["upgma", "wpgma", "nj", "single-linkage"]
+    )
+    def test_level_walk_is_per_pair_and_byte_identical(
+        self, name, traced, family_seqs, family_trees, per_pair_reference
+    ):
+        fused_pairs = registry().counter("dp.profile_batch_pairs")
+        before = fused_pairs.value
+        aln, spans = traced(
+            lambda: progressive_align(family_seqs, family_trees[name])
+        )
+        assert aln.to_fasta() == per_pair_reference[name]
+        names = [r.name for r in spans]
+        assert "tree.merge_level" in names  # still walked level by level
+        assert "dp.profile_batch" not in names
+        assert fused_pairs.value == before
+        merges = [r for r in spans if r.name == "dp.profile_align"]
+        assert len(merges) == len(family_seqs) - 1
+        assert {r.attrs["kernel"] for r in merges} == {"c"}
