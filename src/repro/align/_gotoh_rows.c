@@ -1,28 +1,40 @@
-/* Row loop of repro.align.dp._forward(keep_matrices=True).
+/* One global affine alignment of repro.align.dp, end to end: what
+ * _forward(keep_matrices=True), _terminal_best and _traceback do, in
+ * one call.
  *
- * Per cell, the same IEEE-754 double operations in the same order as
- * the numpy loop's eleven ufunc calls per row, so H, E and F come out
- * bit for bit what numpy writes.  Three things keep that true:
+ * Every value is computed by the same IEEE-754 double operations in
+ * the same order as the numpy/python path, so H, E, F, the score and
+ * the path come out bit for bit what that path writes.  Four things
+ * keep that true:
  *
  * - MAX is numpy's np.maximum on x86 (maxsd/maxpd with NaN in `a`
  *   patched up): NaN in either operand propagates, and on a tie --
  *   which two different bit patterns reach only as +0.0 / -0.0 -- the
- *   *second* operand wins.  dp.py checks this against np.maximum on
- *   the running host before it uses the kernel.
+ *   *second* operand wins.
+ * - Running sums go left to right from the first element, as
+ *   np.cumsum does, and the end cell is np.argmax's: the first of the
+ *   maxima, or the first NaN.  dp.py checks all of this against numpy
+ *   on the running host before it uses the kernel.
  * - It must be built with -ffp-contract=off: a fused multiply-add
  *   rounds once where numpy rounds twice.
  * - Each operation must round to double at once (no x87 excess
  *   precision), hence the FLT_EVAL_METHOD guard.
  *
- * Row 0 and column 0 of the three (m+1, n+1) C-contiguous tables are
- * filled by the caller.
+ * Two entries share the body.  gotoh_align reads pair scores from a
+ * dense (m, n) matrix; gotoh_align_codes reads them from a
+ * substitution table through two residue-code arrays, so a sequence
+ * pair never has a score matrix.  The caller owns every buffer and has
+ * checked m >= 1, n >= 1 and every code against the table.
  */
 #include <float.h>
 #include <stddef.h>
+#include <stdint.h>
 
 #if FLT_EVAL_METHOD != 0
 #error "double arithmetic must round to double at every operation"
 #endif
+
+#define NEG (-1.0e30) /* dp.NEG */
 
 /* Written so a compiler can emit maxsd + select instead of branching on
  * which of diagonal / E / F won (data-dependent, so mispredicted). */
@@ -32,23 +44,86 @@ static inline double MAX(double a, double b)
     return a != a ? a : m;
 }
 
-void gotoh_rows(ptrdiff_t m, ptrdiff_t n, const double *S,
-                const double *open_x, const double *ext_x,
-                const double *open_y, const double *cum_y,
-                const double *term0s, double *H, double *E, double *F)
+/* cum = concatenate(([0.0], np.cumsum(ext))), len >= 1. */
+static inline void cumulative(const double *ext, ptrdiff_t len, double *cum)
+{
+    cum[0] = 0.0;
+    cum[1] = ext[0];
+    for (ptrdiff_t k = 1; k < len; k++)
+        cum[k + 1] = cum[k] + ext[k];
+}
+
+/* One edge of _terminal_best: np.argmax over
+ * trail[k] = h[k * stride] - tf * (open[k] + cum[len] - cum[k]). */
+static inline ptrdiff_t best_trailing(const double *h, ptrdiff_t stride,
+                                      const double *open, const double *cum,
+                                      ptrdiff_t len, double tf, double *value)
+{
+    ptrdiff_t arg = 0;
+    double best = 0.0;
+    for (ptrdiff_t k = 0; k < len; k++) {
+        double t = open[k] + cum[len];
+        t = t - cum[k];
+        t = tf * t;
+        t = h[k * stride] - t;
+        if (k == 0 || !(t <= best)) {
+            best = t;
+            arg = k;
+            if (t != t)
+                break;
+        }
+    }
+    *value = best;
+    return arg;
+}
+
+/* `coded` is a literal at both call sites, so each entry compiles to
+ * its own loop with the score read it needs and no test per cell. */
+static inline ptrdiff_t align(const int coded, ptrdiff_t m, ptrdiff_t n,
+                              const double *S, ptrdiff_t width,
+                              const uint8_t *xc, const uint8_t *yc,
+                              const double *open_x, const double *ext_x,
+                              const double *open_y, const double *ext_y,
+                              double tf, double *H, double *E, double *F,
+                              double *cum_x, double *cum_y,
+                              int64_t *xs, int64_t *ys, double *score)
 {
     const ptrdiff_t w = n + 1;
-    for (ptrdiff_t i = 1; i <= m; i++) {
+    const double ntf = -tf;
+    ptrdiff_t i, j, k = 0;
+
+    cumulative(ext_x, m, cum_x);
+    cumulative(ext_y, n, cum_y);
+
+    /* Row 0: leading horizontal gap, scaled by tf.  Column 0 likewise. */
+    H[0] = 0.0;
+    E[0] = NEG;
+    F[0] = NEG;
+    for (j = 1; j <= n; j++) {
+        double v = ntf * (open_y[0] + cum_y[j]);
+        H[j] = v;
+        E[j] = NEG;
+        F[j] = v;
+    }
+    for (i = 1; i <= m; i++) {
+        double v = ntf * (open_x[0] + cum_x[i]);
+        H[i * w] = v;
+        E[i * w] = v;
+        F[i * w] = NEG;
+    }
+
+    for (i = 1; i <= m; i++) {
         const double *hp = H + (i - 1) * w, *ep = E + (i - 1) * w;
-        const double *s = S + (i - 1) * n;
+        const double *s = coded ? S + xc[i - 1] * width : S + (i - 1) * n;
         double *h = H + i * w, *e = E + i * w, *f = F + i * w;
         const double ox = open_x[i - 1], ex = ext_x[i - 1];
-        double run = term0s[i]; /* prefix max of the F scan terms */
-        for (ptrdiff_t j = 1; j <= n; j++) {
+        /* prefix max of the F scan terms */
+        double run = (h[0] + cum_y[0]) - open_y[0];
+        for (j = 1; j <= n; j++) {
             double t = hp[j] - ox; /* vertical gap: previous row only */
             double ev = MAX(ep[j], t);
             ev = ev - ex;
-            double dg = hp[j - 1] + s[j - 1];
+            double dg = hp[j - 1] + (coded ? s[yc[j - 1]] : s[j - 1]);
             double h0 = MAX(dg, ev);
             double fv = run - cum_y[j]; /* horizontal gap: exact scan */
             e[j] = ev;
@@ -61,4 +136,103 @@ void gotoh_rows(ptrdiff_t m, ptrdiff_t n, const double *S,
             }
         }
     }
+
+    /* _terminal_best: the corner, then a trailing vertical gap, then a
+     * trailing horizontal one; each replaces only a strictly lower best. */
+    double best = H[m * w + n], cand;
+    ptrdiff_t bi = m, bj = n, arg;
+    arg = best_trailing(H + n, w, open_x, cum_x, m, tf, &cand);
+    if (cand > best) {
+        best = cand;
+        bi = arg;
+        bj = n;
+    }
+    arg = best_trailing(H + m * w, 1, open_y, cum_y, n, tf, &cand);
+    if (cand > best) {
+        best = cand;
+        bi = m;
+        bj = arg;
+    }
+    *score = best;
+
+    /* _traceback, path reversed: the trailing gap first. */
+    for (j = n; j > bj; j--, k++) {
+        xs[k] = -1;
+        ys[k] = j - 1;
+    }
+    for (i = m; i > bi; i--, k++) {
+        xs[k] = i - 1;
+        ys[k] = -1;
+    }
+    i = bi;
+    j = bj;
+    int state = 0; /* 0 = H, 1 = E, 2 = F */
+    while (i > 0 && j > 0) {
+        const double *hp = H + (i - 1) * w;
+        if (state == 0) {
+            double sc = coded ? S[xc[i - 1] * width + yc[j - 1]]
+                              : S[(i - 1) * n + j - 1];
+            double dg = hp[j - 1] + sc;
+            double ev = E[i * w + j], fv = F[i * w + j];
+            if (dg >= ev && dg >= fv) { /* diagonal > vertical > horizontal */
+                xs[k] = i - 1;
+                ys[k] = j - 1;
+                k++;
+                i--;
+                j--;
+            } else {
+                state = ev >= fv ? 1 : 2;
+            }
+        } else if (state == 1) { /* consumed x_i: extend E, or open from H */
+            int stay = E[(i - 1) * w + j] >= hp[j] - open_x[i - 1];
+            xs[k] = i - 1;
+            ys[k] = -1;
+            k++;
+            i--;
+            if (!stay || i == 0)
+                state = 0;
+        } else {
+            int stay = F[i * w + j - 1] >= H[i * w + j - 1] - open_y[j - 1];
+            xs[k] = -1;
+            ys[k] = j - 1;
+            k++;
+            j--;
+            if (!stay || j == 0)
+                state = 0;
+        }
+    }
+    for (; i > 0; i--, k++) { /* leading gap along whichever axis remains */
+        xs[k] = i - 1;
+        ys[k] = -1;
+    }
+    for (; j > 0; j--, k++) {
+        xs[k] = -1;
+        ys[k] = j - 1;
+    }
+    return k;
+}
+
+/* Both return the path length (<= m + n); xs/ys hold the path reversed. */
+ptrdiff_t gotoh_align(ptrdiff_t m, ptrdiff_t n, const double *S,
+                      const double *open_x, const double *ext_x,
+                      const double *open_y, const double *ext_y, double tf,
+                      double *H, double *E, double *F,
+                      double *cum_x, double *cum_y,
+                      int64_t *xs, int64_t *ys, double *score)
+{
+    return align(0, m, n, S, 0, NULL, NULL, open_x, ext_x, open_y, ext_y, tf,
+                 H, E, F, cum_x, cum_y, xs, ys, score);
+}
+
+ptrdiff_t gotoh_align_codes(ptrdiff_t m, ptrdiff_t n, const double *table,
+                            ptrdiff_t width, const uint8_t *xc,
+                            const uint8_t *yc,
+                            const double *open_x, const double *ext_x,
+                            const double *open_y, const double *ext_y,
+                            double tf, double *H, double *E, double *F,
+                            double *cum_x, double *cum_y,
+                            int64_t *xs, int64_t *ys, double *score)
+{
+    return align(1, m, n, table, width, xc, yc, open_x, ext_x, open_y, ext_y,
+                 tf, H, E, F, cum_x, cum_y, xs, ys, score);
 }

@@ -1,11 +1,26 @@
 """Batched affine-gap (Gotoh) DP kernels: K pair problems, one row loop.
 
-The scalar kernel in :mod:`repro.align.dp` is already exactly
+Where this runs.  The **align mode** (:func:`affine_align_batch`,
+:func:`gathered_align_batch`: decision planes + bit traceback) runs on
+**compiler-less hosts only**.  In a process whose DP kernel is ``c``
+(:func:`repro.align.dp.kernel`) both of its callers go pair by pair
+through one compiled call each -- profile merges
+(``align_profiles_batch``) and the ``full-dp`` distance stage
+(``global_align_batch`` -> :func:`repro.align.dp.align_code_pairs`) --
+because fusing exists to share numpy's per-row dispatch cost and a
+compiled call has none to share (``benchmarks/bench_merge_batch.py``
+and ``bench_distance_scaling.py`` re-measure both).  The **score mode**
+(:func:`affine_score_batch`, :func:`gathered_score_batch`) has no
+compiled counterpart and runs everywhere.  Whether the align mode
+should go on existing for the hosts that cannot build is an open
+question (ROADMAP), not decided here.
+
+The numpy kernel in :mod:`repro.align.dp` is already exactly
 row-vectorised, so its remaining cost is numpy *dispatch*: ~10 array ops
 per DP row on short (length ~100-200) vectors, issued once per row per
 pair.  The all-pairs distance stage runs N*(N-1)/2 such pairs, which
-makes dispatch -- not arithmetic -- the dominant term of every full-DP
-bench report.
+makes dispatch -- not arithmetic -- the dominant term of a full-DP
+report on that kernel.
 
 This module runs the *same exact prefix-scan recurrence* over a
 length-padded stack of K problems at once: every elementwise op works on

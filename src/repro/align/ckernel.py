@@ -1,4 +1,4 @@
-"""Build-on-first-use loader for the compiled Gotoh row kernel.
+"""Build-on-first-use loader for the compiled Gotoh alignment kernel.
 
 ``_gotoh_rows.c`` (beside this file) is compiled with the host C
 compiler into a per-user cache directory and loaded through
@@ -105,10 +105,10 @@ def _build(cc: str, source: bytes, target: Path) -> Optional[str]:
     return None
 
 
-def load() -> Tuple[Optional[Callable[..., None]], Optional[str]]:
-    """``(gotoh_rows, None)``, or ``(None, reason)`` with ``reason`` one
-    of ``no_compiler``, ``cache_unwritable``, ``build_failed``,
-    ``load_failed``."""
+def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
+    """``((gotoh_align, gotoh_align_codes), None)``, or ``(None, reason)``
+    with ``reason`` one of ``no_compiler``, ``cache_unwritable``,
+    ``build_failed``, ``load_failed``."""
     cc = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if cc is None:
         return None, "no_compiler"
@@ -143,9 +143,16 @@ def load() -> Tuple[Optional[Callable[..., None]], Optional[str]]:
         if reason is not None:
             return None, reason
     try:
-        rows = ctypes.CDLL(str(target)).gotoh_rows
+        lib = ctypes.CDLL(str(target))
+        align, align_codes = lib.gotoh_align, lib.gotoh_align_codes
     except (OSError, AttributeError):
         return None, "load_failed"
-    rows.restype = None
-    rows.argtypes = [ctypes.c_ssize_t] * 2 + [ctypes.c_void_p] * 9
-    return rows, None
+    # (m, n, <scores>, 4 penalty vectors, tf, H, E, F, cum_x, cum_y,
+    # xs, ys, &score) -> path length; <scores> is the dense matrix, or
+    # (table, width, x codes, y codes).
+    tail = [ctypes.c_void_p] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 8
+    size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    align.argtypes = [size, size, ptr] + tail
+    align_codes.argtypes = [size, size, ptr, size, ptr, ptr] + tail
+    align.restype = align_codes.restype = size
+    return (align, align_codes), None

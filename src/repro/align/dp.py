@@ -30,27 +30,48 @@ Terminal gaps are scaled by ``terminal_factor`` (1.0 = fully penalised
 global alignment; 0.0 = free end gaps) via boundary initialisation plus a
 final sweep over the last row/column.
 
-Compiled row kernel.  On merge-sized rows (80-250 doubles) the eleven
-ufunc calls per row are dispatch cost, not arithmetic, so the row loop
-of the align-mode fill also exists as one C function
+Compiled kernel.  On merge-sized rows (80-250 doubles) the eleven
+ufunc calls per row are dispatch cost, not arithmetic, and the python
+around the fill -- the boundary vectors, the end-cell choice, the
+per-cell traceback loop -- costs more than a compiled fill does.  So the
+whole align-mode call also exists as one C function
 (``_gotoh_rows.c``, built and loaded by :mod:`repro.align.ckernel`):
-per cell the same IEEE operations in the same order, hence H, E and F
-bit for bit the numpy loop's and every alignment byte-identical.  Which
-one runs is decided once per process from what the host has
+cumulative sums, row and column 0, the row loop, :func:`_terminal_best`
+and :func:`_traceback`, per value the same IEEE operations in the same
+order and per branch the same comparison, hence H, E, F, the score and
+both maps bit for bit what the python path produces and every
+alignment byte-identical.  It has two entries over one body: dense
+scores (:func:`affine_align`: profile merges, the ancestor tweak,
+refinement) and scores read from a substitution table through residue
+codes (:func:`align_code_pairs`: the ``full-dp`` distance stage, which
+never builds a per-pair score matrix).
+
+Which path runs is decided once per process from what the host has
 (:func:`kernel`): the compiled one when a C compiler and a private
-cache directory exist and the loaded code reproduces the numpy loop on
-a probe of the values where platforms differ (signed zeros, NaN);
-otherwise the numpy loop, with the reason on ``kernel().fallback``.
-There is no switch.  Row 0, the boundary vectors, the table pool, the
-terminal sweep, the traceback and the score-only mode are numpy/python
-on both paths.
+cache directory exist and the loaded code reproduces the python path on
+a probe of the values where platforms differ (signed zeros, NaN,
+summation order); otherwise :func:`_forward` -> :func:`_terminal_best`
+-> :func:`_traceback`, with the reason on ``kernel().fallback``.  There
+is no switch, and those three functions are also the reference every
+test compares the compiled call against.  Argument validation, the
+table pool, degenerate (empty-side) pairs and the score-only mode are
+numpy/python on both paths.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence as TSequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -63,6 +84,7 @@ __all__ = [
     "DPKernel",
     "affine_align",
     "affine_score",
+    "align_code_pairs",
     "kernel",
     "NEG",
 ]
@@ -82,7 +104,8 @@ _KERNEL_FALLBACKS = _obs_registry().counter("dp.kernel_fallbacks")
 
 
 class _TablePool(threading.local):
-    """Thread-local grow-only pool for the align-mode H/E/F tables.
+    """Thread-local grow-only pool for the align-mode H/E/F tables (and
+    the compiled call's small work buffers).
 
     The traceback path fills three dense ``(m+1, n+1)`` tables per call;
     near the root of a merge DAG those are multi-MB, and a fresh
@@ -96,13 +119,15 @@ class _TablePool(threading.local):
     def __init__(self) -> None:
         self.bufs: dict = {}
 
-    def take(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
+    def take(
+        self, key: str, shape: Tuple[int, ...], dtype=np.float64
+    ) -> np.ndarray:
         size = 1
         for dim in shape:
             size *= int(dim)
         buf = self.bufs.get(key)
         if buf is None or buf.size < size:
-            buf = np.empty(size)
+            buf = np.empty(size, dtype=dtype)
             self.bufs[key] = buf
         return buf[:size].reshape(shape)
 
@@ -144,19 +169,21 @@ def _as_vec(value, length: int, name: str) -> np.ndarray:
 
 
 class DPKernel(NamedTuple):
-    """Which align-mode row loop this process runs (see :func:`kernel`).
+    """Which align-mode path this process runs (see :func:`kernel`).
 
     ``name`` is ``"c"`` or ``"numpy"``; ``fallback`` is ``None`` under
     ``"c"`` and otherwise why the compiled kernel is not in use
     (``no_compiler`` / ``cache_unwritable`` / ``build_failed`` /
     ``load_failed`` from :func:`repro.align.ckernel.load`, or
-    ``check_failed`` when it loaded but did not reproduce the numpy
-    loop's bytes on this host); ``rows`` is the loaded C function.
+    ``check_failed`` when it loaded but did not reproduce the python
+    path's bytes on this host); ``align`` / ``align_codes`` are the two
+    loaded C entries (dense scores / table + residue codes).
     """
 
     name: str
     fallback: Optional[str] = None
-    rows: Optional[Callable[..., None]] = None
+    align: Optional[Callable[..., int]] = None
+    align_codes: Optional[Callable[..., int]] = None
 
     def describe(self) -> dict:
         """The entries ``/metrics`` and ``repro trace`` show."""
@@ -171,57 +198,105 @@ _kernel_lock = threading.Lock()
 
 
 def kernel() -> DPKernel:
-    """The row kernel in use, resolved on first call and then fixed for
-    the life of the process (a cached build costs one ``cc --version``
-    and one ``dlopen``; an empty cache, one compile of 60 lines)."""
+    """The kernel in use, resolved on first call and then fixed for the
+    life of the process (a cached build costs one ``cc --version`` and
+    one ``dlopen``; an empty cache, one compile of 250 lines)."""
     global _kernel
     if _kernel is None:
         # Resolved outside the lock (threads racing here each resolve;
         # the build is atomic and idempotent) so that a pool forked
         # meanwhile never inherits a lock held across a compile.
-        rows, reason = ckernel.load()
-        if rows is not None and not _reproduces_numpy(rows):
-            rows, reason = None, "check_failed"
+        entries, reason = ckernel.load()
+        if entries is not None and not _reproduces_numpy(*entries):
+            entries, reason = None, "check_failed"
         with _kernel_lock:
             if _kernel is None:
-                if rows is None:
+                if entries is None:
                     _KERNEL_FALLBACKS.inc()
                     _kernel = DPKernel("numpy", reason)
                 else:
-                    _kernel = DPKernel("c", None, rows)
+                    _kernel = DPKernel("c", None, *entries)
     return _kernel
 
 
-def _reproduces_numpy(rows: Callable[..., None]) -> bool:
-    """Do the compiled and the numpy row loops write the same bytes here?
+def _probe_cases():
+    """``(S, open_x, ext_x, open_y, ext_y, tf)`` made of the values a
+    platform is free to treat its own way (see :func:`_reproduces_numpy`)."""
+    nan = np.nan
+    zeros3, zeros4 = np.zeros(3), np.zeros(4)
+    signed = np.array([
+        [0.0, -0.0, 1.0, 0.0],
+        [-0.0, 0.0, 0.0, -1.0],
+        [1.0, -0.0, 0.0, 0.0],
+    ])
+    one_nan = signed.copy()
+    one_nan[1, 2] = nan
+    # Sums whose last bits depend on the order they are taken in.
+    tenths3 = np.array([0.1, 0.2, 0.3])
+    tenths4 = np.array([0.1, 0.2, 0.3, 0.7])
+    ends_early = np.array([
+        [3.0, -9.0, -9.0, -9.0],
+        [-9.0, 3.0, -9.0, -9.0],
+        [-9.0, -9.0, -9.0, -9.0],
+    ])
+    # Free end gaps (-0.0 boundaries), zero penalties, signed zeros.
+    yield signed, zeros3, zeros3, np.array([0.0, 1.0, 0.0, 0.0]), zeros4, 0.0
+    # The same with one NaN: it spreads right and down, through the last
+    # row and column into both end-cell argmaxes.
+    yield one_nan, zeros3, zeros3, np.array([0.0, 1.0, 0.0, 0.0]), zeros4, 0.0
+    yield one_nan, tenths3, tenths3, tenths4, tenths4, 0.5
+    # End cells off the corner, penalties from order-dependent sums.
+    yield ends_early, 2.0 * tenths3, tenths3, 2.0 * tenths4, tenths4, 0.3
+    yield ends_early.T.copy(), 2.0 * tenths4, tenths4, 2.0 * tenths3, tenths3, 0.3
+
+
+def _fingerprint(score, x_map, y_map, tables) -> bytes:
+    """Everything one alignment call computed, as bytes: score, maps, and
+    the H, E, F, cum_x, cum_y it filled (pooled -- take this before the
+    thread's next call)."""
+    return b"".join(
+        np.asarray(part).tobytes() for part in (score, x_map, y_map, *tables)
+    )
+
+
+def _reproduces_numpy(
+    align: Callable[..., int], align_codes: Callable[..., int]
+) -> bool:
+    """Do the compiled entries and the python path compute the same
+    bytes here -- tables, cumulative sums, score and maps?
 
     Ordinary values agree on any IEEE host by construction.  What a
     platform is free to choose is which of ``+0.0`` / ``-0.0``
-    ``np.maximum`` returns and how NaN travels, so the probe is made of
-    exactly those: free end gaps (``-0.0`` boundaries), zero penalties,
-    signed-zero scores and one NaN.
+    ``np.maximum`` returns, how NaN travels and where ``np.argmax`` puts
+    it, and the order ``np.cumsum`` adds in, so the probe is made of
+    exactly those.
     """
-    S = np.array([
-        [0.0, -0.0, 1.0, 0.0],
-        [-0.0, 0.0, np.nan, -1.0],
-        [1.0, -0.0, 0.0, 0.0],
-    ])
-    gx, gy = np.zeros(3), np.array([0.0, 1.0, 0.0, 0.0])
-    filled = []
-    for use in (None, rows):
-        H, E, F, _cx, _cy = _forward(S, gx, gx, gy, gy, 0.0, True, rows=use)
-        filled.append(H.tobytes() + E.tobytes() + F.tobytes())
-    return filled[0] == filled[1]
+    for S, *penalties in _probe_cases():
+        m, n = S.shape
+        expected = _fingerprint(*_align_numpy(S, *penalties))
+        dense = _align_compiled(align, (_ptr(S, m * n),), m, n, *penalties)
+        if _fingerprint(*dense) != expected:
+            return False
+        # The same scores as look-ups: S is table[x][:, y].
+        table = np.ascontiguousarray(S[::-1, ::-1])
+        x = np.arange(m - 1, -1, -1, dtype=np.uint8)
+        y = np.arange(n - 1, -1, -1, dtype=np.uint8)
+        head = (_ptr(table, m * n), n, _ptr(x, m, np.uint8), _ptr(y, n, np.uint8))
+        coded = _align_compiled(align_codes, head, m, n, *penalties)
+        if _fingerprint(*coded) != expected:
+            return False
+    return True
 
 
-def _ptr(arr: np.ndarray, size: int) -> int:
+def _ptr(arr: np.ndarray, size: int, dtype=np.float64) -> int:
     """Address of ``arr`` for the C kernel, after checking it is the
-    ``size`` C-contiguous native doubles the kernel will index."""
+    ``size`` C-contiguous native ``dtype`` items the kernel will index."""
     if not (
-        arr.flags.c_contiguous and arr.dtype == np.float64 and arr.size == size
+        arr.flags.c_contiguous and arr.dtype == dtype and arr.size == size
     ):
         raise ValueError(
-            "compiled DP kernel needs C-contiguous native float64 arrays; "
+            f"compiled DP kernel needs {size} C-contiguous native "
+            f"{np.dtype(dtype).name} items; "
             f"got dtype={arr.dtype}, shape={arr.shape}, strides={arr.strides}"
         )
     return arr.ctypes.data
@@ -235,15 +310,10 @@ def _forward(
     ext_y: np.ndarray,
     tf: float,
     keep_matrices: bool,
-    rows: Optional[Callable[..., None]] = None,
 ):
     """Fill the DP tables.  Returns (H, E, F) full matrices when
     ``keep_matrices`` else the final row *and* final column of H
-    (score-only mode stays O(n) memory even with scaled terminal gaps).
-
-    ``rows`` is the compiled row loop (:attr:`DPKernel.rows`) for the
-    matrix mode; ``None`` runs the numpy loop, which is also the
-    reference the compiled one is tested against."""
+    (score-only mode stays O(n) memory even with scaled terminal gaps)."""
     m, n = S.shape
     cum_x = np.concatenate(([0.0], np.cumsum(ext_x)))  # C_x[i], i=0..m
     cum_y = np.concatenate(([0.0], np.cumsum(ext_y)))  # C_y[j], j=0..n
@@ -286,18 +356,6 @@ def _forward(
         cy_mid = cum_y[1:-1]
         cy1 = cum_y[1:]
         ok_tail = open_k[1:]
-
-    if rows is not None and keep_matrices and n:
-        cells = (m + 1) * (n + 1)
-        H[1:, 0] = bounds[1:]
-        E[1:, 0] = bounds[1:]
-        F[1:, 0] = NEG
-        rows(
-            m, n, _ptr(S, m * n), _ptr(open_x, m), _ptr(ext_x, m),
-            _ptr(open_k, n), _ptr(cum_y, n + 1), _ptr(term0s, m + 1),
-            _ptr(H, cells), _ptr(E, cells), _ptr(F, cells),
-        )
-        return H, E, F, cum_x, cum_y
 
     # Preallocated row scratch, written via ``out=`` so the row loop
     # allocates nothing (the old per-row temporaries dominated dispatch
@@ -426,6 +484,89 @@ def affine_score(
     return score
 
 
+def _degenerate(
+    m: int,
+    n: int,
+    open_x: np.ndarray,
+    ext_x: np.ndarray,
+    open_y: np.ndarray,
+    ext_y: np.ndarray,
+    tf: float,
+) -> AffineDPResult:
+    """The alignment when one side is empty: a single gap."""
+    x_map = np.concatenate([np.arange(m), np.full(n, -1, dtype=np.int64)])
+    y_map = np.concatenate([np.full(m, -1, dtype=np.int64), np.arange(n)])
+    score = 0.0
+    if m:
+        score = -tf * (open_x[0] + ext_x.sum())
+    elif n:
+        score = -tf * (open_y[0] + ext_y.sum())
+    return AffineDPResult(float(score), x_map, y_map)
+
+
+def _align_numpy(
+    S: np.ndarray,
+    open_x: np.ndarray,
+    ext_x: np.ndarray,
+    open_y: np.ndarray,
+    ext_y: np.ndarray,
+    tf: float,
+):
+    """One alignment on the python path: ``(score, x_map, y_map,
+    (H, E, F, cum_x, cum_y))``, the tables pooled."""
+    m, n = S.shape
+    H, E, F, cum_x, cum_y = _forward(
+        S, open_x, ext_x, open_y, ext_y, tf, keep_matrices=True
+    )
+    score, i, j = _terminal_best(
+        H[:, n], H[m, :], open_x, open_y, cum_x, cum_y, tf
+    )
+    x_map, y_map = _traceback(H, E, F, S, open_x, open_y, i, j, m, n)
+    return score, x_map, y_map, (H, E, F, cum_x, cum_y)
+
+
+def _align_compiled(
+    entry: Callable[..., int],
+    scores: Tuple[int, ...],
+    m: int,
+    n: int,
+    open_x: np.ndarray,
+    ext_x: np.ndarray,
+    open_y: np.ndarray,
+    ext_y: np.ndarray,
+    tf: float,
+):
+    """One alignment in one compiled call; returns what
+    :func:`_align_numpy` returns.
+
+    ``entry`` is :attr:`DPKernel.align` with ``scores = (S,)`` or
+    :attr:`DPKernel.align_codes` with ``scores = (table, width, x_codes,
+    y_codes)``, addresses already checked by :func:`_ptr`; ``m, n >= 1``.
+    """
+    cells = (m + 1) * (n + 1)
+    H = _tables.take("H", (m + 1, n + 1))
+    E = _tables.take("E", (m + 1, n + 1))
+    F = _tables.take("F", (m + 1, n + 1))
+    cum_x = _tables.take("cum_x", (m + 1,))
+    cum_y = _tables.take("cum_y", (n + 1,))
+    xs = _tables.take("xs", (m + n,), np.int64)
+    ys = _tables.take("ys", (m + n,), np.int64)
+    score = ctypes.c_double()
+    length = entry(
+        m, n, *scores,
+        _ptr(open_x, m), _ptr(ext_x, m), _ptr(open_y, n), _ptr(ext_y, n),
+        tf,
+        _ptr(H, cells), _ptr(E, cells), _ptr(F, cells),
+        _ptr(cum_x, m + 1), _ptr(cum_y, n + 1),
+        _ptr(xs, m + n, np.int64), _ptr(ys, m + n, np.int64),
+        ctypes.byref(score),
+    )
+    # The kernel writes the path end first, into pooled memory.
+    x_map = xs[:length][::-1].copy()
+    y_map = ys[:length][::-1].copy()
+    return score.value, x_map, y_map, (H, E, F, cum_x, cum_y)
+
+
 def affine_align(
     S: np.ndarray,
     gap_open,
@@ -450,29 +591,102 @@ def affine_align(
     ext_y = _as_vec(
         gap_extend if gap_extend_y is None else gap_extend_y, n, "gap_extend_y"
     )
-    tf = terminal_factor
+    penalties = (open_x, ext_x, open_y, ext_y, float(terminal_factor))
 
     if m == 0 or n == 0:
-        x_map = np.concatenate([np.arange(m), np.full(n, -1, dtype=np.int64)])
-        y_map = np.concatenate([np.full(m, -1, dtype=np.int64), np.arange(n)])
-        score = 0.0
-        if m:
-            score = -tf * (open_x[0] + ext_x.sum())
-        elif n:
-            score = -tf * (open_y[0] + ext_y.sum())
-        return AffineDPResult(score, x_map, y_map)
+        return _degenerate(m, n, *penalties)
 
     kern = kernel()
     with span("dp.align", m=m, n=n, kernel=kern.name):
-        H, E, F, cum_x, cum_y = _forward(
-            S, open_x, ext_x, open_y, ext_y, tf, keep_matrices=True,
-            rows=kern.rows,
-        )
-        score, i, j = _terminal_best(
-            H[:, n], H[m, :], open_x, open_y, cum_x, cum_y, tf
-        )
-        x_map, y_map = _traceback(H, E, F, S, open_x, open_y, i, j, m, n)
+        if kern.align is not None:
+            score, x_map, y_map, _ = _align_compiled(
+                kern.align, (_ptr(S, m * n),), m, n, *penalties
+            )
+        else:
+            score, x_map, y_map, _ = _align_numpy(S, *penalties)
     return AffineDPResult(score, x_map, y_map)
+
+
+def align_code_pairs(
+    table: np.ndarray,
+    code_pairs: TSequence[Tuple[np.ndarray, np.ndarray]],
+    gap_open: float,
+    gap_extend: float,
+    terminal_factor: float = 1.0,
+) -> List[AffineDPResult]:
+    """Global alignments of sequence pairs, one compiled call per pair.
+
+    Pair ``k`` is ``(x_codes, y_codes)`` and is scored by
+    ``table[x_codes][:, y_codes]`` -- which is never built: the kernel
+    reads ``table`` through the codes.  Each result is byte-identical to
+    :func:`affine_align` on that matrix.  This is the compiled kernel's
+    batch entry (``RuntimeError`` without one: the numpy kernel's is
+    :func:`repro.align.batchdp.gathered_align_batch`, which fuses the
+    pairs to share numpy's per-row dispatch cost; compiled calls have
+    none to share).
+
+    Every code of every pair is checked against the table before any
+    pair is aligned (``IndexError``), whether or not the other side of
+    its pair is empty; an empty side never reaches the kernel.  One
+    ``dp.pairs`` span covers the call; ``dp.align_calls`` /
+    ``dp.align_cells`` count its pairs and cells.
+    """
+    kern = kernel()
+    if kern.align_codes is None:
+        raise RuntimeError(
+            "align_code_pairs needs the compiled DP kernel "
+            f"(this process runs {kern.name!r}: {kern.fallback})"
+        )
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.ndim != 2 or max(table.shape) > 256:
+        raise ValueError(
+            "the substitution table must be 2-D and at most 256 x 256 "
+            f"(residue codes are uint8); got shape {table.shape}"
+        )
+    sides = ([np.asarray(x) for x, _y in code_pairs],
+             [np.asarray(y) for _x, y in code_pairs])
+    for codes, size in zip(sides, table.shape):
+        stacked = np.concatenate(codes) if codes else np.zeros(0)
+        if stacked.size and not (
+            0 <= int(stacked.min()) and int(stacked.max()) < size
+        ):
+            raise IndexError(
+                f"residue code out of bounds for a substitution "
+                f"table axis of size {size}"
+            )
+    pairs = [
+        (np.ascontiguousarray(x, dtype=np.uint8),
+         np.ascontiguousarray(y, dtype=np.uint8))
+        for x, y in zip(*sides)
+    ]
+    cells = sum(len(x) * len(y) for x, y in pairs)
+    _ALIGN_CALLS.inc(len(pairs))
+    _ALIGN_CELLS.inc(cells)
+    tf = float(terminal_factor)
+    # One penalty vector per kind, as long as the longest sequence; a
+    # pair passes the leading slice it needs.
+    longest = max((max(len(x), len(y)) for x, y in pairs), default=0)
+    opens = np.full(longest, float(gap_open))
+    exts = np.full(longest, float(gap_extend))
+    table_ptr, width = _ptr(table, table.size), table.shape[1]
+    results: List[AffineDPResult] = []
+    with span(
+        "dp.pairs", pairs=len(pairs), cells=cells, kernel=kern.name,
+        scores="gather",
+    ):
+        for x, y in pairs:
+            m, n = len(x), len(y)
+            penalties = (opens[:m], exts[:m], opens[:n], exts[:n], tf)
+            if m == 0 or n == 0:
+                results.append(_degenerate(m, n, *penalties))
+                continue
+            score, x_map, y_map, _ = _align_compiled(
+                kern.align_codes,
+                (table_ptr, width, _ptr(x, m, np.uint8), _ptr(y, n, np.uint8)),
+                m, n, *penalties,
+            )
+            results.append(AffineDPResult(score, x_map, y_map))
+    return results
 
 
 def _traceback(

@@ -3,6 +3,13 @@
 Global (Needleman-Wunsch/Gotoh) alignment is the workhorse of the CLUSTALW
 baseline's distance stage and of quality metrics; local (Smith-Waterman)
 alignment feeds the T-Coffee-like consistency library.
+
+The many-pairs entry :func:`global_align_batch` (the ``full-dp``
+distance stage) hands the DP residue codes and the substitution table,
+never a per-pair score matrix, and takes whichever route the process's
+DP kernel (:func:`repro.align.dp.kernel`) makes fastest: one compiled
+call per pair under ``c``, one fused numpy DP per chunk under ``numpy``.
+Both are byte-identical to :func:`global_align` per pair.
 """
 
 from __future__ import annotations
@@ -12,7 +19,13 @@ from typing import List, Optional, Sequence as TSequence, Tuple
 
 import numpy as np
 
-from repro.align.dp import NEG, affine_align, affine_score
+from repro.align.dp import (
+    NEG,
+    affine_align,
+    affine_score,
+    align_code_pairs,
+    kernel,
+)
 from repro.seq.alphabet import GAP_CHAR
 from repro.seq.matrices import BLOSUM62, GapPenalties, SubstitutionMatrix
 from repro.seq.sequence import Sequence
@@ -82,7 +95,8 @@ def _check_alphabets(x: Sequence, y: Sequence, matrix: SubstitutionMatrix) -> No
 def _code_pairs(
     pairs: TSequence[Tuple[Sequence, Sequence]], matrix: SubstitutionMatrix
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """What the batched entries hand the kernel: residue codes only."""
+    """What the batched entries hand the kernel: residue codes only.
+    Every pair's alphabets are checked before any pair is aligned."""
     for x, y in pairs:
         _check_alphabets(x, y, matrix)
     return [(x.codes, y.codes) for x, y in pairs]
@@ -109,26 +123,41 @@ def global_align_batch(
     gaps: GapPenalties = GapPenalties(),
     max_batch_cells: Optional[int] = None,
 ) -> List[PairwiseResult]:
-    """Optimal global alignments of many sequence pairs, one fused DP.
+    """Optimal global alignments of many sequence pairs.
 
-    Runs the batched kernel of :mod:`repro.align.batchdp`: results are
-    **byte-identical** to calling :func:`global_align` per pair, but the
-    numpy dispatch cost of the DP row loop is paid once per batch
-    instead of once per pair (5-20x on typical protein lengths).  No
-    per-pair score matrix is built: the kernel is handed the residue
-    codes and the substitution table and gathers each DP row's scores
-    from the table itself.
+    Results are **byte-identical** to calling :func:`global_align` per
+    pair, and no per-pair score matrix is built: the DP is handed the
+    residue codes and the substitution table.  How the pairs run
+    depends on the process's DP kernel, nothing else:
+
+    - ``c``: one compiled call per pair
+      (:func:`repro.align.dp.align_code_pairs`), which reads the table
+      through the codes; ``max_batch_cells`` has nothing to bound.
+    - ``numpy``: the fused kernel of :mod:`repro.align.batchdp`, which
+      pays numpy's per-row dispatch cost once per batch instead of once
+      per pair and gathers each DP row's scores from the table.
+
+    Bad input fails the same way on both, before any pair is aligned:
+    ``ValueError`` for an alphabet that is not the matrix's,
+    ``IndexError`` for a residue code outside the table.
     """
-    from repro.align.batchdp import gathered_align_batch
+    code_pairs = _code_pairs(pairs, matrix)
+    if kernel().name == "c":
+        results = align_code_pairs(
+            matrix.matrix, code_pairs, gaps.open, gaps.extend,
+            terminal_factor=gaps.terminal_factor,
+        )
+    else:
+        from repro.align.batchdp import gathered_align_batch
 
-    results = gathered_align_batch(
-        matrix.matrix,
-        _code_pairs(pairs, matrix),
-        gaps.open,
-        gaps.extend,
-        terminal_factor=gaps.terminal_factor,
-        max_batch_cells=max_batch_cells,
-    )
+        results = gathered_align_batch(
+            matrix.matrix,
+            code_pairs,
+            gaps.open,
+            gaps.extend,
+            terminal_factor=gaps.terminal_factor,
+            max_batch_cells=max_batch_cells,
+        )
     return [
         PairwiseResult(x, y, res.score, res.x_map, res.y_map)
         for (x, y), res in zip(pairs, results)

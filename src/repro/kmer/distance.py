@@ -14,7 +14,7 @@ Implementation notes (hpc-parallel guide: vectorise the inner loops):
 
 - Small k-mer spaces use dense count matrices and the *layer decomposition*
   ``min(a, b) = sum_{t>=1} [a >= t][b >= t]``, which turns the min-sum into
-  a handful of BLAS matmuls.
+  a handful of BLAS matmuls, each over the columns that layer can touch.
 - Large spaces fall back to occurrence-decorated sorted codes and exact
   multiset intersections per pair.
 """
@@ -37,28 +37,35 @@ __all__ = [
 def _min_sum_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``M[i, j] = sum_t min(a[i, t], b[j, t])`` for count matrices.
 
-    Uses the layer decomposition when counts are small (the common case for
-    short sequences over compressed alphabets), otherwise a blocked
-    elementwise minimum.
+    The layer decomposition ``min(x, y) = sum_{t>=1} [x >= t][y >= t]``,
+    one 0/1 matmul per layer.  Layer ``t`` is non-zero only in the
+    columns where *both* sides reach ``t`` in some row, so each layer is
+    restricted to those: the first covers the k-mers the two sides
+    share, the deep ones (a k-mer one sequence repeats nine times) a
+    handful of columns, and the number of layers is the depth both
+    sides reach, not the largest count on either.
+
+    The sums are small integers, so float32 holds them exactly while a
+    row's k-mer total stays below 2**24 (no entry, and no partial sum
+    on the way to it, exceeds the smaller row total); beyond that the
+    layers are float64.
     """
-    max_count = int(max(a.max(initial=0), b.max(initial=0)))
-    if max_count == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
-    if max_count <= 8:
-        out = np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-        for t in range(1, max_count + 1):
-            la = (a >= t).astype(np.float64)
-            lb = (b >= t).astype(np.float64)
-            out += la @ lb.T
-        return np.rint(out).astype(np.int64)
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
-    block = max(1, (1 << 22) // max(b.shape[0] * a.shape[1], 1))
-    for i0 in range(0, a.shape[0], block):
-        ai = a[i0 : i0 + block]
-        out[i0 : i0 + block] = np.minimum(ai[:, None, :], b[None, :, :]).sum(
-            axis=2, dtype=np.int64
-        )
-    return out
+    same = b is a
+    rows_a = a.sum(axis=1, dtype=np.int64).max(initial=0)
+    rows_b = rows_a if same else b.sum(axis=1, dtype=np.int64).max(initial=0)
+    dtype = np.float32 if min(rows_a, rows_b) < 1 << 24 else np.float64
+    reach_a = a.max(axis=0, initial=0)
+    reach = reach_a if same else np.minimum(reach_a, b.max(axis=0, initial=0))
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=dtype)
+    for t in range(1, int(reach.max(initial=0)) + 1):
+        keep = reach >= t  # a subset of the previous layer's columns
+        reach = reach[keep]
+        a = a[:, keep]
+        b = a if same else b[:, keep]
+        la = (a >= t).astype(dtype)
+        lb = la if same else (b >= t).astype(dtype)
+        out += la @ lb.T
+    return np.rint(out).astype(np.int64)
 
 
 def _min_sum_sparse(

@@ -171,3 +171,91 @@ class TestCallerArrayLayouts:
                 _ptr(bad, bad.size)
         with pytest.raises(ValueError, match="C-contiguous native float64"):
             _ptr(vec, 9)
+
+
+class TestAlignCodePairs:
+    """The compiled kernel's batch entry: scores read from a table
+    through residue codes, every code checked before a pointer is passed."""
+
+    TABLE = np.random.default_rng(11).integers(-4, 9, (5, 6)).astype(float)
+
+    def _codes(self, seed, m, n):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 5, m), rng.integers(0, 6, n)
+
+    def test_equals_affine_align_on_the_looked_up_matrix(self, compiled_kernel):
+        from repro.align.dp import align_code_pairs
+
+        pairs = [self._codes(s, m, n) for s, (m, n) in enumerate(
+            [(7, 9), (1, 4), (12, 1), (0, 3), (3, 0), (0, 0)]
+        )]
+        got = align_code_pairs(self.TABLE, pairs, 3.0, 0.5, terminal_factor=0.3)
+        for (x, y), res in zip(pairs, got):
+            ref = affine_align(self.TABLE[np.ix_(x, y)], 3.0, 0.5,
+                               terminal_factor=0.3)
+            assert type(res.score) is float and res.score == ref.score
+            assert res.x_map.tobytes() == ref.x_map.tobytes()
+            assert res.y_map.tobytes() == ref.y_map.tobytes()
+
+    def test_any_integer_layout_of_codes(self, compiled_kernel):
+        from repro.align.dp import align_code_pairs
+
+        x, y = self._codes(3, 8, 11)
+        ref = align_code_pairs(self.TABLE, [(x, y)], 3.0, 0.5)[0]
+        wide_x = np.repeat(x, 2).astype(np.int64)
+        for xx, yy in (
+            (wide_x[::2], y.astype(np.uint8)),  # strided int64
+            (x.tolist(), y.astype(">i4")),  # a list; non-native ints
+        ):
+            res = align_code_pairs(self.TABLE, [(xx, yy)], 3.0, 0.5)[0]
+            assert res.score == ref.score
+            assert res.x_map.tolist() == ref.x_map.tolist()
+        fortran = np.asfortranarray(self.TABLE)
+        res = align_code_pairs(fortran, [(x, y)], 3.0, 0.5)[0]
+        assert res.x_map.tolist() == ref.x_map.tolist()
+
+    def test_codes_outside_the_table_never_reach_the_kernel(
+        self, compiled_kernel, monkeypatch
+    ):
+        from repro.align import dp
+
+        monkeypatch.setattr(
+            dp, "_align_compiled",
+            lambda *a: pytest.fail("aligned a pair of a bad batch"),
+        )
+        ok = self._codes(1, 4, 4)
+        empty = np.zeros(0, dtype=np.uint8)
+        for bad_pair in (
+            (np.array([0, 5]), ok[1]),  # x indexes rows: 5 of them
+            (ok[0], np.array([6])),  # y indexes columns: 6 of them
+            (np.array([-1]), ok[1]),
+            (np.array([256 + 1]), ok[1]),  # would wrap to a valid uint8
+            (empty, np.array([6])),
+        ):
+            with pytest.raises(IndexError):
+                dp.align_code_pairs(self.TABLE, [ok, bad_pair], 3.0, 0.5)
+
+    def test_table_must_fit_uint8_codes(self, compiled_kernel):
+        from repro.align.dp import align_code_pairs
+
+        with pytest.raises(ValueError, match="2-D"):
+            align_code_pairs(np.zeros(4), [], 1.0, 1.0)
+        with pytest.raises(ValueError, match="256"):
+            align_code_pairs(np.zeros((257, 3)), [], 1.0, 1.0)
+        assert align_code_pairs(np.zeros((256, 256)), [], 1.0, 1.0) == []
+
+    def test_needs_the_compiled_kernel(self, numpy_kernel):
+        from repro.align.dp import align_code_pairs
+
+        with pytest.raises(RuntimeError, match="compiled"):
+            align_code_pairs(self.TABLE, [], 1.0, 1.0)
+
+    def test_pointer_check_knows_the_item_type(self):
+        from repro.align.dp import _ptr
+
+        codes = np.arange(6, dtype=np.uint8)
+        assert _ptr(codes, 6, np.uint8) == codes.ctypes.data
+        with pytest.raises(ValueError, match="native uint8"):
+            _ptr(codes.astype(np.int64), 6, np.uint8)
+        with pytest.raises(ValueError, match="native float64"):
+            _ptr(codes, 6)

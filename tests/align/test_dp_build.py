@@ -59,7 +59,8 @@ class TestFallbacks:
         fallbacks = registry().counter("dp.kernel_fallbacks")
         before = fallbacks.value
         kern = _resolve_afresh(monkeypatch)
-        assert (kern.name, kern.fallback, kern.rows) == ("numpy", reason, None)
+        assert (kern.name, kern.fallback) == ("numpy", reason)
+        assert kern.align is None and kern.align_codes is None
         assert fallbacks.value == before + 1
         assert dp.kernel() is kern and fallbacks.value == before + 1  # once
         got = _align_something()
@@ -111,7 +112,7 @@ class TestFallbacks:
         assert not (tmp_path / "relative").exists()
 
     def test_library_that_fails_the_probe(self, monkeypatch, empty_cache):
-        monkeypatch.setattr(dp, "_reproduces_numpy", lambda rows: False)
+        monkeypatch.setattr(dp, "_reproduces_numpy", lambda *entries: False)
         self._assert_numpy_fallback(monkeypatch, "check_failed")
 
 
@@ -166,6 +167,29 @@ class TestCache:
         monkeypatch.setattr(ckernel, "_SOURCE", edited)
         assert _resolve_afresh(monkeypatch).name == "c"
         assert len(_libraries(empty_cache)) == 2  # the stale one is not reused
+
+    def test_library_of_the_one_export_source_is_never_loaded(
+        self, monkeypatch, tmp_path, empty_cache
+    ):
+        """A cache left by a checkout whose C file exported only the row
+        loop: that library sits under another digest, and is not what a
+        two-export source resolves to."""
+        old = tmp_path / "old.c"
+        old.write_text("void gotoh_rows(void) {}\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(ckernel, "_SOURCE", old)
+            kern = _resolve_afresh(patch)
+            # Built, but it is not the library dp.py calls into.
+            assert (kern.name, kern.fallback) == ("numpy", "load_failed")
+        (stale,) = _libraries(empty_cache)
+        built_at = (empty_cache / stale).stat().st_mtime_ns
+        kern = _resolve_afresh(monkeypatch)
+        assert kern.name == "c"
+        assert callable(kern.align) and callable(kern.align_codes)
+        assert len(_libraries(empty_cache)) == 2
+        assert (empty_cache / stale).stat().st_mtime_ns == built_at
+        got = _align_something()
+        assert got.n_columns == len(got.y_map) >= 9
 
 
 _REPORT = (

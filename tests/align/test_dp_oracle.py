@@ -6,9 +6,10 @@ right.  Here each entry is checked on its own against
 :func:`tests.align.oracles.scalar_gotoh`, including scaled terminal
 gaps, position-specific penalties and degenerate (empty) axes.
 
-The scalar entry has two row loops (compiled and numpy, see
-``repro.align.dp.kernel``); it and the profile-level entries built on
-it are checked against the oracle under each.
+The scalar entry has two paths (one compiled call, or the numpy/python
+functions; see ``repro.align.dp.kernel``); it, the profile-level entries
+built on it and the sequence-level ``global_align_batch`` (which takes
+another route per kernel) are checked against the oracle under each.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.align.batchdp import affine_align_batch, gathered_align_batch
 from repro.align.dp import affine_align
+from repro.align.pairwise import global_align_batch
 from repro.align.profile import Profile
 from repro.align.profile_align import (
     ProfileAlignConfig,
@@ -26,7 +28,8 @@ from repro.align.profile_align import (
     profile_score_matrix,
 )
 from repro.seq.alignment import Alignment
-from repro.seq.matrices import GapPenalties
+from repro.seq.matrices import BLOSUM62, GapPenalties
+from repro.seq.sequence import Sequence
 from tests.align.oracles import assert_valid_maps, path_score, scalar_gotoh
 
 PENALTIES = (0.0, 0.5, 1.0, 2.0, 7.5, 11.0)
@@ -117,6 +120,44 @@ def test_scalar_entry_matches_oracle_under_each_kernel(dp_kernel, problem):
     for k, (S, res) in enumerate(zip(_dense(table, code_pairs), results)):
         gaps = (g["ox"][k], g["ex"][k], g["oy"][k], g["ey"][k])
         _assert_optimal(S, res, gaps, tf)
+
+
+@st.composite
+def sequence_pairs(draw):
+    """Up to five ragged protein pairs (empty sides included), scalar
+    penalties: what the ``full-dp`` distance stage hands over."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    letters = np.array(list("ACDEFGHIKLMNPQRSTVWY"))
+
+    def seq(tag):
+        length = draw(st.integers(0, 12))
+        return Sequence(tag, "".join(letters[rng.integers(0, 20, length)]))
+
+    pairs = [(seq(f"x{k}"), seq(f"y{k}")) for k in range(draw(st.integers(1, 5)))]
+    extend, open_ = sorted(
+        (draw(st.sampled_from(PENALTIES)), draw(st.sampled_from(PENALTIES)))
+    )
+    gaps = GapPenalties(
+        open_, extend,
+        terminal_factor=draw(st.sampled_from((0.0, 0.3, 0.5, 1.0))),
+    )
+    return pairs, gaps
+
+
+@_PER_KERNEL
+@given(sequence_pairs())
+def test_sequence_batch_entry_matches_oracle_under_each_kernel(
+    dp_kernel, traced, drawn
+):
+    pairs, gaps = drawn
+    results, records = traced(lambda: global_align_batch(pairs, gaps=gaps))
+    for (x, y), res in zip(pairs, results):
+        S = BLOSUM62.pair_scores(x.codes, y.codes).astype(np.float64)
+        flat = (gaps.open, gaps.extend, gaps.open, gaps.extend)
+        _assert_optimal(S, res, flat, gaps.terminal_factor)
+    # ... by the route this kernel takes, and no other.
+    expected = "dp.pairs" if dp_kernel == "c" else "dp.batch"
+    assert {r.name for r in records if r.name.startswith("dp.")} <= {expected}
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.align import dp
 from repro.align.pairwise import (
     global_align,
     global_align_batch,
@@ -13,6 +14,7 @@ from repro.align.pairwise import (
 )
 from repro.seq.matrices import BLOSUM62, DNA_SIMPLE, GapPenalties
 from repro.seq.alphabet import DNA
+from repro.obs.metrics import registry
 from repro.seq.sequence import Sequence
 
 
@@ -76,8 +78,15 @@ class TestGlobalAlign:
 
 
 class TestBatchedEntries:
-    """The gather path makes the bounds check that ``pair_scores``'
-    fancy indexing used to give for free."""
+    """Bad and degenerate input at the sequence level, on the fused numpy
+    route (``TestBatchedEntriesCompiled`` reruns all of it on the
+    per-pair compiled one): neither route builds a score matrix, so each
+    makes the bounds check that ``pair_scores``' fancy indexing used to
+    give for free -- up front, for every pair, whatever its other side."""
+
+    @pytest.fixture(autouse=True)
+    def route(self, numpy_kernel):
+        return "numpy"
 
     @staticmethod
     def _corrupt(text: str, code: int) -> Sequence:
@@ -99,6 +108,15 @@ class TestBatchedEntries:
             entry([(good, good), pair])
         assert type(batched.value) is type(scalar.value) is IndexError
 
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_out_of_range_code_raises_beside_an_empty_sequence(self, side):
+        """No DP cell would ever read the bad code; it is still bad input."""
+        good, empty = Sequence("ok", "MKTAYIAK"), Sequence("e", "")
+        bad = self._corrupt("MKTAYIAK", BLOSUM62.matrix.shape[0])
+        pair = (bad, empty) if side == "x" else (empty, bad)
+        with pytest.raises(IndexError):
+            global_align_batch([(good, good), pair])
+
     @pytest.mark.parametrize("entry", [global_align_batch, global_score_batch])
     def test_alphabet_mismatch(self, entry):
         s = Sequence("a", "ACGT", alphabet=DNA)
@@ -106,9 +124,64 @@ class TestBatchedEntries:
         with pytest.raises(ValueError, match="alphabet"):
             entry([(t, t), (s, t)])
 
+    @pytest.mark.parametrize("flaw", ["alphabet", "code"])
+    def test_a_bad_last_pair_fails_before_any_pair_is_aligned(
+        self, flaw, traced
+    ):
+        good = Sequence("ok", "MKTAYIAK")
+        if flaw == "alphabet":
+            last, error = Sequence("a", "ACGT", alphabet=DNA), ValueError
+        else:
+            last, error = self._corrupt("MKTAYIAK", 255), IndexError
+        counters = [
+            registry().counter(name)
+            for name in ("dp.align_calls", "dp.batch_pairs")
+        ]
+        before = [c.value for c in counters]
+
+        def run():
+            with pytest.raises(error):
+                global_align_batch([(good, good)] * 3 + [(good, last)])
+
+        _none, records = traced(run)
+        assert [c.value for c in counters] == before
+        assert not [r for r in records if r.name.startswith("dp.")]
+
+    def test_empty_sequences_take_the_degenerate_branch(
+        self, route, monkeypatch
+    ):
+        """An empty side is answered in python on both routes; the
+        compiled entry (which assumes m, n >= 1) never sees one."""
+        shapes = []
+        compiled = dp._align_compiled
+
+        def spy(entry, scores, m, n, *rest):
+            shapes.append((m, n))
+            return compiled(entry, scores, m, n, *rest)
+
+        monkeypatch.setattr(dp, "_align_compiled", spy)
+        s, t, e = Sequence("s", "MKTAYIAK"), Sequence("t", "MKAYK"), Sequence("e", "")
+        pairs = [(e, s), (s, t), (s, e), (e, e), (t, s)]
+        gaps = GapPenalties(8, 1, terminal_factor=0.5)
+        got = global_align_batch(pairs, gaps=gaps)
+        assert shapes == ([(8, 5), (5, 8)] if route == "c" else [])
+        for (x, y), res in zip(pairs, got):
+            ref = global_align(x, y, gaps=gaps)
+            assert type(res.score) is float and res.score == ref.score
+            assert res.x_map.dtype == res.y_map.dtype == np.int64
+            assert res.x_map.tobytes() == ref.x_map.tobytes()
+            assert res.y_map.tobytes() == ref.y_map.tobytes()
+        assert got[3].n_columns == 0 and got[3].score == 0.0
+
     def test_empty_batch(self):
         assert global_align_batch([]) == []
         assert global_score_batch([]).shape == (0,)
+
+
+class TestBatchedEntriesCompiled(TestBatchedEntries):
+    @pytest.fixture(autouse=True)
+    def route(self, compiled_kernel):
+        return "c"
 
 
 class TestLocalAlign:

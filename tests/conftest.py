@@ -72,6 +72,24 @@ def dp_kernel(request, monkeypatch) -> str:
     return request.param
 
 
+@pytest.fixture(scope="session")
+def each_dp_kernel():
+    """``for name in each_dp_kernel():`` runs the loop body once per row
+    kernel this host has, the process forced onto it meanwhile -- for
+    fixtures wider than a function, which cannot ask for ``dp_kernel``."""
+
+    def kernels():
+        for name in ("numpy", "c"):
+            with pytest.MonkeyPatch.context() as patch:
+                try:
+                    _force_kernel(patch, name)
+                except pytest.skip.Exception:
+                    continue
+                yield name
+
+    return kernels
+
+
 @pytest.fixture()
 def numpy_kernel(monkeypatch) -> None:
     """The numpy row kernel -- the one under which profile merges take

@@ -71,3 +71,28 @@ class TestBatchedMatchesPerPair:
             monkeypatch.setattr(batchdp, "MAX_BATCH_PAIRS", size)
             got = all_pairs(family, name)
             assert got.tobytes() == per_pair_base
+
+
+class TestEachKernelsRoute:
+    """``full-dp`` takes another route per DP kernel (one compiled call
+    per pair under ``c``, one fused numpy DP per chunk under ``numpy``);
+    the matrix is the per-pair base's, byte for byte, under both."""
+
+    def test_serial(self, dp_kernel, traced, family, per_pair_base):
+        got, records = traced(lambda: all_pairs(family, "full-dp"))
+        assert got.tobytes() == per_pair_base
+        route = "dp.pairs" if dp_kernel == "c" else "dp.batch"
+        spans = [r for r in records if r.name.startswith("dp.")]
+        assert spans and {r.name for r in spans} == {route}
+        assert sum(r.attrs["pairs"] for r in spans) == 45
+
+    def test_pool(self, dp_kernel, family, per_pair_base):
+        from repro.pool import PoolBackend, WorkerPool
+
+        # Forked now, so the workers run the kernel forced here.
+        with WorkerPool(max_workers=2, start_method="fork") as workers:
+            got = all_pairs(
+                family, "full-dp", backend=PoolBackend(workers), workers=2
+            )
+            assert workers.stats()["runs"] == 1
+        assert got.tobytes() == per_pair_base

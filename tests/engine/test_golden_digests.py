@@ -92,10 +92,16 @@ def test_fasta_is_byte_identical(case, golden):
 
 def test_every_engine_under_each_row_kernel(dp_kernel, golden):
     """The parametrised test above runs whichever row kernel this host
-    resolves to; the bytes must not depend on that."""
-    for engine in available_engines():
-        assert fasta_digest(engine, {}) == golden["fasta_sha256"][engine], (
-            engine, dp_kernel,
+    resolves to; the bytes must not depend on that -- nor on the route
+    the ``full-dp`` distance stage takes under each."""
+    selected = {
+        case: spec for case, spec in cases().items()
+        if not spec[1] or spec[1] == SPEC_GRID["distance=full-dp"]
+    }
+    assert len(selected) == len(available_engines()) + len(GUIDE_TREE_ENGINES)
+    for case, (engine, kwargs) in selected.items():
+        assert fasta_digest(engine, kwargs) == golden["fasta_sha256"][case], (
+            case, dp_kernel,
         )
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distance.transforms import fractional_identity_estimate
 from repro.kmer.counting import KmerCounter
@@ -123,3 +125,64 @@ class TestFractionalIdentity:
     def test_clipped(self):
         assert fractional_identity_estimate(np.array([1.5])).max() <= 1.0
         assert fractional_identity_estimate(np.array([0.0])).min() >= 0.0
+
+
+class TestMinSumDense:
+    """``_min_sum_dense`` against the definition, cell by cell: one
+    layered path whatever the largest count (there used to be a slower
+    one past eight), rectangular or ``b is a``, empty sides included."""
+
+    @staticmethod
+    def brute(a, b):
+        out = np.zeros((a.shape[0], b.shape[0]), dtype=np.int64)
+        for i in range(a.shape[0]):
+            for j in range(b.shape[0]):
+                out[i, j] = sum(
+                    min(int(x), int(y)) for x, y in zip(a[i], b[j])
+                )
+        return out
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        max_count=st.sampled_from((0, 1, 8, 9, 300)),
+        rows_a=st.integers(0, 6),
+        rows_b=st.integers(0, 6),
+        cols=st.integers(0, 12),
+        same=st.booleans(),
+        dtype=st.sampled_from((np.int32, np.uint16, np.int64)),
+    )
+    def test_equals_the_brute_force_min_sum(
+        self, seed, max_count, rows_a, rows_b, cols, same, dtype
+    ):
+        from repro.kmer.distance import _min_sum_dense
+
+        rng = np.random.default_rng(seed)
+
+        def counts(rows):
+            # Mostly small counts; a few entries at the cap.
+            m = rng.integers(0, min(max_count, 3) + 1, (rows, cols))
+            m[rng.random((rows, cols)) < 0.15] = max_count
+            return m.astype(dtype)
+
+        a = counts(rows_a)
+        b = a if same else counts(rows_b)
+        got = _min_sum_dense(a, b)
+        assert got.dtype == np.int64 and got.shape == (len(a), len(b))
+        assert np.array_equal(got, self.brute(a, b))
+
+    def test_totals_past_float32_take_float64_layers(self):
+        """A row holding 2**24 k-mers or more: float32 could no longer
+        count them one by one."""
+        from repro.kmer.distance import _min_sum_dense
+
+        big = (1 << 24) + 3
+        a = np.array([[2, 0, 1], [1, 1, 0]], dtype=np.int64)
+        heavy = np.array([[big, 1, 0]], dtype=np.int64)
+        # The layers stop at what both sides reach (2), not at ``big``.
+        assert _min_sum_dense(a, heavy).tolist() == [[2], [2]]
+        # Both sides past 2**24 and an odd answer: float32 has no odd
+        # integers up there.
+        wide = np.full((1, 4099), 4097, dtype=np.int64)
+        assert wide.sum() > 1 << 24 and wide.sum() % 2
+        assert _min_sum_dense(wide, wide.copy()).tolist() == [[4097 * 4099]]

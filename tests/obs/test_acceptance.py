@@ -40,8 +40,11 @@ REQUIRED_STAGES = {
 
 @pytest.fixture(scope="module")
 def traced_run():
+    # Big enough that the span-less python around the stages (leaf
+    # profiles, sequence weights: about 1 ms) stays a few per cent of
+    # the request now that one merge DP is one compiled call.
     fam = generate_family(
-        n_sequences=10, mean_length=60, seed=3, track_alignment=False
+        n_sequences=24, mean_length=250, seed=3, track_alignment=False
     )
     request = AlignRequest(
         sequences=tuple(fam.sequences), engine="clustalw"
@@ -129,13 +132,21 @@ class TestPipelineCoverage:
 
 
 class TestScoreSourceIsVisible:
-    """Which batched-kernel path ran is readable from a trace and from
-    ``/metrics`` without reading code: ``dp.batch`` spans carry
+    """Which route the ``full-dp`` distance stage took is readable from a
+    trace and from ``/metrics`` without reading code.  Under the numpy
+    kernel it is fused: ``dp.batch`` spans carry
     ``scores="gather"|"dense"`` and ``dp.batch_gather_pairs`` counts the
-    pairs whose scores were gathered from the substitution table."""
+    pairs whose scores were gathered from the substitution table.  Under
+    the compiled kernel it runs pair by pair: one ``dp.pairs`` span per
+    chunk (``kernel="c"``, ``scores="gather"``), the work counted in
+    ``dp.align_calls`` / ``dp.align_cells``, and no ``dp.batch_*``
+    counter moves."""
+
+    N_PAIRS = 9 * 8 // 2
 
     @pytest.fixture(scope="class")
-    def fulldp_run(self):
+    def fulldp_runs(self, each_dp_kernel):
+        """``{kernel: (spans, metric delta)}`` of one request per kernel."""
         from repro.obs.metrics import registry
         from repro.obs.tracing import disable_tracing
 
@@ -147,47 +158,82 @@ class TestScoreSourceIsVisible:
             engine="clustalw",
             engine_kwargs={"distance": "full-dp"},
         )
-        drain_spans()
-        enable_tracing()
-        before = registry().snapshot()
-        gateway = AlignmentGateway(n_workers=1)
-        try:
-            gateway.submit(request, client_id="acceptance").wait(60)
-        finally:
-            gateway.close()
-            disable_tracing()
-        return drain_spans(), registry().snapshot().diff(before)
+        runs = {}
+        for name in each_dp_kernel():
+            drain_spans()
+            enable_tracing()
+            before = registry().snapshot()
+            gateway = AlignmentGateway(n_workers=1)
+            try:
+                gateway.submit(request, client_id="acceptance").wait(60)
+            finally:
+                gateway.close()
+                disable_tracing()
+            runs[name] = drain_spans(), registry().snapshot().diff(before)
+        return runs
 
-    def test_distance_stage_spans_say_gather(self, fulldp_run):
-        records, _ = fulldp_run
-        by_id = {r.span_id: r for r in records}
+    @staticmethod
+    def _value(delta, name):
+        metric = delta.metrics.get(name)
+        return 0 if metric is None else metric.value
 
-        def under(rec, name):
-            while rec is not None:
-                if rec.name == name:
-                    return True
-                rec = by_id.get(rec.parent_id)
-            return False
+    def test_distance_stage_spans_say_gather(self, fulldp_runs):
+        for kernel, (records, _) in fulldp_runs.items():
+            by_id = {r.span_id: r for r in records}
 
-        batches = [r for r in records if r.name == "dp.batch"]
-        in_distance = [r for r in batches if under(r, "distance.all_pairs")]
-        assert in_distance
-        assert {r.attrs["scores"] for r in in_distance} == {"gather"}
-        assert {r.attrs["mode"] for r in in_distance} == {"align"}
-        assert sum(r.attrs["pairs"] for r in in_distance) == 9 * 8 // 2
-        # Profile-profile merges score through PSP matrices, not table
-        # look-ups: whatever they batch stays on the dense stack.
-        for r in batches:
-            if under(r, "tree.merge"):
-                assert r.attrs["scores"] == "dense"
+            def under(rec, name):
+                while rec is not None:
+                    if rec.name == name:
+                        return True
+                    rec = by_id.get(rec.parent_id)
+                return False
 
-    def test_counter_counts_only_gathered_pairs(self, fulldp_run):
-        _, delta = fulldp_run
-        assert delta.metrics["dp.batch_gather_pairs"].value == 9 * 8 // 2
-        assert (
-            delta.metrics["dp.batch_pairs"].value
-            >= delta.metrics["dp.batch_gather_pairs"].value
-        )
+            in_distance = [
+                r for r in records
+                if r.name.startswith("dp.") and under(r, "distance.all_pairs")
+            ]
+            route = "dp.pairs" if kernel == "c" else "dp.batch"
+            assert in_distance
+            assert {r.name for r in in_distance} == {route}
+            assert {r.attrs["scores"] for r in in_distance} == {"gather"}
+            assert sum(r.attrs["pairs"] for r in in_distance) == self.N_PAIRS
+            if kernel == "c":
+                assert {r.attrs["kernel"] for r in in_distance} == {"c"}
+                assert all(r.attrs["cells"] > 0 for r in in_distance)
+            else:
+                assert {r.attrs["mode"] for r in in_distance} == {"align"}
+            # Profile-profile merges score through PSP matrices, not
+            # table look-ups: whatever they batch stays on the dense
+            # stack, and under ``c`` they do not batch at all.
+            merges = [
+                r for r in records
+                if r.name == "dp.batch" and under(r, "tree.merge")
+            ]
+            assert {r.attrs["scores"] for r in merges} <= {"dense"}
+            assert not (merges and kernel == "c")
+
+    def test_counter_counts_only_gathered_pairs(self, fulldp_runs):
+        for kernel, (records, delta) in fulldp_runs.items():
+            gathered = self._value(delta, "dp.batch_gather_pairs")
+            per_pair = sum(r.name == "dp.align" for r in records)
+            if kernel == "c":
+                assert gathered == 0
+                assert self._value(delta, "dp.batch_calls") == 0
+                assert self._value(delta, "dp.batch_pairs") == 0
+                assert (
+                    self._value(delta, "dp.align_calls")
+                    == self.N_PAIRS + per_pair
+                )
+                cells = sum(
+                    r.attrs["cells"] if r.name == "dp.pairs"
+                    else r.attrs["m"] * r.attrs["n"]
+                    for r in records if r.name in ("dp.pairs", "dp.align")
+                )
+                assert self._value(delta, "dp.align_cells") == cells
+            else:
+                assert gathered == self.N_PAIRS
+                assert self._value(delta, "dp.batch_pairs") >= gathered
+                assert self._value(delta, "dp.align_calls") == per_pair
 
     def test_dense_entries_do_not_count_as_gathered(self):
         import numpy as np
@@ -207,19 +253,21 @@ class TestScoreSourceIsVisible:
         gathered = delta.metrics.get("dp.batch_gather_pairs")
         assert gathered is None or gathered.value == 0
 
-    def test_trace_and_prometheus_exports_carry_it(self, fulldp_run):
+    def test_trace_and_prometheus_exports_carry_it(self, fulldp_runs):
         from repro.obs.metrics import registry
         from repro.obs.prom import render_prometheus
 
-        records, _ = fulldp_run
-        events = to_chrome_trace(records)["traceEvents"]
-        sources = {
-            e["args"]["scores"] for e in events if e.get("name") == "dp.batch"
-        }
-        assert "gather" in sources
-        assert "dp_batch_gather_pairs" in render_prometheus(
-            registry().snapshot()
-        )
+        for kernel, (records, _) in fulldp_runs.items():
+            events = to_chrome_trace(records)["traceEvents"]
+            route = "dp.pairs" if kernel == "c" else "dp.batch"
+            args = [e["args"] for e in events if e.get("name") == route]
+            assert "gather" in {a["scores"] for a in args}
+            if kernel == "c":
+                assert {a["kernel"] for a in args} == {"c"}
+        prom = render_prometheus(registry().snapshot())
+        assert "dp_align_calls" in prom
+        if "numpy" in fulldp_runs:
+            assert "dp_batch_gather_pairs" in prom
 
 
 class TestCladeReuseIsVisible:
@@ -278,7 +326,9 @@ class TestTokenWaitIsAttributed:
             AlignRequest(
                 sequences=tuple(
                     generate_family(
-                        n_sequences=16, mean_length=100, seed=seed,
+                        # ~0.1 s of muscle each on the compiled kernel:
+                        # over the 0.05 s floor the test below needs.
+                        n_sequences=16, mean_length=200, seed=seed,
                         track_alignment=False,
                     ).sequences
                 ),

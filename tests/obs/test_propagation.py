@@ -117,25 +117,49 @@ class TestCrossBackendEquivalence:
 
 
 class TestMetricsRideHome:
-    def test_dp_counters_cross_process(self, seqs):
+    def test_dp_counters_cross_process(self, seqs, each_dp_kernel):
         """Rank-side DP work increments the *parent's* registry.
 
         ``full-dp`` on the pool backend runs every pair DP in
         foreign address spaces; the per-rank metric deltas ride home
-        with the spans and are absorbed exactly once.
+        with the spans and are absorbed exactly once -- whichever route
+        the workers' DP kernel sends the pairs down.
         """
         from repro.obs.metrics import registry
+        from repro.pool import WorkerPool, set_default_pool
 
-        enable_tracing()
-        drain_spans()
-        before = registry().snapshot()
-        with collect(tee=False):
-            d = all_pairs(seqs, "full-dp", backend="pool", workers=2,
-                          tile_pairs=3)
-        assert np.all(np.isfinite(d))
-        delta = registry().snapshot().diff(before)
-        # Every pair goes through the batched kernel in a worker.
-        assert delta.metrics["dp.batch_pairs"].value == 10  # C(5,2) pairs
+        def value(delta, name):
+            metric = delta.metrics.get(name)
+            return 0 if metric is None else metric.value
+
+        for kernel in each_dp_kernel():
+            # Forked now, so the workers run the kernel forced here.
+            with WorkerPool(max_workers=2, start_method="fork") as workers:
+                prev = set_default_pool(workers)
+                try:
+                    enable_tracing()
+                    drain_spans()
+                    before = registry().snapshot()
+                    with collect(tee=False) as buf:
+                        d = all_pairs(seqs, "full-dp", backend="pool",
+                                      workers=2, tile_pairs=3)
+                finally:
+                    set_default_pool(prev)
+            assert np.all(np.isfinite(d))
+            delta = registry().snapshot().diff(before)
+            moved = {
+                name: value(delta, name)
+                for name in ("dp.align_calls", "dp.batch_pairs",
+                             "dp.batch_gather_pairs")
+            }
+            routes = {r.name for r in buf.records() if r.name.startswith("dp.")}
+            # C(5, 2) = 10 pairs, every one through a worker's kernel.
+            if kernel == "c":
+                assert routes == {"dp.pairs"}
+                assert list(moved.values()) == [10, 0, 0]
+            else:
+                assert routes == {"dp.batch"}
+                assert list(moved.values()) == [0, 10, 10]
 
 
 def _spin_ring(comm):

@@ -543,34 +543,44 @@ class TestTraceCli:
         assert stages["n_spans"] == len(doc["traceEvents"])
         assert stages["stage_breakdown"]
 
-    def test_trace_says_which_score_source_ran(self, tmp_path):
-        """``--distance full-dp`` reaches the batched Gotoh kernel, and
-        its ``dp.batch`` events say the scores were gathered from the
-        substitution table (merges, if they batch at all, say dense)."""
+    def test_trace_says_which_score_source_ran(self, each_dp_kernel, tmp_path):
+        """``--distance full-dp`` never builds a pair-score matrix: its DP
+        events say the scores were gathered from the substitution table
+        -- ``dp.batch`` events under the numpy kernel (merges, if they
+        batch at all, say dense), ``dp.pairs`` events under the compiled
+        one, where nothing batches."""
         import json
 
-        out = tmp_path / "trace.json"
-        rc = main(["trace", "--engine", "clustalw", "--distance", "full-dp",
-                   "-n", "6", "-l", "40", "-o", str(out)])
-        assert rc == 0
-        events = json.loads(out.read_text())["traceEvents"]
-        by_id = {e["args"]["span_id"]: e for e in events}
+        for kernel in each_dp_kernel():
+            out = tmp_path / f"trace-{kernel}.json"
+            rc = main(["trace", "--engine", "clustalw", "--distance",
+                       "full-dp", "-n", "6", "-l", "40", "-o", str(out)])
+            assert rc == 0
+            events = json.loads(out.read_text())["traceEvents"]
+            by_id = {e["args"]["span_id"]: e for e in events}
 
-        def stage_of(event):
-            """``distance.all_pairs`` / ``tree.merge`` ancestor's name."""
-            while event["name"] not in ("distance.all_pairs", "tree.merge"):
-                event = by_id[event["args"]["parent_id"]]
-            return event["name"]
+            def stage_of(event):
+                """``distance.all_pairs`` / ``tree.merge`` ancestor's name."""
+                while event["name"] not in ("distance.all_pairs", "tree.merge"):
+                    event = by_id[event["args"]["parent_id"]]
+                return event["name"]
 
-        batches = [e for e in events if e["name"] == "dp.batch"]
-        by_source = {"gather": [], "dense": []}
-        for e in batches:
-            by_source[e["args"]["scores"]].append(e)
-        assert sum(e["args"]["pairs"] for e in by_source["gather"]) == 15
-        assert {stage_of(e) for e in by_source["gather"]} == {
-            "distance.all_pairs"
-        }
-        assert {stage_of(e) for e in by_source["dense"]} <= {"tree.merge"}
+            by_source = {"gather": [], "dense": []}
+            for e in events:
+                if e["name"] in ("dp.batch", "dp.pairs"):
+                    by_source[e["args"]["scores"]].append(e)
+            gathered = by_source["gather"]
+            assert sum(e["args"]["pairs"] for e in gathered) == 15
+            assert {stage_of(e) for e in gathered} == {"distance.all_pairs"}
+            if kernel == "c":
+                assert {e["name"] for e in gathered} == {"dp.pairs"}
+                assert {e["args"]["kernel"] for e in gathered} == {"c"}
+                assert not by_source["dense"]
+            else:
+                assert {e["name"] for e in gathered} == {"dp.batch"}
+                assert {stage_of(e) for e in by_source["dense"]} <= {
+                    "tree.merge"
+                }
 
     def test_trace_says_which_row_kernel_ran(
         self, dp_kernel, tmp_path, capsys
