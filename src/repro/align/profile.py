@@ -26,7 +26,8 @@ class Profile:
     Attributes
     ----------
     alignment:
-        The underlying alignment (rows are the member sequences).
+        The underlying alignment (rows are the member sequences), or
+        ``None`` for a profile built with :meth:`from_counts`.
     counts:
         ``(n_cols, A+1)`` residue counts; the last column counts gaps.
     frequencies:
@@ -39,13 +40,37 @@ class Profile:
 
     def __init__(self, alignment: Alignment) -> None:
         self.alignment = alignment
-        counts = alignment.column_counts(include_gap=True)
+        self._set_counts(
+            alignment.column_counts(include_gap=True),
+            alignment.n_rows,
+            alignment.alphabet,
+        )
+
+    def _set_counts(
+        self, counts: np.ndarray, n_sequences: int, alphabet: Alphabet
+    ) -> None:
+        self.alphabet = alphabet
+        self.n_sequences = n_sequences
         self.counts = counts
-        n_rows = max(alignment.n_rows, 1)
+        n_rows = max(n_sequences, 1)
         self.frequencies = counts[:, :-1].astype(np.float64) / n_rows
         self.occupancy = 1.0 - counts[:, -1].astype(np.float64) / n_rows
 
     # -- constructors ----------------------------------------------------------
+
+    @classmethod
+    def from_counts(
+        cls, counts: np.ndarray, n_sequences: int, alphabet: Alphabet
+    ) -> "Profile":
+        """Profile of rows known only by their ``(n_cols, A+1)`` column
+        counts -- the same statistics :class:`Profile` of those rows has,
+        without building an :class:`Alignment` of them.  Such a profile
+        can be scored and aligned; it has no rows to merge
+        (``alignment`` is ``None``)."""
+        profile = cls.__new__(cls)
+        profile.alignment = None
+        profile._set_counts(counts, n_sequences, alphabet)
+        return profile
 
     @classmethod
     def from_sequence(cls, seq: Sequence) -> "Profile":
@@ -62,16 +87,8 @@ class Profile:
     # -- basic protocol -----------------------------------------------------------
 
     @property
-    def alphabet(self) -> Alphabet:
-        return self.alignment.alphabet
-
-    @property
     def n_columns(self) -> int:
-        return self.alignment.n_columns
-
-    @property
-    def n_sequences(self) -> int:
-        return self.alignment.n_rows
+        return self.counts.shape[0]
 
     def __repr__(self) -> str:
         return f"Profile(seqs={self.n_sequences}, cols={self.n_columns})"

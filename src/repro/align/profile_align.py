@@ -32,6 +32,7 @@ __all__ = [
     "profile_score_matrix",
     "align_profiles",
     "align_profiles_batch",
+    "profile_path",
     "score_profiles",
 ]
 
@@ -125,18 +126,19 @@ def _one_hot_codes(profile: Profile):
     vanishes and the single 1.0 selects the stored entry, so the gather
     result equals the matmul result.  The check is exact (``== 1.0`` and
     an exact row-sum count), so reweighted or merged profiles fall back
-    to the matmul path.
+    to the matmul path.  The codes are read from the counts, so a
+    profile built from counts alone qualifies too.
     """
-    aln = profile.alignment
-    if aln.n_rows != 1:
+    if profile.n_sequences != 1:
         return None
-    codes = aln.matrix[0]
-    m = codes.size
+    counts = profile.counts
+    m = counts.shape[0]
     freq = profile.frequencies
     if m == 0 or freq.shape[0] != m:
         return None
-    if (codes == aln.alphabet.gap_code).any():
+    if counts[:, -1].any():  # a gap in the one row
         return None
+    codes = counts.argmax(axis=1)  # the gap column is all zero here
     if freq.sum() != float(m):
         return None
     if not (freq[np.arange(m), codes] == 1.0).all():
@@ -190,11 +192,15 @@ def profile_score_matrix(
     return left @ py.frequencies.T
 
 
-def align_profiles(
-    px: Profile, py: Profile, config: ProfileAlignConfig | None = None
-) -> tuple[Profile, AffineDPResult]:
-    """Optimally align two profiles; returns the merged profile + DP result."""
-    config = config or ProfileAlignConfig()
+def profile_path(
+    px: Profile, py: Profile, config: ProfileAlignConfig
+) -> AffineDPResult:
+    """The optimal DP path between two profiles, without merging them.
+
+    The first half of :func:`align_profiles`, for callers that decide
+    from the path whether the merge is worth building (iterative
+    refinement); profiles from :meth:`Profile.from_counts` are enough.
+    """
     with span(
         "dp.profile_align",
         x_cols=px.n_columns,
@@ -204,7 +210,7 @@ def align_profiles(
         S = profile_score_matrix(px, py, config)
         open_x, ext_x = config.gap_vectors(px)
         open_y, ext_y = config.gap_vectors(py)
-        res = affine_align(
+        return affine_align(
             S,
             open_x,
             ext_x,
@@ -212,7 +218,14 @@ def align_profiles(
             gap_extend_y=ext_y,
             terminal_factor=config.gaps.terminal_factor,
         )
-        return merge_profiles(px, py, res.x_map, res.y_map), res
+
+
+def align_profiles(
+    px: Profile, py: Profile, config: ProfileAlignConfig | None = None
+) -> tuple[Profile, AffineDPResult]:
+    """Optimally align two profiles; returns the merged profile + DP result."""
+    res = profile_path(px, py, config or ProfileAlignConfig())
+    return merge_profiles(px, py, res.x_map, res.y_map), res
 
 
 def align_profiles_batch(

@@ -25,10 +25,8 @@ from typing import List, Sequence as TSequence
 import numpy as np
 
 from repro.align.guide_tree import upgma
-from repro.align.profile import Profile
-from repro.align.profile_align import ProfileAlignConfig, align_profiles
-from repro.align.refine import refine_alignment
-from repro.align.scoring import sp_score
+from repro.align.profile_align import ProfileAlignConfig
+from repro.align.refine import refine_alignment, refine_splits
 from repro.distance import all_pairs
 from repro.seq.alignment import Alignment
 
@@ -65,33 +63,20 @@ def bucket_level_refine(
 ) -> Alignment:
     """Root-side restricted partitioning over bucket row-blocks.
 
-    For every bucket (in order, ``rounds`` sweeps): pull its rows out of
-    the glued alignment, strip both sides' all-gap columns, realign block
-    vs rest as profiles, keep the result when the linear sum-of-pairs
-    score strictly improves.
+    For every bucket (in order, ``rounds`` sweeps): realign its rows
+    against the rest of the glued alignment -- the same partition step
+    as :func:`repro.align.refine.refine_alignment`, with the bucket's row
+    block as one side -- and keep the result when the linear
+    sum-of-pairs score strictly improves.  Ids not in ``glued`` are
+    ignored; a bucket with no rows, or with every row, is skipped.
     """
     if rounds <= 0:
         return glued
-    current = glued
-    current_score = sp_score(current, scoring.matrix, gap_penalty)
-    all_ids = set(current.ids)
-    for _ in range(rounds):
-        improved = False
-        for ids in bucket_ids:
-            ids = [i for i in ids if i in all_ids]
-            if not ids or len(ids) == current.n_rows:
-                continue
-            rest = [i for i in current.ids if i not in set(ids)]
-            block = current.select_rows(ids).drop_all_gap_columns()
-            other = current.select_rows(rest).drop_all_gap_columns()
-            merged, _res = align_profiles(
-                Profile(block), Profile(other), scoring
-            )
-            candidate = merged.alignment.select_rows(current.ids)
-            score = sp_score(candidate, scoring.matrix, gap_penalty)
-            if score > current_score + 1e-9:
-                current, current_score = candidate, score
-                improved = True
-        if not improved:
-            break
-    return current
+    row_of = {rid: i for i, rid in enumerate(glued.ids)}
+    splits = [
+        np.array([row_of[i] for i in ids if i in row_of], dtype=np.int64)
+        for ids in bucket_ids
+    ]
+    return refine_splits(
+        glued, splits, scoring, max_rounds=rounds, gap_penalty=gap_penalty
+    ).alignment

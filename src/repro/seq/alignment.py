@@ -15,7 +15,23 @@ import numpy as np
 from repro.seq.alphabet import Alphabet, GAP_CHAR, PROTEIN
 from repro.seq.sequence import Sequence, SequenceSet
 
-__all__ = ["Alignment"]
+__all__ = ["Alignment", "code_counts"]
+
+
+def code_counts(matrix: np.ndarray, n_codes: int) -> np.ndarray:
+    """Per-column counts of each code in a ``(rows, cols)`` code matrix.
+
+    Returns ``(cols, n_codes)`` int64.  Vectorised via one ``bincount``
+    over a fused (column, code) key; the rows may be any subset of an
+    alignment's (refinement counts one side of a split this way).
+    """
+    n_cols = matrix.shape[1]
+    if n_cols == 0:
+        return np.zeros((0, n_codes), dtype=np.int64)
+    cols = np.arange(n_cols, dtype=np.int64)
+    key = cols[None, :] * n_codes + matrix.astype(np.int64)
+    counts = np.bincount(key.ravel(), minlength=n_cols * n_codes)
+    return counts.reshape(n_cols, n_codes)
 
 
 class Alignment:
@@ -143,12 +159,7 @@ class Alignment:
         over a fused (column, code) key.
         """
         a1 = self.alphabet.gap_code + 1
-        if self.n_columns == 0:
-            return np.zeros((0, a1 if include_gap else a1 - 1), dtype=np.int64)
-        cols = np.arange(self.n_columns, dtype=np.int64)
-        key = cols[None, :] * a1 + self.matrix.astype(np.int64)
-        counts = np.bincount(key.ravel(), minlength=self.n_columns * a1)
-        counts = counts.reshape(self.n_columns, a1)
+        counts = code_counts(self.matrix, a1)
         return counts if include_gap else counts[:, : a1 - 1]
 
     def occupancy(self) -> np.ndarray:

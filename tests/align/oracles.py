@@ -5,11 +5,21 @@ cell at a time -- no prefix scan, no padding, no batching -- so a kernel
 that agrees with it is checked against a different derivation, not just
 against another vectorisation of the same one.  :func:`path_score`
 re-prices a returned alignment column by column.
+
+:func:`reference_refine` and :func:`reference_bucket_level_refine` are
+the object-building refinement loops the array loop in
+:mod:`repro.align.refine` replaced: per attempt two sub-alignments, two
+profiles, a merged profile, a reordered candidate and a full
+``sp_score``.
 """
 
 import numpy as np
 
 from repro.align.dp import NEG
+from repro.align.profile import Profile
+from repro.align.profile_align import ProfileAlignConfig, align_profiles
+from repro.align.refine import RefineResult
+from repro.align.scoring import sp_score
 
 
 def _vecs(m, n, open_x, ext_x, open_y, ext_y):
@@ -95,3 +105,77 @@ def assert_valid_maps(res, m, n):
     assert ym.tolist() == list(range(n))
     # No column may be a double gap.
     assert ((res.x_map >= 0) | (res.y_map >= 0)).all()
+
+
+def reference_refine(aln, tree, config=None, max_rounds=1, gap_penalty=1.0,
+                     rng=None):
+    """Restricted-partitioning refinement, one candidate alignment and
+    one full ``sp_score`` per attempt."""
+    config = config or ProfileAlignConfig()
+    if set(tree.labels) != set(aln.ids):
+        raise ValueError("tree labels must match alignment row ids")
+    current = aln
+    initial = current_score = sp_score(current, config.matrix, gap_penalty)
+    n_accepted = 0
+    n_attempted = 0
+
+    partitions = tree.bipartitions(include_leaves=True)
+    all_leaves = set(range(tree.n_leaves))
+    for _round in range(max_rounds):
+        order = np.arange(len(partitions))
+        if rng is not None:
+            rng.shuffle(order)
+        accepted_this_round = 0
+        for pi in order:
+            part = partitions[int(pi)]
+            side_a = [tree.labels[v] for v in part]
+            side_b = [
+                tree.labels[v] for v in sorted(all_leaves - set(part.tolist()))
+            ]
+            if not side_a or not side_b:
+                continue
+            n_attempted += 1
+            sub_a = current.select_rows(side_a).drop_all_gap_columns()
+            sub_b = current.select_rows(side_b).drop_all_gap_columns()
+            merged, _res = align_profiles(Profile(sub_a), Profile(sub_b), config)
+            candidate = merged.alignment.select_rows(current.ids)
+            cand_score = sp_score(candidate, config.matrix, gap_penalty)
+            if cand_score > current_score + 1e-9:
+                current = candidate
+                current_score = cand_score
+                n_accepted += 1
+                accepted_this_round += 1
+        if accepted_this_round == 0:
+            break
+    return RefineResult(current, initial, current_score, n_accepted, n_attempted)
+
+
+def reference_bucket_level_refine(glued, bucket_ids, scoring, rounds=1,
+                                  gap_penalty=1.0):
+    """Bucket row-block vs the rest, one candidate and one full
+    ``sp_score`` per bucket."""
+    if rounds <= 0:
+        return glued
+    current = glued
+    current_score = sp_score(current, scoring.matrix, gap_penalty)
+    all_ids = set(current.ids)
+    for _ in range(rounds):
+        improved = False
+        for ids in bucket_ids:
+            ids = [i for i in ids if i in all_ids]
+            if not ids or len(ids) == current.n_rows:
+                continue
+            rest = [i for i in current.ids if i not in set(ids)]
+            block = current.select_rows(ids).drop_all_gap_columns()
+            other = current.select_rows(rest).drop_all_gap_columns()
+            merged, _res = align_profiles(
+                Profile(block), Profile(other), scoring
+            )
+            candidate = merged.alignment.select_rows(current.ids)
+            score = sp_score(candidate, scoring.matrix, gap_penalty)
+            if score > current_score + 1e-9:
+                current, current_score = candidate, score
+                improved = True
+        if not improved:
+            break
+    return current

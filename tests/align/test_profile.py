@@ -41,6 +41,44 @@ class TestProfile:
         )
         assert p.n_sequences == 2
 
+    @pytest.mark.parametrize(
+        "rows", [["M-K", "MVK", "M--"], ["MKV"], ["--", "--"], ["", ""]]
+    )
+    def test_from_counts_has_the_alignment_profiles_statistics(self, rows):
+        ref = mk(rows)
+        p = Profile.from_counts(ref.counts, len(rows), PROTEIN)
+        assert p.alignment is None
+        assert (p.n_sequences, p.n_columns, p.alphabet) == (
+            ref.n_sequences, ref.n_columns, ref.alphabet
+        )
+        for name in ("counts", "frequencies", "occupancy"):
+            assert getattr(p, name).tobytes() == getattr(ref, name).tobytes()
+
+    def test_from_counts_scores_like_the_alignment_profile(self):
+        """A one-row profile built from counts still takes the one-hot
+        gather path, and every PSP matrix equals the alignment one's."""
+        from repro.align.profile_align import (
+            ProfileAlignConfig,
+            _one_hot_codes,
+            profile_score_matrix,
+        )
+
+        config = ProfileAlignConfig()
+        leaf, block = mk(["MKVW"]), mk(["M-KV", "MWK-"])
+        from_counts = [
+            Profile.from_counts(p.counts, p.n_sequences, PROTEIN)
+            for p in (leaf, block)
+        ]
+        assert _one_hot_codes(from_counts[0]).tolist() == (
+            leaf.alignment.matrix[0].tolist()
+        )
+        assert _one_hot_codes(from_counts[1]) is None
+        for x_ref, x in zip((leaf, block), from_counts):
+            for y_ref, y in zip((leaf, block), from_counts):
+                assert profile_score_matrix(x, y, config).tobytes() == (
+                    profile_score_matrix(x_ref, y_ref, config).tobytes()
+                )
+
 
 class TestMergeProfiles:
     def test_identity_merge(self):
