@@ -15,21 +15,12 @@ proves two things:
   tie: the pool pays dispatch/pickle overhead with no extra compute to
   spend it on, so the gate is core-conditional);
 - **pair routes** -- the 1,128 pairs of N=48 at L = 80 / 250 / 400
-  three ways, interleaved in this process: *per-pair c* (what
-  ``full-dp`` runs on a host with a compiler: one compiled call per
-  pair, scores read from the table through the residue codes),
-  *per-pair numpy* (one ``global_align`` per pair on the numpy kernel)
-  and *fused numpy* (what ``full-dp`` runs on a compiler-less host:
-  ``repro.align.batchdp`` over chunks of pairs).  ``global_align_batch``
-  picks between the first and the last from the DP kernel the process
-  loaded; this table is the measurement behind that rule.  The only
-  assert is byte-identical identities;
-- **score source** -- the 1,128 pairs of the ``guidetree_fulldp`` shape
-  (N=48, L=250) through the fused numpy kernel's two score sources: the
-  dense stack (``affine_align_batch`` over per-pair ``pair_scores``
-  matrices, what ``full-dp`` ran before PR 17) and the table gather
-  (``global_align_batch`` on the numpy kernel), alternating in this
-  process: identities must be byte-equal and the ratio is reported.
+  through ``FullDpDistance.pair_identities`` on each DP kernel,
+  interleaved in this process: *per-pair c* (a host with a compiler:
+  one compiled call per pair, scores read from the table through the
+  residue codes) and *per-pair numpy* (a compiler-less host: the
+  numpy/python path per pair).  The table is what a host without a
+  compiler pays; the only assert is byte-identical identities.
 
 Output: benchmarks/reports/distance_scaling.json (machine-readable, the
 perf-tracking artifact) plus the usual text report.
@@ -38,7 +29,6 @@ perf-tracking artifact) plus the usual text report.
 import contextlib
 import json
 import os
-import statistics
 import sys
 import time
 from pathlib import Path
@@ -50,8 +40,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from _util import FULL, REPORT_DIR, explicit_pool, fmt_table, write_report
 
 from repro.align import dp
-from repro.align.batchdp import MAX_BATCH_PAIRS, affine_align_batch
-from repro.align.pairwise import PairwiseResult, global_align
 from repro.datagen.rose import generate_family
 from repro.distance import FullDpDistance, all_pairs
 
@@ -62,10 +50,9 @@ ESTIMATORS = ("ktuple", "full-dp")
 #: the bench workloads' 80 and 250, and a longer one.
 ROUTE_LENGTHS = (80, 250, 400)
 
-#: Passes of the two in-process A/B comparisons (pair routes, score
-#: source).  The backend grid takes best-of-``repeats`` instead: a pool
-#: call is short now, and an idle second core needs a few of them to
-#: come up to speed.
+#: Passes of the in-process pair-route comparison.  The backend grid
+#: takes best-of-``repeats`` instead: a pool call is short now, and an
+#: idle second core needs a few of them to come up to speed.
 ROUNDS = 3
 
 NUMPY = dp.DPKernel("numpy", "forced")
@@ -133,18 +120,7 @@ def _pair_route_comparison(repeats):
         def staged():
             return full_dp.pair_identities(seqs, ii, jj).tobytes()
 
-        def per_pair():
-            return np.array(
-                [
-                    global_align(seqs[a], seqs[b]).identity()
-                    for a, b in zip(ii, jj)
-                ]
-            ).tobytes()
-
-        arms = {
-            "per_pair_numpy": (NUMPY, per_pair),
-            "fused_numpy": (NUMPY, staged),
-        }
+        arms = {"per_pair_numpy": (NUMPY, staged)}
         if compiled.name == "c":
             arms = {"per_pair_c": (compiled, staged), **arms}
         best = dict.fromkeys(arms, float("inf"))
@@ -169,66 +145,6 @@ def _pair_route_comparison(repeats):
             }
         )
     return rows
-
-
-def _dense_stack_identities(estimator, seqs, ii, jj):
-    """``FullDpDistance.pair_identities`` as it ran before the gather:
-    one ``pair_scores`` matrix per pair, stacked by the dense entry."""
-    matrix, gaps = estimator.matrix, estimator.gaps
-    out = np.empty(len(ii), dtype=np.float64)
-    for t0 in range(0, len(ii), MAX_BATCH_PAIRS):
-        part = slice(t0, t0 + MAX_BATCH_PAIRS)
-        pairs = [
-            (seqs[int(a)], seqs[int(b)])
-            for a, b in zip(ii[part], jj[part])
-        ]
-        res = affine_align_batch(
-            [matrix.pair_scores(x.codes, y.codes) for x, y in pairs],
-            gaps.open,
-            gaps.extend,
-            terminal_factor=gaps.terminal_factor,
-        )
-        for t, ((x, y), r) in enumerate(zip(pairs, res)):
-            out[t0 + t] = PairwiseResult(
-                x, y, r.score, r.x_map, r.y_map
-            ).identity()
-    return out
-
-
-def _score_source_comparison(rounds):
-    """Dense stack vs table gather on the fused numpy kernel,
-    alternating, on the same 1,128 pairs."""
-    n, length = (48, 250)
-    seqs = _family(n, length)
-    ii, jj = np.triu_indices(n, 1)
-    full_dp = FullDpDistance()
-    arms = {
-        "dense": lambda: _dense_stack_identities(full_dp, seqs, ii, jj),
-        "gather": lambda: full_dp.pair_identities(seqs, ii, jj),
-    }
-    walls = {name: [] for name in arms}
-    identities = {}
-    for r in range(rounds):
-        order = list(arms) if r % 2 == 0 else list(arms)[::-1]
-        for name in order:
-            # Both sources live in the fused numpy kernel.
-            with on_kernel(NUMPY):
-                t0 = time.perf_counter()
-                identities[name] = arms[name]()
-                walls[name].append(time.perf_counter() - t0)
-    med = {name: statistics.median(w) for name, w in walls.items()}
-    return {
-        "n": n,
-        "length": length,
-        "pairs": len(ii),
-        "rounds": rounds,
-        "walls_s": walls,
-        "dense_stack_wall_s": med["dense"],
-        "gather_wall_s": med["gather"],
-        "dense_over_gather": med["dense"] / med["gather"],
-        "identical": identities["dense"].tobytes()
-        == identities["gather"].tobytes(),
-    }
 
 
 def run_distance_scaling(workers=4, repeats=5):
@@ -270,8 +186,6 @@ def _run_distance_scaling(workers, repeats):
             identical = identical and same
 
     routes = _pair_route_comparison(ROUNDS)
-
-    source = _score_source_comparison(rounds=ROUNDS)
 
     # The headline comparison: parallel all-pairs full-dp vs the legacy
     # serial helper it replaced.
@@ -319,15 +233,8 @@ def _run_distance_scaling(workers, repeats):
         f"(>1 means the parallel path wins; bounded by min(workers, "
         f"host_cores))\n"
         f"all pairs of N=48 by route (best of {ROUNDS}, interleaved; "
-        f"full-dp takes "
-        f"{'per_pair_c' if dp.kernel().name == 'c' else 'fused_numpy'} "
-        f"on this host):\n\n{route_table}\n\n"
-        f"score source, {source['pairs']} pairs of N={source['n']} "
-        f"L={source['length']}, median of {source['rounds']} alternating "
-        f"rounds: dense stack {source['dense_stack_wall_s']:.3f}s vs "
-        f"table gather {source['gather_wall_s']:.3f}s -> "
-        f"{source['dense_over_gather']:.2f}x (dense / gather; "
-        f"byte-identical identities: {source['identical']})"
+        f"full-dp takes per_pair_{dp.kernel().name} on this host):\n\n"
+        f"{route_table}"
     )
     write_report("distance_scaling", text)
 
@@ -348,7 +255,6 @@ def _run_distance_scaling(workers, repeats):
         },
         "dp_kernel": dp.kernel().name,
         "pair_routes": routes,
-        "score_source": source,
     }
     REPORT_DIR.mkdir(exist_ok=True)
     (REPORT_DIR / "distance_scaling.json").write_text(
@@ -373,9 +279,6 @@ def test_distance_scaling(benchmark):
     # Pair routes: byte-equal identities whichever route ran; the
     # timings are the report (all arms are this host, this run).
     assert all(r["identical"] for r in payload["pair_routes"])
-    # Score source: the gate is byte-equal identities; the ratio is a
-    # report, not a gate (both arms are this host, this run).
-    assert payload["score_source"]["identical"]
 
 
 if __name__ == "__main__":
@@ -383,7 +286,6 @@ if __name__ == "__main__":
     ok = (
         result["identical_matrices"]
         and result["full_dp"]["identical"]
-        and result["score_source"]["identical"]
         and all(r["identical"] for r in result["pair_routes"])
     )
     if result["host_cores"] >= 2:

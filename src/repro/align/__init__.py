@@ -1,8 +1,13 @@
 """Alignment engine: DP kernels, profiles, trees, progressive MSA.
 
-- :mod:`repro.align.dp` -- the shared affine-gap DP kernel (Gotoh), exactly
-  row-vectorised with numpy, supporting position-specific gap penalties and
-  scaled terminal gaps.
+- :mod:`repro.align.dp` -- the shared affine-gap DP kernel (Gotoh),
+  supporting position-specific gap penalties and scaled terminal gaps.
+  One alignment path per kernel: one compiled call per alignment where
+  the host can build it, the exactly row-vectorised numpy path where it
+  cannot -- for single pairs, profile merges and the ``full-dp``
+  distance stage alike.
+- :mod:`repro.align.batchdp` -- a fused score-only pass over K dense
+  pair problems (no alignments; not re-exported here).
 - :mod:`repro.align.pairwise` -- global/local pairwise alignment wrappers.
 - :mod:`repro.align.profile` -- :class:`Profile` (column statistics over an
   alignment) and profile merging along a DP path.
@@ -26,7 +31,6 @@ though ``repro.align`` is also the kernel subpackage.
 import sys as _sys
 import types as _types
 
-from repro.align.batchdp import affine_align_batch, affine_score_batch
 from repro.align.dp import AffineDPResult, affine_align, affine_score
 from repro.align.incremental import add_sequence, add_sequences
 from repro.align.pairwise import (
@@ -34,7 +38,6 @@ from repro.align.pairwise import (
     global_align,
     global_align_batch,
     global_score,
-    global_score_batch,
     local_align,
     pairwise_identity,
 )
@@ -55,16 +58,13 @@ __all__ = [
     "add_sequence",
     "add_sequences",
     "affine_align",
-    "affine_align_batch",
     "affine_score",
-    "affine_score_batch",
     "affine_sp_score",
     "align_profiles",
     "consensus_sequence",
     "global_align",
     "global_align_batch",
     "global_score",
-    "global_score_batch",
     "local_align",
     "merge_profiles",
     "neighbor_joining",

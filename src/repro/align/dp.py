@@ -53,9 +53,10 @@ a probe of the values where platforms differ (signed zeros, NaN,
 summation order); otherwise :func:`_forward` -> :func:`_terminal_best`
 -> :func:`_traceback`, with the reason on ``kernel().fallback``.  There
 is no switch, and those three functions are also the reference every
-test compares the compiled call against.  Argument validation, the
-table pool, degenerate (empty-side) pairs and the score-only mode are
-numpy/python on both paths.
+test compares the compiled call against.  Both entries serve both
+paths -- one alignment path per kernel, whoever the caller.  Argument
+validation, the table pool, degenerate (empty-side) pairs and the
+score-only mode are numpy/python on both paths.
 """
 
 from __future__ import annotations
@@ -104,8 +105,9 @@ _KERNEL_FALLBACKS = _obs_registry().counter("dp.kernel_fallbacks")
 
 
 class _TablePool(threading.local):
-    """Thread-local grow-only pool for the align-mode H/E/F tables (and
-    the compiled call's small work buffers).
+    """Thread-local grow-only buffer pool: the align-mode H/E/F tables,
+    the compiled call's small work buffers, and the batched score
+    kernel's padded rows (:mod:`repro.align.batchdp`).
 
     The traceback path fills three dense ``(m+1, n+1)`` tables per call;
     near the root of a merge DAG those are multi-MB, and a fresh
@@ -614,29 +616,22 @@ def align_code_pairs(
     gap_extend: float,
     terminal_factor: float = 1.0,
 ) -> List[AffineDPResult]:
-    """Global alignments of sequence pairs, one compiled call per pair.
+    """Global alignments of sequence pairs, one alignment call per pair.
 
     Pair ``k`` is ``(x_codes, y_codes)`` and is scored by
-    ``table[x_codes][:, y_codes]`` -- which is never built: the kernel
-    reads ``table`` through the codes.  Each result is byte-identical to
-    :func:`affine_align` on that matrix.  This is the compiled kernel's
-    batch entry (``RuntimeError`` without one: the numpy kernel's is
-    :func:`repro.align.batchdp.gathered_align_batch`, which fuses the
-    pairs to share numpy's per-row dispatch cost; compiled calls have
-    none to share).
+    ``table[x_codes][:, y_codes]``.  Each result is byte-identical to
+    :func:`affine_align` on that matrix, on either path: under ``c`` the
+    compiled call reads ``table`` through the codes and the matrix is
+    never built; under ``numpy`` each pair takes its matrix from the
+    table and runs :func:`_align_numpy`.
 
     Every code of every pair is checked against the table before any
     pair is aligned (``IndexError``), whether or not the other side of
-    its pair is empty; an empty side never reaches the kernel.  One
-    ``dp.pairs`` span covers the call; ``dp.align_calls`` /
-    ``dp.align_cells`` count its pairs and cells.
+    its pair is empty; an empty side never reaches either path.  One
+    ``dp.pairs`` span (``kernel=`` the path) covers the call;
+    ``dp.align_calls`` / ``dp.align_cells`` count its pairs and cells.
     """
     kern = kernel()
-    if kern.align_codes is None:
-        raise RuntimeError(
-            "align_code_pairs needs the compiled DP kernel "
-            f"(this process runs {kern.name!r}: {kern.fallback})"
-        )
     table = np.ascontiguousarray(table, dtype=np.float64)
     if table.ndim != 2 or max(table.shape) > 256:
         raise ValueError(
@@ -670,21 +665,24 @@ def align_code_pairs(
     exts = np.full(longest, float(gap_extend))
     table_ptr, width = _ptr(table, table.size), table.shape[1]
     results: List[AffineDPResult] = []
-    with span(
-        "dp.pairs", pairs=len(pairs), cells=cells, kernel=kern.name,
-        scores="gather",
-    ):
+    with span("dp.pairs", pairs=len(pairs), cells=cells, kernel=kern.name):
         for x, y in pairs:
             m, n = len(x), len(y)
             penalties = (opens[:m], exts[:m], opens[:n], exts[:n], tf)
             if m == 0 or n == 0:
                 results.append(_degenerate(m, n, *penalties))
                 continue
-            score, x_map, y_map, _ = _align_compiled(
-                kern.align_codes,
-                (table_ptr, width, _ptr(x, m, np.uint8), _ptr(y, n, np.uint8)),
-                m, n, *penalties,
-            )
+            if kern.align_codes is not None:
+                score, x_map, y_map, _ = _align_compiled(
+                    kern.align_codes,
+                    (table_ptr, width,
+                     _ptr(x, m, np.uint8), _ptr(y, n, np.uint8)),
+                    m, n, *penalties,
+                )
+            else:
+                score, x_map, y_map, _ = _align_numpy(
+                    table.take(x, 0).take(y, 1), *penalties
+                )
             results.append(AffineDPResult(score, x_map, y_map))
     return results
 
@@ -705,8 +703,8 @@ def _traceback(
     region at ``(i, j)`` (the :func:`_terminal_best` end cell).
 
     Ties break deterministically (diagonal > vertical > horizontal).  The
-    tables may be strided views -- the batched kernel hands in per-pair
-    slices of its stacked tables and gets the byte-identical path.
+    tables are the pooled ``(m+1, n+1)`` ones :func:`_forward` filled;
+    the compiled call walks the same comparisons over its own.
     """
     xs: List[int] = []
     ys: List[int] = []

@@ -5,27 +5,20 @@ baseline's distance stage and of quality metrics; local (Smith-Waterman)
 alignment feeds the T-Coffee-like consistency library.
 
 The many-pairs entry :func:`global_align_batch` (the ``full-dp``
-distance stage) hands the DP residue codes and the substitution table,
-never a per-pair score matrix, and takes whichever route the process's
-DP kernel (:func:`repro.align.dp.kernel`) makes fastest: one compiled
-call per pair under ``c``, one fused numpy DP per chunk under ``numpy``.
-Both are byte-identical to :func:`global_align` per pair.
+distance stage) hands the DP residue codes and the substitution table
+(:func:`repro.align.dp.align_code_pairs`): one alignment call per pair
+on whichever path the process's DP kernel runs, byte-identical to
+:func:`global_align` per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence as TSequence, Tuple
+from typing import List, Sequence as TSequence, Tuple
 
 import numpy as np
 
-from repro.align.dp import (
-    NEG,
-    affine_align,
-    affine_score,
-    align_code_pairs,
-    kernel,
-)
+from repro.align.dp import NEG, affine_align, affine_score, align_code_pairs
 from repro.seq.alphabet import GAP_CHAR
 from repro.seq.matrices import BLOSUM62, GapPenalties, SubstitutionMatrix
 from repro.seq.sequence import Sequence
@@ -35,7 +28,6 @@ __all__ = [
     "global_align",
     "global_align_batch",
     "global_score",
-    "global_score_batch",
     "local_align",
     "pairwise_identity",
 ]
@@ -95,7 +87,7 @@ def _check_alphabets(x: Sequence, y: Sequence, matrix: SubstitutionMatrix) -> No
 def _code_pairs(
     pairs: TSequence[Tuple[Sequence, Sequence]], matrix: SubstitutionMatrix
 ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """What the batched entries hand the kernel: residue codes only.
+    """What :func:`global_align_batch` hands the DP: residue codes only.
     Every pair's alphabets are checked before any pair is aligned."""
     for x, y in pairs:
         _check_alphabets(x, y, matrix)
@@ -121,71 +113,25 @@ def global_align_batch(
     pairs: TSequence[Tuple[Sequence, Sequence]],
     matrix: SubstitutionMatrix = BLOSUM62,
     gaps: GapPenalties = GapPenalties(),
-    max_batch_cells: Optional[int] = None,
 ) -> List[PairwiseResult]:
     """Optimal global alignments of many sequence pairs.
 
     Results are **byte-identical** to calling :func:`global_align` per
-    pair, and no per-pair score matrix is built: the DP is handed the
-    residue codes and the substitution table.  How the pairs run
-    depends on the process's DP kernel, nothing else:
-
-    - ``c``: one compiled call per pair
-      (:func:`repro.align.dp.align_code_pairs`), which reads the table
-      through the codes; ``max_batch_cells`` has nothing to bound.
-    - ``numpy``: the fused kernel of :mod:`repro.align.batchdp`, which
-      pays numpy's per-row dispatch cost once per batch instead of once
-      per pair and gathers each DP row's scores from the table.
-
-    Bad input fails the same way on both, before any pair is aligned:
-    ``ValueError`` for an alphabet that is not the matrix's,
+    pair: one alignment call per pair through
+    :func:`repro.align.dp.align_code_pairs`, handed the residue codes
+    and the substitution table (under the compiled kernel no per-pair
+    score matrix is built).  Bad input fails before any pair is
+    aligned: ``ValueError`` for an alphabet that is not the matrix's,
     ``IndexError`` for a residue code outside the table.
     """
-    code_pairs = _code_pairs(pairs, matrix)
-    if kernel().name == "c":
-        results = align_code_pairs(
-            matrix.matrix, code_pairs, gaps.open, gaps.extend,
-            terminal_factor=gaps.terminal_factor,
-        )
-    else:
-        from repro.align.batchdp import gathered_align_batch
-
-        results = gathered_align_batch(
-            matrix.matrix,
-            code_pairs,
-            gaps.open,
-            gaps.extend,
-            terminal_factor=gaps.terminal_factor,
-            max_batch_cells=max_batch_cells,
-        )
+    results = align_code_pairs(
+        matrix.matrix, _code_pairs(pairs, matrix), gaps.open, gaps.extend,
+        terminal_factor=gaps.terminal_factor,
+    )
     return [
         PairwiseResult(x, y, res.score, res.x_map, res.y_map)
         for (x, y), res in zip(pairs, results)
     ]
-
-
-def global_score_batch(
-    pairs: TSequence[Tuple[Sequence, Sequence]],
-    matrix: SubstitutionMatrix = BLOSUM62,
-    gaps: GapPenalties = GapPenalties(),
-    max_batch_cells: Optional[int] = None,
-) -> np.ndarray:
-    """Optimal global alignment scores of many pairs, one fused DP.
-
-    The score-only sibling of :func:`global_align_batch`: ``(K,)``
-    float64 scores, byte-identical to per-pair :func:`global_score`,
-    O(K * n_max) working memory.
-    """
-    from repro.align.batchdp import gathered_score_batch
-
-    return gathered_score_batch(
-        matrix.matrix,
-        _code_pairs(pairs, matrix),
-        gaps.open,
-        gaps.extend,
-        terminal_factor=gaps.terminal_factor,
-        max_batch_cells=max_batch_cells,
-    )
 
 
 def global_score(

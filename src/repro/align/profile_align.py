@@ -17,13 +17,11 @@ always a gap" softened into a cost).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence as TSequence, Tuple
 
 import numpy as np
 
 from repro.align.dp import AffineDPResult, affine_align, affine_score, kernel
 from repro.align.profile import Profile, merge_profiles
-from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 from repro.seq.matrices import BLOSUM62, GapPenalties, SubstitutionMatrix
 
@@ -31,25 +29,9 @@ __all__ = [
     "ProfileAlignConfig",
     "profile_score_matrix",
     "align_profiles",
-    "align_profiles_batch",
     "profile_path",
     "score_profiles",
 ]
-
-# Batched-merge counters (same idiom as the DP kernels'): calls = level
-# batches, pairs = merges moved through them.  /metrics shows whether
-# progressive merges run level-batched via these.
-_PROFILE_BATCH_CALLS = _obs_registry().counter("dp.profile_batch_calls")
-_PROFILE_BATCH_PAIRS = _obs_registry().counter("dp.profile_batch_pairs")
-
-#: Below this many pairs the fused kernel loses to the *numpy* scalar
-#: one: its per-row dispatch cost is flat in K, so at K < 4 the extra
-#: ops (and the four decision-plane writes) outweigh the amortisation --
-#: measured break-even K≈3-4 at merge-profile sizes.  Purely a
-#: performance threshold; both paths are byte-identical.  With the
-#: compiled scalar kernel loaded there is no such K (see
-#: :func:`align_profiles_batch`).
-_MIN_BATCH_PAIRS = 4
 
 
 @dataclass(frozen=True)
@@ -150,8 +132,8 @@ def _left_product(profile: Profile, M: np.ndarray) -> np.ndarray:
     """``profile.frequencies @ M``, cached on the profile.
 
     The left factor of the PSP matmul depends only on one profile, so a
-    caller aligning the same profile against several others (a level
-    batch, the center-star fold-in) should pay for it once.  The cache
+    caller aligning the same profile against several others (the
+    center-star fold-in, refinement) should pay for it once.  The cache
     is keyed by object identity of both the frequency array and ``M``:
     every code path that changes a profile's frequencies *assigns a new
     array* (the reweighting paths included), which invalidates the entry
@@ -226,83 +208,6 @@ def align_profiles(
     """Optimally align two profiles; returns the merged profile + DP result."""
     res = profile_path(px, py, config or ProfileAlignConfig())
     return merge_profiles(px, py, res.x_map, res.y_map), res
-
-
-def align_profiles_batch(
-    pairs: TSequence[Tuple[Profile, Profile]],
-    config: ProfileAlignConfig | None = None,
-    max_batch_cells: Optional[int] = None,
-) -> List[Tuple[Profile, AffineDPResult]]:
-    """Optimally align many *independent* profile pairs in fused DP passes.
-
-    The batch analogue of :func:`align_profiles`: each pair's PSP score
-    matrix and occupancy-scaled gap vectors are assembled exactly as the
-    single-pair path assembles them (the per-profile ``frequencies @ M``
-    left product is hoisted and cached, so a profile appearing in
-    several pairs pays for it once), then the pair DPs run through
-    :func:`repro.align.batchdp.affine_align_batch` in
-    ``MAX_BATCH_PAIRS``-sized chunks -- the same exact kernel the
-    distance stage batches through, so every returned ``(merged
-    profile, DP result)`` is **byte-identical** to per-pair
-    :func:`align_profiles`.
-
-    Which of the two runs is a measured choice, made per scalar kernel
-    (:func:`repro.align.dp.kernel`) because fusing exists to amortise
-    numpy's per-row dispatch cost and the compiled row loop has none:
-
-    - ``numpy`` kernel: fused from ``_MIN_BATCH_PAIRS`` pairs up; below
-      that (the narrow tail levels of a merge DAG) per-pair, where the
-      fused kernel's flat per-row cost loses to the scalar one.
-    - ``c`` kernel: **always per-pair -- the fused path below is
-      unreachable.**  Per-pair compiled calls match or beat the fused
-      numpy DP across the K = 2..128 x L = 80/200/300 grid
-      (``benchmarks/bench_merge_batch.py`` re-measures it and writes
-      the table: 1.5-5x at L >= 200, 1.1-3.7x at L = 80 up to K = 32
-      and a tie beyond), so no K crosses over at merge sizes.  Only on
-      rows of ~40 columns does fusing win (up to 1.4x from K = 16 up);
-      that is a few milliseconds of a whole alignment and is not
-      routed on.
-
-    The pairs must be independent (no profile may depend on another
-    pair's output) -- exactly what one level of the merge DAG provides.
-    """
-    config = config or ProfileAlignConfig()
-    pairs = list(pairs)
-    if kernel().name == "c" or len(pairs) < _MIN_BATCH_PAIRS:
-        return [align_profiles(px, py, config) for px, py in pairs]
-
-    from repro.align.batchdp import MAX_BATCH_PAIRS, affine_align_batch
-
-    results: List[Tuple[Profile, AffineDPResult]] = []
-    tf = config.gaps.terminal_factor
-    for t0 in range(0, len(pairs), MAX_BATCH_PAIRS):
-        part = pairs[t0 : t0 + MAX_BATCH_PAIRS]
-        _PROFILE_BATCH_CALLS.inc()
-        _PROFILE_BATCH_PAIRS.inc(len(part))
-        with span(
-            "dp.profile_batch",
-            pairs=len(part),
-            cols=sum(px.n_columns + py.n_columns for px, py in part),
-        ):
-            S_list = [
-                profile_score_matrix(px, py, config) for px, py in part
-            ]
-            gaps_x = [config.gap_vectors(px) for px, _py in part]
-            gaps_y = [config.gap_vectors(py) for _px, py in part]
-            res_list = affine_align_batch(
-                S_list,
-                [g[0] for g in gaps_x],
-                [g[1] for g in gaps_x],
-                gap_open_y=[g[0] for g in gaps_y],
-                gap_extend_y=[g[1] for g in gaps_y],
-                terminal_factor=tf,
-                max_batch_cells=max_batch_cells,
-            )
-            for (px, py), res in zip(part, res_list):
-                results.append(
-                    (merge_profiles(px, py, res.x_map, res.y_map), res)
-                )
-    return results
 
 
 def score_profiles(

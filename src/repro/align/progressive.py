@@ -21,11 +21,7 @@ import numpy as np
 
 from repro.align.guide_tree import GuideTree
 from repro.align.profile import Profile
-from repro.align.profile_align import (
-    ProfileAlignConfig,
-    align_profiles,
-    align_profiles_batch,
-)
+from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
 
@@ -59,9 +55,6 @@ class _MergeNode:
             merged = self.merge_fn(pa, pb)
         else:
             merged, _res = align_profiles(pa, pb, self.config)
-        return self._reweight(merged)
-
-    def _reweight(self, merged: Profile) -> Profile:
         if self.weights is not None:
             # Recompute weighted frequencies for the merged profile.
             w = np.array(
@@ -72,20 +65,6 @@ class _MergeNode:
             )
             _apply_row_weights(merged, w)
         return merged
-
-    @property
-    def supports_level_batch(self) -> bool:
-        """Whether the merge executor may hand this node whole levels.
-
-        Only the default optimal profile-profile merge batches (a
-        ``merge_fn`` override is an opaque per-pair callable).
-        """
-        return self.merge_fn is None
-
-    def merge_level(self, steps, pairs) -> list:
-        """Merge one level's independent pairs through the fused kernel."""
-        merged_list = align_profiles_batch(pairs, self.config)
-        return [self._reweight(merged) for merged, _res in merged_list]
 
 
 def progressive_align(

@@ -286,21 +286,11 @@ class FullDpDistance(DistanceEstimator):
         jj: np.ndarray,
         state: Any = None,
     ) -> np.ndarray:
-        from repro.align.batchdp import MAX_BATCH_PAIRS
         from repro.align.pairwise import global_align_batch
 
-        # Chunking bounds working memory per tile; the batched DP is
-        # byte-identical to per-pair ``global_align`` at any chunk size.
-        out = np.empty(len(ii), dtype=np.float64)
-        for t0 in range(0, len(ii), MAX_BATCH_PAIRS):
-            part = slice(t0, t0 + MAX_BATCH_PAIRS)
-            pairs = [
-                (seqs[int(a)], seqs[int(b)])
-                for a, b in zip(ii[part], jj[part])
-            ]
-            res = global_align_batch(pairs, self.matrix, self.gaps)
-            out[part] = [r.identity() for r in res]
-        return out
+        pairs = [(seqs[int(a)], seqs[int(b)]) for a, b in zip(ii, jj)]
+        res = global_align_batch(pairs, self.matrix, self.gaps)
+        return np.array([r.identity() for r in res], dtype=np.float64)
 
     def pair_distances(
         self,

@@ -14,16 +14,7 @@ profiles up the guide tree by executing the
   profiles, which is how a rank-parallel baseline can lift its
   sequential stage-3 Amdahl cap through this same subsystem).
 
-Level batching: a ``merge_node`` may advertise ``supports_level_batch``
-plus a ``merge_level(steps, pairs)`` method (the default
-:class:`~repro.align.progressive._MergeNode` does, routing through
-:func:`~repro.align.profile_align.align_profiles_batch`).  The executor
-then hands each level's independent merges -- or, under a backend/comm,
-each rank's share of a level -- to one batched call, so the
-profile-profile DPs of a whole level run through the fused batched
-kernel instead of one numpy-dispatch-bound DP per merge.  The batched
-kernel is byte-identical to the per-pair one, so this is purely a
-performance path.
+Every mode merges node by node, one ``tree.merge_node`` span per merge.
 
 Clade reuse: a caller that walks several trees over the *same* leaf
 profiles with the *same* ``merge_node`` (MUSCLE's stage 1 and stage 2)
@@ -32,18 +23,17 @@ records each merged alignment under its ordered clade -- a leaf is its
 label, an internal node the pair (left clade, right clade) -- and,
 before it schedules anything, prunes the tree top-down from the root: a
 node whose clade is in the table is rebuilt from the stored alignment
-and nothing beneath it runs.  The serial walks (level-batched and
-post-order) and the cooperative one (every rank holds every profile, so
-every rank's table agrees) reuse; a backend-scheduled walk computes
-every node.
+and nothing beneath it runs.  The serial walk and the cooperative one
+(every rank holds every profile, so every rank's table agrees) reuse; a
+backend-scheduled walk computes every node.
 
 Determinism contract: a merge's output depends only on its two child
 profiles and the ``merge_node`` callable (which must itself be
 deterministic) -- hence only on the node's ordered subtree -- and every
 internal node is computed at most once per table (exactly once with no
 table) -- so serial, threads, pool and cooperative schedules produce
-**byte-identical** alignments for any level assignment, batched or not,
-with or without a table.
+**byte-identical** alignments for any level assignment, with or without
+a table.
 """
 
 from __future__ import annotations
@@ -213,32 +203,11 @@ def _unpack(packed: tuple) -> Profile:
     return prof
 
 
-def _level_batch_wanted(merge_node: MergeNode) -> bool:
-    """True when the node advertises (and currently enables) batching."""
-    return bool(getattr(merge_node, "supports_level_batch", False)) and (
-        callable(getattr(merge_node, "merge_level", None))
-    )
-
-
 def _merge_steps(
-    walk: _Walk,
-    steps: List[int],
-    merge_node: MergeNode,
-    batch: bool,
+    walk: _Walk, steps: List[int], merge_node: MergeNode
 ) -> Dict[int, Profile]:
-    """Run one set of independent merges, batched when supported.
-
-    The batched path hands every (step, children) pair to the node's
-    ``merge_level`` in one call (one ``tree.merge_level`` span covering
-    the fused DPs); the per-node path keeps the classic
-    ``tree.merge_node`` span per step.  Results are byte-identical
-    either way -- the batched kernel is exact.
-    """
-    if batch and len(steps) > 0:
-        pairs = [walk.children(step) for step in steps]
-        with span("tree.merge_level", merges=len(steps)):
-            merged = merge_node.merge_level(steps, pairs)
-        return dict(zip(steps, merged))
+    """Run one set of independent merges, one ``tree.merge_node`` span
+    per step."""
     out: Dict[int, Profile] = {}
     for step in steps:
         with span("tree.merge_node", step=step):
@@ -257,26 +226,23 @@ def _run_levels(
     All ranks keep the full node->profile table in sync (the per-level
     allgather), so any rank can serve any merge of the next level;
     consumed children are dropped level by level to bound memory.
-    Within a level (or a rank's cyclic share of one) the merges are
-    independent by construction, so they batch through the node's
-    ``merge_level`` when it advertises support.  Steps the walk took
-    from its clade table are not in ``walk.steps`` and do not run; every
-    rank pruned the same steps, so the levels stay collective.
+    Steps the walk took from its clade table are not in ``walk.steps``
+    and do not run; every rank pruned the same steps, so the levels stay
+    collective.
     """
-    batch = _level_batch_wanted(merge_node)
     for level in levels:
         level = [step for step in level if step in walk.steps]
         if not level:
             continue
         if comm is None or comm.size == 1:
-            done = _merge_steps(walk, level, merge_node, batch)
+            done = _merge_steps(walk, level, merge_node)
         else:
             share = [
                 step
                 for pos, step in enumerate(level)
                 if pos % comm.size == comm.rank
             ]
-            done = _merge_steps(walk, share, merge_node, batch)
+            done = _merge_steps(walk, share, merge_node)
             gathered = comm.allgather(
                 [(step, _pack(prof)) for step, prof in done.items()]
             )
@@ -369,10 +335,9 @@ def progressive_merge(
             walk = _Walk(profiles, tree, clades)
             sp.set(merged=len(walk.steps), reused=walk.reused)
             _REUSED_NODES.inc(walk.reused)
-            if comm is not None or _level_batch_wanted(merge_node):
+            if comm is not None:
                 # The schedule's levels are sets of independent merges:
-                # a rank's share of the work, and exactly the batch the
-                # fused DP kernel consumes.
+                # each rank takes a cyclic share of every level.
                 levels = merge_schedule(tree).levels
             else:
                 # The classic serial post-order walk: the merge list

@@ -5,6 +5,8 @@ cell at a time -- no prefix scan, no padding, no batching -- so a kernel
 that agrees with it is checked against a different derivation, not just
 against another vectorisation of the same one.  :func:`path_score`
 re-prices a returned alignment column by column.
+:func:`scalar_smith_waterman` and :func:`local_path_score` are the same
+pair for local alignment.
 
 :func:`reference_refine` and :func:`reference_bucket_level_refine` are
 the object-building refinement loops the array loop in
@@ -95,6 +97,42 @@ def path_score(S, res, open_x, ext_x, open_y, ext_y, tf=1.0):
         else:
             first = run[0][1]
             total -= scale * (open_y[first] + sum(ext_y[_y] for _, _y in run))
+    return total
+
+
+def scalar_smith_waterman(S, gap_open, gap_extend):
+    """Best local affine score by the scalar recurrence (Gotoh's
+    Smith-Waterman): a gap of ``k`` residues costs ``open + k * extend``,
+    and every cell may start afresh at 0."""
+    m, n = S.shape
+    H = np.zeros((m + 1, n + 1))
+    E = np.full((m + 1, n + 1), NEG)
+    F = np.full((m + 1, n + 1), NEG)
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            E[i, j] = max(E[i - 1, j], H[i - 1, j] - gap_open) - gap_extend
+            F[i, j] = max(F[i, j - 1], H[i, j - 1] - gap_open) - gap_extend
+            H[i, j] = max(
+                0.0, H[i - 1, j - 1] + S[i - 1, j - 1], E[i, j], F[i, j]
+            )
+    return H.max()
+
+
+def local_path_score(S, res, gap_open, gap_extend):
+    """Re-price a local alignment from its maps: a matched column scores
+    ``S``, each gap run costs ``open + length * extend``."""
+    total = 0.0
+    run_side = None  # which sequence the current gap run consumes
+    for x, y in zip(res.x_map, res.y_map):
+        if x >= 0 and y >= 0:
+            total += S[x, y]
+            run_side = None
+            continue
+        side = "x" if x >= 0 else "y"
+        if side != run_side:
+            total -= gap_open
+        total -= gap_extend
+        run_side = side
     return total
 
 

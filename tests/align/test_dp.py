@@ -174,8 +174,9 @@ class TestCallerArrayLayouts:
 
 
 class TestAlignCodePairs:
-    """The compiled kernel's batch entry: scores read from a table
-    through residue codes, every code checked before a pointer is passed."""
+    """The many-pairs entry, on each kernel's path: scores read from a
+    table through residue codes, every code checked before any pair is
+    aligned."""
 
     TABLE = np.random.default_rng(11).integers(-4, 9, (5, 6)).astype(float)
 
@@ -183,13 +184,22 @@ class TestAlignCodePairs:
         rng = np.random.default_rng(seed)
         return rng.integers(0, 5, m), rng.integers(0, 6, n)
 
-    def test_equals_affine_align_on_the_looked_up_matrix(self, compiled_kernel):
+    def test_equals_affine_align_on_the_looked_up_matrix(
+        self, dp_kernel, traced
+    ):
         from repro.align.dp import align_code_pairs
 
         pairs = [self._codes(s, m, n) for s, (m, n) in enumerate(
             [(7, 9), (1, 4), (12, 1), (0, 3), (3, 0), (0, 0)]
         )]
-        got = align_code_pairs(self.TABLE, pairs, 3.0, 0.5, terminal_factor=0.3)
+        got, records = traced(lambda: align_code_pairs(
+            self.TABLE, pairs, 3.0, 0.5, terminal_factor=0.3
+        ))
+        (span,) = [r for r in records if r.name.startswith("dp.")]
+        assert span.name == "dp.pairs"
+        assert span.attrs == {
+            "pairs": 6, "cells": 7 * 9 + 4 + 12, "kernel": dp_kernel
+        }
         for (x, y), res in zip(pairs, got):
             ref = affine_align(self.TABLE[np.ix_(x, y)], 3.0, 0.5,
                                terminal_factor=0.3)
@@ -197,7 +207,24 @@ class TestAlignCodePairs:
             assert res.x_map.tobytes() == ref.x_map.tobytes()
             assert res.y_map.tobytes() == ref.y_map.tobytes()
 
-    def test_any_integer_layout_of_codes(self, compiled_kernel):
+    def test_ties_break_as_affine_align(self, dp_kernel):
+        """An all-zero table is one giant tie; the tie-break order is
+        part of the contract, so the paths must still be identical."""
+        from repro.align.dp import align_code_pairs
+
+        table = np.zeros((4, 4))
+        pairs = [
+            (np.arange(m) % 4, np.arange(n) % 4)
+            for m, n in ((6, 6), (4, 8), (8, 4), (1, 5))
+        ]
+        got = align_code_pairs(table, pairs, 1.0, 1.0)
+        for (x, y), res in zip(pairs, got):
+            ref = affine_align(np.zeros((len(x), len(y))), 1.0, 1.0)
+            assert res.score == ref.score
+            assert res.x_map.tolist() == ref.x_map.tolist()
+            assert res.y_map.tolist() == ref.y_map.tolist()
+
+    def test_any_integer_layout_of_codes(self, dp_kernel):
         from repro.align.dp import align_code_pairs
 
         x, y = self._codes(3, 8, 11)
@@ -215,14 +242,15 @@ class TestAlignCodePairs:
         assert res.x_map.tolist() == ref.x_map.tolist()
 
     def test_codes_outside_the_table_never_reach_the_kernel(
-        self, compiled_kernel, monkeypatch
+        self, dp_kernel, monkeypatch
     ):
         from repro.align import dp
 
-        monkeypatch.setattr(
-            dp, "_align_compiled",
-            lambda *a: pytest.fail("aligned a pair of a bad batch"),
-        )
+        for path in ("_align_compiled", "_align_numpy"):
+            monkeypatch.setattr(
+                dp, path,
+                lambda *a: pytest.fail("aligned a pair of a bad batch"),
+            )
         ok = self._codes(1, 4, 4)
         empty = np.zeros(0, dtype=np.uint8)
         for bad_pair in (
@@ -235,7 +263,7 @@ class TestAlignCodePairs:
             with pytest.raises(IndexError):
                 dp.align_code_pairs(self.TABLE, [ok, bad_pair], 3.0, 0.5)
 
-    def test_table_must_fit_uint8_codes(self, compiled_kernel):
+    def test_table_must_fit_uint8_codes(self, dp_kernel):
         from repro.align.dp import align_code_pairs
 
         with pytest.raises(ValueError, match="2-D"):
@@ -243,12 +271,6 @@ class TestAlignCodePairs:
         with pytest.raises(ValueError, match="256"):
             align_code_pairs(np.zeros((257, 3)), [], 1.0, 1.0)
         assert align_code_pairs(np.zeros((256, 256)), [], 1.0, 1.0) == []
-
-    def test_needs_the_compiled_kernel(self, numpy_kernel):
-        from repro.align.dp import align_code_pairs
-
-        with pytest.raises(RuntimeError, match="compiled"):
-            align_code_pairs(self.TABLE, [], 1.0, 1.0)
 
     def test_pointer_check_knows_the_item_type(self):
         from repro.align.dp import _ptr

@@ -1,30 +1,26 @@
 """Every affine-gap kernel entry against the scalar oracle.
 
-The batched entries are byte-compared with ``affine_align`` elsewhere
-(``test_batchdp.py``); that proves the three agree, not that they are
-right.  Here each entry is checked on its own against
+Each entry is checked on its own against
 :func:`tests.align.oracles.scalar_gotoh`, including scaled terminal
 gaps, position-specific penalties and degenerate (empty) axes.
 
-The scalar entry has two paths (one compiled call, or the numpy/python
-functions; see ``repro.align.dp.kernel``); it, the profile-level entries
-built on it and the sequence-level ``global_align_batch`` (which takes
-another route per kernel) are checked against the oracle under each.
+The DP has two paths (one compiled call, or the numpy/python functions;
+see ``repro.align.dp.kernel``); the matrix-level entry, the
+residue-code entry ``align_code_pairs``, the profile-level entries built
+on them and the sequence-level ``global_align_batch`` are checked
+against the oracle under each.
 """
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.align.batchdp import affine_align_batch, gathered_align_batch
-from repro.align.dp import affine_align
+from repro.align.dp import affine_align, align_code_pairs
 from repro.align.pairwise import global_align_batch
 from repro.align.profile import Profile
 from repro.align.profile_align import (
     ProfileAlignConfig,
     align_profiles,
-    align_profiles_batch,
     profile_score_matrix,
 )
 from repro.seq.alignment import Alignment
@@ -68,40 +64,11 @@ def _scalar_entry(table, code_pairs, g, tf):
     ]
 
 
-def _dense_batch_entry(table, code_pairs, g, tf):
-    return affine_align_batch(
-        _dense(table, code_pairs), g["ox"], g["ex"], g["oy"], g["ey"],
-        terminal_factor=tf,
-    )
-
-
-def _gathered_batch_entry(table, code_pairs, g, tf):
-    return gathered_align_batch(
-        table, code_pairs, g["ox"], g["ex"], g["oy"], g["ey"],
-        terminal_factor=tf,
-    )
-
-
 def _assert_optimal(S, res, gaps, tf):
     expected = scalar_gotoh(S, *gaps, tf=tf)
     assert np.isclose(res.score, expected)
     assert_valid_maps(res, *S.shape)
     assert np.isclose(path_score(S, res, *gaps, tf=tf), expected)
-
-
-@pytest.mark.parametrize(
-    "entry",
-    [_scalar_entry, _dense_batch_entry, _gathered_batch_entry],
-    ids=["affine_align", "affine_align_batch", "gathered_align_batch"],
-)
-@settings(max_examples=40, deadline=None)
-@given(problems())
-def test_kernel_entry_matches_oracle(entry, problem):
-    table, code_pairs, g, tf = problem
-    results = entry(table, code_pairs, g, tf)
-    for k, (S, res) in enumerate(zip(_dense(table, code_pairs), results)):
-        gaps = (g["ox"][k], g["ex"][k], g["oy"][k], g["ey"][k])
-        _assert_optimal(S, res, gaps, tf)
 
 
 # The kernel fixture is function-scoped and the same for every example.
@@ -120,6 +87,21 @@ def test_scalar_entry_matches_oracle_under_each_kernel(dp_kernel, problem):
     for k, (S, res) in enumerate(zip(_dense(table, code_pairs), results)):
         gaps = (g["ox"][k], g["ex"][k], g["oy"][k], g["ey"][k])
         _assert_optimal(S, res, gaps, tf)
+
+
+@_PER_KERNEL
+@given(problems(), st.sampled_from(PENALTIES), st.sampled_from(PENALTIES))
+def test_code_pairs_entry_matches_oracle_under_each_kernel(
+    dp_kernel, problem, gap_open, gap_extend
+):
+    """The residue-code entry takes one scalar penalty pair per call."""
+    table, code_pairs, _g, tf = problem
+    results = align_code_pairs(
+        table, code_pairs, gap_open, gap_extend, terminal_factor=tf
+    )
+    flat = (gap_open, gap_extend, gap_open, gap_extend)
+    for S, res in zip(_dense(table, code_pairs), results):
+        _assert_optimal(S, res, flat, tf)
 
 
 @st.composite
@@ -155,9 +137,10 @@ def test_sequence_batch_entry_matches_oracle_under_each_kernel(
         S = BLOSUM62.pair_scores(x.codes, y.codes).astype(np.float64)
         flat = (gaps.open, gaps.extend, gaps.open, gaps.extend)
         _assert_optimal(S, res, flat, gaps.terminal_factor)
-    # ... by the route this kernel takes, and no other.
-    expected = "dp.pairs" if dp_kernel == "c" else "dp.batch"
-    assert {r.name for r in records if r.name.startswith("dp.")} <= {expected}
+    # ... one alignment call per pair on this kernel's path, and no other.
+    dp_spans = [r for r in records if r.name.startswith("dp.")]
+    assert [r.name for r in dp_spans] == ["dp.pairs"]
+    assert dp_spans[0].attrs["kernel"] == dp_kernel
 
 
 @st.composite
@@ -179,22 +162,13 @@ def profile_pairs(draw):
     return pairs, tf
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda pairs, cfg: [align_profiles(px, py, cfg) for px, py in pairs],
-        align_profiles_batch,
-    ],
-    ids=["align_profiles", "align_profiles_batch"],
-)
 @_PER_KERNEL
 @given(profile_pairs())
-def test_profile_entry_matches_oracle_under_each_kernel(
-    dp_kernel, entry, drawn
-):
+def test_profile_entry_matches_oracle_under_each_kernel(dp_kernel, drawn):
     pairs, tf = drawn
     cfg = ProfileAlignConfig(gaps=GapPenalties(terminal_factor=tf))
-    for (px, py), (merged, res) in zip(pairs, entry(pairs, cfg)):
+    for px, py in pairs:
+        merged, res = align_profiles(px, py, cfg)
         S = profile_score_matrix(px, py, cfg)
         gaps = (*cfg.gap_vectors(px), *cfg.gap_vectors(py))
         _assert_optimal(S, res, gaps, tf)

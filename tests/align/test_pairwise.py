@@ -1,14 +1,22 @@
 """Tests for repro.align.pairwise."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.align import dp
 from repro.align.pairwise import (
     global_align,
     global_align_batch,
     global_score,
-    global_score_batch,
     local_align,
     pairwise_identity,
 )
@@ -16,6 +24,10 @@ from repro.seq.matrices import BLOSUM62, DNA_SIMPLE, GapPenalties
 from repro.seq.alphabet import DNA
 from repro.obs.metrics import registry
 from repro.seq.sequence import Sequence
+from tests.align.oracles import local_path_score, scalar_smith_waterman
+
+#: Protein texts, empty and length 1 included.
+RESIDUES = st.text(alphabet="ACDEFGHIKLMNPQRSTVWYX", max_size=12)
 
 
 class TestGlobalAlign:
@@ -78,11 +90,12 @@ class TestGlobalAlign:
 
 
 class TestBatchedEntries:
-    """Bad and degenerate input at the sequence level, on the fused numpy
-    route (``TestBatchedEntriesCompiled`` reruns all of it on the
-    per-pair compiled one): neither route builds a score matrix, so each
-    makes the bounds check that ``pair_scores``' fancy indexing used to
-    give for free -- up front, for every pair, whatever its other side."""
+    """Bad and degenerate input at the sequence level, on the numpy path
+    (``TestBatchedEntriesCompiled`` reruns all of it on the compiled
+    one): the compiled path builds no score matrix, so
+    ``align_code_pairs`` makes the bounds check that ``pair_scores``'
+    fancy indexing used to give for free -- up front, for every pair,
+    whatever its other side, on both paths."""
 
     @pytest.fixture(autouse=True)
     def route(self, numpy_kernel):
@@ -96,16 +109,15 @@ class TestBatchedEntries:
         seq._codes = codes
         return seq
 
-    @pytest.mark.parametrize("entry", [global_align_batch, global_score_batch])
     @pytest.mark.parametrize("side", ["x", "y"])
-    def test_out_of_range_code_raises_as_pair_scores_does(self, entry, side):
+    def test_out_of_range_code_raises_as_pair_scores_does(self, side):
         good = Sequence("ok", "MKTAYIAK")
         bad = self._corrupt("MKTAYIAK", BLOSUM62.matrix.shape[0])
         with pytest.raises(Exception) as scalar:
             BLOSUM62.pair_scores(bad.codes, good.codes)
         pair = (bad, good) if side == "x" else (good, bad)
         with pytest.raises(Exception) as batched:
-            entry([(good, good), pair])
+            global_align_batch([(good, good), pair])
         assert type(batched.value) is type(scalar.value) is IndexError
 
     @pytest.mark.parametrize("side", ["x", "y"])
@@ -117,12 +129,11 @@ class TestBatchedEntries:
         with pytest.raises(IndexError):
             global_align_batch([(good, good), pair])
 
-    @pytest.mark.parametrize("entry", [global_align_batch, global_score_batch])
-    def test_alphabet_mismatch(self, entry):
+    def test_alphabet_mismatch(self):
         s = Sequence("a", "ACGT", alphabet=DNA)
         t = Sequence("b", "MKVA")
         with pytest.raises(ValueError, match="alphabet"):
-            entry([(t, t), (s, t)])
+            global_align_batch([(t, t), (s, t)])
 
     @pytest.mark.parametrize("flaw", ["alphabet", "code"])
     def test_a_bad_last_pair_fails_before_any_pair_is_aligned(
@@ -133,38 +144,40 @@ class TestBatchedEntries:
             last, error = Sequence("a", "ACGT", alphabet=DNA), ValueError
         else:
             last, error = self._corrupt("MKTAYIAK", 255), IndexError
-        counters = [
-            registry().counter(name)
-            for name in ("dp.align_calls", "dp.batch_pairs")
-        ]
-        before = [c.value for c in counters]
+        calls = registry().counter("dp.align_calls")
+        before = calls.value
 
         def run():
             with pytest.raises(error):
                 global_align_batch([(good, good)] * 3 + [(good, last)])
 
         _none, records = traced(run)
-        assert [c.value for c in counters] == before
+        assert calls.value == before
         assert not [r for r in records if r.name.startswith("dp.")]
 
     def test_empty_sequences_take_the_degenerate_branch(
         self, route, monkeypatch
     ):
-        """An empty side is answered in python on both routes; the
-        compiled entry (which assumes m, n >= 1) never sees one."""
+        """An empty side is answered in python on both paths; neither
+        alignment path (both assume m, n >= 1) sees one."""
         shapes = []
-        compiled = dp._align_compiled
+        compiled, numpy_path = dp._align_compiled, dp._align_numpy
 
-        def spy(entry, scores, m, n, *rest):
+        def spy_compiled(entry, scores, m, n, *rest):
             shapes.append((m, n))
             return compiled(entry, scores, m, n, *rest)
 
-        monkeypatch.setattr(dp, "_align_compiled", spy)
+        def spy_numpy(S, *rest):
+            shapes.append(S.shape)
+            return numpy_path(S, *rest)
+
+        monkeypatch.setattr(dp, "_align_compiled", spy_compiled)
+        monkeypatch.setattr(dp, "_align_numpy", spy_numpy)
         s, t, e = Sequence("s", "MKTAYIAK"), Sequence("t", "MKAYK"), Sequence("e", "")
         pairs = [(e, s), (s, t), (s, e), (e, e), (t, s)]
         gaps = GapPenalties(8, 1, terminal_factor=0.5)
         got = global_align_batch(pairs, gaps=gaps)
-        assert shapes == ([(8, 5), (5, 8)] if route == "c" else [])
+        assert shapes == [(8, 5), (5, 8)]
         for (x, y), res in zip(pairs, got):
             ref = global_align(x, y, gaps=gaps)
             assert type(res.score) is float and res.score == ref.score
@@ -175,13 +188,75 @@ class TestBatchedEntries:
 
     def test_empty_batch(self):
         assert global_align_batch([]) == []
-        assert global_score_batch([]).shape == (0,)
+
+    def test_working_memory_is_one_pair_of_tables(self, route):
+        """64 pairs of 250 residues in a fresh interpreter on this path:
+        the pairs run one at a time over pooled tables, so the batch adds
+        about one pair's worth of ``ru_maxrss`` (well under a MiB), where
+        one kept 251 x 251 matrix per pair would add 32 MiB."""
+        script = textwrap.dedent(
+            f"""
+            import resource
+            import numpy as np
+            from repro.align import dp
+            from repro.align.pairwise import global_align_batch
+            from repro.seq.sequence import Sequence
+
+            if {route!r} == "numpy":
+                dp._kernel = dp.DPKernel("numpy", "forced")
+            assert dp.kernel().name == {route!r}, dp.kernel()
+            rng = np.random.default_rng(0)
+            letters = np.array(list("ARNDCQEGHILKMFPSTWYV"))
+            seqs = [
+                Sequence(f"s{{i}}", "".join(rng.choice(letters, size=250)))
+                for i in range(65)
+            ]
+            pairs = [(seqs[i], seqs[i + 1]) for i in range(64)]
+            global_align_batch(pairs[:1])  # imports, lazy set-up
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            res = global_align_batch(pairs)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            assert len(res) == 64
+            print((after - before) / 1024.0)
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            check=True, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        added_mib = float(out.stdout.strip().splitlines()[-1])
+        assert added_mib < 16.0, f"global_align_batch added {added_mib:.0f} MiB"
 
 
 class TestBatchedEntriesCompiled(TestBatchedEntries):
     @pytest.fixture(autouse=True)
     def route(self, compiled_kernel):
         return "c"
+
+
+# The kernel fixture is the same for every example.
+@settings(
+    max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.lists(st.tuples(RESIDUES, RESIDUES), min_size=1, max_size=5),
+    st.sampled_from((1.0, 0.5, 0.0)),
+)
+def test_global_align_batch_equals_global_align_per_pair(dp_kernel, texts, tf):
+    pairs = [
+        (Sequence(f"x{k}", a), Sequence(f"y{k}", b))
+        for k, (a, b) in enumerate(texts)
+    ]
+    gaps = GapPenalties(10.0, 0.5, tf)
+    for (x, y), res in zip(pairs, global_align_batch(pairs, gaps=gaps)):
+        ref = global_align(x, y, gaps=gaps)
+        assert res.x is x and res.y is y
+        assert type(res.score) is float and res.score == ref.score
+        assert res.x_map.tobytes() == ref.x_map.tobytes()
+        assert res.y_map.tobytes() == ref.y_map.tobytes()
 
 
 class TestLocalAlign:
@@ -217,6 +292,35 @@ class TestLocalAlign:
         res = local_align(a, b)
         assert res.x_map[0] >= 0 and res.y_map[0] >= 0
         assert res.x_map[-1] >= 0 and res.y_map[-1] >= 0
+
+
+LOCAL_PENALTIES = ((10.0, 0.5), (1.0, 1.0), (3.0, 2.0), (0.5, 0.0), (0.0, 0.0))
+
+
+class TestLocalAlignOracle:
+    """``local_align`` against an independent scalar Smith-Waterman:
+    the optimal score, and a path that re-prices to it."""
+
+    @pytest.mark.parametrize("penalties", LOCAL_PENALTIES, ids=str)
+    @settings(max_examples=100)
+    @example("", "MKV")
+    @example("W", "")
+    @example("M", "M")
+    @example("W", "A")
+    @given(RESIDUES, RESIDUES)
+    def test_score_and_path_match_the_oracle(self, penalties, a, b):
+        x, y = Sequence("x", a), Sequence("y", b)
+        res = local_align(x, y, gaps=GapPenalties(*penalties))
+        S = BLOSUM62.pair_scores(x.codes, y.codes).astype(np.float64)
+        expected = scalar_smith_waterman(S, *penalties)
+        assert res.score == expected
+        assert local_path_score(S, res, *penalties) == expected
+        # A local path consumes one contiguous stretch of each sequence
+        # and has no double-gap column.
+        for consumed in (res.x_map[res.x_map >= 0], res.y_map[res.y_map >= 0]):
+            start = consumed[0] if consumed.size else 0
+            assert consumed.tolist() == list(range(start, start + consumed.size))
+        assert ((res.x_map >= 0) | (res.y_map >= 0)).all()
 
 
 class TestIdentity:

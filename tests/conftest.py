@@ -92,8 +92,8 @@ def each_dp_kernel():
 
 @pytest.fixture()
 def numpy_kernel(monkeypatch) -> None:
-    """The numpy row kernel -- the one under which profile merges take
-    the fused batched path (``align_profiles_batch``)."""
+    """The numpy row kernel: ``_forward`` -> ``_terminal_best`` ->
+    ``_traceback`` for every alignment, the compiler-less host's path."""
     _force_kernel(monkeypatch, "numpy")
 
 

@@ -1,15 +1,14 @@
-"""Batched vs per-pair DP distances: byte-identical on every backend.
+"""Tiled vs per-pair DP distances: byte-identical on every backend.
 
 The per-pair base is a plain loop over :func:`global_align` (the scalar
-kernel); the batched ``full-dp`` estimator must produce the same
-distance matrix to the last bit, whichever backend schedules the tiles
-and whatever the chunk size.
+kernel); the ``full-dp`` estimator, one ``global_align_batch`` call per
+tile, must produce the same distance matrix to the last bit, whichever
+backend schedules the tiles and whatever the tile size.
 """
 
 import numpy as np
 import pytest
 
-from repro.align import batchdp
 from repro.align.pairwise import global_align
 from repro.distance import all_pairs
 from repro.parcomp.launcher import run_spmd
@@ -65,26 +64,26 @@ class TestBatchedMatchesPerPair:
             assert rank_matrix.tobytes() == per_pair_base
 
     def test_batch_size_never_changes_bytes(
-        self, family, per_pair_base, name, monkeypatch
+        self, family, per_pair_base, name
     ):
         for size in (1, 2, 7, 64):
-            monkeypatch.setattr(batchdp, "MAX_BATCH_PAIRS", size)
-            got = all_pairs(family, name)
+            got = all_pairs(family, name, tile_pairs=size)
             assert got.tobytes() == per_pair_base
 
 
 class TestEachKernelsRoute:
-    """``full-dp`` takes another route per DP kernel (one compiled call
-    per pair under ``c``, one fused numpy DP per chunk under ``numpy``);
-    the matrix is the per-pair base's, byte for byte, under both."""
+    """``full-dp`` runs one alignment call per pair on the DP kernel's
+    path (compiled under ``c``, ``_forward`` -> ``_traceback`` under
+    ``numpy``), one ``dp.pairs`` span per tile; the matrix is the
+    per-pair base's, byte for byte, under both."""
 
     def test_serial(self, dp_kernel, traced, family, per_pair_base):
         got, records = traced(lambda: all_pairs(family, "full-dp"))
         assert got.tobytes() == per_pair_base
-        route = "dp.pairs" if dp_kernel == "c" else "dp.batch"
         spans = [r for r in records if r.name.startswith("dp.")]
-        assert spans and {r.name for r in spans} == {route}
-        assert sum(r.attrs["pairs"] for r in spans) == 45
+        assert [r.name for r in spans] == ["dp.pairs"]
+        assert spans[0].attrs["kernel"] == dp_kernel
+        assert spans[0].attrs["pairs"] == 45
 
     def test_pool(self, dp_kernel, family, per_pair_base):
         from repro.pool import PoolBackend, WorkerPool

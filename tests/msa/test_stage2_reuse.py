@@ -4,8 +4,8 @@
 :class:`~repro.tree.merge.CladeTable`.  The reference is the same three
 stages spelled out with no table -- every internal node merged in both
 walks -- and the two must agree byte for byte on every input, tree
-shape, merge path (level-batched, post-order ``merge_fn``, cooperative)
-and refinement setting.
+shape, walk (serial or cooperative, default merge or ``merge_fn``), DP
+kernel and refinement setting.
 """
 
 import functools
@@ -74,12 +74,8 @@ def stages_without_table(aligner, seqs):
 
 
 def dp_merges():
-    """Profile-profile DPs run so far, scalar and batched."""
-    reg = registry()
-    return (
-        reg.counter("dp.align_calls").value
-        + reg.counter("dp.batch_pairs").value
-    )
+    """Profile-profile DPs run so far."""
+    return registry().counter("dp.align_calls").value
 
 
 def reused_nodes():
@@ -109,16 +105,13 @@ class TestAlignEqualsNoTable:
         assert aligner.align(seqs).to_fasta() == expected.to_fasta()
 
     def test_byte_identical_under_each_row_kernel(self, dp_kernel, traced):
-        """Reuse does not care how a merge was computed: the level walk
-        fuses its wide levels under the numpy row kernel and runs them
-        pair by pair under the compiled one (read from the spans)."""
+        """Reuse does not care which path computed a merge (read from
+        the spans)."""
         seqs = family(40, seed=7, length=60)
         aligner = MuscleLike(refine=True)
         expected, _, _ = stages_without_table(aligner, seqs)
         got, spans = traced(lambda: aligner.align(seqs))
         assert got.to_fasta() == expected.to_fasta()
-        fused = [r for r in spans if r.name == "dp.profile_batch"]
-        assert bool(fused) == (dp_kernel == "numpy")
         per_pair = [r for r in spans if r.name == "dp.profile_align"]
         assert {r.attrs["kernel"] for r in per_pair} == {dp_kernel}
         reused = sum(

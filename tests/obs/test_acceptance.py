@@ -29,10 +29,9 @@ REQUIRED_STAGES = {
     "distance.all_pairs",
     "tree.build",
     "tree.merge",
-    # The serial walk is level-batched by default (PR 9): merges are
-    # grouped per DAG level under tree.merge_level spans; levels too
-    # narrow for the fused kernel still emit per-pair DP spans inside.
-    "tree.merge_level",
+    # Every walk merges node by node, one span per merge, with the
+    # merge's DP span inside.
+    "tree.merge_node",
     "dp.profile_align",
     "dp.align",
 }
@@ -91,7 +90,7 @@ class TestPipelineCoverage:
         assert stages["service.execute"][1] is None
         assert stages["engine.align"][1]["stage"] == "service.execute"
         assert stages["distance.all_pairs"][1]["stage"] == "engine.align"
-        assert stages["dp.profile_align"][1]["stage"] == "tree.merge_level"
+        assert stages["dp.profile_align"][1]["stage"] == "tree.merge_node"
 
     def test_children_account_for_parent_time(self, traced_run):
         _, records = traced_run
@@ -131,16 +130,12 @@ class TestPipelineCoverage:
             assert set(event) >= {"name", "ts", "dur", "pid", "tid", "args"}
 
 
-class TestScoreSourceIsVisible:
-    """Which route the ``full-dp`` distance stage took is readable from a
-    trace and from ``/metrics`` without reading code.  Under the numpy
-    kernel it is fused: ``dp.batch`` spans carry
-    ``scores="gather"|"dense"`` and ``dp.batch_gather_pairs`` counts the
-    pairs whose scores were gathered from the substitution table.  Under
-    the compiled kernel it runs pair by pair: one ``dp.pairs`` span per
-    chunk (``kernel="c"``, ``scores="gather"``), the work counted in
-    ``dp.align_calls`` / ``dp.align_cells``, and no ``dp.batch_*``
-    counter moves."""
+class TestDistanceRouteIsVisible:
+    """Which path the ``full-dp`` distance stage took is readable from a
+    trace and from ``/metrics`` without reading code.  Under either
+    kernel it runs pair by pair: one ``dp.pairs`` span per tile whose
+    ``kernel`` names the path, the work counted in ``dp.align_calls`` /
+    ``dp.align_cells``, and no ``dp.batch_*`` counter moves."""
 
     N_PAIRS = 9 * 8 // 2
 
@@ -177,7 +172,7 @@ class TestScoreSourceIsVisible:
         metric = delta.metrics.get(name)
         return 0 if metric is None else metric.value
 
-    def test_distance_stage_spans_say_gather(self, fulldp_runs):
+    def test_distance_stage_spans_name_the_kernel(self, fulldp_runs):
         for kernel, (records, _) in fulldp_runs.items():
             by_id = {r.span_id: r for r in records}
 
@@ -192,66 +187,28 @@ class TestScoreSourceIsVisible:
                 r for r in records
                 if r.name.startswith("dp.") and under(r, "distance.all_pairs")
             ]
-            route = "dp.pairs" if kernel == "c" else "dp.batch"
             assert in_distance
-            assert {r.name for r in in_distance} == {route}
-            assert {r.attrs["scores"] for r in in_distance} == {"gather"}
+            assert {r.name for r in in_distance} == {"dp.pairs"}
+            assert {r.attrs["kernel"] for r in in_distance} == {kernel}
             assert sum(r.attrs["pairs"] for r in in_distance) == self.N_PAIRS
-            if kernel == "c":
-                assert {r.attrs["kernel"] for r in in_distance} == {"c"}
-                assert all(r.attrs["cells"] > 0 for r in in_distance)
-            else:
-                assert {r.attrs["mode"] for r in in_distance} == {"align"}
-            # Profile-profile merges score through PSP matrices, not
-            # table look-ups: whatever they batch stays on the dense
-            # stack, and under ``c`` they do not batch at all.
-            merges = [
-                r for r in records
-                if r.name == "dp.batch" and under(r, "tree.merge")
-            ]
-            assert {r.attrs["scores"] for r in merges} <= {"dense"}
-            assert not (merges and kernel == "c")
+            assert all(r.attrs["cells"] > 0 for r in in_distance)
+            assert not [r for r in records if r.name == "dp.batch"]
 
-    def test_counter_counts_only_gathered_pairs(self, fulldp_runs):
+    def test_distance_pairs_count_as_align_calls(self, fulldp_runs):
         for kernel, (records, delta) in fulldp_runs.items():
-            gathered = self._value(delta, "dp.batch_gather_pairs")
             per_pair = sum(r.name == "dp.align" for r in records)
-            if kernel == "c":
-                assert gathered == 0
-                assert self._value(delta, "dp.batch_calls") == 0
-                assert self._value(delta, "dp.batch_pairs") == 0
-                assert (
-                    self._value(delta, "dp.align_calls")
-                    == self.N_PAIRS + per_pair
-                )
-                cells = sum(
-                    r.attrs["cells"] if r.name == "dp.pairs"
-                    else r.attrs["m"] * r.attrs["n"]
-                    for r in records if r.name in ("dp.pairs", "dp.align")
-                )
-                assert self._value(delta, "dp.align_cells") == cells
-            else:
-                assert gathered == self.N_PAIRS
-                assert self._value(delta, "dp.batch_pairs") >= gathered
-                assert self._value(delta, "dp.align_calls") == per_pair
-
-    def test_dense_entries_do_not_count_as_gathered(self):
-        import numpy as np
-
-        from repro.align.batchdp import affine_align_batch
-        from repro.obs.metrics import registry
-        from repro.obs.tracing import collect
-
-        enable_tracing()
-        before = registry().snapshot()
-        with collect(tee=False) as buf:
-            affine_align_batch([np.zeros((4, 4)), np.zeros((5, 3))], 10.0, 0.5)
-        (rec,) = [r for r in buf.records() if r.name == "dp.batch"]
-        assert rec.attrs["scores"] == "dense"
-        delta = registry().snapshot().diff(before)
-        assert delta.metrics["dp.batch_pairs"].value == 2
-        gathered = delta.metrics.get("dp.batch_gather_pairs")
-        assert gathered is None or gathered.value == 0
+            assert self._value(delta, "dp.batch_calls") == 0
+            assert self._value(delta, "dp.batch_pairs") == 0
+            assert (
+                self._value(delta, "dp.align_calls")
+                == self.N_PAIRS + per_pair
+            )
+            cells = sum(
+                r.attrs["cells"] if r.name == "dp.pairs"
+                else r.attrs["m"] * r.attrs["n"]
+                for r in records if r.name in ("dp.pairs", "dp.align")
+            )
+            assert self._value(delta, "dp.align_cells") == cells
 
     def test_trace_and_prometheus_exports_carry_it(self, fulldp_runs):
         from repro.obs.metrics import registry
@@ -259,15 +216,10 @@ class TestScoreSourceIsVisible:
 
         for kernel, (records, _) in fulldp_runs.items():
             events = to_chrome_trace(records)["traceEvents"]
-            route = "dp.pairs" if kernel == "c" else "dp.batch"
-            args = [e["args"] for e in events if e.get("name") == route]
-            assert "gather" in {a["scores"] for a in args}
-            if kernel == "c":
-                assert {a["kernel"] for a in args} == {"c"}
+            args = [e["args"] for e in events if e.get("name") == "dp.pairs"]
+            assert args and {a["kernel"] for a in args} == {kernel}
         prom = render_prometheus(registry().snapshot())
         assert "dp_align_calls" in prom
-        if "numpy" in fulldp_runs:
-            assert "dp_batch_gather_pairs" in prom
 
 
 class TestCladeReuseIsVisible:
@@ -326,9 +278,10 @@ class TestTokenWaitIsAttributed:
             AlignRequest(
                 sequences=tuple(
                     generate_family(
-                        # ~0.1 s of muscle each on the compiled kernel:
+                        # ~0.1 s of muscle each on the compiled kernel
+                        # (16 x 200 took 0.045-0.05 s on a 2-core Xeon):
                         # over the 0.05 s floor the test below needs.
-                        n_sequences=16, mean_length=200, seed=seed,
+                        n_sequences=24, mean_length=250, seed=seed,
                         track_alignment=False,
                     ).sequences
                 ),

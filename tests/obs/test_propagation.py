@@ -122,8 +122,8 @@ class TestMetricsRideHome:
 
         ``full-dp`` on the pool backend runs every pair DP in
         foreign address spaces; the per-rank metric deltas ride home
-        with the spans and are absorbed exactly once -- whichever route
-        the workers' DP kernel sends the pairs down.
+        with the spans and are absorbed exactly once -- whichever path
+        the workers' DP kernel runs the pairs on.
         """
         from repro.obs.metrics import registry
         from repro.pool import WorkerPool, set_default_pool
@@ -147,19 +147,17 @@ class TestMetricsRideHome:
                     set_default_pool(prev)
             assert np.all(np.isfinite(d))
             delta = registry().snapshot().diff(before)
-            moved = {
-                name: value(delta, name)
-                for name in ("dp.align_calls", "dp.batch_pairs",
-                             "dp.batch_gather_pairs")
+            moved = [
+                value(delta, name)
+                for name in ("dp.align_calls", "dp.batch_pairs")
+            ]
+            routes = {
+                (r.name, r.attrs.get("kernel"))
+                for r in buf.records() if r.name.startswith("dp.")
             }
-            routes = {r.name for r in buf.records() if r.name.startswith("dp.")}
             # C(5, 2) = 10 pairs, every one through a worker's kernel.
-            if kernel == "c":
-                assert routes == {"dp.pairs"}
-                assert list(moved.values()) == [10, 0, 0]
-            else:
-                assert routes == {"dp.batch"}
-                assert list(moved.values()) == [0, 10, 10]
+            assert routes == {("dp.pairs", kernel)}
+            assert moved == [10, 0]
 
 
 def _spin_ring(comm):

@@ -543,12 +543,10 @@ class TestTraceCli:
         assert stages["n_spans"] == len(doc["traceEvents"])
         assert stages["stage_breakdown"]
 
-    def test_trace_says_which_score_source_ran(self, each_dp_kernel, tmp_path):
-        """``--distance full-dp`` never builds a pair-score matrix: its DP
-        events say the scores were gathered from the substitution table
-        -- ``dp.batch`` events under the numpy kernel (merges, if they
-        batch at all, say dense), ``dp.pairs`` events under the compiled
-        one, where nothing batches."""
+    def test_trace_says_which_distance_path_ran(self, each_dp_kernel, tmp_path):
+        """``--distance full-dp`` aligns pair by pair on either kernel:
+        its DP events are ``dp.pairs`` events under ``distance.all_pairs``
+        whose ``kernel`` names the path, and nothing batches."""
         import json
 
         for kernel in each_dp_kernel():
@@ -565,22 +563,11 @@ class TestTraceCli:
                     event = by_id[event["args"]["parent_id"]]
                 return event["name"]
 
-            by_source = {"gather": [], "dense": []}
-            for e in events:
-                if e["name"] in ("dp.batch", "dp.pairs"):
-                    by_source[e["args"]["scores"]].append(e)
-            gathered = by_source["gather"]
-            assert sum(e["args"]["pairs"] for e in gathered) == 15
-            assert {stage_of(e) for e in gathered} == {"distance.all_pairs"}
-            if kernel == "c":
-                assert {e["name"] for e in gathered} == {"dp.pairs"}
-                assert {e["args"]["kernel"] for e in gathered} == {"c"}
-                assert not by_source["dense"]
-            else:
-                assert {e["name"] for e in gathered} == {"dp.batch"}
-                assert {stage_of(e) for e in by_source["dense"]} <= {
-                    "tree.merge"
-                }
+            pairs = [e for e in events if e["name"] == "dp.pairs"]
+            assert sum(e["args"]["pairs"] for e in pairs) == 15
+            assert {stage_of(e) for e in pairs} == {"distance.all_pairs"}
+            assert {e["args"]["kernel"] for e in pairs} == {kernel}
+            assert not [e for e in events if e["name"] == "dp.batch"]
 
     def test_trace_says_which_row_kernel_ran(
         self, dp_kernel, tmp_path, capsys
