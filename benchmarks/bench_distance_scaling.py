@@ -16,10 +16,11 @@ proves two things:
   spend it on, so the gate is core-conditional);
 - **pair routes** -- the 1,128 pairs of N=48 at L = 80 / 250 / 400
   through ``FullDpDistance.pair_identities`` on each DP kernel,
-  interleaved in this process: *per-pair c* (a host with a compiler:
-  one compiled call per pair, scores read from the table through the
-  residue codes) and *per-pair numpy* (a compiler-less host: the
-  numpy/python path per pair).  The table is what a host without a
+  interleaved in this process: *tile c* (a host with a compiler: one
+  compiled call for the whole tile, scores read from the table through
+  the residue codes, matched/identical counts out, no alignments) and
+  *per-pair numpy* (a compiler-less host: the numpy/python path per
+  pair, counted along its maps).  The table is what a host without a
   compiler pays; the only assert is byte-identical identities.
 
 Output: benchmarks/reports/distance_scaling.json (machine-readable, the
@@ -122,7 +123,7 @@ def _pair_route_comparison(repeats):
 
         arms = {"per_pair_numpy": (NUMPY, staged)}
         if compiled.name == "c":
-            arms = {"per_pair_c": (compiled, staged), **arms}
+            arms = {"tile_c": (compiled, staged), **arms}
         best = dict.fromkeys(arms, float("inf"))
         out = {}
         for timed in range(repeats + 1):  # pass 0 warms pools and imports
@@ -233,7 +234,7 @@ def _run_distance_scaling(workers, repeats):
         f"(>1 means the parallel path wins; bounded by min(workers, "
         f"host_cores))\n"
         f"all pairs of N=48 by route (best of {ROUNDS}, interleaved; "
-        f"full-dp takes per_pair_{dp.kernel().name} on this host):\n\n"
+        f"full-dp takes the {dp.kernel().name} route on this host):\n\n"
         f"{route_table}"
     )
     write_report("distance_scaling", text)

@@ -36,7 +36,6 @@ from repro.align.incremental import add_sequence, add_sequences
 from repro.align.pairwise import (
     PairwiseResult,
     global_align,
-    global_align_batch,
     global_score,
     local_align,
     pairwise_identity,
@@ -63,7 +62,6 @@ __all__ = [
     "align_profiles",
     "consensus_sequence",
     "global_align",
-    "global_align_batch",
     "global_score",
     "local_align",
     "merge_profiles",

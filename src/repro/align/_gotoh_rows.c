@@ -20,11 +20,15 @@
  * - Each operation must round to double at once (no x87 excess
  *   precision), hence the FLT_EVAL_METHOD guard.
  *
- * Two entries share the body.  gotoh_align reads pair scores from a
+ * Three entries share the body.  gotoh_align reads pair scores from a
  * dense (m, n) matrix; gotoh_align_codes reads them from a
  * substitution table through two residue-code arrays, so a sequence
- * pair never has a score matrix.  The caller owns every buffer and has
- * checked m >= 1, n >= 1 and every code against the table.
+ * pair never has a score matrix; gotoh_identity_codes does the same for
+ * a whole tile of pairs and keeps, per pair, only the two integers the
+ * full-dp distance needs -- matched and identical residues along the
+ * path -- so no map leaves the call.  The caller owns every buffer and
+ * has checked every code against the table; the two single-pair
+ * entries also need m >= 1 and n >= 1.
  */
 #include <float.h>
 #include <stddef.h>
@@ -212,7 +216,8 @@ static inline ptrdiff_t align(const int coded, ptrdiff_t m, ptrdiff_t n,
     return k;
 }
 
-/* Both return the path length (<= m + n); xs/ys hold the path reversed. */
+/* These two return the path length (<= m + n); xs/ys hold the path
+ * reversed. */
 ptrdiff_t gotoh_align(ptrdiff_t m, ptrdiff_t n, const double *S,
                       const double *open_x, const double *ext_x,
                       const double *open_y, const double *ext_y, double tf,
@@ -235,4 +240,43 @@ ptrdiff_t gotoh_align_codes(ptrdiff_t m, ptrdiff_t n, const double *table,
 {
     return align(1, m, n, table, width, xc, yc, open_x, ext_x, open_y, ext_y,
                  tf, H, E, F, cum_x, cum_y, xs, ys, score);
+}
+
+/* Pair p aligns sequence ii[p] (rows of the table) with sequence jj[p]
+ * (columns); sequence s is codes[offsets[s] .. offsets[s + 1]).  Writes
+ * counts[2p] = matched (columns with a residue on both sides) and
+ * counts[2p + 1] = identical (those whose two codes are equal); a pair
+ * with an empty side has neither.  Every pair uses the leading m / n
+ * entries of the same opens / exts, and the buffers are sized for the
+ * largest pair of the tile. */
+void gotoh_identity_codes(ptrdiff_t n_pairs, const int64_t *ii,
+                          const int64_t *jj, const uint8_t *codes,
+                          const int64_t *offsets, const double *table,
+                          ptrdiff_t width, const double *opens,
+                          const double *exts, double tf,
+                          double *H, double *E, double *F,
+                          double *cum_x, double *cum_y,
+                          int64_t *xs, int64_t *ys, int64_t *counts)
+{
+    for (ptrdiff_t p = 0; p < n_pairs; p++) {
+        const uint8_t *xc = codes + offsets[ii[p]];
+        const uint8_t *yc = codes + offsets[jj[p]];
+        const ptrdiff_t m = offsets[ii[p] + 1] - offsets[ii[p]];
+        const ptrdiff_t n = offsets[jj[p] + 1] - offsets[jj[p]];
+        int64_t matched = 0, identical = 0;
+        if (m > 0 && n > 0) {
+            double score;
+            ptrdiff_t len = align(1, m, n, table, width, xc, yc, opens, exts,
+                                  opens, exts, tf, H, E, F, cum_x, cum_y,
+                                  xs, ys, &score);
+            for (ptrdiff_t k = 0; k < len; k++) {
+                if (xs[k] >= 0 && ys[k] >= 0) {
+                    matched++;
+                    identical += xc[xs[k]] == yc[ys[k]];
+                }
+            }
+        }
+        counts[2 * p] = matched;
+        counts[2 * p + 1] = identical;
+    }
 }

@@ -106,9 +106,9 @@ def _build(cc: str, source: bytes, target: Path) -> Optional[str]:
 
 
 def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
-    """``((gotoh_align, gotoh_align_codes), None)``, or ``(None, reason)``
-    with ``reason`` one of ``no_compiler``, ``cache_unwritable``,
-    ``build_failed``, ``load_failed``."""
+    """``((gotoh_align, gotoh_align_codes, gotoh_identity_codes), None)``,
+    or ``(None, reason)`` with ``reason`` one of ``no_compiler``,
+    ``cache_unwritable``, ``build_failed``, ``load_failed``."""
     cc = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if cc is None:
         return None, "no_compiler"
@@ -144,15 +144,23 @@ def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
             return None, reason
     try:
         lib = ctypes.CDLL(str(target))
-        align, align_codes = lib.gotoh_align, lib.gotoh_align_codes
+        align, align_codes, identity_codes = (
+            lib.gotoh_align, lib.gotoh_align_codes, lib.gotoh_identity_codes
+        )
     except (OSError, AttributeError):
         return None, "load_failed"
-    # (m, n, <scores>, 4 penalty vectors, tf, H, E, F, cum_x, cum_y,
-    # xs, ys, &score) -> path length; <scores> is the dense matrix, or
-    # (table, width, x codes, y codes).
-    tail = [ctypes.c_void_p] * 4 + [ctypes.c_double] + [ctypes.c_void_p] * 8
-    size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    size, ptr, real = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+    # The two single-pair entries: (m, n, <scores>, 4 penalty vectors,
+    # tf, H, E, F, cum_x, cum_y, xs, ys, &score) -> path length;
+    # <scores> is the dense matrix, or (table, width, x codes, y codes).
+    tail = [ptr] * 4 + [real] + [ptr] * 8
     align.argtypes = [size, size, ptr] + tail
     align_codes.argtypes = [size, size, ptr, size, ptr, ptr] + tail
     align.restype = align_codes.restype = size
-    return (align, align_codes), None
+    # The tile entry: (pairs, ii, jj, codes, offsets, table, width,
+    # opens, exts, tf, H, E, F, cum_x, cum_y, xs, ys, counts).
+    identity_codes.argtypes = (
+        [size] + [ptr] * 5 + [size, ptr, ptr, real] + [ptr] * 8
+    )
+    identity_codes.restype = None
+    return (align, align_codes, identity_codes), None

@@ -40,11 +40,14 @@ cumulative sums, row and column 0, the row loop, :func:`_terminal_best`
 and :func:`_traceback`, per value the same IEEE operations in the same
 order and per branch the same comparison, hence H, E, F, the score and
 both maps bit for bit what the python path produces and every
-alignment byte-identical.  It has two entries over one body: dense
+alignment byte-identical.  It has three entries over one body: dense
 scores (:func:`affine_align`: profile merges, the ancestor tweak,
-refinement) and scores read from a substitution table through residue
-codes (:func:`align_code_pairs`: the ``full-dp`` distance stage, which
-never builds a per-pair score matrix).
+refinement), scores read from a substitution table through residue
+codes (:func:`align_code_pairs`: sequence pairs, never a per-pair
+score matrix), and the same look-ups over a whole tile of pairs that
+keeps only the matched and identical residue counts along each path
+(:func:`identity_code_pairs`: the ``full-dp`` distance stage, one call
+per tile, no maps and no python per pair).
 
 Which path runs is decided once per process from what the host has
 (:func:`kernel`): the compiled one when a C compiler and a private
@@ -53,10 +56,13 @@ a probe of the values where platforms differ (signed zeros, NaN,
 summation order); otherwise :func:`_forward` -> :func:`_terminal_best`
 -> :func:`_traceback`, with the reason on ``kernel().fallback``.  There
 is no switch, and those three functions are also the reference every
-test compares the compiled call against.  Both entries serve both
-paths -- one alignment path per kernel, whoever the caller.  Argument
-validation, the table pool, degenerate (empty-side) pairs and the
-score-only mode are numpy/python on both paths.
+test compares the compiled call against.  Every entry serves both
+paths -- one alignment path per kernel, whoever the caller; under
+``numpy`` the tile entry runs its pairs through
+:func:`align_code_pairs` and counts along the maps.  Argument
+validation, the table pool, the single-pair entries' degenerate
+(empty-side) pairs and the score-only mode are numpy/python on both
+paths.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ __all__ = [
     "affine_align",
     "affine_score",
     "align_code_pairs",
+    "identity_code_pairs",
     "kernel",
     "NEG",
 ]
@@ -178,14 +185,16 @@ class DPKernel(NamedTuple):
     (``no_compiler`` / ``cache_unwritable`` / ``build_failed`` /
     ``load_failed`` from :func:`repro.align.ckernel.load`, or
     ``check_failed`` when it loaded but did not reproduce the python
-    path's bytes on this host); ``align`` / ``align_codes`` are the two
-    loaded C entries (dense scores / table + residue codes).
+    path's bytes on this host); ``align`` / ``align_codes`` /
+    ``identity_codes`` are the three loaded C entries (dense scores /
+    table + residue codes / a tile of coded pairs to identity counts).
     """
 
     name: str
     fallback: Optional[str] = None
     align: Optional[Callable[..., int]] = None
     align_codes: Optional[Callable[..., int]] = None
+    identity_codes: Optional[Callable[..., None]] = None
 
     def describe(self) -> dict:
         """The entries ``/metrics`` and ``repro trace`` show."""
@@ -202,7 +211,7 @@ _kernel_lock = threading.Lock()
 def kernel() -> DPKernel:
     """The kernel in use, resolved on first call and then fixed for the
     life of the process (a cached build costs one ``cc --version`` and
-    one ``dlopen``; an empty cache, one compile of 250 lines)."""
+    one ``dlopen``; an empty cache, one compile of 280 lines)."""
     global _kernel
     if _kernel is None:
         # Resolved outside the lock (threads racing here each resolve;
@@ -262,10 +271,13 @@ def _fingerprint(score, x_map, y_map, tables) -> bytes:
 
 
 def _reproduces_numpy(
-    align: Callable[..., int], align_codes: Callable[..., int]
+    align: Callable[..., int],
+    align_codes: Callable[..., int],
+    identity_codes: Callable[..., None],
 ) -> bool:
     """Do the compiled entries and the python path compute the same
-    bytes here -- tables, cumulative sums, score and maps?
+    bytes here -- tables, cumulative sums, score and maps, and the
+    identity counts along the maps?
 
     Ordinary values agree on any IEEE host by construction.  What a
     platform is free to choose is which of ``+0.0`` / ``-0.0``
@@ -273,8 +285,9 @@ def _reproduces_numpy(
     it, and the order ``np.cumsum`` adds in, so the probe is made of
     exactly those.
     """
-    for S, *penalties in _probe_cases():
+    for S, open_x, ext_x, open_y, ext_y, tf in _probe_cases():
         m, n = S.shape
+        penalties = (open_x, ext_x, open_y, ext_y, tf)
         expected = _fingerprint(*_align_numpy(S, *penalties))
         dense = _align_compiled(align, (_ptr(S, m * n),), m, n, *penalties)
         if _fingerprint(*dense) != expected:
@@ -286,6 +299,21 @@ def _reproduces_numpy(
         head = (_ptr(table, m * n), n, _ptr(x, m, np.uint8), _ptr(y, n, np.uint8))
         coded = _align_compiled(align_codes, head, m, n, *penalties)
         if _fingerprint(*coded) != expected:
+            return False
+        # The tile entry over the same look-ups, its one penalty vector
+        # pair being the longer side's: (x, y), an empty side on either
+        # hand, then (x, y) again in the memory the others left.
+        opens, exts = (open_y, ext_y) if n >= m else (open_x, ext_x)
+        _score, x_map, y_map, _ = _align_numpy(
+            S, opens[:m], exts[:m], opens[:n], exts[:n], tf
+        )
+        pair = _path_counts(x, y, x_map, y_map)
+        counts = _identity_compiled(
+            identity_codes, table, np.concatenate([x, y]),
+            np.array([0, m, m + n, m + n]),
+            np.array([0, 0, 2, 0]), np.array([1, 2, 1, 1]), opens, exts, tf,
+        )
+        if counts.tolist() != [pair, [0, 0], [0, 0], pair]:
             return False
     return True
 
@@ -632,23 +660,11 @@ def align_code_pairs(
     ``dp.align_calls`` / ``dp.align_cells`` count its pairs and cells.
     """
     kern = kernel()
-    table = np.ascontiguousarray(table, dtype=np.float64)
-    if table.ndim != 2 or max(table.shape) > 256:
-        raise ValueError(
-            "the substitution table must be 2-D and at most 256 x 256 "
-            f"(residue codes are uint8); got shape {table.shape}"
-        )
+    table = _code_table(table)
     sides = ([np.asarray(x) for x, _y in code_pairs],
              [np.asarray(y) for _x, y in code_pairs])
     for codes, size in zip(sides, table.shape):
-        stacked = np.concatenate(codes) if codes else np.zeros(0)
-        if stacked.size and not (
-            0 <= int(stacked.min()) and int(stacked.max()) < size
-        ):
-            raise IndexError(
-                f"residue code out of bounds for a substitution "
-                f"table axis of size {size}"
-            )
+        _check_codes(np.concatenate(codes) if codes else np.zeros(0), size)
     pairs = [
         (np.ascontiguousarray(x, dtype=np.uint8),
          np.ascontiguousarray(y, dtype=np.uint8))
@@ -685,6 +701,153 @@ def align_code_pairs(
                 )
             results.append(AffineDPResult(score, x_map, y_map))
     return results
+
+
+def _code_table(table) -> np.ndarray:
+    """``table`` as the C-contiguous float64 matrix uint8 codes index."""
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    if table.ndim != 2 or max(table.shape) > 256:
+        raise ValueError(
+            "the substitution table must be 2-D and at most 256 x 256 "
+            f"(residue codes are uint8); got shape {table.shape}"
+        )
+    return table
+
+
+def _check_codes(codes: np.ndarray, size: int) -> None:
+    """``IndexError`` unless every code indexes a table axis of ``size``."""
+    if codes.size and not (0 <= int(codes.min()) and int(codes.max()) < size):
+        raise IndexError(
+            f"residue code out of bounds for a substitution "
+            f"table axis of size {size}"
+        )
+
+
+def _path_counts(x, y, x_map, y_map) -> List[int]:
+    """``[matched, identical]`` along one alignment: columns with a
+    residue on both sides, and those whose two codes are equal."""
+    both = (x_map >= 0) & (y_map >= 0)
+    return [int(both.sum()), int((x[x_map[both]] == y[y_map[both]]).sum())]
+
+
+def _identity_compiled(
+    entry: Callable[..., None],
+    table: np.ndarray,
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    opens: np.ndarray,
+    exts: np.ndarray,
+    tf: float,
+) -> np.ndarray:
+    """One tile in one compiled call: ``(len(ii), 2)`` int64 counts.
+
+    ``entry`` is :attr:`DPKernel.identity_codes`; the codes are checked
+    against the table and the indices against the offsets; ``opens`` /
+    ``exts`` cover the longest sequence of the tile.  The pooled tables
+    are sized for its largest pair.
+    """
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    ii = np.ascontiguousarray(ii, dtype=np.int64)
+    jj = np.ascontiguousarray(jj, dtype=np.int64)
+    lens = np.diff(offsets)
+    m, n = lens[ii], lens[jj]
+    cells = int(((m + 1) * (n + 1)).max(initial=1))
+    longest = int(max(m.max(initial=0), n.max(initial=0)))
+    path = int((m + n).max(initial=0))
+    pairs = len(ii)
+    H = _tables.take("H", (cells,))
+    E = _tables.take("E", (cells,))
+    F = _tables.take("F", (cells,))
+    cum_x = _tables.take("cum_x", (longest + 1,))
+    cum_y = _tables.take("cum_y", (longest + 1,))
+    xs = _tables.take("xs", (path,), np.int64)
+    ys = _tables.take("ys", (path,), np.int64)
+    counts = np.empty((pairs, 2), dtype=np.int64)
+    entry(
+        pairs, _ptr(ii, pairs, np.int64), _ptr(jj, pairs, np.int64),
+        _ptr(codes, codes.size, np.uint8),
+        _ptr(offsets, offsets.size, np.int64),
+        _ptr(table, table.size), table.shape[1],
+        _ptr(opens, opens.size), _ptr(exts, exts.size), tf,
+        _ptr(H, cells), _ptr(E, cells), _ptr(F, cells),
+        _ptr(cum_x, longest + 1), _ptr(cum_y, longest + 1),
+        _ptr(xs, path, np.int64), _ptr(ys, path, np.int64),
+        _ptr(counts, 2 * pairs, np.int64),
+    )
+    return counts
+
+
+def identity_code_pairs(
+    table: np.ndarray,
+    codes: np.ndarray,
+    offsets: np.ndarray,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    gap_open: float,
+    gap_extend: float,
+    terminal_factor: float = 1.0,
+) -> np.ndarray:
+    """Matched and identical residue counts of a tile of global
+    alignments: ``(len(ii), 2)`` int64, row ``p`` being
+    ``(matched, identical)`` along the alignment of sequence ``ii[p]``
+    with sequence ``jj[p]``.
+
+    Sequence ``s`` is ``codes[offsets[s]:offsets[s + 1]]``; pairs are
+    scored by ``table`` as :func:`align_code_pairs` scores them, and each
+    row equals the counts along that entry's maps: *matched* columns
+    hold a residue on both sides, *identical* ones two equal codes.  A
+    pair with an empty side counts ``(0, 0)``.  Under ``c`` the whole
+    tile is one compiled call that returns no maps; under ``numpy`` it is
+    :func:`align_code_pairs` and a count along each pair's maps.
+
+    Every code (of every sequence, in the tile or not) is checked against
+    both table axes, and every index against ``offsets``, before any pair
+    is aligned.  One ``dp.pairs`` span (``kernel=`` the path) covers the
+    call; ``dp.align_calls`` / ``dp.align_cells`` count its pairs and
+    cells.
+    """
+    kern = kernel()
+    table = _code_table(table)
+    codes = np.asarray(codes)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    ii = np.asarray(ii, dtype=np.int64)
+    jj = np.asarray(jj, dtype=np.int64)
+    _check_codes(codes, min(table.shape))
+    lens = np.diff(offsets)
+    if offsets.ndim != 1 or offsets[0] != 0 or offsets[-1] != codes.size or (
+        lens.min(initial=0) < 0
+    ):
+        raise ValueError(
+            "offsets must start at 0, never decrease and end at len(codes)"
+        )
+    for idx in (ii, jj):
+        if idx.size and not (0 <= idx.min() and idx.max() < lens.size):
+            raise IndexError(f"sequence index out of bounds for {lens.size}")
+    tf = float(terminal_factor)
+    if kern.identity_codes is None:
+        seqs = np.split(codes, offsets[1:-1])
+        results = align_code_pairs(
+            table, [(seqs[a], seqs[b]) for a, b in zip(ii, jj)],
+            gap_open, gap_extend, tf,
+        )
+        counts = np.zeros((len(ii), 2), dtype=np.int64)
+        for p, (a, b, res) in enumerate(zip(ii, jj, results)):
+            counts[p] = _path_counts(seqs[a], seqs[b], res.x_map, res.y_map)
+        return counts
+    cells = int((lens[ii] * lens[jj]).sum())
+    _ALIGN_CALLS.inc(len(ii))
+    _ALIGN_CELLS.inc(cells)
+    longest = int(lens.max(initial=0))
+    opens = np.full(longest, float(gap_open))
+    exts = np.full(longest, float(gap_extend))
+    with span("dp.pairs", pairs=len(ii), cells=cells, kernel=kern.name):
+        return _identity_compiled(
+            kern.identity_codes, table, codes, offsets, ii, jj,
+            opens, exts, tf,
+        )
 
 
 def _traceback(

@@ -4,21 +4,21 @@ Global (Needleman-Wunsch/Gotoh) alignment is the workhorse of the CLUSTALW
 baseline's distance stage and of quality metrics; local (Smith-Waterman)
 alignment feeds the T-Coffee-like consistency library.
 
-The many-pairs entry :func:`global_align_batch` (the ``full-dp``
-distance stage) hands the DP residue codes and the substitution table
-(:func:`repro.align.dp.align_code_pairs`): one alignment call per pair
-on whichever path the process's DP kernel runs, byte-identical to
+The ``full-dp`` distance stage does not come through here: it needs
+only identity counts, which :func:`repro.align.dp.identity_code_pairs`
+computes for a whole tile from residue codes and the substitution
+table, bit for bit :meth:`PairwiseResult.identity` of
 :func:`global_align` per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence as TSequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.align.dp import NEG, affine_align, affine_score, align_code_pairs
+from repro.align.dp import NEG, affine_align, affine_score
 from repro.seq.alphabet import GAP_CHAR
 from repro.seq.matrices import BLOSUM62, GapPenalties, SubstitutionMatrix
 from repro.seq.sequence import Sequence
@@ -26,7 +26,6 @@ from repro.seq.sequence import Sequence
 __all__ = [
     "PairwiseResult",
     "global_align",
-    "global_align_batch",
     "global_score",
     "local_align",
     "pairwise_identity",
@@ -84,16 +83,6 @@ def _check_alphabets(x: Sequence, y: Sequence, matrix: SubstitutionMatrix) -> No
         )
 
 
-def _code_pairs(
-    pairs: TSequence[Tuple[Sequence, Sequence]], matrix: SubstitutionMatrix
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """What :func:`global_align_batch` hands the DP: residue codes only.
-    Every pair's alphabets are checked before any pair is aligned."""
-    for x, y in pairs:
-        _check_alphabets(x, y, matrix)
-    return [(x.codes, y.codes) for x, y in pairs]
-
-
 def global_align(
     x: Sequence,
     y: Sequence,
@@ -107,31 +96,6 @@ def global_align(
         S, gaps.open, gaps.extend, terminal_factor=gaps.terminal_factor
     )
     return PairwiseResult(x, y, res.score, res.x_map, res.y_map)
-
-
-def global_align_batch(
-    pairs: TSequence[Tuple[Sequence, Sequence]],
-    matrix: SubstitutionMatrix = BLOSUM62,
-    gaps: GapPenalties = GapPenalties(),
-) -> List[PairwiseResult]:
-    """Optimal global alignments of many sequence pairs.
-
-    Results are **byte-identical** to calling :func:`global_align` per
-    pair: one alignment call per pair through
-    :func:`repro.align.dp.align_code_pairs`, handed the residue codes
-    and the substitution table (under the compiled kernel no per-pair
-    score matrix is built).  Bad input fails before any pair is
-    aligned: ``ValueError`` for an alphabet that is not the matrix's,
-    ``IndexError`` for a residue code outside the table.
-    """
-    results = align_code_pairs(
-        matrix.matrix, _code_pairs(pairs, matrix), gaps.open, gaps.extend,
-        terminal_factor=gaps.terminal_factor,
-    )
-    return [
-        PairwiseResult(x, y, res.score, res.x_map, res.y_map)
-        for (x, y), res in zip(pairs, results)
-    ]
 
 
 def global_score(

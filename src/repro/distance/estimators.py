@@ -279,6 +279,19 @@ class FullDpDistance(DistanceEstimator):
     def __post_init__(self) -> None:
         _check_transform(self.transform)
 
+    def prepare(self, seqs: TSequence[Sequence]) -> Any:
+        """Every sequence's residue codes, concatenated, and their
+        ``offsets``; ``ValueError`` for an alphabet that is not the
+        matrix's."""
+        if any(s.alphabet != self.matrix.alphabet for s in seqs):
+            raise ValueError(
+                "sequence alphabets must match the substitution matrix "
+                "alphabet"
+            )
+        parts = [s.codes for s in seqs]
+        offsets = np.cumsum([0] + [len(c) for c in parts], dtype=np.int64)
+        return np.concatenate([np.zeros(0, np.uint8), *parts]), offsets
+
     def pair_identities(
         self,
         seqs: TSequence[Sequence],
@@ -286,11 +299,23 @@ class FullDpDistance(DistanceEstimator):
         jj: np.ndarray,
         state: Any = None,
     ) -> np.ndarray:
-        from repro.align.pairwise import global_align_batch
+        """Fractional identity of each pair's optimal global alignment:
+        identical over matched residues along its path (0.0 with none
+        matched), bit for bit ``global_align(x, y).identity()``.  The
+        tile is one :func:`repro.align.dp.identity_code_pairs` call;
+        a residue code outside the matrix is an ``IndexError`` before
+        any pair is aligned."""
+        from repro.align.dp import identity_code_pairs
 
-        pairs = [(seqs[int(a)], seqs[int(b)]) for a, b in zip(ii, jj)]
-        res = global_align_batch(pairs, self.matrix, self.gaps)
-        return np.array([r.identity() for r in res], dtype=np.float64)
+        codes, offsets = self.prepare(seqs) if state is None else state
+        counts = identity_code_pairs(
+            self.matrix.matrix, codes, offsets, ii, jj,
+            self.gaps.open, self.gaps.extend, self.gaps.terminal_factor,
+        )
+        matched, identical = counts[:, 0], counts[:, 1]
+        return np.divide(
+            identical, matched, out=np.zeros(len(counts)), where=matched > 0
+        )
 
     def pair_distances(
         self,

@@ -10,14 +10,18 @@ not ``allclose`` -- on the inputs where an "equivalent" rewrite would
 slip: ties (integer scores), signed zeros (free end gaps give ``-0.0``
 boundaries; zero penalties keep them alive), NaN, single-row and
 single-column tables, and pooled tables still holding a larger call.
+The tile entry, which keeps only identity counts, must pass the same
+probe before it is trusted.
 """
+
+import ctypes
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align import dp
+from repro.align import ckernel, dp
 
 PENALTIES = np.array([0.0, 0.5, 1.0, 2.0, 7.5, 11.0])
 
@@ -162,7 +166,8 @@ def test_probe_rejects_a_kernel_with_the_wrong_tie_rule(c_kernel):
     """What ``dp.kernel`` runs before trusting a loaded library: a kernel
     that is right except for which zero wins a ``+0.0``/``-0.0`` tie
     (what ``a >= b ? a : b`` does, and numpy on this host does not)."""
-    assert dp._reproduces_numpy(c_kernel.align, c_kernel.align_codes)
+    entries = (c_kernel.align, c_kernel.align_codes, c_kernel.identity_codes)
+    assert dp._reproduces_numpy(*entries)
 
     def wrong_zero(entry):
         def run(m, n, *rest):
@@ -173,11 +178,9 @@ def test_probe_rejects_a_kernel_with_the_wrong_tie_rule(c_kernel):
 
         return run
 
+    assert not dp._reproduces_numpy(wrong_zero(entries[0]), *entries[1:])
     assert not dp._reproduces_numpy(
-        wrong_zero(c_kernel.align), c_kernel.align_codes
-    )
-    assert not dp._reproduces_numpy(
-        c_kernel.align, wrong_zero(c_kernel.align_codes)
+        entries[0], wrong_zero(entries[1]), entries[2]
     )
 
 
@@ -190,7 +193,38 @@ def test_probe_rejects_a_kernel_with_another_end_cell_or_path(c_kernel):
         xs[0], xs[length - 1] = xs[length - 1], xs[0]
         return length
 
-    assert not dp._reproduces_numpy(wrong_path, c_kernel.align_codes)
+    assert not dp._reproduces_numpy(
+        wrong_path, c_kernel.align_codes, c_kernel.identity_codes
+    )
+
+
+def _int64s(address, count):
+    """The ``count`` int64 values the C entry was handed at ``address``."""
+    return np.ctypeslib.as_array((ctypes.c_int64 * count).from_address(address))
+
+
+def test_probe_rejects_an_identity_entry_that_miscounts(c_kernel, monkeypatch):
+    """A tile entry with the right paths but the wrong count -- every
+    column of the path counted as matched, gap columns included -- is
+    caught by the probe, and the process keeps the python path."""
+
+    def counts_gap_columns(pairs, ii, jj, codes, offsets, *rest):
+        c_kernel.identity_codes(pairs, ii, jj, codes, offsets, *rest)
+        ii, jj = _int64s(ii, pairs), _int64s(jj, pairs)
+        lens = np.diff(_int64s(offsets, int(max(ii.max(), jj.max())) + 2))
+        counts = _int64s(rest[-1], 2 * pairs).reshape(pairs, 2)
+        m, n = lens[ii], lens[jj]
+        both = (m > 0) & (n > 0)
+        # m + n - matched columns: matched ones plus one per gap column.
+        counts[both, 0] = (m + n - counts[:, 0])[both]
+
+    entries = (c_kernel.align, c_kernel.align_codes, counts_gap_columns)
+    assert not dp._reproduces_numpy(*entries)
+    monkeypatch.setattr(ckernel, "load", lambda: (entries, None))
+    monkeypatch.setattr(dp, "_kernel", None)
+    kern = dp.kernel()
+    assert (kern.name, kern.fallback) == ("numpy", "check_failed")
+    assert kern.identity_codes is None
 
 
 def test_cumsum_is_a_left_to_right_accumulate_here():

@@ -7,8 +7,9 @@ gaps, position-specific penalties and degenerate (empty) axes.
 The DP has two paths (one compiled call, or the numpy/python functions;
 see ``repro.align.dp.kernel``); the matrix-level entry, the
 residue-code entry ``align_code_pairs``, the profile-level entries built
-on them and the sequence-level ``global_align_batch`` are checked
-against the oracle under each.
+on them and the sequence-level tile entry
+(``FullDpDistance.pair_identities``) are checked against the oracle
+under each.
 """
 
 import numpy as np
@@ -16,13 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.align.dp import affine_align, align_code_pairs
-from repro.align.pairwise import global_align_batch
+from repro.align.pairwise import PairwiseResult
 from repro.align.profile import Profile
 from repro.align.profile_align import (
     ProfileAlignConfig,
     align_profiles,
     profile_score_matrix,
 )
+from repro.distance import FullDpDistance
 from repro.seq.alignment import Alignment
 from repro.seq.matrices import BLOSUM62, GapPenalties
 from repro.seq.sequence import Sequence
@@ -131,13 +133,25 @@ def sequence_pairs(draw):
 def test_sequence_batch_entry_matches_oracle_under_each_kernel(
     dp_kernel, traced, drawn
 ):
+    """The sequence-level batch entry, ``FullDpDistance.pair_identities``:
+    each pair's identity is the one along its oracle-optimal alignment
+    (``align_code_pairs``' maps), bit for bit."""
     pairs, gaps = drawn
-    results, records = traced(lambda: global_align_batch(pairs, gaps=gaps))
-    for (x, y), res in zip(pairs, results):
+    seqs = [s for pair in pairs for s in pair]
+    ii = np.arange(0, len(seqs), 2)
+    full_dp = FullDpDistance(gaps=gaps)
+    got, records = traced(lambda: full_dp.pair_identities(seqs, ii, ii + 1))
+    results = align_code_pairs(
+        BLOSUM62.matrix, [(x.codes, y.codes) for x, y in pairs],
+        gaps.open, gaps.extend, terminal_factor=gaps.terminal_factor,
+    )
+    for (x, y), res, identity in zip(pairs, results, got):
         S = BLOSUM62.pair_scores(x.codes, y.codes).astype(np.float64)
         flat = (gaps.open, gaps.extend, gaps.open, gaps.extend)
         _assert_optimal(S, res, flat, gaps.terminal_factor)
-    # ... one alignment call per pair on this kernel's path, and no other.
+        along = PairwiseResult(x, y, res.score, res.x_map, res.y_map)
+        assert identity.tobytes() == np.float64(along.identity()).tobytes()
+    # ... one tile call on this kernel's path, and no other.
     dp_spans = [r for r in records if r.name.startswith("dp.")]
     assert [r.name for r in dp_spans] == ["dp.pairs"]
     assert dp_spans[0].attrs["kernel"] == dp_kernel

@@ -8,18 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
 from repro.align import dp
 from repro.align.pairwise import (
     global_align,
-    global_align_batch,
     global_score,
     local_align,
     pairwise_identity,
 )
+from repro.distance import FullDpDistance
 from repro.seq.matrices import BLOSUM62, DNA_SIMPLE, GapPenalties
 from repro.seq.alphabet import DNA
 from repro.obs.metrics import registry
@@ -90,12 +90,13 @@ class TestGlobalAlign:
 
 
 class TestBatchedEntries:
-    """Bad and degenerate input at the sequence level, on the numpy path
-    (``TestBatchedEntriesCompiled`` reruns all of it on the compiled
-    one): the compiled path builds no score matrix, so
-    ``align_code_pairs`` makes the bounds check that ``pair_scores``'
-    fancy indexing used to give for free -- up front, for every pair,
-    whatever its other side, on both paths."""
+    """Bad and degenerate input to the sequence-level batch entry --
+    ``FullDpDistance.pair_identities``, one tile of pairs -- on the numpy
+    path (``TestBatchedEntriesCompiled`` reruns all of it on the
+    compiled one).  The compiled tile call builds no score matrix, so
+    the bounds check that ``pair_scores``' fancy indexing used to give
+    for free is made up front, for every sequence, whatever its
+    partner, on both paths."""
 
     @pytest.fixture(autouse=True)
     def route(self, numpy_kernel):
@@ -109,15 +110,20 @@ class TestBatchedEntries:
         seq._codes = codes
         return seq
 
+    @staticmethod
+    def _identities(seqs, pairs, gaps=GapPenalties()):
+        ii, jj = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return FullDpDistance(gaps=gaps).pair_identities(seqs, ii, jj)
+
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_out_of_range_code_raises_as_pair_scores_does(self, side):
         good = Sequence("ok", "MKTAYIAK")
         bad = self._corrupt("MKTAYIAK", BLOSUM62.matrix.shape[0])
         with pytest.raises(Exception) as scalar:
             BLOSUM62.pair_scores(bad.codes, good.codes)
-        pair = (bad, good) if side == "x" else (good, bad)
+        pair = (1, 0) if side == "x" else (0, 1)
         with pytest.raises(Exception) as batched:
-            global_align_batch([(good, good), pair])
+            self._identities([good, bad], [(0, 0), pair])
         assert type(batched.value) is type(scalar.value) is IndexError
 
     @pytest.mark.parametrize("side", ["x", "y"])
@@ -125,15 +131,15 @@ class TestBatchedEntries:
         """No DP cell would ever read the bad code; it is still bad input."""
         good, empty = Sequence("ok", "MKTAYIAK"), Sequence("e", "")
         bad = self._corrupt("MKTAYIAK", BLOSUM62.matrix.shape[0])
-        pair = (bad, empty) if side == "x" else (empty, bad)
+        pair = (1, 2) if side == "x" else (2, 1)
         with pytest.raises(IndexError):
-            global_align_batch([(good, good), pair])
+            self._identities([good, bad, empty], [(0, 0), pair])
 
     def test_alphabet_mismatch(self):
         s = Sequence("a", "ACGT", alphabet=DNA)
         t = Sequence("b", "MKVA")
         with pytest.raises(ValueError, match="alphabet"):
-            global_align_batch([(t, t), (s, t)])
+            self._identities([t, s], [(0, 0), (1, 0)])
 
     @pytest.mark.parametrize("flaw", ["alphabet", "code"])
     def test_a_bad_last_pair_fails_before_any_pair_is_aligned(
@@ -149,7 +155,7 @@ class TestBatchedEntries:
 
         def run():
             with pytest.raises(error):
-                global_align_batch([(good, good)] * 3 + [(good, last)])
+                self._identities([good, last], [(0, 0)] * 3 + [(0, 1)])
 
         _none, records = traced(run)
         assert calls.value == before
@@ -158,8 +164,10 @@ class TestBatchedEntries:
     def test_empty_sequences_take_the_degenerate_branch(
         self, route, monkeypatch
     ):
-        """An empty side is answered in python on both paths; neither
-        alignment path (both assume m, n >= 1) sees one."""
+        """An empty side counts no residues on both paths: the numpy
+        path answers it in python, the compiled tile call skips its DP;
+        neither single-pair path sees one, and the compiled one sees no
+        pair at all."""
         shapes = []
         compiled, numpy_path = dp._align_compiled, dp._align_numpy
 
@@ -174,24 +182,23 @@ class TestBatchedEntries:
         monkeypatch.setattr(dp, "_align_compiled", spy_compiled)
         monkeypatch.setattr(dp, "_align_numpy", spy_numpy)
         s, t, e = Sequence("s", "MKTAYIAK"), Sequence("t", "MKAYK"), Sequence("e", "")
-        pairs = [(e, s), (s, t), (s, e), (e, e), (t, s)]
+        seqs = [s, t, e]
+        pairs = [(2, 0), (0, 1), (0, 2), (2, 2), (1, 0)]
         gaps = GapPenalties(8, 1, terminal_factor=0.5)
-        got = global_align_batch(pairs, gaps=gaps)
-        assert shapes == [(8, 5), (5, 8)]
-        for (x, y), res in zip(pairs, got):
-            ref = global_align(x, y, gaps=gaps)
-            assert type(res.score) is float and res.score == ref.score
-            assert res.x_map.dtype == res.y_map.dtype == np.int64
-            assert res.x_map.tobytes() == ref.x_map.tobytes()
-            assert res.y_map.tobytes() == ref.y_map.tobytes()
-        assert got[3].n_columns == 0 and got[3].score == 0.0
+        got = self._identities(seqs, pairs, gaps)
+        assert shapes == ([(8, 5), (5, 8)] if route == "numpy" else [])
+        for (a, b), identity in zip(pairs, got):
+            ref = global_align(seqs[a], seqs[b], gaps=gaps).identity()
+            assert identity.tobytes() == np.float64(ref).tobytes()
+        assert got[[0, 2, 3]].tolist() == [0.0, 0.0, 0.0]
 
     def test_empty_batch(self):
-        assert global_align_batch([]) == []
+        got = self._identities([Sequence("s", "MKV")], [])
+        assert got.dtype == np.float64 and got.shape == (0,)
 
     def test_working_memory_is_one_pair_of_tables(self, route):
         """64 pairs of 250 residues in a fresh interpreter on this path:
-        the pairs run one at a time over pooled tables, so the batch adds
+        the pairs run one at a time over pooled tables, so the tile adds
         about one pair's worth of ``ru_maxrss`` (well under a MiB), where
         one kept 251 x 251 matrix per pair would add 32 MiB."""
         script = textwrap.dedent(
@@ -199,7 +206,7 @@ class TestBatchedEntries:
             import resource
             import numpy as np
             from repro.align import dp
-            from repro.align.pairwise import global_align_batch
+            from repro.distance import FullDpDistance
             from repro.seq.sequence import Sequence
 
             if {route!r} == "numpy":
@@ -211,10 +218,12 @@ class TestBatchedEntries:
                 Sequence(f"s{{i}}", "".join(rng.choice(letters, size=250)))
                 for i in range(65)
             ]
-            pairs = [(seqs[i], seqs[i + 1]) for i in range(64)]
-            global_align_batch(pairs[:1])  # imports, lazy set-up
+            ii, jj = np.arange(64), np.arange(1, 65)
+            full_dp = FullDpDistance()
+            state = full_dp.prepare(seqs)
+            full_dp.pair_identities(seqs, ii[:1], jj[:1], state)  # set-up
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            res = global_align_batch(pairs)
+            res = full_dp.pair_identities(seqs, ii, jj, state)
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             assert len(res) == 64
             print((after - before) / 1024.0)
@@ -227,36 +236,13 @@ class TestBatchedEntries:
             env={**os.environ, "PYTHONPATH": src},
         )
         added_mib = float(out.stdout.strip().splitlines()[-1])
-        assert added_mib < 16.0, f"global_align_batch added {added_mib:.0f} MiB"
+        assert added_mib < 16.0, f"pair_identities added {added_mib:.0f} MiB"
 
 
 class TestBatchedEntriesCompiled(TestBatchedEntries):
     @pytest.fixture(autouse=True)
     def route(self, compiled_kernel):
         return "c"
-
-
-# The kernel fixture is the same for every example.
-@settings(
-    max_examples=40,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(
-    st.lists(st.tuples(RESIDUES, RESIDUES), min_size=1, max_size=5),
-    st.sampled_from((1.0, 0.5, 0.0)),
-)
-def test_global_align_batch_equals_global_align_per_pair(dp_kernel, texts, tf):
-    pairs = [
-        (Sequence(f"x{k}", a), Sequence(f"y{k}", b))
-        for k, (a, b) in enumerate(texts)
-    ]
-    gaps = GapPenalties(10.0, 0.5, tf)
-    for (x, y), res in zip(pairs, global_align_batch(pairs, gaps=gaps)):
-        ref = global_align(x, y, gaps=gaps)
-        assert res.x is x and res.y is y
-        assert type(res.score) is float and res.score == ref.score
-        assert res.x_map.tobytes() == ref.x_map.tobytes()
-        assert res.y_map.tobytes() == ref.y_map.tobytes()
 
 
 class TestLocalAlign:

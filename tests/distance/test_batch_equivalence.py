@@ -1,9 +1,10 @@
 """Tiled vs per-pair DP distances: byte-identical on every backend.
 
 The per-pair base is a plain loop over :func:`global_align` (the scalar
-kernel); the ``full-dp`` estimator, one ``global_align_batch`` call per
-tile, must produce the same distance matrix to the last bit, whichever
-backend schedules the tiles and whatever the tile size.
+kernel); the ``full-dp`` estimator, one ``dp.identity_code_pairs`` call
+per tile (identity counts only, no alignments), must produce the same
+distance matrix to the last bit, whichever backend schedules the tiles
+and whatever the tile size.
 """
 
 import numpy as np
@@ -66,14 +67,14 @@ class TestBatchedMatchesPerPair:
     def test_batch_size_never_changes_bytes(
         self, family, per_pair_base, name
     ):
-        for size in (1, 2, 7, 64):
+        for size in (1, 2, 7, 64, 4096):
             got = all_pairs(family, name, tile_pairs=size)
             assert got.tobytes() == per_pair_base
 
 
 class TestEachKernelsRoute:
-    """``full-dp`` runs one alignment call per pair on the DP kernel's
-    path (compiled under ``c``, ``_forward`` -> ``_traceback`` under
+    """``full-dp`` runs each tile on the DP kernel's path (one compiled
+    call under ``c``, ``_forward`` -> ``_traceback`` per pair under
     ``numpy``), one ``dp.pairs`` span per tile; the matrix is the
     per-pair base's, byte for byte, under both."""
 
