@@ -29,8 +29,14 @@
  * path -- so no map leaves the call.  The caller owns every buffer and
  * has checked every code against the table; the two single-pair
  * entries also need m >= 1 and n >= 1.
+ *
+ * A fourth entry, agglomerate, is not alignment: it is the guide-tree
+ * loop of repro.tree.builders (UPGMA / WPGMA / single linkage), held to
+ * the same rule -- the numpy loop's bytes, checked on the running host
+ * before use.
  */
 #include <float.h>
+#include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 
@@ -278,5 +284,129 @@ void gotoh_identity_codes(ptrdiff_t n_pairs, const int64_t *ii,
         }
         counts[2 * p] = matched;
         counts[2 * p + 1] = identical;
+    }
+}
+
+/* np.minimum on x86, as MAX is np.maximum: NaN in either operand
+ * propagates, and on a +0.0 / -0.0 tie the second operand wins. */
+static inline double MIN(double a, double b)
+{
+    double m = a < b ? a : b;
+    return a != a ? a : m;
+}
+
+/* np.argmin: the first of the minima, or the first NaN. */
+static inline ptrdiff_t first_min(const double *v, ptrdiff_t len)
+{
+    ptrdiff_t arg = 0;
+    double best = v[0];
+    for (ptrdiff_t k = 1; k < len && best == best; k++) {
+        if (!(v[k] >= best)) {
+            best = v[k];
+            arg = k;
+        }
+    }
+    return arg;
+}
+
+/* Offset of pair (a, b) in the condensed vector (np.triu_indices(n, 1)
+ * order), as tilestore.condensed_index computes it -- a == b included. */
+static inline ptrdiff_t pair_pos(ptrdiff_t n, ptrdiff_t a, ptrdiff_t b)
+{
+    ptrdiff_t lo = a < b ? a : b, hi = a < b ? b : a;
+    return lo * (2 * n - lo - 1) / 2 + (hi - lo - 1);
+}
+
+/* builders' gather(r): row[c] = the entry of pair (r, c), row[r] = inf. */
+static void gather(ptrdiff_t n, const double *w, ptrdiff_t r, double *row)
+{
+    ptrdiff_t c, k = r - 1; /* pair (0, r) */
+    for (c = 0; c < r; k += n - c - 2, c++)
+        row[c] = w[k];
+    row[r] = INFINITY;
+    for (c = r + 1, k = pair_pos(n, r, c); c < n; c++, k++)
+        row[c] = w[k];
+}
+
+/* The inverse: the entry of pair (r, c) = row[c] for every c != r. */
+static void scatter(ptrdiff_t n, double *w, ptrdiff_t r, const double *row)
+{
+    ptrdiff_t c, k = r - 1;
+    for (c = 0; c < r; k += n - c - 2, c++)
+        w[k] = row[c];
+    for (c = r + 1, k = pair_pos(n, r, c); c < n; c++, k++)
+        w[k] = row[c];
+}
+
+static void nearest(ptrdiff_t n, const double *w, ptrdiff_t r, double *row,
+                    int64_t *nn, double *nn_dist)
+{
+    gather(n, w, r, row);
+    nn[r] = first_min(row, n);
+    nn_dist[r] = row[nn[r]];
+}
+
+/* The nearest-neighbour-cached loop of builders._agglomerate_numpy, step
+ * for step, in place on its condensed working vector w (n >= 2).
+ * linkage 0 is average, (s_i*a + s_j*b) / (s_i + s_j); 1 is weighted,
+ * 0.5*(a + b); 2 is single, np.minimum(a, b).  Writes the n - 1 merges
+ * (node-id pairs) and heights; work holds 4n doubles, iwork 3n int64s.
+ * Same steps as the numpy loop, whatever the values: the pair at the
+ * first minimum of the active rows' cached distances merges at half its
+ * distance, the merged row is written back and the other row set to inf,
+ * and the cache is refreshed for the merged row and every active row
+ * whose partner was one of the two. */
+void agglomerate(ptrdiff_t n, double *w, int linkage, int64_t *merges,
+                 double *heights, double *work, int64_t *iwork)
+{
+    double *nn_dist = work, *sizes = work + n;
+    double *row_i = work + 2 * n, *row_j = work + 3 * n;
+    int64_t *nn = iwork, *node_id = iwork + n, *active = iwork + 2 * n;
+    const ptrdiff_t pairs = n * (n - 1) / 2;
+    ptrdiff_t r, c;
+
+    for (r = 0; r < n; r++) {
+        active[r] = 1;
+        node_id[r] = r;
+        sizes[r] = 1.0;
+        nearest(n, w, r, row_i, nn, nn_dist);
+    }
+    for (ptrdiff_t step = 0; step < n - 1; step++) {
+        for (r = 0; r < n; r++)
+            row_i[r] = active[r] ? nn_dist[r] : INFINITY;
+        const ptrdiff_t i = first_min(row_i, n), j = nn[i];
+        /* k < 0 only for i == j == 0 (rows overflowed to inf), where
+         * numpy's w[-1] reads the last entry. */
+        ptrdiff_t k = pair_pos(n, i, j);
+        merges[2 * step] = node_id[i];
+        merges[2 * step + 1] = node_id[j];
+        heights[step] = w[k < 0 ? k + pairs : k] / 2.0;
+
+        gather(n, w, i, row_i);
+        gather(n, w, j, row_j);
+        const double si = sizes[i], sj = sizes[j], s = si + sj;
+        for (c = 0; c < n; c++) {
+            const double a = row_i[c], b = row_j[c];
+            if (linkage == 1)
+                row_i[c] = 0.5 * (a + b);
+            else if (linkage == 2)
+                row_i[c] = MIN(a, b);
+            else
+                row_i[c] = (si * a + sj * b) / s;
+        }
+        row_i[i] = INFINITY;
+        scatter(n, w, i, row_i);
+        for (c = 0; c < n; c++)
+            row_j[c] = INFINITY;
+        scatter(n, w, j, row_j);
+        active[j] = 0;
+        sizes[i] += sizes[j];
+        node_id[i] = n + step;
+
+        if (step == n - 2)
+            break;
+        for (r = 0; r < n; r++)
+            if (active[r] && (r == i || nn[r] == i || nn[r] == j))
+                nearest(n, w, r, row_j, nn, nn_dist);
     }
 }

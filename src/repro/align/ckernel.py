@@ -1,4 +1,5 @@
-"""Build-on-first-use loader for the compiled Gotoh alignment kernel.
+"""Build-on-first-use loader for the compiled Gotoh alignment kernel
+(and the guide-tree agglomeration that shares its library).
 
 ``_gotoh_rows.c`` (beside this file) is compiled with the host C
 compiler into a per-user cache directory and loaded through
@@ -106,9 +107,10 @@ def _build(cc: str, source: bytes, target: Path) -> Optional[str]:
 
 
 def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
-    """``((gotoh_align, gotoh_align_codes, gotoh_identity_codes), None)``,
-    or ``(None, reason)`` with ``reason`` one of ``no_compiler``,
-    ``cache_unwritable``, ``build_failed``, ``load_failed``."""
+    """``((gotoh_align, gotoh_align_codes, gotoh_identity_codes,
+    agglomerate), None)``, or ``(None, reason)`` with ``reason`` one of
+    ``no_compiler``, ``cache_unwritable``, ``build_failed``,
+    ``load_failed``."""
     cc = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if cc is None:
         return None, "no_compiler"
@@ -144,8 +146,9 @@ def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
             return None, reason
     try:
         lib = ctypes.CDLL(str(target))
-        align, align_codes, identity_codes = (
-            lib.gotoh_align, lib.gotoh_align_codes, lib.gotoh_identity_codes
+        align, align_codes, identity_codes, agglomerate = (
+            lib.gotoh_align, lib.gotoh_align_codes, lib.gotoh_identity_codes,
+            lib.agglomerate,
         )
     except (OSError, AttributeError):
         return None, "load_failed"
@@ -163,4 +166,7 @@ def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
         [size] + [ptr] * 5 + [size, ptr, ptr, real] + [ptr] * 8
     )
     identity_codes.restype = None
-    return (align, align_codes, identity_codes), None
+    # The guide-tree entry: (n, w, linkage, merges, heights, work, iwork).
+    agglomerate.argtypes = [size, ptr, ctypes.c_int] + [ptr] * 4
+    agglomerate.restype = None
+    return (align, align_codes, identity_codes, agglomerate), None

@@ -47,7 +47,10 @@ codes (:func:`align_code_pairs`: sequence pairs, never a per-pair
 score matrix), and the same look-ups over a whole tile of pairs that
 keeps only the matched and identical residue counts along each path
 (:func:`identity_code_pairs`: the ``full-dp`` distance stage, one call
-per tile, no maps and no python per pair).
+per tile, no maps and no python per pair).  The same library carries a
+fourth entry that is not alignment -- the UPGMA / WPGMA / single-linkage
+agglomeration of :mod:`repro.tree.builders` -- resolved, probed and
+fallen back from together with these.
 
 Which path runs is decided once per process from what the host has
 (:func:`kernel`): the compiled one when a C compiler and a private
@@ -186,8 +189,10 @@ class DPKernel(NamedTuple):
     ``load_failed`` from :func:`repro.align.ckernel.load`, or
     ``check_failed`` when it loaded but did not reproduce the python
     path's bytes on this host); ``align`` / ``align_codes`` /
-    ``identity_codes`` are the three loaded C entries (dense scores /
-    table + residue codes / a tile of coded pairs to identity counts).
+    ``identity_codes`` are the three loaded alignment entries (dense
+    scores / table + residue codes / a tile of coded pairs to identity
+    counts), and ``agglomerate`` the guide-tree loop that
+    :mod:`repro.tree.builders` runs for UPGMA, WPGMA and single linkage.
     """
 
     name: str
@@ -195,6 +200,7 @@ class DPKernel(NamedTuple):
     align: Optional[Callable[..., int]] = None
     align_codes: Optional[Callable[..., int]] = None
     identity_codes: Optional[Callable[..., None]] = None
+    agglomerate: Optional[Callable[..., None]] = None
 
     def describe(self) -> dict:
         """The entries ``/metrics`` and ``repro trace`` show."""
@@ -211,7 +217,7 @@ _kernel_lock = threading.Lock()
 def kernel() -> DPKernel:
     """The kernel in use, resolved on first call and then fixed for the
     life of the process (a cached build costs one ``cc --version`` and
-    one ``dlopen``; an empty cache, one compile of 280 lines)."""
+    one ``dlopen``; an empty cache, one compile of 412 lines)."""
     global _kernel
     if _kernel is None:
         # Resolved outside the lock (threads racing here each resolve;
@@ -274,16 +280,19 @@ def _reproduces_numpy(
     align: Callable[..., int],
     align_codes: Callable[..., int],
     identity_codes: Callable[..., None],
+    agglomerate: Callable[..., None],
 ) -> bool:
     """Do the compiled entries and the python path compute the same
-    bytes here -- tables, cumulative sums, score and maps, and the
-    identity counts along the maps?
+    bytes here -- tables, cumulative sums, score and maps, the identity
+    counts along the maps, and guide trees' merges and heights?
 
     Ordinary values agree on any IEEE host by construction.  What a
     platform is free to choose is which of ``+0.0`` / ``-0.0``
-    ``np.maximum`` returns, how NaN travels and where ``np.argmax`` puts
-    it, and the order ``np.cumsum`` adds in, so the probe is made of
-    exactly those.
+    ``np.maximum`` (and ``np.minimum``) returns, how NaN travels and
+    where ``np.argmax`` puts it, and the order ``np.cumsum`` adds in, so
+    the probe is made of exactly those, plus the ties where
+    ``np.argmin`` takes the first minimum
+    (:func:`repro.tree.builders._agglomeration_reproduces_numpy`).
     """
     for S, open_x, ext_x, open_y, ext_y, tf in _probe_cases():
         m, n = S.shape
@@ -315,7 +324,9 @@ def _reproduces_numpy(
         )
         if counts.tolist() != [pair, [0, 0], [0, 0], pair]:
             return False
-    return True
+    from repro.tree.builders import _agglomeration_reproduces_numpy
+
+    return _agglomeration_reproduces_numpy(agglomerate)
 
 
 def _ptr(arr: np.ndarray, size: int, dtype=np.float64) -> int:

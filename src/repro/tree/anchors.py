@@ -183,6 +183,7 @@ class AnchorTreeBuilder(TreeBuilder):
             n=n,
             anchors=min(self.anchors, n),
             base=base.name,
+            kernel="numpy",  # the assembly; the base build has its own span
         ):
             if self.anchors >= n:
                 return base.build(d, labels)

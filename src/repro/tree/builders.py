@@ -26,6 +26,13 @@ Registered builders (topology trade-offs):
     agglomeration and the most caterpillar-prone topology, useful as a
     scheduling stress case (its merge DAG has almost no parallelism).
 
+``upgma``, ``wpgma`` and ``single-linkage`` share one loop, run as one
+compiled call when the process has the compiled DP kernel
+(:func:`repro.align.dp.kernel`, entry ``agglomerate``) and as the numpy
+loop :func:`_agglomerate_numpy` otherwise -- the same bytes either way,
+and ``kernel="c"|"numpy"`` on the ``tree.build`` span says which ran.
+``nj`` is numpy on both.
+
 Plug-ins enter via :func:`register_builder`.  The legacy functions
 ``repro.align.guide_tree.upgma`` / ``wpgma`` / ``neighbor_joining`` are
 thin delegates over this registry.
@@ -48,6 +55,7 @@ from typing import (
 
 import numpy as np
 
+from repro.align import dp
 from repro.align.guide_tree import GuideTree
 from repro.distance.tilestore import (
     CondensedMatrix,
@@ -110,15 +118,26 @@ def check_distance_matrix(
     (returned as-is -- symmetry and zero diagonal hold by construction),
     or a 1-D condensed vector in ``np.triu_indices(n, k=1)`` order
     (wrapped into a ``CondensedMatrix``; non-triangular sizes are
-    rejected by the wrapper).
+    rejected by the wrapper).  Every form must be finite: NaN or
+    ``±inf`` is a ``ValueError``, read tile by tile from a
+    memmap-backed matrix.
     """
+    if not isinstance(d, CondensedMatrix):
+        d = np.asarray(d, dtype=np.float64)
+        if d.ndim == 1:
+            d = CondensedMatrix(d)
     if isinstance(d, CondensedMatrix):
+        vec, tile = d.condensed, 1 << 20
+        if not all(
+            np.isfinite(vec[start:start + tile]).all()
+            for start in range(0, vec.size, tile)
+        ):
+            raise ValueError("distance matrix must be finite")
         return d
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim == 1:
-        return CondensedMatrix(d)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("distance matrix must be square")
+    if not np.isfinite(d).all():
+        raise ValueError("distance matrix must be finite")
     if not np.allclose(d, d.T, atol=1e-9):
         raise ValueError("distance matrix must be symmetric")
     if (np.diag(d) != 0).any():
@@ -133,17 +152,12 @@ def _matrix_size(d: Union[np.ndarray, CondensedMatrix]) -> int:
 def _condensed_working(
     d: Union[np.ndarray, CondensedMatrix]
 ) -> np.ndarray:
-    """A mutable float64 condensed working copy of a validated input."""
+    """A mutable float64 condensed working copy of a validated input
+    (a dense one is gathered through its strict upper triangle, which
+    reads in ``np.triu_indices(n, 1)`` order)."""
     if isinstance(d, CondensedMatrix):
         return np.array(d.condensed, dtype=np.float64)
-    n = d.shape[0]
-    w = np.empty(condensed_size(n), dtype=np.float64)
-    pos = 0
-    for r in range(n - 1):
-        cnt = n - r - 1
-        w[pos:pos + cnt] = d[r, r + 1:]
-        pos += cnt
-    return w
+    return d[~np.tri(d.shape[0], dtype=bool)]
 
 
 def _resolve_labels(
@@ -160,18 +174,55 @@ def _agglomerate(
     labels: Optional[TSequence[str]],
     linkage: str,
 ) -> GuideTree:
-    d = check_distance_matrix(dist)
-    with span("tree.build", linkage=linkage, n=_matrix_size(d)):
-        return _agglomerate_impl(d, labels, linkage)
-
-
-def _agglomerate_impl(
-    dist: Union[np.ndarray, CondensedMatrix],
-    labels: Optional[TSequence[str]],
-    linkage: str,
-) -> GuideTree:
     """Agglomerative clustering under ``average``/``weighted``/``single``
-    linkage.
+    linkage: the compiled loop (:attr:`repro.align.dp.DPKernel.agglomerate`)
+    under the ``c`` kernel, :func:`_agglomerate_numpy` under ``numpy``,
+    the same bytes either way."""
+    d = check_distance_matrix(dist)
+    n = _matrix_size(d)
+    kern = dp.kernel()
+    with span("tree.build", linkage=linkage, n=n, kernel=kern.name):
+        labels = _resolve_labels(n, labels)
+        if n == 1:
+            return GuideTree(1, np.zeros((0, 2)), np.zeros(0), labels)
+        w = _condensed_working(d)
+        if kern.agglomerate is not None:
+            merges, heights = _agglomerate_compiled(
+                kern.agglomerate, n, w, linkage
+            )
+        else:
+            merges, heights = _agglomerate_numpy(n, w, linkage)
+        return GuideTree(n, merges, heights, labels)
+
+
+#: The C entry's code for each linkage.
+_LINKAGE_CODES = {"average": 0, "weighted": 1, "single": 2}
+
+
+def _agglomerate_compiled(
+    entry: Callable[..., None], n: int, w: np.ndarray, linkage: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_agglomerate_numpy` in one compiled call (``n >= 2``): the
+    same ``(merges, heights)`` and the same final ``w``, which the call
+    rewrites in place."""
+    merges = np.empty((n - 1, 2), dtype=np.int64)
+    heights = np.empty(n - 1)
+    work = np.empty(4 * n)
+    iwork = np.empty(3 * n, dtype=np.int64)
+    entry(
+        n, dp._ptr(w, condensed_size(n)), _LINKAGE_CODES[linkage],
+        merges.ctypes.data, heights.ctypes.data, work.ctypes.data,
+        iwork.ctypes.data,
+    )
+    return merges, heights
+
+
+def _agglomerate_numpy(
+    n: int, w: np.ndarray, linkage: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(merges, heights)`` of the clustering of condensed working
+    vector ``w`` (``n >= 2``, rewritten in place): the ``numpy`` kernel's
+    path, and the reference the compiled one is checked against.
 
     Condensed-native: the working state is the flat ``n*(n-1)/2`` upper
     triangle (half the dense footprint, and `CondensedMatrix` inputs --
@@ -187,14 +238,7 @@ def _agglomerate_impl(
     merged cluster (size-weighted mean, plain mean, or minimum of the
     two old entries) can never drop below that row's cached minimum.
     """
-    d = check_distance_matrix(dist)
-    n = _matrix_size(d)
-    labels = _resolve_labels(n, labels)
-    if n == 1:
-        return GuideTree(1, np.zeros((0, 2)), np.zeros(0), labels)
-
     INF = np.inf
-    w = _condensed_working(d)
 
     def gather(r: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row ``r`` as (condensed offsets, columns, dense row with
@@ -258,7 +302,39 @@ def _agglomerate_impl(
             _, _, row = gather(r)
             c = int(row.argmin())
             nn[r], nn_dist[r] = c, row[c]
-    return GuideTree(n, merges, heights, labels)
+    return merges, heights
+
+
+def _agglomeration_reproduces_numpy(entry: Callable[..., None]) -> bool:
+    """Does ``entry`` (:attr:`repro.align.dp.DPKernel.agglomerate`) give
+    :func:`_agglomerate_numpy`'s merges and heights, byte for byte, on
+    the probe matrix under every linkage?
+
+    The matrix is made of what a compiled agglomeration could get wrong:
+    two clusters of zero distances, {0, 1, 2} and {3, 4, 5}, each with
+    one pair of the other sign, so a single-linkage height keeps the
+    zero ``np.minimum`` chose on a ``±0.0`` tie (either way round); ties
+    everywhere, which only ``np.argmin``'s first minimum settles (the
+    closest pair's two rows always tie); and tenths between the
+    clusters, whose size-weighted means round by the order of the
+    operations.  The probe's rows are short, so numpy's choice on a
+    ``±0.0`` tie is also checked on rows as long as a real tree's, where
+    its vector loop runs.
+    """
+    zeros = np.zeros(67)
+    for a, b in ((zeros, -zeros), (-zeros, zeros)):
+        if np.minimum(a, b).tobytes() != b.tobytes():
+            return False
+    d = np.zeros((6, 6))
+    d[:3, 3:] = [[0.1, 0.2, 0.3], [0.7, 0.1, 0.3], [0.2, 0.2, 0.7]]
+    d[1, 2] = d[3, 4] = d[3, 5] = -0.0
+    w = d[~np.tri(6, dtype=bool)]  # the upper triangle, condensed
+    for linkage in _LINKAGE_CODES:
+        expected = _agglomerate_numpy(6, w.copy(), linkage)
+        got = _agglomerate_compiled(entry, 6, w.copy(), linkage)
+        if any(a.tobytes() != b.tobytes() for a, b in zip(got, expected)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -318,13 +394,17 @@ class NeighborJoiningBuilder(TreeBuilder):
         self, dist: np.ndarray, labels: Optional[TSequence[str]] = None
     ) -> GuideTree:
         d = check_distance_matrix(dist)
-        with span("tree.build", linkage="nj", n=_matrix_size(d)):
+        # NJ has no compiled path: numpy under either kernel.
+        with span(
+            "tree.build", linkage="nj", n=_matrix_size(d), kernel="numpy"
+        ):
             return self._build(d, labels)
 
     def _build(
-        self, dist: np.ndarray, labels: Optional[TSequence[str]] = None
+        self,
+        d: Union[np.ndarray, CondensedMatrix],
+        labels: Optional[TSequence[str]] = None,
     ) -> GuideTree:
-        d = check_distance_matrix(dist)
         # NJ is O(n^3) with dense submatrix gathers at every join; any
         # input large enough for densifying to hurt is already out of
         # reach for this builder, so condensed input just densifies.

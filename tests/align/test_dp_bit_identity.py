@@ -166,7 +166,10 @@ def test_probe_rejects_a_kernel_with_the_wrong_tie_rule(c_kernel):
     """What ``dp.kernel`` runs before trusting a loaded library: a kernel
     that is right except for which zero wins a ``+0.0``/``-0.0`` tie
     (what ``a >= b ? a : b`` does, and numpy on this host does not)."""
-    entries = (c_kernel.align, c_kernel.align_codes, c_kernel.identity_codes)
+    entries = (
+        c_kernel.align, c_kernel.align_codes, c_kernel.identity_codes,
+        c_kernel.agglomerate,
+    )
     assert dp._reproduces_numpy(*entries)
 
     def wrong_zero(entry):
@@ -180,7 +183,7 @@ def test_probe_rejects_a_kernel_with_the_wrong_tie_rule(c_kernel):
 
     assert not dp._reproduces_numpy(wrong_zero(entries[0]), *entries[1:])
     assert not dp._reproduces_numpy(
-        entries[0], wrong_zero(entries[1]), entries[2]
+        entries[0], wrong_zero(entries[1]), *entries[2:]
     )
 
 
@@ -194,7 +197,8 @@ def test_probe_rejects_a_kernel_with_another_end_cell_or_path(c_kernel):
         return length
 
     assert not dp._reproduces_numpy(
-        wrong_path, c_kernel.align_codes, c_kernel.identity_codes
+        wrong_path, c_kernel.align_codes, c_kernel.identity_codes,
+        c_kernel.agglomerate,
     )
 
 
@@ -218,7 +222,10 @@ def test_probe_rejects_an_identity_entry_that_miscounts(c_kernel, monkeypatch):
         # m + n - matched columns: matched ones plus one per gap column.
         counts[both, 0] = (m + n - counts[:, 0])[both]
 
-    entries = (c_kernel.align, c_kernel.align_codes, counts_gap_columns)
+    entries = (
+        c_kernel.align, c_kernel.align_codes, counts_gap_columns,
+        c_kernel.agglomerate,
+    )
     assert not dp._reproduces_numpy(*entries)
     monkeypatch.setattr(ckernel, "load", lambda: (entries, None))
     monkeypatch.setattr(dp, "_kernel", None)

@@ -61,6 +61,7 @@ class TestFallbacks:
         kern = _resolve_afresh(monkeypatch)
         assert (kern.name, kern.fallback) == ("numpy", reason)
         assert kern.align is kern.align_codes is kern.identity_codes is None
+        assert kern.agglomerate is None
         assert fallbacks.value == before + 1
         assert dp.kernel() is kern and fallbacks.value == before + 1  # once
         got = _align_something()
@@ -173,7 +174,7 @@ class TestCache:
     ):
         """A cache left by a checkout whose C file exported only the row
         loop: that library sits under another digest, and is not what a
-        three-export source resolves to."""
+        four-export source resolves to."""
         old = tmp_path / "old.c"
         old.write_text("void gotoh_rows(void) {}\n")
         with monkeypatch.context() as patch:
@@ -185,9 +186,9 @@ class TestCache:
         built_at = (empty_cache / stale).stat().st_mtime_ns
         kern = _resolve_afresh(monkeypatch)
         assert kern.name == "c"
-        assert all(
-            map(callable, (kern.align, kern.align_codes, kern.identity_codes))
-        )
+        assert all(map(callable, (
+            kern.align, kern.align_codes, kern.identity_codes, kern.agglomerate
+        )))
         assert len(_libraries(empty_cache)) == 2
         assert (empty_cache / stale).stat().st_mtime_ns == built_at
         got = _align_something()

@@ -339,8 +339,9 @@ class TestTokenWaitIsAttributed:
 
 class TestRowKernelIsVisible:
     """Which scalar row loop ran (compiled or numpy) is on every
-    ``dp.profile_align`` / ``dp.align`` span and in ``/metrics``, with
-    the reason when the numpy fallback was taken."""
+    ``dp.profile_align`` / ``dp.align`` span (and which agglomeration
+    loop on every ``tree.build`` span) and in ``/metrics``, with the
+    reason when the numpy fallback was taken."""
 
     def _run(self, traced):
         fam = generate_family(
@@ -363,7 +364,7 @@ class TestRowKernelIsVisible:
         from repro.obs.prom import render_prometheus
 
         records, metrics = self._run(traced)
-        for name in ("dp.profile_align", "dp.align"):
+        for name in ("dp.profile_align", "dp.align", "tree.build"):
             spans = [r for r in records if r.name == name]
             assert spans and {r.attrs["kernel"] for r in spans} == {dp_kernel}
         by_id = {r.span_id: r for r in records}

@@ -6,6 +6,7 @@ import scipy.cluster.hierarchy as sch
 from scipy.spatial.distance import squareform
 
 from repro.align.guide_tree import GuideTree, neighbor_joining, upgma, wpgma
+from repro.distance.tilestore import CondensedMatrix
 from repro.tree import (
     DEFAULT_BUILDER,
     NeighborJoiningBuilder,
@@ -135,6 +136,18 @@ class TestBuilderMath:
             b.build(np.array([[1.0, 1.0], [1.0, 0.0]]))
         with pytest.raises(ValueError, match="labels"):
             b.build(random_distance_matrix(3, 0), ["a", "b"])
+        # Non-finite distances, in every input form and under every
+        # builder: NaN once built a tree with a nan height, inf failed
+        # inside upgma ("invalid children") and nj returned nan heights.
+        for bad in (np.nan, np.inf, -np.inf):
+            dense = random_distance_matrix(4, 0)
+            dense[1, 2] = dense[2, 1] = bad
+            vec = squareform(random_distance_matrix(4, 1), checks=False)
+            vec[3] = bad
+            for name in ("upgma", "wpgma", "nj", "single-linkage"):
+                for d in (dense, vec, CondensedMatrix(vec)):
+                    with pytest.raises(ValueError, match="must be finite"):
+                        get_builder(name).build(d)
 
     def test_builder_is_callable(self):
         m = random_distance_matrix(4, 1)
