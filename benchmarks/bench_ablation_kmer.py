@@ -15,7 +15,7 @@ from _util import fmt_table, once, write_report
 from repro.datagen.rose import generate_family
 from repro.distance import alignment_identity_matrix
 from repro.kmer.counting import KmerCounter
-from repro.kmer.distance import kmer_match_fraction_matrix
+from repro.kmer import kmer_match_fraction_matrix
 from repro.seq.alphabet import DAYHOFF6, MURPHY10, PROTEIN, SE_B14
 
 

@@ -17,13 +17,14 @@ Run:  python examples/custom_engine.py
 from dataclasses import dataclass, field
 
 import repro
-from repro.align import GuideTree, add_sequences, progressive_align
+from repro.align import add_sequences, progressive_align
 from repro.align.profile_align import ProfileAlignConfig
 from repro.core.config import SampleAlignDConfig
 from repro.datagen import rose
 from repro.msa import SequentialMsaAligner
 from repro.msa.registry import register_aligner
 from repro.seq.formats import to_clustal
+from repro.tree import GuideTree
 
 
 @dataclass

@@ -6,10 +6,12 @@ Decomposition* (Saeed & Khokhar, IPDPS 2008), together with every substrate
 the paper depends on:
 
 - :mod:`repro.seq` -- sequences, alphabets, FASTA, substitution matrices.
-- :mod:`repro.kmer` -- k-mer counting, Edgar k-mer distance, the k-mer *rank*
-  (centralized and sample-globalized variants) that drives the decomposition.
+- :mod:`repro.kmer` -- k-mer counting, Edgar's k-mer match fraction (one
+  implementation, which the ``ktuple`` distance estimator shares), and the
+  k-mer *rank* (centralized and sample-globalized variants) that drives
+  the decomposition.
 - :mod:`repro.align` -- affine-gap pairwise and profile-profile alignment
-  kernels, guide trees, progressive alignment, refinement, consensus.
+  kernels, progressive alignment, refinement, consensus.
 - :mod:`repro.msa` -- complete sequential MSA systems used as local aligners
   and as Table-2 comparators (MUSCLE-like, CLUSTALW-like, T-Coffee-like,
   MAFFT-like).
@@ -20,14 +22,16 @@ the paper depends on:
   condensed upper triangle serially, on the execution backends, or
   cooperatively inside an SPMD program -- byte-identical output either
   way.  Every guide-tree baseline's distance stage routes through it.
-- :mod:`repro.tree` -- the unified guide-tree subsystem: pluggable tree
-  builders (``upgma``, ``wpgma``, ``nj``, ``single-linkage``) behind one
-  registry, :func:`~repro.tree.merge_schedule` (the level/dependency
-  scheduler turning any guide tree into a task DAG of independent
-  profile merges), and :func:`~repro.tree.progressive_merge` (the DAG
-  executor: serial, on the execution backends, or cooperative in-SPMD
-  -- byte-identical alignments either way).  Every guide-tree
-  baseline's tree stage routes through it.
+- :mod:`repro.tree` -- the unified guide-tree subsystem: the
+  :class:`~repro.tree.GuideTree` merge order (with Newick I/O),
+  pluggable tree builders (``upgma``, ``wpgma``, ``nj``,
+  ``single-linkage``) behind one registry,
+  :func:`~repro.tree.merge_schedule` (the level/dependency scheduler
+  turning any guide tree into a task DAG of independent profile
+  merges), and :func:`~repro.tree.progressive_merge` (the DAG executor:
+  serial, on the execution backends, or cooperative in-SPMD --
+  byte-identical alignments either way).  Every guide-tree baseline's
+  tree stage routes through it.
 - :mod:`repro.parcomp` -- a virtual message-passing cluster with an
   mpi4py-style API, byte metering and an alpha-beta communication cost model.
 - :mod:`repro.samplesort` -- regular sampling / PSRS machinery.
@@ -100,7 +104,7 @@ _LAZY = {
         "repro.distance.estimators",
         "available_estimators",
     ),
-    "GuideTree": ("repro.align.guide_tree", "GuideTree"),
+    "GuideTree": ("repro.tree.guide_tree", "GuideTree"),
     "MergeSchedule": ("repro.tree.schedule", "MergeSchedule"),
     "MsaResult": ("repro.core.driver", "MsaResult"),
     "SampleAlignDConfig": ("repro.core.config", "SampleAlignDConfig"),
@@ -129,7 +133,6 @@ _LAZY = {
 __all__ = sorted(_LAZY) + ["__version__"]
 
 if TYPE_CHECKING:  # pragma: no cover - static analysis only
-    from repro.align.guide_tree import GuideTree
     from repro.core.config import SampleAlignDConfig
     from repro.core.driver import MsaResult, sample_align_d
     from repro.tree.builders import (
@@ -137,6 +140,7 @@ if TYPE_CHECKING:  # pragma: no cover - static analysis only
         available_builders as available_tree_builders,
     )
     from repro.tree.config import TreeConfig
+    from repro.tree.guide_tree import GuideTree
     from repro.tree.merge import progressive_merge
     from repro.tree.schedule import MergeSchedule, merge_schedule
     from repro.distance.allpairs import all_pairs

@@ -14,8 +14,9 @@
 - :mod:`repro.align.profile_align` -- profile-profile alignment (the PSP
   scoring MUSCLE popularised; used both by progressive alignment and by the
   paper's ancestor "tweak" step).
-- :mod:`repro.align.guide_tree` -- UPGMA/WPGMA/neighbour-joining trees.
-- :mod:`repro.align.progressive` -- tree-driven progressive alignment.
+- :mod:`repro.align.progressive` -- tree-driven progressive alignment
+  (replays a :class:`repro.tree.GuideTree`, which :mod:`repro.tree`
+  builds).
 - :mod:`repro.align.refine` -- tree-dependent restricted-partitioning
   iterative refinement.
 - :mod:`repro.align.consensus` -- consensus/"ancestor" extraction.
@@ -42,7 +43,6 @@ from repro.align.pairwise import (
 )
 from repro.align.profile import Profile, merge_profiles
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma, wpgma
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
 from repro.align.consensus import consensus_sequence
@@ -50,7 +50,6 @@ from repro.align.scoring import affine_sp_score, sp_score
 
 __all__ = [
     "AffineDPResult",
-    "GuideTree",
     "PairwiseResult",
     "Profile",
     "ProfileAlignConfig",
@@ -65,13 +64,10 @@ __all__ = [
     "global_score",
     "local_align",
     "merge_profiles",
-    "neighbor_joining",
     "pairwise_identity",
     "progressive_align",
     "refine_alignment",
     "sp_score",
-    "upgma",
-    "wpgma",
 ]
 
 

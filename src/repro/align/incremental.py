@@ -24,8 +24,7 @@ import numpy as np
 
 from repro.align.profile import Profile, merge_profiles
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
-from repro.kmer.counting import KmerCounter
-from repro.kmer.distance import kmer_match_fraction_matrix
+from repro.kmer.counting import KmerCounter, kmer_match_fraction_matrix
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
 

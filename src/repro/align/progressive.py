@@ -1,6 +1,6 @@
 """Tree-driven progressive alignment.
 
-Replays a :class:`~repro.align.guide_tree.GuideTree`'s merge order,
+Replays a :class:`~repro.tree.GuideTree`'s merge order,
 aligning profiles pairwise at every internal node -- the architecture
 shared by CLUSTALW, MUSCLE and MAFFT, and the sequential engine
 Sample-Align-D runs inside every processor.
@@ -19,11 +19,11 @@ from typing import Any, Dict, Optional, Sequence as TSequence
 
 import numpy as np
 
-from repro.align.guide_tree import GuideTree
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
+from repro.tree.guide_tree import GuideTree
 
 __all__ = ["progressive_align"]
 

@@ -48,7 +48,6 @@ from typing import List, Sequence as TSequence
 
 import numpy as np
 
-from repro.align.guide_tree import GuideTree
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig, profile_path
 from repro.align.scoring import (
@@ -61,6 +60,7 @@ from repro.align.scoring import (
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 from repro.seq.alignment import Alignment, code_counts
+from repro.tree.guide_tree import GuideTree
 
 __all__ = ["RefineResult", "refine_alignment", "refine_splits"]
 

@@ -548,9 +548,77 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_align(args: argparse.Namespace) -> int:
+def _align_request(args: argparse.Namespace, engine: str, seqs):
+    """The :class:`~repro.engine.AlignRequest` of ``align`` and ``trace``.
+
+    Sample-Align-D hands the stage flags to its per-bucket local
+    aligners (through a :class:`~repro.core.config.SampleAlignDConfig`);
+    every other engine takes them itself.  ``--local-aligner`` and
+    ``--backend``, which ``trace`` does not carry, fall back to the
+    config's defaults.  Bad names and stage flags an engine cannot take
+    raise ``KeyError`` / ``ValueError`` before anything runs.
+    """
     from repro.core.config import SampleAlignDConfig
-    from repro.engine import AlignmentService, AlignRequest, get_engine
+    from repro.engine import AlignRequest, get_engine
+    from repro.engine.registry import engine_stages
+
+    get_engine(engine)  # fail fast on unknown engine names
+    specs = _stage_specs(args)
+    local_aligner = getattr(
+        args, "local_aligner", SampleAlignDConfig.local_aligner
+    )
+    backend = getattr(args, "backend", None)
+    sample_align_d = engine.lower() == "sample-align-d"
+    target = local_aligner if sample_align_d else engine
+    for stage in specs:
+        if stage not in engine_stages(target):
+            raise ValueError(
+                f"{'local aligner' if sample_align_d else 'engine'} "
+                f"{target!r} does not take --{stage} (no pluggable "
+                f"guide-tree {stage} stage)"
+            )
+    config = None
+    engine_kwargs = {}
+    if sample_align_d:
+        if specs.get("distance", {}).get("store_dir") is not None:
+            # One fixed store dir shared by many per-bucket distance
+            # stages would thrash (each bucket's header evicts the
+            # previous bucket's tiles).
+            raise ValueError(
+                "--distance-store-dir does not apply to "
+                "sample-align-d (each bucket runs its own distance "
+                "stage; a shared tile store would thrash)"
+            )
+        config = SampleAlignDConfig(
+            local_aligner=local_aligner,
+            backend=backend,
+            local_aligner_kwargs=specs,
+        )
+    else:
+        if backend is not None:
+            raise ValueError(
+                f"--backend currently applies only to the "
+                f"sample-align-d engine, not {engine!r} (the "
+                f"parallel-baseline SPMD program is closure-based and "
+                f"sequential engines have no ranks to place)"
+            )
+        engine_kwargs = specs
+    request = AlignRequest(
+        sequences=tuple(seqs),
+        engine=engine,
+        n_procs=args.procs,
+        seed=args.seed,
+        config=config,
+        engine_kwargs=engine_kwargs,
+    )
+    if request.engine_kwargs:
+        # Build once up front so bad stage specs error cleanly.
+        get_engine(request.engine, **request.engine_kwargs)
+    return request
+
+
+def _cmd_align(args: argparse.Namespace) -> int:
+    from repro.engine import AlignmentService
     from repro.seq.fasta import read_fasta
 
     if args.engine and args.aligner:
@@ -562,58 +630,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     # Bad user input (unknown names, empty input) becomes a clean error;
     # failures *inside* an engine run keep their traceback.
     try:
-        from repro.engine.registry import engine_stages
-
-        get_engine(engine)  # fail fast on unknown engine names
-        specs = _stage_specs(args)
-        # Sample-Align-D hands the stage flags to its per-bucket local
-        # aligners; every other engine takes them itself.
-        sample_align_d = engine.lower() == "sample-align-d"
-        target = args.local_aligner if sample_align_d else engine
-        for stage in specs:
-            if stage not in engine_stages(target):
-                raise ValueError(
-                    f"{'local aligner' if sample_align_d else 'engine'} "
-                    f"{target!r} does not take --{stage} (no pluggable "
-                    f"guide-tree {stage} stage)"
-                )
-        config = None
-        engine_kwargs = {}
-        if sample_align_d:
-            if specs.get("distance", {}).get("store_dir") is not None:
-                # One fixed store dir shared by many per-bucket distance
-                # stages would thrash (each bucket's header evicts the
-                # previous bucket's tiles).
-                raise ValueError(
-                    "--distance-store-dir does not apply to "
-                    "sample-align-d (each bucket runs its own distance "
-                    "stage; a shared tile store would thrash)"
-                )
-            config = SampleAlignDConfig(
-                local_aligner=args.local_aligner,
-                backend=args.backend,
-                local_aligner_kwargs=specs,
-            )
-        else:
-            if args.backend is not None:
-                raise ValueError(
-                    f"--backend currently applies only to the "
-                    f"sample-align-d engine, not {engine!r} (the "
-                    f"parallel-baseline SPMD program is closure-based and "
-                    f"sequential engines have no ranks to place)"
-                )
-            engine_kwargs = specs
-        request = AlignRequest(
-            sequences=tuple(seqs),
-            engine=engine,
-            n_procs=args.procs,
-            seed=args.seed,
-            config=config,
-            engine_kwargs=engine_kwargs,
-        )
-        if request.engine_kwargs:
-            # Build once up front so bad stage specs error cleanly.
-            get_engine(request.engine, **request.engine_kwargs)
+        request = _align_request(args, engine, seqs)
     except (KeyError, ValueError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)
@@ -899,7 +916,7 @@ def _cmd_trees(args: argparse.Namespace) -> int:
 
     try:
         if args.from_newick:
-            from repro.align.guide_tree import GuideTree
+            from repro.tree import GuideTree
 
             with open(args.input, "r", encoding="utf-8") as fh:
                 tree = GuideTree.from_newick(fh.read())
@@ -1288,7 +1305,6 @@ def _print_stage_table(nodes, indent: int = 0, file=None) -> None:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.align.dp import kernel
-    from repro.engine import AlignRequest, get_engine
     from repro.obs.tracing import (
         disable_tracing,
         drain_spans,
@@ -1313,16 +1329,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         seqs = list(fam.sequences)
     try:
-        # Fail fast on unknown engines / options the engine cannot take.
-        engine_kwargs = _stage_specs(args)
-        get_engine(args.engine, **engine_kwargs)
-        request = AlignRequest(
-            sequences=tuple(seqs),
-            engine=args.engine,
-            n_procs=args.procs,
-            seed=args.seed,
-            engine_kwargs=engine_kwargs,
-        )
+        request = _align_request(args, args.engine, seqs)
     except (KeyError, ValueError, TypeError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         print(f"error: {msg}", file=sys.stderr)

@@ -24,11 +24,11 @@ from typing import List, Sequence as TSequence
 
 import numpy as np
 
-from repro.align.guide_tree import upgma
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.refine import refine_alignment, refine_splits
 from repro.distance import all_pairs
 from repro.seq.alignment import Alignment
+from repro.tree.builders import UpgmaBuilder
 
 __all__ = ["refine_bucket_alignment", "bucket_level_refine"]
 
@@ -47,7 +47,9 @@ def refine_bucket_alignment(
     if rounds <= 0 or aln.n_rows < 3:
         return aln
     seqs = list(aln.ungapped())
-    tree = upgma(all_pairs(seqs, "ktuple"), [s.id for s in seqs])
+    tree = UpgmaBuilder().build(
+        all_pairs(seqs, "ktuple"), [s.id for s in seqs]
+    )
     rng = None if seed is None else np.random.default_rng(seed)
     return refine_alignment(
         aln, tree, scoring, max_rounds=rounds, rng=rng

@@ -39,8 +39,17 @@ from typing import Any, Callable, Dict, List, Sequence as TSequence, Union
 
 import numpy as np
 
-from repro.distance.transforms import TRANSFORMS, identity_to_distance
-from repro.kmer.counting import KmerCounter
+from repro.distance.transforms import (
+    TRANSFORMS,
+    fractional_identity_estimate,
+    identity_to_distance,
+)
+from repro.kmer.counting import (
+    KmerCounter,
+    match_fraction,
+    min_sum_dense,
+    min_sum_sparse,
+)
 from repro.seq.alphabet import Alphabet, DAYHOFF6
 from repro.seq.matrices import BLOSUM62, GapPenalties, SubstitutionMatrix
 from repro.seq.sequence import Sequence
@@ -135,52 +144,35 @@ class KtupleDistance(DistanceEstimator):
         return KmerCounter(k=self.k, alphabet=self.alphabet)
 
     def prepare(self, seqs: TSequence[Sequence]) -> Any:
+        """The k-mer table (:meth:`KmerCounter.table`) and k-mer totals."""
         counter = self.counter()
-        n_kmers = np.array(
-            [counter.n_kmers(s) for s in seqs], dtype=np.float64
-        )
-        if counter.dense_ok:
-            return ("dense", counter.count_matrix(seqs), n_kmers)
-        return (
-            "sparse",
-            [counter.decorated_kmers(s) for s in seqs],
-            n_kmers,
-        )
+        return counter.table(seqs), counter.n_kmers_array(seqs)
 
     def _shared_counts(
         self, state: Any, ii: np.ndarray, jj: np.ndarray
     ) -> np.ndarray:
-        kind, data, _ = state
+        table = state[0]
+        if not self.counter().dense_ok:
+            return min_sum_sparse(table, table, ii, jj)
+        # The min-sum over a (unique-rows x unique-cols) rectangle -- for
+        # the contiguous condensed-triangle tiles the scheduler produces,
+        # the rectangle is barely larger than the pair list, and both
+        # paths yield the same exact integer counts (so schedules stay
+        # byte-identical).
+        ui, inv_i = np.unique(ii, return_inverse=True)
+        uj, inv_j = np.unique(jj, return_inverse=True)
+        if ui.size * uj.size <= max(4 * len(ii), 1 << 12):
+            return min_sum_dense(table[ui], table[uj])[inv_i, inv_j]
+        # Degenerate scattered pair lists: blocked per-pair gather
+        # bounds the (pairs, A**k) scratch instead.
         shared = np.empty(len(ii), dtype=np.int64)
-        if kind == "dense":
-            # The min-sum over a (unique-rows x unique-cols) rectangle
-            # runs through the BLAS layer decomposition of
-            # _min_sum_dense -- for the contiguous condensed-triangle
-            # tiles the scheduler produces, the rectangle is barely
-            # larger than the pair list, and both paths yield the same
-            # exact integer counts (so schedules stay byte-identical).
-            from repro.kmer.distance import _min_sum_dense
-
-            ui, inv_i = np.unique(ii, return_inverse=True)
-            uj, inv_j = np.unique(jj, return_inverse=True)
-            if ui.size * uj.size <= max(4 * len(ii), 1 << 12):
-                rect = _min_sum_dense(data[ui], data[uj])
-                shared[:] = rect[inv_i, inv_j]
-                return shared
-            # Degenerate scattered pair lists: blocked per-pair gather
-            # bounds the (pairs, A**k) scratch instead.
-            block = max(1, (1 << 22) // max(data.shape[1], 1))
-            for t0 in range(0, len(ii), block):
-                a = data[ii[t0 : t0 + block]]
-                b = data[jj[t0 : t0 + block]]
-                shared[t0 : t0 + block] = np.minimum(a, b).sum(
-                    axis=1, dtype=np.int64
-                )
-        else:
-            for t in range(len(ii)):
-                shared[t] = np.intersect1d(
-                    data[int(ii[t])], data[int(jj[t])], assume_unique=True
-                ).size
+        block = max(1, (1 << 22) // max(table.shape[1], 1))
+        for t0 in range(0, len(ii), block):
+            a = table[ii[t0 : t0 + block]]
+            b = table[jj[t0 : t0 + block]]
+            shared[t0 : t0 + block] = np.minimum(a, b).sum(
+                axis=1, dtype=np.int64
+            )
         return shared
 
     def match_fractions(
@@ -192,12 +184,10 @@ class KtupleDistance(DistanceEstimator):
     ) -> np.ndarray:
         """The paper's ``r_ij`` for pairs ``(ii[t], jj[t])`` in [0, 1]."""
         state = self.prepare(seqs) if state is None else state
-        n_kmers = state[2]
-        shared = self._shared_counts(state, ii, jj)
-        denom = np.minimum(n_kmers[ii], n_kmers[jj])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(denom > 0, shared / denom, 0.0)
-        return np.clip(frac, 0.0, 1.0)
+        n_kmers = state[1]
+        return match_fraction(
+            self._shared_counts(state, ii, jj), n_kmers[ii], n_kmers[jj]
+        )
 
     def pair_distances(
         self,
@@ -243,8 +233,6 @@ class KmerFractionDistance(DistanceEstimator):
         jj: np.ndarray,
         state: Any = None,
     ) -> np.ndarray:
-        from repro.distance.transforms import fractional_identity_estimate
-
         frac = self._base().match_fractions(seqs, ii, jj, state)
         return fractional_identity_estimate(frac)
 

@@ -1,8 +1,8 @@
 """Identity/distance post-transforms shared by every estimator.
 
 These are the *single* home of the identity-to-distance math (Kimura,
-and the calibrated fractional-identity map that
-:mod:`repro.kmer.distance` delegates here).
+and the calibrated fractional-identity map the ``kmer-fraction``
+estimator applies to the k-mer match fraction).
 
 Two transforms are registered:
 

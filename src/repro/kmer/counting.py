@@ -1,22 +1,47 @@
-"""k-mer extraction and counting.
+"""k-mer extraction, counting and Edgar's k-mer match fraction.
 
 k-mers are radix-encoded into integers over an (optionally compressed)
 alphabet so that counting is a single ``np.bincount`` and batch similarity
 reduces to dense linear algebra.  Compressed alphabets (Dayhoff-6 by
 default) keep the k-mer space ``A**k`` small enough for dense count
 matrices, exactly the trick MUSCLE and Edgar (2004) use for speed.
+
+The paper (section 2) defines, for sequences ``x_i`` and ``x_j``::
+
+    r_ij = sum_tau min(n_xi(tau), n_xj(tau)) / (min(|x_i|, |x_j|) - k + 1)
+
+i.e. the fraction of the shorter sequence's k-mers that are shared
+(counting multiplicity).  This module holds its one implementation:
+
+- :meth:`KmerCounter.table` -- the one dense/sparse decision
+  (:attr:`KmerCounter.dense_ok`): a dense count matrix for small k-mer
+  spaces, occurrence-decorated sorted codes otherwise.
+- :func:`min_sum_dense` / :func:`min_sum_sparse` -- the numerator, one
+  kernel per representation.
+- :func:`match_fraction` -- the quotient.
+- :func:`kmer_match_fraction_matrix` -- the square (all-vs-all) or
+  rectangular (sequences-vs-sample) matrix the k-mer rank needs; the
+  ``ktuple`` and ``kmer-fraction`` distance estimators take the same
+  pieces over pair lists.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence as TSequence
+from typing import Iterable, List, Sequence as TSequence, Union
 
 import numpy as np
 
 from repro.seq.alphabet import Alphabet, CompressedAlphabet, DAYHOFF6
 from repro.seq.sequence import Sequence
 
-__all__ = ["kmer_codes", "KmerCounter"]
+__all__ = [
+    "KmerCounter",
+    "kmer_codes",
+    "kmer_match_fraction_matrix",
+    "match_fraction",
+    "min_sum_dense",
+    "min_sum_sparse",
+]
 
 #: Largest k-mer space for which dense count matrices are built.
 DENSE_SPACE_LIMIT = 1 << 17
@@ -95,6 +120,22 @@ class KmerCounter:
     def n_kmers(self, seq: Sequence) -> int:
         """Number of k-mers in ``seq`` (``max(L - k + 1, 0)``)."""
         return max(len(seq) - self.k + 1, 0)
+
+    def n_kmers_array(self, seqs: TSequence[Sequence]) -> np.ndarray:
+        """:meth:`n_kmers` of every sequence, as an int64 array."""
+        return np.fromiter(
+            (self.n_kmers(s) for s in seqs), np.int64, len(seqs)
+        )
+
+    def table(
+        self, seqs: TSequence[Sequence]
+    ) -> Union[np.ndarray, List[np.ndarray]]:
+        """What the min-sum kernels take: the dense count matrix
+        (:meth:`count_matrix`) when :attr:`dense_ok`, else one
+        :meth:`decorated_kmers` array per sequence."""
+        if self.dense_ok:
+            return self.count_matrix(seqs)
+        return [self.decorated_kmers(s) for s in seqs]
 
     # -- counting -------------------------------------------------------------
 
@@ -184,3 +225,96 @@ class KmerCounter:
         occ = np.arange(km.size, dtype=np.int64)
         occ -= np.repeat(run_starts, np.diff(np.append(run_starts, km.size)))
         return km * self.OCC_RADIX + occ
+
+
+def min_sum_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``M[i, j] = sum_t min(a[i, t], b[j, t])`` for count matrices.
+
+    The layer decomposition ``min(x, y) = sum_{t>=1} [x >= t][y >= t]``,
+    one 0/1 matmul per layer.  Layer ``t`` is non-zero only in the
+    columns where *both* sides reach ``t`` in some row, so each layer is
+    restricted to those: the first covers the k-mers the two sides
+    share, the deep ones (a k-mer one sequence repeats nine times) a
+    handful of columns, and the number of layers is the depth both
+    sides reach, not the largest count on either.  ``b is a`` computes
+    each layer once.
+
+    The sums are small integers, so float32 holds them exactly while a
+    row's k-mer total stays below 2**24 (no entry, and no partial sum
+    on the way to it, exceeds the smaller row total); beyond that the
+    layers are float64.
+    """
+    same = b is a
+    rows_a = a.sum(axis=1, dtype=np.int64).max(initial=0)
+    rows_b = rows_a if same else b.sum(axis=1, dtype=np.int64).max(initial=0)
+    dtype = np.float32 if min(rows_a, rows_b) < 1 << 24 else np.float64
+    reach_a = a.max(axis=0, initial=0)
+    reach = reach_a if same else np.minimum(reach_a, b.max(axis=0, initial=0))
+    out = np.zeros((a.shape[0], b.shape[0]), dtype=dtype)
+    for t in range(1, int(reach.max(initial=0)) + 1):
+        keep = reach >= t  # a subset of the previous layer's columns
+        reach = reach[keep]
+        a = a[:, keep]
+        b = a if same else b[:, keep]
+        la = (a >= t).astype(dtype)
+        lb = la if same else (b >= t).astype(dtype)
+        out += la @ lb.T
+    return np.rint(out).astype(np.int64)
+
+
+def min_sum_sparse(
+    dec_a: TSequence[np.ndarray],
+    dec_b: TSequence[np.ndarray],
+    ii: np.ndarray,
+    jj: np.ndarray,
+) -> np.ndarray:
+    """Shared k-mer counts of the pairs ``(dec_a[ii[t]], dec_b[jj[t]])``
+    of decorated arrays (:meth:`KmerCounter.decorated_kmers`): multiset
+    intersection sizes, as int64."""
+    out = np.empty(len(ii), dtype=np.int64)
+    for t, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        out[t] = np.intersect1d(dec_a[i], dec_b[j], assume_unique=True).size
+    return out
+
+
+def match_fraction(
+    shared: np.ndarray, n_a: np.ndarray, n_b: np.ndarray
+) -> np.ndarray:
+    """``r = shared / min(n_a, n_b)`` in ``[0, 1]`` (broadcasting), and 0
+    where either side has no k-mer."""
+    denom = np.minimum(n_a, n_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(denom > 0, shared / denom, 0.0)
+    return np.clip(frac, 0.0, 1.0)
+
+
+def kmer_match_fraction_matrix(
+    seqs_a: TSequence[Sequence],
+    seqs_b: TSequence[Sequence] | None = None,
+    counter: KmerCounter | None = None,
+) -> np.ndarray:
+    """The paper's ``r_ij`` for every pair in ``seqs_a x seqs_b``.
+
+    With ``seqs_b=None`` the matrix is square over ``seqs_a`` (all-vs-all,
+    used by the centralized rank; the table is built once); otherwise
+    rectangular ``(len(a), len(b))`` (sequences vs sample, used by the
+    globalized rank).  Pairs where either sequence is shorter than ``k``
+    get 0.
+    """
+    counter = counter or KmerCounter()
+    seqs_a = list(seqs_a)
+    seqs_b = seqs_a if seqs_b is None else list(seqs_b)
+    if not seqs_a or not seqs_b:
+        return np.zeros((len(seqs_a), len(seqs_b)))
+    table_a = counter.table(seqs_a)
+    table_b = table_a if seqs_b is seqs_a else counter.table(seqs_b)
+    if counter.dense_ok:
+        shared = min_sum_dense(table_a, table_b)
+    else:
+        ii, jj = np.divmod(np.arange(len(seqs_a) * len(seqs_b)), len(seqs_b))
+        shared = min_sum_sparse(table_a, table_b, ii, jj).reshape(
+            len(seqs_a), len(seqs_b)
+        )
+    n_a = counter.n_kmers_array(seqs_a)
+    n_b = n_a if seqs_b is seqs_a else counter.n_kmers_array(seqs_b)
+    return match_fraction(shared, n_a[:, None], n_b[None, :])

@@ -30,8 +30,7 @@ from typing import Sequence as TSequence
 
 import numpy as np
 
-from repro.kmer.counting import KmerCounter
-from repro.kmer.distance import kmer_match_fraction_matrix
+from repro.kmer.counting import KmerCounter, kmer_match_fraction_matrix
 from repro.seq.alphabet import Alphabet, DAYHOFF6
 from repro.seq.sequence import Sequence
 

@@ -7,7 +7,7 @@ Used as a fast local aligner option and as a quality floor in ablations.
 
 The fold-in order *is* a guide tree -- a caterpillar whose spine starts
 at the center -- so since the tree-subsystem refactor the merge walk is
-expressed as a :class:`~repro.align.guide_tree.GuideTree` and replayed
+expressed as a :class:`~repro.tree.GuideTree` and replayed
 by :func:`~repro.align.progressive.progressive_align` (byte-identical
 to the historical loop).  ``tree=`` swaps the caterpillar for any
 registered builder, turning the center-star distance stage into a
@@ -21,13 +21,13 @@ from typing import Sequence as TSequence
 
 import numpy as np
 
-from repro.align.guide_tree import GuideTree
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.progressive import progressive_align
 from repro.distance import CondensedMatrix
 from repro.msa.base import GuideTreeStages, SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
+from repro.tree import GuideTree
 
 __all__ = ["CenterStar", "center_star_tree"]
 

@@ -14,13 +14,13 @@ from typing import Sequence as TSequence
 
 import numpy as np
 
-from repro.align.guide_tree import GuideTree
 from repro.align.profile_align import ProfileAlignConfig
 from repro.align.progressive import progressive_align
 from repro.distance import FullDpDistance
 from repro.msa.base import GuideTreeStages, SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
+from repro.tree import GuideTree
 
 __all__ = ["ClustalWLike", "clustal_sequence_weights"]
 

@@ -21,13 +21,13 @@ from typing import Dict, List, Sequence as TSequence, Tuple
 import numpy as np
 
 from repro.align.dp import affine_align
-from repro.align.guide_tree import neighbor_joining
 from repro.align.pairwise import global_align, local_align
 from repro.align.profile import Profile, merge_profiles
 from repro.msa.base import SequentialMsaAligner
 from repro.seq.alignment import Alignment
 from repro.seq.matrices import BLOSUM62, GapPenalties, SubstitutionMatrix
 from repro.seq.sequence import Sequence
+from repro.tree.builders import NeighborJoiningBuilder
 
 __all__ = ["TCoffeeLike"]
 
@@ -208,7 +208,7 @@ class TCoffeeLike(SequentialMsaAligner):
             )
             return merged.alignment.select_rows(ids)
 
-        tree = neighbor_joining(1.0 - ident, ids)
+        tree = NeighborJoiningBuilder().build(1.0 - ident, ids)
         index_of = {sid: i for i, sid in enumerate(ids)}
 
         profiles: Dict[int, Profile] = {

@@ -6,12 +6,13 @@ the strictly post-order progressive merge walk -- even though sibling
 subtrees are independent.  This package unifies that stage the same way
 :mod:`repro.distance` unified the one before it:
 
+- :mod:`~repro.tree.guide_tree` -- :class:`GuideTree`, the rooted
+  binary merge order every stage below consumes, and its Newick reader
+  and writer.
 - :mod:`~repro.tree.builders` -- the :class:`TreeBuilder` protocol and
   registry (``upgma``, ``wpgma``, ``nj``, ``single-linkage``), each a
   small picklable dataclass turning a distance matrix into a
-  :class:`~repro.align.guide_tree.GuideTree`.  The agglomeration math
-  formerly hard-coded in ``repro.align.guide_tree`` lives here; that
-  module keeps ``GuideTree`` itself and thin delegate functions.
+  :class:`GuideTree`.
 - :mod:`~repro.tree.schedule` -- :func:`merge_schedule`, the
   level/dependency scheduler that turns any ``GuideTree`` into a task
   DAG of independent profile-profile merges (every internal node
@@ -32,6 +33,8 @@ form), so one ``--tree-backend pool`` flag puts the progressive
 merge of any of them on real cores.
 """
 
+# First: repro.align imports GuideTree while this package initialises.
+from repro.tree.guide_tree import GuideTree
 from repro.tree.anchors import (
     AnchorTreeBuilder,
     anchor_guide_tree,
@@ -58,6 +61,7 @@ from repro.tree.schedule import MergeSchedule, merge_schedule
 __all__ = [
     "AnchorTreeBuilder",
     "DEFAULT_BUILDER",
+    "GuideTree",
     "MergeSchedule",
     "STAGE_CONFIGS",
     "anchor_guide_tree",

@@ -32,10 +32,10 @@ from typing import Any, List, Optional, Sequence as TSequence, Union
 
 import numpy as np
 
-from repro.align.guide_tree import GuideTree
 from repro.distance.estimators import DistanceEstimator, get_estimator
 from repro.distance.tilestore import CondensedMatrix
 from repro.obs.tracing import span
+from repro.tree.guide_tree import GuideTree
 from repro.tree.builders import (
     TreeBuilder,
     _matrix_size,

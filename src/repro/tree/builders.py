@@ -1,11 +1,9 @@
 """Pluggable guide-tree builders behind one registry.
 
 After the distance stage, every progressive aligner must turn an
-``(n, n)`` distance matrix into a merge order -- and before this module
-each baseline hard-imported its own clustering routine from
-``repro.align.guide_tree``.  Now each builder is a small frozen
-dataclass with one job -- a :class:`~repro.align.guide_tree.GuideTree`
-from a distance matrix -- behind the same registry idiom the distance
+``(n, n)`` distance matrix into a merge order.  Each builder is a small
+frozen dataclass with one job -- a :class:`~repro.tree.GuideTree` from a
+distance matrix -- behind the same registry idiom the distance
 estimators and execution backends use, so one ``tree=`` string selects
 the topology at every layer (baseline configs, ``engine_kwargs``, the
 gateway's ``default_tree``, the CLI's ``--tree``).
@@ -33,9 +31,8 @@ loop :func:`_agglomerate_numpy` otherwise -- the same bytes either way,
 and ``kernel="c"|"numpy"`` on the ``tree.build`` span says which ran.
 ``nj`` is numpy on both.
 
-Plug-ins enter via :func:`register_builder`.  The legacy functions
-``repro.align.guide_tree.upgma`` / ``wpgma`` / ``neighbor_joining`` are
-thin delegates over this registry.
+Plug-ins enter via :func:`register_builder`.  The UPGMA builder is
+validated against ``scipy.cluster.hierarchy.linkage`` in the test suite.
 """
 
 from __future__ import annotations
@@ -56,7 +53,6 @@ from typing import (
 import numpy as np
 
 from repro.align import dp
-from repro.align.guide_tree import GuideTree
 from repro.distance.tilestore import (
     CondensedMatrix,
     condensed_index,
@@ -64,6 +60,7 @@ from repro.distance.tilestore import (
     condensed_size,
 )
 from repro.obs.tracing import span
+from repro.tree.guide_tree import GuideTree
 
 __all__ = [
     "TreeBuilder",

@@ -1,4 +1,4 @@
-"""Guide trees: the :class:`GuideTree` container and legacy builder facade.
+"""Guide trees: the :class:`GuideTree` container and its Newick form.
 
 A :class:`GuideTree` is a rooted binary merge order over ``n`` leaves:
 leaves are nodes ``0..n-1``, the ``i``-th merge creates node ``n+i``, and
@@ -6,22 +6,21 @@ the last merge is the root.  Progressive alignment simply replays the merge
 list (serially or along the :func:`repro.tree.merge_schedule` DAG);
 iterative refinement enumerates its bipartitions.
 
-The clustering implementations live in :mod:`repro.tree.builders` behind
-the pluggable :class:`~repro.tree.builders.TreeBuilder` registry
-(``upgma``, ``wpgma``, ``nj``, ``single-linkage``); :func:`upgma`,
-:func:`wpgma` and :func:`neighbor_joining` remain here as thin delegates
-so existing imports keep working.  The UPGMA variant is validated against
-``scipy.cluster.hierarchy.linkage`` in the test suite.
+Trees are built from distance matrices by the
+:class:`~repro.tree.builders.TreeBuilder` registry (``upgma``,
+``wpgma``, ``nj``, ``single-linkage``).  This module imports nothing
+else from the package, so the alignment kernels can import it without
+a cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence as TSequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["GuideTree", "upgma", "wpgma", "neighbor_joining"]
+__all__ = ["GuideTree"]
 
 #: Characters that force a Newick label into quoted form (the Newick
 #: metacharacters plus whitespace and the quote itself).
@@ -68,14 +67,14 @@ class GuideTree:
         self.heights = np.asarray(self.heights, dtype=np.float64)
         if self.n_leaves < 1:
             raise ValueError("tree needs at least one leaf")
+        if len(self.labels) != self.n_leaves:
+            raise ValueError("labels length must equal n_leaves")
         if self.n_leaves == 1:
             if self.merges.size:
                 raise ValueError("single-leaf tree cannot have merges")
             return
         if self.merges.shape != (self.n_leaves - 1, 2):
             raise ValueError("merges must have shape (n_leaves-1, 2)")
-        if len(self.labels) != self.n_leaves:
-            raise ValueError("labels length must equal n_leaves")
         seen = np.zeros(2 * self.n_leaves - 1, dtype=bool)
         for i, (a, b) in enumerate(self.merges):
             node = self.n_leaves + i
@@ -274,38 +273,3 @@ class GuideTree:
         emit(tree)
         return cls(n, np.array(merges), np.array(heights), labels)
 
-
-# ---------------------------------------------------------------------------
-# Legacy builder facade.  The clustering math lives in
-# repro.tree.builders; these delegates keep the historical call sites
-# (and their signatures) working.  Imports are deferred: repro.tree
-# imports GuideTree from this module.
-
-
-def upgma(dist: np.ndarray, labels: TSequence[str] | None = None) -> GuideTree:
-    """Unweighted pair-group clustering (average linkage) -- the MUSCLE
-    draft-tree method."""
-    from repro.tree.builders import UpgmaBuilder
-
-    return UpgmaBuilder().build(dist, labels)
-
-
-def wpgma(dist: np.ndarray, labels: TSequence[str] | None = None) -> GuideTree:
-    """Weighted pair-group clustering (McQuitty linkage)."""
-    from repro.tree.builders import WpgmaBuilder
-
-    return WpgmaBuilder().build(dist, labels)
-
-
-def neighbor_joining(
-    dist: np.ndarray, labels: TSequence[str] | None = None
-) -> GuideTree:
-    """Saitou-Nei neighbour joining, rooted at the final join.
-
-    The CLUSTALW-style guide-tree method.  O(n^3) with vectorised Q-matrix
-    updates; branch lengths are folded into node heights (max child height
-    plus branch), which is all downstream consumers need.
-    """
-    from repro.tree.builders import NeighborJoiningBuilder
-
-    return NeighborJoiningBuilder().build(dist, labels)

@@ -41,11 +41,11 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence as TSequence
 
-from repro.align.guide_tree import GuideTree
 from repro.align.profile import Profile
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 from repro.seq.alignment import Alignment
+from repro.tree.guide_tree import GuideTree
 from repro.tree.schedule import merge_schedule
 
 __all__ = ["CladeTable", "progressive_merge"]

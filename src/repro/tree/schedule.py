@@ -1,7 +1,7 @@
 """The merge scheduler: a guide tree as a task DAG of independent merges.
 
-Progressive alignment replays a :class:`~repro.align.guide_tree
-.GuideTree`'s merge list strictly in order, but sibling subtrees are
+Progressive alignment replays a :class:`~repro.tree.GuideTree`'s merge
+list strictly in order, but sibling subtrees are
 independent: merge ``i`` only needs the profiles of its two children.
 :func:`merge_schedule` makes that explicit -- it levels the internal
 nodes by dependency depth so that
@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.align.guide_tree import GuideTree
+from repro.tree.guide_tree import GuideTree
 
 __all__ = ["MergeSchedule", "merge_schedule"]
 

@@ -1,11 +1,16 @@
-"""Tests for repro.align.guide_tree."""
+"""Tests for repro.tree.GuideTree and the scipy oracles of its builders."""
 
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import linkage
 from scipy.spatial.distance import squareform
 
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma, wpgma
+from repro.tree import (
+    GuideTree,
+    NeighborJoiningBuilder,
+    UpgmaBuilder,
+    WpgmaBuilder,
+)
 
 
 def random_distance_matrix(n, seed):
@@ -55,6 +60,14 @@ class TestGuideTreeStructure:
         assert t.root == 0
         assert t.leaves_under(0).tolist() == [0]
 
+    @pytest.mark.parametrize("labels", [[], ["a", "b"]])
+    def test_single_leaf_label_length(self, labels):
+        """The label check runs before the one-leaf early return: no
+        label used to fail only in ``to_newick`` (``IndexError``), two
+        labels printed the first one."""
+        with pytest.raises(ValueError, match="labels"):
+            GuideTree(1, np.zeros((0, 2)), np.zeros(0), labels)
+
     def test_invalid_merge_reuse(self):
         with pytest.raises(ValueError, match="reuses"):
             GuideTree(
@@ -83,7 +96,7 @@ class TestUpgma:
     @pytest.mark.parametrize("n", [3, 7, 16, 40])
     def test_heights_match_scipy_average(self, n, seed):
         m = random_distance_matrix(n, seed)
-        ours = upgma(m)
+        ours = UpgmaBuilder().build(m)
         Z = linkage(squareform(m, checks=False), method="average")
         assert np.allclose(
             np.sort(ours.heights), np.sort(Z[:, 2] / 2.0), atol=1e-9
@@ -92,7 +105,7 @@ class TestUpgma:
     @pytest.mark.parametrize("seed", range(4))
     def test_wpgma_matches_scipy_weighted(self, seed):
         m = random_distance_matrix(12, seed)
-        ours = wpgma(m)
+        ours = WpgmaBuilder().build(m)
         Z = linkage(squareform(m, checks=False), method="weighted")
         assert np.allclose(
             np.sort(ours.heights), np.sort(Z[:, 2] / 2.0), atol=1e-9
@@ -100,12 +113,12 @@ class TestUpgma:
 
     def test_heights_monotone(self):
         m = random_distance_matrix(20, 3)
-        t = upgma(m)
+        t = UpgmaBuilder().build(m)
         assert (np.diff(t.heights) >= -1e-9).all()
 
     def test_two_leaves(self):
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
-        t = upgma(m, ["x", "y"])
+        t = UpgmaBuilder().build(m, ["x", "y"])
         assert t.merges.tolist() == [[0, 1]]
         assert t.heights[0] == pytest.approx(0.5)
 
@@ -115,7 +128,7 @@ class TestUpgma:
         np.fill_diagonal(m, 0.0)
         m[0, 1] = m[1, 0] = 0.1
         m[2, 3] = m[3, 2] = 0.2
-        t = upgma(m)
+        t = UpgmaBuilder().build(m)
         first_two = {tuple(sorted(t.merges[0])), tuple(sorted(t.merges[1]))}
         assert first_two == {(0, 1), (2, 3)}
 
@@ -123,12 +136,12 @@ class TestUpgma:
         m = np.zeros((3, 3))
         m[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            upgma(m)
+            UpgmaBuilder().build(m)
 
     def test_nonzero_diagonal_rejected(self):
         m = np.eye(3)
         with pytest.raises(ValueError, match="diagonal"):
-            upgma(m)
+            UpgmaBuilder().build(m)
 
 
 class TestNeighborJoining:
@@ -143,7 +156,7 @@ class TestNeighborJoining:
                 [6.0, 6.0, 2.0, 0.0],
             ]
         )
-        t = neighbor_joining(m, ["a", "b", "c", "d"])
+        t = NeighborJoiningBuilder().build(m, ["a", "b", "c", "d"])
         first = tuple(sorted(t.merges[0]))
         assert first in {(0, 1), (2, 3)}
         newick = t.to_newick()
@@ -151,19 +164,19 @@ class TestNeighborJoining:
 
     def test_all_leaves_present(self):
         m = random_distance_matrix(9, 1)
-        t = neighbor_joining(m)
+        t = NeighborJoiningBuilder().build(m)
         assert t.leaves_under(t.root).tolist() == list(range(9))
 
     def test_two_leaves(self):
         m = np.array([[0.0, 3.0], [3.0, 0.0]])
-        t = neighbor_joining(m, ["x", "y"])
+        t = NeighborJoiningBuilder().build(m, ["x", "y"])
         assert t.merges.tolist() == [[0, 1]]
 
     def test_three_leaves(self):
         m = random_distance_matrix(3, 2)
-        t = neighbor_joining(m)
+        t = NeighborJoiningBuilder().build(m)
         assert t.n_nodes == 5
 
     def test_single_leaf(self):
-        t = neighbor_joining(np.zeros((1, 1)), ["only"])
+        t = NeighborJoiningBuilder().build(np.zeros((1, 1)), ["only"])
         assert t.n_leaves == 1

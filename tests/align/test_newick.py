@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma
+from repro.tree import GuideTree, NeighborJoiningBuilder, UpgmaBuilder
 
 
 def random_distance_matrix(n, seed):
@@ -18,13 +18,13 @@ class TestNewickRoundTrip:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n", [2, 3, 8, 15])
     def test_topology_roundtrip(self, n, seed):
-        t = upgma(random_distance_matrix(n, seed))
+        t = UpgmaBuilder().build(random_distance_matrix(n, seed))
         again = GuideTree.from_newick(t.to_newick())
         assert again.to_newick() == t.to_newick()
         assert again.n_leaves == n
 
     def test_branch_length_roundtrip(self):
-        t = upgma(random_distance_matrix(10, 3))
+        t = UpgmaBuilder().build(random_distance_matrix(10, 3))
         again = GuideTree.from_newick(t.to_newick(branch_lengths=True))
         assert again.to_newick() == t.to_newick()
         assert np.allclose(
@@ -32,7 +32,7 @@ class TestNewickRoundTrip:
         )
 
     def test_nj_roundtrip(self):
-        t = neighbor_joining(random_distance_matrix(7, 1))
+        t = NeighborJoiningBuilder().build(random_distance_matrix(7, 1))
         again = GuideTree.from_newick(t.to_newick())
         assert again.to_newick() == t.to_newick()
 

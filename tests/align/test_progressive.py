@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from repro.align.consensus import consensus_sequence
-from repro.align.guide_tree import upgma
+from repro.tree import UpgmaBuilder
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
 from repro.align.scoring import affine_sp_score, sp_score
-from repro.kmer.distance import kmer_distance_matrix
-from repro.kmer.counting import KmerCounter
+from repro.kmer.counting import KmerCounter, kmer_match_fraction_matrix
 from repro.seq.alignment import Alignment
 from repro.seq.matrices import BLOSUM62, GapPenalties
 from repro.seq.sequence import Sequence
 
 
 def build_tree(seqs):
-    d = kmer_distance_matrix(list(seqs), counter=KmerCounter(k=3))
-    return upgma(d, [s.id for s in seqs])
+    d = 1.0 - kmer_match_fraction_matrix(list(seqs), counter=KmerCounter(k=3))
+    return UpgmaBuilder().build(d, [s.id for s in seqs])
 
 
 class TestProgressive:
@@ -39,7 +38,7 @@ class TestProgressive:
         """<2 sequences is a clean ValueError (wrap lone sequences with
         Alignment.from_single instead, as every baseline does)."""
         s = Sequence("a", "MKV")
-        tree = upgma(np.zeros((1, 1)), ["a"])
+        tree = UpgmaBuilder().build(np.zeros((1, 1)), ["a"])
         with pytest.raises(ValueError, match="at least 2"):
             progressive_align([s], tree)
 
@@ -89,7 +88,7 @@ class TestProgressive:
         assert len(calls) == len(tiny_seqs) - 1
 
     def test_zero_sequences(self):
-        tree = upgma(np.zeros((1, 1)), ["a"])
+        tree = UpgmaBuilder().build(np.zeros((1, 1)), ["a"])
         with pytest.raises(ValueError):
             progressive_align([], tree)
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.align.guide_tree import GuideTree, upgma
+from repro.tree import GuideTree, UpgmaBuilder
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig, align_profiles
 from repro.align.progressive import progressive_align
@@ -138,7 +138,7 @@ def _family_problem(n, length, seed):
         track_alignment=False,
     )
     seqs = list(fam.sequences)
-    tree = upgma(all_pairs(seqs, "ktuple"), [s.id for s in seqs])
+    tree = UpgmaBuilder().build(all_pairs(seqs, "ktuple"), [s.id for s in seqs])
     return progressive_align(seqs, tree), tree
 
 
@@ -193,7 +193,7 @@ class TestLoopEqualsReference:
 
     def test_nothing_accepted_returns_the_input(self):
         aln = Alignment.from_rows(["a", "b", "c"], ["MKV", "MKV", "MKV"])
-        tree = upgma(np.zeros((3, 3)), ["a", "b", "c"])
+        tree = UpgmaBuilder().build(np.zeros((3, 3)), ["a", "b", "c"])
         res = refine_alignment(aln, tree)
         assert res.alignment is aln
         assert (res.n_accepted, res.final_score) == (0, res.initial_score)
@@ -202,7 +202,7 @@ class TestLoopEqualsReference:
         aln = Alignment.from_rows(
             ["a", "b", "c", "d"], ["MK-VW", "-----", "M-KV-", "-----"]
         )
-        tree = upgma(
+        tree = UpgmaBuilder().build(
             np.array([[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
                      dtype=float),
             ["a", "b", "c", "d"],
@@ -226,13 +226,13 @@ class TestTreeLabels:
 
     def test_label_count_must_equal_row_count(self):
         aln = Alignment.from_rows(["a", "b", "c"], ["MKV", "MKL", "MKI"])
-        tree = upgma(np.zeros((2, 2)), ["a", "b"])
+        tree = UpgmaBuilder().build(np.zeros((2, 2)), ["a", "b"])
         with pytest.raises(ValueError, match="2 labels for 3 alignment rows"):
             refine_alignment(aln, tree)
 
     def test_other_labels_are_rejected(self):
         aln = Alignment.from_rows(["a", "b"], ["MKV", "MKL"])
-        tree = upgma(np.zeros((2, 2)), ["a", "z"])
+        tree = UpgmaBuilder().build(np.zeros((2, 2)), ["a", "z"])
         with pytest.raises(ValueError, match="must match alignment row ids"):
             refine_alignment(aln, tree)
 

@@ -1,15 +1,19 @@
-"""Tests for repro.kmer.distance."""
+"""Tests for the k-mer match fraction (``repro.kmer.counting``) and its
+two entries: the rank's matrix and the ``ktuple`` estimator's pairs."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.distance import KtupleDistance
 from repro.distance.transforms import fractional_identity_estimate
-from repro.kmer.counting import KmerCounter
-from repro.kmer.distance import (
-    kmer_distance_matrix,
+from repro.kmer.counting import (
+    KmerCounter,
     kmer_match_fraction_matrix,
+    match_fraction,
+    min_sum_dense,
+    min_sum_sparse,
 )
 from repro.seq.alphabet import MURPHY10, PROTEIN
 from repro.seq.sequence import Sequence
@@ -101,19 +105,36 @@ class TestMatchFraction:
 
 
 class TestDistance:
+    """The ``ktuple`` estimator's pair path against the matrix entry."""
+
     def test_complement(self):
         seqs = seqs_from(["MKVAWDEN", "MKVAWDQQ"])
-        kc = KmerCounter(k=2)
-        f = kmer_match_fraction_matrix(seqs, counter=kc)
-        d = kmer_distance_matrix(seqs, counter=kc)
+        f = kmer_match_fraction_matrix(seqs, counter=KmerCounter(k=2))
+        d = KtupleDistance(k=2).matrix(seqs)
         assert np.allclose(d, 1.0 - f)
 
     def test_related_closer_than_unrelated(self):
         related = seqs_from(["MKVAWDENQRTS", "MKVAWDENQRTA"])
         stranger = Sequence("z", "HHHHCCCCPPPP")
-        kc = KmerCounter(k=2)
-        d = kmer_distance_matrix(related + [stranger], counter=kc)
+        d = KtupleDistance(k=2).matrix(related + [stranger])
         assert d[0, 1] < d[0, 2]
+
+    @pytest.mark.parametrize(
+        "k, alphabet", [(4, MURPHY10), (8, MURPHY10), (3, PROTEIN)]
+    )
+    def test_pairs_equal_the_matrix_bit_for_bit(self, k, alphabet):
+        """Dense (k = 4, 3) and sparse (k = 8) tables: the estimator's
+        tile path and the rank's rectangle give the same bits."""
+        rng = np.random.default_rng(k)
+        seqs = seqs_from(
+            "".join(rng.choice(list("ACDEFGHIKLMNPQRSTVWY"), n))
+            for n in rng.integers(2, 40, 9)
+        )
+        est = KtupleDistance(k=k, alphabet=alphabet)
+        frac = kmer_match_fraction_matrix(seqs, counter=est.counter())
+        ii, jj = np.triu_indices(len(seqs), k=1)
+        got = est.match_fractions(seqs, ii, jj)
+        assert got.tobytes() == frac[ii, jj].tobytes()
 
 
 class TestFractionalIdentity:
@@ -128,7 +149,7 @@ class TestFractionalIdentity:
 
 
 class TestMinSumDense:
-    """``_min_sum_dense`` against the definition, cell by cell: one
+    """``min_sum_dense`` against the definition, cell by cell: one
     layered path whatever the largest count (there used to be a slower
     one past eight), rectangular or ``b is a``, empty sides included."""
 
@@ -155,8 +176,6 @@ class TestMinSumDense:
     def test_equals_the_brute_force_min_sum(
         self, seed, max_count, rows_a, rows_b, cols, same, dtype
     ):
-        from repro.kmer.distance import _min_sum_dense
-
         rng = np.random.default_rng(seed)
 
         def counts(rows):
@@ -167,22 +186,48 @@ class TestMinSumDense:
 
         a = counts(rows_a)
         b = a if same else counts(rows_b)
-        got = _min_sum_dense(a, b)
+        got = min_sum_dense(a, b)
         assert got.dtype == np.int64 and got.shape == (len(a), len(b))
         assert np.array_equal(got, self.brute(a, b))
 
     def test_totals_past_float32_take_float64_layers(self):
         """A row holding 2**24 k-mers or more: float32 could no longer
         count them one by one."""
-        from repro.kmer.distance import _min_sum_dense
-
         big = (1 << 24) + 3
         a = np.array([[2, 0, 1], [1, 1, 0]], dtype=np.int64)
         heavy = np.array([[big, 1, 0]], dtype=np.int64)
         # The layers stop at what both sides reach (2), not at ``big``.
-        assert _min_sum_dense(a, heavy).tolist() == [[2], [2]]
+        assert min_sum_dense(a, heavy).tolist() == [[2], [2]]
         # Both sides past 2**24 and an odd answer: float32 has no odd
         # integers up there.
         wide = np.full((1, 4099), 4097, dtype=np.int64)
         assert wide.sum() > 1 << 24 and wide.sum() % 2
-        assert _min_sum_dense(wide, wide.copy()).tolist() == [[4097 * 4099]]
+        assert min_sum_dense(wide, wide.copy()).tolist() == [[4097 * 4099]]
+
+
+class TestMinSumSparse:
+    """``min_sum_sparse`` over decorated arrays equals the dense
+    min-sum of the same sequences, pair by pair."""
+
+    def test_equals_the_dense_min_sum(self):
+        rng = np.random.default_rng(5)
+        seqs = seqs_from(
+            "".join(rng.choice(list("ACDEFG"), n))
+            for n in rng.integers(0, 30, 8)
+        )
+        kc = KmerCounter(k=2, alphabet=PROTEIN)
+        dec = [kc.decorated_kmers(s) for s in seqs]
+        ii, jj = np.divmod(np.arange(64), 8)
+        got = min_sum_sparse(dec, dec, ii, jj)
+        want = min_sum_dense(kc.count_matrix(seqs), kc.count_matrix(seqs))
+        assert got.dtype == np.int64
+        assert got.tolist() == want.ravel().tolist()
+
+
+class TestMatchFractionFormula:
+    def test_quotient_clip_and_zero_denominator(self):
+        shared = np.array([3, 0, 5, 2])
+        n_a = np.array([4, 0, 5, 9])
+        n_b = np.array([6, 7, 4, 2])
+        got = match_fraction(shared, n_a, n_b)
+        assert got.tolist() == [0.75, 0.0, 1.0, 1.0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.align.guide_tree import neighbor_joining, upgma
+from repro.tree import NeighborJoiningBuilder, UpgmaBuilder
 from repro.align.profile import Profile
 from repro.align.profile_align import ProfileAlignConfig
 from repro.metrics import qscore
@@ -102,13 +102,13 @@ class TestMuscleStages:
 class TestClustalW:
     def test_weights_positive_mean_one(self, tiny_seqs):
         d = all_pairs(list(tiny_seqs), "ktuple", k=3)
-        tree = neighbor_joining(d, tiny_seqs.ids)
+        tree = NeighborJoiningBuilder().build(d, tiny_seqs.ids)
         w = clustal_sequence_weights(tree)
         assert (w > 0).all()
         assert w.mean() == pytest.approx(1.0)
 
     def test_weights_single_leaf(self):
-        tree = upgma(np.zeros((1, 1)), ["a"])
+        tree = UpgmaBuilder().build(np.zeros((1, 1)), ["a"])
         assert clustal_sequence_weights(tree).tolist() == [1.0]
 
     def test_outlier_gets_higher_weight(self):
@@ -122,7 +122,7 @@ class TestClustalW:
                 [0.9, 0.9, 0.9, 0.0],
             ]
         )
-        tree = neighbor_joining(m, ["a", "b", "c", "out"])
+        tree = NeighborJoiningBuilder().build(m, ["a", "b", "c", "out"])
         w = clustal_sequence_weights(tree)
         assert w[3] == w.max()
 

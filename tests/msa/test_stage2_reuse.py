@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.align.guide_tree import GuideTree
+from repro.tree import GuideTree
 from repro.align.profile import Profile
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment

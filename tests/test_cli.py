@@ -601,6 +601,51 @@ class TestTraceCli:
         assert "chrome trace written to" in printed
         assert out.exists()
 
+    @pytest.mark.parametrize(
+        "engine, stage_flags",
+        [
+            ("sample-align-d", []),
+            ("sample-align-d", ["--distance", "full-dp"]),
+            ("clustalw", ["--distance", "kmer-fraction",
+                          "--tree-backend", "threads"]),
+            ("muscle", []),
+        ],
+    )
+    def test_align_and_trace_build_the_same_request(
+        self, fasta_file, engine, stage_flags
+    ):
+        """One request builder: the same engine and stage flags give the
+        same request content hash from either command; what ``trace``
+        does not carry (``--local-aligner``, ``--backend``) takes
+        ``SampleAlignDConfig``'s defaults."""
+        from repro.cli import _align_request
+
+        seqs = list(read_fasta(fasta_file))
+        parser = build_parser()
+        hashes = []
+        for head in (["align", "--seed", "5"], ["trace", "-s", "5"]):
+            args = parser.parse_args(
+                [*head, str(fasta_file), "--engine", engine, "-p", "2",
+                 *stage_flags]
+            )
+            hashes.append(_align_request(args, engine, seqs).content_hash())
+        assert hashes[0] == hashes[1]
+
+    def test_trace_hands_stage_flags_to_the_local_aligners(
+        self, tmp_path, capsys
+    ):
+        """``trace --engine sample-align-d --distance full-dp`` configures
+        the per-bucket aligners, as ``align`` does, instead of passing
+        ``distance=`` to the engine's constructor."""
+        import json
+
+        out = tmp_path / "trace.json"
+        rc = main(["trace", "--engine", "sample-align-d", "--distance",
+                   "full-dp", "-n", "8", "-l", "40", "-o", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        names = [e["name"] for e in json.loads(out.read_text())["traceEvents"]]
+        assert "dp.pairs" in names
+
     def test_trace_leaves_tracing_disabled(self, tmp_path):
         from repro.obs.tracing import tracing_enabled
 

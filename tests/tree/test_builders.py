@@ -5,10 +5,10 @@ import pytest
 import scipy.cluster.hierarchy as sch
 from scipy.spatial.distance import squareform
 
-from repro.align.guide_tree import GuideTree, neighbor_joining, upgma, wpgma
 from repro.distance.tilestore import CondensedMatrix
 from repro.tree import (
     DEFAULT_BUILDER,
+    GuideTree,
     NeighborJoiningBuilder,
     SingleLinkageBuilder,
     TreeBuilder,
@@ -113,18 +113,6 @@ class TestBuilderMath:
         # updates, so merge heights are non-decreasing.
         t = SingleLinkageBuilder().build(random_distance_matrix(12, seed))
         assert (np.diff(t.heights) >= -1e-12).all()
-
-    def test_legacy_delegates_agree_with_registry(self):
-        m = random_distance_matrix(8, 42)
-        labels = [f"s{i}" for i in range(8)]
-        for legacy, name in (
-            (upgma, "upgma"), (wpgma, "wpgma"), (neighbor_joining, "nj"),
-        ):
-            a = legacy(m, labels)
-            b = get_builder(name).build(m, labels)
-            assert a.merges.tobytes() == b.merges.tobytes()
-            assert a.heights.tobytes() == b.heights.tobytes()
-            assert a.labels == b.labels
 
     def test_bad_matrices_rejected(self):
         b = get_builder("upgma")

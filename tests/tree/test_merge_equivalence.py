@@ -76,11 +76,11 @@ class TestAllModesIdentical:
         assert threads == serial
 
     def test_larger_family_processes(self, one_shot_backend, small_family):
-        from repro.align.guide_tree import upgma
+        from repro.tree import UpgmaBuilder
 
         seqs = list(small_family.sequences)
         d = all_pairs(seqs, "ktuple")
-        tree = upgma(d, [s.id for s in seqs])
+        tree = UpgmaBuilder().build(d, [s.id for s in seqs])
         serial = progressive_align(seqs, tree).to_fasta()
         procs = progressive_align(
             seqs, tree, backend=one_shot_backend, workers=2

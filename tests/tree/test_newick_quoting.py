@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.align.guide_tree import GuideTree, upgma
+from repro.tree import GuideTree, UpgmaBuilder
 
 NASTY_LABELS = [
     "plain",
@@ -28,7 +28,7 @@ def tree_over(labels):
     m = rng.uniform(0.2, 1.5, (n, n))
     m = (m + m.T) / 2
     np.fill_diagonal(m, 0.0)
-    return upgma(m, labels)
+    return UpgmaBuilder().build(m, labels)
 
 
 class TestMetacharacterRoundTrip:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.align.guide_tree import GuideTree
+from repro.tree import GuideTree
 from repro.tree import merge_schedule
 
 

@@ -331,7 +331,7 @@ class TestCli:
         assert payload["schedule"]["n_merges"] == 4
         text = nwk.read_text()
         assert text.strip().endswith(";")
-        from repro.align.guide_tree import GuideTree
+        from repro.tree import GuideTree
 
         assert GuideTree.from_newick(text).n_leaves == 5
 
