@@ -10,10 +10,10 @@ proves two things:
   every estimator produce *byte-identical* matrices (the subsystem's
   determinism contract, asserted hard);
 - **speed** -- the ``pool`` schedule of the expensive ``full-dp``
-  estimator beats the serial ``all_pairs(seqs, "full-dp")`` path
-  wall-clock on any host with >= 2 cores (a single-core host can only
-  tie: the pool pays dispatch/pickle overhead with no extra compute to
-  spend it on, so the gate is core-conditional);
+  estimator beats the serial ``all_pairs(seqs, "full-dp", workers=1)``
+  path wall-clock on any host with >= 2 cores (a single-core host can
+  only tie: the pool pays dispatch/pickle overhead with no extra compute
+  to spend it on, so the gate is core-conditional);
 - **pair routes** -- the 1,128 pairs of N=48 at L = 80 / 250 / 400
   through ``FullDpDistance.pair_identities`` on each DP kernel,
   interleaved in this process: *tile c* (a host with a compiler: one
@@ -23,13 +23,21 @@ proves two things:
   pair, counted along its maps).  The table is what a host without a
   compiler pays; the only assert is byte-identical identities.
 
+``--grid`` instead runs the schedule grid behind the unset placement's
+crossover (:data:`repro.distance.allpairs.AUTO_THREADS_MIN_CELLS`): the
+``full-dp`` stage at N in {24, 48, 128, 200} x L in {80, 250}, each
+shape run serial (``workers=1``), auto (nothing set), ``threads`` and
+``pool`` over the usable cores, arms interleaved, median of
+``GRID_ROUNDS``; every arm's matrix must equal the serial one byte for
+byte.
+
 Output: benchmarks/reports/distance_scaling.json (machine-readable, the
-perf-tracking artifact) plus the usual text report.
+perf-tracking artifact) plus the usual text report;
+``distance_schedule_grid.{json,txt}`` with ``--grid``.
 """
 
 import contextlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -43,9 +51,17 @@ from _util import FULL, REPORT_DIR, explicit_pool, fmt_table, write_report
 from repro.align import dp
 from repro.datagen.rose import generate_family
 from repro.distance import FullDpDistance, all_pairs
+from repro.distance.allpairs import AUTO_THREADS_MIN_CELLS, dp_cells
+from repro.parcomp import usable_cores
 
-#: backend=None is the serial in-process path.
-BACKENDS = (None, "threads", "pool")
+#: Placement keywords of each grid arm.  ``serial`` pins one worker;
+#: ``auto`` sets nothing, so the stage chooses (serial or ``threads``).
+ARMS = {
+    "serial": {"workers": 1},
+    "auto": {},
+    "threads": {"backend": "threads"},
+    "pool": {"backend": "pool"},
+}
 ESTIMATORS = ("ktuple", "full-dp")
 #: Row lengths of the pair-route table (N = 48, so 1,128 pairs each):
 #: the bench workloads' 80 and 250, and a longer one.
@@ -155,20 +171,18 @@ def run_distance_scaling(workers=4, repeats=5):
 
 def _run_distance_scaling(workers, repeats):
     workloads = _workloads()
-    cores = os.cpu_count() or 1
+    cores = usable_cores()
 
     grid = []  # rows: estimator x backend x N
     identical = True
     for estimator in ESTIMATORS:
         for n, seqs in workloads.items():
             matrices = {}
-            for backend in BACKENDS:
-                label = backend or "serial"
+            for label, placement in ARMS.items():
+                if "backend" in placement:
+                    placement = {**placement, "workers": workers}
                 wall, d = _measure(
-                    lambda b=backend: all_pairs(
-                        seqs, estimator, backend=b,
-                        workers=None if b is None else workers,
-                    ),
+                    lambda kw=placement: all_pairs(seqs, estimator, **kw),
                     repeats,
                 )
                 matrices[label] = d
@@ -193,7 +207,7 @@ def _run_distance_scaling(workers, repeats):
     n_head = max(workloads)
     seqs = workloads[n_head]
     legacy_wall, legacy_d = _measure(
-        lambda: all_pairs(seqs, "full-dp"), repeats
+        lambda: all_pairs(seqs, "full-dp", workers=1), repeats
     )
     par_wall = next(
         r["wall_s"]
@@ -265,6 +279,79 @@ def _run_distance_scaling(workers, repeats):
     return payload
 
 
+#: The schedule grid's shapes (``--grid``) and timed rounds per arm.
+GRID_SIZES = (24, 48, 128, 200)
+GRID_LENGTHS = (80, 250)
+GRID_ROUNDS = 5
+
+
+def run_schedule_grid(rounds=GRID_ROUNDS):
+    """Median wall time of each ``full-dp`` schedule per (N, L) shape,
+    arms interleaved round by round after one discarded warm-up round."""
+    workers = usable_cores()
+    rows = []
+    with explicit_pool(max(workers, 2)):
+        for n in GRID_SIZES:
+            for length in GRID_LENGTHS:
+                seqs = _family(n, length)
+                walls = {label: [] for label in ARMS}
+                out = {}
+                for timed in range(rounds + 1):
+                    for label, placement in ARMS.items():
+                        if "backend" in placement:
+                            placement = {**placement, "workers": workers}
+                        t0 = time.perf_counter()
+                        out[label] = all_pairs(
+                            seqs, "full-dp", **placement
+                        ).tobytes()
+                        if timed:
+                            walls[label].append(time.perf_counter() - t0)
+                med = {k: float(np.median(v)) for k, v in walls.items()}
+                rows.append(
+                    {
+                        "n": n,
+                        "length": length,
+                        "cells": dp_cells(seqs),
+                        **{f"{k}_s": v for k, v in med.items()},
+                        "fastest": min(med, key=med.get),
+                        "identical": all(
+                            o == out["serial"] for o in out.values()
+                        ),
+                    }
+                )
+    table = fmt_table(
+        ["N", "L", "cells", *(f"{a} s" for a in ARMS), "fastest",
+         "identical"],
+        [
+            [
+                r["n"], r["length"], r["cells"],
+                *(f"{r[f'{a}_s']:.4f}" for a in ARMS),
+                r["fastest"], r["identical"],
+            ]
+            for r in rows
+        ],
+    )
+    write_report(
+        "distance_schedule_grid",
+        f"full-dp schedules: usable cores {workers}, dp kernel "
+        f"{dp.kernel().name}, median of {rounds} interleaved rounds, "
+        f"auto crossover {AUTO_THREADS_MIN_CELLS} cells\n\n{table}",
+    )
+    payload = {
+        "bench": "distance_schedule_grid",
+        "usable_cores": workers,
+        "rounds": rounds,
+        "dp_kernel": dp.kernel().name,
+        "auto_threads_min_cells": AUTO_THREADS_MIN_CELLS,
+        "grid": rows,
+    }
+    (REPORT_DIR / "distance_schedule_grid.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    return payload
+
+
 def test_distance_scaling(benchmark):
     from _util import once
 
@@ -283,6 +370,9 @@ def test_distance_scaling(benchmark):
 
 
 if __name__ == "__main__":
+    if "--grid" in sys.argv[1:]:
+        grid = run_schedule_grid()
+        sys.exit(0 if all(r["identical"] for r in grid["grid"]) else 1)
     result = run_distance_scaling()
     ok = (
         result["identical_matrices"]

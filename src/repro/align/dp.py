@@ -88,6 +88,7 @@ import numpy as np
 from repro.align import ckernel
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
+from repro.parcomp.comm import run_token_parked
 
 __all__ = [
     "AffineDPResult",
@@ -777,7 +778,7 @@ def _identity_compiled(
     xs = _tables.take("xs", (path,), np.int64)
     ys = _tables.take("ys", (path,), np.int64)
     counts = np.empty((pairs, 2), dtype=np.int64)
-    entry(
+    args = (
         pairs, _ptr(ii, pairs, np.int64), _ptr(jj, pairs, np.int64),
         _ptr(codes, codes.size, np.uint8),
         _ptr(offsets, offsets.size, np.int64),
@@ -788,6 +789,10 @@ def _identity_compiled(
         _ptr(xs, path, np.int64), _ptr(ys, path, np.int64),
         _ptr(counts, 2 * pairs, np.int64),
     )
+    # The call drops the interpreter lock and touches no Python object,
+    # so a ``threads`` rank lets the next rank run meanwhile.
+    with run_token_parked():
+        entry(*args)
     return counts
 
 

@@ -86,7 +86,9 @@ _STAGE_FLAGS = {
         metavar="NAME",
         help="execution backend for the all-pairs distance stage "
         "('threads' or 'pool'; output is byte-identical "
-        "to the serial stage). Guide-tree engines only.",
+        "to the serial stage). Unset: 'threads' over the usable cores "
+        "for a large compiled full-dp stage, else serial. Guide-tree "
+        "engines only.",
     )),
     "--distance-out": ("distance", "out", dict(
         choices=["memory", "condensed", "memmap"],
@@ -148,10 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Sample-Align-D: parallel MSA via phylogenetic sampling "
         "and domain decomposition (IPDPS 2008 reproduction)",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_align = sub.add_parser("align", help="align a FASTA file")
+    def command(name: str, **kwargs) -> argparse.ArgumentParser:
+        # No prefix matching: `--tree nj` must not parse as
+        # `--tree-backend nj`, nor `--dist` as one of the `--distance*`.
+        return sub.add_parser(name, allow_abbrev=False, **kwargs)
+
+    p_align = command("align", help="align a FASTA file")
     p_align.add_argument("input", help="FASTA file of ungapped sequences")
     p_align.add_argument("-o", "--output", help="output FASTA (default stdout)")
     p_align.add_argument(
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(to FILE, or stderr when no FILE is given)",
     )
 
-    p_gen = sub.add_parser("generate", help="generate a synthetic family")
+    p_gen = command("generate", help="generate a synthetic family")
     p_gen.add_argument("-n", "--n-sequences", type=int, default=50)
     p_gen.add_argument("-l", "--mean-length", type=int, default=300)
     p_gen.add_argument("-r", "--relatedness", type=float, default=800.0)
@@ -212,16 +220,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--reference", help="also write the true alignment to this path"
     )
 
-    p_rank = sub.add_parser("rank", help="k-mer rank statistics of a FASTA file")
+    p_rank = command("rank", help="k-mer rank statistics of a FASTA file")
     p_rank.add_argument("input")
     p_rank.add_argument("-k", type=int, default=4, help="k-mer length")
     p_rank.add_argument(
         "--samples", type=int, default=16, help="sample size for the globalized estimator"
     )
 
-    sub.add_parser("aligners", help="list registered sequential aligners")
+    command("aligners", help="list registered sequential aligners")
 
-    p_eng = sub.add_parser(
+    p_eng = command(
         "engines",
         help="list the unified engine registry, execution backends and "
         "distance estimators",
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with trade-offs) as JSON (to FILE, or stdout when no FILE)",
     )
 
-    p_dist = sub.add_parser(
+    p_dist = command(
         "distances",
         help="inspect distance estimators, or compute a FASTA file's "
         "all-pairs distance matrix",
@@ -262,11 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--backend", default=None, metavar="NAME",
         help="execution backend for the tiled all-pairs scheduler "
-        "('threads' or 'pool'; default: serial)",
+        "('threads' or 'pool'; default: 'threads' for a large compiled "
+        "full-dp stage, else serial)",
     )
     p_dist.add_argument(
         "--workers", type=int, default=None,
-        help="scheduler ranks (default: host core count)",
+        help="scheduler ranks (default: usable core count; 1 without "
+        "--backend forces the serial stage)",
     )
     p_dist.add_argument(
         "--out", default=None,
@@ -296,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(to FILE, or stdout when no FILE)",
     )
 
-    p_tree = sub.add_parser(
+    p_tree = command(
         "trees",
         help="inspect guide-tree builders, or build a FASTA file's guide "
         "tree (Newick export + merge-schedule stats)",
@@ -354,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(to FILE, or stdout when no FILE)",
     )
 
-    p_q = sub.add_parser("quality", help="score an alignment vs a reference")
+    p_q = command("quality", help="score an alignment vs a reference")
     p_q.add_argument("test", help="gapped FASTA of the test alignment")
     p_q.add_argument("reference", help="gapped FASTA of the reference")
 
-    p_m = sub.add_parser(
+    p_m = command(
         "model", help="performance-model projections for (N, L)"
     )
     p_m.add_argument("-n", "--n-sequences", type=int, default=2000)
@@ -367,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-p", "--procs", type=int, nargs="+", default=[1, 4, 8, 16]
     )
 
-    p_plan = sub.add_parser(
+    p_plan = command(
         "plan", help="recommend a worker count for a FASTA workload"
     )
     p_plan.add_argument("input", help="FASTA file of ungapped sequences")
@@ -393,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the plan as JSON (to FILE, or stdout when no FILE)",
     )
 
-    p_serve = sub.add_parser(
+    p_serve = command(
         "serve", help="start the alignment-serving HTTP gateway"
     )
     p_serve.add_argument("--host", default="127.0.0.1")
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_stage_flags(p_serve)
 
-    p_load = sub.add_parser(
+    p_load = command(
         "loadtest", help="drive an in-process gateway with synthetic traffic"
     )
     p_load.add_argument("--requests", type=int, default=500)
@@ -500,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit the full report as JSON (to FILE, or stdout when no FILE)",
     )
 
-    p_trace = sub.add_parser(
+    p_trace = command(
         "trace",
         help="trace one alignment end to end (Chrome trace + per-stage "
         "breakdown)",

@@ -15,7 +15,9 @@ unifies them:
 - :mod:`~repro.distance.allpairs` -- :func:`all_pairs`, the tiled
   scheduler that runs the condensed upper triangle serially, on the
   execution backends (``backend="threads"|"pool"``, ``workers=N``),
-  or cooperatively inside an existing SPMD program (``comm=``) --
+  or cooperatively inside an existing SPMD program (``comm=``); left
+  unset, it picks serial or ``threads``
+  (:func:`~repro.distance.allpairs.auto_workers`) --
   always producing byte-identical matrices, placed in RAM (dense or
   condensed) or on disk (``out="memmap"``).
 - :mod:`~repro.distance.tilestore` -- the external-memory layer:

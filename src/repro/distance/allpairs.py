@@ -4,14 +4,22 @@
 matrix by tiling the condensed upper triangle (the ``n*(n-1)/2`` pairs)
 into chunks and executing the chunks
 
-- **serially** (``backend=None``, the default -- no scheduler overhead),
+- **serially** (``workers=1`` -- no scheduler overhead),
 - **on an execution backend** (``backend="threads"|"pool"``,
-  ``workers=N`` -- the PR 3 registry; ``pool`` puts the per-pair
-  DPs on real cores), or
+  ``workers=N`` -- the backend registry; ``pool`` puts the per-pair
+  DPs on worker processes, ``threads`` on rank threads that run the
+  compiled ``full-dp`` tiles with their run token parked), or
 - **cooperatively inside an existing SPMD program** (``comm=...`` --
   ranks split the tiles cyclically and allgather, which is how the
   stage-parallel CLUSTALW baseline runs its distance stage through this
   same subsystem).
+
+Leaving both ``backend`` and ``workers`` unset (the default) chooses
+between the first two (:func:`auto_workers`): ``threads`` over every
+usable core when the tiles are compiled calls that drop the interpreter
+lock (``full-dp`` under the ``c`` kernel) and the stage holds at least
+:data:`AUTO_THREADS_MIN_CELLS` DP cells, serial otherwise -- and always
+serial inside an SPMD rank, whose peers already use the cores.
 
 The **output placement** is independent of the schedule (``out=``):
 
@@ -45,21 +53,30 @@ from typing import Any, List, Optional, Sequence as TSequence, Tuple, Union
 
 import numpy as np
 
-from repro.distance.estimators import DistanceEstimator, get_estimator
+from repro.distance.estimators import (
+    DistanceEstimator,
+    FullDpDistance,
+    get_estimator,
+)
 from repro.distance.tilestore import (
     CondensedMatrix,
     TileStore,
     condensed_size,
     condensed_tile_indices,
 )
+from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
+from repro.parcomp.backends import get_backend, in_spmd_rank, usable_cores
 from repro.seq.sequence import Sequence
 
 __all__ = [
+    "AUTO_THREADS_MIN_CELLS",
     "DEFAULT_TILE_PAIRS",
     "OUT_MODES",
     "all_pairs",
+    "auto_workers",
     "condensed_pair_indices",
+    "dp_cells",
 ]
 
 #: Default pairs per tile; small enough to balance, large enough to
@@ -68,6 +85,54 @@ DEFAULT_TILE_PAIRS = 4096
 
 #: Valid ``out=`` placements of the result matrix.
 OUT_MODES = ("memory", "condensed", "memmap")
+
+#: DP cells of a whole ``full-dp`` stage, sum over pairs of
+#: ``(len_i + 1) * (len_j + 1)``, from which the unset placement runs it
+#: on ``threads`` ranks; below it, serial.  On a 2-vCPU host two ranks
+#: broke even at 1.24 M cells (N = 20, L = 80: about 10 ms either way),
+#: lost by a third at 0.78 M and won from 1.76 M (N = 24, L = 80) up:
+#: under the threshold, thread start and the per-tile python of the
+#: smaller tiles cost more than the second core saves.
+AUTO_THREADS_MIN_CELLS = 1_500_000
+
+
+def auto_workers(
+    seqs: TSequence[Sequence], estimator: DistanceEstimator
+) -> int:
+    """Ranks the unset placement (``backend=None, workers=None``) runs
+    the stage on: ``1`` is the serial path, more are ``threads`` ranks.
+
+    More than one only when every condition holds: the tiles run in the
+    compiled entry that drops the interpreter lock (``full-dp`` with
+    ``kernel().identity_codes`` loaded), at least two cores are usable,
+    the caller is not itself an SPMD rank, and the stage's
+    :func:`dp_cells` -- known before any compute -- reach
+    :data:`AUTO_THREADS_MIN_CELLS`.  Then it is ``min(usable cores,
+    pairs)``.
+    """
+    from repro.align.dp import kernel
+
+    if not isinstance(estimator, FullDpDistance):
+        return 1
+    if kernel().identity_codes is None or in_spmd_rank():
+        return 1
+    cores = usable_cores()
+    if cores < 2 or dp_cells(seqs) < AUTO_THREADS_MIN_CELLS:
+        return 1
+    return min(cores, condensed_size(len(seqs)))
+
+
+def dp_cells(seqs: TSequence[Sequence]) -> int:
+    """DP cells of aligning every pair once: the sum over pairs of
+    ``(len_i + 1) * (len_j + 1)``, from the lengths alone."""
+    sides = np.array([len(s) + 1 for s in seqs], dtype=np.int64)
+    total = int(sides.sum())
+    return (total * total - int((sides * sides).sum())) // 2
+
+
+def _count_schedule(schedule: str) -> None:
+    """``distance.schedule.<schedule>``: stages run per schedule."""
+    _obs_registry().counter(f"distance.schedule.{schedule}").inc()
 
 
 def _validate_seqs(seqs: TSequence[Sequence]) -> List[Sequence]:
@@ -265,13 +330,15 @@ def all_pairs(
         :class:`~repro.distance.estimators.DistanceEstimator` instance;
         ``estimator_kwargs`` feed the registry factory.
     backend:
-        ``None`` computes serially in-process; a registered execution
-        backend name (or instance) schedules the tiles SPMD over
-        ``workers`` ranks (``"pool"`` for real cores).
+        A registered execution backend name (or instance) schedules the
+        tiles SPMD over ``workers`` ranks.  ``None`` with ``workers``
+        unset too lets :func:`auto_workers` choose serial or
+        ``threads``; ``None`` with ``workers=1`` is serial in-process.
     workers:
-        Rank count for the backend mode (default: host core count,
-        capped at the pair count).  ``workers>1`` with ``backend=None``
-        uses the default backend.
+        Rank count for the backend mode (default: usable core count,
+        capped at the pair count).  ``workers=1`` (without a backend)
+        forces the serial path; ``workers>1`` with ``backend=None`` uses
+        the default backend.
     comm:
         Cooperative mode: an existing
         :class:`~repro.parcomp.comm.VirtualComm`.  All ranks must call
@@ -301,7 +368,10 @@ def all_pairs(
     ``out="memory"``: ``(n, n)`` float64 symmetric matrix, zero
     diagonal.  Otherwise: a :class:`CondensedMatrix` over the condensed
     upper triangle.  Values are byte-identical across serial / threads /
-    pool schedules and across every ``out`` placement.
+    pool schedules and across every ``out`` placement.  The
+    ``distance.all_pairs`` span names the schedule that ran
+    (``schedule=serial|threads|pool|cooperative``, ``workers=``), and
+    the ``distance.schedule.<schedule>`` counter counts it.
     """
     seqs = _validate_seqs(seqs)
     est = get_estimator(estimator, **estimator_kwargs)
@@ -320,9 +390,11 @@ def all_pairs(
             raise ValueError(
                 "cooperative mode (comm=...) excludes backend=/workers="
             )
+        if comm.rank == 0:  # one count per stage, not per rank
+            _count_schedule("cooperative")
         with span(
             "distance.all_pairs", n=n, estimator=est_name,
-            mode="cooperative", out=out,
+            schedule="cooperative", workers=comm.size, out=out,
         ):
             bounds = _tile_bounds(n_pairs, tile_pairs, comm.size)
             if out == "memmap":
@@ -340,10 +412,15 @@ def all_pairs(
 
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    if backend is None and workers in (None, 1):
+    if backend is None and workers is None:
+        workers = auto_workers(seqs, est)
+        if workers > 1:
+            backend = "threads"
+    if backend is None and workers == 1:
+        _count_schedule("serial")
         with span(
             "distance.all_pairs", n=n, estimator=est_name,
-            mode="serial", out=out,
+            schedule="serial", workers=1, out=out,
         ):
             bounds = _tile_bounds(n_pairs, tile_pairs, 1)
             if out == "memmap":
@@ -365,11 +442,13 @@ def all_pairs(
 
     from repro.obs.propagate import run_traced
 
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    n_workers = workers if workers is not None else usable_cores()
     n_workers = max(1, min(n_workers, n_pairs))
+    backend = get_backend(backend)
+    _count_schedule(backend.name)
     with span(
         "distance.all_pairs", n=n, estimator=est_name,
-        mode="backend", out=out,
+        schedule=backend.name, workers=n_workers, out=out,
     ):
         bounds = _tile_bounds(n_pairs, tile_pairs, n_workers)
         if out == "memmap":

@@ -7,7 +7,8 @@ hashes and the serving layer's coalescing keys see the effective
 choice) and it is what an aligner's ``distance=`` field resolves to.
 
 A ``distance=`` spec is any of: ``None`` (the aligner's historical
-estimator, serial, in memory), a registry name (``"full-dp"``), a
+estimator, placed by :func:`~repro.distance.allpairs.auto_workers`, in
+memory), a registry name (``"full-dp"``), a
 :class:`DistanceConfig` or its dict form, or a ready
 :class:`~repro.distance.estimators.DistanceEstimator` instance.
 :func:`resolve_distance_stage` turns a spec into ``(estimator, config)``.
@@ -171,9 +172,12 @@ class DistanceConfig(StageConfig):
         not on an identity scale).  Needs a named ``estimator``.
     backend:
         Execution backend of the tiled all-pairs scheduler
-        (``"threads"``/``"pool"``; ``None`` = compute serially).
+        (``"threads"``/``"pool"``; ``None`` with ``workers`` unset =
+        serial or ``threads`` as
+        :func:`~repro.distance.allpairs.auto_workers` chooses).
     workers:
-        Rank count for the scheduler (``None`` = host core count).
+        Rank count for the scheduler (``None`` = usable core count;
+        ``1`` without a backend = compute serially).
     out:
         Result placement (see :data:`repro.distance.OUT_MODES`):
         ``"memory"`` (dense), ``"condensed"`` (the flat upper triangle,

@@ -108,7 +108,8 @@ class DistanceEstimator(ABC):
         """``float64`` distances of pairs ``(ii[t], jj[t])``."""
 
     def matrix(self, seqs: TSequence[Sequence]) -> np.ndarray:
-        """Full symmetric distance matrix (serial convenience)."""
+        """Full symmetric distance matrix (:func:`all_pairs` placed by
+        default)."""
         from repro.distance.allpairs import all_pairs
 
         return all_pairs(seqs, self)

@@ -14,9 +14,11 @@ enabled it:
 3. wraps each rank's work in a ``<stage>.rank`` span recorded into a
    rank-local buffer; on the ``threads`` backend, where ranks run one at
    a time, the span also carries ``compute_s`` (the rank's
-   ``thread_time`` total, as the ledger has it) and ``parked_s`` (wall
-   seconds it spent without the run token), so overlapping rank spans
-   read as running versus parked,
+   ``thread_time`` total, as the ledger has it), ``parked_s`` (wall
+   seconds it spent without the run token in a blocking call) and
+   ``overlap_s`` (wall seconds in compiled calls it ran with the token
+   parked, overlapping other ranks), so overlapping rank spans read as
+   running versus parked,
 4. ships spans *and* a metrics delta back inside :class:`_TracedReturn`
    and unwraps them at the parent: spans are stitched under the
    dispatch span, and the delta is merged into the parent's registry --
@@ -94,6 +96,7 @@ class _TracedRankFn:
                     rank_span.set(
                         compute_s=float(fabric.ledger.compute[comm.rank]),
                         parked_s=fabric.parked_s[comm.rank],
+                        overlap_s=fabric.overlap_s[comm.rank],
                     )
             delta = registry().snapshot().diff(before)
             return _TracedReturn(

@@ -11,10 +11,12 @@ communication, the coarse-grained model the paper itself uses in its
 section-3 analysis).
 
 *Where* the ranks execute is an :class:`ExecutionBackend`: ``"threads"``
-(the in-process fabric -- ranks run one at a time, so wall time is about
-the serial work and the modeled clocks are free of contention; no
-speed-up over one core, by design) or ``"pool"`` (persistent warm
-worker processes from :mod:`repro.pool` with shared-memory transport --
+(the in-process fabric -- ranks run Python one at a time, so wall time
+is about the serial work and the modeled clocks are free of contention;
+only compiled calls that drop the interpreter lock, which a rank runs
+with its run token parked, overlap on real cores) or ``"pool"``
+(persistent warm worker processes from :mod:`repro.pool` with
+shared-memory transport --
 real parallel compute on multi-core hosts; a run with more ranks than
 the pool has slots runs cold on a one-shot pool).  Both produce
 byte-identical program results and equivalent ledgers.
@@ -29,7 +31,13 @@ byte-identical program results and equivalent ledgers.
 """
 
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger, estimate_nbytes
-from repro.parcomp.comm import Fabric, SpmdAbort, Transport, VirtualComm
+from repro.parcomp.comm import (
+    Fabric,
+    SpmdAbort,
+    Transport,
+    VirtualComm,
+    run_token_parked,
+)
 from repro.parcomp.backends import (
     DEFAULT_BACKEND,
     ExecutionBackend,
@@ -37,7 +45,9 @@ from repro.parcomp.backends import (
     ThreadBackend,
     available_backends,
     get_backend,
+    in_spmd_rank,
     register_backend,
+    usable_cores,
 )
 from repro.parcomp.launcher import run_spmd
 
@@ -56,6 +66,9 @@ __all__ = [
     "available_backends",
     "estimate_nbytes",
     "get_backend",
+    "in_spmd_rank",
     "register_backend",
     "run_spmd",
+    "run_token_parked",
+    "usable_cores",
 ]

@@ -8,11 +8,14 @@ it.  Two backends ship:
 
 - ``"threads"`` (:class:`ThreadBackend`) -- the virtual cluster: one
   daemon thread per rank sharing a :class:`~repro.parcomp.comm.Fabric`,
-  whose run token lets one rank execute at a time and changes hands at
-  blocking communication calls.  Zero startup cost, wall time about the
-  serial work, and per-rank ``thread_time`` clocks free of contention
-  make it the fidelity choice for *modeled* cluster time; p ranks never
-  run faster than one host core, by design.
+  whose run token lets one rank execute Python at a time and changes
+  hands at blocking communication calls.  Zero startup cost, wall time
+  about the serial work, and per-rank ``thread_time`` clocks free of
+  contention make it the fidelity choice for *modeled* cluster time.
+  The exception is compiled code that drops the interpreter lock: a
+  rank parks the token across such a call
+  (:func:`~repro.parcomp.comm.run_token_parked`), so ranks whose work
+  is those calls -- the ``full-dp`` distance tiles -- use real cores.
 - ``"pool"`` (:class:`repro.pool.PoolBackend`) -- real cores: a
   persistent, supervised pool of worker processes (:mod:`repro.pool`)
   created once and reused across runs, with large payloads riding
@@ -20,9 +23,9 @@ it.  Two backends ship:
   with more ranks than the pool has slots runs cold, on a one-shot pool
   sized for it.
 
-Rule of thumb: ``threads`` for studying the paper's communication model,
-``pool`` for actually aligning fast -- especially the serving stack's
-repeated short jobs.
+Rule of thumb: ``threads`` for studying the paper's communication model
+and for stages made of GIL-free compiled calls, ``pool`` for actually
+aligning fast -- especially the serving stack's repeated short jobs.
 
 Backends register by name (:func:`register_backend`) so callers select
 them with a string the whole stack -- driver, engine, service, gateway,
@@ -31,6 +34,7 @@ CLI -- passes through unchanged.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -46,7 +50,13 @@ from typing import (
     Union,
 )
 
-from repro.parcomp.comm import Fabric, SpmdAbort, VirtualComm
+from repro.parcomp.comm import (
+    _THREAD_RANK,
+    Fabric,
+    SpmdAbort,
+    VirtualComm,
+    current_rank,
+)
 from repro.parcomp.cost import CostModel, TimingLedger
 
 __all__ = [
@@ -55,12 +65,34 @@ __all__ = [
     "ThreadBackend",
     "available_backends",
     "get_backend",
+    "in_spmd_rank",
     "register_backend",
+    "usable_cores",
     "DEFAULT_BACKEND",
+    "POOL_WORKER_ENV",
 ]
 
 #: The backend used when a caller does not choose one.
 DEFAULT_BACKEND = "threads"
+
+#: Set in every ``pool`` worker process (by :mod:`repro.pool.workers`).
+POOL_WORKER_ENV = "REPRO_POOL_IN_WORKER"
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the
+    platform has one (a container pinned to 1 CPU of 64 gets 1), else
+    ``os.cpu_count()``."""
+    try:
+        return max(len(os.sched_getaffinity(0)), 1)
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def in_spmd_rank() -> bool:
+    """Whether the caller runs as an SPMD rank: on a ``threads`` rank
+    thread, or anywhere in a ``pool`` worker process."""
+    return current_rank() is not None or bool(os.environ.get(POOL_WORKER_ENV))
 
 
 @dataclass
@@ -128,10 +160,16 @@ class ThreadBackend(ExecutionBackend):
     inside a blocking ``recv``/collective/``barrier`` whose message or
     barrier generation is not there yet, so the wall time is about the
     serial work and every rank's ``thread_time`` clock is free of
-    interpreter-lock contention.  There is no speed-up over one core, by
-    design.  A rank that blocks *outside* the communicator
-    (``time.sleep``, file I/O in a ``TileStore`` rank) keeps the token
-    while it does; that is the price of one-at-a-time.
+    interpreter-lock contention.  Python code gets no speed-up over one
+    core, by design.  The exception is a compiled call that drops the
+    interpreter lock and is wrapped in
+    :func:`~repro.parcomp.comm.run_token_parked` (today: one ``full-dp``
+    distance tile, :func:`repro.align.dp.identity_code_pairs`): the rank
+    gives the token up for the call, so ranks whose work is such calls
+    run on as many cores as there are ranks.  A rank that blocks
+    *outside* the communicator (``time.sleep``, file I/O in a
+    ``TileStore`` rank) keeps the token while it does; that is the price
+    of one-at-a-time.
 
     Under an :class:`~repro.engine.service.AlignmentService` there is a
     second token above this one: the service thread that called
@@ -140,7 +178,7 @@ class ThreadBackend(ExecutionBackend):
     sits in ``join`` -- it does not park it, because its ranks *are*
     in-process compute.  The rank threads never touch that token; they
     hand the fabric's run token among themselves, so the process still
-    has exactly one runnable compute thread.
+    runs exactly one thread of Python at a time.
 
     Parameters
     ----------
@@ -175,6 +213,7 @@ class ThreadBackend(ExecutionBackend):
         errors: List[tuple] = []
 
         def runner(rank: int) -> None:
+            _THREAD_RANK.slot = (fabric, rank)
             fabric.acquire(rank)
             comm = VirtualComm(fabric, rank)
             try:

@@ -10,8 +10,9 @@ would produce, message by message.
 
 Logical clocks: each rank's clock advances by its measured thread CPU
 time between communication calls (``time.thread_time``; on the in-process
-fabric ranks run one at a time, so it is free of interpreter-lock
-contention), by ``alpha + beta*nbytes`` per sent message, and
+fabric ranks run Python one at a time, so it is free of interpreter-lock
+contention, and a compiled call that overlaps another rank is the rank's
+own CPU time), by ``alpha + beta*nbytes`` per sent message, and
 synchronises with the sender's clock on receive.  The final clocks give
 the modeled cluster time of the run.
 
@@ -19,9 +20,10 @@ the modeled cluster time of the run.
 API and clock bookkeeping, shared by every execution backend) and how
 bytes actually move.  :class:`Fabric` is the in-process implementation
 (one shared mailbox, rank threads that hand one run token to each other
-at blocking calls); the ``pool`` backend in :mod:`repro.pool.workers`
-provides a queue/shared-memory implementation with one worker process
-per rank.
+at blocking calls, and give it up across a GIL-free compiled call --
+:func:`run_token_parked`); the ``pool`` backend in
+:mod:`repro.pool.workers` provides a queue/shared-memory implementation
+with one worker process per rank.
 """
 
 from __future__ import annotations
@@ -30,12 +32,20 @@ import abc
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.tracing import tracing_enabled
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger, estimate_nbytes
 
-__all__ = ["Fabric", "Transport", "VirtualComm", "SpmdAbort"]
+__all__ = [
+    "Fabric",
+    "SpmdAbort",
+    "Transport",
+    "VirtualComm",
+    "current_rank",
+    "run_token_parked",
+]
 
 
 class SpmdAbort(RuntimeError):
@@ -95,6 +105,12 @@ class Fabric(Transport):
     proceed while the token is held, so only giving it up (and
     :meth:`fail`) notifies: :meth:`post` wakes no one.  A rank that blocks
     outside these calls keeps the token while it does.
+
+    The one other hand-over is :meth:`parked`: a rank about to run
+    compiled code that drops the interpreter lock gives the token up for
+    that call, so a second rank runs Python (or its own compiled call)
+    on another core meanwhile, and takes it back before it runs Python
+    again.
     """
 
     def __init__(self, n_ranks: int, cost_model: CostModel | None = None) -> None:
@@ -115,6 +131,11 @@ class Fabric(Transport):
         self.parked_s: Optional[List[float]] = (
             [0.0] * n_ranks if tracing_enabled() else None
         )
+        #: Per-rank wall seconds inside :meth:`parked` bodies (compiled
+        #: calls that overlap other ranks); kept only while tracing is on.
+        self.overlap_s: Optional[List[float]] = (
+            [0.0] * n_ranks if tracing_enabled() else None
+        )
         # Barrier bookkeeping (generation counting).
         self._barrier_count = 0
         self._barrier_gen = 0
@@ -124,7 +145,8 @@ class Fabric(Transport):
     # -- the run token ----------------------------------------------------------
 
     def acquire(self, rank: int) -> None:
-        """Block until ``rank`` holds the token (before its program starts).
+        """Block until ``rank`` holds the token (before its program
+        starts, and after the body of :meth:`parked`).
 
         Not an abort point: like any rank that is not inside a blocking
         call, one that starts after a failure meets it at its first
@@ -136,7 +158,8 @@ class Fabric(Transport):
             self._holder = rank
 
     def release(self, rank: int) -> None:
-        """Give the token up for good (after the rank's program ended).
+        """Give the token up (after the rank's program ended, or for the
+        body of :meth:`parked`).
 
         A no-op for a rank that left :meth:`collect` or :meth:`barrier`
         with :class:`SpmdAbort`: it gave the token up when it parked.
@@ -145,6 +168,31 @@ class Fabric(Transport):
             if self._holder == rank:
                 self._holder = None
                 self._cond.notify_all()
+
+    @contextmanager
+    def parked(self, rank: int) -> Iterator[None]:
+        """Give the token up for the body and take it back afterwards.
+
+        For a rank about to run compiled code that releases the
+        interpreter lock: other ranks run while it does, and it runs
+        Python again only once it holds the token.  A no-op when
+        ``rank`` does not hold the token.  Unlike :meth:`acquire`, taking
+        it back is an abort point: after a body that returned normally,
+        a run that failed meanwhile raises :class:`SpmdAbort` (with the
+        token held; the launcher releases it as the rank ends).
+        """
+        if self._holder != rank:  # only this rank's thread sets it to rank
+            yield
+            return
+        self.release(rank)
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            if self.overlap_s is not None:
+                self.overlap_s[rank] += time.perf_counter() - t0
+            self.acquire(rank)
+        self.check_failed()
 
     def _park(self, ready: Callable[[], Any]) -> None:
         """Hand the token over until ``ready()`` holds, then take it back.
@@ -214,6 +262,35 @@ class Fabric(Transport):
             else:
                 self._park(lambda: self._barrier_gen != gen)
             return self._barrier_results[gen]
+
+
+#: The ``(fabric, rank)`` of the ``threads`` rank running on this thread
+#: (set by :class:`~repro.parcomp.backends.ThreadBackend` for the life of
+#: the rank's program).
+_THREAD_RANK = threading.local()
+
+
+def current_rank() -> Optional[Tuple[Fabric, int]]:
+    """``(fabric, rank)`` when the calling thread is a ``threads`` rank,
+    else ``None``."""
+    return getattr(_THREAD_RANK, "slot", None)
+
+
+@contextmanager
+def run_token_parked() -> Iterator[None]:
+    """:meth:`Fabric.parked` for the calling thread's rank, if it is one.
+
+    Wrap a compiled call that releases the interpreter lock and touches
+    no Python object.  Anywhere else -- the main thread, a service
+    thread, a ``pool`` worker -- it does nothing.
+    """
+    slot = current_rank()
+    if slot is None:
+        yield
+        return
+    fabric, rank = slot
+    with fabric.parked(rank):
+        yield
 
 
 class VirtualComm:

@@ -14,8 +14,9 @@ This is the request-level sibling of the per-run token of
 one ``threads`` run executes, this one decides which *request's* engine
 does.  A ``threads`` run inside a service request needs nothing extra --
 the service thread sits in ``join`` holding this token while the ranks
-hand the fabric's token among themselves, so the process still has one
-runnable compute thread.
+hand the fabric's token among themselves, so the process still runs one
+thread of Python at a time (a rank inside a parked compiled call runs
+on another core without the interpreter lock).
 """
 
 from __future__ import annotations

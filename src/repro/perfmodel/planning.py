@@ -10,12 +10,12 @@ delivers on this host (:func:`measure_backend_throughput`).
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, Optional, Sequence as TSequence, Tuple
 
 import numpy as np
 
+from repro.parcomp.backends import usable_cores
 from repro.parcomp.cost import CostModel
 from repro.perfmodel.model import (
     KernelCoefficients,
@@ -164,7 +164,7 @@ def measure_backend_throughput(
         raise ValueError("probe_size must be >= 2")
     step = max(len(seqs) // probe_size, 1)
     sample = seqs[::step][:probe_size]
-    host_cores = os.cpu_count() or 1
+    host_cores = usable_cores()
     if procs is None:
         procs = [1, 2, 4]
     procs = sorted({int(p) for p in procs if 1 <= int(p) <= len(sample)})

@@ -36,7 +36,11 @@ import threading
 from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.tracing import span, tracing_enabled
-from repro.parcomp.backends import ExecutionBackend, SpmdResult
+from repro.parcomp.backends import (
+    POOL_WORKER_ENV,
+    ExecutionBackend,
+    SpmdResult,
+)
 from repro.parcomp.cost import CostModel
 from repro.parcomp.token import COMPUTE_TOKEN
 from repro.pool.workers import WorkerCrashError, WorkerPool
@@ -156,12 +160,12 @@ _default_lock = threading.Lock()
 def get_default_pool() -> WorkerPool:
     """The process-wide pool, created on first use.
 
-    Sized by ``REPRO_POOL_WORKERS`` (default: host cores, min 2) and
+    Sized by ``REPRO_POOL_WORKERS`` (default: usable cores, min 2) and
     closed automatically at interpreter exit.  Refuses to run inside a
     pool worker: a rank program that asked for ``backend="pool"`` again
     would fork a pool per worker, recursively.
     """
-    if os.environ.get("REPRO_POOL_IN_WORKER"):
+    if os.environ.get(POOL_WORKER_ENV):
         raise RuntimeError(
             "backend='pool' is not available inside a pool worker; "
             "nested runs should use backend='threads'"

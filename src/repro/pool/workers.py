@@ -50,7 +50,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.parcomp.backends import SpmdResult
+from repro.parcomp.backends import (
+    POOL_WORKER_ENV,
+    SpmdResult,
+    usable_cores,
+)
 from repro.parcomp.comm import SpmdAbort, Transport, VirtualComm
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
 from repro.pool.shm import (
@@ -336,7 +340,7 @@ def _worker_main(
     """Slot process entry point (module-level: picklable for spawn)."""
     # A rank program must not open *another* pool inside a worker --
     # get_default_pool() refuses when this marker is set.
-    os.environ["REPRO_POOL_IN_WORKER"] = "1"
+    os.environ[POOL_WORKER_ENV] = "1"
     registry = SegmentRegistry(f"{pool_name}-w{slot}")
 
     stop_beat = threading.Event()
@@ -1010,8 +1014,8 @@ class WorkerPool:
 
 def default_worker_count() -> int:
     """Pool size when the caller does not choose: env override, else
-    every host core (min 2, so the pool parallelises even tiny hosts)."""
+    every usable core (min 2, so the pool parallelises even tiny hosts)."""
     env = int(os.environ.get("REPRO_POOL_WORKERS", 0) or 0)
     if env > 0:
         return env
-    return max(os.cpu_count() or 1, 2)
+    return max(usable_cores(), 2)

@@ -42,7 +42,7 @@ class TreeConfig(StageConfig):
         Execution backend of the DAG-scheduled progressive merge
         (``"threads"``/``"pool"``; ``None`` = merge serially).
     workers:
-        Rank count for the merge scheduler (``None`` = host core count,
+        Rank count for the merge scheduler (``None`` = usable core count,
         capped at the schedule's peak width).
     anchors:
         For ``builder="anchor"``: the number of sampled anchor leaves

@@ -38,12 +38,12 @@ a table.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence as TSequence
 
 from repro.align.profile import Profile
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
+from repro.parcomp.backends import usable_cores
 from repro.seq.alignment import Alignment
 from repro.tree.guide_tree import GuideTree
 from repro.tree.schedule import merge_schedule
@@ -299,7 +299,7 @@ def progressive_merge(
         backend name (or instance) runs the level schedule SPMD over
         ``workers`` ranks (``"pool"`` for real cores).
     workers:
-        Rank count for the backend mode (default: host core count,
+        Rank count for the backend mode (default: usable core count,
         capped at the schedule's peak width -- extra ranks could never
         have work).  ``workers>1`` with ``backend=None`` uses the
         default backend.
@@ -348,7 +348,7 @@ def progressive_merge(
     from repro.obs.propagate import run_traced
 
     schedule = merge_schedule(tree)
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    n_workers = workers if workers is not None else usable_cores()
     n_workers = max(1, min(n_workers, schedule.max_width))
     with span(
         "tree.merge",

@@ -70,7 +70,7 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("name", ["ktuple", "kmer-fraction", "full-dp"])
     def test_serial_threads_processes_identical(self, pool, family, name):
-        serial = all_pairs(family, name)
+        serial = all_pairs(family, name, workers=1)
         threads = all_pairs(family, name, backend="threads", workers=3)
         procs = all_pairs(family, name, backend="pool", workers=2)
         assert serial.tobytes() == threads.tobytes()

@@ -42,7 +42,7 @@ def per_pair_base(family):
 @pytest.mark.parametrize("name", ["full-dp"])
 class TestBatchedMatchesPerPair:
     def test_serial(self, family, per_pair_base, name):
-        assert all_pairs(family, name).tobytes() == per_pair_base
+        assert all_pairs(family, name, workers=1).tobytes() == per_pair_base
 
     def test_threads(self, family, per_pair_base, name):
         got = all_pairs(family, name, backend="threads", workers=3)
@@ -68,7 +68,7 @@ class TestBatchedMatchesPerPair:
         self, family, per_pair_base, name
     ):
         for size in (1, 2, 7, 64, 4096):
-            got = all_pairs(family, name, tile_pairs=size)
+            got = all_pairs(family, name, workers=1, tile_pairs=size)
             assert got.tobytes() == per_pair_base
 
 
@@ -79,7 +79,9 @@ class TestEachKernelsRoute:
     per-pair base's, byte for byte, under both."""
 
     def test_serial(self, dp_kernel, traced, family, per_pair_base):
-        got, records = traced(lambda: all_pairs(family, "full-dp"))
+        got, records = traced(
+            lambda: all_pairs(family, "full-dp", workers=1)
+        )
         assert got.tobytes() == per_pair_base
         spans = [r for r in records if r.name.startswith("dp.")]
         assert [r.name for r in spans] == ["dp.pairs"]

@@ -29,7 +29,7 @@ class TestBaselineSeam:
     def test_distance_backend_identical_alignment(self, make, tiny_seqs):
         """threads/pool distance stages reproduce the serial result
         byte-for-byte (the acceptance criterion)."""
-        serial = make().align(tiny_seqs)
+        serial = make(distance={"workers": 1}).align(tiny_seqs)
         threads = make(
             distance={"backend": "threads", "workers": 2}
         ).align(tiny_seqs)
@@ -37,7 +37,7 @@ class TestBaselineSeam:
         assert serial.to_fasta() == threads.to_fasta()
 
     def test_processes_distance_backend_identical(self, pool, tiny_seqs):
-        serial = ClustalWLike().align(tiny_seqs)
+        serial = ClustalWLike(distance={"workers": 1}).align(tiny_seqs)
         procs = ClustalWLike(
             distance={"backend": "pool", "workers": 2}
         ).align(tiny_seqs)

@@ -37,14 +37,16 @@ def canonical(records):
     """Backend-independent view of a span set, as sorted JSON lines.
 
     Drops per-rank identity (pids, tids, ids, timings -- including the
-    ``compute_s``/``parked_s`` seconds a ``threads`` rank span carries)
-    and the dispatch/pool spans' backend-specific attributes; keeps names,
+    ``compute_s``/``parked_s``/``overlap_s`` seconds a ``threads`` rank
+    span carries), the dispatch/pool spans' backend-specific attributes
+    and the ``schedule`` the stage span names; keeps names,
     logical attributes, and each span's parent *name* -- which pins the
     tree shape without depending on id values.
     """
     by_id = {r.span_id: r for r in records}
     drop_attrs = {"backend", "rank", "attempt", "shm_msgs", "shm_bytes",
-                  "pickle_msgs", "pickle_bytes", "compute_s", "parked_s"}
+                  "pickle_msgs", "pickle_bytes", "compute_s", "parked_s",
+                  "overlap_s", "schedule"}
     lines = []
     for r in records:
         if r.name == "pool.dispatch":

@@ -31,6 +31,50 @@ class TestParser:
         args = build_parser().parse_args(["align", "x.fasta"])
         assert args.procs == 4 and args.aligner is None
 
+    @pytest.mark.parametrize("argv, flag", [
+        # Prefix matching used to read these as --tree-backend nj and
+        # --distance full-dp.
+        (["trace", "x.fa", "--tree", "nj"], "--tree"),
+        (["align", "x.fa", "--dist", "full-dp"], "--dist"),
+        (["distances", "x.fa", "--est", "full-dp"], "--est"),
+    ])
+    def test_abbreviated_flags_are_usage_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
+
+    def test_every_full_flag_spelling_parses(self):
+        import argparse
+
+        parser = build_parser()
+        commands = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        checked = 0
+        for name, command in commands.items():
+            positionals = [
+                "x" for a in command._actions if not a.option_strings
+            ]
+            for action in command._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                for flag in action.option_strings:
+                    argv = [name, *positionals, flag]
+                    if action.nargs not in (0, "?"):
+                        argv.append(
+                            str(action.choices[0]) if action.choices
+                            else "1"
+                        )
+                    args = parser.parse_args(argv)
+                    assert getattr(args, action.dest) is not None, argv
+                    checked += 1
+        assert checked > 100
+
 
 class TestCommands:
     def test_aligners_lists_registry(self, capsys):
