@@ -34,6 +34,12 @@
  * loop of repro.tree.builders (UPGMA / WPGMA / single linkage), held to
  * the same rule -- the numpy loop's bytes, checked on the running host
  * before use.
+ *
+ * A fifth entry, apply_path, is what a progressive merge does with the
+ * path gotoh_align returns: it writes the merged clade -- the two code
+ * matrices laid out along the path and the two sides' column counts
+ * summed -- in one pass, integers only, after checking that the path is
+ * a merge of the two sides.
  */
 #include <float.h>
 #include <math.h>
@@ -285,6 +291,72 @@ void gotoh_identity_codes(ptrdiff_t n_pairs, const int64_t *ii,
         counts[2 * p] = matched;
         counts[2 * p + 1] = identical;
     }
+}
+
+/* One progressive merge along a path of len columns, in path order:
+ * column c takes x column xmap[c] (a gap when negative) and y column
+ * ymap[c].  x is nx rows of mx codes with (mx, width) column counts, y
+ * likewise; the last count column counts gaps and width - 1 is the gap
+ * code.  Writes the (nx + ny, len) code matrix, x's rows first, and the
+ * (len, width) counts: per column the two sides' counts summed, a gap
+ * side adding its whole row count to the gap column.  Returns 0, or -1
+ * with nothing written when the path is not a merge: each side's
+ * non-gap entries must be 0, 1, ... in order and use up its columns,
+ * and no column may be a gap on both sides. */
+ptrdiff_t apply_path(ptrdiff_t len, const int64_t *xmap, const int64_t *ymap,
+                     ptrdiff_t nx, ptrdiff_t mx, const uint8_t *xcodes,
+                     const int64_t *xcounts, ptrdiff_t ny, ptrdiff_t my,
+                     const uint8_t *ycodes, const int64_t *ycounts,
+                     ptrdiff_t width, uint8_t *codes, int64_t *counts)
+{
+    const uint8_t gap = (uint8_t)(width - 1);
+    ptrdiff_t c, k, r, ix = 0, iy = 0;
+
+    for (c = 0; c < len; c++) {
+        const int64_t x = xmap[c], y = ymap[c];
+        if (x < 0 && y < 0)
+            return -1;
+        if (x >= 0 && x != ix++)
+            return -1;
+        if (y >= 0 && y != iy++)
+            return -1;
+    }
+    if (ix != mx || iy != my)
+        return -1;
+
+    for (c = 0; c < len; c++) {
+        int64_t *out = counts + c * width;
+        const int64_t x = xmap[c], y = ymap[c];
+        if (x >= 0) {
+            const int64_t *in = xcounts + x * width;
+            for (k = 0; k < width; k++)
+                out[k] = in[k];
+        } else {
+            for (k = 0; k < width - 1; k++)
+                out[k] = 0;
+            out[width - 1] = nx;
+        }
+        if (y >= 0) {
+            const int64_t *in = ycounts + y * width;
+            for (k = 0; k < width; k++)
+                out[k] += in[k];
+        } else {
+            out[width - 1] += ny;
+        }
+    }
+    for (r = 0; r < nx; r++) {
+        const uint8_t *in = xcodes + r * mx;
+        uint8_t *out = codes + r * len;
+        for (c = 0; c < len; c++)
+            out[c] = xmap[c] >= 0 ? in[xmap[c]] : gap;
+    }
+    for (r = 0; r < ny; r++) {
+        const uint8_t *in = ycodes + r * my;
+        uint8_t *out = codes + (nx + r) * len;
+        for (c = 0; c < len; c++)
+            out[c] = ymap[c] >= 0 ? in[ymap[c]] : gap;
+    }
+    return 0;
 }
 
 /* np.minimum on x86, as MAX is np.maximum: NaN in either operand

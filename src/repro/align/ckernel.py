@@ -1,5 +1,6 @@
 """Build-on-first-use loader for the compiled Gotoh alignment kernel
-(and the guide-tree agglomeration that shares its library).
+(and the merge-path apply and guide-tree agglomeration that share its
+library).
 
 ``_gotoh_rows.c`` (beside this file) is compiled with the host C
 compiler into a per-user cache directory and loaded through
@@ -108,9 +109,9 @@ def _build(cc: str, source: bytes, target: Path) -> Optional[str]:
 
 def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
     """``((gotoh_align, gotoh_align_codes, gotoh_identity_codes,
-    agglomerate), None)``, or ``(None, reason)`` with ``reason`` one of
-    ``no_compiler``, ``cache_unwritable``, ``build_failed``,
-    ``load_failed``."""
+    agglomerate, apply_path), None)``, or ``(None, reason)`` with
+    ``reason`` one of ``no_compiler``, ``cache_unwritable``,
+    ``build_failed``, ``load_failed``."""
     cc = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if cc is None:
         return None, "no_compiler"
@@ -146,9 +147,9 @@ def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
             return None, reason
     try:
         lib = ctypes.CDLL(str(target))
-        align, align_codes, identity_codes, agglomerate = (
+        align, align_codes, identity_codes, agglomerate, apply = (
             lib.gotoh_align, lib.gotoh_align_codes, lib.gotoh_identity_codes,
-            lib.agglomerate,
+            lib.agglomerate, lib.apply_path,
         )
     except (OSError, AttributeError):
         return None, "load_failed"
@@ -169,4 +170,9 @@ def load() -> Tuple[Optional[Tuple[Callable[..., int], ...]], Optional[str]]:
     # The guide-tree entry: (n, w, linkage, merges, heights, work, iwork).
     agglomerate.argtypes = [size, ptr, ctypes.c_int] + [ptr] * 4
     agglomerate.restype = None
-    return (align, align_codes, identity_codes, agglomerate), None
+    # The merge entry: (len, xmap, ymap, nx, mx, x codes, x counts, ny,
+    # my, y codes, y counts, width, codes, counts) -> 0, or -1.
+    side = [size, size, ptr, ptr]
+    apply.argtypes = [size, ptr, ptr] + side + side + [size, ptr, ptr]
+    apply.restype = size
+    return (align, align_codes, identity_codes, agglomerate, apply), None

@@ -49,8 +49,11 @@ keeps only the matched and identical residue counts along each path
 (:func:`identity_code_pairs`: the ``full-dp`` distance stage, one call
 per tile, no maps and no python per pair).  The same library carries a
 fourth entry that is not alignment -- the UPGMA / WPGMA / single-linkage
-agglomeration of :mod:`repro.tree.builders` -- resolved, probed and
-fallen back from together with these.
+agglomeration of :mod:`repro.tree.builders` -- and a fifth that applies
+a path: :func:`apply_path` lays two clades' code matrices out along a
+merge path and sums their column counts in one integer pass (every
+progressive merge, and :func:`repro.align.profile.merge_profiles`).  All
+five are resolved, probed and fallen back from together.
 
 Which path runs is decided once per process from what the host has
 (:func:`kernel`): the compiled one when a C compiler and a private
@@ -62,7 +65,9 @@ is no switch, and those three functions are also the reference every
 test compares the compiled call against.  Every entry serves both
 paths -- one alignment path per kernel, whoever the caller; under
 ``numpy`` the tile entry runs its pairs through
-:func:`align_code_pairs` and counts along the maps.  Argument
+:func:`align_code_pairs` and counts along the maps, and
+:func:`apply_path` fills the merged matrix by fancy indexing and
+recounts it (:func:`_apply_numpy`, the oracle of the compiled one).  Argument
 validation, the table pool, the single-pair entries' degenerate
 (empty-side) pairs and the score-only mode are numpy/python on both
 paths.
@@ -89,6 +94,7 @@ from repro.align import ckernel
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 from repro.parcomp.comm import run_token_parked
+from repro.seq.alignment import code_counts
 
 __all__ = [
     "AffineDPResult",
@@ -96,6 +102,7 @@ __all__ = [
     "affine_align",
     "affine_score",
     "align_code_pairs",
+    "apply_path",
     "identity_code_pairs",
     "kernel",
     "NEG",
@@ -110,6 +117,7 @@ _ALIGN_CALLS = _obs_registry().counter("dp.align_calls")
 _ALIGN_CELLS = _obs_registry().counter("dp.align_cells")
 _SCORE_CALLS = _obs_registry().counter("dp.score_calls")
 _SCORE_CELLS = _obs_registry().counter("dp.score_cells")
+_APPLY_CALLS = _obs_registry().counter("dp.apply_calls")
 # Processes (this one, and pool workers via their metric deltas) that
 # resolved to the numpy loop because the compiled kernel was unusable.
 _KERNEL_FALLBACKS = _obs_registry().counter("dp.kernel_fallbacks")
@@ -127,6 +135,10 @@ class _TablePool(threading.local):
     slots), so reusing the allocation across calls cannot change a
     single value.  The tables never outlive the call: the traceback
     reads them and returns plain index arrays.
+
+    Each buffer's address is taken once, when it is allocated: a pooled
+    buffer is C-contiguous, of its key's dtype and at least as large as
+    asked, which is what :func:`_ptr` checks of a caller's array.
     """
 
     def __init__(self) -> None:
@@ -138,11 +150,17 @@ class _TablePool(threading.local):
         size = 1
         for dim in shape:
             size *= int(dim)
-        buf = self.bufs.get(key)
-        if buf is None or buf.size < size:
+        self.address(key, size, dtype)
+        return self.bufs[key][0][:size].reshape(shape)
+
+    def address(self, key: str, size: int, dtype=np.float64) -> int:
+        """Where buffer ``key`` (grown to ``size`` items) starts, for a
+        compiled call that fills it."""
+        entry = self.bufs.get(key)
+        if entry is None or entry[0].size < size:
             buf = np.empty(size, dtype=dtype)
-            self.bufs[key] = buf
-        return buf[:size].reshape(shape)
+            entry = self.bufs[key] = (buf, buf.ctypes.data)
+        return entry[1]
 
 
 _tables = _TablePool()
@@ -192,8 +210,10 @@ class DPKernel(NamedTuple):
     path's bytes on this host); ``align`` / ``align_codes`` /
     ``identity_codes`` are the three loaded alignment entries (dense
     scores / table + residue codes / a tile of coded pairs to identity
-    counts), and ``agglomerate`` the guide-tree loop that
-    :mod:`repro.tree.builders` runs for UPGMA, WPGMA and single linkage.
+    counts), ``agglomerate`` the guide-tree loop that
+    :mod:`repro.tree.builders` runs for UPGMA, WPGMA and single linkage,
+    and ``apply`` the merge of two clades along a path
+    (:func:`apply_path`).
     """
 
     name: str
@@ -202,6 +222,7 @@ class DPKernel(NamedTuple):
     align_codes: Optional[Callable[..., int]] = None
     identity_codes: Optional[Callable[..., None]] = None
     agglomerate: Optional[Callable[..., None]] = None
+    apply: Optional[Callable[..., int]] = None
 
     def describe(self) -> dict:
         """The entries ``/metrics`` and ``repro trace`` show."""
@@ -218,7 +239,7 @@ _kernel_lock = threading.Lock()
 def kernel() -> DPKernel:
     """The kernel in use, resolved on first call and then fixed for the
     life of the process (a cached build costs one ``cc --version`` and
-    one ``dlopen``; an empty cache, one compile of 412 lines)."""
+    one ``dlopen``; an empty cache, one compile of 484 lines)."""
     global _kernel
     if _kernel is None:
         # Resolved outside the lock (threads racing here each resolve;
@@ -282,10 +303,12 @@ def _reproduces_numpy(
     align_codes: Callable[..., int],
     identity_codes: Callable[..., None],
     agglomerate: Callable[..., None],
+    apply: Callable[..., int],
 ) -> bool:
     """Do the compiled entries and the python path compute the same
     bytes here -- tables, cumulative sums, score and maps, the identity
-    counts along the maps, and guide trees' merges and heights?
+    counts along the maps, merged clades, and guide trees' merges and
+    heights?
 
     Ordinary values agree on any IEEE host by construction.  What a
     platform is free to choose is which of ``+0.0`` / ``-0.0``
@@ -294,13 +317,16 @@ def _reproduces_numpy(
     the probe is made of exactly those, plus the ties where
     ``np.argmin`` takes the first minimum
     (:func:`repro.tree.builders._agglomeration_reproduces_numpy`).
+    The merge entry is integers only; its cases are the path shapes a
+    merge meets (leading and trailing gaps on either side, one-row and
+    one-column sides) and paths it must refuse.
     """
     for S, open_x, ext_x, open_y, ext_y, tf in _probe_cases():
         m, n = S.shape
         penalties = (open_x, ext_x, open_y, ext_y, tf)
         expected = _fingerprint(*_align_numpy(S, *penalties))
         dense = _align_compiled(align, (_ptr(S, m * n),), m, n, *penalties)
-        if _fingerprint(*dense) != expected:
+        if _fingerprint(*dense, _pooled_tables(m, n)) != expected:
             return False
         # The same scores as look-ups: S is table[x][:, y].
         table = np.ascontiguousarray(S[::-1, ::-1])
@@ -308,7 +334,7 @@ def _reproduces_numpy(
         y = np.arange(n - 1, -1, -1, dtype=np.uint8)
         head = (_ptr(table, m * n), n, _ptr(x, m, np.uint8), _ptr(y, n, np.uint8))
         coded = _align_compiled(align_codes, head, m, n, *penalties)
-        if _fingerprint(*coded) != expected:
+        if _fingerprint(*coded, _pooled_tables(m, n)) != expected:
             return False
         # The tile entry over the same look-ups, its one penalty vector
         # pair being the longer side's: (x, y), an empty side on either
@@ -325,9 +351,54 @@ def _reproduces_numpy(
         )
         if counts.tolist() != [pair, [0, 0], [0, 0], pair]:
             return False
+    for case in _apply_probe_cases():
+        compiled = _applied(
+            lambda *arrays: _apply_compiled(apply, *arrays), case
+        )
+        if compiled != _applied(_apply_numpy, case):
+            return False
     from repro.tree.builders import _agglomeration_reproduces_numpy
 
     return _agglomeration_reproduces_numpy(agglomerate)
+
+
+def _apply_probe_cases():
+    """``(x_codes, x_counts, y_codes, y_counts, x_map, y_map)`` cases for
+    the merge entry: the path shapes a merge meets, then paths that are
+    not merges (scrambled, a column gapped on both sides, a column left
+    over) which both paths must refuse."""
+    x = np.array([[0, 3, 1], [2, 2, 3]], dtype=np.uint8)  # 3 is the gap
+    y = np.array([[1, 0]], dtype=np.uint8)
+    one = np.array([[2]], dtype=np.uint8)
+    x_counts, y_counts, one_counts = (
+        code_counts(x, 4), code_counts(y, 4), code_counts(one, 4)
+    )
+    for x_map, y_map in (
+        ([-1, 0, 1, -1, 2], [0, -1, -1, 1, -1]),
+        ([0, 1, 2, -1, -1], [-1, -1, -1, 0, 1]),
+        ([0, 1, 2], [0, -1, 1]),
+        ([1, 0, 2, -1, -1], [-1, -1, -1, 0, 1]),
+        ([0, 1, 2, -1, -1, -1], [-1, -1, -1, 0, 1, -1]),
+        ([0, 1, -1], [-1, 0, 1]),
+    ):
+        yield x, x_counts, y, y_counts, x_map, y_map
+    yield one, one_counts, x, x_counts, [-1, 0, -1], [0, 1, 2]
+    yield y, y_counts, one, one_counts, [0, 1], [0, -1]
+
+
+def _applied(apply: Callable, case) -> Optional[bytes]:
+    """What ``apply`` makes of a probe case, as bytes; ``None`` when it
+    refuses the path."""
+    x_codes, x_counts, y_codes, y_counts, x_map, y_map = case
+    maps = (np.array(x_map, dtype=np.int64), np.array(y_map, dtype=np.int64))
+    try:
+        codes, counts = apply(x_codes, x_counts, y_codes, y_counts, *maps)
+    except ValueError:
+        return None
+    return b"".join(
+        np.asarray(part).tobytes()
+        for part in (codes.shape, codes, counts.shape, counts)
+    )
 
 
 def _ptr(arr: np.ndarray, size: int, dtype=np.float64) -> int:
@@ -577,36 +648,47 @@ def _align_compiled(
     open_y: np.ndarray,
     ext_y: np.ndarray,
     tf: float,
-):
-    """One alignment in one compiled call; returns what
-    :func:`_align_numpy` returns.
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """One alignment in one compiled call: ``(score, x_map, y_map)``, and
+    the tables it filled in the pool (:func:`_pooled_tables`).
 
     ``entry`` is :attr:`DPKernel.align` with ``scores = (S,)`` or
     :attr:`DPKernel.align_codes` with ``scores = (table, width, x_codes,
     y_codes)``, addresses already checked by :func:`_ptr`; ``m, n >= 1``.
+    The four penalty vectors are copied into one pooled buffer, so every
+    other address the call takes is a pooled one.
     """
+    address = _tables.address
     cells = (m + 1) * (n + 1)
-    H = _tables.take("H", (m + 1, n + 1))
-    E = _tables.take("E", (m + 1, n + 1))
-    F = _tables.take("F", (m + 1, n + 1))
-    cum_x = _tables.take("cum_x", (m + 1,))
-    cum_y = _tables.take("cum_y", (n + 1,))
+    pen = _tables.take("penalties", (2 * (m + n),))
+    pen[:m] = open_x
+    pen[m:2 * m] = ext_x
+    pen[2 * m:2 * m + n] = open_y
+    pen[2 * m + n:] = ext_y
+    pen_at = address("penalties", 2 * (m + n))
     xs = _tables.take("xs", (m + n,), np.int64)
     ys = _tables.take("ys", (m + n,), np.int64)
     score = ctypes.c_double()
     length = entry(
         m, n, *scores,
-        _ptr(open_x, m), _ptr(ext_x, m), _ptr(open_y, n), _ptr(ext_y, n),
-        tf,
-        _ptr(H, cells), _ptr(E, cells), _ptr(F, cells),
-        _ptr(cum_x, m + 1), _ptr(cum_y, n + 1),
-        _ptr(xs, m + n, np.int64), _ptr(ys, m + n, np.int64),
+        pen_at, pen_at + 8 * m, pen_at + 16 * m, pen_at + 16 * m + 8 * n, tf,
+        address("H", cells), address("E", cells), address("F", cells),
+        address("cum_x", m + 1), address("cum_y", n + 1),
+        address("xs", m + n, np.int64), address("ys", m + n, np.int64),
         ctypes.byref(score),
     )
     # The kernel writes the path end first, into pooled memory.
-    x_map = xs[:length][::-1].copy()
-    y_map = ys[:length][::-1].copy()
-    return score.value, x_map, y_map, (H, E, F, cum_x, cum_y)
+    return score.value, xs[:length][::-1].copy(), ys[:length][::-1].copy()
+
+
+def _pooled_tables(m: int, n: int) -> tuple:
+    """``(H, E, F, cum_x, cum_y)`` as the last compiled ``(m, n)`` call
+    left them in this thread's pool."""
+    return (
+        _tables.take("H", (m + 1, n + 1)), _tables.take("E", (m + 1, n + 1)),
+        _tables.take("F", (m + 1, n + 1)), _tables.take("cum_x", (m + 1,)),
+        _tables.take("cum_y", (n + 1,)),
+    )
 
 
 def affine_align(
@@ -641,7 +723,7 @@ def affine_align(
     kern = kernel()
     with span("dp.align", m=m, n=n, kernel=kern.name):
         if kern.align is not None:
-            score, x_map, y_map, _ = _align_compiled(
+            score, x_map, y_map = _align_compiled(
                 kern.align, (_ptr(S, m * n),), m, n, *penalties
             )
         else:
@@ -701,7 +783,7 @@ def align_code_pairs(
                 results.append(_degenerate(m, n, *penalties))
                 continue
             if kern.align_codes is not None:
-                score, x_map, y_map, _ = _align_compiled(
+                score, x_map, y_map = _align_compiled(
                     kern.align_codes,
                     (table_ptr, width,
                      _ptr(x, m, np.uint8), _ptr(y, n, np.uint8)),
@@ -864,6 +946,121 @@ def identity_code_pairs(
             kern.identity_codes, table, codes, offsets, ii, jj,
             opens, exts, tf,
         )
+
+
+_NOT_A_MERGE = (
+    "DP path does not consume each side's columns exactly once and in "
+    "order, or has a column that is a gap on both sides"
+)
+
+
+def _apply_numpy(
+    x_codes: np.ndarray,
+    x_counts: np.ndarray,
+    y_codes: np.ndarray,
+    y_counts: np.ndarray,
+    x_map: np.ndarray,
+    y_map: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_path` on the python path: the merged matrix by fancy
+    indexing, its counts recounted from it."""
+    x_cols, y_cols = x_map >= 0, y_map >= 0
+    if not (
+        (x_cols | y_cols).all()
+        and np.array_equal(x_map[x_cols], np.arange(x_counts.shape[0]))
+        and np.array_equal(y_map[y_cols], np.arange(y_counts.shape[0]))
+    ):
+        raise ValueError(_NOT_A_MERGE)
+    width = x_counts.shape[1]
+    nx = x_codes.shape[0]
+    codes = np.full(
+        (nx + y_codes.shape[0], len(x_map)), width - 1, dtype=np.uint8
+    )
+    codes[:nx, x_cols] = x_codes
+    codes[nx:, y_cols] = y_codes
+    return codes, code_counts(codes, width)
+
+
+def _apply_compiled(
+    entry: Callable[..., int],
+    x_codes: np.ndarray,
+    x_counts: np.ndarray,
+    y_codes: np.ndarray,
+    y_counts: np.ndarray,
+    x_map: np.ndarray,
+    y_map: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`apply_path` in one compiled call (:attr:`DPKernel.apply`)."""
+    (nx, mx), (ny, my) = x_codes.shape, y_codes.shape
+    length, width = len(x_map), x_counts.shape[1]
+    codes = np.empty((nx + ny, length), dtype=np.uint8)
+    counts = np.empty((length, width), dtype=np.int64)
+    status = entry(
+        length, _ptr(x_map, length, np.int64), _ptr(y_map, length, np.int64),
+        nx, mx, _ptr(x_codes, nx * mx, np.uint8),
+        _ptr(x_counts, mx * width, np.int64),
+        ny, my, _ptr(y_codes, ny * my, np.uint8),
+        _ptr(y_counts, my * width, np.int64),
+        width, _ptr(codes, codes.size, np.uint8),
+        _ptr(counts, counts.size, np.int64),
+    )
+    if status:
+        raise ValueError(_NOT_A_MERGE)
+    return codes, counts
+
+
+def apply_path(
+    x_codes: np.ndarray,
+    x_counts: np.ndarray,
+    y_codes: np.ndarray,
+    y_counts: np.ndarray,
+    x_map,
+    y_map,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Merge two clades along a DP path: ``(codes, counts)``.
+
+    A side is its ``(rows, cols)`` uint8 code matrix and its
+    ``(cols, width)`` int64 column counts, whose last column counts gaps
+    (the gap code is ``width - 1``, as for
+    :meth:`~repro.seq.alignment.Alignment.column_counts`).  ``x_map`` /
+    ``y_map`` are a path as :func:`affine_align` returns it: per output
+    column, the side's column consumed there or ``-1`` for a gap.  The
+    result is the ``(x rows + y rows, len(path))`` matrix, x's rows
+    first, and its column counts -- the two sides' counts summed, exact
+    integers either way.
+
+    ``ValueError`` unless the path is a merge: each side's non-gap
+    entries must be ``0, 1, ...`` in order and use up its columns, and
+    no column may be a gap on both sides.  Under ``c`` this is one
+    compiled call that writes nothing for a refused path; under
+    ``numpy`` it is :func:`_apply_numpy`.  ``dp.apply_calls`` counts the
+    calls.
+    """
+    x_map = np.ascontiguousarray(x_map, dtype=np.int64)
+    y_map = np.ascontiguousarray(y_map, dtype=np.int64)
+    if x_map.ndim != 1 or x_map.shape != y_map.shape:
+        raise ValueError("x_map and y_map must have equal length")
+    x_codes = np.ascontiguousarray(x_codes, dtype=np.uint8)
+    y_codes = np.ascontiguousarray(y_codes, dtype=np.uint8)
+    x_counts = np.ascontiguousarray(x_counts, dtype=np.int64)
+    y_counts = np.ascontiguousarray(y_counts, dtype=np.int64)
+    width = x_counts.shape[1]
+    if not (
+        x_counts.shape == (x_codes.shape[1], width)
+        and y_counts.shape == (y_codes.shape[1], width)
+        and 1 <= width <= 256
+    ):
+        raise ValueError(
+            "each side needs (cols, width) counts for its (rows, cols) "
+            "codes, one width of at most 256 for both"
+        )
+    _APPLY_CALLS.inc()
+    entry = kernel().apply
+    if entry is None:
+        return _apply_numpy(x_codes, x_counts, y_codes, y_counts, x_map, y_map)
+    return _apply_compiled(
+        entry, x_codes, x_counts, y_codes, y_counts, x_map, y_map
+    )
 
 
 def _traceback(

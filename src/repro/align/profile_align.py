@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.align.dp import AffineDPResult, affine_align, affine_score, kernel
-from repro.align.profile import Profile, merge_profiles
+from repro.align.profile import Clade, Profile, merge_profiles
 from repro.obs.tracing import span
 from repro.seq.matrices import BLOSUM62, GapPenalties, SubstitutionMatrix
 
@@ -109,10 +109,14 @@ def _one_hot_codes(profile: Profile):
     result equals the matmul result.  The check is exact (``== 1.0`` and
     an exact row-sum count), so reweighted or merged profiles fall back
     to the matmul path.  The codes are read from the counts, so a
-    profile built from counts alone qualifies too.
+    profile built from counts alone qualifies too; a leaf
+    :class:`~repro.align.profile.Clade` that was not reweighted is its
+    one ungapped row of codes.
     """
     if profile.n_sequences != 1:
         return None
+    if isinstance(profile, Clade) and not profile.weighted:
+        return None if profile.counts[:, -1].any() else profile.codes[0]
     counts = profile.counts
     m = counts.shape[0]
     freq = profile.frequencies

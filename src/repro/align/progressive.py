@@ -5,6 +5,19 @@ aligning profiles pairwise at every internal node -- the architecture
 shared by CLUSTALW, MUSCLE and MAFFT, and the sequential engine
 Sample-Align-D runs inside every processor.
 
+Every node of the walk is a :class:`~repro.align.profile.Clade` -- a
+uint8 code matrix, int64 column counts and a row order -- and a merge is
+three steps: the PSP score matrix of the two children
+(:func:`~repro.align.profile_align.profile_score_matrix`), one compiled
+alignment call for the path
+(:func:`~repro.align.profile_align.profile_path`), and one compiled call
+that lays the two code matrices out along it and sums their counts
+(:func:`repro.align.dp.apply_path`).  Ids and an
+:class:`~repro.seq.alignment.Alignment` appear once, at the root.  The
+per-node object walk this replaced -- ``merge_profiles`` then
+``Profile(alignment)`` at every node -- gives the same bytes and is the
+tests' oracle.
+
 Since the tree-subsystem refactor the walk is expressed as a task DAG
 (:func:`repro.tree.merge_schedule`): sibling subtrees are independent,
 so ``progressive_align`` can execute the merges serially (the default),
@@ -15,12 +28,12 @@ on an execution backend (``backend="threads"|"pool"``,
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence as TSequence
+from typing import Any, Optional, Sequence as TSequence
 
 import numpy as np
 
-from repro.align.profile import Profile
-from repro.align.profile_align import ProfileAlignConfig, align_profiles
+from repro.align.profile import Clade
+from repro.align.profile_align import ProfileAlignConfig, profile_path
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
 from repro.tree.guide_tree import GuideTree
@@ -33,9 +46,9 @@ class _MergeNode:
 
     A small picklable callable (so it can cross the process-backend
     boundary) closing over the scoring config, the optional sequence
-    weights, and the optional ``merge_fn`` override.  Deterministic in
-    its profile inputs -- the property that makes every schedule of the
-    merge DAG byte-identical.
+    weights (one per leaf), and the optional ``merge_fn`` override.
+    Deterministic in its clade inputs -- the property that makes every
+    schedule of the merge DAG byte-identical.
     """
 
     def __init__(
@@ -43,27 +56,22 @@ class _MergeNode:
         config: ProfileAlignConfig,
         merge_fn,
         weights: Optional[np.ndarray],
-        leaf_index: Optional[Dict[str, int]],
     ) -> None:
         self.config = config
         self.merge_fn = merge_fn
         self.weights = weights
-        self.leaf_index = leaf_index
 
-    def __call__(self, step: int, pa: Profile, pb: Profile) -> Profile:
+    def __call__(self, step: int, ca: Clade, cb: Clade) -> Clade:
         if self.merge_fn is not None:
-            merged = self.merge_fn(pa, pb)
+            x_map, y_map = self.merge_fn(ca, cb)
         else:
-            merged, _res = align_profiles(pa, pb, self.config)
+            res = profile_path(ca, cb, self.config)
+            x_map, y_map = res.x_map, res.y_map
+        merged = ca.merge(cb, x_map, y_map)
         if self.weights is not None:
-            # Recompute weighted frequencies for the merged profile.
-            w = np.array(
-                [
-                    self.weights[self.leaf_index[rid]]
-                    for rid in merged.alignment.ids
-                ]
-            )
-            _apply_row_weights(merged, w)
+            merged.reweight(_row_weighted_frequencies(
+                merged.codes, self.weights[merged.rows], merged.alphabet.size
+            ))
         return merged
 
 
@@ -85,9 +93,11 @@ def progressive_align(
     sequence labelled ``tree.labels[i]``).  Optional ``sequence_weights``
     (one per leaf, CLUSTALW-style) rescale each single-sequence profile's
     frequency mass before any merge, biasing column scores toward
-    under-represented sequences.  ``merge_fn(pa, pb) -> Profile`` overrides
-    the default optimal profile-profile merge (used e.g. by the MAFFT-like
-    FFT-anchored aligner).
+    under-represented sequences.  ``merge_fn(ca, cb) -> (x_map, y_map)``
+    overrides how the path between two child clades (profiles, see
+    :class:`~repro.align.profile.Clade`) is found -- used e.g. by the
+    MAFFT-like FFT-anchored aligner; the walk applies that path as it
+    applies its own.
 
     Execution (see :func:`repro.tree.progressive_merge`): ``backend=None``
     replays the merges serially; ``backend="threads"|"pool"`` runs
@@ -97,7 +107,7 @@ def progressive_align(
 
     ``clades`` (internal; see :class:`repro.tree.merge.CladeTable`) lets
     several calls over the *same* sequences, ``config`` and ``merge_fn``
-    share merged alignments: a subtree whose branching order an earlier
+    share merged clades: a subtree whose branching order an earlier
     call already merged is not merged again.  Row weights change every
     profile's frequencies, so a weighted call takes no table.
 
@@ -121,7 +131,6 @@ def progressive_align(
         )
     if set(tree.labels) != set(by_id):
         raise ValueError("tree labels must match sequence ids exactly")
-    leaf_index: Optional[Dict[str, int]] = None
     if sequence_weights is not None:
         if clades is not None:
             raise ValueError(
@@ -134,37 +143,45 @@ def progressive_align(
             raise ValueError("weights must be positive")
         # Normalise to mean 1 so gap penalties keep their scale.
         sequence_weights = sequence_weights / sequence_weights.mean()
-        leaf_index = {label: leaf for leaf, label in enumerate(tree.labels)}
 
-    profiles = []
+    leaves = []
     for leaf, label in enumerate(tree.labels):
-        prof = Profile.from_sequence(by_id[label])
+        clade = Clade.leaf(by_id[label], leaf)
         if sequence_weights is not None:
-            prof.frequencies = prof.frequencies * sequence_weights[leaf]
-        profiles.append(prof)
+            clade.reweight(clade.frequencies * sequence_weights[leaf])
+        leaves.append(clade)
 
     from repro.tree.merge import progressive_merge
 
     root = progressive_merge(
-        profiles,
+        leaves,
         tree,
-        _MergeNode(config, merge_fn, sequence_weights, leaf_index),
+        _MergeNode(config, merge_fn, sequence_weights),
         backend=backend,
         workers=workers,
         comm=comm,
         clades=clades,
     )
-    return root.alignment.select_rows([s.id for s in seqs])
+    return root.to_alignment(tree.labels).select_rows([s.id for s in seqs])
 
 
-def _apply_row_weights(profile: Profile, weights: np.ndarray) -> None:
-    """Replace a profile's frequencies with row-weighted ones in place."""
-    aln = profile.alignment
-    A = aln.alphabet.size
-    freq = np.zeros((aln.n_columns, A))
-    gap = aln.alphabet.gap_code
-    for r in range(aln.n_rows):
-        row = aln.matrix[r]
-        mask = row != gap
-        np.add.at(freq, (np.flatnonzero(mask), row[mask]), weights[r])
-    profile.frequencies = freq / max(aln.n_rows, 1)
+def _row_weighted_frequencies(
+    codes: np.ndarray, weights: np.ndarray, n_symbols: int
+) -> np.ndarray:
+    """``(cols, n_symbols)`` residue frequencies of ``codes`` with row
+    ``r`` weighing ``weights[r]``, normalised by the row count.
+
+    One ``bincount`` over ``(column, code)`` keys in row-major order, so
+    each cell sums its rows' weights in row order, from zero -- what a
+    per-row ``np.add.at`` did, bit for bit.  Gaps (codes past the
+    residues) weigh nothing.
+    """
+    n_rows, n_cols = codes.shape
+    keys = np.arange(n_cols) * n_symbols + codes
+    residue = codes < n_symbols
+    freq = np.bincount(
+        keys[residue],
+        weights=np.broadcast_to(weights[:, None], codes.shape)[residue],
+        minlength=n_cols * n_symbols,
+    )
+    return freq.reshape(n_cols, n_symbols) / max(n_rows, 1)

@@ -22,8 +22,8 @@ from typing import List, Sequence as TSequence, Tuple
 import numpy as np
 
 from repro.align.dp import affine_align
-from repro.align.profile import Profile, merge_profiles
-from repro.align.profile_align import ProfileAlignConfig, align_profiles
+from repro.align.profile import Profile
+from repro.align.profile_align import ProfileAlignConfig, profile_path
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
 from repro.msa.base import GuideTreeStages, SequentialMsaAligner
@@ -147,17 +147,20 @@ def fft_anchor_segments(
     return chain[::-1]
 
 
-def align_profiles_anchored(
+def anchored_path(
     px: Profile, py: Profile, config: ProfileAlignConfig
-) -> Profile:
-    """Profile-profile alignment restricted to rectangles between anchors.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Profile-profile alignment restricted to rectangles between
+    anchors: the path ``(x_map, y_map)``, for
+    :func:`~repro.align.profile.merge_profiles` or a progressive walk's
+    ``merge_fn``.
 
     Falls back to the exact full DP when no anchors are found.
     """
     anchors = fft_anchor_segments(px, py, config)
     if not anchors:
-        merged, _res = align_profiles(px, py, config)
-        return merged
+        res = profile_path(px, py, config)
+        return res.x_map, res.y_map
 
     M = config.matrix.residue_part
     open_x, ext_x = config.gap_vectors(px)
@@ -199,7 +202,7 @@ def align_profiles_anchored(
 
     x_map = np.concatenate(x_parts) if x_parts else np.zeros(0, dtype=np.int64)
     y_map = np.concatenate(y_parts) if y_parts else np.zeros(0, dtype=np.int64)
-    return merge_profiles(px, py, x_map, y_map)
+    return x_map, y_map
 
 
 @dataclass
@@ -252,9 +255,7 @@ class MafftLike(GuideTreeStages, SequentialMsaAligner):
         if self.mode == "fftnsi":
             # partial over the module-level function stays picklable, so
             # a "pool" merge can ship it to its workers.
-            merge_fn = functools.partial(
-                align_profiles_anchored, config=self.scoring
-            )
+            merge_fn = functools.partial(anchored_path, config=self.scoring)
         aln = progressive_align(list(sset), tree, self.scoring,
                                 merge_fn=merge_fn,
                                 backend=merge.backend, workers=merge.workers)

@@ -96,13 +96,11 @@ class MuscleLike(GuideTreeStages, SequentialMsaAligner):
         if self.anchored:
             import functools
 
-            from repro.msa.mafft import align_profiles_anchored
+            from repro.msa.mafft import anchored_path
 
             # partial over the module-level function stays picklable, so
             # a "pool" merge can ship it to its workers.
-            merge_fn = functools.partial(
-                align_profiles_anchored, config=self.scoring
-            )
+            merge_fn = functools.partial(anchored_path, config=self.scoring)
 
         # Stage 1: draft tree from alignment-free k-mer distances (or any
         # estimator/builder from the repro.distance / repro.tree registries).

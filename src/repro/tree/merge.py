@@ -1,7 +1,10 @@
 """The DAG-scheduled progressive merge: one merge walk, any backend.
 
 ``progressive_merge(profiles, tree, merge_node)`` folds the leaf
-profiles up the guide tree by executing the
+profiles up the guide tree -- for
+:func:`~repro.align.progressive.progressive_align`, one leaf
+:class:`~repro.align.profile.Clade` each (a code matrix, integer column
+counts and a row order) -- by executing the
 :func:`~repro.tree.schedule.merge_schedule` level by level
 
 - **serially** (``backend=None``, the default -- the classic post-order
@@ -14,16 +17,21 @@ profiles up the guide tree by executing the
   profiles, which is how a rank-parallel baseline can lift its
   sequential stage-3 Amdahl cap through this same subsystem).
 
-Every mode merges node by node, one ``tree.merge_node`` span per merge.
+Every mode merges node by node, one ``tree.merge_node`` span per merge;
+the ``tree.merge`` span names the DP kernel (``kernel=c|numpy``), which
+decides how each merge's path is applied
+(:func:`repro.align.dp.apply_path`).  Ranks exchange nodes as they
+pickle: a clade travels as its codes and counts (plus reweighted
+frequencies), never as an alignment.
 
 Clade reuse: a caller that walks several trees over the *same* leaf
 profiles with the *same* ``merge_node`` (MUSCLE's stage 1 and stage 2)
 may hand every walk one :class:`CladeTable` (``clades=``).  A walk
-records each merged alignment under its ordered clade -- a leaf is its
-label, an internal node the pair (left clade, right clade) -- and,
-before it schedules anything, prunes the tree top-down from the root: a
-node whose clade is in the table is rebuilt from the stored alignment
-and nothing beneath it runs.  The serial walk and the cooperative one
+records each merged clade's code matrix under its ordered clade -- a
+leaf is its label, an internal node the pair (left clade, right clade)
+-- and, before it schedules anything, prunes the tree top-down from the
+root: a node whose clade is in the table is rebuilt from the stored
+codes and nothing beneath it runs.  The serial walk and the cooperative one
 (every rank holds every profile, so every rank's table agrees) reuse; a
 backend-scheduled walk computes every node.
 
@@ -40,11 +48,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence as TSequence
 
-from repro.align.profile import Profile
+from repro.align.dp import kernel
+from repro.align.profile import Clade, Profile
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 from repro.parcomp.backends import usable_cores
-from repro.seq.alignment import Alignment
 from repro.tree.guide_tree import GuideTree
 from repro.tree.schedule import merge_schedule
 
@@ -58,30 +66,30 @@ MergeNode = Callable[[int, Profile, Profile], Profile]
 _REUSED_NODES = _obs_registry().counter("tree.merge_reused_nodes")
 
 
-def _profile_bytes(profile: Profile) -> int:
+def _clade_bytes(clade: Clade) -> int:
     return (
-        profile.alignment.matrix.nbytes
-        + profile.counts.nbytes
-        + profile.frequencies.nbytes
-        + profile.occupancy.nbytes
+        clade.codes.nbytes
+        + clade.counts.nbytes
+        + clade.frequencies.nbytes
+        + clade.occupancy.nbytes
     )
 
 
 class CladeTable:
-    """Merged alignments of one aligner call, keyed by ordered clade.
+    """Merged clades of one aligner call, keyed by ordered clade.
 
-    Valid only across walks that start from the same leaf profiles
+    Valid only across walks that start from the same leaf clades
     (leaves are keyed by label alone) and use the same ``merge_node``;
     in a cooperative walk every rank brings its own table.  Clades are
     interned to ints as they are first seen, so a node's key is a pair
     of ints whatever its depth and a caterpillar tree costs O(N).
 
-    Only a merged profile's alignment is kept -- a few uint8 rows, where
-    the profile's count and frequency arrays cost some 340 bytes a
-    column -- and a hit rebuilds the profile from it.  That is exact for
-    every merge whose output *is* ``Profile(alignment)``; row-weighted
-    merges (CLUSTALW) replace the frequencies afterwards and must not
-    use a table.
+    Only a merged clade's code matrix (and its row order) is kept -- a
+    few uint8 rows, where the clade's count and frequency arrays cost
+    some 340 bytes a column -- and a hit recounts its rows.  That is
+    exact for every merge whose frequencies come from its counts;
+    row-weighted merges (CLUSTALW) replace them and must not use a
+    table.
 
     Retention is bounded by what a walk already holds: a walk records
     bottom-up and recording stops for good once the retained bytes
@@ -91,11 +99,11 @@ class CladeTable:
 
     def __init__(self) -> None:
         self._ids: Dict[Any, int] = {}
-        self._alignments: Dict[int, Alignment] = {}
+        self._kept: Dict[int, tuple] = {}
         self.retained_bytes = 0
 
     def __len__(self) -> int:
-        return len(self._alignments)
+        return len(self._kept)
 
     def node_keys(self, tree: GuideTree) -> List[int]:
         """The interned clade of every node of ``tree``, by node id."""
@@ -106,16 +114,17 @@ class CladeTable:
             keys.append(ids.setdefault(clade, len(ids)))
         return keys
 
-    def get(self, key: int) -> Optional[Profile]:
-        alignment = self._alignments.get(key)
-        return None if alignment is None else Profile(alignment)
+    def get(self, key: int) -> Optional[Clade]:
+        kept = self._kept.get(key)
+        return None if kept is None else Clade.from_codes(*kept)
 
-    def record(self, key: int, profile: Profile, budget: int) -> None:
-        """Keep ``profile`` unless ``budget`` bytes are already exceeded."""
+    def record(self, key: int, clade: Clade, budget: int) -> None:
+        """Keep ``clade``'s rows unless ``budget`` bytes are already
+        exceeded (its code matrix is what counts)."""
         if self.retained_bytes > budget:
             return
-        self._alignments[key] = profile.alignment
-        self.retained_bytes += profile.alignment.matrix.nbytes
+        self._kept[key] = (clade.codes, clade.rows, clade.alphabet)
+        self.retained_bytes += clade.codes.nbytes
 
 
 class _Walk:
@@ -137,7 +146,7 @@ class _Walk:
             self.steps: Any = range(n - 1)
             return
         self._keys = clades.node_keys(tree)
-        self._budget = sum(_profile_bytes(p) for p in profiles)
+        self._budget = sum(_clade_bytes(c) for c in profiles)
         self.steps = set()
         pending = [tree.root]
         while pending:
@@ -187,22 +196,6 @@ def _validate(profiles: TSequence[Profile], tree: GuideTree) -> List[Profile]:
     return profiles
 
 
-def _pack(profile: Profile) -> tuple:
-    """Wire form of a profile: alignment + (possibly reweighted)
-    frequencies.  Counts and occupancy are derived deterministically
-    from the alignment, so shipping them would double the payload for
-    nothing -- the per-level allgather is the merge DAG's entire
-    communication cost."""
-    return (profile.alignment, profile.frequencies)
-
-
-def _unpack(packed: tuple) -> Profile:
-    alignment, frequencies = packed
-    prof = Profile(alignment)
-    prof.frequencies = frequencies
-    return prof
-
-
 def _merge_steps(
     walk: _Walk, steps: List[int], merge_node: MergeNode
 ) -> Dict[int, Profile]:
@@ -243,15 +236,15 @@ def _run_levels(
                 if pos % comm.size == comm.rank
             ]
             done = _merge_steps(walk, share, merge_node)
-            gathered = comm.allgather(
-                [(step, _pack(prof)) for step, prof in done.items()]
-            )
+            # The per-level allgather is the merge DAG's entire
+            # communication cost: a clade ships its codes and counts
+            # only (see Clade.__reduce__).
+            gathered = comm.allgather(list(done.items()))
             for rank_parts in gathered:
-                for step, packed in rank_parts:
-                    # Keep the locally computed object; unpack foreign
-                    # ones (values are identical either way).
-                    if step not in done:
-                        done[step] = _unpack(packed)
+                for step, node in rank_parts:
+                    # Keep the locally computed object (values are
+                    # identical either way).
+                    done.setdefault(step, node)
         for step in level:
             walk.finish(step, done[step])
     return walk.table[walk.tree.root]
@@ -287,7 +280,9 @@ def progressive_merge(
     ----------
     profiles:
         One :class:`~repro.align.profile.Profile` per leaf, in leaf-id
-        order (at least two; clean ``ValueError`` otherwise).
+        order (at least two; clean ``ValueError`` otherwise) -- a
+        :class:`~repro.align.profile.Clade` each when ``clades`` is
+        given.
     tree:
         The merge order; ``tree.n_leaves`` must equal ``len(profiles)``.
     merge_node:
@@ -331,7 +326,10 @@ def progressive_merge(
 
     if comm is not None or (backend is None and workers in (None, 1)):
         mode = "serial" if comm is None else "cooperative"
-        with span("tree.merge", n_leaves=tree.n_leaves, mode=mode) as sp:
+        with span(
+            "tree.merge", n_leaves=tree.n_leaves, mode=mode,
+            kernel=kernel().name,
+        ) as sp:
             walk = _Walk(profiles, tree, clades)
             sp.set(merged=len(walk.steps), reused=walk.reused)
             _REUSED_NODES.inc(walk.reused)
@@ -356,6 +354,7 @@ def progressive_merge(
         mode="backend",
         merged=tree.n_leaves - 1,
         reused=0,
+        kernel=kernel().name,
     ):
         spmd = run_traced(
             backend,

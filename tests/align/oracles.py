@@ -13,15 +13,28 @@ the object-building refinement loops the array loop in
 :mod:`repro.align.refine` replaced: per attempt two sub-alignments, two
 profiles, a merged profile, a reordered candidate and a full
 ``sp_score``.
+
+:func:`reference_progressive` is the object-building progressive walk
+the clade walk of :mod:`repro.align.progressive` replaced: every node a
+:class:`Profile` of a fresh :class:`Alignment` -- the children's rows
+laid out along the path by fancy indexing (:func:`reference_merge`, the
+old ``merge_profiles``), its counts recounted from those rows -- and
+row-weighted frequencies summed one row at a time with ``np.add.at``
+(:func:`reference_row_weighted_frequencies`).
 """
 
 import numpy as np
 
 from repro.align.dp import NEG
 from repro.align.profile import Profile
-from repro.align.profile_align import ProfileAlignConfig, align_profiles
+from repro.align.profile_align import (
+    ProfileAlignConfig,
+    align_profiles,
+    profile_path,
+)
 from repro.align.refine import RefineResult
 from repro.align.scoring import sp_score
+from repro.seq.alignment import Alignment
 
 
 def _vecs(m, n, open_x, ext_x, open_y, ext_y):
@@ -217,3 +230,73 @@ def reference_bucket_level_refine(glued, bucket_ids, scoring, rounds=1,
         if not improved:
             break
     return current
+
+
+def reference_merge(px, py, x_map, y_map):
+    """Two profiles merged along a path, as ``merge_profiles`` did it
+    before :func:`repro.align.dp.apply_path`: fancy indexing into a
+    gap-filled matrix, then ``Profile(alignment)`` recounts it.  Checks
+    only that the path consumes as many columns as each side has."""
+    x_map = np.asarray(x_map, dtype=np.int64)
+    y_map = np.asarray(y_map, dtype=np.int64)
+    nx, ny = px.n_sequences, py.n_sequences
+    out = np.full((nx + ny, len(x_map)), px.alphabet.gap_code, dtype=np.uint8)
+    x_cols = np.flatnonzero(x_map >= 0)
+    y_cols = np.flatnonzero(y_map >= 0)
+    assert x_cols.size == px.n_columns and y_cols.size == py.n_columns
+    out[:nx, x_cols] = px.alignment.matrix[:, x_map[x_cols]]
+    out[nx:, y_cols] = py.alignment.matrix[:, y_map[y_cols]]
+    ids = list(px.alignment.ids) + list(py.alignment.ids)
+    return Profile(Alignment(ids, out, px.alphabet))
+
+
+def reference_row_weighted_frequencies(alignment, weights):
+    """Residue frequencies with row ``r`` weighing ``weights[r]``,
+    normalised by the row count: one ``np.add.at`` per row."""
+    A = alignment.alphabet.size
+    freq = np.zeros((alignment.n_columns, A))
+    gap = alignment.alphabet.gap_code
+    for r in range(alignment.n_rows):
+        row = alignment.matrix[r]
+        mask = row != gap
+        np.add.at(freq, (np.flatnonzero(mask), row[mask]), weights[r])
+    return freq / max(alignment.n_rows, 1)
+
+
+def reference_progressive(seqs, tree, config=None, weights=None,
+                          merge_fn=None):
+    """``progressive_align(seqs, tree, config, weights, merge_fn)`` the
+    way it was computed before clades: one :class:`Profile` and one
+    :class:`Alignment` per node, the serial post-order walk.
+
+    ``merge_fn(pa, pb) -> (x_map, y_map)`` replaces the optimal path as
+    it does for ``progressive_align``.
+    """
+    config = config or ProfileAlignConfig()
+    by_id = {s.id: s for s in seqs}
+    row_weight = None
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        weights = weights / weights.mean()
+        row_weight = dict(zip(tree.labels, weights))
+    nodes = {}
+    for leaf, label in enumerate(tree.labels):
+        profile = Profile.from_sequence(by_id[label])
+        if weights is not None:
+            profile.frequencies = profile.frequencies * weights[leaf]
+        nodes[leaf] = profile
+    for step, (a, b) in enumerate(tree.merges):
+        pa, pb = nodes.pop(int(a)), nodes.pop(int(b))
+        if merge_fn is not None:
+            x_map, y_map = merge_fn(pa, pb)
+        else:
+            res = profile_path(pa, pb, config)
+            x_map, y_map = res.x_map, res.y_map
+        merged = reference_merge(pa, pb, x_map, y_map)
+        if weights is not None:
+            merged.frequencies = reference_row_weighted_frequencies(
+                merged.alignment,
+                np.array([row_weight[rid] for rid in merged.alignment.ids]),
+            )
+        nodes[tree.n_leaves + step] = merged
+    return nodes[tree.root].alignment.select_rows([s.id for s in seqs])

@@ -45,7 +45,8 @@ def _dense(kern, args):
     return dp._fingerprint(
         *dp._align_compiled(
             kern.align, (dp._ptr(S, S.size),), *S.shape, *args[1:]
-        )
+        ),
+        dp._pooled_tables(*S.shape),
     )
 
 
@@ -55,7 +56,8 @@ def _coded(kern, table, x, y, penalties):
         dp._ptr(x, len(x), np.uint8), dp._ptr(y, len(y), np.uint8),
     )
     return dp._fingerprint(
-        *dp._align_compiled(kern.align_codes, head, len(x), len(y), *penalties)
+        *dp._align_compiled(kern.align_codes, head, len(x), len(y), *penalties),
+        dp._pooled_tables(len(x), len(y)),
     )
 
 
@@ -168,7 +170,7 @@ def test_probe_rejects_a_kernel_with_the_wrong_tie_rule(c_kernel):
     (what ``a >= b ? a : b`` does, and numpy on this host does not)."""
     entries = (
         c_kernel.align, c_kernel.align_codes, c_kernel.identity_codes,
-        c_kernel.agglomerate,
+        c_kernel.agglomerate, c_kernel.apply,
     )
     assert dp._reproduces_numpy(*entries)
 
@@ -198,7 +200,7 @@ def test_probe_rejects_a_kernel_with_another_end_cell_or_path(c_kernel):
 
     assert not dp._reproduces_numpy(
         wrong_path, c_kernel.align_codes, c_kernel.identity_codes,
-        c_kernel.agglomerate,
+        c_kernel.agglomerate, c_kernel.apply,
     )
 
 
@@ -224,7 +226,7 @@ def test_probe_rejects_an_identity_entry_that_miscounts(c_kernel, monkeypatch):
 
     entries = (
         c_kernel.align, c_kernel.align_codes, counts_gap_columns,
-        c_kernel.agglomerate,
+        c_kernel.agglomerate, c_kernel.apply,
     )
     assert not dp._reproduces_numpy(*entries)
     monkeypatch.setattr(ckernel, "load", lambda: (entries, None))

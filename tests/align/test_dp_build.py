@@ -61,7 +61,7 @@ class TestFallbacks:
         kern = _resolve_afresh(monkeypatch)
         assert (kern.name, kern.fallback) == ("numpy", reason)
         assert kern.align is kern.align_codes is kern.identity_codes is None
-        assert kern.agglomerate is None
+        assert kern.agglomerate is kern.apply is None
         assert fallbacks.value == before + 1
         assert dp.kernel() is kern and fallbacks.value == before + 1  # once
         got = _align_something()
@@ -174,7 +174,7 @@ class TestCache:
     ):
         """A cache left by a checkout whose C file exported only the row
         loop: that library sits under another digest, and is not what a
-        four-export source resolves to."""
+        five-export source resolves to."""
         old = tmp_path / "old.c"
         old.write_text("void gotoh_rows(void) {}\n")
         with monkeypatch.context() as patch:
@@ -187,7 +187,8 @@ class TestCache:
         kern = _resolve_afresh(monkeypatch)
         assert kern.name == "c"
         assert all(map(callable, (
-            kern.align, kern.align_codes, kern.identity_codes, kern.agglomerate
+            kern.align, kern.align_codes, kern.identity_codes,
+            kern.agglomerate, kern.apply,
         )))
         assert len(_libraries(empty_cache)) == 2
         assert (empty_cache / stale).stat().st_mtime_ns == built_at

@@ -6,7 +6,7 @@ import pytest
 from repro.align.consensus import consensus_sequence
 from repro.tree import UpgmaBuilder
 from repro.align.profile import Profile
-from repro.align.profile_align import ProfileAlignConfig, align_profiles
+from repro.align.profile_align import ProfileAlignConfig, profile_path
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
 from repro.align.scoring import affine_sp_score, sp_score
@@ -81,8 +81,8 @@ class TestProgressive:
 
         def merge(pa, pb):
             calls.append((pa.n_sequences, pb.n_sequences))
-            merged, _res = align_profiles(pa, pb)
-            return merged
+            res = profile_path(pa, pb, ProfileAlignConfig())
+            return res.x_map, res.y_map
 
         progressive_align(list(tiny_seqs), tree, merge_fn=merge)
         assert len(calls) == len(tiny_seqs) - 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tree import NeighborJoiningBuilder, UpgmaBuilder
-from repro.align.profile import Profile
+from repro.align.profile import Profile, merge_profiles
 from repro.align.profile_align import ProfileAlignConfig
 from repro.metrics import qscore
 from repro.distance import (
@@ -14,7 +14,7 @@ from repro.distance import (
 )
 from repro.msa import ClustalWLike, MafftLike, MuscleLike, TCoffeeLike
 from repro.msa.clustalw import clustal_sequence_weights
-from repro.msa.mafft import align_profiles_anchored, fft_anchor_segments
+from repro.msa.mafft import anchored_path, fft_anchor_segments
 from repro.msa.registry import get_aligner, register_aligner
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
@@ -171,7 +171,9 @@ class TestMafft:
         seqs = list(small_family.sequences)
         pa = Profile.from_sequence(seqs[0])
         pb = Profile.from_sequence(seqs[1])
-        merged = align_profiles_anchored(pa, pb, ProfileAlignConfig())
+        merged = merge_profiles(
+            pa, pb, *anchored_path(pa, pb, ProfileAlignConfig())
+        )
         un = merged.alignment.ungapped()
         assert un[seqs[0].id].residues == seqs[0].residues
         assert un[seqs[1].id].residues == seqs[1].residues

@@ -16,18 +16,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.tree import GuideTree
-from repro.align.profile import Profile
+from repro.align.profile import Clade
 from repro.align.progressive import progressive_align
 from repro.align.refine import refine_alignment
 from repro.datagen.rose import generate_family
 from repro.distance import alignment_identity_matrix, kimura_distance
 from repro.msa.clustalw import clustal_sequence_weights
-from repro.msa.mafft import align_profiles_anchored
+from repro.msa.mafft import anchored_path
 from repro.msa.muscle import MuscleLike
 from repro.obs.metrics import registry
 from repro.parcomp.launcher import run_spmd
 from repro.seq.sequence import Sequence
-from repro.tree.merge import CladeTable, _profile_bytes as profile_bytes
+from repro.tree.merge import CladeTable, _clade_bytes as clade_bytes
 
 
 def family(n, seed, relatedness=250, length=40):
@@ -52,9 +52,7 @@ def stages_without_table(aligner, seqs):
     ids = [s.id for s in seqs]
     merge_fn = None
     if aligner.anchored:
-        merge_fn = functools.partial(
-            align_profiles_anchored, config=aligner.scoring
-        )
+        merge_fn = functools.partial(anchored_path, config=aligner.scoring)
     builder, _ = aligner._tree_stage()
     tree1 = tree2 = builder.build(aligner._distances(seqs), ids)
     aln = progressive_align(seqs, tree1, aligner.scoring, merge_fn=merge_fn)
@@ -185,7 +183,7 @@ class TestWalks:
         merge_fn = None
         if anchored:
             merge_fn = functools.partial(
-                align_profiles_anchored, config=aligner.scoring
+                anchored_path, config=aligner.scoring
             )
 
         def program(comm):
@@ -233,14 +231,14 @@ class TestWalks:
 
 class TestRetention:
     def test_recording_stops_at_the_byte_bound(self):
-        profile = Profile.from_sequence(Sequence("a", "MKTAYIAKQR"))
+        clade = Clade.leaf(Sequence("a", "MKTAYIAKQR"), 0)
         table = CladeTable()
-        table.record(0, profile, budget=0)
+        table.record(0, clade, budget=0)
         assert len(table) == 1 and table.retained_bytes > 0
-        table.record(1, profile, budget=0)  # already over: dropped
+        table.record(1, clade, budget=0)  # already over: dropped
         assert len(table) == 1 and table.get(1) is None
         kept = table.retained_bytes
-        table.record(2, profile, budget=kept)  # at the bound, not over it
+        table.record(2, clade, budget=kept)  # at the bound, not over it
         assert len(table) == 2
 
     def test_past_the_bound_a_walk_only_misses(self):
@@ -251,7 +249,7 @@ class TestRetention:
         aligner = MuscleLike(refine=False)
         expected, tree1, tree2 = stages_without_table(aligner, seqs)
         leaf_bytes = sum(
-            profile_bytes(Profile.from_sequence(s)) for s in seqs
+            clade_bytes(Clade.leaf(s, i)) for i, s in enumerate(seqs)
         )
         clades = CladeTable()
         clades.retained_bytes = leaf_bytes + 1
@@ -269,12 +267,12 @@ class TestRetention:
         _, tree1, _ = stages_without_table(aligner, seqs)
         clades = CladeTable()
         clades.retained_bytes = sum(
-            profile_bytes(Profile.from_sequence(s)) for s in seqs
+            clade_bytes(Clade.leaf(s, i)) for i, s in enumerate(seqs)
         )
         progressive_align(seqs, tree1, clades=clades)
         assert len(clades) == 1  # the first node tips it over
 
-    def test_only_the_alignment_is_kept(self):
+    def test_only_the_code_matrix_is_kept(self):
         """A hit is rebuilt from the rows, so a kept clade costs its
         uint8 matrix, not the count and frequency arrays."""
         seqs = family(8, 6)
@@ -285,9 +283,7 @@ class TestRetention:
         assert len(clades) == 7
         # 2 + ... rows per node, never more than the root's 8 per column.
         assert clades.retained_bytes <= 7 * root.matrix.nbytes
-        assert clades.retained_bytes < profile_bytes(
-            Profile.from_sequence(seqs[0])
-        )
+        assert clades.retained_bytes < clade_bytes(Clade.leaf(seqs[0], 0))
 
     def test_keys_are_interned_pairs(self):
         """A caterpillar's deepest clade is one pair of ints, not a

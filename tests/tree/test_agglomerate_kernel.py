@@ -36,7 +36,7 @@ KINDS = ("integer", "tenths", "signed_zero")
 
 @pytest.fixture(scope="module")
 def entries():
-    """The four C entries as loaded, whatever the probe would decide --
+    """The five C entries as loaded, whatever the probe would decide --
     so a wrong C entry fails here instead of sending the process to the
     numpy path and these tests to a skip."""
     loaded, reason = ckernel.load()
@@ -273,7 +273,7 @@ def test_probe_rejects_an_entry_with_the_wrong_tie_rule(
     """The python model with one tie rule swapped (the model itself
     passes, see above) is caught, and the process keeps the numpy path
     for every entry."""
-    swapped = (*entries[:3], python_entry(**wrong))
+    swapped = (*entries[:3], python_entry(**wrong), *entries[4:])
     assert not dp._reproduces_numpy(*swapped)
     monkeypatch.setattr(ckernel, "load", lambda: (swapped, None))
     monkeypatch.setattr(dp, "_kernel", None)
@@ -282,9 +282,10 @@ def test_probe_rejects_an_entry_with_the_wrong_tie_rule(
     assert kern.agglomerate is None
 
 
-def test_load_returns_four_entries(entries):
-    assert len(entries) == 4 and all(map(callable, entries))
+def test_load_returns_five_entries(entries):
+    assert len(entries) == 5 and all(map(callable, entries))
     assert entries[3].__name__ == "agglomerate"
+    assert entries[4].__name__ == "apply_path"
 
 
 # -- observability and the dense working copy --------------------------------

@@ -5,7 +5,9 @@ for every registered tree builder."""
 import numpy as np
 import pytest
 
-from repro.align.profile_align import ProfileAlignConfig, align_profiles
+from repro.align.profile_align import (
+    ProfileAlignConfig, align_profiles, profile_path,
+)
 from repro.align.progressive import progressive_align
 from repro.distance import all_pairs
 from repro.msa.clustalw import clustal_sequence_weights
@@ -66,8 +68,8 @@ class TestAllModesIdentical:
         cfg = ProfileAlignConfig()
 
         def merge(pa, pb):
-            merged, _res = align_profiles(pa, pb, cfg)
-            return merged
+            res = profile_path(pa, pb, cfg)
+            return res.x_map, res.y_map
 
         serial = progressive_align(seqs, tree, cfg, merge_fn=merge).to_fasta()
         threads = progressive_align(

@@ -1,7 +1,8 @@
 """Every progressive merge walk is byte-identical to the per-node one.
 
-The reference is the serial walk with an opaque ``merge_fn`` that calls
-:func:`align_profiles`, computed once on the numpy row kernel.  Every
+The reference is the object-building per-node walk
+(:func:`tests.align.oracles.reference_progressive`), computed once on
+the numpy row kernel.  Every
 builder and every execution mode -- the default serial walk, the
 ``threads`` and ``pool`` backends, a cooperative SPMD walk, the
 row-weighted merges, a walk through a ``CladeTable`` -- must produce byte-for-byte the FASTA that walk
@@ -12,7 +13,7 @@ produces, under each DP kernel, and each walks node by node: one
 import pytest
 
 from repro.align import dp
-from repro.align.profile_align import ProfileAlignConfig, align_profiles
+from repro.align.profile_align import ProfileAlignConfig, profile_path
 from repro.align.progressive import progressive_align
 from repro.datagen.rose import generate_family
 from repro.distance import all_pairs
@@ -21,6 +22,7 @@ from repro.obs.metrics import registry
 from repro.parcomp.launcher import run_spmd
 from repro.tree import get_builder
 from repro.tree.merge import CladeTable
+from tests.align.oracles import reference_progressive
 
 BUILDERS = ["upgma", "wpgma", "nj", "single-linkage"]
 
@@ -46,15 +48,16 @@ def family_trees(family_seqs):
     return {name: get_builder(name).build(d, ids) for name in BUILDERS}
 
 
-def per_node_align(seqs, tree, weights=None):
-    """The reference walk: one opaque ``align_profiles`` call per node."""
+def opaque_merge_fn_align(seqs, tree):
+    """The walk with an opaque ``merge_fn`` that finds each path with
+    :func:`profile_path`."""
     cfg = ProfileAlignConfig()
 
     def merge(pa, pb):
-        merged, _res = align_profiles(pa, pb, cfg)
-        return merged
+        res = profile_path(pa, pb, cfg)
+        return res.x_map, res.y_map
 
-    return progressive_align(seqs, tree, cfg, weights, merge_fn=merge)
+    return progressive_align(seqs, tree, cfg, merge_fn=merge)
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +66,7 @@ def per_pair_reference(family_seqs, family_trees):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dp, "_kernel", dp.DPKernel("numpy", "forced"))
         return {
-            name: per_node_align(family_seqs, tree).to_fasta()
+            name: reference_progressive(family_seqs, tree).to_fasta()
             for name, tree in family_trees.items()
         }
 
@@ -106,7 +109,7 @@ class TestWalksMatchPerNode:
         tree = family_trees[name]
         w = clustal_sequence_weights(tree)
         out = progressive_align(family_seqs, tree, None, w).to_fasta()
-        assert out == per_node_align(family_seqs, tree, w).to_fasta()
+        assert out == reference_progressive(family_seqs, tree, None, w).to_fasta()
 
     def test_clade_table_walk_matches_per_node(
         self, family_seqs, family_trees, per_pair_reference
@@ -131,7 +134,9 @@ class TestNodeByNode:
     ):
         tree = family_trees["upgma"]
         if merge_fn:
-            _aln, spans = traced(lambda: per_node_align(family_seqs, tree))
+            _aln, spans = traced(
+                lambda: opaque_merge_fn_align(family_seqs, tree)
+            )
         else:
             _aln, spans = traced(lambda: progressive_align(family_seqs, tree))
         by_id = {r.span_id: r for r in spans}

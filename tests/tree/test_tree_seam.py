@@ -79,10 +79,10 @@ class TestBaselineSeam:
         assert serial.to_fasta() == procs.to_fasta()
         import functools
 
-        from repro.msa.mafft import align_profiles_anchored
+        from repro.msa.mafft import anchored_path
 
         pickle.dumps(functools.partial(
-            align_profiles_anchored,
+            anchored_path,
             config=MafftLike(mode="fftnsi").scoring,
         ))
 
