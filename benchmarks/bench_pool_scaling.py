@@ -12,9 +12,11 @@ Three measurements:
   backend; the per-call mean isolates pure dispatch cost (threads stays
   fastest here -- no process boundary at all -- which is exactly the
   point of recording it).
-- **stage grids** -- the all-pairs distance stage and the progressive
-  merge DAG, repeated per backend, each verified byte-identical to the
-  serial stage.
+- **stage grid** -- the all-pairs distance stage, repeated per
+  backend, verified byte-identical to the serial stage.
+- **bulk allgather** -- every rank contributes a block past the pool's
+  shared-memory threshold, repeated per backend, verified equal to the
+  ``threads`` result.
 - **transport split** -- shm vs pickle message/byte counts from the
   pool's own accounting, showing the batch fan-out actually rode
   segments.
@@ -34,18 +36,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from _util import FULL, REPORT_DIR, explicit_pool, fmt_table, write_report
 
-from repro.align.progressive import progressive_align
 from repro.datagen.rose import generate_family
 from repro.distance import all_pairs
 from repro.parcomp import run_spmd
 from repro.pool.shm import shm_dir_segments
-from repro.tree import get_builder
 
 BACKENDS = ("threads", "pool")
+
+#: Per-rank block of the bulk allgather: past DEFAULT_SHM_THRESHOLD, so
+#: the pool carries it on a shared-memory segment.
+BLOCK_BYTES = 256 * 1024
 
 
 def _noop_rank(comm):
     return comm.rank
+
+
+def _allgather_rank(comm):
+    block = np.full(BLOCK_BYTES // 8, comm.rank, dtype=np.float64)
+    return [float(part.sum()) for part in comm.allgather(block)]
 
 
 def _workload():
@@ -97,19 +106,22 @@ def run_pool_scaling(workers=2, repeats=None):
             d = all_pairs(seqs, "ktuple", backend=b, workers=workers)
             distance_ok[b] = bool(np.array_equal(serial_d, d))
 
-        # -- the progressive merge DAG --------------------------------------
-        tree = get_builder("upgma").build(serial_d, [s.id for s in seqs])
-        serial_m = progressive_align(seqs, tree).to_fasta()
-        merge_wall, merge_ok = {}, {}
-        for b in BACKENDS:
-            merge_wall[b] = _per_call(
-                lambda b=b: progressive_align(
-                    seqs, tree, backend=b, workers=workers
-                ),
+        # -- a bulk allgather -------------------------------------------------
+        allgather_wall = {
+            b: _per_call(
+                lambda b=b: run_spmd(workers, _allgather_rank, backend=b),
                 repeats,
             )
-            aln = progressive_align(seqs, tree, backend=b, workers=workers)
-            merge_ok[b] = aln.to_fasta() == serial_m
+            for b in BACKENDS
+        }
+        gathered = {
+            b: run_spmd(workers, _allgather_rank, backend=b).results
+            for b in BACKENDS
+        }
+        matches = {
+            b: distance_ok[b] and gathered[b] == gathered["threads"]
+            for b in BACKENDS
+        }
 
         stats = pool.stats()
         transport = stats["transport"]
@@ -120,13 +132,13 @@ def run_pool_scaling(workers=2, repeats=None):
             b,
             f"{dispatch[b] * 1e3:.2f}",
             f"{distance_wall[b] * 1e3:.1f}",
-            f"{merge_wall[b] * 1e3:.1f}",
-            distance_ok[b] and merge_ok[b],
+            f"{allgather_wall[b] * 1e3:.1f}",
+            matches[b],
         ]
         for b in BACKENDS
     ]
     table = fmt_table(
-        ["backend", "dispatch_ms", "distance_ms", "merge_ms",
+        ["backend", "dispatch_ms", "distance_ms", "allgather_ms",
          "matches_serial"],
         rows,
     )
@@ -151,10 +163,8 @@ def run_pool_scaling(workers=2, repeats=None):
         "host_cores": cores,
         "dispatch_per_call_s": dispatch,
         "distance_per_call_s": distance_wall,
-        "merge_per_call_s": merge_wall,
-        "matches_serial": {
-            b: distance_ok[b] and merge_ok[b] for b in BACKENDS
-        },
+        "allgather_per_call_s": allgather_wall,
+        "matches_serial": matches,
         "pool_runs": stats["runs"],
         "pool_respawns": stats["respawns"],
         "transport": transport,

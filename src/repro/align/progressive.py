@@ -18,12 +18,10 @@ per-node object walk this replaced -- ``merge_profiles`` then
 ``Profile(alignment)`` at every node -- gives the same bytes and is the
 tests' oracle.
 
-Since the tree-subsystem refactor the walk is expressed as a task DAG
-(:func:`repro.tree.merge_schedule`): sibling subtrees are independent,
-so ``progressive_align`` can execute the merges serially (the default),
-on an execution backend (``backend="threads"|"pool"``,
-``workers=N``), or cooperatively inside an existing SPMD program
-(``comm=``) -- with **byte-identical** alignments in every mode.
+The merges run serially where the caller runs (the default), or
+cooperatively inside an existing SPMD program (``comm=``), where ranks
+split each level of the task DAG (:func:`repro.tree.merge_schedule`)
+-- with **byte-identical** alignments in both modes.
 """
 
 from __future__ import annotations
@@ -44,11 +42,11 @@ __all__ = ["progressive_align"]
 class _MergeNode:
     """The per-node merge of one progressive run.
 
-    A small picklable callable (so it can cross the process-backend
-    boundary) closing over the scoring config, the optional sequence
-    weights (one per leaf), and the optional ``merge_fn`` override.
-    Deterministic in its clade inputs -- the property that makes every
-    schedule of the merge DAG byte-identical.
+    A small callable closing over the scoring config, the optional
+    sequence weights (one per leaf), and the optional ``merge_fn``
+    override.
+    Deterministic in its clade inputs -- the property that makes the
+    serial and cooperative walks byte-identical.
     """
 
     def __init__(
@@ -82,8 +80,6 @@ def progressive_align(
     sequence_weights: np.ndarray | None = None,
     merge_fn=None,
     *,
-    backend: Optional[Any] = None,
-    workers: Optional[int] = None,
     comm: Optional[Any] = None,
     clades: Optional[Any] = None,
 ) -> Alignment:
@@ -99,11 +95,9 @@ def progressive_align(
     MAFFT-like FFT-anchored aligner; the walk applies that path as it
     applies its own.
 
-    Execution (see :func:`repro.tree.progressive_merge`): ``backend=None``
-    replays the merges serially; ``backend="threads"|"pool"`` runs
-    the merge DAG level-parallel over ``workers`` ranks; ``comm=`` joins
-    an existing SPMD program cooperatively.  Alignments are
-    byte-identical in every mode.
+    Execution (see :func:`repro.tree.progressive_merge`): the merges
+    replay serially; ``comm=`` joins an existing SPMD program
+    cooperatively.  Alignments are byte-identical in both modes.
 
     ``clades`` (internal; see :class:`repro.tree.merge.CladeTable`) lets
     several calls over the *same* sequences, ``config`` and ``merge_fn``
@@ -157,8 +151,6 @@ def progressive_align(
         leaves,
         tree,
         _MergeNode(config, merge_fn, sequence_weights),
-        backend=backend,
-        workers=workers,
         comm=comm,
         clades=clades,
     )

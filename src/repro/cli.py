@@ -111,12 +111,6 @@ _STAGE_FLAGS = {
         "default folded (pre-hash) into guide-tree engine requests that "
         "don't choose one.",
     )),
-    "--tree-backend": ("tree", "backend", dict(
-        metavar="NAME",
-        help="execution backend for the DAG-scheduled progressive merge "
-        "('threads' or 'pool'; byte-identical to the "
-        "serial walk). Guide-tree engines only.",
-    )),
 }
 
 
@@ -155,8 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, **kwargs) -> argparse.ArgumentParser:
-        # No prefix matching: `--tree nj` must not parse as
-        # `--tree-backend nj`, nor `--dist` as one of the `--distance*`.
+        # No prefix matching: `--dist` must not parse as one of the
+        # `--distance*` flags.
         return sub.add_parser(name, allow_abbrev=False, **kwargs)
 
     p_align = command("align", help="align a FASTA file")
@@ -489,10 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="default execution backend for distributed requests "
         "('threads' or 'pool')",
     )
-    _add_stage_flags(
-        p_load, "--distance", "--distance-backend", "--tree",
-        "--tree-backend",
-    )
+    _add_stage_flags(p_load, "--distance", "--distance-backend", "--tree")
     p_load.add_argument(
         "--trace-out",
         default=None,
@@ -530,9 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "-p", "--procs", type=int, default=4, help="virtual processors"
     )
-    _add_stage_flags(
-        p_trace, "--distance", "--distance-backend", "--tree-backend"
-    )
+    _add_stage_flags(p_trace, "--distance", "--distance-backend")
     p_trace.add_argument(
         "-n", "--n-sequences", type=int, default=12,
         help="synthetic family size (no-input mode)",
@@ -767,8 +756,8 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         print(f"  {name:<14} {desc}")
     print(
         "\ntree builders (--tree; engines marked +tree route their tree "
-        "stage through repro.tree and can run the progressive merge DAG "
-        "on any backend via --tree-backend):"
+        "stage through repro.tree; the progressive merge runs serially "
+        "in the engine's own process or rank):"
     )
     for name, desc in builder_info().items():
         print(f"  {name:<14} {desc}")
@@ -899,28 +888,20 @@ def _cmd_distances(args: argparse.Namespace) -> int:
 def _cmd_trees(args: argparse.Namespace) -> int:
     import time
 
-    from repro.parcomp.backends import available_backends
     from repro.tree import builder_info, get_builder, merge_schedule
 
     if args.input is None:
         if args.json is not None:
-            _emit_json(
-                {
-                    "tree_builders": builder_info(),
-                    "execution_backends": available_backends(),
-                },
-                args.json,
-            )
+            _emit_json({"tree_builders": builder_info()}, args.json)
             return 0
         print("tree builders (topology trade-offs):")
         for name, desc in builder_info().items():
             print(f"  {name:<14} {desc}")
         print(
-            "\nthe progressive merge DAG of any tree runs on any "
-            f"execution backend (--tree-backend on align/serve/loadtest): "
-            f"{', '.join(available_backends())} -- byte-identical output, "
-            "'pool' merges independent subtrees on real cores, reusing "
-            "warm workers across calls"
+            "\nthe progressive merge walks any tree serially in the "
+            "engine's own process or rank; parallel-baseline's "
+            "cooperative mode splits each schedule level over its ranks "
+            "-- byte-identical output"
         )
         return 0
 

@@ -28,9 +28,11 @@ class SampleAlignDConfig:
         (paper: "any sequential multiple alignment system"; MUSCLE there).
     local_aligner_kwargs:
         Extra keyword arguments for the local aligner factory.  A
-        ``distance`` / ``tree`` stage spec in here (or in
-        ``root_aligner_kwargs``) may not carry a ``backend`` /
-        ``workers`` choice: the ranks place the work.
+        ``distance`` stage spec in here (or in ``root_aligner_kwargs``)
+        may not carry a ``backend`` / ``workers`` choice: the ranks
+        place the work.  A ``tree`` stage spec there is validated too;
+        it has no placement (each bucket's merge walk runs serially on
+        its rank).
     root_aligner:
         Aligner used at the root on the ``p`` local ancestors (defaults to
         the local aligner).
@@ -124,20 +126,24 @@ class SampleAlignDConfig:
                     f"{role} {name!r} is not a registered sequential "
                     f"aligner; available: {names}"
                 )
-        # Likewise for a stage spec that places itself on a second
-        # execution backend: the ranks may not nest one.
+        # Likewise for a bad stage spec, and for a distance stage that
+        # places itself on a second execution backend: the ranks may not
+        # nest one.
+        from repro.distance.config import DistanceConfig
         from repro.engine.registry import engine_stages
-        from repro.tree import STAGE_CONFIGS
+        from repro.tree import TreeConfig
 
         for name, kwargs in (
             (self.local_aligner, self.local_aligner_kwargs),
             (self.root_aligner or self.local_aligner, self.root_aligner_kwargs),
         ):
-            for stage, config_cls in STAGE_CONFIGS.items():
-                if stage in kwargs and stage in engine_stages(name):
-                    config_cls.coerce(kwargs[stage]).require_unplaced(
-                        "sample-align-d"
-                    )
+            stages = engine_stages(name) & kwargs.keys()
+            if "tree" in stages:
+                TreeConfig.coerce(kwargs["tree"])
+            if "distance" in stages:
+                DistanceConfig.coerce(kwargs["distance"]).require_unplaced(
+                    "sample-align-d"
+                )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form; inverse of :meth:`from_dict`.

@@ -68,12 +68,13 @@ def validate_backend_name(backend: Optional[str], what: str = "backend") -> None
 
 class StageConfig:
     """What :class:`DistanceConfig` and :class:`~repro.tree.TreeConfig`
-    share: the spec forms they accept, dict round-trips, the field-wise
-    merge the gateway folds defaults with, and the placement checks.
+    share: the spec forms they accept, dict round-trips and the
+    field-wise merge the gateway folds defaults with.
 
     Every field is optional; ``None`` means "the aligner's (or the
     registry's) default".  The first field names what runs (estimator /
-    builder); ``backend`` / ``workers`` say where.
+    builder).  A key that is not a field -- by keyword or in the dict
+    form -- is a ``ValueError``, never ignored.
     """
 
     #: "distance" / "tree" -- the stage, for error messages.
@@ -86,14 +87,17 @@ class StageConfig:
     #: ``{qualifier: the field it qualifies}`` -- see :meth:`over`.
     _follows: ClassVar[Mapping[str, str]]
 
+    def __new__(cls, *args: Any, **kwargs: Any):
+        unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys {sorted(unknown)}")
+        return super().__new__(cls)
+
     def _normalise(self) -> None:
         for name in self._names:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, str(value).lower())
-        validate_backend_name(self.backend, f"{self._stage} backend")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"{self._stage} workers must be >= 1 (or None)")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-able form; inverse of :meth:`from_dict`."""
@@ -101,17 +105,14 @@ class StageConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]):
-        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown {cls.__name__} keys {sorted(unknown)}")
         return cls(**dict(data))
 
     @classmethod
     def coerce(cls, spec: Any):
         """Any ``distance=`` / ``tree=`` spec as a config.
 
-        A ready estimator/builder instance carries no placement, so it
-        coerces to the empty config.
+        A ready estimator/builder instance coerces to the empty
+        config.
         """
         if spec is None or isinstance(spec, cls._made):
             return cls()
@@ -141,15 +142,6 @@ class StageConfig:
                 value = getattr(default, f.name)
             merged[f.name] = value
         return type(self)(**merged)
-
-    def require_unplaced(self, who: str) -> None:
-        """The one "ranks may not nest a second backend" check."""
-        if self.backend is not None or self.workers is not None:
-            raise ValueError(
-                f"{who} runs its {self._stage} stage inside its own SPMD "
-                f"ranks; a nested {self._stage} backend/workers choice "
-                f"(--{self._stage}-backend) is not supported"
-            )
 
 
 @dataclass(frozen=True)
@@ -206,6 +198,9 @@ class DistanceConfig(StageConfig):
         from repro.distance.allpairs import OUT_MODES
 
         self._normalise()
+        validate_backend_name(self.backend, "distance backend")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("distance workers must be >= 1 (or None)")
         if self.out is not None and self.out not in OUT_MODES:
             raise ValueError(
                 f"unknown distance out mode {self.out!r}; one of {OUT_MODES}"
@@ -256,6 +251,15 @@ class DistanceConfig(StageConfig):
         if self.transform is not None:
             kwargs["transform"] = self.transform
         return get_estimator(self.estimator, **kwargs)
+
+    def require_unplaced(self, who: str) -> None:
+        """The one "ranks may not nest a second backend" check."""
+        if self.backend is not None or self.workers is not None:
+            raise ValueError(
+                f"{who} runs its distance stage inside its own SPMD "
+                "ranks; a nested distance backend/workers choice "
+                "(--distance-backend) is not supported"
+            )
 
 
 def resolve_distance_stage(

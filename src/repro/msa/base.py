@@ -57,9 +57,10 @@ class GuideTreeStages:
     and ``tree``: each ``None`` (the aligner's historical stage, run
     serially), a registry name, a :class:`~repro.distance.DistanceConfig`
     / :class:`~repro.tree.TreeConfig` (or its dict form) saying what
-    runs *and* where (``backend``, ``workers``, and for distances
-    ``out`` / ``store_dir``), or a ready estimator / builder instance.
-    Execution backends produce byte-identical output.
+    runs (and, for distances, where: ``backend``, ``workers``, ``out``,
+    ``store_dir``), or a ready estimator / builder instance.  Execution
+    backends produce byte-identical output; the progressive merge runs
+    serially in the calling process.
 
     The host dataclass also provides ``scoring`` and ``kmer_k`` (named
     estimators pick them up as defaults) and names its historical
@@ -73,7 +74,7 @@ class GuideTreeStages:
     def __post_init__(self) -> None:
         # Fail fast on bad stage specs.
         self._distance_stage()
-        self._tree_stage()
+        self._tree_builder()
 
     def _default_estimator(self):
         return KtupleDistance(k=self.kmer_k)
@@ -88,12 +89,13 @@ class GuideTreeStages:
             ),
         )
 
-    def _tree_stage(self):
-        """``(builder, TreeConfig)`` of the ``tree`` field."""
+    def _tree_builder(self):
+        """The builder of the ``tree`` field (``None``: the aligner
+        derives its own merge order)."""
         name = self.default_builder
         return resolve_tree_stage(
             self.tree, default=lambda: get_builder(name) if name else None
-        )
+        )[0]
 
     def _distances(self, seqs, comm=None):
         """Run the all-pairs stage where the ``distance`` spec places it

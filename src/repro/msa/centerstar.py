@@ -84,8 +84,7 @@ class CenterStar(GuideTreeStages, SequentialMsaAligner):
         default: ``ktuple`` with ``kmer_k``).
     tree:
         Guide-tree stage.  While it names no builder, the classic
-        center-star caterpillar merge order is kept (a chain: a merge
-        ``backend`` has no parallelism to exploit there); naming one
+        center-star caterpillar merge order is kept; naming one
         replaces it with a real guide tree over the same cheap distance
         matrix.
     """
@@ -104,14 +103,11 @@ class CenterStar(GuideTreeStages, SequentialMsaAligner):
             return Alignment.from_single(sset[0])
         ids = sset.ids
         d = self._distances(list(sset))
-        builder, merge = self._tree_stage()
+        builder = self._tree_builder()
         tree = (
             center_star_tree(d, ids)
             if builder is None
             else builder.build(d, ids)
         )
         # progressive_align already returns rows in input order.
-        return progressive_align(
-            list(sset), tree, self.scoring,
-            backend=merge.backend, workers=merge.workers,
-        )
+        return progressive_align(list(sset), tree, self.scoring)

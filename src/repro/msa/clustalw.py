@@ -109,11 +109,8 @@ class ClustalWLike(GuideTreeStages, SequentialMsaAligner):
         if len(sset) == 1:
             return Alignment.from_single(sset[0])
         ids = sset.ids
-        builder, merge = self._tree_stage()
+        builder = self._tree_builder()
         tree = builder.build(self._distances(list(sset)), ids)
         weights = clustal_sequence_weights(tree)
-        aln = progressive_align(
-            list(sset), tree, self.scoring, weights,
-            backend=merge.backend, workers=merge.workers,
-        )
+        aln = progressive_align(list(sset), tree, self.scoring, weights)
         return aln.select_rows(ids)

@@ -249,16 +249,13 @@ class MafftLike(GuideTreeStages, SequentialMsaAligner):
         if len(sset) == 1:
             return Alignment.from_single(sset[0])
         ids = sset.ids
-        builder, merge = self._tree_stage()
+        builder = self._tree_builder()
         tree = builder.build(self._distances(list(sset)), ids)
         merge_fn = None
         if self.mode == "fftnsi":
-            # partial over the module-level function stays picklable, so
-            # a "pool" merge can ship it to its workers.
             merge_fn = functools.partial(anchored_path, config=self.scoring)
         aln = progressive_align(list(sset), tree, self.scoring,
-                                merge_fn=merge_fn,
-                                backend=merge.backend, workers=merge.workers)
+                                merge_fn=merge_fn)
         if self.iterations > 0 and len(sset) > 2:
             rng = None if self.seed is None else np.random.default_rng(self.seed)
             aln = refine_alignment(

@@ -98,22 +98,18 @@ class MuscleLike(GuideTreeStages, SequentialMsaAligner):
 
             from repro.msa.mafft import anchored_path
 
-            # partial over the module-level function stays picklable, so
-            # a "pool" merge can ship it to its workers.
             merge_fn = functools.partial(anchored_path, config=self.scoring)
 
         # Stage 1: draft tree from alignment-free k-mer distances (or any
         # estimator/builder from the repro.distance / repro.tree registries).
-        builder, merge = self._tree_stage()
+        builder = self._tree_builder()
         two_stage = self.two_stage and len(sset) > 2
         # Both walks use the same leaves, scoring and merge_fn, which is
         # what one table may span.
         clades = CladeTable() if two_stage else None
         tree = builder.build(self._distances(list(sset)), ids)
         aln = progressive_align(list(sset), tree, self.scoring,
-                                merge_fn=merge_fn,
-                                backend=merge.backend, workers=merge.workers,
-                                clades=clades)
+                                merge_fn=merge_fn, clades=clades)
 
         # Stage 2: re-estimate distances from the draft, realign the
         # subtrees whose branching order changed.
@@ -122,10 +118,7 @@ class MuscleLike(GuideTreeStages, SequentialMsaAligner):
             d2 = kimura_distance(ident)
             tree = builder.build(d2, aln.ids)
             aln = progressive_align(list(sset), tree, self.scoring,
-                                    merge_fn=merge_fn,
-                                    backend=merge.backend,
-                                    workers=merge.workers,
-                                    clades=clades)
+                                    merge_fn=merge_fn, clades=clades)
 
         # Stage 3: tree-dependent restricted partitioning.
         if self.refine and len(sset) > 2:

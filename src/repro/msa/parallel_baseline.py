@@ -79,9 +79,7 @@ class ParallelClustalW(GuideTreeStages):
         the same consolidated file.
     tree:
         Guide-tree stage, built redundantly on every rank (stage 2 is
-        cheap; default: CLUSTALW's neighbour joining).  As with
-        ``distance``, a nested ``backend``/``workers`` choice is
-        rejected.
+        cheap; default: CLUSTALW's neighbour joining).
     merge_mode:
         ``"root"`` (default) reproduces the surveyed systems: stage 3
         runs only on the root, which is exactly the Amdahl cap the
@@ -106,9 +104,9 @@ class ParallelClustalW(GuideTreeStages):
         if self.merge_mode not in ("root", "cooperative"):
             raise ValueError("merge_mode must be 'root' or 'cooperative'")
         # Resolving fails fast on a bad spec; the virtual cluster is the
-        # backend here, so neither stage may place itself.
-        for _, config in (self._distance_stage(), self._tree_stage()):
-            config.require_unplaced("parallel-baseline")
+        # backend here, so the distance stage may not place itself.
+        self._distance_stage()[1].require_unplaced("parallel-baseline")
+        self._tree_builder()
 
     def align(
         self,
@@ -127,7 +125,7 @@ class ParallelClustalW(GuideTreeStages):
             )
         seq_list = list(sset)
         scoring = self.scoring
-        builder = self._tree_stage()[0]
+        builder = self._tree_builder()
         cooperative = self.merge_mode == "cooperative"
 
         def program(comm: VirtualComm):

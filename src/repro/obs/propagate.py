@@ -122,10 +122,10 @@ def run_traced(
 ) -> "SpmdResult":
     """``get_backend(backend).run(...)`` with span/metrics propagation.
 
-    ``stage`` names the dispatch site (``"spmd"``, ``"distance"``,
-    ``"tree"``): the parent records ``<stage>.dispatch`` and every rank
-    records ``<stage>.rank`` parented under it, with the rank function's
-    own spans nested below.
+    ``stage`` names the dispatch site (``"spmd"``, ``"distance"``): the
+    parent records ``<stage>.dispatch`` and every rank records
+    ``<stage>.rank`` parented under it, with the rank function's own
+    spans nested below.
     """
     from repro.parcomp.backends import get_backend
 

@@ -8,11 +8,11 @@ Two behaviours are layered on top of the raw pool:
 
 - **crash retry** -- a :class:`~repro.pool.workers.WorkerCrashError`
   means a worker *process* died, not that the program failed.  The rank
-  programs this repo runs (distance tiles, merge DAG ranks,
-  Sample-Align-D) are deterministic and side-effect-free, so the whole
-  run is retried on the respawned workers -- the caller still gets the
-  byte-identical result or, after ``max_retries`` consecutive crashes,
-  a ``RuntimeError``.  Program exceptions are never retried.
+  programs this repo runs (distance tiles, Sample-Align-D) are
+  deterministic and side-effect-free, so the whole run is retried on
+  the respawned workers -- the caller still gets the byte-identical
+  result or, after ``max_retries`` consecutive crashes, a
+  ``RuntimeError``.  Program exceptions are never retried.
 - **capacity fallback** -- a pool has a fixed slot count; a run asking
   for more ranks than that runs cold, on a one-shot
   :class:`~repro.pool.workers.WorkerPool` with one slot per rank that is

@@ -240,18 +240,18 @@ class AlignmentGateway:
         ``{"out": "memmap"}`` bounds resident memory at genome scale.
         Folded field-wise into such a request's own spec (the
         request's fields win; distributed engines place their own
-        ranks, so they never inherit ``backend`` / ``workers``) and
-        written back as the merged config's dict, pre-hash like
-        ``default_backend``.  A gateway without stage defaults rewrites
-        nothing.
+        ranks, so they never inherit the distance ``backend`` /
+        ``workers``) and written back as the merged config's dict,
+        pre-hash like ``default_backend``.  A gateway without stage
+        defaults rewrites nothing.
     pool:
         A configured :class:`~repro.pool.WorkerPool` to serve
         ``backend="pool"`` requests from.  Whenever ``default_backend``
-        or a stage default's backend is ``"pool"`` (or ``pool`` is passed
-        explicitly), the gateway owns one worker pool for its lifetime:
-        it constructs the pool at startup (warm workers before the first
-        request), installs it as the process default so every engine /
-        distance / tree dispatch underneath lands on it, exposes its
+        or the distance default's backend is ``"pool"`` (or ``pool`` is
+        passed explicitly), the gateway owns one worker pool for its
+        lifetime: it constructs the pool at startup (warm workers before
+        the first request), installs it as the process default so every
+        engine / distance dispatch underneath lands on it, exposes its
         live counters under ``metrics()["pool"]``, and -- if it created
         the pool itself -- closes it on :meth:`close`.  A supervised
         pool survives worker crashes (automatic respawn), so a long-
@@ -335,14 +335,14 @@ class AlignmentGateway:
         # Gateway-owned worker pool: one persistent pool for the whole
         # serving lifetime whenever any default backend is "pool" (or a
         # pool was handed in).  Installed as the process default so the
-        # engine/distance/tree layers underneath dispatch onto it, and
+        # engine/distance layers underneath dispatch onto it, and
         # warmed now so the first request finds running workers.
         self._pool: Optional[Any] = None
         self._own_pool = False
         self._prev_default_pool: Optional[Any] = None
+        distance = self._stage_defaults.get("distance")
         wants_pool = pool is not None or "pool" in {
-            self._default_backend,
-            *(c.backend for c in self._stage_defaults.values()),
+            self._default_backend, distance and distance.backend,
         }
         if wants_pool:
             from repro.pool import WorkerPool, set_default_pool
@@ -522,7 +522,7 @@ class AlignmentGateway:
             for stage, default in self._stage_defaults.items():
                 if stage not in stages:
                     continue
-                if places_own_ranks:
+                if places_own_ranks and stage == "distance":
                     default = replace(default, backend=None, workers=None)
                 own = type(default).coerce(request.engine_kwargs.get(stage))
                 merged = own.over(default)

@@ -1,10 +1,8 @@
 """One guide-tree subsystem for every aligner.
 
-After PR 4 parallelised the all-pairs distance stage, the remaining
-serial hot path of every guide-tree baseline was tree construction plus
-the strictly post-order progressive merge walk -- even though sibling
-subtrees are independent.  This package unifies that stage the same way
-:mod:`repro.distance` unified the one before it:
+This package unifies the guide-tree stage of every aligner -- tree
+construction plus the progressive merge walk -- the same way
+:mod:`repro.distance` unified the stage before it:
 
 - :mod:`~repro.tree.guide_tree` -- :class:`GuideTree`, the rooted
   binary merge order every stage below consumes, and its Newick reader
@@ -17,11 +15,10 @@ subtrees are independent.  This package unifies that stage the same way
   level/dependency scheduler that turns any ``GuideTree`` into a task
   DAG of independent profile-profile merges (every internal node
   scheduled exactly once, after both children).
-- :mod:`~repro.tree.merge` -- :func:`progressive_merge`, the DAG
-  executor that folds leaf profiles up the tree serially, on the
-  execution backends (``backend="threads"|"pool"``, ``workers=N``),
-  or cooperatively inside an existing SPMD program (``comm=``) --
-  always producing byte-identical alignments.
+- :mod:`~repro.tree.merge` -- :func:`progressive_merge`, which folds
+  leaf profiles up the tree serially where its caller runs, or
+  cooperatively inside an existing SPMD program (``comm=``) -- both
+  producing byte-identical alignments.
 - :mod:`~repro.tree.config` -- :class:`TreeConfig`, the validated,
   dict-round-trippable form that travels through ``engine_kwargs`` and
   baseline configs.
@@ -29,8 +26,7 @@ subtrees are independent.  This package unifies that stage the same way
 Every guide-tree baseline (ClustalW-like, MUSCLE-like, MAFFT-like,
 center-star, the stage-parallel CLUSTALW) routes its tree stage through
 here via its ``tree=`` spec (a name, a :class:`TreeConfig` or its dict
-form), so one ``--tree-backend pool`` flag puts the progressive
-merge of any of them on real cores.
+form), so one ``--tree`` flag picks the builder of any of them.
 """
 
 # First: repro.align imports GuideTree while this package initialises.

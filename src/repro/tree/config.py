@@ -1,16 +1,15 @@
 """Serializable configuration of a guide-tree stage.
 
 :class:`TreeConfig` is the one description of a tree stage -- which
-builder, executed where.  It is JSON-able, so it travels through
+builder, with which knobs.  It is JSON-able, so it travels through
 ``engine_kwargs`` (request content hashes and the serving layer's
 coalescing keys see the effective choice) and it is what an aligner's
-``tree=`` field resolves to.  ``backend``/``workers`` here place the
-*progressive merge DAG* (:func:`repro.tree.progressive_merge`), not the
-tree construction itself -- building the tree is cheap; replaying it is
-the serial hot path worth scheduling.
+``tree=`` field resolves to.  It has no placement: the progressive
+merge (:func:`repro.tree.progressive_merge`) runs where its caller
+runs.
 
-A ``tree=`` spec is any of: ``None`` (the aligner's historical builder,
-merged serially), a registry name (``"nj"``), a :class:`TreeConfig` or
+A ``tree=`` spec is any of: ``None`` (the aligner's historical
+builder), a registry name (``"nj"``), a :class:`TreeConfig` or
 its dict form, or a ready :class:`~repro.tree.builders.TreeBuilder`
 instance.  :func:`resolve_tree_stage` turns a spec into
 ``(builder, config)``.
@@ -38,12 +37,6 @@ class TreeConfig(StageConfig):
         ``"single-linkage"``, ``"anchor"``; see
         :func:`repro.tree.available_builders`).  ``None`` = the
         aligner's historical builder.
-    backend:
-        Execution backend of the DAG-scheduled progressive merge
-        (``"threads"``/``"pool"``; ``None`` = merge serially).
-    workers:
-        Rank count for the merge scheduler (``None`` = usable core count,
-        capped at the schedule's peak width).
     anchors:
         For ``builder="anchor"``: the number of sampled anchor leaves
         ``K`` (``None`` = the builder's default).  Rejected for other
@@ -57,15 +50,13 @@ class TreeConfig(StageConfig):
     """
 
     builder: Optional[str] = None
-    backend: Optional[str] = None
-    workers: Optional[int] = None
     anchors: Optional[int] = None
     anchor_base: Optional[str] = None
     anchor_seed: Optional[int] = None
 
     _stage = "tree"
     _made = TreeBuilder
-    _names = ("builder", "backend", "anchor_base")
+    _names = ("builder", "anchor_base")
     _follows = {
         "anchors": "builder", "anchor_base": "builder",
         "anchor_seed": "builder",
@@ -125,7 +116,6 @@ def resolve_tree_stage(
 ) -> Tuple[Optional[TreeBuilder], TreeConfig]:
     """Turn a ``tree=`` spec into ``(builder, config)``.
 
-    ``config`` carries the merge placement (``backend``/``workers``).
     ``default`` builds the aligner's historical builder when the spec
     names none (e.g. neighbour joining for the CLUSTALW-like aligner;
     center-star returns ``None`` there -- its own caterpillar order).

@@ -1,28 +1,30 @@
-"""The DAG-scheduled progressive merge: one merge walk, any backend.
+"""The progressive merge walk: serial, or cooperative inside SPMD ranks.
 
 ``progressive_merge(profiles, tree, merge_node)`` folds the leaf
 profiles up the guide tree -- for
 :func:`~repro.align.progressive.progressive_align`, one leaf
 :class:`~repro.align.profile.Clade` each (a code matrix, integer column
-counts and a row order) -- by executing the
-:func:`~repro.tree.schedule.merge_schedule` level by level
+counts and a row order) -- in one of two modes:
 
-- **serially** (``backend=None``, the default -- the classic post-order
-  walk, no scheduler overhead),
-- **on an execution backend** (``backend="threads"|"pool"``,
-  ``workers=N`` -- the PR 3 registry; ``pool`` puts the
-  profile-profile DPs of independent subtrees on real cores), or
+- **serially** (the default -- the classic post-order walk, no
+  scheduler overhead), in whatever process or rank calls it;
 - **cooperatively inside an existing SPMD program** (``comm=...`` --
-  ranks split each level's merges cyclically and allgather the merged
-  profiles, which is how a rank-parallel baseline can lift its
-  sequential stage-3 Amdahl cap through this same subsystem).
+  ranks split each level of the :func:`~repro.tree.schedule.merge_schedule`
+  cyclically and allgather the merged profiles, which is how a
+  rank-parallel baseline can lift its sequential stage-3 Amdahl cap
+  through this same subsystem).
 
-Every mode merges node by node, one ``tree.merge_node`` span per merge;
+The walk has no placement of its own: Sample-Align-D parallelises
+across buckets and aligns each bucket sequentially, and a merge is
+about 100 µs of compiled DP -- too little to pay for handing nodes
+between ranks of a backend of its own.
+
+Both modes merge node by node, one ``tree.merge_node`` span per merge;
 the ``tree.merge`` span names the DP kernel (``kernel=c|numpy``), which
 decides how each merge's path is applied
-(:func:`repro.align.dp.apply_path`).  Ranks exchange nodes as they
-pickle: a clade travels as its codes and counts (plus reweighted
-frequencies), never as an alignment.
+(:func:`repro.align.dp.apply_path`).  Cooperative ranks exchange nodes
+as they pickle: a clade travels as its codes and counts (plus
+reweighted frequencies), never as an alignment.
 
 Clade reuse: a caller that walks several trees over the *same* leaf
 profiles with the *same* ``merge_node`` (MUSCLE's stage 1 and stage 2)
@@ -31,17 +33,17 @@ records each merged clade's code matrix under its ordered clade -- a
 leaf is its label, an internal node the pair (left clade, right clade)
 -- and, before it schedules anything, prunes the tree top-down from the
 root: a node whose clade is in the table is rebuilt from the stored
-codes and nothing beneath it runs.  The serial walk and the cooperative one
-(every rank holds every profile, so every rank's table agrees) reuse; a
-backend-scheduled walk computes every node.
+codes and nothing beneath it runs.  Both modes reuse (in the
+cooperative one every rank holds every profile, so every rank's table
+agrees).
 
 Determinism contract: a merge's output depends only on its two child
 profiles and the ``merge_node`` callable (which must itself be
 deterministic) -- hence only on the node's ordered subtree -- and every
 internal node is computed at most once per table (exactly once with no
-table) -- so serial, threads, pool and cooperative schedules produce
-**byte-identical** alignments for any level assignment, with or without
-a table.
+table) -- so the serial and cooperative walks produce
+**byte-identical** alignments for any rank count, with or without a
+table.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from repro.align.dp import kernel
 from repro.align.profile import Clade, Profile
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
-from repro.parcomp.backends import usable_cores
 from repro.tree.guide_tree import GuideTree
 from repro.tree.schedule import merge_schedule
 
@@ -250,28 +251,12 @@ def _run_levels(
     return walk.table[walk.tree.root]
 
 
-def _merge_dag_rank(comm, profiles, tree, levels, merge_node):
-    """Rank program of the backend-scheduled mode (module-level so the
-    ``pool`` backend can pickle it; ``merge_node`` must be picklable
-    too).
-
-    Every rank holds the root at the end; only rank 0 reports it so the
-    result queue carries one copy, not ``workers``."""
-    root = _run_levels(
-        comm, _Walk(profiles, tree, None), levels, merge_node
-    )
-    return root if comm.rank == 0 else None
-
-
 def progressive_merge(
     profiles: TSequence[Profile],
     tree: GuideTree,
     merge_node: MergeNode,
     *,
-    backend: Optional[Any] = None,
-    workers: Optional[int] = None,
     comm: Optional[Any] = None,
-    cost_model: Optional[Any] = None,
     clades: Optional[CladeTable] = None,
 ) -> Profile:
     """Fold ``profiles`` up ``tree``; returns the root profile.
@@ -288,80 +273,33 @@ def progressive_merge(
     merge_node:
         ``merge_node(step, pa, pb) -> Profile`` -- merges the children
         of merge step ``step``.  Must be deterministic in its inputs;
-        that is what makes every schedule byte-identical.
-    backend:
-        ``None`` executes serially in-process; a registered execution
-        backend name (or instance) runs the level schedule SPMD over
-        ``workers`` ranks (``"pool"`` for real cores).
-    workers:
-        Rank count for the backend mode (default: usable core count,
-        capped at the schedule's peak width -- extra ranks could never
-        have work).  ``workers>1`` with ``backend=None`` uses the
-        default backend.
+        that is what makes both modes byte-identical.
     comm:
         Cooperative mode: an existing
         :class:`~repro.parcomp.comm.VirtualComm`.  All ranks must call
         with identical arguments; each level's merges split cyclically
         by rank and the merged profiles are allgathered, so the root
-        profile returns on *every* rank.  Mutually exclusive with
-        ``backend``/``workers``.
-    cost_model:
-        Alpha-beta model forwarded to the backend's timing ledger.
+        profile returns on *every* rank.  ``None`` walks serially.
     clades:
         A :class:`CladeTable` shared with the other walks of the same
         leaf profiles and ``merge_node``: nodes whose ordered clade it
-        holds are taken from it, the rest are merged and recorded.  The
-        backend-scheduled mode ignores it and computes every node.
+        holds are taken from it, the rest are merged and recorded.
     """
     profiles = _validate(profiles, tree)
-
-    if comm is not None and (
-        backend is not None or workers not in (None, 1)
-    ):
-        raise ValueError(
-            "cooperative mode (comm=...) excludes backend=/workers="
-        )
-    if workers is not None and workers < 1:
-        raise ValueError("workers must be >= 1")
-
-    if comm is not None or (backend is None and workers in (None, 1)):
-        mode = "serial" if comm is None else "cooperative"
-        with span(
-            "tree.merge", n_leaves=tree.n_leaves, mode=mode,
-            kernel=kernel().name,
-        ) as sp:
-            walk = _Walk(profiles, tree, clades)
-            sp.set(merged=len(walk.steps), reused=walk.reused)
-            _REUSED_NODES.inc(walk.reused)
-            if comm is not None:
-                # The schedule's levels are sets of independent merges:
-                # each rank takes a cyclic share of every level.
-                levels = merge_schedule(tree).levels
-            else:
-                # The classic serial post-order walk: the merge list
-                # itself is a valid topological order, one node a time.
-                levels = [(step,) for step in range(tree.n_leaves - 1)]
-            return _run_levels(comm, walk, levels, merge_node)
-
-    from repro.obs.propagate import run_traced
-
-    schedule = merge_schedule(tree)
-    n_workers = workers if workers is not None else usable_cores()
-    n_workers = max(1, min(n_workers, schedule.max_width))
+    mode = "serial" if comm is None else "cooperative"
     with span(
-        "tree.merge",
-        n_leaves=tree.n_leaves,
-        mode="backend",
-        merged=tree.n_leaves - 1,
-        reused=0,
+        "tree.merge", n_leaves=tree.n_leaves, mode=mode,
         kernel=kernel().name,
-    ):
-        spmd = run_traced(
-            backend,
-            n_workers,
-            _merge_dag_rank,
-            stage="tree",
-            args=(profiles, tree, schedule.levels, merge_node),
-            cost_model=cost_model,
-        )
-        return spmd.results[0]
+    ) as sp:
+        walk = _Walk(profiles, tree, clades)
+        sp.set(merged=len(walk.steps), reused=walk.reused)
+        _REUSED_NODES.inc(walk.reused)
+        if comm is not None:
+            # The schedule's levels are sets of independent merges:
+            # each rank takes a cyclic share of every level.
+            levels = merge_schedule(tree).levels
+        else:
+            # The classic serial post-order walk: the merge list itself
+            # is a valid topological order, one node a time.
+            levels = [(step,) for step in range(tree.n_leaves - 1)]
+        return _run_levels(comm, walk, levels, merge_node)

@@ -12,7 +12,7 @@ nodes by dependency depth so that
   consumed once), so they can execute concurrently.
 
 Executing the levels in order with a barrier between them is therefore
-equivalent to the serial post-order walk -- the contract the parallel
+equivalent to the serial post-order walk -- the contract the cooperative
 progressive merge in :mod:`repro.tree.merge` is built on.  The schedule
 also carries the numbers that predict how well a tree parallelises:
 ``n_levels`` is the critical path (a caterpillar tree degenerates to

@@ -15,7 +15,11 @@ from repro.distance import (
 from repro.msa import ClustalWLike, MafftLike, MuscleLike, TCoffeeLike
 from repro.msa.clustalw import clustal_sequence_weights
 from repro.msa.mafft import anchored_path, fft_anchor_segments
-from repro.msa.registry import get_aligner, register_aligner
+from repro.msa.registry import (
+    get_aligner,
+    register_aligner,
+    unregister_aligner,
+)
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence
 
@@ -216,6 +220,13 @@ class TestRegistry:
             name = "custom-test"
 
         register_aligner("custom-test-xyz", lambda **kw: Custom(**kw))
-        assert get_aligner("custom-test-xyz").name in ("muscle", "custom-test")
-        with pytest.raises(ValueError, match="already registered"):
-            register_aligner("custom-test-xyz", lambda **kw: Custom(**kw))
+        try:
+            assert get_aligner("custom-test-xyz").name in (
+                "muscle", "custom-test"
+            )
+            with pytest.raises(ValueError, match="already registered"):
+                register_aligner("custom-test-xyz", lambda **kw: Custom(**kw))
+        finally:
+            # Registered engines outlive the test otherwise, and later
+            # suites that walk the registry would meet this one.
+            unregister_aligner("custom-test-xyz")

@@ -53,7 +53,7 @@ def stages_without_table(aligner, seqs):
     merge_fn = None
     if aligner.anchored:
         merge_fn = functools.partial(anchored_path, config=aligner.scoring)
-    builder, _ = aligner._tree_stage()
+    builder = aligner._tree_builder()
     tree1 = tree2 = builder.build(aligner._distances(seqs), ids)
     aln = progressive_align(seqs, tree1, aligner.scoring, merge_fn=merge_fn)
     if aligner.two_stage and len(seqs) > 2:
@@ -204,19 +204,6 @@ class TestWalks:
         assert {fasta for fasta, _, _ in out.results} == {expected.to_fasta()}
         # Every rank holds every profile, so every rank's table agrees.
         assert len({tuple(kept) for _, *kept in out.results}) == 1
-
-    def test_backend_walk_computes_every_node(self):
-        seqs = family(8, 2)
-        aligner = MuscleLike(refine=False)
-        expected, tree1, tree2 = stages_without_table(aligner, seqs)
-        clades = CladeTable()
-        hits = reused_nodes()
-        for tree in (tree1, tree2):
-            aln = progressive_align(
-                seqs, tree, backend="threads", workers=2, clades=clades
-            )
-        assert reused_nodes() == hits and len(clades) == 0
-        assert aln.to_fasta() == expected.to_fasta()
 
     def test_weighted_merges_take_no_table(self):
         seqs = family(6, 4)

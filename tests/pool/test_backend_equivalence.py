@@ -1,9 +1,8 @@
 """Byte-identity of the pool backend against serial and threads.
 
 The pool joins the backend contract of :mod:`repro.parcomp.backends`:
-*where* ranks run is invisible to the program.  Every estimator, every
-builder, and the full Sample-Align-D pipeline must produce the same
-bytes through warm workers as they do serially -- and the ledgers must
+*where* ranks run is invisible to the program.  Every estimator and
+the full Sample-Align-D pipeline must produce the same bytes through warm workers as they do serially -- and the ledgers must
 carry the same message pattern.
 """
 
@@ -15,8 +14,6 @@ from repro.core.driver import sample_align_d
 from repro.distance import DistanceConfig, all_pairs, available_estimators
 from repro.parcomp import get_backend, run_spmd
 from repro.pool import PoolBackend
-from repro.align.progressive import progressive_align
-from repro.tree import TreeConfig, available_builders, get_builder
 
 
 def _collective_mix(comm):
@@ -42,7 +39,6 @@ class TestRegistry:
     def test_configs_accept_pool(self):
         assert SampleAlignDConfig(backend="pool").backend == "pool"
         assert DistanceConfig(backend="pool").backend == "pool"
-        assert TreeConfig(backend="pool").backend == "pool"
 
 
 class TestSpmdEquivalence:
@@ -80,25 +76,6 @@ class TestDistanceEquivalence:
         serial = all_pairs(seqs, estimator)
         pooled = all_pairs(seqs, estimator, backend="pool", workers=4)
         assert np.array_equal(serial, pooled)
-
-
-class TestTreeEquivalence:
-    @pytest.fixture(scope="class")
-    def seqs(self, diverse_family):
-        return list(diverse_family.sequences)[:12]
-
-    @pytest.fixture(scope="class")
-    def distances(self, seqs):
-        return all_pairs(seqs, "ktuple")
-
-    @pytest.mark.parametrize("builder", sorted(available_builders()))
-    def test_progressive_merge_identical_to_serial(
-        self, pool, seqs, distances, builder
-    ):
-        tree = get_builder(builder).build(distances, [s.id for s in seqs])
-        serial = progressive_align(seqs, tree)
-        pooled = progressive_align(seqs, tree, backend="pool", workers=4)
-        assert serial.to_fasta() == pooled.to_fasta()
 
 
 class TestSampleAlignDEquivalence:

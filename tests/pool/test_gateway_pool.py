@@ -68,9 +68,9 @@ class TestGatewayOwnedPool:
             assert get_default_pool() is not pool
         assert get_default_pool() is pool
 
-    def test_tree_backend_alone_wants_a_pool(self):
+    def test_distance_backend_alone_wants_a_pool(self):
         with AlignmentGateway(
-            n_workers=1, default_tree={"backend": "pool"}
+            n_workers=1, default_distance={"backend": "pool"}
         ) as gw:
             assert gw.pool is not None
 

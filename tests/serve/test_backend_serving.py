@@ -140,15 +140,20 @@ class TestHttpBackendSelection:
         assert body["result"]["diagnostics"]["backend"] == "pool"
 
     @pytest.mark.parametrize(
-        "engine, engine_kwargs",
+        "engine, engine_kwargs, message",
         [
-            ("sample-align-d", {"backend": "processes"}),
-            ("muscle", {"distance": {"backend": "mpi", "workers": 2}}),
-            ("muscle", {"tree": {"backend": "mpi", "workers": 2}}),
+            ("sample-align-d", {"backend": "processes"}, "['pool', 'threads']"),
+            ("muscle", {"distance": {"backend": "mpi", "workers": 2}},
+             "['pool', 'threads']"),
+            # The merge walk has no placement: any tree backend is refused.
+            ("muscle", {"tree": {"backend": "pool"}},
+             "unknown TreeConfig keys ['backend']"),
         ],
         ids=["engine-kwarg", "distance-spec", "tree-spec"],
     )
-    def test_unregistered_backend_is_a_400(self, seqs, engine, engine_kwargs):
+    def test_unregistered_backend_is_a_400(
+        self, seqs, engine, engine_kwargs, message
+    ):
         """Refused at admission: never enqueued, never run, counted."""
         with AlignmentGateway(n_workers=1) as gw:
             server, thread = serve_in_thread(gw)
@@ -164,7 +169,8 @@ class TestHttpBackendSelection:
                 server.shutdown()
                 thread.join()
         assert info.value.code == 400
-        assert "['pool', 'threads']" in json.loads(info.value.read())["error"]
+        error = json.loads(info.value.read())["error"]
+        assert message in error and "Traceback" not in error
         assert metrics["rejected_bad_request"] == 1
         assert metrics["admitted"] == metrics["queue_depth"] == 0
         assert metrics["service"]["computed"] == 0

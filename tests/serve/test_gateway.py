@@ -269,18 +269,17 @@ class TestSharedService:
             "estimator": "kmer-fraction", "k": 5, "backend": "threads",
             "workers": 2, "out": "memmap", "store_dir": str(tmp_path),
         }
-        tree = {"builder": "anchor", "backend": "threads", "anchors": 4,
-                "anchor_base": "nj", "anchor_seed": 3}
+        tree = {"builder": "anchor", "anchors": 4, "anchor_base": "nj",
+                "anchor_seed": 3}
         with AlignmentGateway(
             n_workers=1, default_backend="Threads",
             default_distance=distance, default_tree=tree,
         ) as gw:
             metrics = gw.metrics()
         assert metrics["default_backend"] == "threads"
-        for key, given in (("default_distance", distance),
-                           ("default_tree", tree)):
-            for field, value in given.items():
-                assert metrics[key][field] == value
+        assert metrics["default_tree"] == tree
+        for field, value in distance.items():
+            assert metrics["default_distance"][field] == value
 
     def test_no_stage_defaults_report_none_and_rewrite_nothing(
         self, make_request, counting_engine
@@ -293,14 +292,15 @@ class TestSharedService:
             assert gw.submit(request).request_hash == request.content_hash()
 
     def test_distributed_engine_never_inherits_a_backend(self, make_request):
-        """parallel-baseline places its own ranks: it takes the default's
-        estimator and placement-free fields, not backend / workers."""
+        """parallel-baseline places its own ranks: it takes the distance
+        default's estimator and placement-free fields, not backend /
+        workers, and the tree default whole (it has no placement)."""
         request = make_request(engine="parallel-baseline")
         with AlignmentGateway(
             n_workers=1,
             default_distance={"estimator": "kmer-fraction",
                               "backend": "threads", "workers": 2},
-            default_tree={"backend": "threads"},
+            default_tree={"builder": "upgma"},
         ) as gw:
             ticket = gw.submit(request)
             result = ticket.wait(60)
@@ -308,5 +308,5 @@ class TestSharedService:
         assert folded["distance"]["estimator"] == "kmer-fraction"
         assert folded["distance"]["backend"] is None
         assert folded["distance"]["workers"] is None
-        assert "tree" not in folded  # nothing left of a backend-only default
+        assert folded["tree"]["builder"] == "upgma"
         assert result.alignment.n_rows == 5

@@ -128,14 +128,16 @@ class TestEndpoints:
         """A stage spec that places itself on a second backend inside
         Sample-Align-D's ranks is refused at the door, not inside a rank."""
         body = _align_body(make_request, engine="sample-align-d")
-        for kwargs_key, stage in (("local_aligner_kwargs", "distance"),
-                                  ("root_aligner_kwargs", "tree")):
+        for kwargs_key, stage, why in (
+            ("local_aligner_kwargs", "distance", "nested"),
+            ("root_aligner_kwargs", "tree", "unknown TreeConfig keys"),
+        ):
             config = SampleAlignDConfig().to_dict()
             config[kwargs_key] = {stage: {"backend": "pool"}}
             with pytest.raises(urllib.error.HTTPError) as err:
                 _post(server, "/align", {**body, "config": config})
             assert err.value.code == 400
-            assert "nested" in json.loads(err.value.read())["error"]
+            assert why in json.loads(err.value.read())["error"]
 
     def test_engine_failure_500(self, server, make_request):
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -32,8 +32,8 @@ class TestParser:
         assert args.procs == 4 and args.aligner is None
 
     @pytest.mark.parametrize("argv, flag", [
-        # Prefix matching used to read these as --tree-backend nj and
-        # --distance full-dp.
+        # Prefix matching once read these as longer flags of the same
+        # sub-command.
         (["trace", "x.fa", "--tree", "nj"], "--tree"),
         (["align", "x.fa", "--dist", "full-dp"], "--dist"),
         (["distances", "x.fa", "--est", "full-dp"], "--est"),
@@ -651,7 +651,7 @@ class TestTraceCli:
             ("sample-align-d", []),
             ("sample-align-d", ["--distance", "full-dp"]),
             ("clustalw", ["--distance", "kmer-fraction",
-                          "--tree-backend", "threads"]),
+                          "--distance-backend", "threads"]),
             ("muscle", []),
         ],
     )

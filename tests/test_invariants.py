@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import sample_align_d
 from repro.core.config import SampleAlignDConfig
 from repro.datagen.rose import generate_family
+from repro.engine import available_engines
 from repro.samplesort import max_bucket_bound
 from repro.seq.alignment import Alignment
 from repro.seq.alphabet import DNA, PROTEIN
@@ -65,6 +67,34 @@ class TestPipelineInvariants:
         un = res.alignment.ungapped()
         for s in seqs:
             assert un[s.id].residues == s.residues
+
+
+#: Edge-case inputs every engine must align: the fewest rows, rows with
+#: nothing to tell apart, the shortest rows, and shortest mixed with long.
+EDGE_INPUTS = {
+    "two": ["MKTAYIAKQRQ", "MKTAHIAKQR"],
+    "five-identical": ["MKTAYIAKQR"] * 5,
+    "four-length-1": ["M", "K", "M", "W"],
+    "length-1-and-7": ["M", "MKTAYIA", "K", "MKTWYIA", "W"],
+}
+
+
+class TestEveryEngineInvariants:
+    @pytest.mark.parametrize("case", sorted(EDGE_INPUTS))
+    @pytest.mark.parametrize("engine", sorted(available_engines()))
+    def test_alignment_invariants(self, engine, case):
+        seqs = [
+            Sequence(f"s{i}", residues)
+            for i, residues in enumerate(EDGE_INPUTS[case])
+        ]
+        aln = repro.align(seqs, engine=engine).alignment
+        assert aln.ids == [s.id for s in seqs]
+        assert aln.n_rows == len(seqs)
+        un = aln.ungapped()
+        for s in seqs:
+            assert un[s.id].residues == s.residues
+        gap_rows = aln.matrix == aln.alphabet.gap_code
+        assert not gap_rows.all(axis=0).any(), "an all-gap column"
 
 
 class TestFormatInvariants:

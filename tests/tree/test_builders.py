@@ -152,15 +152,14 @@ class TestTreeConfig:
         assert cfg.make_builder().name == "upgma"
 
     def test_dict_roundtrip(self):
-        cfg = TreeConfig(builder="nj", backend="threads", workers=3)
+        cfg = TreeConfig(builder="anchor", anchors=3, anchor_seed=1)
         assert TreeConfig.from_dict(cfg.to_dict()) == cfg
         import json
 
         json.dumps(cfg.to_dict())  # JSON-able (engine_kwargs contract)
 
     def test_registry_names_normalise_to_lower_case(self):
-        assert TreeConfig("NJ", backend="Threads") == TreeConfig(
-            "nj", backend="threads")
+        assert TreeConfig("NJ") == TreeConfig("nj")
         upper = TreeConfig("Anchor", anchors=4, anchor_base="UPGMA")
         assert upper.to_dict() == TreeConfig(
             "anchor", anchors=4, anchor_base="upgma").to_dict()
@@ -172,10 +171,17 @@ class TestTreeConfig:
     def test_validation(self):
         with pytest.raises(ValueError, match="unknown tree builder"):
             TreeConfig(builder="nope")
-        with pytest.raises(ValueError, match="backend"):
-            TreeConfig(backend="gpu")
-        with pytest.raises(ValueError, match="workers"):
-            TreeConfig(workers=0)
+
+    @pytest.mark.parametrize("build", [
+        lambda: TreeConfig(backend="pool"),
+        lambda: TreeConfig(workers=2),
+        lambda: TreeConfig.from_dict({"backend": "pool"}),
+    ], ids=["backend", "workers", "dict-backend"])
+    def test_placement_keys_are_gone(self, build):
+        """The merge walk has no placement: the old keys are typed
+        errors, never accepted and ignored."""
+        with pytest.raises(ValueError, match="unknown TreeConfig keys"):
+            build()
 
 
 class TestResolveTreeStage:
@@ -184,32 +190,13 @@ class TestResolveTreeStage:
             None, default=lambda: NeighborJoiningBuilder()
         )
         assert builder.name == "nj"
-        assert cfg.backend is None and cfg.workers is None
+        assert cfg == TreeConfig()
 
     def test_name_and_config_and_instance(self):
         for tree in ("wpgma", TreeConfig(builder="wpgma"),
                      {"builder": "wpgma"}, get_builder("wpgma")):
             builder, _ = resolve_tree_stage(tree)
             assert builder.name == "wpgma"
-
-    def test_config_backend_flows_unless_overridden(self):
-        cfg = TreeConfig(builder="nj", backend="threads", workers=2)
-        _, placed = resolve_tree_stage(cfg)
-        assert (placed.backend, placed.workers) == ("threads", 2)
-        # The one way to override a placement is another config:
-        # field-wise, the overriding config's fields win.
-        over = TreeConfig(backend="pool", workers=4).over(cfg)
-        builder, placed = resolve_tree_stage(over)
-        assert builder.name == "nj"
-        assert (placed.backend, placed.workers) == ("pool", 4)
-        with pytest.raises(TypeError):
-            resolve_tree_stage(cfg, "pool", 4)
-
-    def test_placement_only_spec_keeps_the_default_builder(self):
-        builder, placed = resolve_tree_stage(
-            {"backend": "threads"}, default=lambda: NeighborJoiningBuilder()
-        )
-        assert builder.name == "nj" and placed.backend == "threads"
 
     def test_bad_values(self):
         with pytest.raises(ValueError):

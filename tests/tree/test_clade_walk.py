@@ -9,9 +9,9 @@ indexing and a recount under ``numpy``).  Checked here:
 - ``apply_path`` against the numpy apply and the old merge, on drawn
   merge paths and on the paths the DP emits, and the paths it refuses;
 - the probe that keeps a wrong compiled apply out of a process;
-- every walk's bytes -- builder x {serial, threads, pool, cooperative}
-  x kernel, plain, row-weighted and with the anchored ``merge_fn`` --
-  against :func:`tests.align.oracles.reference_progressive`;
+- every walk's bytes -- builder x {serial, cooperative} x kernel,
+  plain, row-weighted and with the anchored ``merge_fn`` -- against
+  :func:`tests.align.oracles.reference_progressive`;
 - the one-``bincount`` row-weighted frequencies against the per-row
   loop;
 - MUSCLE's stage-2 clade reuse counts, and the walk's observability.
@@ -295,29 +295,16 @@ def _walk(mode, seqs, tree, variant):
         ).results
         assert results[0] == results[1]
         return results[0]
-    placement = {} if mode == "serial" else {"backend": mode, "workers": 2}
-    return progressive_align(
-        seqs, tree, CONFIG, weights, merge_fn, **placement
-    ).to_fasta()
+    return progressive_align(seqs, tree, CONFIG, weights, merge_fn).to_fasta()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("mode", ["serial", "threads", "cooperative"])
+@pytest.mark.parametrize("mode", ["serial", "cooperative"])
 @pytest.mark.parametrize("name", BUILDERS)
 def test_walk_is_the_object_walk(
     dp_kernel, name, mode, variant, seqs, trees, oracle
 ):
     assert _walk(mode, seqs, trees[name], variant) == oracle[name, variant]
-
-
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("name", BUILDERS)
-def test_pool_walk_is_the_object_walk(
-    pool, dp_kernel, name, variant, seqs, trees, oracle
-):
-    """Workers keep their own kernel; the clades they ship back are
-    codes and counts (plus reweighted frequencies)."""
-    assert _walk("pool", seqs, trees[name], variant) == oracle[name, variant]
 
 
 def test_a_clade_ships_codes_counts_and_rows_only(seqs):
@@ -378,14 +365,19 @@ def test_stage2_reuse_is_unchanged(dp_kernel, traced, seed):
     assert reused.value - before == STAGE2[seed][1][1]
 
 
-@pytest.mark.parametrize("mode", ["serial", "threads"])
+@pytest.mark.parametrize("mode", ["serial", "cooperative"])
 def test_walk_names_its_kernel_and_counts_its_applies(
     dp_kernel, traced, mode, seqs, trees
 ):
+    """One ``tree.merge`` span per rank, and every merge applied once:
+    cooperative ranks split each level, they do not repeat it."""
     applies = registry().counter("dp.apply_calls")
     before = applies.value
     _fasta, spans = traced(lambda: _walk(mode, seqs, trees["upgma"], "plain"))
-    (walk,) = [r for r in spans if r.name == "tree.merge"]
-    assert walk.attrs["kernel"] == dp_kernel
+    walks = [r for r in spans if r.name == "tree.merge"]
+    assert len(walks) == (2 if mode == "cooperative" else 1)
+    assert {w.attrs["kernel"] for w in walks} == {dp_kernel}
+    assert {w.attrs["mode"] for w in walks} == {mode}
+    assert sum(r.name == "tree.merge_node" for r in spans) == len(seqs) - 1
     assert applies.value - before == len(seqs) - 1
     assert "repro_dp_apply_calls" in render_prometheus(registry().snapshot())

@@ -1,8 +1,6 @@
-"""The acceptance criterion: serial, threads, pool (warm workers and
-one-shot processes) and cooperative progressive merges are byte-identical
-for every registered tree builder."""
+"""The acceptance criterion: serial and cooperative progressive merges
+are byte-identical for every registered tree builder."""
 
-import numpy as np
 import pytest
 
 from repro.align.profile_align import (
@@ -24,41 +22,40 @@ def trees(tiny_seqs):
     }
 
 
+def cooperative(ranks, walk):
+    """``walk(comm)``'s FASTA from every rank of a ``ranks``-rank run."""
+    return run_spmd(ranks, lambda comm: walk(comm).to_fasta()).results
+
+
+def _cooperative_fasta(comm, seqs, tree):
+    """A module-level rank program, so process ranks can unpickle it."""
+    return progressive_align(seqs, tree, comm=comm).to_fasta()
+
+
 class TestAllModesIdentical:
     @pytest.mark.parametrize(
         "name", ["upgma", "wpgma", "nj", "single-linkage"]
     )
-    def test_serial_threads_processes_comm(self, pool, name, trees, tiny_seqs):
+    def test_serial_and_cooperative(self, name, trees, tiny_seqs):
         tree = trees[name]
         seqs = list(tiny_seqs)
         serial = progressive_align(seqs, tree).to_fasta()
-        threads = progressive_align(
-            seqs, tree, backend="threads", workers=3
-        ).to_fasta()
-        procs = progressive_align(
-            seqs, tree, backend="pool", workers=2
-        ).to_fasta()
-        coop = run_spmd(
-            3, lambda comm: progressive_align(seqs, tree, comm=comm).to_fasta()
+        coop = cooperative(
+            3, lambda comm: progressive_align(seqs, tree, comm=comm)
         )
-        assert threads == serial
-        assert procs == serial
-        assert all(r == serial for r in coop.results)
+        assert coop == [serial] * 3
 
-    def test_weighted_merge_identical(self, pool, trees, tiny_seqs):
+    def test_weighted_merge_identical(self, trees, tiny_seqs):
         """The CLUSTALW weighted path re-weights merged profiles; it must
         stay byte-identical too."""
         tree = trees["nj"]
         seqs = list(tiny_seqs)
         w = clustal_sequence_weights(tree)
         serial = progressive_align(seqs, tree, None, w).to_fasta()
-        threads = progressive_align(
-            seqs, tree, None, w, backend="threads", workers=2
-        ).to_fasta()
-        procs = progressive_align(
-            seqs, tree, None, w, backend="pool", workers=2
-        ).to_fasta()
-        assert threads == serial == procs
+        coop = cooperative(
+            2, lambda comm: progressive_align(seqs, tree, None, w, comm=comm)
+        )
+        assert coop == [serial] * 2
 
     def test_merge_fn_override_identical(self, trees, tiny_seqs):
         """A custom merge_fn (the MAFFT anchored path's hook) schedules
@@ -72,25 +69,63 @@ class TestAllModesIdentical:
             return res.x_map, res.y_map
 
         serial = progressive_align(seqs, tree, cfg, merge_fn=merge).to_fasta()
-        threads = progressive_align(
-            seqs, tree, cfg, merge_fn=merge, backend="threads", workers=3
-        ).to_fasta()
-        assert threads == serial
+        coop = cooperative(3, lambda comm: progressive_align(
+            seqs, tree, cfg, merge_fn=merge, comm=comm
+        ))
+        assert coop == [serial] * 3
+
+
+    @pytest.mark.parametrize("ranks", [1, 6])
+    @pytest.mark.parametrize(
+        "name", ["upgma", "wpgma", "nj", "single-linkage"]
+    )
+    def test_ranks_beyond_schedule_width(self, name, ranks, trees, tiny_seqs):
+        """One rank walks every level alone; six ranks outnumber every
+        level of a five-leaf tree, so some ranks merge nothing."""
+        tree = trees[name]
+        seqs = list(tiny_seqs)
+        serial = progressive_align(seqs, tree).to_fasta()
+        coop = cooperative(
+            ranks, lambda comm: progressive_align(seqs, tree, comm=comm)
+        )
+        assert coop == [serial] * ranks
 
     def test_larger_family_processes(self, one_shot_backend, small_family):
+        """Cooperative ranks in worker processes: the clades cross a
+        process boundary each level and the bytes do not move."""
         from repro.tree import UpgmaBuilder
 
         seqs = list(small_family.sequences)
         d = all_pairs(seqs, "ktuple")
         tree = UpgmaBuilder().build(d, [s.id for s in seqs])
         serial = progressive_align(seqs, tree).to_fasta()
-        procs = progressive_align(
-            seqs, tree, backend=one_shot_backend, workers=2
-        ).to_fasta()
-        assert procs == serial
+        procs = run_spmd(
+            2, _cooperative_fasta, args=(seqs, tree),
+            backend=one_shot_backend,
+        ).results
+        assert procs == [serial] * 2
 
 
 class TestProgressiveMergeApi:
+    @pytest.mark.parametrize("param", ["backend", "workers", "cost_model"])
+    @pytest.mark.parametrize("walk", ["progressive_align", "progressive_merge"])
+    def test_placement_parameters_are_gone(self, walk, param, trees,
+                                           tiny_seqs):
+        """The walk runs where its caller runs: a placement keyword is a
+        ``TypeError``, never accepted and ignored."""
+        from repro.align.profile import Profile
+
+        seqs = list(tiny_seqs)
+        value = {"backend": "threads", "workers": 2, "cost_model": None}
+        with pytest.raises(TypeError, match=param):
+            if walk == "progressive_align":
+                progressive_align(seqs, trees["upgma"], **{param: value[param]})
+            else:
+                progressive_merge(
+                    [Profile.from_sequence(s) for s in seqs], trees["upgma"],
+                    lambda s, a, b: a, **{param: value[param]},
+                )
+
     def test_root_profile_matches_serial_walk(self, trees, tiny_seqs):
         from repro.align.profile import Profile
 
@@ -104,12 +139,10 @@ class TestProgressiveMergeApi:
             return merged
 
         root_serial = progressive_merge(profiles, tree, node)
-        root_par = progressive_merge(
-            profiles, tree, node, backend="threads", workers=2
-        )
-        assert (
-            root_serial.alignment.to_fasta() == root_par.alignment.to_fasta()
-        )
+        roots = run_spmd(2, lambda comm: progressive_merge(
+            profiles, tree, node, comm=comm
+        ).alignment.to_fasta()).results
+        assert roots == [root_serial.alignment.to_fasta()] * 2
 
     def test_too_few_profiles_rejected(self, trees):
         with pytest.raises(ValueError, match="at least 2"):
@@ -129,37 +162,3 @@ class TestProgressiveMergeApi:
             progressive_merge(
                 profiles, trees["upgma"], lambda s, a, b: a
             )
-
-    def test_comm_excludes_backend(self, trees, tiny_seqs):
-        from repro.align.profile import Profile
-
-        profiles = [Profile.from_sequence(s) for s in tiny_seqs]
-
-        def program(comm):
-            with pytest.raises(ValueError, match="cooperative"):
-                progressive_merge(
-                    profiles, trees["upgma"], lambda s, a, b: a,
-                    comm=comm, backend="threads",
-                )
-            return True
-
-        assert run_spmd(1, program).results == [True]
-
-    def test_bad_workers(self, trees, tiny_seqs):
-        from repro.align.profile import Profile
-
-        profiles = [Profile.from_sequence(s) for s in tiny_seqs]
-        with pytest.raises(ValueError, match="workers"):
-            progressive_merge(
-                profiles, trees["upgma"], lambda s, a, b: a, workers=0
-            )
-
-    def test_workers_capped_at_schedule_width(self, trees, tiny_seqs):
-        """Asking for more ranks than the DAG can feed must still work."""
-        seqs = list(tiny_seqs)
-        aln = progressive_align(
-            seqs, trees["single-linkage"], backend="threads", workers=64
-        )
-        assert aln.to_fasta() == progressive_align(
-            seqs, trees["single-linkage"]
-        ).to_fasta()

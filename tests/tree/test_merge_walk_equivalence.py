@@ -2,11 +2,10 @@
 
 The reference is the object-building per-node walk
 (:func:`tests.align.oracles.reference_progressive`), computed once on
-the numpy row kernel.  Every
-builder and every execution mode -- the default serial walk, the
-``threads`` and ``pool`` backends, a cooperative SPMD walk, the
-row-weighted merges, a walk through a ``CladeTable`` -- must produce byte-for-byte the FASTA that walk
-produces, under each DP kernel, and each walks node by node: one
+the numpy row kernel.  Every builder and every walk -- the default
+serial walk, a cooperative SPMD walk, the row-weighted merges, a walk
+through a ``CladeTable`` -- must produce byte-for-byte the FASTA that
+walk produces, under each DP kernel, and each walks node by node: one
 ``tree.merge_node`` span and one ``dp.profile_align`` span per merge.
 """
 
@@ -78,15 +77,6 @@ class TestWalksMatchPerNode:
     ):
         out = progressive_align(family_seqs, family_trees[name]).to_fasta()
         assert out == per_pair_reference[name]
-
-    @pytest.mark.parametrize("backend", ["threads", "pool"])
-    def test_backends_match_per_node(
-        self, pool, backend, family_seqs, family_trees, per_pair_reference
-    ):
-        out = progressive_align(
-            family_seqs, family_trees["upgma"], backend=backend, workers=2
-        ).to_fasta()
-        assert out == per_pair_reference["upgma"]
 
     @pytest.mark.parametrize("ranks", [2, 3])
     def test_spmd_matches_per_node(

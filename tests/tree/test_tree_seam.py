@@ -15,7 +15,7 @@ from repro.msa import (
     ParallelClustalW,
 )
 from repro.serve.gateway import AlignmentGateway
-from repro.tree import TreeConfig, get_builder
+from repro.tree import TreeConfig
 
 BASELINES = [
     lambda **kw: ClustalWLike(**kw),
@@ -26,24 +26,6 @@ BASELINES = [
 
 
 class TestBaselineSeam:
-    @pytest.mark.parametrize("make", BASELINES)
-    def test_tree_backend_identical_alignment(self, make, tiny_seqs):
-        """threads/pool merge stages reproduce the serial result
-        byte-for-byte (the acceptance criterion, through the baselines)."""
-        serial = make().align(tiny_seqs)
-        threads = make(
-            tree={"backend": "threads", "workers": 2}
-        ).align(tiny_seqs)
-        assert serial == threads
-        assert serial.to_fasta() == threads.to_fasta()
-
-    def test_processes_tree_backend_identical(self, pool, tiny_seqs):
-        serial = ClustalWLike().align(tiny_seqs)
-        procs = ClustalWLike(
-            tree={"backend": "pool", "workers": 2}
-        ).align(tiny_seqs)
-        assert serial.to_fasta() == procs.to_fasta()
-
     def test_default_builders_match_history(self, tiny_seqs):
         """tree='nj' on clustalw and tree='upgma' on muscle are the
         historical defaults -- identical output."""
@@ -65,29 +47,8 @@ class TestBaselineSeam:
             for s in seqs:
                 assert un[s.id].residues == s.residues
 
-    def test_anchored_merge_fn_survives_process_backend(self, pool, tiny_seqs):
-        """The fftnsi/anchored merge hook must be picklable (a partial
-        over a module-level function, not a lambda) so the pool backend
-        can ship it to its worker processes."""
-        import pickle
-
-        serial = MafftLike(mode="fftnsi", iterations=0).align(tiny_seqs)
-        procs = MafftLike(
-            mode="fftnsi", iterations=0,
-            tree={"backend": "pool", "workers": 2},
-        ).align(tiny_seqs)
-        assert serial.to_fasta() == procs.to_fasta()
-        import functools
-
-        from repro.msa.mafft import anchored_path
-
-        pickle.dumps(functools.partial(
-            anchored_path,
-            config=MafftLike(mode="fftnsi").scoring,
-        ))
-
     def test_tree_config_value(self, tiny_seqs):
-        cfg = TreeConfig(builder="wpgma", backend="threads", workers=2)
+        cfg = TreeConfig(builder="wpgma")
         aln = CenterStar(tree=cfg).align(tiny_seqs)
         assert aln == CenterStar(tree="wpgma").align(tiny_seqs)
 
@@ -107,21 +68,14 @@ class TestBaselineSeam:
             assert un_star[s.id].residues == s.residues
             assert un_guided[s.id].residues == s.residues
 
-    def test_center_star_tree_backend_on_caterpillar(self, tiny_seqs):
-        # The caterpillar is a chain (max_width 1) -- the scheduler must
-        # degrade gracefully and stay byte-identical.
-        serial = CenterStar().align(tiny_seqs)
-        par = CenterStar(tree={"backend": "threads"}).align(tiny_seqs)
-        assert serial.to_fasta() == par.to_fasta()
-
     @pytest.mark.parametrize("make", BASELINES)
     def test_bad_tree_options_fail_fast(self, make):
         with pytest.raises((ValueError, KeyError)):
             make(tree="nope")
-        with pytest.raises(ValueError):
-            make(tree={"backend": "gpu"})
-        with pytest.raises(ValueError):
-            make(tree={"workers": 0})
+        with pytest.raises(ValueError, match="unknown TreeConfig keys"):
+            make(tree={"backend": "threads"})  # the merge has no placement
+        with pytest.raises(ValueError, match="unknown TreeConfig keys"):
+            make(tree={"workers": 2})
         with pytest.raises(TypeError):
             make(tree_backend="threads")  # the removed flat spelling
 
@@ -130,7 +84,7 @@ class TestBaselineSeam:
         assert res.alignment.n_rows == len(tiny_seqs)
 
     def test_parallel_baseline_rejects_nested_backend(self):
-        with pytest.raises(ValueError, match="nested"):
+        with pytest.raises(ValueError, match="unknown TreeConfig keys"):
             ParallelClustalW(
                 tree={"builder": "nj", "backend": "threads"}
             )
@@ -152,13 +106,25 @@ class TestBaselineSeam:
 
 class TestEngineSeam:
     def test_engine_kwargs_reach_the_aligner(self, tiny_seqs):
-        base = repro.align(tiny_seqs, engine="clustalw")
         via = repro.align(
-            tiny_seqs,
-            engine="clustalw",
-            tree={"builder": "nj", "backend": "threads"},
+            tiny_seqs, engine="clustalw", tree={"builder": "upgma"}
         )
-        assert base.alignment == via.alignment
+        assert via.alignment == ClustalWLike(tree="upgma").align(tiny_seqs)
+
+    @pytest.mark.parametrize("key, value", [("backend", "pool"),
+                                            ("workers", 2)])
+    @pytest.mark.parametrize("engine", sorted(
+        name for name in repro.available_engines()
+        if "tree" in engine_stages(name)
+    ))
+    def test_engine_refuses_a_tree_placement(self, engine, key, value,
+                                             tiny_seqs):
+        """Every tree-capable engine's merge runs where the engine runs:
+        an old placement key is a typed error, never accepted and
+        ignored."""
+        with pytest.raises(ValueError, match=f"unknown TreeConfig keys "
+                                             rf"\['{key}'\]"):
+            repro.align(tiny_seqs, engine=engine, tree={key: value})
 
     def test_tree_options_change_the_content_hash(self, tiny_seqs):
         plain = AlignRequest(tuple(tiny_seqs), engine="clustalw")
@@ -213,13 +179,10 @@ class TestGatewaySeam:
         expected = AlignRequest(
             tuple(tiny_seqs),
             engine="center-star",
-            engine_kwargs={
-                "tree": TreeConfig("upgma", backend="threads").to_dict()
-            },
+            engine_kwargs={"tree": TreeConfig("upgma").to_dict()},
         )
         with AlignmentGateway(
-            n_workers=1,
-            default_tree={"builder": "upgma", "backend": "threads"},
+            n_workers=1, default_tree={"builder": "upgma"}
         ) as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == expected.content_hash()
@@ -244,10 +207,7 @@ class TestGatewaySeam:
 
     def test_non_capable_engine_untouched(self, tiny_seqs):
         request = AlignRequest(tuple(tiny_seqs), engine="tcoffee")
-        with AlignmentGateway(
-            n_workers=1,
-            default_tree={"builder": "nj", "backend": "threads"},
-        ) as gw:
+        with AlignmentGateway(n_workers=1, default_tree="nj") as gw:
             ticket = gw.submit(request)
             assert ticket.request_hash == request.content_hash()
 
@@ -256,11 +216,9 @@ class TestGatewaySeam:
         explicit = AlignRequest(
             tuple(tiny_seqs),
             engine="center-star",
-            engine_kwargs={"tree": {"backend": "threads"}},
+            engine_kwargs={"tree": {"builder": "upgma"}},
         )
-        with AlignmentGateway(
-            n_workers=1, default_tree={"backend": "threads"}
-        ) as gw:
+        with AlignmentGateway(n_workers=1, default_tree="upgma") as gw:
             t1 = gw.submit(plain)
             t2 = gw.submit(explicit)
             assert t1.request_hash == t2.request_hash
@@ -269,28 +227,23 @@ class TestGatewaySeam:
     def test_bad_defaults_rejected(self):
         with pytest.raises(ValueError):
             AlignmentGateway(n_workers=1, default_tree="nope")
-        with pytest.raises(ValueError):
-            AlignmentGateway(n_workers=1, default_tree={"backend": "gpu"})
+        with pytest.raises(ValueError, match="unknown TreeConfig keys"):
+            AlignmentGateway(n_workers=1, default_tree={"backend": "pool"})
         with pytest.raises(TypeError):
             AlignmentGateway(n_workers=1, default_tree_backend="threads")
 
     def test_metrics_expose_tree_defaults(self):
-        with AlignmentGateway(
-            n_workers=1,
-            default_tree={"builder": "nj", "backend": "threads"},
-        ) as gw:
+        with AlignmentGateway(n_workers=1, default_tree="nj") as gw:
             m = gw.metrics()
-            assert m["default_tree"]["builder"] == "nj"
-            assert m["default_tree"]["backend"] == "threads"
+            assert m["default_tree"] == TreeConfig("nj").to_dict()
+            assert "backend" not in m["default_tree"]
 
     def test_defaults_case_normalised(self, tiny_seqs):
         request = AlignRequest(tuple(tiny_seqs), engine="center-star")
         with AlignmentGateway(
-            n_workers=1,
-            default_tree={"builder": "UPGMA", "backend": "Threads"},
+            n_workers=1, default_tree={"builder": "UPGMA"}
         ) as upper, AlignmentGateway(
-            n_workers=1,
-            default_tree={"builder": "upgma", "backend": "threads"},
+            n_workers=1, default_tree={"builder": "upgma"}
         ) as lower:
             assert (
                 upper.submit(request).request_hash
@@ -356,32 +309,23 @@ class TestCli:
         out = tmp_path / "aln.fasta"
         rc = main([
             "align", fasta, "--engine", "clustalw",
-            "--tree", "upgma", "--tree-backend", "threads",
-            "-o", str(out),
+            "--tree", "upgma", "-o", str(out),
         ])
         assert rc == 0
         assert out.read_text().startswith(">")
 
-    def test_align_rejects_tree_backend_for_sample_align_d(
-        self, fasta, capsys
-    ):
+    @pytest.mark.parametrize("command", [["align", "x.fa"], ["serve"],
+                                         ["loadtest"], ["trace"]])
+    def test_tree_backend_flag_is_gone(self, command, capsys):
+        """The merge has no placement: the old flag is a usage error."""
         from repro.cli import main
 
-        rc = main(["align", fasta, "--tree-backend", "threads"])
-        assert rc == 2
-        assert "--tree-backend" in capsys.readouterr().err
-
-    def test_align_rejects_tree_backend_for_parallel_baseline(
-        self, fasta, capsys
-    ):
-        from repro.cli import main
-
-        rc = main([
-            "align", fasta, "--engine", "parallel-baseline",
-            "--tree-backend", "threads",
-        ])
-        assert rc == 2
-        assert "SPMD ranks" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--tree-backend", "pool"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tree-backend" in err
+        assert "Traceback" not in err
 
     def test_align_tree_reaches_local_aligner(self, fasta, tmp_path):
         from repro.cli import main
