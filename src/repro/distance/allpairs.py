@@ -6,7 +6,7 @@ into chunks and executing the chunks
 
 - **serially** (``workers=1`` -- no scheduler overhead),
 - **on an execution backend** (``backend="threads"|"pool"``,
-  ``workers=N`` -- the backend registry; ``pool`` puts the per-pair
+  ``workers=N`` -- ``pool`` puts the per-pair
   DPs on worker processes, ``threads`` on rank threads that run the
   compiled ``full-dp`` tiles with their run token parked), or
 - **cooperatively inside an existing SPMD program** (``comm=...`` --

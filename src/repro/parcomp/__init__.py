@@ -1,4 +1,4 @@
-"""Virtual message-passing cluster with pluggable execution backends.
+"""Virtual message-passing cluster with two execution backends.
 
 The paper runs on a 16-node Beowulf cluster via MPI.  This subpackage
 provides the substitution documented in DESIGN.md: ranks execute an
@@ -23,7 +23,8 @@ byte-identical program results and equivalent ledgers.
 
 - :mod:`repro.parcomp.cost` -- cost model, payload sizing, event ledger.
 - :mod:`repro.parcomp.comm` -- the transport seam and :class:`VirtualComm`.
-- :mod:`repro.parcomp.backends` -- the execution backends and registry.
+- :mod:`repro.parcomp.backends` -- the two execution backends, selected
+  by name.
 - :mod:`repro.parcomp.launcher` -- the SPMD launcher (``run_spmd``).
 - :mod:`repro.parcomp.token` -- the process's compute token: one
   request's engine computes in-process at a time, and a ``pool``
@@ -46,7 +47,6 @@ from repro.parcomp.backends import (
     available_backends,
     get_backend,
     in_spmd_rank,
-    register_backend,
     usable_cores,
 )
 from repro.parcomp.launcher import run_spmd
@@ -67,7 +67,6 @@ __all__ = [
     "estimate_nbytes",
     "get_backend",
     "in_spmd_rank",
-    "register_backend",
     "run_spmd",
     "run_token_parked",
     "usable_cores",

@@ -1,4 +1,4 @@
-"""Pluggable execution backends for the SPMD launcher.
+"""The two execution backends of the SPMD launcher.
 
 An :class:`ExecutionBackend` decides *where* the ranks of an SPMD program
 run; the rank-side semantics (the :class:`~repro.parcomp.comm.VirtualComm`
@@ -19,7 +19,8 @@ it.  Two backends ship:
 - ``"pool"`` (:class:`repro.pool.PoolBackend`) -- real cores: a
   persistent, supervised pool of worker processes (:mod:`repro.pool`)
   created once and reused across runs, with large payloads riding
-  zero-copy shared-memory segments instead of pickled queues.  A run
+  shared-memory segments (one copy in, one copy out) instead of pickled
+  queues.  A run
   with more ranks than the pool has slots runs cold, on a one-shot pool
   sized for it.
 
@@ -27,9 +28,9 @@ Rule of thumb: ``threads`` for studying the paper's communication model
 and for stages made of GIL-free compiled calls, ``pool`` for actually
 aligning fast -- especially the serving stack's repeated short jobs.
 
-Backends register by name (:func:`register_backend`) so callers select
-them with a string the whole stack -- driver, engine, service, gateway,
-CLI -- passes through unchanged.
+Callers select a backend by name, a string the whole stack -- driver,
+engine, service, gateway, CLI -- passes through unchanged, and
+:func:`get_backend` resolves it against the fixed table of these two.
 """
 
 from __future__ import annotations
@@ -66,7 +67,6 @@ __all__ = [
     "available_backends",
     "get_backend",
     "in_spmd_rank",
-    "register_backend",
     "usable_cores",
     "DEFAULT_BACKEND",
     "POOL_WORKER_ENV",
@@ -77,6 +77,13 @@ DEFAULT_BACKEND = "threads"
 
 #: Set in every ``pool`` worker process (by :mod:`repro.pool.workers`).
 POOL_WORKER_ENV = "REPRO_POOL_IN_WORKER"
+
+#: How long a ``threads`` run waits for surviving rank threads after a
+#: rank failure before giving up on them.  Parked ranks leave at once; a
+#: rank stuck in a long compute phase (it only observes the abort at its
+#: next communication call) is left behind as a daemon thread rather
+#: than hanging the caller, and the raised error notes the leak.
+ABORT_JOIN_TIMEOUT_S = 30.0
 
 
 def usable_cores() -> int:
@@ -122,7 +129,7 @@ class ExecutionBackend(ABC):
     the caller as ``RuntimeError("rank r failed: ...")``.
     """
 
-    #: Registry name of the backend.
+    #: Name the backend is selected by.
     name: str = "abstract"
 
     @abstractmethod
@@ -178,25 +185,11 @@ class ThreadBackend(ExecutionBackend):
     sits in ``join`` -- it does not park it, because its ranks *are*
     in-process compute.  The rank threads never touch that token; they
     hand the fabric's run token among themselves, so the process still
-    runs exactly one thread of Python at a time.
-
-    Parameters
-    ----------
-    abort_join_timeout:
-        How long to wait for surviving rank threads after a rank failure
-        before giving up on them.  Parked ranks leave at once; a rank
-        stuck in a long compute phase (it only observes the abort at its
-        next communication call) is left behind as a daemon thread
-        rather than hanging the caller, and the raised error notes the
-        leak.
+    runs exactly one thread of Python at a time.  After a rank failure
+    the survivors get :data:`ABORT_JOIN_TIMEOUT_S` to unwind.
     """
 
     name = "threads"
-
-    def __init__(self, abort_join_timeout: float = 30.0) -> None:
-        if abort_join_timeout <= 0:
-            raise ValueError("abort_join_timeout must be > 0")
-        self.abort_join_timeout = abort_join_timeout
 
     def run(
         self,
@@ -251,7 +244,7 @@ class ThreadBackend(ExecutionBackend):
                 continue
             if errors:
                 if deadline is None:
-                    deadline = time.monotonic() + self.abort_join_timeout
+                    deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
                 if time.monotonic() >= deadline:
                     leaked.append(t.name)
                     continue
@@ -268,40 +261,25 @@ class ThreadBackend(ExecutionBackend):
 
 
 # ---------------------------------------------------------------------------
-# Registry.
-
-_BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {}
+# Selection by name.
 
 
-def register_backend(
-    name: str,
-    factory: Callable[[], ExecutionBackend],
-    overwrite: bool = False,
-) -> None:
-    """Register an execution backend factory under ``name``.
+def _pool_backend() -> ExecutionBackend:
+    """Import :mod:`repro.pool` on first use, not at module import: the
+    pool builds *on* this seam, so the dependency stays one-way."""
+    from repro.pool import PoolBackend
 
-    ``factory()`` must return an :class:`ExecutionBackend`.  Names are
-    case-insensitive and shared by every layer's ``backend=`` option.
-    """
-    key = name.lower()
-    if key in _BACKENDS and not overwrite:
-        raise ValueError(
-            f"backend {name!r} already registered "
-            "(pass overwrite=True to replace)"
-        )
-    _BACKENDS[key] = factory
+    return PoolBackend()
 
 
-def unregister_backend(name: str) -> None:
-    """Remove a backend from the registry."""
-    try:
-        del _BACKENDS[name.lower()]
-    except KeyError:
-        raise KeyError(f"backend {name!r} is not registered") from None
+_BACKENDS: Dict[str, Callable[[], ExecutionBackend]] = {
+    "threads": ThreadBackend,
+    "pool": _pool_backend,
+}
 
 
 def available_backends() -> List[str]:
-    """Sorted names of the registered execution backends."""
+    """Sorted names of the execution backends."""
     return sorted(_BACKENDS)
 
 
@@ -310,8 +288,9 @@ def get_backend(
 ) -> ExecutionBackend:
     """Resolve a backend selection to an instance.
 
-    ``None`` means :data:`DEFAULT_BACKEND`; a string resolves through the
-    registry; an :class:`ExecutionBackend` instance passes through.
+    ``None`` means :data:`DEFAULT_BACKEND`; a name (case-insensitive)
+    resolves through the fixed table; an :class:`ExecutionBackend`
+    instance passes through.
     """
     if backend is None:
         backend = DEFAULT_BACKEND
@@ -325,18 +304,3 @@ def get_backend(
             f"available: {available_backends()}"
         ) from None
     return factory()
-
-
-def _pool_backend_factory() -> ExecutionBackend:
-    """Lazy factory: importing :mod:`repro.pool` here (not at module
-    import) keeps the dependency one-way -- the pool builds *on* the
-    backend seam -- while ``"pool"`` still shows up in
-    :func:`available_backends` and in ``get_backend`` error messages
-    from the first import of this module."""
-    from repro.pool import PoolBackend
-
-    return PoolBackend()
-
-
-register_backend("threads", ThreadBackend)
-register_backend("pool", _pool_backend_factory)

@@ -2,12 +2,14 @@
 
 The real-core execution backend.  Where ``threads`` runs its ranks one
 at a time on one core, ``"pool"`` keeps a supervised set of long-lived
-worker processes warm and reuses them for every SPMD run, all-pairs
-distance schedule and progressive merge -- repeated short jobs pay a
-queue round-trip instead of a process start, and large payloads ride
-zero-copy shared-memory segments instead of pickled pipes.  A run with
-more ranks than the pool has slots runs cold, on a one-shot pool sized
-for it.
+worker processes warm and reuses them for every SPMD run -- a
+Sample-Align-D run, an all-pairs distance schedule -- so repeated short
+jobs pay a queue round-trip instead of a process start, and large
+payloads ride shared-memory segments (one copy in, one copy out) instead
+of pickled pipes.  A run with more ranks than the pool has slots runs
+cold, on a one-shot pool sized for it.  The pool's settings are fixed
+constants of :mod:`repro.pool.workers`; only the slot count is chosen
+(``max_workers``, or ``REPRO_POOL_WORKERS`` for the default pool).
 
 Layout:
 
@@ -18,13 +20,13 @@ Layout:
   dispatch, the rank-side transport, drain/close.
 - :mod:`repro.pool.supervisor` -- heartbeat liveness, crash respawn,
   idle shrink, terminate→kill escalation.
-- :mod:`repro.pool.backend` -- :class:`PoolBackend` (the registered
-  ``"pool"`` backend) and the process-default pool.
+- :mod:`repro.pool.backend` -- :class:`PoolBackend` (the ``"pool"``
+  backend) and the process-default pool.
 
-Select it like any other backend -- ``backend="pool"`` in
-``run_spmd``/``all_pairs``/``progressive_merge``/``sample_align_d``,
-``--backend pool`` on the CLI -- or hand a configured
-:class:`WorkerPool` to :class:`PoolBackend` / ``set_default_pool``.
+Select it like the other backend -- ``backend="pool"`` in
+``run_spmd``/``all_pairs``/``sample_align_d``, ``--backend pool`` on the
+CLI -- or hand a sized :class:`WorkerPool` to :class:`PoolBackend` /
+``set_default_pool``.
 """
 
 from repro.pool.backend import (

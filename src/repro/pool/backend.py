@@ -1,6 +1,6 @@
 """The ``"pool"`` execution backend and the process-default pool.
 
-:class:`PoolBackend` is the registry face of :mod:`repro.pool`: it
+:class:`PoolBackend` is the ``"pool"`` face of :mod:`repro.pool`: it
 satisfies the :class:`~repro.parcomp.backends.ExecutionBackend` contract
 (same program semantics, same abort semantics, byte-identical results)
 while executing ranks on a warm :class:`~repro.pool.workers.WorkerPool`.
@@ -11,7 +11,7 @@ Two behaviours are layered on top of the raw pool:
   programs this repo runs (distance tiles, Sample-Align-D) are
   deterministic and side-effect-free, so the whole run is retried on
   the respawned workers -- the caller still gets the byte-identical
-  result or, after ``max_retries`` consecutive crashes, a
+  result or, after :data:`MAX_RETRIES` retries that crash too, a
   ``RuntimeError``.  Program exceptions are never retried.
 - **capacity fallback** -- a pool has a fixed slot count; a run asking
   for more ranks than that runs cold, on a one-shot
@@ -52,6 +52,11 @@ __all__ = [
     "set_default_pool",
 ]
 
+#: Whole-run retries after worker *crashes* (program errors are never
+#: retried).  Sound because the repo's rank programs are deterministic
+#: and side-effect-free.
+MAX_RETRIES = 2
+
 
 class PoolBackend(ExecutionBackend):
     """Run SPMD programs on a persistent, supervised worker pool.
@@ -63,10 +68,6 @@ class PoolBackend(ExecutionBackend):
         case -- every ``backend="pool"`` string resolves here) means the
         process-default pool from :func:`get_default_pool`, re-resolved
         per run so a gateway-installed pool takes effect immediately.
-    max_retries:
-        Whole-run retries after worker *crashes* (program errors are
-        never retried).  Sound because the repo's rank programs are
-        deterministic and side-effect-free.
 
     Who holds which token while blocked: a service request that gets
     here holds the process's compute token
@@ -87,13 +88,8 @@ class PoolBackend(ExecutionBackend):
 
     name = "pool"
 
-    def __init__(
-        self, pool: Optional[WorkerPool] = None, max_retries: int = 2
-    ) -> None:
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
+    def __init__(self, pool: Optional[WorkerPool] = None) -> None:
         self._pool = pool
-        self.max_retries = max_retries
 
     @property
     def pool(self) -> WorkerPool:
@@ -114,17 +110,16 @@ class PoolBackend(ExecutionBackend):
         if overflow:
             pool.note_fallback()
         last_crash: Optional[WorkerCrashError] = None
-        for _attempt in range(self.max_retries + 1):
+        attempts = MAX_RETRIES + 1
+        for attempt in range(attempts):
             try:
                 # Fixed slot count: a run that does not fit gets a
                 # one-shot pool of its own size, per attempt, opened
                 # inside the span and closed on the way out.
                 with span(
-                    "pool.dispatch", ranks=n_ranks, attempt=_attempt
+                    "pool.dispatch", ranks=n_ranks, attempt=attempt
                 ) as dispatch_span, (
-                    WorkerPool(
-                        max_workers=n_ranks, start_method=pool.start_method
-                    )
+                    WorkerPool(max_workers=n_ranks)
                     if overflow else contextlib.nullcontext(pool)
                 ) as runner:
                     with COMPUTE_TOKEN.parked():
@@ -145,7 +140,7 @@ class PoolBackend(ExecutionBackend):
             except WorkerCrashError as exc:
                 last_crash = exc
         raise RuntimeError(
-            f"pool run failed after {self.max_retries + 1} attempts "
+            f"pool run failed after {attempts} attempts "
             f"(workers kept dying): {last_crash!r}"
         ) from last_crash
 

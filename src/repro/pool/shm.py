@@ -1,4 +1,4 @@
-"""Zero-copy payload transport over :mod:`multiprocessing.shared_memory`.
+"""Payload transport over :mod:`multiprocessing.shared_memory`.
 
 The pool's wire problem: pickling every payload into a queue means a
 10 MB profile block is serialised, copied into a pipe
@@ -9,9 +9,8 @@ segment* and only a tiny :class:`ShmRef` descriptor crosses the queue.
 Encoding uses pickle protocol 5 with out-of-band buffers: numpy arrays
 (sequence code batches, condensed distance tiles, profile frequency
 blocks) are written straight from their source memoryview into the
-segment -- one copy in, and on the borrowing decode path zero copies out
-(the consumer's arrays are views into the segment until it releases
-them).
+segment and copied out by the decoder -- one copy in, one copy out, so
+the consumer's arrays own their memory once the segment is gone.
 
 Segment lifecycle is explicit because the stdlib resource tracker cannot
 express "created here, consumed there":
@@ -20,7 +19,7 @@ express "created here, consumed there":
   so a stale or foreign segment is rejected instead of misread;
 - each process keeps a :class:`SegmentRegistry` of segments it is
   responsible for; the **consumer unlinks** (every payload has exactly
-  one consumer -- a task, a rank message, or a report);
+  one consumer -- a rank message or a report);
 - senders ``forget`` a segment once its descriptor is queued
   (responsibility travels with the message), and queue *drains* on
   abort/close unlink any descriptors still in flight
@@ -57,8 +56,7 @@ __all__ = [
 ]
 
 #: Payloads at or above this many serialised bytes ride shared memory;
-#: smaller ones stay inline on the queue.  Overridable per pool and via
-#: ``REPRO_POOL_SHM_THRESHOLD``.
+#: smaller ones stay inline on the queue.
 DEFAULT_SHM_THRESHOLD = 64 * 1024
 
 #: Segment header: magic, version, n_buffers, main-blob length.
@@ -176,15 +174,9 @@ def unlink_wire(wire: Any) -> bool:
 
 
 class SegmentRegistry:
-    """The segments one process is currently responsible for.
-
-    Two responsibility classes share the table:
-
-    - ``created``: segments this process created and has not yet handed
-      off (``forget``) to a queued message;
-    - ``borrowed``: segments this process attached to for a zero-copy
-      decode and must unlink once the borrowing scope ends
-      (:meth:`release`/:meth:`release_all`).
+    """The segments one process is currently responsible for: those it
+    created and has not yet handed off (``forget``) to a queued message,
+    or still fans out to several decoders (a shared wire).
 
     ``close_all`` unlinks everything still owned -- the crash/exit
     backstop that keeps ``/dev/shm`` clean no matter how a run ended.
@@ -219,26 +211,13 @@ class SegmentRegistry:
         if seg is not None:
             seg.close()
 
-    # -- borrowing (zero-copy decode) ---------------------------------------
-
-    def adopt(self, seg: shared_memory.SharedMemory) -> None:
-        """Own an attached segment until :meth:`release` (borrow decode)."""
-        with self._lock:
-            self._segments[seg.name] = seg
-
     def release(self, name: str) -> None:
-        """End a borrow (or abandon a created segment): close + unlink."""
+        """Abandon an owned segment (or end a fan-out): close + unlink."""
         with self._lock:
             seg = self._segments.pop(name, None)
         if seg is None:
             return
-        try:
-            seg.close()
-        except BufferError:
-            # A borrower still holds views into the mapping; unlinking
-            # the name is what matters -- the mapping itself dies with
-            # the last view (or the process).
-            pass
+        seg.close()
         if _unlink_handle(seg):
             with self._lock:
                 self.unlinked_total += 1
@@ -350,20 +329,11 @@ def _parse_segment(seg: shared_memory.SharedMemory):
     return main, views
 
 
-def decode_payload(
-    wire: Tuple[str, Any],
-    registry: Optional[SegmentRegistry] = None,
-    *,
-    borrow: bool = False,
-) -> Any:
+def decode_payload(wire: Tuple[str, Any]) -> Any:
     """Reconstruct the object behind a wire tuple.
 
-    ``borrow=True`` (shm wires only; requires ``registry``) rebuilds
-    buffer-backed objects as views *into the segment* -- zero copies --
-    and parks the segment in ``registry``; the caller must
-    ``registry.release(ref.name)`` (or ``release_all``) once the object's
-    scope ends.  Default mode copies the buffers out and unlinks the
-    segment immediately, so the result owns its memory (the consumer
+    Shared-memory buffers are copied out, so the result owns its memory,
+    and a single-consumer segment is unlinked at once (the consumer
     unlinks -- every payload has exactly one).
     """
     kind = wire[0]
@@ -382,14 +352,6 @@ def decode_payload(
         except BufferError:  # pragma: no cover - traceback holds views
             pass
         raise
-    if borrow:
-        if registry is None:
-            raise ValueError("borrow decode needs a SegmentRegistry")
-        if kind == "S":
-            raise ValueError("shared wires cannot be borrow-decoded")
-        obj = pickle.loads(main, buffers=views)
-        registry.adopt(seg)
-        return obj
     # bytearray copies keep reconstructed arrays writable, matching a
     # plain pickle round-trip on the other backends.
     obj = pickle.loads(main, buffers=[bytearray(v) for v in views])

@@ -7,14 +7,16 @@ terminate→kill-escalate the same way PR 3 hardened the per-call
 backends.  That someone is :class:`PoolSupervisor`, a daemon thread with
 three duties per tick:
 
-- **crash respawn** -- a desired slot whose process is gone is recycled
-  (queues drained of stale wires, fresh process on the same queues);
+- **crash respawn** -- a desired slot whose process is gone forces the
+  pool-wide reset (queues drained of stale wires and rebuilt, fresh
+  processes);
 - **hang detection** -- a worker whose heartbeat has gone stale for ~10
   intervals while the pool is idle is force-recycled (its beat thread is
   a daemon that survives any amount of compute, so a stale beat means
   the process is truly wedged, not busy);
-- **idle shrink** -- above ``min_workers``, workers idle longer than
-  ``idle_timeout`` are stopped; the next dispatch restarts them.
+- **idle shrink** -- above :data:`~repro.pool.workers.MIN_WORKERS`,
+  workers idle longer than :data:`~repro.pool.workers.IDLE_TIMEOUT_S`
+  are stopped and joined; the next dispatch restarts them.
 
 The supervisor only acts when it can take the dispatch lock without
 blocking: mid-run crash handling belongs to the dispatcher (which sees
@@ -26,10 +28,8 @@ from __future__ import annotations
 
 import time
 from threading import Event, Thread
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.pool.workers import WorkerPool
+from repro.pool import workers
 
 __all__ = ["PoolSupervisor", "escalate"]
 
@@ -54,7 +54,7 @@ def escalate(proc, join_timeout: float = 1.0) -> None:
 class PoolSupervisor:
     """Daemon thread running the pool's periodic health checks."""
 
-    def __init__(self, pool: "WorkerPool") -> None:
+    def __init__(self, pool: workers.WorkerPool) -> None:
         self._pool = pool
         self._stop = Event()
         self._thread = Thread(
@@ -72,8 +72,7 @@ class PoolSupervisor:
     # -- the tick ------------------------------------------------------------
 
     def _loop(self) -> None:
-        interval = self._pool.heartbeat_interval
-        while not self._stop.wait(interval):
+        while not self._stop.wait(workers.HEARTBEAT_S):
             try:
                 self._tick()
             except Exception:  # pragma: no cover - supervision never raises
@@ -99,16 +98,10 @@ class PoolSupervisor:
     def _respawn_dead(self) -> None:
         pool = self._pool
         with pool._state_lock:
-            reap = [
-                s.index for s in pool._slots
-                if not s.desired and s.proc is not None and not s.alive
-            ]
             crashed = any(
                 s.desired and s.proc is not None and not s.alive
                 for s in pool._slots
             )
-        for index in reap:  # clean exits (idle shrink): just fold away
-            pool._reap_slot(index)
         if crashed:
             # A signal death may have poisoned shared queue locks, so
             # recovery is always the pool-wide reset.
@@ -116,9 +109,7 @@ class PoolSupervisor:
 
     def _recycle_hung(self) -> None:
         pool = self._pool
-        threshold = max(
-            _HUNG_BEATS * pool.heartbeat_interval, _HUNG_FLOOR_S
-        )
+        threshold = max(_HUNG_BEATS * workers.HEARTBEAT_S, _HUNG_FLOOR_S)
         now = time.time()
         with pool._state_lock:
             hung = any(

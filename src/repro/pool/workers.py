@@ -5,16 +5,16 @@ and ruinous for the short repeated jobs the serving stack issues, where
 the startup cost swamps the work.  :class:`WorkerPool` moves that cost to
 construction time: ``max_workers`` slot processes are created once
 (lazily, or eagerly via :meth:`warm_up`) and every subsequent
-:meth:`run_spmd`, ``distance.all_pairs`` or ``tree.progressive_merge``
-dispatch reuses them, paying only a queue round-trip.
+:meth:`run_spmd` -- a Sample-Align-D run, a ``distance.all_pairs``
+schedule -- reuses them, paying only a queue round-trip.
 
 Topology (fixed at construction, because :mod:`multiprocessing` queues
 can only be shared with a child at creation time):
 
-- one *task queue* per slot (dispatch + stop control),
+- one *task queue* per slot (rank dispatch + stop control),
 - one *message queue* per slot (SPMD point-to-point; rank ``r`` runs on
   slot ``r``, so peers address ``msg_qs[dst]`` directly),
-- one shared *result queue* (task results, rank reports, ready/bye),
+- one shared *result queue* (rank reports, ready/bye),
 - a shared failure :class:`~multiprocessing.Event` and a heartbeat array.
 
 Runs are serialised under a dispatch lock -- the pool is a reusable
@@ -28,6 +28,9 @@ Payloads ride :mod:`repro.pool.shm`: the per-run program/arguments blob
 segment that every rank decodes from (kind ``"S"``), and large rank
 messages/results travel as single-consumer segments (kind ``"s"``);
 everything small stays inline on the queue.
+
+The pool's settings are the module constants below, read when they are
+used; nothing in the repo varies them.
 
 Crash semantics: a worker that dies mid-run (signal, OOM) surfaces as
 :class:`WorkerCrashError` after the dead slot is respawned --
@@ -58,7 +61,6 @@ from repro.parcomp.backends import (
 from repro.parcomp.comm import SpmdAbort, Transport, VirtualComm
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
 from repro.pool.shm import (
-    DEFAULT_SHM_THRESHOLD,
     SegmentRegistry,
     TransportStats,
     decode_payload,
@@ -69,6 +71,30 @@ from repro.pool.shm import (
 )
 
 __all__ = ["WorkerCrashError", "WorkerPool"]
+
+#: :mod:`multiprocessing` start method: ``fork`` where the platform has
+#: it, else the platform default.  Programs and arguments are *always*
+#: pickled (dispatch rides queues), so module-level functions are
+#: required on every start method.
+START_METHOD: Optional[str] = (
+    "fork" if "fork" in mp.get_all_start_methods() else None
+)
+
+#: Idle shrink floor: the supervisor never stops the last worker.
+MIN_WORKERS = 1
+
+#: Seconds of pool-wide idleness before the supervisor stops workers
+#: above :data:`MIN_WORKERS`; the next dispatch that needs them restarts
+#: them.
+IDLE_TIMEOUT_S = 30.0
+
+#: Worker heartbeat period, which is also the supervisor's tick; a
+#: worker counts as hung after ~10 missed beats.
+HEARTBEAT_S = 0.5
+
+#: Grace period for surviving ranks to report after a failure before
+#: they are terminated, and for stopped workers to exit.
+ABORT_JOIN_TIMEOUT_S = 10.0
 
 #: Reserved non-int tag for barrier control traffic (VirtualComm rejects
 #: string tags from programs, so it can never collide with theirs).
@@ -89,11 +115,9 @@ class WorkerCrashError(RuntimeError):
     """
 
 
-def _encode_and_forget(
-    obj: Any, registry: SegmentRegistry, threshold: int
-) -> Tuple[str, Any]:
+def _encode_and_forget(obj: Any, registry: SegmentRegistry) -> Tuple[str, Any]:
     """Encode for a queue and hand segment ownership to the consumer."""
-    wire = encode_payload(obj, registry, threshold)
+    wire = encode_payload(obj, registry)
     if wire[0] == "s":
         registry.forget(wire[1].name)
     return wire
@@ -139,7 +163,6 @@ class _PoolRankTransport(Transport):
         fail_event: Any,
         run_id: int,
         registry: SegmentRegistry,
-        threshold: int,
     ) -> None:
         self.rank = rank
         self.n_ranks = n_ranks
@@ -149,7 +172,6 @@ class _PoolRankTransport(Transport):
         self._fail_event = fail_event
         self._run_id = run_id
         self._registry = registry
-        self._threshold = threshold
         self._buffer: Dict[Tuple[int, Any], deque] = {}
 
     # -- failure propagation ------------------------------------------------
@@ -168,7 +190,7 @@ class _PoolRankTransport(Transport):
         self.ledger.events.append(
             CommEvent(kind, src, dst, nbytes, tag, send_clock=ready_time)
         )
-        wire = _encode_and_forget(payload, self._registry, self._threshold)
+        wire = _encode_and_forget(payload, self._registry)
         self._msg_qs[dst].put(("p2p", self._run_id, src, tag, wire, ready_time))
 
     def collect(self, dst: int, src: int, tag: int) -> Tuple[Any, float]:
@@ -227,7 +249,7 @@ class _PoolRankTransport(Transport):
 
 
 def _report_wire(
-    report: Dict[str, Any], registry: SegmentRegistry, threshold: int
+    report: Dict[str, Any], registry: SegmentRegistry
 ) -> Tuple[str, Any]:
     """Encode a report, downgrading unpicklable payloads to an error.
 
@@ -236,7 +258,7 @@ def _report_wire(
     serialise here and surface the problem as the rank's error.
     """
     try:
-        return _encode_and_forget(report, registry, threshold)
+        return _encode_and_forget(report, registry)
     except Exception:
         what = "result" if report["status"] == "ok" else "exception"
         bad = report["result"] if report["status"] == "ok" else report["error"]
@@ -249,7 +271,7 @@ def _report_wire(
                 f"{what}: {bad!r}"
             ),
         )
-        return _encode_and_forget(report, registry, threshold)
+        return _encode_and_forget(report, registry)
 
 
 def _run_one_rank(
@@ -259,11 +281,10 @@ def _run_one_rank(
     result_q: Any,
     fail_event: Any,
     registry: SegmentRegistry,
-    threshold: int,
 ) -> None:
     _, run_id, rank, n_ranks, extra_wire, shared_wire = item
     transport = _PoolRankTransport(
-        rank, n_ranks, None, msg_qs, fail_event, run_id, registry, threshold
+        rank, n_ranks, None, msg_qs, fail_event, run_id, registry
     )
     comm: Optional[VirtualComm] = None
     status, result, error = "ok", None, None
@@ -293,37 +314,10 @@ def _run_one_rank(
             "events": list(transport.ledger.events),
             "tstats": registry.stats.to_dict(),
         }
-        wire = _report_wire(report, registry, threshold)
+        wire = _report_wire(report, registry)
         if report["status"] == "error" and status == "ok":
             fail_event.set()  # unpicklable result fails the run
         result_q.put(("rank-report", slot, run_id, rank, wire))
-
-
-def _run_one_task(
-    slot: int,
-    item: tuple,
-    result_q: Any,
-    registry: SegmentRegistry,
-    threshold: int,
-) -> None:
-    _, task_id, wire = item
-    status, payload = "ok", None
-    try:
-        fn, args, kwargs = decode_payload(wire, registry)
-        payload = fn(*args, **kwargs)
-    except BaseException as exc:  # noqa: BLE001 - shipped to the pool
-        status, payload = "error", exc
-    try:
-        out = _encode_and_forget(payload, registry, threshold)
-    except Exception:
-        status = "error"
-        out = _encode_and_forget(
-            RuntimeError(f"task produced an unpicklable payload: {payload!r}"),
-            registry, threshold,
-        )
-    result_q.put(
-        ("result", slot, task_id, status, out, registry.stats.to_dict())
-    )
 
 
 def _worker_main(
@@ -335,7 +329,6 @@ def _worker_main(
     fail_event: Any,
     heartbeats: Any,
     hb_interval: float,
-    threshold: int,
 ) -> None:
     """Slot process entry point (module-level: picklable for spawn)."""
     # A rank program must not open *another* pool inside a worker --
@@ -362,20 +355,15 @@ def _worker_main(
                 item = task_q.get(timeout=1.0)
             except queue_mod.Empty:
                 continue
-            kind = item[0]
-            if kind == "stop":
+            if item[0] == "stop":
                 break
             try:
-                if kind == "rank":
-                    _run_one_rank(
-                        slot, item, msg_qs, result_q, fail_event,
-                        registry, threshold,
-                    )
-                elif kind == "task":
-                    _run_one_task(slot, item, result_q, registry, threshold)
+                _run_one_rank(
+                    slot, item, msg_qs, result_q, fail_event, registry
+                )
             finally:
-                # Anything created but never handed off (error paths) and
-                # any borrow still open is released before the next job.
+                # Anything created but never handed off (error paths) is
+                # released before the next rank.
                 registry.release_all()
     finally:
         stop_beat.set()
@@ -410,94 +398,26 @@ class _Slot:
 class WorkerPool:
     """A fixed set of long-lived worker processes, reused across runs.
 
-    Parameters
-    ----------
-    max_workers:
-        Slot count, fixed for the pool's lifetime (queues must exist
-        before workers are born).  Runs needing more ranks than this do
-        not fit -- :class:`~repro.pool.backend.PoolBackend` runs those
-        cold, on a one-shot pool with one slot per rank.
-    min_workers:
-        Idle shrink floor: the supervisor stops idle workers above this
-        count after ``idle_timeout`` seconds without work.  They restart
-        transparently on the next dispatch that needs them.
-    start_method:
-        :mod:`multiprocessing` start method; default is
-        ``REPRO_POOL_START_METHOD``, else ``fork`` where available (hosts
-        that prefer strict hygiene over forking a threaded parent export
-        ``REPRO_POOL_START_METHOD=forkserver``).  Programs/arguments are
-        *always* pickled (dispatch rides queues), so module-level
-        functions are required on every start method.
-    shm_threshold:
-        Payload size (serialised bytes) at which transport switches from
-        inline pickle to shared memory (``REPRO_POOL_SHM_THRESHOLD``
-        overrides the default).
-    idle_timeout:
-        Seconds of pool-wide idleness before the supervisor shrinks
-        towards ``min_workers``.
-    heartbeat_interval:
-        Worker heartbeat period; the supervisor treats a worker as hung
-        after ~10 missed beats.
-    respawn:
-        Automatically restart dead workers (the supervisor while idle,
-        the dispatcher mid-run).
-    abort_join_timeout:
-        Grace period for surviving ranks to report after a failure
-        before they are terminated (mirrors the other backends).
+    ``max_workers`` is the slot count (default: :func:`default_worker_count`),
+    fixed for the pool's lifetime because queues must exist before workers
+    are born.  Runs needing more ranks than this do not fit --
+    :class:`~repro.pool.backend.PoolBackend` runs those cold, on a one-shot
+    pool with one slot per rank.  Everything else the pool does is set by
+    the module constants (:data:`START_METHOD`, :data:`MIN_WORKERS`,
+    :data:`IDLE_TIMEOUT_S`, :data:`HEARTBEAT_S`,
+    :data:`ABORT_JOIN_TIMEOUT_S`); dead workers are always respawned.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        *,
-        min_workers: int = 1,
-        start_method: Optional[str] = None,
-        shm_threshold: Optional[int] = None,
-        idle_timeout: float = 30.0,
-        heartbeat_interval: float = 0.5,
-        respawn: bool = True,
-        abort_join_timeout: float = 10.0,
-        name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is None:
             max_workers = default_worker_count()
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if not 1 <= min_workers <= max_workers:
-            raise ValueError("need 1 <= min_workers <= max_workers")
-        if shm_threshold is None:
-            shm_threshold = int(
-                os.environ.get("REPRO_POOL_SHM_THRESHOLD", 0)
-            ) or DEFAULT_SHM_THRESHOLD
-        if shm_threshold < 1:
-            raise ValueError("shm_threshold must be >= 1")
-        if idle_timeout <= 0 or heartbeat_interval <= 0:
-            raise ValueError("timeouts must be > 0")
-        if abort_join_timeout <= 0:
-            raise ValueError("abort_join_timeout must be > 0")
-        if start_method is None:
-            start_method = os.environ.get("REPRO_POOL_START_METHOD") or None
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else None
-            )
-        elif start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"unknown start method {start_method!r}; available: "
-                f"{mp.get_all_start_methods()}"
-            )
 
         self.max_workers = max_workers
-        self.min_workers = min_workers
-        self.start_method = start_method
-        self.shm_threshold = shm_threshold
-        self.idle_timeout = idle_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.respawn = respawn
-        self.abort_join_timeout = abort_join_timeout
-        self.name = name or f"rpool-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+        self.name = f"rpool-{os.getpid()}-{uuid.uuid4().hex[:6]}"
 
-        ctx = mp.get_context(self.start_method)
+        ctx = mp.get_context(START_METHOD)
         self._ctx = ctx
         self._task_qs = [ctx.Queue() for _ in range(max_workers)]
         self._msg_qs = [ctx.Queue() for _ in range(max_workers)]
@@ -547,14 +467,14 @@ class WorkerPool:
             self._require_open()
             self._ensure_workers(n)
 
-    def close(self, timeout: Optional[float] = None) -> None:
+    def close(self) -> None:
         """Graceful drain: in-flight work finishes, workers stop, shm dies.
 
         Idempotent.  Acquiring the dispatch lock means any run in flight
         completes first; queued stop tokens then wind the workers down,
-        with terminate→kill escalation for any that overstay ``timeout``
-        (default: ``abort_join_timeout``).  Every queue is drained and
-        every leftover segment with this pool's name prefix is unlinked.
+        with terminate→kill escalation for any that overstay
+        :data:`ABORT_JOIN_TIMEOUT_S`.  Every queue is drained and every
+        leftover segment with this pool's name prefix is unlinked.
         """
         with self._state_lock:
             if self._closed:
@@ -563,15 +483,8 @@ class WorkerPool:
         self._supervisor.stop()
         from repro.pool.supervisor import escalate
 
-        timeout = self.abort_join_timeout if timeout is None else timeout
         with self._dispatch_lock, self._state_lock:
-            for slot in self._slots:
-                if slot.alive:
-                    self._task_qs[slot.index].put(("stop",))
-            deadline = time.monotonic() + timeout
-            for slot in self._slots:
-                if slot.proc is not None:
-                    slot.proc.join(max(deadline - time.monotonic(), 0.0))
+            self._stop_workers([s for s in self._slots if s.alive])
             for slot in self._slots:
                 if slot.alive:
                     escalate(slot.proc)
@@ -601,7 +514,7 @@ class WorkerPool:
             target=_worker_main,
             args=(index, self.name, self._task_qs[index], self._msg_qs,
                   self._result_q, self._fail_event, self._heartbeats,
-                  self.heartbeat_interval, self.shm_threshold),
+                  HEARTBEAT_S),
             name=f"{self.name}-w{index}",
             daemon=True,
         )
@@ -643,15 +556,6 @@ class WorkerPool:
                     )
                 time.sleep(0.005)
 
-    def _reap_slot(self, index: int) -> None:
-        """Fold away a slot whose worker exited *cleanly* (idle shrink)."""
-        with self._state_lock:
-            slot = self._slots[index]
-            if slot.proc is not None and not slot.alive:
-                slot.proc.join(0)
-                self._absorb_transport(slot)
-                slot.proc = None
-
     def _reset_workers(self) -> None:
         """Crash recovery: rebuild the whole substrate, then re-warm.
 
@@ -689,7 +593,7 @@ class WorkerPool:
             self._fail_event = ctx.Event()
             self._heartbeats = ctx.Array("d", self.max_workers)
             self._sweep_orphans()
-            if self.respawn and not self._closed:
+            if not self._closed:
                 for slot in self._slots:
                     if slot.desired:
                         self._start_slot(slot.index)
@@ -704,18 +608,42 @@ class WorkerPool:
                 unlink_segment(seg)
 
     def _shrink_idle(self) -> None:
-        """Stop idle workers above ``min_workers`` (supervisor-called)."""
+        """Stop idle workers above :data:`MIN_WORKERS`.
+
+        Called by the supervisor under the dispatch lock, and returns
+        only once every stopped worker has exited and its slot is folded
+        away: a dispatch that follows at once must start a fresh worker,
+        not queue its rank behind a stop token.  A worker that does not
+        exit in time is wedged and may hold queue locks, so it forces
+        the pool-wide reset.
+        """
         with self._state_lock:
             alive = [s for s in self._slots if s.alive]
             now = time.monotonic()
+            stopping = []
             for slot in reversed(alive):
-                if len(alive) <= self.min_workers:
+                if len(alive) - len(stopping) <= MIN_WORKERS:
                     break
-                if now - slot.last_used < self.idle_timeout:
-                    continue
-                self._task_qs[slot.index].put(("stop",))
-                slot.desired = False
-                alive.remove(slot)
+                if now - slot.last_used >= IDLE_TIMEOUT_S:
+                    slot.desired = False
+                    stopping.append(slot)
+        self._stop_workers(stopping)
+        if any(slot.alive for slot in stopping):
+            self._reset_workers()
+            return
+        with self._state_lock:
+            for slot in stopping:
+                self._absorb_transport(slot)
+                slot.proc = None
+
+    def _stop_workers(self, slots: List[_Slot]) -> None:
+        """Queue a stop to each slot's worker and give them, together,
+        :data:`ABORT_JOIN_TIMEOUT_S` to exit."""
+        for slot in slots:
+            self._task_qs[slot.index].put(("stop",))
+        deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
+        for slot in slots:
+            slot.proc.join(max(deadline - time.monotonic(), 0.0))
 
     def _absorb_transport(self, slot: _Slot) -> None:
         """Fold a dead/stopping worker's last-seen byte counts into history."""
@@ -764,14 +692,12 @@ class WorkerPool:
             # rank; the pool owns it until all reports are in.
             shared_wire = encode_payload(
                 (fn, tuple(args), dict(kwargs), cost_model),
-                self._registry, self.shm_threshold, shared=True,
+                self._registry, shared=True,
             )
             try:
                 for r in range(n_ranks):
                     extra = tuple(rank_args[r]) if rank_args is not None else ()
-                    extra_wire = _encode_and_forget(
-                        extra, self._registry, self.shm_threshold
-                    )
+                    extra_wire = _encode_and_forget(extra, self._registry)
                     self._task_qs[r].put(
                         ("rank", run_id, r, n_ranks, extra_wire, shared_wire)
                     )
@@ -791,7 +717,7 @@ class WorkerPool:
             if abort_deadline is None and (
                 crashed or self._fail_event.is_set()
             ):
-                abort_deadline = time.monotonic() + self.abort_join_timeout
+                abort_deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
             if (abort_deadline is not None
                     and time.monotonic() >= abort_deadline):
                 break
@@ -814,20 +740,17 @@ class WorkerPool:
                         )
                         self._fail_event.set()
                 continue
-            kind = entry[0]
-            if kind == "rank-report":
-                _, slot_idx, rid, rank, wire = entry
-                if rid != run_id:  # straggler from an aborted run
-                    unlink_wire(wire)
-                    continue
-                report = decode_payload(wire)
-                reports[rank] = report
-                with self._state_lock:
-                    self._slots[slot_idx].transport = report.get("tstats", {})
-                    self._slots[slot_idx].last_used = time.monotonic()
-            elif kind == "result":  # stale generic-task result
-                unlink_wire(entry[4])
-            # "ready"/"bye" control entries need no action.
+            if entry[0] != "rank-report":
+                continue  # "ready"/"bye" control entries need no action
+            _, slot_idx, rid, rank, wire = entry
+            if rid != run_id:  # straggler from an aborted run
+                unlink_wire(wire)
+                continue
+            report = decode_payload(wire)
+            reports[rank] = report
+            with self._state_lock:
+                self._slots[slot_idx].transport = report.get("tstats", {})
+                self._slots[slot_idx].last_used = time.monotonic()
         return reports, crashed
 
     def _assemble(
@@ -885,97 +808,6 @@ class WorkerPool:
             ledger.events.extend(reports[r]["events"])
         return SpmdResult(results, ledger, backend="pool")
 
-    # -- generic task dispatch ----------------------------------------------
-
-    def map_tasks(
-        self,
-        fn: Callable[..., Any],
-        items: Sequence[Any],
-        *,
-        kwargs: Optional[Dict[str, Any]] = None,
-    ) -> List[Any]:
-        """``[fn(item) for item in items]`` on warm workers, in order.
-
-        The non-SPMD dispatch lane (benchmarks, embarrassingly parallel
-        helpers).  Tasks are round-robined over the slots; if a worker
-        dies, its unfinished tasks -- queued *and* in-flight -- are
-        re-dispatched to the respawned worker, so ``fn`` must be pure
-        (every ``fn`` this repo dispatches is).  A task exception raises
-        ``RuntimeError`` immediately; remaining results are discarded by
-        the next dispatch's staleness filter.
-        """
-        if not items:
-            return []
-        kwargs = kwargs or {}
-        with self._dispatch_lock:
-            self._require_open()
-            n = min(self.max_workers, len(items))
-            self._ensure_workers(n)
-            self._fail_event.clear()
-            with self._state_lock:
-                self._run_seq += 1
-                run_id = self._run_seq
-
-            assigned: Dict[int, int] = {}  # task index -> slot
-            results: List[Any] = [None] * len(items)
-            done: set = set()
-
-            def dispatch(tid: int, slot_idx: int) -> None:
-                wire = _encode_and_forget(
-                    (fn, (items[tid],), kwargs),
-                    self._registry, self.shm_threshold,
-                )
-                assigned[tid] = slot_idx
-                self._task_qs[slot_idx].put(("task", (run_id, tid), wire))
-
-            for tid in range(len(items)):
-                dispatch(tid, tid % n)
-
-            while len(done) < len(items):
-                try:
-                    entry = self._result_q.get(timeout=0.2)
-                except queue_mod.Empty:
-                    if all(self._slots[i].alive for i in range(n)):
-                        continue
-                    # Drain semantics: a dead worker's unfinished tasks
-                    # -- queued and in-flight -- are re-dispatched onto
-                    # the rebuilt pool (fn is pure, so a task that was
-                    # mid-execution re-runs safely).
-                    self._reset_workers()
-                    self._ensure_workers(n)
-                    if not any(self._slots[i].alive for i in range(n)):
-                        raise WorkerCrashError(
-                            f"pool {self.name!r} lost every worker"
-                        )
-                    for tid in range(len(items)):
-                        if tid not in done:
-                            dispatch(tid, tid % n)
-                    continue
-                kind = entry[0]
-                if kind == "result":
-                    _, slot_idx, task_id, status, wire, tstats = entry
-                    rid, tid = task_id
-                    if rid != run_id or tid in done:
-                        unlink_wire(wire)
-                        continue
-                    with self._state_lock:
-                        self._slots[slot_idx].transport = tstats
-                        self._slots[slot_idx].last_used = time.monotonic()
-                    payload = decode_payload(wire)
-                    if status == "error":
-                        raise RuntimeError(
-                            f"pool task {tid} failed: {payload!r}"
-                        ) from payload
-                    results[tid] = payload
-                    done.add(tid)
-                elif kind == "rank-report":  # straggler from an aborted run
-                    unlink_wire(entry[4])
-
-            with self._state_lock:
-                self.runs += 1
-                self.tasks_served += len(items)
-            return results
-
     # -- introspection -------------------------------------------------------
 
     def note_fallback(self) -> None:
@@ -994,9 +826,9 @@ class WorkerPool:
             transport.absorb(self._registry.stats)
             return {
                 "name": self.name,
-                "start_method": self.start_method,
+                "start_method": START_METHOD,
                 "max_workers": self.max_workers,
-                "min_workers": self.min_workers,
+                "min_workers": MIN_WORKERS,
                 "workers_alive": sum(1 for s in self._slots if s.alive),
                 "worker_pids": [
                     s.proc.pid for s in self._slots if s.alive

@@ -19,7 +19,7 @@ import pytest
 
 from repro.align import ckernel, dp
 from repro.obs.metrics import registry
-from repro.pool import WorkerPool
+from repro.pool import WorkerPool, workers
 
 SRC = str(Path(dp.__file__).resolve().parents[2])
 
@@ -227,7 +227,8 @@ class TestConcurrentFirstUse:
         # empty cache, so both build at once; forkserver workers get the
         # environment the fork server was started with.
         monkeypatch.setattr(dp, "_kernel", None)
-        with WorkerPool(max_workers=2, start_method=start_method) as pool:
+        monkeypatch.setattr(workers, "START_METHOD", start_method)
+        with WorkerPool(max_workers=2) as pool:
             res = pool.run_spmd(2, _rank_kernel)
         assert [name for name, _pid in res.results] == ["c", "c"]
         pids = {pid for _name, pid in res.results}

@@ -88,13 +88,14 @@ class TestEachKernelsRoute:
         assert spans[0].attrs["kernel"] == dp_kernel
         assert spans[0].attrs["pairs"] == 45
 
-    def test_pool(self, dp_kernel, family, per_pair_base):
-        from repro.pool import PoolBackend, WorkerPool
+    def test_pool(self, dp_kernel, family, per_pair_base, monkeypatch):
+        from repro.pool import PoolBackend, WorkerPool, workers
 
         # Forked now, so the workers run the kernel forced here.
-        with WorkerPool(max_workers=2, start_method="fork") as workers:
+        monkeypatch.setattr(workers, "START_METHOD", "fork")
+        with WorkerPool(max_workers=2) as own:
             got = all_pairs(
-                family, "full-dp", backend=PoolBackend(workers), workers=2
+                family, "full-dp", backend=PoolBackend(own), workers=2
             )
-            assert workers.stats()["runs"] == 1
+            assert own.stats()["runs"] == 1
         assert got.tobytes() == per_pair_base

@@ -119,7 +119,7 @@ class TestCrossBackendEquivalence:
 
 
 class TestMetricsRideHome:
-    def test_dp_counters_cross_process(self, seqs, each_dp_kernel):
+    def test_dp_counters_cross_process(self, seqs, each_dp_kernel, monkeypatch):
         """Rank-side DP work increments the *parent's* registry.
 
         ``full-dp`` on the pool backend runs every pair DP in
@@ -128,16 +128,17 @@ class TestMetricsRideHome:
         the workers' DP kernel runs the pairs on.
         """
         from repro.obs.metrics import registry
-        from repro.pool import WorkerPool, set_default_pool
+        from repro.pool import WorkerPool, set_default_pool, workers
 
         def value(delta, name):
             metric = delta.metrics.get(name)
             return 0 if metric is None else metric.value
 
+        monkeypatch.setattr(workers, "START_METHOD", "fork")
         for kernel in each_dp_kernel():
             # Forked now, so the workers run the kernel forced here.
-            with WorkerPool(max_workers=2, start_method="fork") as workers:
-                prev = set_default_pool(workers)
+            with WorkerPool(max_workers=2) as own:
+                prev = set_default_pool(own)
                 try:
                     enable_tracing()
                     drain_spans()

@@ -18,6 +18,8 @@ import pytest
 from repro.distance import all_pairs
 from repro.distance.estimators import DistanceEstimator, get_estimator
 from repro.pool import PoolBackend, WorkerCrashError, WorkerPool
+from repro.pool import backend as backend_mod
+from repro.pool import workers
 from repro.pool.shm import shm_dir_segments
 
 
@@ -107,8 +109,9 @@ class TestMidRunCrash:
         assert os.path.exists(sentinel)
         assert pool.stats()["respawns"] > before
 
-    def test_backend_gives_up_after_max_retries(self, pool):
-        backend = PoolBackend(pool=pool, max_retries=0)
+    def test_backend_gives_up_after_max_retries(self, pool, monkeypatch):
+        monkeypatch.setattr(backend_mod, "MAX_RETRIES", 0)
+        backend = PoolBackend(pool=pool)
         with pytest.raises(RuntimeError, match="after 1 attempts") as info:
             backend.run(3, _kill_rank_zero_always)
         assert isinstance(info.value.__cause__, WorkerCrashError)
@@ -128,9 +131,10 @@ class TestMidRunCrash:
 
 
 class TestHungWorker:
-    def test_stopped_worker_is_recycled(self):
+    def test_stopped_worker_is_recycled(self, monkeypatch):
         # Short heartbeats so the ~5 s hang floor dominates the test time.
-        with WorkerPool(max_workers=2, heartbeat_interval=0.1) as own:
+        monkeypatch.setattr(workers, "HEARTBEAT_S", 0.1)
+        with WorkerPool(max_workers=2) as own:
             own.warm_up()
             victim = own.stats()["worker_pids"][0]
             os.kill(victim, signal.SIGSTOP)
@@ -147,11 +151,10 @@ class TestHungWorker:
 
 
 class TestIdleShrink:
-    def test_shrinks_to_floor_and_regrows_on_demand(self):
-        own = WorkerPool(
-            max_workers=3, min_workers=1,
-            idle_timeout=0.3, heartbeat_interval=0.1,
-        )
+    def test_shrinks_to_floor_and_regrows_on_demand(self, monkeypatch):
+        monkeypatch.setattr(workers, "IDLE_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(workers, "HEARTBEAT_S", 0.1)
+        own = WorkerPool(max_workers=3)
         try:
             own.warm_up()
             assert own.stats()["workers_alive"] == 3
@@ -162,4 +165,49 @@ class TestIdleShrink:
             assert own.run_spmd(3, _ring).results == [2, 0, 1]
         finally:
             own.close()
+        assert shm_dir_segments(own.name) == []
+
+    def test_dispatch_right_after_a_shrink_needs_no_reset(self):
+        """A shrink returns with its workers gone, so a run that follows
+        at once starts a fresh worker instead of queueing a rank behind
+        the stop token (which looked like a crash: a pool-wide reset and
+        a whole-run retry)."""
+        with WorkerPool(max_workers=2) as own:
+            own.warm_up()
+            for slot in own._slots:  # idle for an hour, as far as it knows
+                slot.last_used -= 3600.0
+            # The supervisor's call, holding the dispatch lock across the
+            # run as well so no supervisor tick can fold the slot first.
+            with own._dispatch_lock:
+                own._shrink_idle()
+                assert own.stats()["workers_alive"] == 1
+                res = PoolBackend(own).run(2, _ring)
+            assert res.results == [1, 0]
+            assert own.stats()["respawns"] == 0
+            assert own.stats()["workers_alive"] == 2
+        assert shm_dir_segments(own.name) == []
+
+    def test_a_worker_that_ignores_its_stop_forces_the_reset(
+        self, monkeypatch
+    ):
+        """A stopped-and-wedged worker may hold queue locks, so the shrink
+        does not fold its slot: it resets the pool, and runs go on."""
+        monkeypatch.setattr(workers, "ABORT_JOIN_TIMEOUT_S", 0.5)
+        with WorkerPool(max_workers=2) as own:
+            own.warm_up()
+            victim = own.stats()["worker_pids"][1]
+            for slot in own._slots:
+                slot.last_used -= 3600.0
+            os.kill(victim, signal.SIGSTOP)
+            try:
+                with own._dispatch_lock:
+                    own._shrink_idle()
+                    assert victim not in own.stats()["worker_pids"]
+                    assert own.stats()["respawns"] == 1  # slot 0 only
+            finally:
+                try:
+                    os.kill(victim, signal.SIGCONT)
+                except ProcessLookupError:
+                    pass
+            assert own.run_spmd(2, _ring).results == [1, 0]
         assert shm_dir_segments(own.name) == []

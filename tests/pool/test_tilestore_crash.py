@@ -15,6 +15,7 @@ from repro.distance import all_pairs
 from repro.distance.tilestore import TileStore, condensed_size
 from repro.obs.metrics import registry
 from repro.pool import PoolBackend
+from repro.pool import backend as backend_mod
 from repro.pool.shm import shm_dir_segments
 
 from tests.pool.test_supervision import KillerEstimator
@@ -76,13 +77,14 @@ class TestCrashMidMemmapAllPairs:
         assert shm_dir_segments(pool.name) == []
 
     def test_give_up_then_resume_completes(
-        self, pool, tmp_path, diverse_family
+        self, pool, tmp_path, diverse_family, monkeypatch
     ):
         seqs = list(diverse_family.sequences)[:16]
         expected = condensed_bytes(all_pairs(seqs, "ktuple"))
         root = tmp_path / "store"
         killer = KillerEstimator(str(tmp_path / "always-dead"))
-        backend = PoolBackend(pool=pool, max_retries=0)
+        monkeypatch.setattr(backend_mod, "MAX_RETRIES", 0)
+        backend = PoolBackend(pool=pool)
         with pytest.raises(RuntimeError, match="after 1 attempts"):
             all_pairs(
                 seqs, killer, backend=backend, workers=4,

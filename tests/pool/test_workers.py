@@ -1,5 +1,5 @@
-"""WorkerPool lifecycle and dispatch: warm reuse, both lanes, failure
-semantics, close.
+"""WorkerPool lifecycle and dispatch: warm reuse, the SPMD lane, failure
+semantics, close, and the fixed settings.
 
 The pool's contract on top of the backend contract: workers persist
 across runs (same pids), a program error poisons neither the pool nor
@@ -7,17 +7,19 @@ later runs, and close leaves no process and no segment behind.
 """
 
 import multiprocessing as mp
-import os
 
 import numpy as np
 import pytest
 
-from repro.parcomp import run_spmd
+from repro.parcomp import ThreadBackend, run_spmd, usable_cores
 from repro.pool import (
     PoolBackend,
     WorkerPool,
+    decode_payload,
+    encode_payload,
     get_default_pool,
     set_default_pool,
+    workers,
 )
 from repro.pool.shm import shm_dir_segments
 from repro.pool.workers import default_worker_count
@@ -44,16 +46,6 @@ def _big_allgather(comm):
     mine = np.full(16384, comm.rank, dtype=np.float64)
     everyone = comm.allgather(mine)
     return float(sum(a.sum() for a in everyone))
-
-
-def _square(x, offset=0):
-    return x * x + offset
-
-
-def _task_boom(x):
-    if x == 2:
-        raise ValueError("task boom")
-    return x
 
 
 class TestLifecycle:
@@ -88,7 +80,7 @@ class TestLifecycle:
 
     def test_context_manager(self):
         with WorkerPool(max_workers=1) as own:
-            assert own.map_tasks(_square, [3]) == [9]
+            assert own.run_spmd(1, _ring).results == [0]
         assert own.closed
 
     def test_warm_up_validates(self, pool):
@@ -107,6 +99,17 @@ class TestLifecycle:
         assert set(s["transport"]) == {
             "shm_msgs", "shm_bytes", "pickle_msgs", "pickle_bytes"
         }
+
+    def test_stats_report_the_fixed_settings(self, pool):
+        s = pool.stats()
+        assert s["start_method"] == workers.START_METHOD
+        assert s["min_workers"] == workers.MIN_WORKERS == 1
+        assert s["max_workers"] == pool.max_workers == 5
+
+    def test_tasks_served_counts_ranks(self, pool):
+        before = pool.stats()["tasks_served"]
+        pool.run_spmd(3, _ring)
+        assert pool.stats()["tasks_served"] == before + 3
 
 
 class TestRunSpmd:
@@ -142,27 +145,6 @@ class TestRunSpmd:
         assert res.results == [(r - 1) % 3 for r in range(3)]
 
 
-class TestMapTasks:
-    def test_order_and_kwargs(self, pool):
-        items = list(range(23))
-        assert pool.map_tasks(_square, items) == [x * x for x in items]
-        assert pool.map_tasks(_square, [1, 2], kwargs={"offset": 5}) == [6, 9]
-
-    def test_empty(self, pool):
-        assert pool.map_tasks(_square, []) == []
-
-    def test_task_error_raises(self, pool):
-        with pytest.raises(RuntimeError, match="pool task"):
-            pool.map_tasks(_task_boom, [0, 1, 2, 3])
-        # ...and later dispatches still work (staleness filter).
-        assert pool.map_tasks(_square, [4]) == [16]
-
-    def test_tasks_served_counted(self, pool):
-        before = pool.stats()["tasks_served"]
-        pool.map_tasks(_square, list(range(7)))
-        assert pool.stats()["tasks_served"] == before + 7
-
-
 class TestOverflowFallback:
     def test_overflow_runs_cold_but_still_reports_pool(self):
         with WorkerPool(max_workers=2) as own:
@@ -178,32 +160,56 @@ class TestConstruction:
     def test_validation(self):
         with pytest.raises(ValueError, match="max_workers"):
             WorkerPool(max_workers=0)
-        with pytest.raises(ValueError, match="min_workers"):
-            WorkerPool(max_workers=2, min_workers=3)
-        with pytest.raises(ValueError, match="shm_threshold"):
-            WorkerPool(max_workers=1, shm_threshold=0)
-        with pytest.raises(ValueError, match="timeouts"):
-            WorkerPool(max_workers=1, idle_timeout=0.0)
-        with pytest.raises(ValueError, match="abort_join_timeout"):
-            WorkerPool(max_workers=1, abort_join_timeout=0.0)
-        with pytest.raises(ValueError, match="start method"):
-            WorkerPool(max_workers=1, start_method="teleport")
-        with pytest.raises(ValueError, match="max_retries"):
-            PoolBackend(max_retries=-1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            *(
+                pytest.param(
+                    lambda key=key, value=value: WorkerPool(1, **{key: value}),
+                    id=f"WorkerPool-{key}",
+                )
+                for key, value in [
+                    ("min_workers", 1),
+                    ("start_method", "fork"),
+                    ("shm_threshold", 1024),
+                    ("idle_timeout", 1.0),
+                    ("heartbeat_interval", 0.1),
+                    ("respawn", False),
+                    ("abort_join_timeout", 1.0),
+                    ("name", "rpool-named"),
+                ]
+            ),
+            pytest.param(
+                lambda: PoolBackend(max_retries=0), id="PoolBackend-max_retries"
+            ),
+            pytest.param(
+                lambda: ThreadBackend(abort_join_timeout=1.0),
+                id="ThreadBackend-abort_join_timeout",
+            ),
+            pytest.param(
+                lambda: decode_payload(encode_payload(1), registry=None),
+                id="decode_payload-registry",
+            ),
+            pytest.param(
+                lambda: decode_payload(encode_payload(1), borrow=True),
+                id="decode_payload-borrow",
+            ),
+        ],
+    )
+    def test_removed_keyword_raises_type_error(self, make):
+        """The settings are module constants now; the keywords that set
+        them per instance are gone, and no process starts on the way."""
+        before = {p.pid for p in mp.active_children()}
+        with pytest.raises(TypeError, match="argument"):
+            make()
+        assert {p.pid for p in mp.active_children()} <= before
 
     def test_default_worker_count_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_WORKERS", "7")
         assert default_worker_count() == 7
         monkeypatch.delenv("REPRO_POOL_WORKERS")
-        assert default_worker_count() == max(os.cpu_count() or 1, 2)
-
-    def test_shm_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_SHM_THRESHOLD", "1234")
-        own = WorkerPool(max_workers=1)
-        try:
-            assert own.shm_threshold == 1234
-        finally:
-            own.close()
+        assert default_worker_count() == max(usable_cores(), 2)
 
 
 class TestDefaultPool:
