@@ -100,8 +100,8 @@ _STAGE_FLAGS = {
     "--distance-store-dir": ("distance", "store_dir", dict(
         metavar="DIR",
         help="tile-store directory for --distance-out memmap (default: "
-        "a fresh temporary store; a fixed DIR makes the distance stage "
-        "resumable across runs)",
+        "a fresh temporary store, removed after the stage; a fixed DIR "
+        "makes the distance stage resumable across runs)",
     )),
     "--tree": ("tree", "builder", dict(
         metavar="NAME",
@@ -164,11 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="engine from the unified registry (default: sample-align-d; "
         "see `repro engines`)",
-    )
-    p_align.add_argument(
-        "--aligner",
-        default=None,
-        help="legacy alias of --engine for sequential aligners",
     )
     p_align.add_argument(
         "--local-aligner",
@@ -282,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dist.add_argument(
         "--store-dir", default=None, metavar="DIR",
         help="tile-store directory for --out memmap (default: a fresh "
-        "temporary store; a fixed DIR resumes: valid tiles are skipped "
-        "on re-run)",
+        "temporary store, removed after the stage; a fixed DIR resumes: "
+        "valid tiles are skipped on re-run)",
     )
     p_dist.add_argument(
         "-o", "--output", metavar="FILE",
@@ -620,10 +615,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     from repro.engine import AlignmentService
     from repro.seq.fasta import read_fasta
 
-    if args.engine and args.aligner:
-        print("--engine and --aligner are mutually exclusive", file=sys.stderr)
-        return 2
-    engine = args.engine or args.aligner or "sample-align-d"
+    engine = args.engine or "sample-align-d"
 
     seqs = read_fasta(args.input)
     # Bad user input (unknown names, empty input) becomes a clean error;

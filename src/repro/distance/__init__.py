@@ -57,8 +57,6 @@ from repro.distance.estimators import (
     available_estimators,
     estimator_info,
     get_estimator,
-    register_estimator,
-    unregister_estimator,
 )
 from repro.distance.tilestore import (
     CondensedMatrix,
@@ -99,9 +97,7 @@ __all__ = [
     "get_estimator",
     "identity_to_distance",
     "kimura_distance",
-    "register_estimator",
     "resolve_distance_stage",
     "scoring_estimator_defaults",
-    "unregister_estimator",
     "validate_backend_name",
 ]

@@ -177,8 +177,8 @@ class DistanceConfig(StageConfig):
         working memory).  ``None`` = the caller's default.
     store_dir:
         Tile-store directory for ``out="memmap"`` (``None`` = a fresh
-        temporary store; pass a path to make the run resumable).  A
-        path, so never lower-cased.
+        temporary store, removed once the result is mapped; pass a path
+        to make the run resumable).  A path, so never lower-cased.
     """
 
     estimator: Optional[str] = None
@@ -219,17 +219,14 @@ class DistanceConfig(StageConfig):
                 f"available: {available_estimators()}"
             )
         else:
-            # A plug-in factory that is not a dataclass says what it
-            # takes only when called (``get_estimator``'s ValueError).
             factory = _ESTIMATORS[self.estimator].factory
-            if dataclasses.is_dataclass(factory):
-                takes = {f.name for f in dataclasses.fields(factory)}
-                for name in ("k", "transform"):
-                    if getattr(self, name) is not None and name not in takes:
-                        raise ValueError(
-                            f"distance estimator {self.estimator!r} takes "
-                            f"no {name!r}"
-                        )
+            takes = {f.name for f in dataclasses.fields(factory)}
+            for name in ("k", "transform"):
+                if getattr(self, name) is not None and name not in takes:
+                    raise ValueError(
+                        f"distance estimator {self.estimator!r} takes "
+                        f"no {name!r}"
+                    )
         if self.k is not None and self.k < 1:
             raise ValueError("k must be >= 1 (or None)")
         if self.transform is not None and self.transform not in TRANSFORMS:

@@ -1,4 +1,4 @@
-"""Pluggable pairwise-distance estimators behind one registry.
+"""Pairwise-distance estimators behind one table of names.
 
 The all-pairs distance stage is the scalability wall of guide-tree MSA
 (it is *why* Sample-Align-D exists), and before this module every
@@ -8,7 +8,7 @@ of sequence pairs -- which is exactly the unit the tiled
 :func:`repro.distance.all_pairs` scheduler parallelises over the
 execution backends.
 
-Registered estimators (speed/accuracy trade-offs):
+The estimators (speed/accuracy trade-offs):
 
 ``ktuple``
     Edgar's k-mer distance ``1 - r_ij`` over a compressed alphabet.
@@ -27,8 +27,8 @@ Registered estimators (speed/accuracy trade-offs):
 
 Every identity-based estimator (``full-dp``, ``kmer-fraction``)
 accepts ``transform="linear"|"kimura"`` -- the shared
-post-transform of :mod:`repro.distance.transforms`.  Plug-ins enter via
-:func:`register_estimator`.
+post-transform of :mod:`repro.distance.transforms`.  The table of names
+is fixed; a caller with its own estimator passes the instance.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ __all__ = [
     "available_estimators",
     "estimator_info",
     "get_estimator",
-    "register_estimator",
-    "unregister_estimator",
     "DEFAULT_ESTIMATOR",
 ]
 
@@ -319,7 +317,7 @@ class FullDpDistance(DistanceEstimator):
 
 
 # ---------------------------------------------------------------------------
-# Registry.
+# Selection by name.
 
 
 @dataclass(frozen=True)
@@ -329,43 +327,37 @@ class _EstimatorEntry:
     description: str
 
 
-_ESTIMATORS: Dict[str, _EstimatorEntry] = {}
-
-
-def register_estimator(
-    name: str,
-    factory: Callable[..., DistanceEstimator],
-    description: str = "",
-    overwrite: bool = False,
-) -> None:
-    """Register a distance-estimator factory under ``name``.
-
-    ``factory(**kwargs)`` must return a :class:`DistanceEstimator`.
-    Names are case-insensitive and shared by every layer's ``distance=``
-    option (baseline configs, ``engine_kwargs``, the gateway defaults,
-    the CLI's ``--distance``).
-    """
-    key = name.lower()
-    if key in _ESTIMATORS and not overwrite:
-        raise ValueError(
-            f"distance estimator {name!r} already registered "
-            "(pass overwrite=True to replace)"
-        )
-    _ESTIMATORS[key] = _EstimatorEntry(key, factory, description)
-
-
-def unregister_estimator(name: str) -> None:
-    """Remove an estimator from the registry."""
-    try:
-        del _ESTIMATORS[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"distance estimator {name!r} is not registered"
-        ) from None
+#: The estimators by name, a fixed table.
+_ESTIMATORS: Dict[str, _EstimatorEntry] = {
+    entry.name: entry
+    for entry in (
+        _EstimatorEntry(
+            "ktuple",
+            KtupleDistance,
+            "Edgar k-mer distance 1 - r_ij over a compressed alphabet; "
+            "alignment-free, fastest (MUSCLE stage 1 / MAFFT / CLUSTALW "
+            "quick)",
+        ),
+        _EstimatorEntry(
+            "kmer-fraction",
+            KmerFractionDistance,
+            "calibrated fractional-identity estimate from the k-mer match "
+            "fraction (id ~= 0.02 + 0.95 F); alignment-free, "
+            "kimura-composable",
+        ),
+        _EstimatorEntry(
+            "full-dp",
+            FullDpDistance,
+            "1 - identity of the optimal global (Gotoh) alignment; O(L^2) "
+            "per pair, most accurate (CLUSTALW accurate mode) -- "
+            "parallelise it",
+        ),
+    )
+}
 
 
 def available_estimators() -> List[str]:
-    """Sorted names of the registered distance estimators."""
+    """Sorted names of the distance estimators."""
     return sorted(_ESTIMATORS)
 
 
@@ -381,8 +373,8 @@ def get_estimator(
 ) -> DistanceEstimator:
     """Resolve an estimator selection to an instance.
 
-    ``None`` means :data:`DEFAULT_ESTIMATOR`; a string resolves through
-    the registry (``kwargs`` feed the factory); a
+    ``None`` means :data:`DEFAULT_ESTIMATOR`; a name resolves through
+    the fixed table (``kwargs`` feed the constructor); a
     :class:`DistanceEstimator` instance passes through (``kwargs`` must
     then be empty).
     """
@@ -408,23 +400,3 @@ def get_estimator(
         raise ValueError(
             f"bad options for distance estimator {entry.name!r}: {exc}"
         ) from None
-
-
-register_estimator(
-    "ktuple",
-    KtupleDistance,
-    "Edgar k-mer distance 1 - r_ij over a compressed alphabet; "
-    "alignment-free, fastest (MUSCLE stage 1 / MAFFT / CLUSTALW quick)",
-)
-register_estimator(
-    "kmer-fraction",
-    KmerFractionDistance,
-    "calibrated fractional-identity estimate from the k-mer match "
-    "fraction (id ~= 0.02 + 0.95 F); alignment-free, kimura-composable",
-)
-register_estimator(
-    "full-dp",
-    FullDpDistance,
-    "1 - identity of the optimal global (Gotoh) alignment; O(L^2) per "
-    "pair, most accurate (CLUSTALW accurate mode) -- parallelise it",
-)

@@ -35,7 +35,7 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence as TSequence
+from typing import Any, Dict, List, Optional
 
 from repro.align.dp import kernel as dp_kernel
 from repro.distance import DistanceConfig, validate_backend_name
@@ -43,7 +43,6 @@ from repro.engine.api import AlignRequest, AlignResult
 from repro.engine.registry import available_engines, engine_stages
 from repro.engine.service import AlignmentService
 from repro.obs.metrics import Histogram, HistogramSnapshot
-from repro.obs.metrics import percentile as _obs_percentile
 from repro.obs.tracing import span
 from repro.tree import STAGE_CONFIGS, TreeConfig
 
@@ -55,7 +54,6 @@ __all__ = [
     "Ticket",
     "TokenBucket",
     "PRIORITIES",
-    "percentile",
 ]
 
 #: Priority classes, low number dispatches first.
@@ -96,17 +94,6 @@ class TokenBucket:
             self._tokens -= tokens
             return True
         return False
-
-
-def percentile(sorted_values: TSequence[float], q: float) -> Optional[float]:
-    """Nearest-rank percentile of an ascending sequence (None if empty).
-
-    Kept for API compatibility; the one implementation now lives in
-    :func:`repro.obs.metrics.percentile` (the gateway's own latency
-    percentiles come from a bounded obs histogram instead of an exact
-    window).
-    """
-    return _obs_percentile(sorted_values, q)
 
 
 class _Entry:

@@ -47,8 +47,6 @@ from repro.tree.builders import (
     builder_info,
     check_distance_matrix,
     get_builder,
-    register_builder,
-    unregister_builder,
 )
 from repro.tree.config import STAGE_CONFIGS, TreeConfig, resolve_tree_stage
 from repro.tree.merge import progressive_merge
@@ -74,7 +72,5 @@ __all__ = [
     "get_builder",
     "merge_schedule",
     "progressive_merge",
-    "register_builder",
     "resolve_tree_stage",
-    "unregister_builder",
 ]

@@ -41,7 +41,6 @@ from repro.tree.builders import (
     _matrix_size,
     check_distance_matrix,
     get_builder,
-    register_builder,
 )
 
 __all__ = ["AnchorTreeBuilder", "anchor_guide_tree", "select_anchors"]
@@ -234,12 +233,3 @@ def anchor_guide_tree(
     if k >= n:
         return base_builder.build(rect, labels)
     return _assemble_tree(n, anchor_idx, rect, base_builder, labels)
-
-
-register_builder(
-    "anchor",
-    AnchorTreeBuilder,
-    "sampled guide tree from K anchor rows (exact base tree over the "
-    "anchors, remaining leaves chained to their nearest anchor); "
-    "O(K*N) distances, the genome-scale path",
-)

@@ -31,8 +31,8 @@ loop :func:`_agglomerate_numpy` otherwise -- the same bytes either way,
 and ``kernel="c"|"numpy"`` on the ``tree.build`` span says which ran.
 ``nj`` is numpy on both.
 
-Plug-ins enter via :func:`register_builder`.  The UPGMA builder is
-validated against ``scipy.cluster.hierarchy.linkage`` in the test suite.
+The table of names is fixed; a caller with its own builder passes the
+instance.  The UPGMA builder is validated against ``scipy.cluster.hierarchy.linkage`` in the test suite.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ __all__ = [
     "available_builders",
     "builder_info",
     "get_builder",
-    "register_builder",
-    "unregister_builder",
     "DEFAULT_BUILDER",
 ]
 
@@ -458,7 +456,7 @@ class NeighborJoiningBuilder(TreeBuilder):
 
 
 # ---------------------------------------------------------------------------
-# Registry.
+# Selection by name.
 
 
 @dataclass(frozen=True)
@@ -468,41 +466,55 @@ class _BuilderEntry:
     description: str
 
 
-_BUILDERS: Dict[str, _BuilderEntry] = {}
+def _anchor_builder(**kwargs: Any) -> TreeBuilder:
+    """Import :mod:`repro.tree.anchors` on first use, not at module
+    import: it builds on this module, so the dependency stays one-way."""
+    from repro.tree.anchors import AnchorTreeBuilder
+
+    return AnchorTreeBuilder(**kwargs)
 
 
-def register_builder(
-    name: str,
-    factory: Callable[..., TreeBuilder],
-    description: str = "",
-    overwrite: bool = False,
-) -> None:
-    """Register a tree-builder factory under ``name``.
-
-    ``factory(**kwargs)`` must return a :class:`TreeBuilder`.  Names are
-    case-insensitive and shared by every layer's ``tree=`` option
-    (baseline configs, ``engine_kwargs``, the gateway defaults, the
-    CLI's ``--tree``).
-    """
-    key = name.lower()
-    if key in _BUILDERS and not overwrite:
-        raise ValueError(
-            f"tree builder {name!r} already registered "
-            "(pass overwrite=True to replace)"
-        )
-    _BUILDERS[key] = _BuilderEntry(key, factory, description)
-
-
-def unregister_builder(name: str) -> None:
-    """Remove a builder from the registry."""
-    try:
-        del _BUILDERS[name.lower()]
-    except KeyError:
-        raise KeyError(f"tree builder {name!r} is not registered") from None
+#: The builders by name, a fixed table.
+_BUILDERS: Dict[str, _BuilderEntry] = {
+    entry.name: entry
+    for entry in (
+        _BuilderEntry(
+            "upgma",
+            UpgmaBuilder,
+            "average-linkage clustering (MUSCLE draft tree); "
+            "clock-assuming, O(n^2), balanced merge DAGs",
+        ),
+        _BuilderEntry(
+            "wpgma",
+            WpgmaBuilder,
+            "weighted (McQuitty) linkage; like upgma but cluster sizes "
+            "do not dilute the update",
+        ),
+        _BuilderEntry(
+            "nj",
+            NeighborJoiningBuilder,
+            "Saitou-Nei neighbour joining rooted at the final join "
+            "(CLUSTALW method); no clock assumption, O(n^3)",
+        ),
+        _BuilderEntry(
+            "single-linkage",
+            SingleLinkageBuilder,
+            "minimum linkage (nearest-neighbour chaining); cheapest, "
+            "caterpillar-prone -- the merge scheduler's worst case",
+        ),
+        _BuilderEntry(
+            "anchor",
+            _anchor_builder,
+            "sampled guide tree from K anchor rows (exact base tree over "
+            "the anchors, remaining leaves chained to their nearest "
+            "anchor); O(K*N) distances, the genome-scale path",
+        ),
+    )
+}
 
 
 def available_builders() -> List[str]:
-    """Sorted names of the registered tree builders."""
+    """Sorted names of the tree builders."""
     return sorted(_BUILDERS)
 
 
@@ -518,8 +530,8 @@ def get_builder(
 ) -> TreeBuilder:
     """Resolve a builder selection to an instance.
 
-    ``None`` means :data:`DEFAULT_BUILDER`; a string resolves through
-    the registry (``kwargs`` feed the factory); a :class:`TreeBuilder`
+    ``None`` means :data:`DEFAULT_BUILDER`; a name resolves through
+    the fixed table (``kwargs`` feed the constructor); a :class:`TreeBuilder`
     instance passes through (``kwargs`` must then be empty).
     """
     if isinstance(builder, TreeBuilder):
@@ -544,29 +556,3 @@ def get_builder(
         raise ValueError(
             f"bad options for tree builder {entry.name!r}: {exc}"
         ) from None
-
-
-register_builder(
-    "upgma",
-    UpgmaBuilder,
-    "average-linkage clustering (MUSCLE draft tree); clock-assuming, "
-    "O(n^2), balanced merge DAGs",
-)
-register_builder(
-    "wpgma",
-    WpgmaBuilder,
-    "weighted (McQuitty) linkage; like upgma but cluster sizes do not "
-    "dilute the update",
-)
-register_builder(
-    "nj",
-    NeighborJoiningBuilder,
-    "Saitou-Nei neighbour joining rooted at the final join (CLUSTALW "
-    "method); no clock assumption, O(n^3)",
-)
-register_builder(
-    "single-linkage",
-    SingleLinkageBuilder,
-    "minimum linkage (nearest-neighbour chaining); cheapest, "
-    "caterpillar-prone -- the merge scheduler's worst case",
-)

@@ -15,9 +15,7 @@ from repro.distance import (
     get_estimator,
     identity_to_distance,
     kimura_distance,
-    register_estimator,
     resolve_distance_stage,
-    unregister_estimator,
 )
 from repro.seq.sequence import Sequence
 
@@ -155,17 +153,16 @@ class TestRegistry:
         with pytest.raises(ValueError, match="full-dp"):
             get_estimator("full-dp", k=9)
 
-    def test_register_unregister_roundtrip(self):
-        register_estimator("unit-test-est", KtupleDistance, "test only")
-        try:
-            assert "unit-test-est" in available_estimators()
-            with pytest.raises(ValueError):
-                register_estimator("unit-test-est", KtupleDistance)
-        finally:
-            unregister_estimator("unit-test-est")
-        assert "unit-test-est" not in available_estimators()
-        with pytest.raises(KeyError):
-            unregister_estimator("unit-test-est")
+    def test_table_is_fixed(self):
+        import repro.distance.estimators as estimators
+
+        assert not hasattr(estimators, "register_estimator")
+        assert available_estimators() == [
+            "full-dp", "kmer-fraction", "ktuple"
+        ]
+        with pytest.raises(KeyError) as err:
+            get_estimator("unit-test-est")
+        assert str(available_estimators()) in str(err.value)
 
 
 class TestDistanceConfig:

@@ -1,6 +1,7 @@
 """The external-memory tile store: index math, views, crash tolerance."""
 
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from repro.distance.tilestore import (
     condensed_tile_indices,
 )
 from repro.obs.metrics import registry
+from repro.parcomp import run_spmd
 from repro.seq.sequence import Sequence
 
 
@@ -34,30 +36,61 @@ def random_condensed(n, seed=0):
     return vec, dense
 
 
+class TileCrash(RuntimeError):
+    """The failure a :class:`CountingEstimator` raises on purpose."""
+
+
 class CountingEstimator(DistanceEstimator):
-    """ktuple distances that count how many pairs were computed."""
+    """ktuple distances that count how many pairs were computed.
+
+    ``fail_on_tile=k`` raises :class:`TileCrash` on the k-th tile
+    (1-based): the run dies midway, as a killed one does, and leaves the
+    tiles it finished in the store.
+    """
 
     name = "counting-test"
 
-    def __init__(self):
+    def __init__(self, fail_on_tile=None):
         self.inner = get_estimator("ktuple")
         self.pairs_computed = 0
+        self.tiles_seen = 0
+        self.fail_on_tile = fail_on_tile
 
     def prepare(self, seqs):
         return self.inner.prepare(seqs)
 
     def pair_distances(self, seqs, ii, jj, state):
+        self.tiles_seen += 1
+        if self.tiles_seen == self.fail_on_tile:
+            raise TileCrash(f"crashed on tile {self.tiles_seen}")
         self.pairs_computed += len(ii)
         return self.inner.pair_distances(seqs, ii, jj, state)
 
-    # The counter is test-local scaffolding; keep it out of the pickle
-    # bytes so the store's estimator signature is stable across runs.
+    # The counters and the planned crash are test-local scaffolding;
+    # keep them out of the pickle bytes so the store's estimator
+    # signature is the same for the crashing run and its resume.
     def __getstate__(self):
         return {}
 
     def __setstate__(self, state):
-        self.inner = get_estimator("ktuple")
-        self.pairs_computed = 0
+        self.__init__()
+
+
+#: Where each schedule of the resume tests runs: serial, two ``threads``
+#: ranks, three cooperative SPMD ranks.
+SCHEDULES = ("serial", "threads", "cooperative")
+
+
+def run_schedule(schedule, seqs, est, **kwargs):
+    """``all_pairs`` on ``schedule``; rank 0's result when cooperative."""
+    if schedule == "cooperative":
+        spmd = run_spmd(
+            3, lambda comm: all_pairs(seqs, est, comm=comm, **kwargs)
+        )
+        return spmd.results[0]
+    if schedule == "threads":
+        return all_pairs(seqs, est, backend="threads", workers=2, **kwargs)
+    return all_pairs(seqs, est, workers=1, **kwargs)
 
 
 class TestIndexMath:
@@ -286,47 +319,55 @@ class TestAllPairsMemmap:
         assert m.condensed.tobytes() == dense[ii, jj].tobytes()
         assert np.array_equal(m.to_dense(), dense)
 
-    def test_consolidated_store_short_circuits(self, family, tmp_path):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_consolidated_store_short_circuits(
+        self, family, tmp_path, schedule
+    ):
         est = CountingEstimator()
-        first = all_pairs(
-            family, est, out="memmap", store_dir=tmp_path / "s"
+        first = run_schedule(
+            schedule, family, est, out="memmap", store_dir=tmp_path / "s"
         )
         assert est.pairs_computed == condensed_size(len(family))
-        again = all_pairs(
-            family, est, out="memmap", store_dir=tmp_path / "s"
+        again = run_schedule(
+            schedule, family, est, out="memmap", store_dir=tmp_path / "s"
         )
         assert est.pairs_computed == condensed_size(len(family))  # no work
         assert again.condensed.tobytes() == first.condensed.tobytes()
 
-    def test_resume_recomputes_only_damaged_tiles(self, family, tmp_path):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_resume_recomputes_only_damaged_tiles(
+        self, family, tmp_path, schedule
+    ):
         root = tmp_path / "s"
-        est = CountingEstimator()
-        expected = all_pairs(
-            family, est, out="memmap", store_dir=root,
-            tile_pairs=5, keep_store_tiles=True,
-        )
-        expected_bytes = expected.condensed.tobytes()
-        full_work = est.pairs_computed
-        # Simulate a crash after a partial run: consolidation undone,
-        # one tile truncated, one deleted.
+        expected = all_pairs(family, "ktuple", out="condensed")
+        # 36 pairs in tiles of 3 on every schedule (the store header
+        # binds the tile size); the run dies on its fifth tile.
+        with pytest.raises(RuntimeError, match="crashed on tile 5"):
+            run_schedule(
+                schedule, family, CountingEstimator(fail_on_tile=5),
+                out="memmap", store_dir=root, tile_pairs=3,
+            )
         store = TileStore(root)
-        store.complete_path.unlink()
-        store.condensed_path.unlink()
-        t0 = store._tile_path(0)
-        t0.write_bytes(t0.read_bytes()[:10])  # truncated
-        store._tile_path(5).unlink()  # missing
+        assert not store.complete_path.exists()
+        assert not store.condensed_path.exists()
+        tiles = sorted(store.tiles_dir.glob("*.tile"))
+        assert len(tiles) >= 2  # the tiles finished before the crash
+        tiles[0].write_bytes(tiles[0].read_bytes()[:10])  # torn
+        # A tile file is a 32-byte header and 8 bytes a pair.
+        kept = sum((t.stat().st_size - 32) // 8 for t in tiles[1:])
+        est = CountingEstimator()
         before = registry().counter("tilestore.resumed_tiles").value
-        resumed = all_pairs(
-            family, est, out="memmap", store_dir=root, tile_pairs=5
+        resumed = run_schedule(
+            schedule, family, est, out="memmap", store_dir=root,
+            tile_pairs=3,
         )
-        assert resumed.condensed.tobytes() == expected_bytes
-        # Exactly the two damaged tiles (5 pairs each) were recomputed.
-        assert est.pairs_computed == full_work + 10
-        n_tiles = -(-condensed_size(len(family)) // 5)
+        assert resumed.condensed.tobytes() == expected.condensed.tobytes()
+        # Exactly the torn tile and the ones never written were computed.
+        assert est.pairs_computed == condensed_size(len(family)) - kept
         resumed_tiles = (
             registry().counter("tilestore.resumed_tiles").value - before
         )
-        assert resumed_tiles == n_tiles - 2  # all but the two damaged
+        assert resumed_tiles == len(tiles) - 1
 
     def test_store_dir_requires_memmap(self, family, tmp_path):
         with pytest.raises(ValueError, match="memmap"):
@@ -347,3 +388,37 @@ class TestAllPairsMemmap:
         all_pairs(family, "ktuple", out="memmap", store_dir=root, k=4)
         header2 = json.loads((root / "header.json").read_text())
         assert header2["signature"] != sig
+
+
+class TestTemporaryStore:
+    """``out="memmap"`` without ``store_dir``: nobody can resume the
+    store, so it is removed once the result is mapped, and the mapping
+    stays readable."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        return seqs_from(["MKVLAAGIKT", "MKVLSAGIKR", "MRVLAAGVKT",
+                          "MKILAAGLKT", "MKVLAQGIKS"])
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_store_removed_matrix_readable(
+        self, family, tmp_path, monkeypatch, schedule
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        expected = all_pairs(family, "ktuple", out="condensed")
+        mm = run_schedule(schedule, family, "ktuple", out="memmap")
+        assert list(tmp_path.glob("repro-tilestore-*")) == []
+        assert isinstance(mm.condensed, np.memmap)
+        assert mm.condensed.tobytes() == expected.condensed.tobytes()
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_failed_run_removes_store(
+        self, family, tmp_path, monkeypatch, schedule
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(RuntimeError, match="crashed on tile 2"):
+            run_schedule(
+                schedule, family, CountingEstimator(fail_on_tile=2),
+                out="memmap", tile_pairs=1,
+            )
+        assert list(tmp_path.glob("repro-tilestore-*")) == []

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from repro.distance import all_pairs
-from repro.distance.tilestore import TileStore, condensed_size
+from repro.distance.tilestore import TileStore
 from repro.obs.metrics import registry
 from repro.pool import PoolBackend
 from repro.pool import backend as backend_mod
 from repro.pool.shm import shm_dir_segments
 
+from tests.distance.test_tilestore import CountingEstimator
 from tests.pool.test_supervision import KillerEstimator
 
 
@@ -47,33 +48,31 @@ class TestCrashMidMemmapAllPairs:
         seqs = list(diverse_family.sequences)[:16]
         expected = condensed_bytes(all_pairs(seqs, "ktuple"))
         root = tmp_path / "store"
-        # Partial progress first: a non-crashing run writes some tiles,
-        # then we undo its consolidation and damage part of the store --
-        # the on-disk state a run killed midway leaves behind.
-        all_pairs(
-            seqs, "ktuple", out="memmap", store_dir=root,
-            tile_pairs=8, keep_store_tiles=True,
-        )
+        # A run that dies on its third tile publishes two, consolidates
+        # nothing; then one of the two is torn as well.
+        with pytest.raises(RuntimeError, match="crashed on tile 3"):
+            all_pairs(
+                seqs, CountingEstimator(fail_on_tile=3), out="memmap",
+                store_dir=root, tile_pairs=8,
+            )
         store = TileStore(root)
-        store.complete_path.unlink()
-        store.condensed_path.unlink()
+        assert not store.complete_path.exists()
+        assert not store.condensed_path.exists()
         tiles = sorted(store.tiles_dir.glob("*.tile"))
-        assert len(tiles) > 2
-        tiles[0].unlink()  # vanished tile
+        assert len(tiles) == 2
         tiles[1].write_bytes(tiles[1].read_bytes()[:12])  # torn write
         # The rerun (same estimator/tiling, this time on the pool)
-        # recomputes only the damaged tiles and consolidates.
+        # recomputes only the torn and the missing tiles.
         before = registry().counter("tilestore.resumed_tiles").value
         mm = all_pairs(
-            seqs, "ktuple", backend="pool", workers=4,
+            seqs, CountingEstimator(), backend="pool", workers=4,
             out="memmap", store_dir=root, tile_pairs=8,
         )
         assert mm.condensed.tobytes() == expected
-        n_tiles = -(-condensed_size(len(seqs)) // 8)
         resumed = (
             registry().counter("tilestore.resumed_tiles").value - before
         )
-        assert resumed == n_tiles - 2
+        assert resumed == 1
         assert shm_dir_segments(pool.name) == []
 
     def test_give_up_then_resume_completes(

@@ -11,7 +11,6 @@ from repro.serve.gateway import (
     QueueFullError,
     RateLimitedError,
     TokenBucket,
-    percentile,
 )
 
 
@@ -31,21 +30,6 @@ class TestTokenBucket:
     def test_validation(self):
         with pytest.raises(ValueError):
             TokenBucket(rate=0, burst=1)
-
-
-class TestPercentile:
-    def test_empty(self):
-        assert percentile([], 0.5) is None
-
-    def test_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0.5) == 2.0
-        assert percentile(values, 0.99) == 4.0
-        assert percentile(values, 0.0) == 1.0
-
-    def test_rejects_bad_q(self):
-        with pytest.raises(ValueError):
-            percentile([1.0], 1.5)
 
 
 class TestSubmitAndWait:

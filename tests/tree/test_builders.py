@@ -17,9 +17,7 @@ from repro.tree import (
     available_builders,
     builder_info,
     get_builder,
-    register_builder,
     resolve_tree_stage,
-    unregister_builder,
 )
 
 
@@ -60,23 +58,16 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown tree builder"):
             get_builder("neighbour-of-the-beast")
 
-    def test_register_unregister_roundtrip(self):
-        register_builder("custom-tree-xyz", UpgmaBuilder, "test")
-        try:
-            assert "custom-tree-xyz" in available_builders()
-            with pytest.raises(ValueError, match="already registered"):
-                register_builder("custom-tree-xyz", UpgmaBuilder)
-            register_builder(
-                "custom-tree-xyz", SingleLinkageBuilder, overwrite=True
-            )
-            assert isinstance(
-                get_builder("custom-tree-xyz"), SingleLinkageBuilder
-            )
-        finally:
-            unregister_builder("custom-tree-xyz")
-        assert "custom-tree-xyz" not in available_builders()
-        with pytest.raises(KeyError):
-            unregister_builder("custom-tree-xyz")
+    def test_table_is_fixed(self):
+        import repro.tree.builders as builders
+
+        assert not hasattr(builders, "register_builder")
+        assert set(available_builders()) == {
+            "anchor", "nj", "single-linkage", "upgma", "wpgma"
+        }
+        with pytest.raises(KeyError) as err:
+            get_builder("custom-tree-xyz")
+        assert str(available_builders()) in str(err.value)
 
     def test_builders_are_picklable(self):
         import pickle
