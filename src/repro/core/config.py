@@ -70,15 +70,10 @@ class SampleAlignDConfig:
         the glue (the other half; 0 = off).
     sort_stable_by_id:
         Break rank ties by sequence id so runs are order-independent.
-    backend:
-        Execution backend running the SPMD ranks: ``"threads"`` (the
-        default virtual cluster; ranks run one at a time, so wall time
-        is about the serial work and the modeled clocks are free of
-        contention) or ``"pool"`` (persistent warm worker processes
-        with shared-memory transport; real parallel compute on
-        multi-core hosts -- more ranks than pool slots run cold on a
-        one-shot pool).  ``None`` defers to the caller /
-        launcher default.  Backends produce byte-identical alignments.
+
+    Where the ranks run is not a knob of the pipeline: it is the
+    ``backend`` of :func:`~repro.core.driver.sample_align_d`, spelled
+    ``engine_kwargs={"backend": ...}`` on a request.
     """
 
     rank_config: RankConfig = field(default_factory=RankConfig)
@@ -97,12 +92,8 @@ class SampleAlignDConfig:
     refine_local_rounds: int = 0
     post_refine_rounds: int = 0
     sort_stable_by_id: bool = True
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
-        from repro.distance.config import validate_backend_name
-
-        validate_backend_name(self.backend)
         if self.samples_per_proc is not None and self.samples_per_proc < 1:
             raise ValueError("samples_per_proc must be >= 1 (or None)")
         if not 0.0 <= self.ancestor_min_occupancy <= 1.0:
@@ -169,7 +160,6 @@ class SampleAlignDConfig:
             "refine_local_rounds": self.refine_local_rounds,
             "post_refine_rounds": self.post_refine_rounds,
             "sort_stable_by_id": self.sort_stable_by_id,
-            "backend": self.backend,
         }
 
     @classmethod

@@ -124,9 +124,9 @@ def sample_align_d(
         input regardless.
     backend:
         Execution backend name (``"threads"``/``"pool"``; see
-        :mod:`repro.parcomp.backends`).  An explicit argument wins over
-        ``config.backend``; both ``None`` means the launcher default
-        (``"threads"``).  The alignment is byte-identical either way.
+        :mod:`repro.parcomp.backends`); ``None`` means the launcher
+        default (``"threads"``).  The alignment is byte-identical either
+        way.
     """
     sset = seqs if isinstance(seqs, SequenceSet) else SequenceSet(seqs)
     if len(sset) == 0:
@@ -134,7 +134,6 @@ def sample_align_d(
     if n_procs < 1:
         raise ValueError("n_procs must be >= 1")
     config = config or SampleAlignDConfig()
-    backend = backend if backend is not None else config.backend
 
     placed = sset
     if seed is not None:

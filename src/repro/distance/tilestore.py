@@ -157,7 +157,6 @@ class CondensedMatrix:
         self,
         condensed: np.ndarray,
         n: Optional[int] = None,
-        store: Optional["TileStore"] = None,
     ) -> None:
         condensed = (
             condensed
@@ -176,9 +175,6 @@ class CondensedMatrix:
             )
         self._vec = condensed
         self.n = int(n)
-        #: The owning TileStore (when memmap-backed); kept for cleanup /
-        #: introspection, never required for reads.
-        self.store = store
 
     # -- shape protocol ----------------------------------------------------
 
@@ -450,9 +446,9 @@ class TileStore:
         self,
         bounds: Iterable[Tuple[int, int]],
         n_pairs: int,
-        keep_tiles: bool = False,
     ) -> None:
-        """Assemble ``condensed.f64`` from the tiles and mark complete.
+        """Assemble ``condensed.f64`` from the tiles, mark it complete and
+        delete the tiles.
 
         Sequential buffered writes (not a writable memmap) keep the
         driver's resident set at O(tile) -- dirty memmap pages would
@@ -490,14 +486,13 @@ class TileStore:
                 self.complete_path,
                 json.dumps({"n_pairs": n_pairs}).encode("utf-8"),
             )
-        if not keep_tiles:
-            for start, stop in bounds:
-                self._tile_path(start).unlink(missing_ok=True)
+        for start, _ in bounds:
+            self._tile_path(start).unlink(missing_ok=True)
 
     def matrix(self, n: int) -> CondensedMatrix:
         """The consolidated matrix as a read-only memmap view."""
         vec = np.memmap(self.condensed_path, dtype="<f8", mode="r")
-        return CondensedMatrix(vec, n, store=self)
+        return CondensedMatrix(vec, n)
 
     # -- introspection -----------------------------------------------------
 

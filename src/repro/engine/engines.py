@@ -78,11 +78,10 @@ class SampleAlignDEngine:
     cost_model:
         Alpha-beta communication model for the modeled cluster time.
     backend:
-        Default execution backend for runs through this engine instance
-        (``"threads"``/``"pool"``).  A request whose config sets
-        ``backend`` wins over this default; requests can also select it
-        per-request via ``engine_kwargs={"backend": ...}`` (which builds
-        the engine with that default).
+        Execution backend of every run through this engine instance
+        (``"threads"``/``"pool"``; ``None``: the launcher default).  A
+        request selects it with ``engine_kwargs={"backend": ...}``, which
+        builds the engine with it.
     """
 
     name = "sample-align-d"
@@ -103,18 +102,14 @@ class SampleAlignDEngine:
     def run(self, request: AlignRequest) -> AlignResult:
         from repro.core.driver import sample_align_d
 
-        # Per-request config wins over the engine-instance default.
-        backend = self.backend
-        if request.config is not None and request.config.backend is not None:
-            backend = request.config.backend
-        with span("engine.align", engine=self.name, backend=str(backend)):
+        with span("engine.align", engine=self.name, backend=str(self.backend)):
             result = sample_align_d(
                 request.sequence_set(),
                 n_procs=request.n_procs,
                 config=request.config,
                 cost_model=self.cost_model,
                 seed=request.seed,
-                backend=backend,
+                backend=self.backend,
             )
         diagnostics: Dict[str, Any] = {
             "modeled_time": result.modeled_time,

@@ -210,10 +210,10 @@ class AlignmentGateway:
         Bound on the ticket lookup table (oldest tickets are forgotten
         first; their computations are unaffected).
     default_backend:
-        Execution backend applied to distributed requests that do not
-        choose one themselves (no ``config`` and no ``backend`` engine
-        kwarg) -- how ``repro serve --backend pool`` puts every
-        plain Sample-Align-D request on real cores.  Applied at
+        Execution backend applied to Sample-Align-D requests that do
+        not choose one themselves (no ``backend`` engine kwarg) -- how
+        ``repro serve --backend pool`` puts every plain Sample-Align-D
+        request on real cores.  Applied at
         admission, *before* hashing, so coalescing and the result cache
         key see the effective request.
     default_distance / default_tree:
@@ -485,8 +485,8 @@ class AlignmentGateway:
         """Fold the gateway's defaults into a request, pre-hash, so
         coalescing and the result cache key on the *effective* request:
 
-        - execution backend: distributed engines with no explicit choice
-          (no config, no ``backend`` engine kwarg);
+        - execution backend: Sample-Align-D requests with no ``backend``
+          engine kwarg;
         - stage defaults: engines whose registry entry takes the stage
           get the default merged under their own ``distance`` / ``tree``
           spec (request fields win), written back in canonical dict
@@ -496,7 +496,6 @@ class AlignmentGateway:
         if (
             self._default_backend is not None
             and request.engine.lower() == "sample-align-d"
-            and request.config is None
             and "backend" not in request.engine_kwargs
         ):
             updates["backend"] = self._default_backend

@@ -13,11 +13,11 @@ A thin JSON-over-HTTP surface on top of
   ``{"ticket": ..., "result": ...}``; with ``wait`` false it is ``202``
   with the ticket only, and the client polls the job endpoint.
 
-  Distributed requests choose their execution backend like any other
-  knob: ``{"request": {"engine": "sample-align-d", "engine_kwargs":
-  {"backend": "pool"}, ...}}`` (or ``config.backend`` inside a full
-  config dict).  Requests that stay silent inherit the gateway's
-  ``default_backend`` (the ``repro serve --backend`` flag).
+  Sample-Align-D requests choose their execution backend in one place,
+  ``{"request": {"engine": "sample-align-d", "engine_kwargs":
+  {"backend": "pool"}, ...}}``; a ``backend`` key inside ``config`` is
+  an unknown field (400).  Requests that stay silent inherit the
+  gateway's ``default_backend`` (the ``repro serve --backend`` flag).
 - ``GET /jobs/<ticket_id>`` -- ticket status, plus the result once done.
 - ``GET /healthz`` -- liveness (``{"status": "ok"}``).
 - ``GET /metrics`` -- :meth:`AlignmentGateway.metrics` as JSON;

@@ -273,16 +273,8 @@ class TestTileStore:
         assert isinstance(m.condensed, np.memmap)
         assert m.condensed.tobytes() == vec.tobytes()
         assert np.array_equal(m.to_dense(), dense)
-        # Tiles deleted by default after consolidation.
+        # Consolidation deletes the tiles.
         assert store.stats()["tiles"] == 0
-
-    def test_consolidate_keep_tiles(self, tmp_path):
-        vec, _ = random_condensed(4)
-        store = TileStore(tmp_path / "s")
-        store.prepare({"n": 4, "n_pairs": vec.size})
-        store.write_tile(0, vec)
-        store.consolidate([(0, vec.size)], vec.size, keep_tiles=True)
-        assert store.stats()["tiles"] == 1
 
     def test_consolidate_gap_raises(self, tmp_path):
         vec, _ = random_condensed(5)

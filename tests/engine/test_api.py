@@ -197,7 +197,7 @@ class TestConfigSerialization:
         placement at all, so its ``backend`` is an unknown key."""
         why = "unknown TreeConfig keys" if "tree" in spec else "nested"
         with pytest.raises(ValueError, match=why):
-            SampleAlignDConfig(backend="pool", **{kwargs_field: spec})
+            SampleAlignDConfig(**{kwargs_field: spec})
 
     def test_accepts_unplaced_stage_specs(self):
         SampleAlignDConfig(

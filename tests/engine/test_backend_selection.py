@@ -35,16 +35,18 @@ class TestRequestPaths:
             result = svc.run(request)
         assert result.diagnostics["backend"] == "pool"
 
-    def test_config_backend_wins_over_engine_default(self, seqs):
-        engine = get_engine("sample-align-d", backend="pool")
-        request = AlignRequest(
-            sequences=seqs,
-            engine="sample-align-d",
-            n_procs=2,
-            config=SampleAlignDConfig(backend="threads"),
-        )
-        result = engine.run(request)
-        assert result.diagnostics["backend"] == "threads"
+    def test_config_backend_is_an_unknown_field(self, seqs):
+        """One spelling: the backend is an engine kwarg, never a config
+        field, so one job cannot hash two ways."""
+        with pytest.raises(TypeError, match="backend"):
+            SampleAlignDConfig(backend="threads")
+        data = AlignRequest(
+            sequences=seqs, engine="sample-align-d", n_procs=2,
+            config=SampleAlignDConfig(),
+        ).to_dict()
+        data["config"]["backend"] = "threads"
+        with pytest.raises(TypeError, match="backend"):
+            AlignRequest.from_dict(data)
 
     def test_default_is_threads(self, seqs):
         request = AlignRequest(
@@ -57,12 +59,8 @@ class TestRequestPaths:
     def test_backend_affects_cache_key(self, pool, seqs):
         """Requests differing only in backend are distinct jobs."""
         base = dict(sequences=seqs, engine="sample-align-d", n_procs=2)
-        r_threads = AlignRequest(
-            config=SampleAlignDConfig(backend="threads"), **base
-        )
-        r_procs = AlignRequest(
-            config=SampleAlignDConfig(backend="pool"), **base
-        )
+        r_threads = AlignRequest(engine_kwargs={"backend": "threads"}, **base)
+        r_procs = AlignRequest(engine_kwargs={"backend": "pool"}, **base)
         assert r_threads.content_hash() != r_procs.content_hash()
         with AlignmentService(max_workers=1) as svc:
             a = svc.run(r_threads)
@@ -76,8 +74,8 @@ class TestRequestPaths:
             sequences=seqs,
             engine="sample-align-d",
             n_procs=2,
-            config=SampleAlignDConfig(backend="pool"),
+            engine_kwargs={"backend": "pool"},
         )
         restored = AlignRequest.from_dict(request.to_dict())
-        assert restored.config.backend == "pool"
+        assert restored.engine_kwargs == {"backend": "pool"}
         assert restored.content_hash() == request.content_hash()

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.config import SampleAlignDConfig
 from repro.core.driver import sample_align_d
+from repro.engine import get_engine
 from repro.parcomp import (
     CostModel,
     ExecutionBackend,
@@ -243,20 +244,18 @@ class TestSampleAlignDEquivalence:
                 assert res.backend == name
                 assert f"backend={name}" in res.summary()
 
-    def test_config_backend_drives_run(self, family):
+    def test_backend_argument_drives_run(self, family):
         res = sample_align_d(
             family[:8],
             n_procs=2,
-            config=SampleAlignDConfig(backend="pool"),
+            config=SampleAlignDConfig(),
+            backend="pool",
         )
         assert res.backend == "pool"
 
-    def test_explicit_backend_wins_over_config(self, family):
+    def test_config_does_not_choose_the_backend(self, family):
         res = sample_align_d(
-            family[:8],
-            n_procs=2,
-            config=SampleAlignDConfig(backend="pool"),
-            backend="threads",
+            family[:8], n_procs=2, config=SampleAlignDConfig()
         )
         assert res.backend == "threads"
 
@@ -265,25 +264,28 @@ class TestSampleAlignDEquivalence:
             sample_align_d(family[:8], n_procs=2, backend="bogus")
 
 
-class TestConfigBackendField:
+class TestConfigHasNoBackendField:
+    """The backend has one spelling, ``sample_align_d(backend=)`` /
+    ``engine_kwargs={"backend": ...}``; the config does not carry it."""
+
     def test_round_trip(self):
-        cfg = SampleAlignDConfig(backend="pool")
-        assert cfg.to_dict()["backend"] == "pool"
+        cfg = SampleAlignDConfig(local_aligner="clustalw")
+        assert "backend" not in cfg.to_dict()
+        assert len(cfg.to_dict()) == 16
         assert SampleAlignDConfig.from_dict(cfg.to_dict()) == cfg
 
-    def test_default_none_round_trip(self):
-        cfg = SampleAlignDConfig()
-        assert cfg.to_dict()["backend"] is None
-        assert SampleAlignDConfig.from_dict(cfg.to_dict()) == cfg
+    def test_constructor_refuses_backend(self):
+        with pytest.raises(TypeError, match="backend"):
+            SampleAlignDConfig(backend="pool")
 
-    def test_legacy_dict_without_backend(self):
-        data = SampleAlignDConfig().to_dict()
-        del data["backend"]
-        assert SampleAlignDConfig.from_dict(data).backend is None
+    def test_dict_with_backend_is_an_unknown_key(self):
+        data = {**SampleAlignDConfig().to_dict(), "backend": "pool"}
+        with pytest.raises(TypeError, match="backend"):
+            SampleAlignDConfig.from_dict(data)
 
-    def test_validation(self):
+    def test_validation_at_the_engine(self):
         with pytest.raises(ValueError, match="not a registered"):
-            SampleAlignDConfig(backend="gpu")
+            get_engine("sample-align-d", backend="gpu")
 
 
 class TestCustomBackendPluggability:
@@ -498,7 +500,7 @@ def test_processes_name_is_gone(tmp_path, capsys):
     with pytest.raises(KeyError, match=available):
         get_backend("processes")
     with pytest.raises(ValueError, match=available):
-        SampleAlignDConfig(backend="processes")
+        get_engine("sample-align-d", backend="processes")
     fasta = tmp_path / "in.fasta"
     fasta.write_text(">a\nMKTAYIAKQR\n>b\nMKTAYIAKQL\n")
     assert main(["align", str(fasta), "--backend", "processes"]) == 2

@@ -9,9 +9,9 @@ carry the same message pattern.
 import numpy as np
 import pytest
 
-from repro.core.config import SampleAlignDConfig
 from repro.core.driver import sample_align_d
 from repro.distance import DistanceConfig, all_pairs, available_estimators
+from repro.engine import AlignRequest, get_engine
 from repro.parcomp import get_backend, run_spmd
 from repro.pool import PoolBackend
 
@@ -37,7 +37,7 @@ class TestRegistry:
         assert isinstance(get_backend("pool"), PoolBackend)
 
     def test_configs_accept_pool(self):
-        assert SampleAlignDConfig(backend="pool").backend == "pool"
+        assert get_engine("sample-align-d", backend="pool").backend == "pool"
         assert DistanceConfig(backend="pool").backend == "pool"
 
 
@@ -91,11 +91,15 @@ class TestSampleAlignDEquivalence:
         assert pooled.backend == "pool"
         assert "backend=pool" in pooled.summary()
 
-    def test_config_backend_drives_run(self, pool, family):
-        res = sample_align_d(
-            family[:8], n_procs=2, config=SampleAlignDConfig(backend="pool")
+    def test_engine_kwargs_backend_drives_run(self, pool, family):
+        request = AlignRequest(
+            sequences=tuple(family[:8]),
+            engine="sample-align-d",
+            n_procs=2,
+            engine_kwargs={"backend": "pool"},
         )
-        assert res.backend == "pool"
+        engine = get_engine(request.engine, **request.engine_kwargs)
+        assert engine.run(request).diagnostics["backend"] == "pool"
 
     def test_repeated_runs_reuse_the_same_workers(self, pool, family):
         pool.warm_up(4)

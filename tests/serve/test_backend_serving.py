@@ -42,16 +42,26 @@ class TestGatewayDefaultBackend:
             result = gw.run(request, timeout=120)
         assert result.diagnostics["backend"] == "pool"
 
-    def test_explicit_config_wins_over_default(self, pool, seqs):
+    def test_explicit_engine_kwarg_wins_over_default(self, pool, seqs):
+        """A request that carries a config but no ``backend`` kwarg is
+        silent about the backend: it inherits the default too."""
         with _pool_gateway(pool) as gw:
             request = AlignRequest(
                 sequences=seqs,
                 engine="sample-align-d",
                 n_procs=2,
-                config=SampleAlignDConfig(backend="threads"),
+                engine_kwargs={"backend": "threads"},
             )
             result = gw.run(request, timeout=120)
-        assert result.diagnostics["backend"] == "threads"
+            assert result.diagnostics["backend"] == "threads"
+            configured = AlignRequest(
+                sequences=seqs,
+                engine="sample-align-d",
+                n_procs=2,
+                config=SampleAlignDConfig(),
+            )
+            result = gw.run(configured, timeout=120)
+        assert result.diagnostics["backend"] == "pool"
 
     def test_sequential_requests_untouched(self, pool, seqs):
         with _pool_gateway(pool) as gw:
@@ -108,22 +118,27 @@ class TestHttpBackendSelection:
         assert status == 200
         assert body["result"]["diagnostics"]["backend"] == "pool"
 
-    def test_post_align_with_config_backend(self, pool, seqs):
+    def test_post_align_with_config_backend_is_400(self, seqs):
+        """``backend`` inside ``config`` is an unknown field: the one
+        spelling is the ``backend`` engine kwarg."""
         with AlignmentGateway(n_workers=1) as gw:
             server, thread = serve_in_thread(gw)
             try:
-                request = AlignRequest(
+                payload = AlignRequest(
                     sequences=seqs[:6],
                     engine="sample-align-d",
                     n_procs=2,
-                    config=SampleAlignDConfig(backend="pool"),
-                )
-                status, body = _post(server.port, {"request": request.to_dict()})
+                    config=SampleAlignDConfig(),
+                ).to_dict()
+                payload["config"]["backend"] = "pool"
+                with pytest.raises(urllib.error.HTTPError) as exc:
+                    _post(server.port, {"request": payload})
+                body = json.loads(exc.value.read())
             finally:
                 server.shutdown()
                 thread.join()
-        assert status == 200
-        assert body["result"]["diagnostics"]["backend"] == "pool"
+        assert exc.value.code == 400
+        assert "backend" in body["error"]
 
     def test_gateway_default_reaches_http_clients(self, pool, seqs):
         with _pool_gateway(pool) as gw:

@@ -77,10 +77,11 @@ class TestParser:
 
 
 class TestCommands:
-    def test_aligners_lists_registry(self, capsys):
-        assert main(["aligners"]) == 0
-        out = capsys.readouterr().out
-        assert "muscle" in out and "tcoffee" in out
+    def test_engines_lists_sequential_aligners(self, capsys):
+        assert main(["engines"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        sequential = {row[0] for row in rows if row[1:2] == ["sequential"]}
+        assert {"muscle", "tcoffee"} <= sequential
 
     def test_generate(self, tmp_path):
         out = tmp_path / "fam.fasta"
@@ -200,7 +201,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Q  = 1.0000" in out and "TC = 1.0000" in out
 
-    def test_model(self, capsys, monkeypatch):
+    def test_plan_projects_a_shape(self, capsys, monkeypatch):
         # Stub calibration so the test is fast and host-independent.
         from repro.perfmodel import KernelCoefficients
         import repro.perfmodel as pm
@@ -208,10 +209,14 @@ class TestCommands:
         monkeypatch.setattr(
             pm, "calibrate_kernels", lambda: KernelCoefficients()
         )
-        rc = main(["model", "-n", "500", "-l", "120", "-p", "1", "4"])
+        rc = main(["plan", "-n", "500", "-l", "120", "--max-procs", "4"])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "speedup" in out and "model-optimal" in out
+        assert "time_s" in out and "speedup" in out
+        assert "model-recommended workers:" in out
+        assert [line.split()[0] for line in out.splitlines()[2:5]] == [
+            "1", "2", "4"
+        ]
 
 
 class TestPlan:
@@ -414,20 +419,21 @@ class TestBackendFlag:
 
 
 class TestDistanceCli:
-    def test_distances_lists_estimators(self, capsys):
-        assert main(["distances"]) == 0
+    def test_engines_lists_estimators_and_transforms(self, capsys):
+        assert main(["engines"]) == 0
         out = capsys.readouterr().out
         for name in ("ktuple", "kmer-fraction", "full-dp"):
             assert name in out
-        assert "kimura" in out
+        assert "linear" in out and "kimura" in out
 
-    def test_distances_json_listing(self, capsys):
+    def test_engines_json_lists_estimators_and_transforms(self, capsys):
         import json
 
-        assert main(["distances", "--json"]) == 0
+        assert main(["engines", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "full-dp" in payload["distance_estimators"]
         assert "threads" in payload["execution_backends"]
+        assert payload["transforms"] == ["linear", "kimura"]
 
     def test_distances_matrix_stats(self, fasta_file, capsys):
         rc = main(["distances", str(fasta_file), "--estimator", "ktuple"])
@@ -660,7 +666,7 @@ class TestTraceCli:
         same request content hash from either command; what ``trace``
         does not carry (``--local-aligner``, ``--backend``) takes
         ``SampleAlignDConfig``'s defaults."""
-        from repro.cli import _align_request
+        from repro.cli.run import _align_request
 
         seqs = list(read_fasta(fasta_file))
         parser = build_parser()
@@ -720,3 +726,141 @@ class TestTraceCli:
         from repro.obs.tracing import tracing_enabled
 
         assert not tracing_enabled()
+
+
+def _commands():
+    import argparse
+
+    return next(
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ).choices
+
+
+class TestCommandTable:
+    COMMANDS = {
+        "align", "trace", "generate", "quality",
+        "engines", "distances", "trees", "rank",
+        "plan", "serve", "loadtest",
+    }
+
+    def test_every_module_registers_its_commands(self):
+        assert set(_commands()) == self.COMMANDS
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_command_has_a_handler_and_help(self, name, capsys):
+        assert callable(_commands()[name].get_default("handler"))
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: repro {name}")
+
+    @pytest.mark.parametrize("argv", [
+        ["aligners"], ["model"], ["model", "-n", "500", "-l", "120"],
+        ["distances"], ["distances", "--json"], ["trees"],
+    ])
+    def test_answered_elsewhere_commands_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: repro")
+
+    def test_shared_options_have_one_declaration(self):
+        """``--json`` and ``--backend`` are the same action object on
+        every command that carries them."""
+        for flag, carriers in (
+            ("--json", {"align", "trace", "engines", "distances", "trees",
+                        "plan", "loadtest"}),
+            ("--backend", {"align", "distances", "plan", "serve",
+                           "loadtest"}),
+        ):
+            actions = {
+                name: action
+                for name, command in _commands().items()
+                for action in command._actions
+                if flag in action.option_strings
+            }
+            assert set(actions) == carriers, flag
+            assert len({id(a) for a in actions.values()}) == 1, flag
+
+    def test_a_failure_inside_the_run_keeps_its_traceback(
+        self, fasta_file, monkeypatch
+    ):
+        """Only bad input is an rc 2: a ``ValueError`` raised by the
+        engine run itself propagates."""
+        from repro.engine import AlignmentService
+
+        def broken(self, request):
+            raise ValueError("engine bug")
+
+        monkeypatch.setattr(AlignmentService, "submit", broken)
+        with pytest.raises(ValueError, match="engine bug"):
+            main(["align", str(fasta_file), "--engine", "center-star"])
+
+
+class TestPlanShapes:
+    @pytest.fixture(autouse=True)
+    def _stub_calibration(self, monkeypatch):
+        from repro.perfmodel import KernelCoefficients
+        import repro.perfmodel as pm
+
+        monkeypatch.setattr(
+            pm, "calibrate_kernels", lambda: KernelCoefficients()
+        )
+
+    def test_shape_json_has_time_and_speedup_columns(self, capsys):
+        import json
+
+        assert main(["plan", "-n", "2000", "-l", "300", "--json"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        assert plan["input"] is None and plan["n_sequences"] == 2000
+        assert set(plan["time_s"]) == set(plan["efficiency"])
+        assert plan["speedup"]["1"] == pytest.approx(
+            plan["predicted_sequential_s"] / plan["time_s"]["1"]
+        )
+
+    def test_file_and_shape_agree(self, tmp_path, capsys):
+        import json
+
+        fasta = tmp_path / "even.fasta"
+        fasta.write_text("".join(f">s{i}\n{'MKVAW' * 4}\n" for i in range(6)))
+        assert main(["plan", str(fasta), "--json"]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert main(["plan", "-n", "6", "-l", "20", "--json"]) == 0
+        from_shape = json.loads(capsys.readouterr().out)
+        from_file.pop("input"), from_shape.pop("input")
+        assert from_shape == from_file
+
+    @pytest.mark.parametrize("argv, message", [
+        (["plan"], "give a FASTA file, or both -n and -l"),
+        (["plan", "-n", "100"], "give a FASTA file, or both -n and -l"),
+        (["plan", "-n", "100", "-l", "50", "--backend", "threads"],
+         "--backend probes a FASTA file's workload"),
+        (["plan", "IN", "-n", "100", "-l", "50"],
+         "give a FASTA file or -n/-l, not both"),
+    ])
+    def test_usage_errors(self, fasta_file, argv, message, capsys):
+        argv = [str(fasta_file) if a == "IN" else a for a in argv]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_empty_fasta_is_a_usage_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.fasta"
+        empty.write_text("")
+        assert main(["plan", str(empty)]) == 2
+        assert "error: no sequences in input" in capsys.readouterr().err
+
+
+class TestBackendSpelling:
+    def test_align_backend_is_an_engine_kwarg(self, fasta_file):
+        from repro.cli.run import _align_request
+
+        seqs = list(read_fasta(fasta_file))
+        args = build_parser().parse_args(
+            ["align", str(fasta_file), "-p", "2", "--backend", "pool"]
+        )
+        request = _align_request(args, "sample-align-d", seqs)
+        assert request.engine_kwargs == {"backend": "pool"}
+        assert "backend" not in request.config.to_dict()
+        args.backend = None
+        assert _align_request(args, "sample-align-d", seqs).engine_kwargs == {}

@@ -260,10 +260,10 @@ class TestCli:
         path.write_text(to_fasta(list(tiny_seqs)), encoding="ascii")
         return str(path)
 
-    def test_trees_listing(self, capsys):
+    def test_engines_lists_tree_builders(self, capsys):
         from repro.cli import main
 
-        assert main(["trees"]) == 0
+        assert main(["engines"]) == 0
         out = capsys.readouterr().out
         for name in ("upgma", "wpgma", "nj", "single-linkage"):
             assert name in out
