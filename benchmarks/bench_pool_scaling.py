@@ -2,9 +2,8 @@
 
 Not a paper figure: this is the perf-trajectory entry for ROADMAP Open
 item 2.  One fork-and-pickle startup per call swamps short jobs; the
-``pool`` backend amortises that: workers start once, payloads ride
-shared memory above a size threshold, and repeated calls dispatch onto
-warm processes.
+``pool`` backend amortises that: workers start once and repeated calls
+dispatch onto warm processes, each payload pickled once onto a queue.
 
 Three measurements:
 
@@ -14,12 +13,8 @@ Three measurements:
   point of recording it).
 - **stage grid** -- the all-pairs distance stage, repeated per
   backend, verified byte-identical to the serial stage.
-- **bulk allgather** -- every rank contributes a block past the pool's
-  shared-memory threshold, repeated per backend, verified equal to the
-  ``threads`` result.
-- **transport split** -- shm vs pickle message/byte counts from the
-  pool's own accounting, showing the batch fan-out actually rode
-  segments.
+- **transport** -- the message and byte counts of the pool's own
+  accounting.
 
 Output: benchmarks/reports/pool_scaling.json plus the text report.
 """
@@ -39,22 +34,12 @@ from _util import FULL, REPORT_DIR, explicit_pool, fmt_table, write_report
 from repro.datagen.rose import generate_family
 from repro.distance import all_pairs
 from repro.parcomp import run_spmd
-from repro.pool.shm import shm_dir_segments
 
 BACKENDS = ("threads", "pool")
-
-#: Per-rank block of the bulk allgather: past DEFAULT_SHM_THRESHOLD, so
-#: the pool carries it on a shared-memory segment.
-BLOCK_BYTES = 256 * 1024
 
 
 def _noop_rank(comm):
     return comm.rank
-
-
-def _allgather_rank(comm):
-    block = np.full(BLOCK_BYTES // 8, comm.rank, dtype=np.float64)
-    return [float(part.sum()) for part in comm.allgather(block)]
 
 
 def _workload():
@@ -95,7 +80,7 @@ def run_pool_scaling(workers=2, repeats=None):
 
         # -- the distance stage ---------------------------------------------
         serial_d = all_pairs(seqs, "ktuple")
-        distance_wall, distance_ok = {}, {}
+        distance_wall, matches = {}, {}
         for b in BACKENDS:
             distance_wall[b] = _per_call(
                 lambda b=b: all_pairs(
@@ -104,52 +89,29 @@ def run_pool_scaling(workers=2, repeats=None):
                 repeats,
             )
             d = all_pairs(seqs, "ktuple", backend=b, workers=workers)
-            distance_ok[b] = bool(np.array_equal(serial_d, d))
-
-        # -- a bulk allgather -------------------------------------------------
-        allgather_wall = {
-            b: _per_call(
-                lambda b=b: run_spmd(workers, _allgather_rank, backend=b),
-                repeats,
-            )
-            for b in BACKENDS
-        }
-        gathered = {
-            b: run_spmd(workers, _allgather_rank, backend=b).results
-            for b in BACKENDS
-        }
-        matches = {
-            b: distance_ok[b] and gathered[b] == gathered["threads"]
-            for b in BACKENDS
-        }
+            matches[b] = bool(np.array_equal(serial_d, d))
 
         stats = pool.stats()
         transport = stats["transport"]
-    leaked = shm_dir_segments(pool.name)
 
     rows = [
         [
             b,
             f"{dispatch[b] * 1e3:.2f}",
             f"{distance_wall[b] * 1e3:.1f}",
-            f"{allgather_wall[b] * 1e3:.1f}",
             matches[b],
         ]
         for b in BACKENDS
     ]
     table = fmt_table(
-        ["backend", "dispatch_ms", "distance_ms", "allgather_ms",
-         "matches_serial"],
-        rows,
+        ["backend", "dispatch_ms", "distance_ms", "matches_serial"], rows
     )
     text = (
         f"Pool backend scaling: N={len(seqs)} workers={workers} "
         f"repeats={repeats} host_cores={cores}\n\n{table}\n\n"
-        f"pool transport: {transport['shm_msgs']} shm msgs "
-        f"({transport['shm_bytes']} B) vs {transport['pickle_msgs']} "
-        f"pickle msgs ({transport['pickle_bytes']} B)\n"
-        f"runs={stats['runs']} respawns={stats['respawns']} "
-        f"leaked_segments={len(leaked)}"
+        f"pool transport: {transport['msgs']} msgs "
+        f"({transport['bytes']} B)\n"
+        f"runs={stats['runs']} respawns={stats['respawns']}"
     )
     write_report("pool_scaling", text)
 
@@ -163,12 +125,10 @@ def run_pool_scaling(workers=2, repeats=None):
         "host_cores": cores,
         "dispatch_per_call_s": dispatch,
         "distance_per_call_s": distance_wall,
-        "allgather_per_call_s": allgather_wall,
         "matches_serial": matches,
         "pool_runs": stats["runs"],
         "pool_respawns": stats["respawns"],
         "transport": transport,
-        "leaked_segments": len(leaked),
     }
     REPORT_DIR.mkdir(exist_ok=True)
     (REPORT_DIR / "pool_scaling.json").write_text(
@@ -180,11 +140,10 @@ def run_pool_scaling(workers=2, repeats=None):
 
 def _gate(payload):
     """The bench's hard claims (shared by pytest and __main__)."""
-    ok = all(payload["matches_serial"].values())
-    ok = ok and payload["transport"]["shm_msgs"] > 0
-    ok = ok and payload["leaked_segments"] == 0
-    ok = ok and payload["pool_respawns"] == 0
-    return ok
+    return (
+        all(payload["matches_serial"].values())
+        and payload["pool_respawns"] == 0
+    )
 
 
 def test_pool_scaling(benchmark):
@@ -192,8 +151,6 @@ def test_pool_scaling(benchmark):
 
     payload = once(benchmark, run_pool_scaling)
     assert all(payload["matches_serial"].values())
-    assert payload["transport"]["shm_msgs"] > 0
-    assert payload["leaked_segments"] == 0
     assert payload["pool_respawns"] == 0
 
 

@@ -133,8 +133,8 @@ BACKEND.add_argument(
     "--backend", default=None, metavar="NAME",
     help="execution backend: 'threads' (the default virtual cluster; "
     "ranks run one at a time, so wall time is about the serial work) or "
-    "'pool' (persistent warm worker processes with shared-memory "
-    "transport, on real cores; more ranks than pool slots run cold on a "
+    "'pool' (persistent warm worker processes, payloads pickled onto "
+    "queues, on real cores; more ranks than pool slots run cold on a "
     "one-shot pool). Output is byte-identical across backends. It runs "
     "align's Sample-Align-D ranks, distances' tiled scheduler, plan's "
     "measured probe, and serve/loadtest's distributed requests that "

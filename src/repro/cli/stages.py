@@ -129,8 +129,8 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         f"{', '.join(available_backends())}\n"
         "  threads:   virtual cluster -- ranks run one at a time: wall "
         "about the serial work, modeled-time fidelity\n"
-        "  pool:      persistent warm worker processes + shared-memory "
-        "transport -- wall clock scales with host cores, identical "
+        "  pool:      persistent warm worker processes, payloads "
+        "pickled onto queues -- wall clock scales with host cores, identical "
         "output; more ranks than pool slots run cold on a one-shot pool\n"
         "\ndistance estimators (--distance; engines marked +distance route "
         "their guide-tree stage through repro.distance.all_pairs):"

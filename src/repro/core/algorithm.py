@@ -53,15 +53,12 @@ def _pick_samples(
     return [seqs[int(i)] for i in idx]
 
 
-def _sorted_by_rank(
-    seqs: List[Sequence], ranks: np.ndarray, by_id: bool
-) -> tuple:
+def _sorted_by_rank(seqs: List[Sequence], ranks: np.ndarray) -> tuple:
+    """Sort by rank, ties broken by sequence id so runs are
+    order-independent."""
     if not seqs:
         return seqs, ranks
-    if by_id:
-        order = sorted(range(len(seqs)), key=lambda i: (ranks[i], seqs[i].id))
-    else:
-        order = list(np.argsort(ranks, kind="stable"))
+    order = sorted(range(len(seqs)), key=lambda i: (ranks[i], seqs[i].id))
     return [seqs[i] for i in order], ranks[np.asarray(order, dtype=np.int64)]
 
 
@@ -84,9 +81,7 @@ def sample_align_d_spmd(
     local_ranks = (
         centralized_rank(seqs, rank_cfg) if seqs else np.zeros(0)
     )
-    seqs, local_ranks = _sorted_by_rank(
-        seqs, local_ranks, config.sort_stable_by_id
-    )
+    seqs, local_ranks = _sorted_by_rank(seqs, local_ranks)
 
     # -- step 2: k samples per rank, shared with everyone -------------------
     k = config.samples_per_proc or max(p - 1, 1)
@@ -100,7 +95,7 @@ def sample_align_d_spmd(
         g_ranks = globalized_rank(seqs, global_sample, rank_cfg)
     else:
         g_ranks = np.zeros(len(seqs))
-    seqs, g_ranks = _sorted_by_rank(seqs, g_ranks, config.sort_stable_by_id)
+    seqs, g_ranks = _sorted_by_rank(seqs, g_ranks)
 
     # -- step 4: regular sampling of rank values, pivots at the root --------
     if config.sampling == "regular":

@@ -68,8 +68,6 @@ class SampleAlignDConfig:
     post_refine_rounds:
         Rounds of root-side bucket-level restricted partitioning after
         the glue (the other half; 0 = off).
-    sort_stable_by_id:
-        Break rank ties by sequence id so runs are order-independent.
 
     Where the ranks run is not a knob of the pipeline: it is the
     ``backend`` of :func:`~repro.core.driver.sample_align_d`, spelled
@@ -91,7 +89,6 @@ class SampleAlignDConfig:
     ancestor_reduction: str = "root"
     refine_local_rounds: int = 0
     post_refine_rounds: int = 0
-    sort_stable_by_id: bool = True
 
     def __post_init__(self) -> None:
         if self.samples_per_proc is not None and self.samples_per_proc < 1:
@@ -159,7 +156,6 @@ class SampleAlignDConfig:
             "ancestor_reduction": self.ancestor_reduction,
             "refine_local_rounds": self.refine_local_rounds,
             "post_refine_rounds": self.post_refine_rounds,
-            "sort_stable_by_id": self.sort_stable_by_id,
         }
 
     @classmethod

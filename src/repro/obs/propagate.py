@@ -2,7 +2,7 @@
 
 :func:`run_traced` is a drop-in replacement for
 ``get_backend(b).run(...)`` used by every backend dispatch site
-(``run_spmd``, ``all_pairs``, ``progressive_merge``).  With tracing
+(``run_spmd``, ``all_pairs``).  With tracing
 disabled it *is* that call -- one flag check of overhead.  With tracing
 enabled it:
 
@@ -10,7 +10,7 @@ enabled it:
 2. ships a :class:`~repro.obs.tracing.TraceContext` to every rank by
    wrapping the rank function in the picklable :class:`_TracedRankFn`
    (so propagation rides whatever wire the backend already has --
-   thread closure, process pickle, or the pool's shm blob),
+   a thread closure, or the pool's pickled run blob),
 3. wraps each rank's work in a ``<stage>.rank`` span recorded into a
    rank-local buffer; on the ``threads`` backend, where ranks run one at
    a time, the span also carries ``compute_s`` (the rank's

@@ -15,11 +15,10 @@ section-3 analysis).
 is about the serial work and the modeled clocks are free of contention;
 only compiled calls that drop the interpreter lock, which a rank runs
 with its run token parked, overlap on real cores) or ``"pool"``
-(persistent warm worker processes from :mod:`repro.pool` with
-shared-memory transport --
-real parallel compute on multi-core hosts; a run with more ranks than
-the pool has slots runs cold on a one-shot pool).  Both produce
-byte-identical program results and equivalent ledgers.
+(persistent warm worker processes from :mod:`repro.pool`, payloads
+pickled onto queues -- real parallel compute on multi-core hosts; a run
+with more ranks than the pool has slots runs cold on a one-shot pool).
+Both produce byte-identical program results and equivalent ledgers.
 
 - :mod:`repro.parcomp.cost` -- cost model, payload sizing, event ledger.
 - :mod:`repro.parcomp.comm` -- the transport seam and :class:`VirtualComm`.

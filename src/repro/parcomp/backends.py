@@ -18,11 +18,9 @@ it.  Two backends ship:
   is those calls -- the ``full-dp`` distance tiles -- use real cores.
 - ``"pool"`` (:class:`repro.pool.PoolBackend`) -- real cores: a
   persistent, supervised pool of worker processes (:mod:`repro.pool`)
-  created once and reused across runs, with large payloads riding
-  shared-memory segments (one copy in, one copy out) instead of pickled
-  queues.  A run
-  with more ranks than the pool has slots runs cold, on a one-shot pool
-  sized for it.
+  created once and reused across runs, each payload pickled once by its
+  sender onto a queue.  A run with more ranks than the pool has slots
+  runs cold, on a one-shot pool sized for it.
 
 Rule of thumb: ``threads`` for studying the paper's communication model
 and for stages made of GIL-free compiled calls, ``pool`` for actually
@@ -127,6 +125,14 @@ class ExecutionBackend(ABC):
     (surviving ranks raise :class:`~repro.parcomp.comm.SpmdAbort` out of
     their next blocking wait) and the original exception is re-raised to
     the caller as ``RuntimeError("rank r failed: ...")``.
+
+    A rank program must not mutate a payload it received.  On ``pool``
+    every message is pickled, so the receiver gets its own copy; on
+    ``threads`` it gets the sender's object itself.  With ``a =
+    comm.bcast(np.zeros(100) if comm.rank == 0 else None, root=0); a +=
+    1; return a.sum()`` on two ranks, ``pool`` returns ``[100.0,
+    100.0]`` but ``threads`` returns ``[100.0, 200.0]``: rank 1 added to
+    rank 0's own array.
     """
 
     #: Name the backend is selected by.

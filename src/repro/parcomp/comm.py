@@ -22,8 +22,8 @@ bytes actually move.  :class:`Fabric` is the in-process implementation
 (one shared mailbox, rank threads that hand one run token to each other
 at blocking calls, and give it up across a GIL-free compiled call --
 :func:`run_token_parked`); the ``pool`` backend in
-:mod:`repro.pool.workers` provides a queue/shared-memory implementation
-with one worker process per rank.
+:mod:`repro.pool.workers` provides a queue implementation with one
+worker process per rank.
 """
 
 from __future__ import annotations

@@ -1,23 +1,20 @@
-"""repro.pool: persistent worker pool with shared-memory transport.
+"""repro.pool: persistent worker pool with a queue transport.
 
 The real-core execution backend.  Where ``threads`` runs its ranks one
 at a time on one core, ``"pool"`` keeps a supervised set of long-lived
 worker processes warm and reuses them for every SPMD run -- a
 Sample-Align-D run, an all-pairs distance schedule -- so repeated short
-jobs pay a queue round-trip instead of a process start, and large
-payloads ride shared-memory segments (one copy in, one copy out) instead
-of pickled pipes.  A run with more ranks than the pool has slots runs
-cold, on a one-shot pool sized for it.  The pool's settings are fixed
-constants of :mod:`repro.pool.workers`; only the slot count is chosen
+jobs pay a queue round-trip instead of a process start.  Every payload
+is pickled once by its sender and rides a :mod:`multiprocessing` queue
+as bytes.  A run with more ranks than the pool has slots runs cold, on
+a one-shot pool sized for it.  The pool's settings are fixed constants
+of :mod:`repro.pool.workers`; only the slot count is chosen
 (``max_workers``, or ``REPRO_POOL_WORKERS`` for the default pool).
 
 Layout:
 
-- :mod:`repro.pool.shm` -- the payload wire: inline pickle below a size
-  threshold, named shared-memory segments (single-consumer or fan-out)
-  above it, with registry-tracked guaranteed unlink.
 - :mod:`repro.pool.workers` -- :class:`WorkerPool`: slots, queues,
-  dispatch, the rank-side transport, drain/close.
+  dispatch, the rank-side transport, close.
 - :mod:`repro.pool.supervisor` -- heartbeat liveness, crash respawn,
   idle shrink, terminate→kill escalation.
 - :mod:`repro.pool.backend` -- :class:`PoolBackend` (the ``"pool"``
@@ -35,29 +32,15 @@ from repro.pool.backend import (
     get_default_pool,
     set_default_pool,
 )
-from repro.pool.shm import (
-    DEFAULT_SHM_THRESHOLD,
-    SegmentRegistry,
-    ShmRef,
-    TransportStats,
-    decode_payload,
-    encode_payload,
-)
 from repro.pool.supervisor import PoolSupervisor
 from repro.pool.workers import WorkerCrashError, WorkerPool
 
 __all__ = [
-    "DEFAULT_SHM_THRESHOLD",
     "PoolBackend",
     "PoolSupervisor",
-    "SegmentRegistry",
-    "ShmRef",
-    "TransportStats",
     "WorkerCrashError",
     "WorkerPool",
     "close_default_pool",
-    "decode_payload",
-    "encode_payload",
     "get_default_pool",
     "set_default_pool",
 ]

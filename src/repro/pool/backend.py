@@ -35,7 +35,7 @@ import os
 import threading
 from typing import Any, Callable, Optional, Sequence
 
-from repro.obs.tracing import span, tracing_enabled
+from repro.obs.tracing import span
 from repro.parcomp.backends import (
     POOL_WORKER_ENV,
     ExecutionBackend,
@@ -126,16 +126,7 @@ class PoolBackend(ExecutionBackend):
                         result = runner.run_spmd(
                             n_ranks, fn, args, rank_args, cost_model, **kwargs
                         )
-                    if tracing_enabled():
-                        # stats() scans /dev/shm -- only pay for it when
-                        # someone is looking at the trace.
-                        transport = runner.stats().get("transport", {})
-                        dispatch_span.set(
-                            shm_msgs=transport.get("shm_msgs"),
-                            shm_bytes=transport.get("shm_bytes"),
-                            pickle_msgs=transport.get("pickle_msgs"),
-                            pickle_bytes=transport.get("pickle_bytes"),
-                        )
+                    dispatch_span.set(**runner.stats()["transport"])
                     return result
             except WorkerCrashError as exc:
                 last_crash = exc

@@ -20,14 +20,13 @@ can only be shared with a child at creation time):
 Runs are serialised under a dispatch lock -- the pool is a reusable
 *substrate*, not a concurrent scheduler -- and every in-flight message is
 tagged with a ``run_id`` so leftovers from an aborted or crashed run are
-recognised, drained and their shared-memory segments unlinked instead of
-being misread by the next run.
+recognised and dropped instead of being misread by the next run.
 
-Payloads ride :mod:`repro.pool.shm`: the per-run program/arguments blob
-(sequence batches, estimator state) is encoded **once** into a shared
-segment that every rank decodes from (kind ``"S"``), and large rank
-messages/results travel as single-consumer segments (kind ``"s"``);
-everything small stays inline on the queue.
+Every payload is pickled once, in the sending thread, and rides its
+queue as ``bytes``; the consumer rebuilds it with :func:`pickle.loads`,
+so a received array owns its memory and is writable.  The per-run
+program/arguments blob (sequence batches, estimator state) is pickled
+**once** and the same bytes go on every rank's task queue.
 
 The pool's settings are the module constants below, read when they are
 used; nothing in the repo varies them.
@@ -45,11 +44,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import pickle
 import queue as queue_mod
 import threading
 import time
 import uuid
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,15 +60,6 @@ from repro.parcomp.backends import (
 )
 from repro.parcomp.comm import SpmdAbort, Transport, VirtualComm
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
-from repro.pool.shm import (
-    SegmentRegistry,
-    TransportStats,
-    decode_payload,
-    encode_payload,
-    shm_dir_segments,
-    unlink_segment,
-    unlink_wire,
-)
 
 __all__ = ["WorkerCrashError", "WorkerPool"]
 
@@ -115,26 +106,16 @@ class WorkerCrashError(RuntimeError):
     """
 
 
-def _encode_and_forget(obj: Any, registry: SegmentRegistry) -> Tuple[str, Any]:
-    """Encode for a queue and hand segment ownership to the consumer."""
-    wire = encode_payload(obj, registry)
-    if wire[0] == "s":
-        registry.forget(wire[1].name)
-    return wire
+def _dumps(obj: Any) -> bytes:
+    """Pickle one queue payload."""
+    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _drain_queue(q: Any) -> int:
-    """Empty a queue, unlinking any shm wires riding its items."""
-    drained = 0
-    while True:
-        try:
-            item = q.get_nowait()
-        except (queue_mod.Empty, OSError, ValueError):
-            return drained
-        drained += 1
-        if isinstance(item, tuple):
-            for part in item:
-                unlink_wire(part)
+def _count(meter: Counter, blob: bytes) -> bytes:
+    """Count one queue payload in ``meter`` and pass it through."""
+    meter["msgs"] += 1
+    meter["bytes"] += len(blob)
+    return blob
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +128,11 @@ class _PoolRankTransport(Transport):
     Each rank owns an inbox queue: ``post`` puts into the destination's
     inbox, ``collect`` drains the own inbox into a local ``(src, tag)``
     buffer until the wanted message arrives, and the barrier is a linear
-    exchange on the control tag.  Payloads are shm/pickle wires, and
-    every message carries the ``run_id`` so stale traffic from a previous
-    aborted run is unlinked and dropped instead of delivered.  Send
-    events are recorded locally and shipped to the pool with the rank's
-    report, where the per-rank ledgers merge into one.
+    exchange on the control tag.  Payloads are pickled bytes, and every
+    message carries the ``run_id`` so stale traffic from a previous
+    aborted run is dropped instead of delivered.  Send events are
+    recorded locally and shipped to the pool with the rank's report,
+    where the per-rank ledgers merge into one.
     """
 
     def __init__(
@@ -162,7 +143,7 @@ class _PoolRankTransport(Transport):
         msg_qs: List[Any],
         fail_event: Any,
         run_id: int,
-        registry: SegmentRegistry,
+        meter: Counter,
     ) -> None:
         self.rank = rank
         self.n_ranks = n_ranks
@@ -171,7 +152,7 @@ class _PoolRankTransport(Transport):
         self._msg_qs = msg_qs
         self._fail_event = fail_event
         self._run_id = run_id
-        self._registry = registry
+        self._meter = meter
         self._buffer: Dict[Tuple[int, Any], deque] = {}
 
     # -- failure propagation ------------------------------------------------
@@ -185,13 +166,19 @@ class _PoolRankTransport(Transport):
 
     # -- point-to-point -----------------------------------------------------
 
+    def _put(self, dst: int, src: int, tag: Any, payload: Any,
+             ready_time: float) -> None:
+        self._msg_qs[dst].put(
+            ("p2p", self._run_id, src, tag,
+             _count(self._meter, _dumps(payload)), ready_time)
+        )
+
     def post(self, src: int, dst: int, tag: int, payload: Any,
              ready_time: float, nbytes: int, kind: str) -> None:
         self.ledger.events.append(
             CommEvent(kind, src, dst, nbytes, tag, send_clock=ready_time)
         )
-        wire = _encode_and_forget(payload, self._registry)
-        self._msg_qs[dst].put(("p2p", self._run_id, src, tag, wire, ready_time))
+        self._put(dst, src, tag, payload, ready_time)
 
     def collect(self, dst: int, src: int, tag: int) -> Tuple[Any, float]:
         key = (src, tag)
@@ -199,27 +186,18 @@ class _PoolRankTransport(Transport):
         while True:
             box = self._buffer.get(key)
             if box:
-                wire, ready = box.popleft()
-                return decode_payload(wire), ready
+                blob, ready = box.popleft()
+                return pickle.loads(blob), ready
             self.check_failed()
             try:
                 item = inbox.get(timeout=_POLL_S)
             except queue_mod.Empty:
                 continue
-            _, m_run, m_src, m_tag, wire, ready = item
-            if m_run != self._run_id:  # leftover from an aborted run
-                unlink_wire(wire)
-                continue
-            self._buffer.setdefault((m_src, m_tag), deque()).append(
-                (wire, ready)
-            )
-
-    def drain_undelivered(self) -> None:
-        """Unlink wires buffered but never collected (abort path)."""
-        for box in self._buffer.values():
-            for wire, _ready in box:
-                unlink_wire(wire)
-        self._buffer.clear()
+            _, m_run, m_src, m_tag, blob, ready = item
+            if m_run == self._run_id:  # else a leftover from an aborted run
+                self._buffer.setdefault((m_src, m_tag), deque()).append(
+                    (blob, ready)
+                )
 
     # -- barrier ------------------------------------------------------------
 
@@ -235,30 +213,24 @@ class _PoolRankTransport(Transport):
                 other, _ = self.collect(0, src, _CTRL_TAG)
                 mx = max(mx, other)
             for dst in range(1, self.n_ranks):
-                self._msg_qs[dst].put(
-                    ("p2p", self._run_id, 0, _CTRL_TAG,
-                     encode_payload(mx), 0.0)
-                )
+                self._put(dst, 0, _CTRL_TAG, mx, 0.0)
             return mx
-        self._msg_qs[0].put(
-            ("p2p", self._run_id, self.rank, _CTRL_TAG,
-             encode_payload(clock), 0.0)
-        )
+        self._put(0, self.rank, _CTRL_TAG, clock, 0.0)
         result, _ = self.collect(self.rank, 0, _CTRL_TAG)
         return float(result)
 
 
-def _report_wire(
-    report: Dict[str, Any], registry: SegmentRegistry
-) -> Tuple[str, Any]:
-    """Encode a report, downgrading unpicklable payloads to an error.
+def _report_blob(report: Dict[str, Any]) -> bytes:
+    """Pickle a report, downgrading unpicklable payloads to an error.
 
     ``Queue.put`` pickles on a feeder thread, where an unpicklable
     report would fail *silently* and leave the pool waiting forever, so
-    serialise here and surface the problem as the rank's error.
+    serialise here and surface the problem as the rank's error.  The
+    pool counts the report when it arrives: a count shipped inside it
+    could not include the report itself.
     """
     try:
-        return _encode_and_forget(report, registry)
+        return _dumps(report)
     except Exception:
         what = "result" if report["status"] == "ok" else "exception"
         bad = report["result"] if report["status"] == "ok" else report["error"]
@@ -271,7 +243,7 @@ def _report_wire(
                 f"{what}: {bad!r}"
             ),
         )
-        return _encode_and_forget(report, registry)
+        return _dumps(report)
 
 
 def _run_one_rank(
@@ -280,17 +252,17 @@ def _run_one_rank(
     msg_qs: List[Any],
     result_q: Any,
     fail_event: Any,
-    registry: SegmentRegistry,
+    meter: Counter,
 ) -> None:
-    _, run_id, rank, n_ranks, extra_wire, shared_wire = item
+    _, run_id, rank, n_ranks, extra_blob, run_blob = item
     transport = _PoolRankTransport(
-        rank, n_ranks, None, msg_qs, fail_event, run_id, registry
+        rank, n_ranks, None, msg_qs, fail_event, run_id, meter
     )
     comm: Optional[VirtualComm] = None
     status, result, error = "ok", None, None
     try:
-        extra = decode_payload(extra_wire)
-        fn, args, kwargs, cost_model = decode_payload(shared_wire)
+        extra = pickle.loads(extra_blob)
+        fn, args, kwargs, cost_model = pickle.loads(run_blob)
         transport.cost_model = cost_model or CostModel()
         transport.ledger = TimingLedger(n_ranks, transport.cost_model)
         comm = VirtualComm(transport, rank)
@@ -303,7 +275,6 @@ def _run_one_rank(
     finally:
         if comm is not None:
             comm.finalize()
-        transport.drain_undelivered()
         report = {
             "rank": rank,
             "status": status,
@@ -312,12 +283,12 @@ def _run_one_rank(
             "compute": float(transport.ledger.compute[rank]),
             "clock": float(transport.ledger.clock[rank]),
             "events": list(transport.ledger.events),
-            "tstats": registry.stats.to_dict(),
+            "transport": dict(meter),
         }
-        wire = _report_wire(report, registry)
+        blob = _report_blob(report)
         if report["status"] == "error" and status == "ok":
             fail_event.set()  # unpicklable result fails the run
-        result_q.put(("rank-report", slot, run_id, rank, wire))
+        result_q.put(("rank-report", slot, run_id, rank, blob))
 
 
 def _worker_main(
@@ -334,7 +305,7 @@ def _worker_main(
     # A rank program must not open *another* pool inside a worker --
     # get_default_pool() refuses when this marker is set.
     os.environ[POOL_WORKER_ENV] = "1"
-    registry = SegmentRegistry(f"{pool_name}-w{slot}")
+    meter = Counter(msgs=0, bytes=0)
 
     stop_beat = threading.Event()
 
@@ -357,17 +328,9 @@ def _worker_main(
                 continue
             if item[0] == "stop":
                 break
-            try:
-                _run_one_rank(
-                    slot, item, msg_qs, result_q, fail_event, registry
-                )
-            finally:
-                # Anything created but never handed off (error paths) is
-                # released before the next rank.
-                registry.release_all()
+            _run_one_rank(slot, item, msg_qs, result_q, fail_event, meter)
     finally:
         stop_beat.set()
-        registry.close_all()
         result_q.put(("bye", slot))
         # Peers that aborted may never drain our sends; don't let queue
         # feeder threads block this process's exit.
@@ -425,7 +388,8 @@ class WorkerPool:
         self._fail_event = ctx.Event()
         self._heartbeats = ctx.Array("d", max_workers)
         self._slots = [_Slot(i) for i in range(max_workers)]
-        self._registry = SegmentRegistry(f"{self.name}-m")
+        #: Counts the run blobs, rank arguments and reports.
+        self._meter = Counter(msgs=0, bytes=0)
 
         #: Serialises runs: the pool is a substrate, not a scheduler.
         self._dispatch_lock = threading.RLock()
@@ -439,7 +403,7 @@ class WorkerPool:
         self.runs = 0
         self.tasks_served = 0
         self.fallback_runs = 0
-        self._retired_transport = TransportStats()
+        self._retired_transport = Counter(msgs=0, bytes=0)
 
         from repro.pool.supervisor import PoolSupervisor
 
@@ -468,13 +432,12 @@ class WorkerPool:
             self._ensure_workers(n)
 
     def close(self) -> None:
-        """Graceful drain: in-flight work finishes, workers stop, shm dies.
+        """Graceful drain: in-flight work finishes, then workers stop.
 
         Idempotent.  Acquiring the dispatch lock means any run in flight
         completes first; queued stop tokens then wind the workers down,
         with terminate→kill escalation for any that overstay
-        :data:`ABORT_JOIN_TIMEOUT_S`.  Every queue is drained and every
-        leftover segment with this pool's name prefix is unlinked.
+        :data:`ABORT_JOIN_TIMEOUT_S`.  Every queue is then closed.
         """
         with self._state_lock:
             if self._closed:
@@ -491,15 +454,7 @@ class WorkerPool:
                 self._absorb_transport(slot)
                 slot.proc = None
                 slot.desired = False
-            for q in [*self._task_qs, *self._msg_qs, self._result_q]:
-                _drain_queue(q)
-                q.cancel_join_thread()
-                q.close()
-            self._registry.release_all()
-            # Backstop: a worker killed outside Python cannot clean its
-            # own registry; everything it left carries our name prefix.
-            for seg in shm_dir_segments(self.name):
-                unlink_segment(seg)
+            self._close_queues()
 
     def _require_open(self) -> None:
         if self._closed:
@@ -565,11 +520,10 @@ class WorkerPool:
         inbox's write lock, the shared result queue's write lock.  Those
         locks never release, so surgically respawning one slot onto the
         old queues can deadlock the survivors.  Recovery is therefore
-        pool-wide: escalate every worker, drain what is drainable
-        (unlinking shm wires), recreate every queue/event/heartbeat,
-        sweep orphaned segments by name prefix, and restart the desired
-        slots.  Expensive, but crashes are the rare path and the result
-        is a provably clean substrate.
+        pool-wide: escalate every worker, recreate every
+        queue/event/heartbeat, and restart the desired slots.  Expensive,
+        but crashes are the rare path and the result is a provably clean
+        substrate.
         """
         from repro.pool.supervisor import escalate
 
@@ -582,17 +536,13 @@ class WorkerPool:
                     slot.proc.join(0)
                     self._absorb_transport(slot)
                     slot.proc = None
-            for q in [*self._task_qs, *self._msg_qs, self._result_q]:
-                _drain_queue(q)
-                q.cancel_join_thread()
-                q.close()
+            self._close_queues()
             ctx = self._ctx
             self._task_qs = [ctx.Queue() for _ in range(self.max_workers)]
             self._msg_qs = [ctx.Queue() for _ in range(self.max_workers)]
             self._result_q = ctx.Queue()
             self._fail_event = ctx.Event()
             self._heartbeats = ctx.Array("d", self.max_workers)
-            self._sweep_orphans()
             if not self._closed:
                 for slot in self._slots:
                     if slot.desired:
@@ -600,12 +550,12 @@ class WorkerPool:
                         restarted += 1
             self.respawns += restarted
 
-    def _sweep_orphans(self) -> None:
-        """Unlink pool-prefixed segments no live registry accounts for."""
-        owned = set(self._registry.names())
-        for seg in shm_dir_segments(self.name):
-            if seg not in owned:
-                unlink_segment(seg)
+    def _close_queues(self) -> None:
+        """Close every queue without waiting on its feeder thread; what is
+        still in them is bytes nobody will read."""
+        for q in [*self._task_qs, *self._msg_qs, self._result_q]:
+            q.cancel_join_thread()
+            q.close()
 
     def _shrink_idle(self) -> None:
         """Stop idle workers above :data:`MIN_WORKERS`.
@@ -648,7 +598,7 @@ class WorkerPool:
     def _absorb_transport(self, slot: _Slot) -> None:
         """Fold a dead/stopping worker's last-seen byte counts into history."""
         if slot.transport:
-            self._retired_transport.absorb(slot.transport)
+            self._retired_transport.update(slot.transport)
             slot.transport = {}
 
     # -- SPMD dispatch -------------------------------------------------------
@@ -687,24 +637,18 @@ class WorkerPool:
             with self._state_lock:
                 self._run_seq += 1
                 run_id = self._run_seq
-            # One shared segment fans the program + its arguments (the
-            # sequence batches, estimator state, profiles) out to every
-            # rank; the pool owns it until all reports are in.
-            shared_wire = encode_payload(
-                (fn, tuple(args), dict(kwargs), cost_model),
-                self._registry, shared=True,
-            )
-            try:
-                for r in range(n_ranks):
-                    extra = tuple(rank_args[r]) if rank_args is not None else ()
-                    extra_wire = _encode_and_forget(extra, self._registry)
-                    self._task_qs[r].put(
-                        ("rank", run_id, r, n_ranks, extra_wire, shared_wire)
-                    )
-                reports, crashed = self._collect_reports(run_id, n_ranks)
-            finally:
-                if shared_wire[0] == "S":
-                    self._registry.release(shared_wire[1].name)
+            # The program and its arguments (the sequence batches,
+            # estimator state, profiles) are pickled once; every rank's
+            # task carries the same bytes.
+            run = (fn, tuple(args), dict(kwargs), cost_model)
+            run_blob = _count(self._meter, _dumps(run))
+            for r in range(n_ranks):
+                extra = tuple(rank_args[r]) if rank_args is not None else ()
+                self._task_qs[r].put(
+                    ("rank", run_id, r, n_ranks,
+                     _count(self._meter, _dumps(extra)), run_blob)
+                )
+            reports, crashed = self._collect_reports(run_id, n_ranks)
             return self._assemble(n_ranks, cost_model, reports, crashed)
 
     def _collect_reports(
@@ -742,14 +686,13 @@ class WorkerPool:
                 continue
             if entry[0] != "rank-report":
                 continue  # "ready"/"bye" control entries need no action
-            _, slot_idx, rid, rank, wire = entry
+            _, slot_idx, rid, rank, blob = entry
             if rid != run_id:  # straggler from an aborted run
-                unlink_wire(wire)
                 continue
-            report = decode_payload(wire)
+            report = pickle.loads(_count(self._meter, blob))
             reports[rank] = report
             with self._state_lock:
-                self._slots[slot_idx].transport = report.get("tstats", {})
+                self._slots[slot_idx].transport = report["transport"]
                 self._slots[slot_idx].last_used = time.monotonic()
         return reports, crashed
 
@@ -816,14 +759,18 @@ class WorkerPool:
             self.fallback_runs += 1
 
     def stats(self) -> Dict[str, Any]:
-        """Live pool counters (the gateway surfaces these at ``/metrics``)."""
+        """Live pool counters (the gateway surfaces these at ``/metrics``).
+
+        ``transport`` counts the payloads pickled for the queues and
+        their bytes: the run blob (once, however many ranks get it), the
+        rank arguments and reports, and every worker's messages to its
+        peers (as of its latest report).
+        """
         with self._state_lock:
-            transport = TransportStats()
-            transport.absorb(self._retired_transport)
+            transport = Counter(self._retired_transport)
+            transport.update(self._meter)
             for slot in self._slots:
-                if slot.transport:
-                    transport.absorb(slot.transport)
-            transport.absorb(self._registry.stats)
+                transport.update(slot.transport)
             return {
                 "name": self.name,
                 "start_method": START_METHOD,
@@ -837,9 +784,9 @@ class WorkerPool:
                 "runs": self.runs,
                 "tasks_served": self.tasks_served,
                 "fallback_runs": self.fallback_runs,
-                "transport": transport.to_dict(),
-                "shm_live_segments": len(shm_dir_segments(self.name)),
-                "shm_bytes_in_flight": self._registry.live_bytes,
+                "transport": {
+                    "msgs": transport["msgs"], "bytes": transport["bytes"]
+                },
                 "closed": self._closed,
             }
 

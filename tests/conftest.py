@@ -17,8 +17,9 @@ from repro.datagen.rose import generate_family
 from repro.obs.tracing import disable_tracing, drain_spans, enable_tracing
 from repro.parcomp.token import COMPUTE_TOKEN
 from repro.pool import PoolBackend, WorkerPool, set_default_pool
-from repro.pool.shm import shm_dir_segments
 from repro.seq.sequence import Sequence, SequenceSet
+
+from tests.pool.leaks import live_workers
 
 # Hypothesis: keep examples modest (DP kernels are exercised heavily) and
 # drop the deadline (first-call numpy warmup can be slow on CI).
@@ -167,7 +168,7 @@ def pool():
     ranks silently runs cold on a one-shot pool -- defeating every test
     of the warm path.  Each module that runs ``backend="pool"`` therefore
     asks for this fixture, and tears it down asserting the acceptance
-    bar: a closed pool leaves ``/dev/shm`` spotless.
+    bar: a closed pool leaves no worker process alive.
     """
     p = WorkerPool(max_workers=5)
     prev = set_default_pool(p)
@@ -176,7 +177,7 @@ def pool():
     finally:
         set_default_pool(prev)
         p.close()
-        assert shm_dir_segments(p.name) == []
+        assert live_workers(p) == []
 
 
 @pytest.fixture()

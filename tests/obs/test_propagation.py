@@ -44,8 +44,7 @@ def canonical(records):
     tree shape without depending on id values.
     """
     by_id = {r.span_id: r for r in records}
-    drop_attrs = {"backend", "rank", "attempt", "shm_msgs", "shm_bytes",
-                  "pickle_msgs", "pickle_bytes", "compute_s", "parked_s",
+    drop_attrs = {"backend", "rank", "attempt", "compute_s", "parked_s",
                   "overlap_s", "schedule"}
     lines = []
     for r in records:

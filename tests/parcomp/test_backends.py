@@ -34,7 +34,6 @@ from repro.parcomp import (
 )
 from repro.parcomp import backends
 from repro.pool import PoolBackend, WorkerPool, workers
-from repro.pool.shm import shm_dir_segments
 
 BACKENDS = ["threads", "pool"]
 
@@ -47,9 +46,8 @@ def _children():
 
 def _leaked(before, pool):
     """What outlived the launcher: children born since ``before`` that
-    are not the pool's warm workers, and segments of the pool's name."""
-    born = _children() - before - set(pool.stats()["worker_pids"])
-    return sorted(born) + shm_dir_segments(pool.name)
+    are not the pool's warm workers."""
+    return sorted(_children() - before - set(pool.stats()["worker_pids"]))
 
 
 # -- module-level SPMD programs (picklable for the pool backend) ------------
@@ -271,7 +269,7 @@ class TestConfigHasNoBackendField:
     def test_round_trip(self):
         cfg = SampleAlignDConfig(local_aligner="clustalw")
         assert "backend" not in cfg.to_dict()
-        assert len(cfg.to_dict()) == 16
+        assert len(cfg.to_dict()) == 15
         assert SampleAlignDConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_constructor_refuses_backend(self):
@@ -281,6 +279,12 @@ class TestConfigHasNoBackendField:
     def test_dict_with_backend_is_an_unknown_key(self):
         data = {**SampleAlignDConfig().to_dict(), "backend": "pool"}
         with pytest.raises(TypeError, match="backend"):
+            SampleAlignDConfig.from_dict(data)
+
+    def test_dict_with_sort_stable_by_id_is_an_unknown_key(self):
+        """Rank ties always break by sequence id; no field switches it."""
+        data = {**SampleAlignDConfig().to_dict(), "sort_stable_by_id": True}
+        with pytest.raises(TypeError, match="sort_stable_by_id"):
             SampleAlignDConfig.from_dict(data)
 
     def test_validation_at_the_engine(self):
@@ -361,7 +365,6 @@ class TestHardenedShutdown:
             assert run_spmd(2, _ring, backend=PoolBackend(own)).results == [1, 0]
             pids = own.stats()["worker_pids"]
         assert not _children() & set(pids)
-        assert shm_dir_segments(own.name) == []
 
     def test_timeout_validation(self):
         """The abort grace is a module constant; no instance sets it."""
@@ -383,15 +386,6 @@ def _kill_rank_three_once(comm, sentinel):
     return _ring(comm)
 
 
-def _one_shot_segments(keep):
-    """Segments of any pool this process made, except ``keep``'s: every
-    pool is named ``rpool-<pid>-<hex>``."""
-    return [
-        seg for seg in shm_dir_segments(f"rpool-{os.getpid()}-")
-        if not seg.startswith(keep.name)
-    ]
-
-
 class TestPoolOverflow:
     """Five ranks on a two-slot pool: same answers as ``threads``, one
     ``pool.dispatch`` span, crash retry, and nothing left behind."""
@@ -404,7 +398,6 @@ class TestPoolOverflow:
             assert own.stats()["runs"] == 0  # never touched the warm slots
             assert own.stats()["workers_alive"] == 0
         assert _leaked(before, pool) == []
-        assert _one_shot_segments(pool) == []
 
     @pytest.mark.parametrize("program", [_ring, _collective_mix])
     def test_program_matches_threads(self, own, program):

@@ -9,8 +9,9 @@ import pytest
 
 from repro.engine import AlignRequest
 from repro.pool import WorkerPool, get_default_pool
-from repro.pool.shm import shm_dir_segments
 from repro.serve import AlignmentGateway
+
+from tests.pool.leaks import live_workers
 
 
 @pytest.fixture()
@@ -59,7 +60,7 @@ class TestGatewayOwnedPool:
         finally:
             gw.close()
         assert gw.pool.closed
-        assert shm_dir_segments(gw.pool.name) == []
+        assert live_workers(gw.pool) == []
 
     def test_default_pool_restored_on_close(self, pool, seqs):
         assert get_default_pool() is pool

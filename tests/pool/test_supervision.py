@@ -1,11 +1,10 @@
 """Crash recovery, hang handling, and idle shrink.
 
 A SIGKILLed worker may die holding shared queue locks, so recovery is
-always the pool-wide reset: every queue is rebuilt, orphan segments are
-swept, and the run is retried on fresh workers.  These tests kill
-workers at every stage -- idle, mid-SPMD-run, mid-all_pairs -- and
-assert the pool comes back with byte-identical results and a clean
-``/dev/shm``.
+always the pool-wide reset: every queue is rebuilt and the run is
+retried on fresh workers.  These tests kill workers at every stage --
+idle, mid-SPMD-run, mid-all_pairs -- and assert the pool comes back
+with byte-identical results and no worker process it lost track of.
 """
 
 import os
@@ -20,7 +19,8 @@ from repro.distance.estimators import DistanceEstimator, get_estimator
 from repro.pool import PoolBackend, WorkerCrashError, WorkerPool
 from repro.pool import backend as backend_mod
 from repro.pool import workers
-from repro.pool.shm import shm_dir_segments
+
+from tests.pool.leaks import live_workers
 
 
 def _wait_until(predicate, timeout=15.0, interval=0.05):
@@ -96,7 +96,7 @@ class TestMidRunCrash:
             pool.run_spmd(3, _kill_rank_zero_always)
         # The reset leaves a healthy pool behind.
         assert pool.run_spmd(3, _ring).results == [2, 0, 1]
-        assert shm_dir_segments(pool.name) == []
+        assert live_workers(pool) == sorted(pool.stats()["worker_pids"])
 
     def test_backend_retries_to_success(self, pool, tmp_path):
         sentinel = str(tmp_path / "crashed-once")
@@ -127,7 +127,7 @@ class TestMidRunCrash:
         assert np.array_equal(serial, pooled)
         assert os.path.exists(killer.sentinel)  # the crash really happened
         assert pool.stats()["respawns"] > before
-        assert shm_dir_segments(pool.name) == []
+        assert live_workers(pool) == sorted(pool.stats()["worker_pids"])
 
 
 class TestHungWorker:
@@ -165,7 +165,7 @@ class TestIdleShrink:
             assert own.run_spmd(3, _ring).results == [2, 0, 1]
         finally:
             own.close()
-        assert shm_dir_segments(own.name) == []
+        assert live_workers(own) == []
 
     def test_dispatch_right_after_a_shrink_needs_no_reset(self):
         """A shrink returns with its workers gone, so a run that follows
@@ -185,7 +185,7 @@ class TestIdleShrink:
             assert res.results == [1, 0]
             assert own.stats()["respawns"] == 0
             assert own.stats()["workers_alive"] == 2
-        assert shm_dir_segments(own.name) == []
+        assert live_workers(own) == []
 
     def test_a_worker_that_ignores_its_stop_forces_the_reset(
         self, monkeypatch
@@ -210,4 +210,4 @@ class TestIdleShrink:
                 except ProcessLookupError:
                     pass
             assert own.run_spmd(2, _ring).results == [1, 0]
-        assert shm_dir_segments(own.name) == []
+        assert live_workers(own) == []

@@ -16,9 +16,9 @@ from repro.distance.tilestore import TileStore
 from repro.obs.metrics import registry
 from repro.pool import PoolBackend
 from repro.pool import backend as backend_mod
-from repro.pool.shm import shm_dir_segments
 
 from tests.distance.test_tilestore import CountingEstimator
+from tests.pool.leaks import live_workers
 from tests.pool.test_supervision import KillerEstimator
 
 
@@ -40,7 +40,7 @@ class TestCrashMidMemmapAllPairs:
         assert mm.condensed.tobytes() == expected
         assert os.path.exists(killer.sentinel)  # the crash really happened
         assert pool.stats()["respawns"] > before
-        assert shm_dir_segments(pool.name) == []
+        assert live_workers(pool) == sorted(pool.stats()["worker_pids"])
 
     def test_fatal_crash_leaves_resumable_store(
         self, pool, tmp_path, diverse_family
@@ -73,7 +73,7 @@ class TestCrashMidMemmapAllPairs:
             registry().counter("tilestore.resumed_tiles").value - before
         )
         assert resumed == 1
-        assert shm_dir_segments(pool.name) == []
+        assert live_workers(pool) == sorted(pool.stats()["worker_pids"])
 
     def test_give_up_then_resume_completes(
         self, pool, tmp_path, diverse_family, monkeypatch
@@ -96,4 +96,4 @@ class TestCrashMidMemmapAllPairs:
             out="memmap", store_dir=root, tile_pairs=8,
         )
         assert rerun.condensed.tobytes() == expected
-        assert shm_dir_segments(pool.name) == []
+        assert live_workers(pool) == sorted(pool.stats()["worker_pids"])

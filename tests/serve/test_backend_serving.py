@@ -118,9 +118,15 @@ class TestHttpBackendSelection:
         assert status == 200
         assert body["result"]["diagnostics"]["backend"] == "pool"
 
-    def test_post_align_with_config_backend_is_400(self, seqs):
-        """``backend`` inside ``config`` is an unknown field: the one
-        spelling is the ``backend`` engine kwarg."""
+    @pytest.mark.parametrize(
+        "key, value", [("backend", "pool"), ("sort_stable_by_id", True)]
+    )
+    def test_post_align_with_a_removed_config_key_is_400(
+        self, seqs, key, value
+    ):
+        """A removed field inside ``config`` is an unknown field: the one
+        spelling of the backend is the ``backend`` engine kwarg, and rank
+        ties always break by sequence id."""
         with AlignmentGateway(n_workers=1) as gw:
             server, thread = serve_in_thread(gw)
             try:
@@ -130,7 +136,7 @@ class TestHttpBackendSelection:
                     n_procs=2,
                     config=SampleAlignDConfig(),
                 ).to_dict()
-                payload["config"]["backend"] = "pool"
+                payload["config"][key] = value
                 with pytest.raises(urllib.error.HTTPError) as exc:
                     _post(server.port, {"request": payload})
                 body = json.loads(exc.value.read())
@@ -138,7 +144,7 @@ class TestHttpBackendSelection:
                 server.shutdown()
                 thread.join()
         assert exc.value.code == 400
-        assert "backend" in body["error"]
+        assert key in body["error"]
 
     def test_gateway_default_reaches_http_clients(self, pool, seqs):
         with _pool_gateway(pool) as gw:
