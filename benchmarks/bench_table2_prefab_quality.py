@@ -66,8 +66,7 @@ def run_benchmark_suite():
         )
         labels.append((case, "sample-align-d"))
 
-    with AlignmentService(max_workers=4) as svc:
-        results = svc.results(requests)
+    results = AlignmentService().results(requests)
 
     scores = {m: [] for m in methods + ["sample-align-d"]}
     for (case, m), result in zip(labels, results):

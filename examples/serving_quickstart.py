@@ -2,8 +2,9 @@
 
 Builds the full serving stack -- a disk-backed ``ResultStore``, an
 ``AlignmentService`` using it as its cache backend, and an
-``AlignmentGateway`` with bounded priority admission and request
-coalescing -- drives a small zipf-skewed closed-loop workload through
+``AlignmentGateway`` with bounded priority admission, request
+coalescing and the worker threads that run each request through the
+service -- drives a small zipf-skewed closed-loop workload through
 it, and prints the metrics snapshot: queue/admission counters, coalesce
 and cache hit-rates, and latency percentiles.
 
@@ -31,6 +32,7 @@ def main() -> None:
     # 1. The serving stack.  The store directory outlives this process:
     #    a second run is served entirely from disk.
     store = ResultStore(STORE_DIR, byte_budget=64 * 1024 * 1024)
+    # The service owns no threads: the gateway's four workers call it.
     service = AlignmentService(max_workers=4, cache=store)
 
     with AlignmentGateway(service, n_workers=4, max_queue=128) as gateway:

@@ -44,9 +44,11 @@ the paper depends on:
 - :mod:`repro.engine` -- the unified engine API: every backend (sequential
   systems, the parallel baseline, Sample-Align-D) behind one
   :class:`~repro.engine.api.Aligner` protocol, one registry and one
-  job-based :class:`~repro.engine.service.AlignmentService`.
+  cached :class:`~repro.engine.service.AlignmentService` that runs each
+  request on the thread that asks.
 - :mod:`repro.serve` -- the serving layer: an admission-controlled,
-  request-coalescing :class:`~repro.serve.gateway.AlignmentGateway`, a
+  request-coalescing :class:`~repro.serve.gateway.AlignmentGateway`
+  (the one scheduler of served requests), a
   disk-backed content-addressed :class:`~repro.serve.store.ResultStore`,
   an HTTP frontend, and a seeded open/closed-loop traffic generator
   (``python -m repro serve`` / ``python -m repro loadtest``).
@@ -70,13 +72,13 @@ Quickstart::
     print(result.alignment.to_fasta()[:400])
     baseline = repro.align(fam.sequences, engine="muscle")
 
-    # Request/response serving with batching and result caching.
+    # Batched execution with result caching, on this thread.
     from repro import AlignRequest, AlignmentService
 
-    with AlignmentService(max_workers=4) as svc:
-        req = AlignRequest(tuple(fam.sequences), engine="center-star")
-        jobs = svc.run_batch([req, req])     # second job is a cache hit
-        print(jobs[1].cache_hit, svc.stats)
+    svc = AlignmentService()
+    req = AlignRequest(tuple(fam.sequences), engine="center-star")
+    jobs = svc.run_batch([req, req])     # second job is a cache hit
+    print(jobs[1].cache_hit, svc.stats)
 
 The legacy entry points (:func:`repro.sample_align_d`,
 :func:`repro.msa.get_aligner`) remain available and resolve through the

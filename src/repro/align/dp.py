@@ -59,8 +59,9 @@ Which path runs is decided once per process from what the host has
 (:func:`kernel`): the compiled one when a C compiler and a private
 cache directory exist and the loaded code reproduces the python path on
 a probe of the values where platforms differ (signed zeros, NaN,
-summation order); otherwise :func:`_forward` -> :func:`_terminal_best`
--> :func:`_traceback`, with the reason on ``kernel().fallback``.  There
+summation order: :func:`repro.align.ckernel._reproduces_numpy`);
+otherwise :func:`_forward` -> :func:`_terminal_best` ->
+:func:`_traceback`, with the reason on ``kernel().fallback``.  There
 is no switch, and those three functions are also the reference every
 test compares the compiled call against.  Every entry serves both
 paths -- one alignment path per kernel, whoever the caller; under
@@ -246,7 +247,7 @@ def kernel() -> DPKernel:
         # the build is atomic and idempotent) so that a pool forked
         # meanwhile never inherits a lock held across a compile.
         entries, reason = ckernel.load()
-        if entries is not None and not _reproduces_numpy(*entries):
+        if entries is not None and not ckernel._reproduces_numpy(*entries):
             entries, reason = None, "check_failed"
         with _kernel_lock:
             if _kernel is None:
@@ -256,149 +257,6 @@ def kernel() -> DPKernel:
                 else:
                     _kernel = DPKernel("c", None, *entries)
     return _kernel
-
-
-def _probe_cases():
-    """``(S, open_x, ext_x, open_y, ext_y, tf)`` made of the values a
-    platform is free to treat its own way (see :func:`_reproduces_numpy`)."""
-    nan = np.nan
-    zeros3, zeros4 = np.zeros(3), np.zeros(4)
-    signed = np.array([
-        [0.0, -0.0, 1.0, 0.0],
-        [-0.0, 0.0, 0.0, -1.0],
-        [1.0, -0.0, 0.0, 0.0],
-    ])
-    one_nan = signed.copy()
-    one_nan[1, 2] = nan
-    # Sums whose last bits depend on the order they are taken in.
-    tenths3 = np.array([0.1, 0.2, 0.3])
-    tenths4 = np.array([0.1, 0.2, 0.3, 0.7])
-    ends_early = np.array([
-        [3.0, -9.0, -9.0, -9.0],
-        [-9.0, 3.0, -9.0, -9.0],
-        [-9.0, -9.0, -9.0, -9.0],
-    ])
-    # Free end gaps (-0.0 boundaries), zero penalties, signed zeros.
-    yield signed, zeros3, zeros3, np.array([0.0, 1.0, 0.0, 0.0]), zeros4, 0.0
-    # The same with one NaN: it spreads right and down, through the last
-    # row and column into both end-cell argmaxes.
-    yield one_nan, zeros3, zeros3, np.array([0.0, 1.0, 0.0, 0.0]), zeros4, 0.0
-    yield one_nan, tenths3, tenths3, tenths4, tenths4, 0.5
-    # End cells off the corner, penalties from order-dependent sums.
-    yield ends_early, 2.0 * tenths3, tenths3, 2.0 * tenths4, tenths4, 0.3
-    yield ends_early.T.copy(), 2.0 * tenths4, tenths4, 2.0 * tenths3, tenths3, 0.3
-
-
-def _fingerprint(score, x_map, y_map, tables) -> bytes:
-    """Everything one alignment call computed, as bytes: score, maps, and
-    the H, E, F, cum_x, cum_y it filled (pooled -- take this before the
-    thread's next call)."""
-    return b"".join(
-        np.asarray(part).tobytes() for part in (score, x_map, y_map, *tables)
-    )
-
-
-def _reproduces_numpy(
-    align: Callable[..., int],
-    align_codes: Callable[..., int],
-    identity_codes: Callable[..., None],
-    agglomerate: Callable[..., None],
-    apply: Callable[..., int],
-) -> bool:
-    """Do the compiled entries and the python path compute the same
-    bytes here -- tables, cumulative sums, score and maps, the identity
-    counts along the maps, merged clades, and guide trees' merges and
-    heights?
-
-    Ordinary values agree on any IEEE host by construction.  What a
-    platform is free to choose is which of ``+0.0`` / ``-0.0``
-    ``np.maximum`` (and ``np.minimum``) returns, how NaN travels and
-    where ``np.argmax`` puts it, and the order ``np.cumsum`` adds in, so
-    the probe is made of exactly those, plus the ties where
-    ``np.argmin`` takes the first minimum
-    (:func:`repro.tree.builders._agglomeration_reproduces_numpy`).
-    The merge entry is integers only; its cases are the path shapes a
-    merge meets (leading and trailing gaps on either side, one-row and
-    one-column sides) and paths it must refuse.
-    """
-    for S, open_x, ext_x, open_y, ext_y, tf in _probe_cases():
-        m, n = S.shape
-        penalties = (open_x, ext_x, open_y, ext_y, tf)
-        expected = _fingerprint(*_align_numpy(S, *penalties))
-        dense = _align_compiled(align, (_ptr(S, m * n),), m, n, *penalties)
-        if _fingerprint(*dense, _pooled_tables(m, n)) != expected:
-            return False
-        # The same scores as look-ups: S is table[x][:, y].
-        table = np.ascontiguousarray(S[::-1, ::-1])
-        x = np.arange(m - 1, -1, -1, dtype=np.uint8)
-        y = np.arange(n - 1, -1, -1, dtype=np.uint8)
-        head = (_ptr(table, m * n), n, _ptr(x, m, np.uint8), _ptr(y, n, np.uint8))
-        coded = _align_compiled(align_codes, head, m, n, *penalties)
-        if _fingerprint(*coded, _pooled_tables(m, n)) != expected:
-            return False
-        # The tile entry over the same look-ups, its one penalty vector
-        # pair being the longer side's: (x, y), an empty side on either
-        # hand, then (x, y) again in the memory the others left.
-        opens, exts = (open_y, ext_y) if n >= m else (open_x, ext_x)
-        _score, x_map, y_map, _ = _align_numpy(
-            S, opens[:m], exts[:m], opens[:n], exts[:n], tf
-        )
-        pair = _path_counts(x, y, x_map, y_map)
-        counts = _identity_compiled(
-            identity_codes, table, np.concatenate([x, y]),
-            np.array([0, m, m + n, m + n]),
-            np.array([0, 0, 2, 0]), np.array([1, 2, 1, 1]), opens, exts, tf,
-        )
-        if counts.tolist() != [pair, [0, 0], [0, 0], pair]:
-            return False
-    for case in _apply_probe_cases():
-        compiled = _applied(
-            lambda *arrays: _apply_compiled(apply, *arrays), case
-        )
-        if compiled != _applied(_apply_numpy, case):
-            return False
-    from repro.tree.builders import _agglomeration_reproduces_numpy
-
-    return _agglomeration_reproduces_numpy(agglomerate)
-
-
-def _apply_probe_cases():
-    """``(x_codes, x_counts, y_codes, y_counts, x_map, y_map)`` cases for
-    the merge entry: the path shapes a merge meets, then paths that are
-    not merges (scrambled, a column gapped on both sides, a column left
-    over) which both paths must refuse."""
-    x = np.array([[0, 3, 1], [2, 2, 3]], dtype=np.uint8)  # 3 is the gap
-    y = np.array([[1, 0]], dtype=np.uint8)
-    one = np.array([[2]], dtype=np.uint8)
-    x_counts, y_counts, one_counts = (
-        code_counts(x, 4), code_counts(y, 4), code_counts(one, 4)
-    )
-    for x_map, y_map in (
-        ([-1, 0, 1, -1, 2], [0, -1, -1, 1, -1]),
-        ([0, 1, 2, -1, -1], [-1, -1, -1, 0, 1]),
-        ([0, 1, 2], [0, -1, 1]),
-        ([1, 0, 2, -1, -1], [-1, -1, -1, 0, 1]),
-        ([0, 1, 2, -1, -1, -1], [-1, -1, -1, 0, 1, -1]),
-        ([0, 1, -1], [-1, 0, 1]),
-    ):
-        yield x, x_counts, y, y_counts, x_map, y_map
-    yield one, one_counts, x, x_counts, [-1, 0, -1], [0, 1, 2]
-    yield y, y_counts, one, one_counts, [0, 1], [0, -1]
-
-
-def _applied(apply: Callable, case) -> Optional[bytes]:
-    """What ``apply`` makes of a probe case, as bytes; ``None`` when it
-    refuses the path."""
-    x_codes, x_counts, y_codes, y_counts, x_map, y_map = case
-    maps = (np.array(x_map, dtype=np.int64), np.array(y_map, dtype=np.int64))
-    try:
-        codes, counts = apply(x_codes, x_counts, y_codes, y_counts, *maps)
-    except ValueError:
-        return None
-    return b"".join(
-        np.asarray(part).tobytes()
-        for part in (codes.shape, codes, counts.shape, counts)
-    )
 
 
 def _ptr(arr: np.ndarray, size: int, dtype=np.float64) -> int:

@@ -147,8 +147,8 @@ STACK = argparse.ArgumentParser(add_help=False, parents=[BACKEND])
 _add_stage_flags(STACK, "--distance", "--distance-backend", "--tree")
 STACK.add_argument(
     "--workers", type=int, default=4,
-    help="requests in flight at once (gateway dispatcher threads and "
-    "service threads); in-process computes still run one at a time "
+    help="requests in flight at once (gateway worker threads, each "
+    "running its request); in-process computes still run one at a time "
     "per process, so this buys overlap of store I/O and "
     "--backend pool runs, not parallel alignment",
 )

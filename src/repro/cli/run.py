@@ -160,10 +160,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
         request = _align_request(args, args.engine or "sample-align-d", seqs)
     # Run through the service so the report carries the serving-layer
     # stats (cache hits/misses/evictions, computed vs served).
-    with AlignmentService(max_workers=1) as svc:
-        job = svc.submit(request)
-        result = job.wait()
-        service_stats = svc.stats
+    svc = AlignmentService(max_workers=1)
+    (job,) = svc.run_batch([request])
+    if job.error is not None:
+        raise job.error
+    result = job.result
 
     text = result.alignment.to_fasta()
     if args.output:
@@ -175,7 +176,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     if args.json is not None:
         report = result.report()
         report["job"] = job.metadata()
-        report["service"] = service_stats
+        report["service"] = svc.stats
         # align's `-` goes to stderr: stdout may carry the FASTA.
         _emit_json(report, args.json, dash_stream=sys.stderr)
     return 0

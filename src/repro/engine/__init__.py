@@ -11,8 +11,8 @@ write::
     result = align(seqs, engine="muscle")
     result = align(seqs, engine="parallel-baseline", n_procs=8)
 
-and always get back an :class:`AlignResult`.  For request/response
-serving (batching, deduplication, caching) use
+and always get back an :class:`AlignResult`.  For cached execution on
+the calling thread (batches, deduplication) use
 :class:`AlignmentService`; to add a backend use :func:`register_engine`
 or :func:`~repro.engine.registry.register_sequential_aligner`.  The
 service's result cache is a pluggable :class:`CacheBackend`

@@ -1,14 +1,13 @@
-"""Job-based alignment execution with deduplication and a pluggable cache.
+"""Cached alignment execution on the caller's thread.
 
-:class:`AlignmentService` is the serving layer of the unified API: it
-accepts single or batched :class:`~repro.engine.api.AlignRequest`\\ s,
-executes them on a thread pool, and deduplicates identical requests --
-both across time (a result cache keyed by the request's content hash,
-i.e. sequence set + engine + config) and within a batch (a second
-submission of an in-flight request attaches to the running job instead
-of recomputing).  Every submission returns an :class:`AlignJob` whose
-metadata records whether the result was computed or served from cache,
-and how long it took.
+:class:`AlignmentService` answers single or batched
+:class:`~repro.engine.api.AlignRequest`\\ s on the thread that asks:
+from a result cache keyed by the request's content hash (sequence set +
+engine + config), or on a miss by running the engine.  It owns no
+threads; queueing, priorities and coalescing of concurrent identical
+requests belong to the one scheduler above it,
+:class:`repro.serve.AlignmentGateway`.  A batch shares one execution
+among its duplicates and returns an :class:`AlignJob` per request.
 
 The result cache is a pluggable :class:`CacheBackend`: the default is
 the process-local :class:`MemoryResultCache` (an LRU bounded by entry
@@ -27,18 +26,16 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
     Protocol,
     Sequence as TSequence,
+    Tuple,
     runtime_checkable,
 )
 
@@ -180,71 +177,22 @@ class TieredResultCache:
 
 @dataclass
 class AlignJob:
-    """Handle plus metadata for one submitted request.
-
-    Attributes
-    ----------
-    job_id:
-        Monotonically increasing id within the service.
-    request:
-        The submitted request.
-    cache_hit:
-        True when the result was served from the LRU cache or attached
-        to an identical in-flight job (the alignment ran at most once).
-    wall_time:
-        Seconds from submission to completion for this job (near zero
-        for cache hits).
-    """
+    """The finished record of one request in a batch: its ``result``, or
+    the ``error`` its run raised; ``cache_hit`` when it was served from
+    the cache or shared the run of an identical request earlier in the
+    batch; ``wall_time``, seconds from its start to its answer (near
+    zero for a hit); ``job_id``, increasing within the service."""
 
     job_id: int
     request: AlignRequest
     cache_hit: bool = False
     error: Optional[BaseException] = None
     wall_time: Optional[float] = None
-    _result: Optional[AlignResult] = field(default=None, repr=False)
-    _future: Optional[Future] = field(default=None, repr=False)
-    _submitted: float = field(default=0.0, repr=False)
-
-    @property
-    def done(self) -> bool:
-        return self._future is None or self._future.done()
+    result: Optional[AlignResult] = None
 
     @property
     def status(self) -> str:
-        if not self.done:
-            return "running"
         return "failed" if self.error is not None else "done"
-
-    @property
-    def result(self) -> Optional[AlignResult]:
-        """The result if already available (non-blocking); else None."""
-        if self._result is None and self.done:
-            try:
-                self.wait()
-            except Exception:
-                return None
-        return self._result
-
-    def wait(self, timeout: Optional[float] = None) -> AlignResult:
-        """Block until the job finishes; re-raises the engine's error.
-
-        A ``TimeoutError`` from ``timeout`` expiring is re-raised but not
-        recorded: the job is still running, not failed.
-        """
-        if self._future is not None:
-            try:
-                self._result = self._future.result(timeout)
-            except FuturesTimeoutError:
-                raise
-            except Exception as exc:
-                self.error = exc
-                if self.wall_time is None:
-                    self.wall_time = time.perf_counter() - self._submitted
-                raise
-        if self.wall_time is None:
-            self.wall_time = time.perf_counter() - self._submitted
-        assert self._result is not None
-        return self._result
 
     def metadata(self) -> Dict[str, Any]:
         """JSON-able per-job record (id, status, cache hit, timing)."""
@@ -262,29 +210,25 @@ class AlignJob:
 
 
 class AlignmentService:
-    """Thread-pooled, cache-deduplicated execution of alignment jobs.
+    """Cache-deduplicated execution of alignment requests on the
+    caller's thread.
 
     Parameters
     ----------
     max_workers:
-        Thread-pool width: the bound on requests *in flight* (default
-        4).  It does not buy parallel in-process computes.  Alignment
-        kernels are many small numpy calls that release the GIL poorly,
-        and two of them trading it across two cores finish later than
-        one thread doing both jobs (measured 1.45x the serial sum on a
-        2-vCPU host), so every engine run takes the process-wide
-        :data:`~repro.parcomp.token.COMPUTE_TOKEN` and in-process
-        computes run **one at a time per process** -- across services
-        too, because the GIL is per process.  What the extra threads do
+        The bound on requests computing at once (default 4): a miss
+        holds one of ``max_workers`` slots from building its engine
+        through the cache put; a cache hit never waits for one.  It does
+        not buy parallel in-process computes: every engine run holds the
+        process-wide :data:`~repro.parcomp.token.COMPUTE_TOKEN` (see
+        :mod:`repro.parcomp.token` for why), so they run **one at a time
+        per process**, across services too.  What the other slots
         overlap with the running compute: engine construction, result
-        store I/O (``cache.put`` happens after the token is given
-        back), and runs dispatched onto worker processes
-        (``backend="pool"`` parks the token while the workers compute,
-        so the next in-process compute runs beside them; runs on *one*
-        :class:`~repro.pool.WorkerPool` still go one at a time, which is
-        that pool's own dispatch lock, not this token).  Time spent
-        waiting for the token is in ``stats["compute_wait_s"]`` and, on
-        a traced request, a ``service.token_wait`` span.
+        store I/O (``cache.put`` happens after the token is given back),
+        and ``backend="pool"`` runs, which park the token while the
+        worker processes compute.  Time spent waiting for the token is
+        in ``stats["compute_wait_s"]`` and, on a traced request, a
+        ``service.token_wait`` span.
     cache_size:
         Capacity of the default in-memory LRU cache (0 disables
         caching).  Ignored when ``cache`` is given.
@@ -295,9 +239,9 @@ class AlignmentService:
 
     Usage::
 
-        with AlignmentService(max_workers=4) as svc:
-            jobs = svc.run_batch([req1, req2, req1])   # req1 runs once
-            results = [j.wait() for j in jobs]
+        svc = AlignmentService()
+        jobs = svc.run_batch([req1, req2, req1])   # req1 runs once
+        results = [j.result for j in jobs]
     """
 
     def __init__(
@@ -312,103 +256,86 @@ class AlignmentService:
             max_workers = 4
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="align-engine"
-        )
+        self._slots = threading.BoundedSemaphore(max_workers)
         if cache is not None:
             self._cache: Optional[CacheBackend] = cache
         elif cache_size:
             self._cache = MemoryResultCache(cache_size)
         else:
             self._cache = None
-        self._inflight: Dict[str, Future] = {}
         self._lock = threading.Lock()
         self._ids = itertools.count(1)
         self._hits = 0
         self._misses = 0
         self._computed = 0
+        self._computing = 0
         self._cache_put_failures = 0
         self._compute_wait_s = 0.0
         self._compute_waits = 0
-        self._closed = False
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut the pool down (outstanding jobs finish first)."""
-        self._closed = True
-        self._executor.shutdown(wait=True)
-
-    def __enter__(self) -> "AlignmentService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- submission --------------------------------------------------------
-
-    def submit(self, request: AlignRequest) -> AlignJob:
-        """Enqueue one request; returns immediately with a job handle."""
-        if self._closed:
-            raise RuntimeError("service is closed")
-        key = request.content_hash()
-        job = AlignJob(job_id=next(self._ids), request=request)
-        job._submitted = time.perf_counter()
-        # Backend lookup happens outside the service lock: backends are
-        # thread-safe and a disk-backed get must not serialize every
-        # submission.  The cost is a benign race -- a request finishing
-        # between this get and the in-flight check below is recomputed.
-        cached = self._cache.get(key) if self._cache is not None else None
-        with self._lock:
-            if cached is not None:
-                self._hits += 1
-                job.cache_hit = True
-                job._result = cached
-                job.wall_time = time.perf_counter() - job._submitted
-                return job
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                self._hits += 1
-                job.cache_hit = True
-                job._future = inflight
-                return job
-            self._misses += 1
-            future = self._executor.submit(self._execute, request, key)
-            self._inflight[key] = future
-            job._future = future
-        return job
+    # -- execution ---------------------------------------------------------
 
     def run(self, request: AlignRequest) -> AlignResult:
-        """Execute one request synchronously (through the cache)."""
-        return self.submit(request).wait()
+        """Answer one request on the calling thread (through the cache);
+        re-raises the engine's error."""
+        return self._serve(request)[0]
 
     def run_batch(self, requests: TSequence[AlignRequest]) -> List[AlignJob]:
-        """Submit a batch and wait for all of it.
+        """Run a batch in order on the calling thread.
 
-        Returns one completed job per request, **in input order**;
+        Returns one finished job per request, **in input order**;
         duplicate requests share a single execution (every job after the
         first carries ``cache_hit=True``).  Failed jobs carry ``error``
         instead of a result and do not abort the rest of the batch.
         """
-        jobs = [self.submit(r) for r in requests]
-        for job in jobs:
-            try:
-                job.wait()
-            except Exception:
-                pass  # recorded on job.error; batch continues
+        jobs: List[AlignJob] = []
+        first: Dict[str, AlignJob] = {}
+        for request in requests:
+            t0 = time.perf_counter()
+            job = AlignJob(job_id=next(self._ids), request=request)
+            earlier = first.setdefault(request.content_hash(), job)
+            if earlier is not job:  # a duplicate shares the earlier run
+                with self._lock:
+                    self._hits += 1
+                job.cache_hit = True
+                job.result, job.error = earlier.result, earlier.error
+            else:
+                try:
+                    job.result, job.cache_hit = self._serve(request)
+                except Exception as exc:
+                    job.error = exc
+            job.wall_time = time.perf_counter() - t0
+            jobs.append(job)
         return jobs
 
     def results(self, requests: TSequence[AlignRequest]) -> List[AlignResult]:
         """Batch-run and return results in input order (raises on failure)."""
-        out: List[AlignResult] = []
-        for job in self.run_batch(requests):
+        jobs = self.run_batch(requests)
+        for job in jobs:
             if job.error is not None:
                 raise job.error
-            assert job._result is not None
-            out.append(job._result)
-        return out
+        return [job.result for job in jobs]
 
     # -- internals ---------------------------------------------------------
+
+    def _serve(self, request: AlignRequest) -> Tuple[AlignResult, bool]:
+        """``(result, cache_hit)``: the cached result, or a fresh run."""
+        key = request.content_hash()
+        # Outside the lock: a thread-safe disk get must not serialize.
+        cached = self._cache.get(key) if self._cache is not None else None
+        with self._lock:
+            if cached is not None:
+                self._hits += 1
+                return cached, True
+            self._misses += 1
+        with self._slots:  # one of max_workers, counted in inflight
+            with self._lock:
+                self._computing += 1
+            try:
+                return self._execute(request, key), False
+            finally:
+                with self._lock:
+                    self._computing -= 1
 
     @contextmanager
     def _compute_token(self) -> Iterator[None]:
@@ -426,42 +353,38 @@ class AlignmentService:
             COMPUTE_TOKEN.release()
 
     def _execute(self, request: AlignRequest, key: str) -> AlignResult:
-        try:
-            engine = get_engine(request.engine, **request.engine_kwargs)
-            if tracing_enabled():
-                # Collect this job's spans in a per-thread buffer (teeing
-                # into the process-wide one) and attach the folded
-                # per-stage breakdown to the result -- it is a property
-                # of the computation, so it is cached with it.
-                with collect() as trace_buf, span(
-                    "service.execute",
-                    engine=request.engine,
-                    n_seqs=len(request.sequences),
-                    request_hash=key[:12],
-                ), self._compute_token():
-                    result = engine.run(request)
-                result.diagnostics = {
-                    **result.diagnostics,
-                    "stage_breakdown": stage_breakdown(trace_buf.records()),
-                }
-            else:
-                with self._compute_token():
-                    result = engine.run(request)
-            if self._cache is not None:
-                # Outside the lock (thread-safe backend, possibly disk
-                # I/O) and never fatal: a cache that cannot store costs
-                # a future recomputation, not this job's result.
-                try:
-                    self._cache.put(key, result)
-                except Exception:
-                    with self._lock:
-                        self._cache_put_failures += 1
-            with self._lock:
-                self._computed += 1
-            return result
-        finally:
-            with self._lock:
-                self._inflight.pop(key, None)
+        engine = get_engine(request.engine, **request.engine_kwargs)
+        if tracing_enabled():
+            # Collect this job's spans in a per-thread buffer (teeing
+            # into the caller's sink) and attach the folded per-stage
+            # breakdown to the result -- it is a property of the
+            # computation, so it is cached with it.
+            with collect() as trace_buf, span(
+                "service.execute",
+                engine=request.engine,
+                n_seqs=len(request.sequences),
+                request_hash=key[:12],
+            ), self._compute_token():
+                result = engine.run(request)
+            result.diagnostics = {
+                **result.diagnostics,
+                "stage_breakdown": stage_breakdown(trace_buf.records()),
+            }
+        else:
+            with self._compute_token():
+                result = engine.run(request)
+        if self._cache is not None:
+            # Outside the lock (thread-safe backend, possibly disk I/O)
+            # and never fatal: a cache that cannot store costs a future
+            # recomputation, not this job's result.
+            try:
+                self._cache.put(key, result)
+            except Exception:
+                with self._lock:
+                    self._cache_put_failures += 1
+        with self._lock:
+            self._computed += 1
+        return result
 
     # -- introspection -----------------------------------------------------
 
@@ -469,13 +392,13 @@ class AlignmentService:
     def stats(self) -> Dict[str, Any]:
         """Counters for the user-facing metrics surface.
 
-        ``hits``/``misses`` are cache-lookup outcomes (an in-flight
-        attach counts as a hit), ``served`` is an alias of ``hits``,
-        ``computed`` counts engine runs that completed, ``evictions``
-        comes from the backend, and ``cached``/``inflight`` are current
-        occupancies.  ``compute_wait_s`` sums the seconds this
-        service's requests waited for the process's compute token and
-        ``compute_waits`` counts the acquisitions that had to wait.
+        ``hits``/``misses`` are cache-lookup outcomes (a duplicate
+        sharing an earlier run in its batch is a hit), ``served`` is an
+        alias of ``hits``, ``computed`` counts engine runs that
+        completed, ``evictions`` comes from the backend, ``cached`` is
+        the cache's occupancy and ``inflight`` the requests computing
+        right now.  ``compute_wait_s`` / ``compute_waits`` sum the
+        seconds spent waiting for the compute token and count the waits.
         ``cache_backend`` carries the backend's own counters (``None``
         when caching is disabled).
         """
@@ -490,7 +413,7 @@ class AlignmentService:
                 "computed": self._computed,
                 "evictions": (backend_stats or {}).get("evictions", 0),
                 "cached": len(self._cache) if self._cache is not None else 0,
-                "inflight": len(self._inflight),
+                "inflight": self._computing,
                 "cache_put_failures": self._cache_put_failures,
                 "compute_wait_s": self._compute_wait_s,
                 "compute_waits": self._compute_waits,

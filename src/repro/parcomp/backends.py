@@ -185,14 +185,15 @@ class ThreadBackend(ExecutionBackend):
     of one-at-a-time.
 
     Under an :class:`~repro.engine.service.AlignmentService` there is a
-    second token above this one: the service thread that called
-    :meth:`run` holds the process's compute token
-    (:data:`~repro.parcomp.token.COMPUTE_TOKEN`) and keeps it while it
-    sits in ``join`` -- it does not park it, because its ranks *are*
-    in-process compute.  The rank threads never touch that token; they
-    hand the fabric's run token among themselves, so the process still
-    runs exactly one thread of Python at a time.  After a rank failure
-    the survivors get :data:`ABORT_JOIN_TIMEOUT_S` to unwind.
+    second token above this one: the thread that called :meth:`run` (a
+    gateway worker, or whoever called the service) holds the process's
+    compute token (:data:`~repro.parcomp.token.COMPUTE_TOKEN`) and keeps
+    it while it sits in ``join`` -- it does not park it, because its
+    ranks *are* in-process compute.  The rank threads never touch that
+    token; they hand the fabric's run token among themselves, so the
+    process still runs exactly one thread of Python at a time.  After a
+    rank failure the survivors get :data:`ABORT_JOIN_TIMEOUT_S` to
+    unwind.
     """
 
     name = "threads"

@@ -331,17 +331,8 @@ class VirtualComm:
         now = time.thread_time()
         dt = max(now - self._last_cpu, 0.0)
         self._last_cpu = now
-        scaled = dt * self.fabric.cost_model.compute_scale
-        self._compute += scaled
-        self._clock += scaled
-
-    def charge_compute(self, seconds: float) -> None:
-        """Explicitly add modeled compute seconds to this rank's clock
-        (used by the perfmodel to inject calibrated kernel costs)."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        self._compute += seconds
-        self._clock += seconds
+        self._compute += dt
+        self._clock += dt
 
     def finalize(self) -> None:
         """Flush outstanding compute and publish this rank's totals."""

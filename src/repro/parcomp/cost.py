@@ -35,16 +35,10 @@ class CostModel:
         Per-message latency in seconds.
     beta:
         Per-byte transfer time in seconds (1/bandwidth).
-    compute_scale:
-        Multiplier applied to measured rank compute time before it enters
-        the logical clocks.  1.0 models "cluster nodes as fast as this
-        host"; the perfmodel uses it to map host-calibrated kernels onto
-        the paper's Pentium-III nodes.
     """
 
     alpha: float = 50e-6
     beta: float = 1.0 / 100e6
-    compute_scale: float = 1.0
 
     def message_cost(self, nbytes: int) -> float:
         """Modeled wall time to move one message of ``nbytes``."""

@@ -13,7 +13,8 @@ This is the request-level sibling of the per-run token of
 :class:`~repro.parcomp.comm.Fabric`: that one decides which *rank* of
 one ``threads`` run executes, this one decides which *request's* engine
 does.  A ``threads`` run inside a service request needs nothing extra --
-the service thread sits in ``join`` holding this token while the ranks
+the request's thread (a gateway worker, or whoever called the service)
+sits in ``join`` holding this token while the ranks
 hand the fabric's token among themselves, so the process still runs one
 thread of Python at a time (a rank inside a parked compiled call runs
 on another core without the interpreter lock).

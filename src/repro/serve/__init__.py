@@ -3,8 +3,8 @@
 This package turns the engine layer into a *servable system*:
 
 - :mod:`repro.serve.gateway` -- :class:`AlignmentGateway`: bounded
-  priority admission, per-client token-bucket rate limiting, and
-  cross-client request coalescing over an
+  priority admission, per-client rate limiting, cross-client request
+  coalescing, and the worker threads that run each request through an
   :class:`~repro.engine.service.AlignmentService`.
 - :mod:`repro.serve.store` -- :class:`ResultStore`: a content-addressed
   disk-backed cache backend (atomic writes, corruption-tolerant reads,

@@ -1,8 +1,10 @@
 """The alignment-serving gateway: admission, coalescing, dispatch.
 
 :class:`AlignmentGateway` is what sits between untrusted traffic and an
-:class:`~repro.engine.service.AlignmentService`.  It adds the three
-things a raw service lacks under load:
+:class:`~repro.engine.service.AlignmentService`, and the one scheduler
+of a served request: its workers run each admitted request, cache
+lookup and engine, on their own threads.  It adds the three things a
+raw service lacks under load:
 
 - **Admission control.**  A *bounded* priority queue: when the backlog
   is full, new work is rejected immediately (:class:`QueueFullError`)
@@ -184,20 +186,17 @@ class AlignmentGateway:
     Parameters
     ----------
     service:
-        The execution layer.  When omitted, the gateway creates (and
-        owns) an ``AlignmentService(max_workers=n_workers)``; a service
-        passed in explicitly is also closed by :meth:`close` unless
-        ``close_service=False``.
+        The execution core its workers call (it owns no threads, so
+        there is nothing to close); by default an
+        ``AlignmentService(max_workers=n_workers)``.
     n_workers:
-        Dispatcher threads draining the admission queue: the bound on
-        admitted requests handed to the service at once (and the width
-        of the service the gateway creates for itself).  It buys
-        overlap of store hits, store writes and pool-dispatched runs
-        with the running compute, not parallel in-process computes --
-        the service runs those one at a time per process (see
-        :class:`~repro.engine.service.AlignmentService`), which is what
-        makes a two-worker cold pass cost about the serial sum of its
-        computes instead of 1.45x it.
+        Worker threads draining the admission queue; each runs its
+        request's cache lookup and, on a miss, the engine on its own
+        thread.  They overlap store hits, store writes and
+        pool-dispatched runs with the running compute, not in-process
+        computes, which run one at a time per process (see
+        :class:`~repro.engine.service.AlignmentService`): a two-worker
+        cold pass costs about the serial sum of its computes, not 1.45x.
     max_queue:
         Admission-queue bound; the depth at which new non-coalescing
         requests are rejected with :class:`QueueFullError`.
@@ -241,8 +240,10 @@ class AlignmentGateway:
         engine / distance dispatch underneath lands on it, exposes its
         live counters under ``metrics()["pool"]``, and -- if it created
         the pool itself -- closes it on :meth:`close`.  A supervised
-        pool survives worker crashes (automatic respawn), so a long-
-        running gateway never degrades to cold starts.
+        pool respawns a crashed worker.  It also stops the workers above
+        :data:`~repro.pool.workers.MIN_WORKERS` after
+        :data:`~repro.pool.workers.IDLE_TIMEOUT_S` of idleness, so the
+        first dispatch after a quiet spell restarts them cold.
     """
 
     def __init__(
@@ -254,7 +255,6 @@ class AlignmentGateway:
         rate: Optional[float] = None,
         burst: Optional[float] = None,
         max_tickets: int = 4096,
-        close_service: bool = True,
         default_backend: Optional[str] = None,
         default_distance: Any = None,
         default_tree: Any = None,
@@ -275,7 +275,6 @@ class AlignmentGateway:
         if rate is not None and resolved_burst < 1:
             raise ValueError("burst must be >= 1 (a request costs one token)")
         self._service = service or AlignmentService(max_workers=n_workers)
-        self._close_service = close_service
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue(maxsize=max_queue)
         self._order = itertools.count()  # FIFO tie-break within a priority
         self._lock = threading.Lock()
@@ -350,7 +349,7 @@ class AlignmentGateway:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Drain the queue, stop the workers, close the owned service."""
+        """Drain the queue, stop the workers, release the owned pool."""
         with self._lock:
             if self._closed:
                 return
@@ -361,8 +360,6 @@ class AlignmentGateway:
             self._queue.put((_SENTINEL_PRIORITY, next(self._order), None))
         for t in self._workers:
             t.join()
-        if self._close_service:
-            self._service.close()
         if self._pool is not None:
             from repro.pool import set_default_pool
 

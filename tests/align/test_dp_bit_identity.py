@@ -37,12 +37,12 @@ def c_kernel():
 def _numpy(args):
     """Everything the python path computed, as bytes (the pooled tables
     are reused by the next call)."""
-    return dp._fingerprint(*dp._align_numpy(*args))
+    return ckernel._fingerprint(*dp._align_numpy(*args))
 
 
 def _dense(kern, args):
     S = args[0]
-    return dp._fingerprint(
+    return ckernel._fingerprint(
         *dp._align_compiled(
             kern.align, (dp._ptr(S, S.size),), *S.shape, *args[1:]
         ),
@@ -55,7 +55,7 @@ def _coded(kern, table, x, y, penalties):
         dp._ptr(table, table.size), table.shape[1],
         dp._ptr(x, len(x), np.uint8), dp._ptr(y, len(y), np.uint8),
     )
-    return dp._fingerprint(
+    return ckernel._fingerprint(
         *dp._align_compiled(kern.align_codes, head, len(x), len(y), *penalties),
         dp._pooled_tables(len(x), len(y)),
     )
@@ -172,7 +172,7 @@ def test_probe_rejects_a_kernel_with_the_wrong_tie_rule(c_kernel):
         c_kernel.align, c_kernel.align_codes, c_kernel.identity_codes,
         c_kernel.agglomerate, c_kernel.apply,
     )
-    assert dp._reproduces_numpy(*entries)
+    assert ckernel._reproduces_numpy(*entries)
 
     def wrong_zero(entry):
         def run(m, n, *rest):
@@ -183,8 +183,10 @@ def test_probe_rejects_a_kernel_with_the_wrong_tie_rule(c_kernel):
 
         return run
 
-    assert not dp._reproduces_numpy(wrong_zero(entries[0]), *entries[1:])
-    assert not dp._reproduces_numpy(
+    assert not ckernel._reproduces_numpy(
+        wrong_zero(entries[0]), *entries[1:]
+    )
+    assert not ckernel._reproduces_numpy(
         entries[0], wrong_zero(entries[1]), *entries[2:]
     )
 
@@ -198,7 +200,7 @@ def test_probe_rejects_a_kernel_with_another_end_cell_or_path(c_kernel):
         xs[0], xs[length - 1] = xs[length - 1], xs[0]
         return length
 
-    assert not dp._reproduces_numpy(
+    assert not ckernel._reproduces_numpy(
         wrong_path, c_kernel.align_codes, c_kernel.identity_codes,
         c_kernel.agglomerate, c_kernel.apply,
     )
@@ -228,7 +230,7 @@ def test_probe_rejects_an_identity_entry_that_miscounts(c_kernel, monkeypatch):
         c_kernel.align, c_kernel.align_codes, counts_gap_columns,
         c_kernel.agglomerate, c_kernel.apply,
     )
-    assert not dp._reproduces_numpy(*entries)
+    assert not ckernel._reproduces_numpy(*entries)
     monkeypatch.setattr(ckernel, "load", lambda: (entries, None))
     monkeypatch.setattr(dp, "_kernel", None)
     kern = dp.kernel()

@@ -113,7 +113,9 @@ class TestFallbacks:
         assert not (tmp_path / "relative").exists()
 
     def test_library_that_fails_the_probe(self, monkeypatch, empty_cache):
-        monkeypatch.setattr(dp, "_reproduces_numpy", lambda *entries: False)
+        monkeypatch.setattr(
+            ckernel, "_reproduces_numpy", lambda *entries: False
+        )
         self._assert_numpy_fallback(monkeypatch, "check_failed")
 
 

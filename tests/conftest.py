@@ -185,8 +185,8 @@ def compute_token():
     """The process's compute token, free before and after the test.
 
     Every test of the token asks for this fixture: its watchdog turns a
-    lost token (an executor thread parked on it for good, so closing the
-    service never returns) into a dump of every thread's stack and a
+    lost token (a caller thread parked on it for good, so joining that
+    thread never returns) into a dump of every thread's stack and a
     dead run instead of a session that never ends.
     """
     assert not COMPUTE_TOKEN._lock.locked()

@@ -31,8 +31,8 @@ class TestRequestPaths:
             n_procs=2,
             engine_kwargs={"backend": "pool"},
         )
-        with AlignmentService(max_workers=1) as svc:
-            result = svc.run(request)
+        svc = AlignmentService(max_workers=1)
+        result = svc.run(request)
         assert result.diagnostics["backend"] == "pool"
 
     def test_config_backend_is_an_unknown_field(self, seqs):
@@ -52,8 +52,8 @@ class TestRequestPaths:
         request = AlignRequest(
             sequences=seqs, engine="sample-align-d", n_procs=2
         )
-        with AlignmentService(max_workers=1) as svc:
-            result = svc.run(request)
+        svc = AlignmentService(max_workers=1)
+        result = svc.run(request)
         assert result.diagnostics["backend"] == "threads"
 
     def test_backend_affects_cache_key(self, pool, seqs):
@@ -62,10 +62,10 @@ class TestRequestPaths:
         r_threads = AlignRequest(engine_kwargs={"backend": "threads"}, **base)
         r_procs = AlignRequest(engine_kwargs={"backend": "pool"}, **base)
         assert r_threads.content_hash() != r_procs.content_hash()
-        with AlignmentService(max_workers=1) as svc:
-            a = svc.run(r_threads)
-            b = svc.run(r_procs)
-            assert svc.stats["computed"] == 2
+        svc = AlignmentService(max_workers=1)
+        a = svc.run(r_threads)
+        b = svc.run(r_procs)
+        assert svc.stats["computed"] == 2
         # ... but the alignment bytes agree (the backend contract).
         assert a.alignment.to_fasta() == b.alignment.to_fasta()
 

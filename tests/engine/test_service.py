@@ -1,4 +1,5 @@
-"""AlignmentService: cache semantics, batch ordering, deduplication."""
+"""AlignmentService: cache semantics, batch ordering, deduplication, and
+the compute token, all on the caller's thread."""
 
 import threading
 import time
@@ -59,38 +60,58 @@ def counting_engine():
     unregister_engine("counting")
 
 
+def _run_in_threads(calls):
+    """``svc.run(request)`` for each ``(svc, request)`` pair, each on its
+    own caller thread, started together; results in input order."""
+    results = [None] * len(calls)
+    barrier = threading.Barrier(len(calls))
+
+    def call(i, svc, request):
+        barrier.wait(timeout=10)
+        results[i] = svc.run(request)
+
+    threads = [
+        threading.Thread(target=call, args=(i, *pair))
+        for i, pair in enumerate(calls)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
 class TestCache:
     def test_miss_then_hit(self, req):
-        with AlignmentService(max_workers=2) as svc:
-            first = svc.submit(req())
-            r1 = first.wait()
-            second = svc.submit(req())
-            r2 = second.wait()
-            assert not first.cache_hit and second.cache_hit
-            assert r1.alignment == r2.alignment
-            assert r2 is r1  # served from cache, not recomputed
-            stats = svc.stats
-            assert stats["hits"] == stats["served"] == 1
-            assert stats["misses"] == stats["computed"] == 1
-            assert stats["cached"] == 1 and stats["inflight"] == 0
-            assert stats["evictions"] == 0
-            assert stats["cache_backend"]["backend"] == "memory"
+        svc = AlignmentService(max_workers=2)
+        (first,) = svc.run_batch([req()])
+        (second,) = svc.run_batch([req()])
+        assert not first.cache_hit and second.cache_hit
+        assert first.result.alignment == second.result.alignment
+        assert second.result is first.result  # served, not recomputed
+        stats = svc.stats
+        assert stats["hits"] == stats["served"] == 1
+        assert stats["misses"] == stats["computed"] == 1
+        assert stats["cached"] == 1 and stats["inflight"] == 0
+        assert stats["evictions"] == 0
+        assert stats["cache_backend"]["backend"] == "memory"
 
     def test_different_requests_both_miss(self, req):
-        with AlignmentService(max_workers=2) as svc:
-            svc.run(req())
-            svc.run(req(seed=1))  # seed participates in the content hash
-            assert svc.stats["misses"] == 2 and svc.stats["hits"] == 0
+        svc = AlignmentService(max_workers=2)
+        svc.run(req())
+        svc.run(req(seed=1))  # seed participates in the content hash
+        assert svc.stats["misses"] == 2 and svc.stats["hits"] == 0
 
     def test_lru_eviction(self, req, counting_engine):
-        with AlignmentService(max_workers=1, cache_size=1) as svc:
-            a, b = req(engine="counting"), req(engine="counting", seed=1)
-            svc.run(a)
-            svc.run(b)  # evicts a
-            svc.run(a)  # recompute
-            assert counting_engine.calls == 3
-            assert svc.stats["cached"] == 1
-            assert svc.stats["evictions"] == 2
+        svc = AlignmentService(max_workers=1, cache_size=1)
+        a, b = req(engine="counting"), req(engine="counting", seed=1)
+        svc.run(a)
+        svc.run(b)  # evicts a
+        svc.run(a)  # recompute
+        assert counting_engine.calls == 3
+        assert svc.stats["cached"] == 1
+        assert svc.stats["evictions"] == 2
 
     def test_pluggable_backend(self, req, counting_engine):
         """An explicit CacheBackend replaces the default memory LRU."""
@@ -98,52 +119,43 @@ class TestCache:
 
         backend = MemoryResultCache(capacity=4)
         assert isinstance(backend, CacheBackend)
-        with AlignmentService(max_workers=1, cache=backend) as svc:
-            svc.run(req(engine="counting"))
+        AlignmentService(max_workers=1, cache=backend).run(
+            req(engine="counting")
+        )
         # A second service sharing the backend serves without recomputing.
-        with AlignmentService(max_workers=1, cache=backend) as svc:
-            job = svc.submit(req(engine="counting"))
-            job.wait()
-            assert job.cache_hit and counting_engine.calls == 1
+        svc = AlignmentService(max_workers=1, cache=backend)
+        (job,) = svc.run_batch([req(engine="counting")])
+        assert job.cache_hit and counting_engine.calls == 1
 
     def test_cache_disabled(self, req, counting_engine):
-        with AlignmentService(max_workers=1, cache_size=0) as svc:
-            svc.run(req(engine="counting"))
-            svc.run(req(engine="counting"))
-            assert counting_engine.calls == 2
+        svc = AlignmentService(max_workers=1, cache_size=0)
+        svc.run(req(engine="counting"))
+        svc.run(req(engine="counting"))
+        assert counting_engine.calls == 2
 
     def test_clear_cache(self, req):
-        with AlignmentService(max_workers=1) as svc:
-            svc.run(req())
-            svc.clear_cache()
-            job = svc.submit(req())
-            job.wait()
-            assert not job.cache_hit
+        svc = AlignmentService(max_workers=1)
+        svc.run(req())
+        svc.clear_cache()
+        (job,) = svc.run_batch([req()])
+        assert not job.cache_hit
 
 
 class TestBatch:
-    def test_duplicate_requests_run_once(self, req, counting_engine):
-        with AlignmentService(max_workers=4) as svc:
-            r = req(engine="counting")
-            jobs = svc.run_batch([r, r, r, r])
-            assert counting_engine.calls == 1
-            hits = [j.cache_hit for j in jobs]
-            assert hits[0] is False and all(hits[1:])
-            results = [j.result for j in jobs]
-            assert all(res.alignment == results[0].alignment for res in results)
-
-    def test_inflight_dedup(self, req, counting_engine):
-        """A duplicate submitted while the first is running attaches to it."""
-        counting_engine.release.clear()  # hold the engine mid-run
-        with AlignmentService(max_workers=2) as svc:
-            r = req(engine="counting")
-            j1 = svc.submit(r)
-            assert counting_engine.started.wait(timeout=10)
-            j2 = svc.submit(r)  # first is in flight, not yet cached
-            assert j2.cache_hit
-            counting_engine.release.set()
-            assert j1.wait().alignment == j2.wait().alignment
-            assert counting_engine.calls == 1
+    @pytest.mark.parametrize("cache_size", [128, 0])
+    def test_duplicate_requests_run_once(
+        self, req, counting_engine, cache_size
+    ):
+        """With or without a cache: the batch shares one execution."""
+        svc = AlignmentService(max_workers=4, cache_size=cache_size)
+        r = req(engine="counting")
+        jobs = svc.run_batch([r, r, r, r])
+        assert counting_engine.calls == 1
+        hits = [j.cache_hit for j in jobs]
+        assert hits[0] is False and all(hits[1:])
+        results = [j.result for j in jobs]
+        assert all(res.alignment == results[0].alignment for res in results)
+        assert svc.stats["hits"] == 3 and svc.stats["misses"] == 1
 
     def test_order_preserved(self, req, tiny_seqs):
         reqs = [
@@ -151,120 +163,60 @@ class TestBatch:
             AlignRequest(tuple(tiny_seqs)[:3], engine="center-star"),
             req(engine="sample-align-d", n_procs=2, seed=0),
         ]
-        with AlignmentService(max_workers=3) as svc:
-            jobs = svc.run_batch(reqs)
-            assert [j.request.engine for j in jobs] == [
-                "center-star", "center-star", "sample-align-d"
-            ]
-            assert jobs[1].result.alignment.n_rows == 3
-            assert jobs[2].result.engine == "sample-align-d"
-            results = svc.results(reqs)
-            assert [r.alignment.n_rows for r in results] == [5, 3, 5]
+        svc = AlignmentService(max_workers=3)
+        jobs = svc.run_batch(reqs)
+        assert [j.request.engine for j in jobs] == [
+            "center-star", "center-star", "sample-align-d"
+        ]
+        assert [j.job_id for j in jobs] == [1, 2, 3]
+        assert jobs[1].result.alignment.n_rows == 3
+        assert jobs[2].result.engine == "sample-align-d"
+        results = svc.results(reqs)
+        assert [r.alignment.n_rows for r in results] == [5, 3, 5]
 
     def test_job_metadata(self, req):
-        with AlignmentService(max_workers=1) as svc:
-            jobs = svc.run_batch([req(), req()])
-            meta = [j.metadata() for j in jobs]
-            assert meta[0]["cache_hit"] is False
-            assert meta[1]["cache_hit"] is True
-            assert meta[0]["status"] == meta[1]["status"] == "done"
-            assert meta[0]["request_hash"] == meta[1]["request_hash"]
-            assert all(m["wall_time"] is not None for m in meta)
+        svc = AlignmentService(max_workers=1)
+        jobs = svc.run_batch([req(), req()])
+        meta = [j.metadata() for j in jobs]
+        assert meta[0]["cache_hit"] is False
+        assert meta[1]["cache_hit"] is True
+        assert meta[0]["status"] == meta[1]["status"] == "done"
+        assert meta[0]["request_hash"] == meta[1]["request_hash"]
+        assert all(m["wall_time"] is not None for m in meta)
 
 
 class TestErrors:
     def test_engine_failure_recorded_not_fatal(self, req):
-        with AlignmentService(max_workers=2) as svc:
-            bad = req(engine="does-not-exist")
-            good = req()
-            jobs = svc.run_batch([bad, good])
-            assert jobs[0].status == "failed"
-            assert isinstance(jobs[0].error, KeyError)
-            assert jobs[1].status == "done"
-            with pytest.raises(KeyError):
-                svc.results([bad])
+        svc = AlignmentService(max_workers=2)
+        bad = req(engine="does-not-exist")
+        good = req()
+        jobs = svc.run_batch([bad, good])
+        assert jobs[0].status == "failed"
+        assert isinstance(jobs[0].error, KeyError)
+        assert jobs[0].result is None
+        assert jobs[1].status == "done"
+        assert "error" in jobs[0].metadata()
+        with pytest.raises(KeyError):
+            svc.results([bad])
 
-    def test_wait_reraises(self, req):
-        with AlignmentService(max_workers=1) as svc:
-            job = svc.submit(req(engine="does-not-exist"))
-            with pytest.raises(KeyError, match="unknown engine"):
-                job.wait()
+    def test_duplicate_of_a_failed_request_shares_the_error(self, req):
+        svc = AlignmentService(max_workers=1)
+        bad = req(engine="does-not-exist")
+        first, second = svc.run_batch([bad, bad])
+        assert first.error is second.error
+        assert second.cache_hit and second.status == "failed"
+        assert svc.stats["misses"] == 1
+
+    def test_run_reraises(self, req):
+        svc = AlignmentService(max_workers=1)
+        with pytest.raises(KeyError, match="unknown engine"):
+            svc.run(req(engine="does-not-exist"))
 
     def test_failed_run_not_cached(self, req, counting_engine):
-        with AlignmentService(max_workers=1) as svc:
-            with pytest.raises(KeyError):
-                svc.run(req(engine="does-not-exist"))
-            assert svc.stats["cached"] == 0 and svc.stats["inflight"] == 0
-
-    def test_wait_timeout_does_not_poison_job(self, req, counting_engine):
-        from concurrent.futures import TimeoutError as FuturesTimeoutError
-
-        counting_engine.release.clear()  # hold the engine mid-run
-        with AlignmentService(max_workers=1) as svc:
-            job = svc.submit(req(engine="counting"))
-            with pytest.raises(FuturesTimeoutError):
-                job.wait(timeout=0.01)
-            assert job.error is None and job.status == "running"
-            counting_engine.release.set()
-            result = job.wait()
-            assert job.status == "done" and result is not None
-
-    def test_closed_service_rejects(self, req):
         svc = AlignmentService(max_workers=1)
-        svc.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            svc.submit(req())
-
-
-class TestLifecycle:
-    def test_close_drains_inflight_jobs(self, req, counting_engine):
-        """close() blocks until running jobs finish; their results remain."""
-        counting_engine.release.clear()  # hold the engine mid-run
-        svc = AlignmentService(max_workers=1)
-        job = svc.submit(req(engine="counting"))
-        assert counting_engine.started.wait(timeout=10)
-        threading.Timer(0.05, counting_engine.release.set).start()
-        svc.close()  # must wait for the in-flight job, not abandon it
-        assert job.done and job.status == "done"
-        assert job.wait().alignment.n_rows == 5
-        assert counting_engine.calls == 1
-
-    def test_concurrent_same_request_coalesces(self, req, counting_engine):
-        """Two threads submitting the same request share one computation."""
-        counting_engine.release.clear()
-        jobs = []
-        errors = []
-        barrier = threading.Barrier(2)
-
-        with AlignmentService(max_workers=4) as svc:
-            r = req(engine="counting")
-
-            def submit():
-                barrier.wait(timeout=10)
-                try:
-                    jobs.append(svc.submit(r))
-                except Exception as exc:  # pragma: no cover - diagnostic
-                    errors.append(exc)
-
-            threads = [threading.Thread(target=submit) for _ in range(2)]
-            for t in threads:
-                t.start()
-            assert counting_engine.started.wait(timeout=10)
-            # Hold the engine until BOTH submissions are in: the second
-            # must arrive while the first is in flight (that in-flight
-            # window is what coalescing guarantees; a submission after
-            # completion may legitimately recompute on a cold cache).
-            deadline = time.monotonic() + 10
-            while len(jobs) + len(errors) < 2 and time.monotonic() < deadline:
-                time.sleep(0.001)
-            counting_engine.release.set()
-            for t in threads:
-                t.join(timeout=10)
-            assert not errors and len(jobs) == 2
-            results = [j.wait() for j in jobs]
-            assert counting_engine.calls == 1
-            assert sum(j.cache_hit for j in jobs) == 1
-            assert results[0].alignment == results[1].alignment
+        with pytest.raises(KeyError):
+            svc.run(req(engine="does-not-exist"))
+        assert svc.stats["cached"] == 0 and svc.stats["inflight"] == 0
 
 
 class TestMaxWorkers:
@@ -274,9 +226,9 @@ class TestMaxWorkers:
             AlignmentService(max_workers=bad)
 
     def test_none_is_the_default_width(self, req):
-        with AlignmentService(max_workers=None) as svc:
-            assert svc._executor._max_workers == 4
-            assert svc.run(req()).alignment.n_rows == 5
+        svc = AlignmentService(max_workers=None)
+        assert svc._slots._initial_value == 4
+        assert svc.run(req()).alignment.n_rows == 5
 
 
 # -- the compute token --------------------------------------------------------
@@ -327,21 +279,15 @@ class TestComputeToken:
     def test_one_compute_at_a_time(
         self, req, overlap_engine, compute_token, n_services
     ):
-        """Distinct requests never meet inside an engine -- nor across
-        two services: the token is the process's, not a service's."""
+        """Distinct requests from four caller threads never meet inside
+        an engine -- nor across two services: the token is the
+        process's, not a service's."""
         services = [AlignmentService(max_workers=2) for _ in range(n_services)]
-        try:
-            jobs = [
-                services[seed % n_services].submit(
-                    req(engine="overlap", seed=seed)
-                )
-                for seed in (1, 2, 3, 4)
-            ]
-            for job in jobs:
-                assert job.wait(timeout=30).alignment.n_rows == 5
-        finally:
-            for svc in services:
-                svc.close()
+        results = _run_in_threads([
+            (services[seed % n_services], req(engine="overlap", seed=seed))
+            for seed in (1, 2, 3, 4)
+        ])
+        assert all(r.alignment.n_rows == 5 for r in results)
         stats = [svc.stats for svc in services]
         assert overlap_engine.peak == 1
         assert sum(s["computed"] for s in stats) == 4
@@ -351,82 +297,86 @@ class TestComputeToken:
     def test_uncontended_run_counts_no_wait(
         self, req, overlap_engine, compute_token
     ):
-        with AlignmentService(max_workers=2) as svc:
-            svc.submit(req(engine="overlap")).wait(timeout=30)
-            assert svc.stats["compute_waits"] == 0
-            assert svc.stats["compute_wait_s"] == 0.0
+        svc = AlignmentService(max_workers=2)
+        svc.run(req(engine="overlap"))
+        assert svc.stats["compute_waits"] == 0
+        assert svc.stats["compute_wait_s"] == 0.0
 
     def test_failing_engine_releases_the_token(
         self, req, overlap_engine, compute_token
     ):
-        with AlignmentService(max_workers=2) as svc:
-            bad = svc.submit(req(engine="overlap", seed=13))
-            with pytest.raises(RuntimeError, match="on purpose"):
-                bad.wait(timeout=30)
-            assert not compute_token._lock.locked()
-            good = svc.submit(req(engine="overlap", seed=1))
-            assert good.wait(timeout=30).alignment.n_rows == 5
+        svc = AlignmentService(max_workers=2)
+        with pytest.raises(RuntimeError, match="on purpose"):
+            svc.run(req(engine="overlap", seed=13))
+        assert not compute_token._lock.locked()
+        assert svc.stats["inflight"] == 0
+        assert svc.run(req(engine="overlap", seed=1)).alignment.n_rows == 5
 
-    def test_hits_and_attaches_do_not_wait_for_the_token(
+    def test_hits_do_not_wait_for_the_token(
         self, req, counting_engine, compute_token
     ):
-        with AlignmentService(max_workers=2) as svc:
-            cached = req(engine="counting", seed=1)
-            svc.run(cached)
-            counting_engine.started.clear()
-            counting_engine.release.clear()  # hold the next run mid-engine
-            blocked = req(engine="counting", seed=2)
-            first = svc.submit(blocked)
+        svc = AlignmentService(max_workers=2)
+        cached = req(engine="counting", seed=1)
+        svc.run(cached)
+        counting_engine.started.clear()
+        counting_engine.release.clear()  # hold the next run mid-engine
+        computing = threading.Thread(
+            target=svc.run, args=(req(engine="counting", seed=2),)
+        )
+        computing.start()
+        try:
             assert counting_engine.started.wait(timeout=10)
             assert compute_token._lock.locked()  # ... with the token held
-            try:
-                hit = svc.submit(cached)
-                assert hit.cache_hit and hit.done
-                assert hit.wait(timeout=1).alignment.n_rows == 5
-                attach = svc.submit(blocked)
-                assert attach.cache_hit and not attach.done
-            finally:
-                counting_engine.release.set()
-            assert first.wait(timeout=30) is attach.wait(timeout=30)
-            assert counting_engine.calls == 2
-            assert svc.stats["compute_waits"] == 0
+            (hit,) = svc.run_batch([cached])
+            assert hit.cache_hit and hit.result.alignment.n_rows == 5
+        finally:
+            counting_engine.release.set()
+            computing.join(timeout=30)
+        assert counting_engine.calls == 2
+        assert svc.stats["compute_waits"] == 0
 
-    def test_close_drains_the_computing_and_the_waiting_job(
+    def test_a_miss_waits_for_the_computing_one(
         self, req, counting_engine, compute_token
     ):
+        """Two callers, two distinct misses: the second waits for the
+        token while the first computes, and the wait is counted."""
         counting_engine.release.clear()
         svc = AlignmentService(max_workers=2)
-        computing = svc.submit(req(engine="counting", seed=1))
+        first = threading.Thread(
+            target=svc.run, args=(req(engine="counting", seed=1),)
+        )
+        first.start()
         assert counting_engine.started.wait(timeout=10)
-        waiting = svc.submit(req(engine="counting", seed=2))
-        # The second job's thread is (or is about to be) parked at the
-        # token; only the first has entered the engine.
+        second = threading.Thread(
+            target=svc.run, args=(req(engine="counting", seed=2),)
+        )
+        second.start()
+        # The second caller is (or is about to be) parked at the token;
+        # only the first has entered the engine.
         assert counting_engine.calls == 1
         threading.Timer(0.3, counting_engine.release.set).start()
-        svc.close()
-        assert computing.done and computing.status == "done"
-        assert waiting.done and waiting.status == "done"
+        first.join(timeout=30)
+        second.join(timeout=30)
         assert counting_engine.calls == 2
+        assert svc.stats["computed"] == 2
         assert svc.stats["compute_waits"] == 1
 
     def test_stress_many_threads_never_overlap(
         self, req, overlap_engine, compute_token
     ):
-        """More service threads than cores, a short switch interval: the
-        engine still sees one thread at a time and every job completes."""
+        """More caller threads than cores, a short switch interval: the
+        engine still sees one thread at a time and every request
+        completes."""
         import sys
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with AlignmentService(max_workers=8, cache_size=0) as svc:
-                jobs = [
-                    svc.submit(req(engine="overlap", seed=100 + i))
-                    for i in range(16)
-                ]
-                for job in jobs:
-                    job.wait(timeout=60)
-                assert svc.stats["computed"] == 16
+            svc = AlignmentService(max_workers=8, cache_size=0)
+            _run_in_threads(
+                [(svc, req(engine="overlap", seed=100 + i)) for i in range(16)]
+            )
+            assert svc.stats["computed"] == 16
         finally:
             sys.setswitchinterval(interval)
         assert overlap_engine.peak == 1

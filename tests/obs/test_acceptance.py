@@ -83,11 +83,10 @@ class TestPipelineCoverage:
     def test_tree_shape(self, traced_run):
         _, records = traced_run
         stages = _index(stage_breakdown(records))
-        # gateway.compute and service.execute are roots: the gateway's
-        # dispatcher hands the job to the service's own worker thread,
-        # and sibling root spans on one timeline is the honest topology.
+        # One thread answers the request: the gateway worker that took
+        # it runs the service, which runs the engine, so the chain nests.
         assert stages["gateway.compute"][1] is None
-        assert stages["service.execute"][1] is None
+        assert stages["service.execute"][1]["stage"] == "gateway.compute"
         assert stages["engine.align"][1]["stage"] == "service.execute"
         assert stages["distance.all_pairs"][1]["stage"] == "engine.align"
         assert stages["dp.profile_align"][1]["stage"] == "tree.merge_node"
@@ -265,12 +264,15 @@ class TestCladeReuseIsVisible:
 
 
 class TestTokenWaitIsAttributed:
-    """Two distinct requests on a two-thread service: the one that has to
-    wait for the compute token shows the wait as its own span, not as
-    unexplained ``service.execute`` time, and the service counts it."""
+    """Two distinct requests from two caller threads on one service: the
+    one that has to wait for the compute token shows the wait as its own
+    span, not as unexplained ``service.execute`` time, and the service
+    counts it."""
 
     @pytest.fixture(scope="class")
     def contended_run(self):
+        import threading
+
         from repro.engine.service import AlignmentService
         from repro.obs.tracing import disable_tracing
 
@@ -291,11 +293,16 @@ class TestTokenWaitIsAttributed:
         ]
         drain_spans()
         enable_tracing()
+        service = AlignmentService(max_workers=2)
+        callers = [
+            threading.Thread(target=service.run, args=(r,)) for r in requests
+        ]
         try:
-            with AlignmentService(max_workers=2) as service:
-                for job in [service.submit(r) for r in requests]:
-                    job.wait(60)
-                stats = service.stats
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+            stats = service.stats
         finally:
             disable_tracing()
         return stats, drain_spans()

@@ -175,21 +175,6 @@ class TestClocksAndMetering:
         res = run_spmd(2, prog)
         assert (res.ledger.compute > 0).all()
 
-    def test_charge_compute(self):
-        def prog(comm):
-            comm.charge_compute(2.5)
-
-        res = run_spmd(2, prog)
-        assert res.modeled_time() >= 2.5
-        assert (res.ledger.compute >= 2.5).all()
-
-    def test_charge_compute_negative(self):
-        def prog(comm):
-            with pytest.raises(ValueError):
-                comm.charge_compute(-1.0)
-
-        run_spmd(1, prog)
-
     def test_recv_synchronises_clock(self):
         slow = CostModel(alpha=1.0, beta=0.0)
 

@@ -73,36 +73,55 @@ def req(tiny_seqs):
     return make
 
 
+class _Caller(threading.Thread):
+    """Runs ``fn(*args)`` on a caller thread of its own, started at once;
+    after ``join`` it holds the ``result`` and the seconds from its
+    start to the answer (``done_after``)."""
+
+    def __init__(self, fn, *args):
+        super().__init__()
+        self.fn, self.args = fn, args
+        self.t0 = time.perf_counter()
+        self.start()
+
+    def run(self):
+        self.result = self.fn(*self.args)
+        self.done_after = time.perf_counter() - self.t0
+
+
 class TestParkedWhileWorkersRun:
     def test_in_process_request_runs_during_a_pool_dispatch(
         self, pools, req, compute_token
     ):
-        with AlignmentService(max_workers=2) as svc:
-            t0 = time.perf_counter()
-            pooled = svc.submit(req("pool-sleep", seed=10))  # ranks sleep 1 s
-            time.sleep(0.1)  # let it reach the workers
-            quick = svc.submit(req("center-star"))
-            assert quick.wait(timeout=30).alignment.n_rows == 5
-            quick_done = time.perf_counter() - t0
-            # ... and the pool request takes the token back and returns.
-            assert pooled.wait(timeout=30).engine == "pool-sleep"
-            pooled_done = time.perf_counter() - t0
+        svc = AlignmentService(max_workers=2)
+        t0 = time.perf_counter()
+        pooled = _Caller(svc.run, req("pool-sleep", seed=10))  # 1 s
+        time.sleep(0.1)  # let it reach the workers
+        quick = svc.run(req("center-star"))
+        quick_done = time.perf_counter() - t0
+        assert quick.alignment.n_rows == 5
+        # ... and the pool request takes the token back and returns.
+        pooled.join(timeout=30)
+        assert pooled.result.engine == "pool-sleep"
         assert quick_done < 0.6
-        assert pooled_done >= 1.0
+        assert pooled.done_after >= 1.0
         assert pools[0].stats()["runs"] == 1
 
     def test_requests_on_two_pools_overlap(self, pools, req, compute_token):
         """Serialised by the token they would take >= 1.0 s; the ranks
         only sleep, so the check does not depend on the host's cores."""
-        with AlignmentService(max_workers=2) as svc:
-            t0 = time.perf_counter()
-            jobs = [
-                svc.submit(req("pool-sleep", seed=5, engine_kwargs={"on": on}))
-                for on in (0, 1)
-            ]
-            for job in jobs:
-                job.wait(timeout=30)
-            elapsed = time.perf_counter() - t0
+        svc = AlignmentService(max_workers=2)
+        t0 = time.perf_counter()
+        callers = [
+            _Caller(
+                svc.run, req("pool-sleep", seed=5, engine_kwargs={"on": on})
+            )
+            for on in (0, 1)
+        ]
+        for caller in callers:
+            caller.join(timeout=30)
+        elapsed = time.perf_counter() - t0
+        assert [c.result.engine for c in callers] == ["pool-sleep"] * 2
         assert 0.5 <= elapsed < 0.9
         assert [p.stats()["runs"] for p in pools] == [1, 1]
 

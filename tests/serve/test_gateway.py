@@ -1,6 +1,5 @@
 """AlignmentGateway: admission, rate limiting, coalescing, priorities."""
 
-import threading
 import time
 
 import pytest
@@ -193,43 +192,30 @@ class TestAdmissionControl:
         """With one worker jammed, a later high-priority request runs
         before an earlier low-priority one."""
         counting_engine.release.clear()
-        order = []
         with AlignmentGateway(n_workers=1, max_queue=8) as gw:
-            jam = gw.submit(make_request())
+            gw.submit(make_request())  # the jam
             assert counting_engine.started.wait(timeout=10)
             low = gw.submit(make_request(seed=1), priority="low")
             high = gw.submit(make_request(seed=2), priority="high")
-
-            # Record completion order via per-ticket waits.
-            def record(ticket, tag):
-                ticket._entry.done.wait(timeout=30)
-                order.append((tag, time.monotonic()))
-
-            threads = [
-                threading.Thread(target=record, args=(high, "high")),
-                threading.Thread(target=record, args=(low, "low")),
-            ]
-            for t in threads:
-                t.start()
             counting_engine.release.set()
-            for t in threads:
-                t.join(timeout=30)
-            assert high.done and low.done
-            by_time = [tag for tag, when in sorted(order, key=lambda x: x[1])]
-            assert by_time[0] == "high"
+            low.wait(timeout=30)
+            high.wait(timeout=30)
+            # When the work finished, not when an observer saw it.
+            assert high.completed_at < low.completed_at
 
 
 class TestSharedService:
-    def test_external_service_not_closed_when_asked(self, make_request,
-                                                    counting_engine):
+    def test_external_service_usable_after_close(self, make_request,
+                                                 counting_engine):
+        """The service owns nothing the gateway could release: closing
+        the gateway leaves it serving callers of its own."""
         svc = AlignmentService(max_workers=1)
-        gw = AlignmentGateway(svc, n_workers=1, max_queue=4,
-                              close_service=False)
+        gw = AlignmentGateway(svc, n_workers=1, max_queue=4)
         gw.run(make_request())
         gw.close()
-        # The service is still usable afterwards.
         svc.run(make_request(seed=1))
-        svc.close()
+        assert svc.run(make_request()) is not None  # still cached
+        assert counting_engine.calls == 2
 
     def test_metrics_shape(self, make_request, counting_engine):
         with AlignmentGateway(n_workers=1, max_queue=4) as gw:

@@ -12,8 +12,8 @@ from repro.serve.store import ResultStore
 def _result_for(make_request, svc_kwargs=None, **req_kwargs):
     """Run one request through a fresh service; return (request, result)."""
     request = make_request(**req_kwargs)
-    with AlignmentService(max_workers=1, **(svc_kwargs or {})) as svc:
-        result = svc.run(request)
+    svc = AlignmentService(max_workers=1, **(svc_kwargs or {}))
+    result = svc.run(request)
     return request, result
 
 
@@ -194,19 +194,18 @@ class TestTiered:
 
         request = make_request()
         key = request.content_hash()
-        with AlignmentService(max_workers=1, cache=tiered()) as svc:
-            svc.run(request)
-            svc.run(request)  # front hit
+        svc = AlignmentService(max_workers=1, cache=tiered())
+        svc.run(request)
+        svc.run(request)  # front hit
         assert counting_engine.calls == 1
 
         # "Restart": cold front, warm back; the get promotes into front.
         cache = tiered()
-        with AlignmentService(max_workers=1, cache=cache) as svc:
-            job = svc.submit(request)
-            job.wait()
-            assert job.cache_hit
-            assert cache.front.get(key) is not None  # promoted
-            assert svc.stats["cache_backend"]["backend"] == "tiered"
+        svc = AlignmentService(max_workers=1, cache=cache)
+        (job,) = svc.run_batch([request])
+        assert job.cache_hit
+        assert cache.front.get(key) is not None  # promoted
+        assert svc.stats["cache_backend"]["backend"] == "tiered"
         assert counting_engine.calls == 1
 
 
@@ -217,16 +216,16 @@ class TestServiceIntegration:
         the same store directory, and repeats are served without
         recomputation (engine call counter stays put)."""
         request = make_request()
-        with AlignmentService(max_workers=2, cache=ResultStore(tmp_path)) as svc:
-            svc.run(request)
+        svc = AlignmentService(max_workers=2, cache=ResultStore(tmp_path))
+        svc.run(request)
         assert counting_engine.calls == 1
 
         # "Restart": a brand-new service and a brand-new store instance.
-        with AlignmentService(max_workers=2, cache=ResultStore(tmp_path)) as svc:
-            job = svc.submit(request)
-            result = job.wait()
-            assert job.cache_hit
-            assert svc.stats["computed"] == 0
+        svc = AlignmentService(max_workers=2, cache=ResultStore(tmp_path))
+        (job,) = svc.run_batch([request])
+        result = job.result
+        assert job.cache_hit
+        assert svc.stats["computed"] == 0
         assert counting_engine.calls == 1  # never recomputed
         assert result.alignment.n_rows == 5
 
@@ -239,21 +238,21 @@ class TestServiceIntegration:
             def put(self, key, result):
                 raise OSError("disk full")
 
-        with AlignmentService(max_workers=1, cache=BrokenPut(tmp_path)) as svc:
-            result = svc.run(make_request())
-            assert result.alignment.n_rows == 5
-            assert svc.stats["cache_put_failures"] == 1
-            assert svc.stats["computed"] == 1
+        svc = AlignmentService(max_workers=1, cache=BrokenPut(tmp_path))
+        result = svc.run(make_request())
+        assert result.alignment.n_rows == 5
+        assert svc.stats["cache_put_failures"] == 1
+        assert svc.stats["computed"] == 1
 
     def test_corrupt_store_entry_triggers_recompute(self, tmp_path,
                                                     make_request,
                                                     counting_engine):
         store = ResultStore(tmp_path)
         request = make_request()
-        with AlignmentService(max_workers=1, cache=store) as svc:
-            svc.run(request)
-            store._path(request.content_hash()).write_bytes(b"\x00garbage")
-            svc.run(request)
+        svc = AlignmentService(max_workers=1, cache=store)
+        svc.run(request)
+        store._path(request.content_hash()).write_bytes(b"\x00garbage")
+        svc.run(request)
         assert counting_engine.calls == 2
         # And the recompute healed the entry on disk.
         assert ResultStore(tmp_path).get(request.content_hash()) is not None

@@ -783,19 +783,24 @@ class TestCommandTable:
             assert set(actions) == carriers, flag
             assert len({id(a) for a in actions.values()}) == 1, flag
 
-    def test_a_failure_inside_the_run_keeps_its_traceback(
-        self, fasta_file, monkeypatch
-    ):
+    def test_a_failure_inside_the_run_keeps_its_traceback(self, fasta_file):
         """Only bad input is an rc 2: a ``ValueError`` raised by the
         engine run itself propagates."""
-        from repro.engine import AlignmentService
+        from repro.engine import register_engine, unregister_engine
 
-        def broken(self, request):
-            raise ValueError("engine bug")
+        class Broken:
+            name = "broken"
+            kind = "sequential"
 
-        monkeypatch.setattr(AlignmentService, "submit", broken)
-        with pytest.raises(ValueError, match="engine bug"):
-            main(["align", str(fasta_file), "--engine", "center-star"])
+            def run(self, request):
+                raise ValueError("engine bug")
+
+        register_engine("broken", lambda **kw: Broken(), overwrite=True)
+        try:
+            with pytest.raises(ValueError, match="engine bug"):
+                main(["align", str(fasta_file), "--engine", "broken"])
+        finally:
+            unregister_engine("broken")
 
 
 class TestPlanShapes:

@@ -255,7 +255,7 @@ def test_the_python_model_is_the_numpy_loop():
 
 def test_probe_accepts_the_loaded_entry(entries):
     assert _agglomeration_reproduces_numpy(entries[3])
-    assert dp._reproduces_numpy(*entries)
+    assert ckernel._reproduces_numpy(*entries)
 
 
 @pytest.mark.parametrize(
@@ -274,7 +274,7 @@ def test_probe_rejects_an_entry_with_the_wrong_tie_rule(
     passes, see above) is caught, and the process keeps the numpy path
     for every entry."""
     swapped = (*entries[:3], python_entry(**wrong), *entries[4:])
-    assert not dp._reproduces_numpy(*swapped)
+    assert not ckernel._reproduces_numpy(*swapped)
     monkeypatch.setattr(ckernel, "load", lambda: (swapped, None))
     monkeypatch.setattr(dp, "_kernel", None)
     kern = dp.kernel()

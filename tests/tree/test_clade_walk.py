@@ -230,8 +230,8 @@ def test_probe_rejects_an_apply_that_skips_the_gap_count(entries, monkeypatch):
         return status
 
     wrong = (*entries[:4], no_gap_bump)
-    assert dp._reproduces_numpy(*entries)
-    assert not dp._reproduces_numpy(*wrong)
+    assert ckernel._reproduces_numpy(*entries)
+    assert not ckernel._reproduces_numpy(*wrong)
     monkeypatch.setattr(ckernel, "load", lambda: (wrong, None))
     monkeypatch.setattr(dp, "_kernel", None)
     kern = dp.kernel()
