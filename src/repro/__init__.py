@@ -28,8 +28,8 @@ the paper depends on:
   ``single-linkage``) behind one registry,
   :func:`~repro.tree.merge_schedule` (the level/dependency scheduler
   turning any guide tree into a task DAG of independent profile
-  merges), and :func:`~repro.tree.progressive_merge` (the DAG executor:
-  serial, on the execution backends, or cooperative in-SPMD --
+  merges), and :func:`~repro.tree.progressive_merge` (the merge walk:
+  serial where its caller runs, or cooperative in-SPMD --
   byte-identical alignments either way).  Every guide-tree baseline's
   tree stage routes through it.
 - :mod:`repro.parcomp` -- a virtual message-passing cluster with an

@@ -245,10 +245,15 @@ def kernel() -> DPKernel:
     if _kernel is None:
         # Resolved outside the lock (threads racing here each resolve;
         # the build is atomic and idempotent) so that a pool forked
-        # meanwhile never inherits a lock held across a compile.
-        entries, reason = ckernel.load()
-        if entries is not None and not ckernel._reproduces_numpy(*entries):
-            entries, reason = None, "check_failed"
+        # meanwhile never inherits a lock held across a compile.  Its
+        # own span, so the first request's load is not unnamed time.
+        with span("dp.kernel_load") as load_span:
+            entries, reason = ckernel.load()
+            if entries is not None and not ckernel._reproduces_numpy(
+                *entries
+            ):
+                entries, reason = None, "check_failed"
+            load_span.set(kernel="numpy" if entries is None else "c")
         with _kernel_lock:
             if _kernel is None:
                 if entries is None:

@@ -17,7 +17,7 @@ it.  Two backends ship:
   (:func:`~repro.parcomp.comm.run_token_parked`), so ranks whose work
   is those calls -- the ``full-dp`` distance tiles -- use real cores.
 - ``"pool"`` (:class:`repro.pool.PoolBackend`) -- real cores: a
-  persistent, supervised pool of worker processes (:mod:`repro.pool`)
+  persistent pool of worker processes (:mod:`repro.pool`)
   created once and reused across runs, each payload pickled once by its
   sender onto a queue.  A run with more ranks than the pool has slots
   runs cold, on a one-shot pool sized for it.

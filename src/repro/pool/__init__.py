@@ -1,7 +1,7 @@
 """repro.pool: persistent worker pool with a queue transport.
 
 The real-core execution backend.  Where ``threads`` runs its ranks one
-at a time on one core, ``"pool"`` keeps a supervised set of long-lived
+at a time on one core, ``"pool"`` keeps a fixed set of long-lived
 worker processes warm and reuses them for every SPMD run -- a
 Sample-Align-D run, an all-pairs distance schedule -- so repeated short
 jobs pay a queue round-trip instead of a process start.  Every payload
@@ -14,9 +14,9 @@ of :mod:`repro.pool.workers`; only the slot count is chosen
 Layout:
 
 - :mod:`repro.pool.workers` -- :class:`WorkerPool`: slots, queues,
-  dispatch, the rank-side transport, close.
-- :mod:`repro.pool.supervisor` -- heartbeat liveness, crash respawn,
-  idle shrink, terminate→kill escalation.
+  dispatch, the rank-side transport, close, and the one liveness check
+  (on the dispatch path: a worker that died or stopped beating is
+  replaced, and a run it was in raises :class:`WorkerCrashError`).
 - :mod:`repro.pool.backend` -- :class:`PoolBackend` (the ``"pool"``
   backend) and the process-default pool.
 
@@ -32,12 +32,10 @@ from repro.pool.backend import (
     get_default_pool,
     set_default_pool,
 )
-from repro.pool.supervisor import PoolSupervisor
 from repro.pool.workers import WorkerCrashError, WorkerPool
 
 __all__ = [
     "PoolBackend",
-    "PoolSupervisor",
     "WorkerCrashError",
     "WorkerPool",
     "close_default_pool",

@@ -7,10 +7,11 @@ while executing ranks on a warm :class:`~repro.pool.workers.WorkerPool`.
 Two behaviours are layered on top of the raw pool:
 
 - **crash retry** -- a :class:`~repro.pool.workers.WorkerCrashError`
-  means a worker *process* died, not that the program failed.  The rank
+  means a worker *process* died or stopped beating, not that the
+  program failed.  The rank
   programs this repo runs (distance tiles, Sample-Align-D) are
   deterministic and side-effect-free, so the whole run is retried on
-  the respawned workers -- the caller still gets the byte-identical
+  the replaced workers -- the caller still gets the byte-identical
   result or, after :data:`MAX_RETRIES` retries that crash too, a
   ``RuntimeError``.  Program exceptions are never retried.
 - **capacity fallback** -- a pool has a fixed slot count; a run asking
@@ -59,7 +60,7 @@ MAX_RETRIES = 2
 
 
 class PoolBackend(ExecutionBackend):
-    """Run SPMD programs on a persistent, supervised worker pool.
+    """Run SPMD programs on a persistent worker pool.
 
     Parameters
     ----------

@@ -31,9 +31,18 @@ program/arguments blob (sequence batches, estimator state) is pickled
 The pool's settings are the module constants below, read when they are
 used; nothing in the repo varies them.
 
-Crash semantics: a worker that dies mid-run (signal, OOM) surfaces as
-:class:`WorkerCrashError` after the dead slot is respawned --
-infrastructure failure, distinct from a *program* exception (which raises
+Liveness is checked on the dispatch path only; the pool runs no thread
+of its own in the parent.  A slot is *bad* when its process died with a
+non-zero exit code or its heartbeat is older than the hang threshold
+(each worker beats from a daemon thread that runs through any amount of
+compute, so a stale beat means the process is wedged or stopped, not
+busy).  Before queueing ranks, a bad slot anywhere forces the pool-wide
+reset; while collecting reports, a rank whose slot goes bad (or dies
+without reporting) becomes a :class:`WorkerCrashError`.
+
+Crash semantics: a worker that dies or stops mid-run surfaces as
+:class:`WorkerCrashError` after the pool is reset -- infrastructure
+failure, distinct from a *program* exception (which raises
 ``RuntimeError("rank r failed: ...")`` exactly like the other backends).
 The rank programs this repo runs are deterministic and side-effect-free,
 so :class:`~repro.pool.backend.PoolBackend` retries the whole run on
@@ -71,20 +80,18 @@ START_METHOD: Optional[str] = (
     "fork" if "fork" in mp.get_all_start_methods() else None
 )
 
-#: Idle shrink floor: the supervisor never stops the last worker.
-MIN_WORKERS = 1
-
-#: Seconds of pool-wide idleness before the supervisor stops workers
-#: above :data:`MIN_WORKERS`; the next dispatch that needs them restarts
-#: them.
-IDLE_TIMEOUT_S = 30.0
-
-#: Worker heartbeat period, which is also the supervisor's tick; a
-#: worker counts as hung after ~10 missed beats.
+#: Worker heartbeat period; a worker counts as hung after
+#: :data:`_HUNG_BEATS` missed beats (at least :data:`_HUNG_FLOOR_S`).
 HEARTBEAT_S = 0.5
 
+#: Missed heartbeat intervals before a worker counts as hung.
+_HUNG_BEATS = 10.0
+
+#: Floor on the hang threshold: never call a worker hung in under 5 s.
+_HUNG_FLOOR_S = 5.0
+
 #: Grace period for surviving ranks to report after a failure before
-#: they are terminated, and for stopped workers to exit.
+#: they are terminated, and for workers told to stop at close to exit.
 ABORT_JOIN_TIMEOUT_S = 10.0
 
 #: Reserved non-int tag for barrier control traffic (VirtualComm rejects
@@ -99,11 +106,29 @@ _READY_TIMEOUT_S = 15.0
 
 
 class WorkerCrashError(RuntimeError):
-    """A pool worker process died mid-run (infrastructure, not program).
+    """A pool worker process died or stopped beating mid-run
+    (infrastructure, not program).
 
-    The dead slot has already been respawned when this reaches the
-    caller; :class:`~repro.pool.backend.PoolBackend` retries the run.
+    The pool has already been reset when this reaches the caller;
+    :class:`~repro.pool.backend.PoolBackend` retries the run.
     """
+
+
+def escalate(proc, join_timeout: float = 1.0) -> None:
+    """terminate -> kill a worker process, bounded.  A stopped process
+    holds SIGTERM pending, so it takes the kill."""
+    if proc is None or not proc.is_alive():
+        return
+    proc.terminate()
+    proc.join(join_timeout)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(join_timeout)
+
+
+def _hang_threshold() -> float:
+    """Seconds without a heartbeat after which a worker counts as hung."""
+    return max(_HUNG_BEATS * HEARTBEAT_S, _HUNG_FLOOR_S)
 
 
 def _dumps(obj: Any) -> bytes:
@@ -311,7 +336,7 @@ def _worker_main(
 
     def beat() -> None:
         while not stop_beat.is_set():
-            heartbeats[slot] = time.time()
+            heartbeats[slot] = time.monotonic()
             stop_beat.wait(hb_interval)
 
     beat_thread = threading.Thread(
@@ -349,8 +374,6 @@ class _Slot:
 
     index: int
     proc: Optional[Any] = None
-    desired: bool = False  #: should be running (False after idle shrink)
-    last_used: float = field(default_factory=time.monotonic)
     transport: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -366,9 +389,10 @@ class WorkerPool:
     are born.  Runs needing more ranks than this do not fit --
     :class:`~repro.pool.backend.PoolBackend` runs those cold, on a one-shot
     pool with one slot per rank.  Everything else the pool does is set by
-    the module constants (:data:`START_METHOD`, :data:`MIN_WORKERS`,
-    :data:`IDLE_TIMEOUT_S`, :data:`HEARTBEAT_S`,
-    :data:`ABORT_JOIN_TIMEOUT_S`); dead workers are always respawned.
+    the module constants (:data:`START_METHOD`, :data:`HEARTBEAT_S`,
+    :data:`ABORT_JOIN_TIMEOUT_S`); a started worker runs until
+    :meth:`close`, and a dead or hung one is replaced by the next
+    dispatch.  The pool starts no thread in the parent.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -386,7 +410,9 @@ class WorkerPool:
         self._msg_qs = [ctx.Queue() for _ in range(max_workers)]
         self._result_q = ctx.Queue()
         self._fail_event = ctx.Event()
-        self._heartbeats = ctx.Array("d", max_workers)
+        # Lock-free: a worker killed or stopped mid-beat must not leave
+        # the parent's liveness check waiting on the array's lock.
+        self._heartbeats = ctx.Array("d", max_workers, lock=False)
         self._slots = [_Slot(i) for i in range(max_workers)]
         #: Counts the run blobs, rank arguments and reports.
         self._meter = Counter(msgs=0, bytes=0)
@@ -404,11 +430,6 @@ class WorkerPool:
         self.tasks_served = 0
         self.fallback_runs = 0
         self._retired_transport = Counter(msgs=0, bytes=0)
-
-        from repro.pool.supervisor import PoolSupervisor
-
-        self._supervisor = PoolSupervisor(self)
-        self._supervisor.start()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -443,17 +464,18 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-        self._supervisor.stop()
-        from repro.pool.supervisor import escalate
-
         with self._dispatch_lock, self._state_lock:
-            self._stop_workers([s for s in self._slots if s.alive])
+            alive = [s for s in self._slots if s.alive]
+            for slot in alive:
+                self._task_qs[slot.index].put(("stop",))
+            deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
+            for slot in alive:
+                slot.proc.join(max(deadline - time.monotonic(), 0.0))
             for slot in self._slots:
                 if slot.alive:
                     escalate(slot.proc)
                 self._absorb_transport(slot)
                 slot.proc = None
-                slot.desired = False
             self._close_queues()
 
     def _require_open(self) -> None:
@@ -475,29 +497,33 @@ class WorkerPool:
         )
         proc.start()
         slot.proc = proc
-        slot.desired = True
-        slot.last_used = time.monotonic()
+
+    def _slot_bad(self, slot: _Slot, now: float) -> bool:
+        """The pool's one liveness predicate: ``slot``'s worker died with
+        a non-zero exit code, or its heartbeat is older than the hang
+        threshold (a stopped or wedged process)."""
+        if slot.proc is None:
+            return False
+        if not slot.proc.is_alive():
+            return slot.proc.exitcode != 0
+        beat = self._heartbeats[slot.index]
+        return beat > 0.0 and now - beat > _hang_threshold()
 
     def _ensure_workers(self, n: int) -> None:
         """Slots ``0..n-1`` running and heart-beating (rank r = slot r)."""
+        now = time.monotonic()
         with self._state_lock:
-            crashed = any(
-                s.proc is not None and not s.alive and s.proc.exitcode != 0
-                for s in self._slots
-            )
-        if crashed:
-            # A dispatch can reach a signal death before the supervisor
-            # does.  The dead worker may hold queue locks (an idle
+            bad = any(self._slot_bad(s, now) for s in self._slots)
+        if bad:
+            # A dead or hung worker may hold queue locks (an idle
             # ``get`` holds the task queue's reader lock), so starting a
-            # replacement on the old queues would block forever -- any
-            # non-clean exit forces the pool-wide reset.
+            # replacement on the old queues could block forever -- a bad
+            # slot anywhere forces the pool-wide reset.
             self._reset_workers()
         started = []
         with self._state_lock:
             for i in range(n):
                 slot = self._slots[i]
-                slot.desired = True
-                slot.last_used = time.monotonic()
                 if not slot.alive:
                     self._absorb_transport(slot)
                     self._start_slot(i)
@@ -521,14 +547,12 @@ class WorkerPool:
         locks never release, so surgically respawning one slot onto the
         old queues can deadlock the survivors.  Recovery is therefore
         pool-wide: escalate every worker, recreate every
-        queue/event/heartbeat, and restart the desired slots.  Expensive,
-        but crashes are the rare path and the result is a provably clean
-        substrate.
+        queue/event/heartbeat, and restart the slots that had a worker.
+        Expensive, but crashes are the rare path and the result is a
+        provably clean substrate.
         """
-        from repro.pool.supervisor import escalate
-
         with self._state_lock:
-            restarted = 0
+            replaced = []
             for slot in self._slots:
                 if slot.alive:
                     escalate(slot.proc)
@@ -536,19 +560,18 @@ class WorkerPool:
                     slot.proc.join(0)
                     self._absorb_transport(slot)
                     slot.proc = None
+                    replaced.append(slot.index)
             self._close_queues()
             ctx = self._ctx
             self._task_qs = [ctx.Queue() for _ in range(self.max_workers)]
             self._msg_qs = [ctx.Queue() for _ in range(self.max_workers)]
             self._result_q = ctx.Queue()
             self._fail_event = ctx.Event()
-            self._heartbeats = ctx.Array("d", self.max_workers)
+            self._heartbeats = ctx.Array("d", self.max_workers, lock=False)
             if not self._closed:
-                for slot in self._slots:
-                    if slot.desired:
-                        self._start_slot(slot.index)
-                        restarted += 1
-            self.respawns += restarted
+                for index in replaced:
+                    self._start_slot(index)
+                self.respawns += len(replaced)
 
     def _close_queues(self) -> None:
         """Close every queue without waiting on its feeder thread; what is
@@ -556,44 +579,6 @@ class WorkerPool:
         for q in [*self._task_qs, *self._msg_qs, self._result_q]:
             q.cancel_join_thread()
             q.close()
-
-    def _shrink_idle(self) -> None:
-        """Stop idle workers above :data:`MIN_WORKERS`.
-
-        Called by the supervisor under the dispatch lock, and returns
-        only once every stopped worker has exited and its slot is folded
-        away: a dispatch that follows at once must start a fresh worker,
-        not queue its rank behind a stop token.  A worker that does not
-        exit in time is wedged and may hold queue locks, so it forces
-        the pool-wide reset.
-        """
-        with self._state_lock:
-            alive = [s for s in self._slots if s.alive]
-            now = time.monotonic()
-            stopping = []
-            for slot in reversed(alive):
-                if len(alive) - len(stopping) <= MIN_WORKERS:
-                    break
-                if now - slot.last_used >= IDLE_TIMEOUT_S:
-                    slot.desired = False
-                    stopping.append(slot)
-        self._stop_workers(stopping)
-        if any(slot.alive for slot in stopping):
-            self._reset_workers()
-            return
-        with self._state_lock:
-            for slot in stopping:
-                self._absorb_transport(slot)
-                slot.proc = None
-
-    def _stop_workers(self, slots: List[_Slot]) -> None:
-        """Queue a stop to each slot's worker and give them, together,
-        :data:`ABORT_JOIN_TIMEOUT_S` to exit."""
-        for slot in slots:
-            self._task_qs[slot.index].put(("stop",))
-        deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
-        for slot in slots:
-            slot.proc.join(max(deadline - time.monotonic(), 0.0))
 
     def _absorb_transport(self, slot: _Slot) -> None:
         """Fold a dead/stopping worker's last-seen byte counts into history."""
@@ -668,21 +653,24 @@ class WorkerPool:
             try:
                 entry = self._result_q.get(timeout=0.2)
             except queue_mod.Empty:
-                # A worker killed outside Python never reports: detect
-                # the death, fail the survivors out of their waits.
+                # A worker killed or stopped outside Python never
+                # reports: detect it, fail the survivors out of their
+                # waits.
+                now = time.monotonic()
                 for r in range(n_ranks):
                     slot = self._slots[r]
-                    if (not slot.alive and r not in reports
-                            and r not in crashed):
-                        code = (
-                            slot.proc.exitcode if slot.proc is not None
-                            else None
-                        )
-                        crashed[r] = WorkerCrashError(
-                            f"worker {r} of pool {self.name!r} died "
-                            f"mid-run (exitcode {code})"
-                        )
-                        self._fail_event.set()
+                    if (r in reports or r in crashed
+                            or slot.alive and not self._slot_bad(slot, now)):
+                        continue
+                    what = (
+                        f"sent no heartbeat for {_hang_threshold():g} s"
+                        if slot.alive
+                        else f"died (exitcode {slot.proc.exitcode})"
+                    )
+                    crashed[r] = WorkerCrashError(
+                        f"worker {r} of pool {self.name!r} {what} mid-run"
+                    )
+                    self._fail_event.set()
                 continue
             if entry[0] != "rank-report":
                 continue  # "ready"/"bye" control entries need no action
@@ -693,7 +681,6 @@ class WorkerPool:
             reports[rank] = report
             with self._state_lock:
                 self._slots[slot_idx].transport = report["transport"]
-                self._slots[slot_idx].last_used = time.monotonic()
         return reports, crashed
 
     def _assemble(
@@ -775,7 +762,6 @@ class WorkerPool:
                 "name": self.name,
                 "start_method": START_METHOD,
                 "max_workers": self.max_workers,
-                "min_workers": MIN_WORKERS,
                 "workers_alive": sum(1 for s in self._slots if s.alive),
                 "worker_pids": [
                     s.proc.pid for s in self._slots if s.alive
@@ -792,9 +778,19 @@ class WorkerPool:
 
 
 def default_worker_count() -> int:
-    """Pool size when the caller does not choose: env override, else
-    every usable core (min 2, so the pool parallelises even tiny hosts)."""
-    env = int(os.environ.get("REPRO_POOL_WORKERS", 0) or 0)
-    if env > 0:
-        return env
-    return max(usable_cores(), 2)
+    """Pool size when the caller does not choose: ``REPRO_POOL_WORKERS``
+    (a positive integer), else every usable core (min 2, so the pool
+    parallelises even tiny hosts).  Unset or empty means the default;
+    anything else that is not a positive integer is a ``ValueError``."""
+    raw = os.environ.get("REPRO_POOL_WORKERS", "")
+    if not raw:
+        return max(usable_cores(), 2)
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(
+            f"REPRO_POOL_WORKERS must be a positive integer, got {raw!r}"
+        )
+    return count

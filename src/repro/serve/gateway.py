@@ -239,11 +239,10 @@ class AlignmentGateway:
         the first request), installs it as the process default so every
         engine / distance dispatch underneath lands on it, exposes its
         live counters under ``metrics()["pool"]``, and -- if it created
-        the pool itself -- closes it on :meth:`close`.  A supervised
-        pool respawns a crashed worker.  It also stops the workers above
-        :data:`~repro.pool.workers.MIN_WORKERS` after
-        :data:`~repro.pool.workers.IDLE_TIMEOUT_S` of idleness, so the
-        first dispatch after a quiet spell restarts them cold.
+        the pool itself -- closes it on :meth:`close`.  The pool keeps
+        its workers until then; the next dispatch replaces one that
+        died or stopped beating, and a request it was serving is
+        retried on the fresh workers.
     """
 
     def __init__(

@@ -19,6 +19,7 @@ import pytest
 
 from repro.align import ckernel, dp
 from repro.obs.metrics import registry
+from repro.obs.tracing import disable_tracing, drain_spans, enable_tracing
 from repro.pool import WorkerPool, workers
 
 SRC = str(Path(dp.__file__).resolve().parents[2])
@@ -117,6 +118,29 @@ class TestFallbacks:
             ckernel, "_reproduces_numpy", lambda *entries: False
         )
         self._assert_numpy_fallback(monkeypatch, "check_failed")
+
+
+class TestLoadSpan:
+    @pytest.mark.parametrize("trusted", [True, False], ids=["c", "numpy"])
+    def test_first_resolution_is_one_named_span(
+        self, monkeypatch, empty_cache, trusted
+    ):
+        """The build or load and the probes are one ``dp.kernel_load``
+        span, so a process's first request has no unnamed second."""
+        if not trusted:
+            monkeypatch.setattr(
+                ckernel, "_reproduces_numpy", lambda *entries: False
+            )
+        drain_spans()
+        enable_tracing()
+        try:
+            kern = _resolve_afresh(monkeypatch)
+            dp.kernel()  # resolved: no second span
+        finally:
+            disable_tracing()
+        loads = [r for r in drain_spans() if r.name == "dp.kernel_load"]
+        assert [r.attrs["kernel"] for r in loads] == [kern.name]
+        assert kern.name == ("c" if trusted else "numpy")
 
 
 class TestCache:

@@ -115,8 +115,7 @@ class TestLifecycle:
     def test_stats_shape(self, pool):
         s = pool.stats()
         for key in (
-            "name", "start_method", "max_workers", "min_workers",
-            "workers_alive", "worker_pids", "respawns", "runs",
+            "name", "start_method", "max_workers", "workers_alive", "worker_pids", "respawns", "runs",
             "tasks_served", "fallback_runs", "transport", "closed",
         ):
             assert key in s
@@ -125,7 +124,6 @@ class TestLifecycle:
     def test_stats_report_the_fixed_settings(self, pool):
         s = pool.stats()
         assert s["start_method"] == workers.START_METHOD
-        assert s["min_workers"] == workers.MIN_WORKERS == 1
         assert s["max_workers"] == pool.max_workers == 5
 
     def test_tasks_served_counts_ranks(self, pool):
@@ -367,6 +365,18 @@ class TestConstruction:
         assert default_worker_count() == 7
         monkeypatch.delenv("REPRO_POOL_WORKERS")
         assert default_worker_count() == max(usable_cores(), 2)
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "")
+        assert default_worker_count() == max(usable_cores(), 2)
+
+    @pytest.mark.parametrize("value", ["two", "-3", "0", "2.5"])
+    def test_default_worker_count_rejects_a_bad_env_value(
+        self, monkeypatch, value
+    ):
+        monkeypatch.setenv("REPRO_POOL_WORKERS", value)
+        with pytest.raises(
+            ValueError, match=f"REPRO_POOL_WORKERS.*{value!r}"
+        ):
+            default_worker_count()
 
 
 class TestDefaultPool:
