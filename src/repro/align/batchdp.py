@@ -52,7 +52,8 @@ from typing import Any, List, Optional, Sequence as TSequence, Tuple
 
 import numpy as np
 
-from repro.align.dp import NEG, _TablePool, _as_vec, _degenerate
+from repro.align.dp import NEG, _as_vec, _degenerate
+from repro.align.tablepool import TablePool
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 
@@ -71,7 +72,7 @@ _BATCH_PAIRS = _obs_registry().counter("dp.batch_pairs")
 
 # Stale bytes in a reused buffer only ever land in *padded* cells, which
 # the padding argument above guarantees are never read.
-_scratch = _TablePool()
+_scratch = TablePool()
 
 
 def _is_scalar(value: Any) -> bool:

@@ -269,7 +269,9 @@ def _reproduces_numpy(
             return False
         # The tile entry over the same look-ups, its one penalty vector
         # pair being the longer side's: (x, y), an empty side on either
-        # hand, then (x, y) again in the memory the others left.
+        # hand, then (x, y) again in the memory the others left.  The
+        # raw entry, unparked: a ``threads`` rank resolving the kernel
+        # keeps its run token, so no other rank starts a resolution.
         opens, exts = (open_y, ext_y) if n >= m else (open_x, ext_x)
         _score, x_map, y_map, _ = _align_numpy(
             S, opens[:m], exts[:m], opens[:n], exts[:n], tf

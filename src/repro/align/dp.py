@@ -92,6 +92,7 @@ from typing import (
 import numpy as np
 
 from repro.align import ckernel
+from repro.align.tablepool import TablePool
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
 from repro.parcomp.comm import run_token_parked
@@ -124,47 +125,7 @@ _APPLY_CALLS = _obs_registry().counter("dp.apply_calls")
 _KERNEL_FALLBACKS = _obs_registry().counter("dp.kernel_fallbacks")
 
 
-class _TablePool(threading.local):
-    """Thread-local grow-only buffer pool: the align-mode H/E/F tables,
-    the compiled call's small work buffers, and the batched score
-    kernel's padded rows (:mod:`repro.align.batchdp`).
-
-    The traceback path fills three dense ``(m+1, n+1)`` tables per call;
-    near the root of a merge DAG those are multi-MB, and a fresh
-    ``np.empty`` pays the page-fault cost on every merge.  Every cell of
-    every table is written before it is read (row 0 plus each row's full
-    slots), so reusing the allocation across calls cannot change a
-    single value.  The tables never outlive the call: the traceback
-    reads them and returns plain index arrays.
-
-    Each buffer's address is taken once, when it is allocated: a pooled
-    buffer is C-contiguous, of its key's dtype and at least as large as
-    asked, which is what :func:`_ptr` checks of a caller's array.
-    """
-
-    def __init__(self) -> None:
-        self.bufs: dict = {}
-
-    def take(
-        self, key: str, shape: Tuple[int, ...], dtype=np.float64
-    ) -> np.ndarray:
-        size = 1
-        for dim in shape:
-            size *= int(dim)
-        self.address(key, size, dtype)
-        return self.bufs[key][0][:size].reshape(shape)
-
-    def address(self, key: str, size: int, dtype=np.float64) -> int:
-        """Where buffer ``key`` (grown to ``size`` items) starts, for a
-        compiled call that fills it."""
-        entry = self.bufs.get(key)
-        if entry is None or entry[0].size < size:
-            buf = np.empty(size, dtype=dtype)
-            entry = self.bufs[key] = (buf, buf.ctypes.data)
-        return entry[1]
-
-
-_tables = _TablePool()
+_tables = TablePool()
 
 
 @dataclass
@@ -245,8 +206,10 @@ def kernel() -> DPKernel:
     if _kernel is None:
         # Resolved outside the lock (threads racing here each resolve;
         # the build is atomic and idempotent) so that a pool forked
-        # meanwhile never inherits a lock held across a compile.  Its
-        # own span, so the first request's load is not unnamed time.
+        # meanwhile never inherits a lock held across a compile.  Rank
+        # threads of one ``threads`` run do not race: nothing here
+        # parks their run token.  Its own span, so the first request's
+        # load is not unnamed time.
         with span("dp.kernel_load") as load_span:
             entries, reason = ckernel.load()
             if entries is not None and not ckernel._reproduces_numpy(
@@ -700,10 +663,14 @@ def _identity_compiled(
 ) -> np.ndarray:
     """One tile in one compiled call: ``(len(ii), 2)`` int64 counts.
 
-    ``entry`` is :attr:`DPKernel.identity_codes`; the codes are checked
-    against the table and the indices against the offsets; ``opens`` /
-    ``exts`` cover the longest sequence of the tile.  The pooled tables
-    are sized for its largest pair.
+    ``entry`` is :attr:`DPKernel.identity_codes`, or a wrapper of it
+    (:func:`identity_code_pairs` parks the run token around the call;
+    the kernel probe calls the raw entry, so a ``threads`` rank still
+    resolving :func:`kernel` keeps the token and no other rank starts a
+    resolution of its own).  The codes are checked against the table
+    and the indices against the offsets; ``opens`` / ``exts`` cover the
+    longest sequence of the tile.  The pooled tables are sized for its
+    largest pair.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
     offsets = np.ascontiguousarray(offsets, dtype=np.int64)
@@ -734,10 +701,7 @@ def _identity_compiled(
         _ptr(xs, path, np.int64), _ptr(ys, path, np.int64),
         _ptr(counts, 2 * pairs, np.int64),
     )
-    # The call drops the interpreter lock and touches no Python object,
-    # so a ``threads`` rank lets the next rank run meanwhile.
-    with run_token_parked():
-        entry(*args)
+    entry(*args)
     return counts
 
 
@@ -804,10 +768,16 @@ def identity_code_pairs(
     longest = int(lens.max(initial=0))
     opens = np.full(longest, float(gap_open))
     exts = np.full(longest, float(gap_extend))
+
+    def parked(*args) -> None:
+        # The call drops the interpreter lock and touches no Python
+        # object, so a ``threads`` rank lets the next rank run meanwhile.
+        with run_token_parked():
+            kern.identity_codes(*args)
+
     with span("dp.pairs", pairs=len(ii), cells=cells, kernel=kern.name):
         return _identity_compiled(
-            kern.identity_codes, table, codes, offsets, ii, jj,
-            opens, exts, tf,
+            parked, table, codes, offsets, ii, jj, opens, exts, tf
         )
 
 

@@ -180,6 +180,17 @@ def user_input():
         raise UsageError(exc.args[0] if plain else str(exc)) from None
 
 
+def _check_backend(name: Optional[str]) -> None:
+    """Read now what ``--backend pool`` reads when its pool is made, so
+    a ``REPRO_POOL_WORKERS`` that is not a positive integer is a
+    ``ValueError`` inside :func:`user_input`, not a traceback from the
+    middle of a run."""
+    if name is not None and name.lower() == "pool":
+        from repro.pool.workers import default_worker_count
+
+        default_worker_count()
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro.cli import plan, run, serve, stages
 

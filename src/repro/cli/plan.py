@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cli import BACKEND, JSON, _emit_json, user_input
+from repro.cli import BACKEND, JSON, _check_backend, _emit_json, user_input
 
 
 def add_commands(command) -> None:
@@ -30,6 +30,7 @@ def add_commands(command) -> None:
 def _workload(args: argparse.Namespace):
     """``(seqs or None, N, mean length)`` from the FASTA file or -n/-l."""
     shape = (args.n_sequences, args.mean_length)
+    _check_backend(args.backend)
     if args.input is None:
         if None in shape:
             raise ValueError("give a FASTA file, or both -n and -l")

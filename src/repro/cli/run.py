@@ -10,6 +10,7 @@ from repro.cli import (
     BACKEND,
     JSON,
     _add_stage_flags,
+    _check_backend,
     _emit_json,
     _print_stage_table,
     _stage_specs,
@@ -105,6 +106,7 @@ def _align_request(args: argparse.Namespace, engine: str, seqs):
         args, "local_aligner", SampleAlignDConfig.local_aligner
     )
     backend = getattr(args, "backend", None)
+    _check_backend(backend)
     sample_align_d = engine.lower() == "sample-align-d"
     target = local_aligner if sample_align_d else engine
     for stage in specs:
@@ -182,6 +184,25 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
+def _peak_rss_mib() -> float:
+    """This process's peak resident set so far, MiB: ``VmHWM`` where
+    there is a ``/proc`` (Linux's ``ru_maxrss`` also counts the image
+    the process was exec'd from -- a big parent's, under a test runner),
+    else ``ru_maxrss``."""
+    import resource
+
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2**10
+    except OSError:
+        pass
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # Linux reports KiB, macOS bytes.
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.align.dp import kernel
     from repro.obs.tracing import (
@@ -191,6 +212,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         stage_breakdown,
         write_chrome_trace,
     )
+    from repro.parcomp.backends import bound_malloc_arenas
     from repro.serve import AlignmentGateway
 
     if args.input:
@@ -225,12 +247,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     write_chrome_trace(args.output, records)
     breakdown = stage_breakdown(records)
 
-    row_kernel = kernel().describe()
+    row_kernel = {
+        **kernel().describe(), "malloc.arena_max": bound_malloc_arenas()
+    }
+    peak_rss = _peak_rss_mib()
     payload = {
         "input": args.input,
         "engine": args.engine,
         "n_sequences": len(seqs),
         "wall_time_s": result.wall_time,
+        "peak_rss_mib": peak_rss,
         "n_spans": len(records),
         "trace_file": args.output,
         "stage_breakdown": breakdown,
@@ -241,7 +267,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
     print(
         f"{args.engine}: N={len(seqs)} wall={result.wall_time:.3f}s "
-        f"({len(records)} spans)"
+        f"peak_rss_mib={peak_rss:.1f} ({len(records)} spans)"
     )
     _print_stage_table(breakdown)
     for key, value in row_kernel.items():

@@ -10,6 +10,7 @@ from repro.cli import (
     JSON,
     STACK,
     _add_stage_flags,
+    _check_backend,
     _emit_json,
     _print_stage_table,
     _stage_specs,
@@ -77,6 +78,7 @@ def _build_gateway(args: argparse.Namespace):
     from repro.serve import AlignmentGateway, ResultStore
 
     specs = _stage_specs(args)  # before anything is opened: may raise
+    _check_backend(args.backend)
     cache_size = getattr(args, "cache_size", 128)
     if args.store:
         budget_mb = getattr(args, "store_budget_mb", 256.0)

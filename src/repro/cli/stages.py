@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.cli import BACKEND, JSON, _emit_json, user_input
+from repro.cli import BACKEND, JSON, _check_backend, _emit_json, user_input
 
 
 def add_commands(command) -> None:
@@ -161,6 +161,7 @@ def _cmd_distances(args: argparse.Namespace) -> int:
 
     seqs = read_fasta(args.input)
     with user_input():
+        _check_backend(args.backend)
         config = DistanceConfig(
             estimator=args.estimator, k=args.k, transform=args.transform,
             backend=args.backend, workers=args.workers, out=args.out,

@@ -33,6 +33,7 @@ engine, service, gateway, CLI -- passes through unchanged, and
 
 from __future__ import annotations
 
+import ctypes
 import os
 import threading
 import time
@@ -66,7 +67,9 @@ __all__ = [
     "get_backend",
     "in_spmd_rank",
     "usable_cores",
+    "bound_malloc_arenas",
     "DEFAULT_BACKEND",
+    "MALLOC_ARENA_MAX",
     "POOL_WORKER_ENV",
 ]
 
@@ -82,6 +85,54 @@ POOL_WORKER_ENV = "REPRO_POOL_IN_WORKER"
 #: next communication call) is left behind as a daemon thread rather
 #: than hanging the caller, and the raised error notes the leak.
 ABORT_JOIN_TIMEOUT_S = 30.0
+
+#: The malloc arenas a process may keep (glibc's ``M_ARENA_MAX``).
+#: glibc gives each new thread an arena of its own, and an arena keeps
+#: the buffers freed into it, so a 16-rank ``threads`` run peaked at
+#: 3-4x its live data.  The ranks run one at a time under the run
+#: token, so two arenas are never contended.
+MALLOC_ARENA_MAX = 2
+
+_M_ARENA_MAX = -8  # mallopt's parameter number in <malloc.h>
+_arena_max: Optional[str] = None  # what bound_malloc_arenas() settled on
+
+
+def _libc() -> Any:
+    return ctypes.CDLL(None)
+
+
+def bound_malloc_arenas() -> str:
+    """Cap this process's malloc arenas at :data:`MALLOC_ARENA_MAX`,
+    once; return the cap in effect, as ``/metrics`` and ``repro
+    trace`` show it (``malloc.arena_max``).
+
+    Called when this module is imported, which every entry that starts
+    rank threads, gateway workers or a pool does first, so no thread
+    has an arena of its own yet and forked pool workers inherit the
+    cap.  A ``MALLOC_ARENA_MAX`` in the environment is glibc's own
+    setting and is left in charge (its value is returned); where libc
+    has no ``mallopt`` (musl, macOS) or refuses it, nothing changes and
+    the answer is ``"unbounded"``.
+    """
+    global _arena_max
+    if _arena_max is None:
+        _arena_max = os.environ.get("MALLOC_ARENA_MAX") or _set_arena_max()
+    return _arena_max
+
+
+def _set_arena_max() -> str:
+    try:
+        mallopt = _libc().mallopt
+    except (AttributeError, OSError, TypeError):
+        return "unbounded"
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_ARENA_MAX, MALLOC_ARENA_MAX) != 1:
+        return "unbounded"
+    return str(MALLOC_ARENA_MAX)
+
+
+bound_malloc_arenas()
 
 
 def usable_cores() -> int:
@@ -182,7 +233,10 @@ class ThreadBackend(ExecutionBackend):
     run on as many cores as there are ranks.  A rank that blocks
     *outside* the communicator (``time.sleep``, file I/O in a
     ``TileStore`` rank) keeps the token while it does; that is the price
-    of one-at-a-time.
+    of one-at-a-time.  Each rank thread would also get a malloc arena
+    of its own, which keeps what the rank freed; the process caps them
+    at :data:`MALLOC_ARENA_MAX` (:func:`bound_malloc_arenas`), so peak
+    memory follows the live data, not the rank count.
 
     Under an :class:`~repro.engine.service.AlignmentService` there is a
     second token above this one: the thread that called :meth:`run` (a

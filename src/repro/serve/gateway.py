@@ -46,6 +46,7 @@ from repro.engine.registry import available_engines, engine_stages
 from repro.engine.service import AlignmentService
 from repro.obs.metrics import Histogram, HistogramSnapshot
 from repro.obs.tracing import span
+from repro.parcomp.backends import bound_malloc_arenas
 from repro.tree import STAGE_CONFIGS, TreeConfig
 
 __all__ = [
@@ -588,6 +589,7 @@ class AlignmentGateway:
         }
         out["service"] = self._service.stats
         out.update(dp_kernel().describe())
+        out["malloc.arena_max"] = bound_malloc_arenas()
         if self._pool is not None:
             out["pool"] = self._pool.stats()
         return out

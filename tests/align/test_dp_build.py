@@ -9,6 +9,7 @@ kernel where it can be had, otherwise the numpy loop with the reason
 named, never an exception and never stale code.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -141,6 +142,25 @@ class TestLoadSpan:
         loads = [r for r in drain_spans() if r.name == "dp.kernel_load"]
         assert [r.attrs["kernel"] for r in loads] == [kern.name]
         assert kern.name == ("c" if trusted else "numpy")
+
+    def test_one_load_span_on_sixteen_rank_threads(self, empty_cache, tmp_path):
+        """A fresh process's ``threads`` run resolves the kernel on one
+        rank: the probe calls the raw entries, so that rank keeps its run
+        token and no other rank starts a resolution of its own -- with
+        an empty cache (a build) and then a warm one (a load)."""
+        env = {**os.environ, "PYTHONPATH": SRC}
+        for cache in ("empty", "warm"):
+            out = tmp_path / f"{cache}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "trace", "--engine",
+                 "sample-align-d", "-p", "16", "-n", "128", "-l", "200",
+                 "-o", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            names = [e["name"] for e in json.loads(out.read_text())["traceEvents"]]
+            assert names.count("dp.kernel_load") == 1, cache
+            assert len(_libraries(empty_cache)) == 1
 
 
 class TestCache:

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.engine import AlignmentService
+from repro.parcomp.backends import bound_malloc_arenas
 from repro.serve.gateway import (
     AlignmentGateway,
     QueueFullError,
@@ -223,8 +224,10 @@ class TestSharedService:
             metrics = gw.metrics()
             for key in ("admitted", "coalesced", "rejected_queue_full",
                         "rejected_rate_limited", "completed", "failed",
-                        "queue_depth", "inflight", "latency", "service"):
+                        "queue_depth", "inflight", "latency", "service",
+                        "dp.kernel", "malloc.arena_max"):
                 assert key in metrics
+            assert metrics["malloc.arena_max"] == bound_malloc_arenas()
             assert metrics["latency"]["p50_s"] is not None
             assert metrics["latency"]["p99_s"] is not None
             # JSON-able end to end.

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.parcomp.backends import bound_malloc_arenas
 from repro.seq.fasta import read_fasta, to_fasta, write_fasta
 from repro.seq.sequence import Sequence, SequenceSet
 
@@ -411,6 +412,26 @@ class TestBackendFlag:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["align", "{fasta}", "-p", "2", "--backend", "pool"],
+        ["distances", "{fasta}", "--backend", "pool"],
+        ["plan", "{fasta}", "--backend", "Pool"],
+        ["serve", "--backend", "pool"],
+    ], ids=["align", "distances", "plan", "serve"])
+    def test_bad_pool_size_is_one_error_line(
+        self, fasta_file, capsys, monkeypatch, command
+    ):
+        """A ``REPRO_POOL_WORKERS`` that is not a positive integer is
+        read where the command resolves ``--backend pool``: rc 2 and one
+        ``error:`` line, not a traceback from inside the run."""
+        monkeypatch.setenv("REPRO_POOL_WORKERS", "two")
+        argv = [arg.format(fasta=fasta_file) for arg in command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: REPRO_POOL_WORKERS must be a positive integer, "
+            "got 'two'"
+        ]
+
     def test_engines_documents_backends(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
@@ -627,17 +648,39 @@ class TestTraceCli:
         args = ["trace", "--engine", "muscle", "-n", "6", "-l", "40",
                 "-o", str(out)]
         assert main(args + ["--json", str(report)]) == 0
-        assert json.loads(report.read_text())["dp.kernel"] == dp_kernel
+        reported = json.loads(report.read_text())
+        assert reported["dp.kernel"] == dp_kernel
+        assert reported["malloc.arena_max"] == bound_malloc_arenas()
         events = json.loads(out.read_text())["traceEvents"]
         fills = [e for e in events if e["name"] == "dp.align"]
         assert fills and {e["args"]["kernel"] for e in fills} == {dp_kernel}
         assert main(args) == 0
         printed = capsys.readouterr().out
         assert f"dp.kernel: {dp_kernel}" in printed
+        assert f"malloc.arena_max: {bound_malloc_arenas()}" in printed
         # (the fixture's stand-in for no_compiler / cache_unwritable / ...)
         assert ("dp.kernel_fallback: forced" in printed) == (
             dp_kernel == "numpy"
         )
+
+    def test_trace_reports_peak_rss(self, tmp_path, capsys):
+        """``peak_rss_mib`` (this process's peak resident set) sits beside
+        the wall time, in text and in ``--json``."""
+        import json
+        import resource
+
+        report = tmp_path / "stages.json"
+        args = ["trace", "-n", "4", "-l", "30",
+                "-o", str(tmp_path / "t.json")]
+        assert main(args + ["--json", str(report)]) == 0
+        peak = json.loads(report.read_text())["peak_rss_mib"]
+        # ru_maxrss and VmHWM come from the kernel's approximate per-CPU
+        # RSS counters, read at different moments: equal within a few %.
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 0 < peak <= 1.05 * now
+        assert main(args) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert " wall=" in first and " peak_rss_mib=" in first
 
     def test_trace_fasta_input_text_output(self, fasta_file, tmp_path,
                                            capsys):
