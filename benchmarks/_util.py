@@ -58,7 +58,7 @@ def explicit_pool(max_workers: int):
     """A ``max_workers``-slot pool as the process default for the block,
     so a ``backend="pool"`` arm runs on warm workers whatever the host's
     core count (the default pool may hold two slots, and more ranks than
-    slots run cold on a one-shot pool)."""
+    slots share them, several ranks per worker)."""
     from repro.pool import WorkerPool, set_default_pool
 
     with WorkerPool(max_workers=max_workers) as pool:

@@ -131,14 +131,18 @@ JSON.add_argument(
 BACKEND = argparse.ArgumentParser(add_help=False)
 BACKEND.add_argument(
     "--backend", default=None, metavar="NAME",
-    help="execution backend: 'threads' (the default virtual cluster; "
-    "ranks run one at a time, so wall time is about the serial work) or "
-    "'pool' (persistent warm worker processes, payloads pickled onto "
-    "queues, on real cores; more ranks than pool slots run cold on a "
-    "one-shot pool). Output is byte-identical across backends. It runs "
-    "align's Sample-Align-D ranks, distances' tiled scheduler, plan's "
-    "measured probe, and serve/loadtest's distributed requests that "
-    "choose none",
+    help="execution backend: 'threads' (the virtual cluster; ranks run "
+    "one at a time, so wall time is about the serial work) or 'pool' "
+    "(persistent warm worker processes on real cores, payloads pickled "
+    "onto queues; more ranks than workers share them, a block of ranks "
+    "per worker). Unset, Sample-Align-D goes to a pool of every usable "
+    "core when its work, N x mean length^2, reaches "
+    "repro.core.driver.AUTO_POOL_MIN_CELLS and two or more cores are "
+    "usable, else to 'threads' (the distance stage picks serial or "
+    "'threads' by its own rule). Output is "
+    "byte-identical across backends. It runs align's Sample-Align-D "
+    "ranks, distances' tiled scheduler, plan's measured probe, and "
+    "serve/loadtest's distributed requests that choose none",
 )
 
 #: serve / loadtest: the gateway, its service and its defaults (serve
@@ -181,11 +185,12 @@ def user_input():
 
 
 def _check_backend(name: Optional[str]) -> None:
-    """Read now what ``--backend pool`` reads when its pool is made, so
-    a ``REPRO_POOL_WORKERS`` that is not a positive integer is a
-    ``ValueError`` inside :func:`user_input`, not a traceback from the
-    middle of a run."""
-    if name is not None and name.lower() == "pool":
+    """Read now what a pool reads when it is made -- for ``--backend
+    pool``, and for an unset backend, which a big enough Sample-Align-D
+    job resolves to ``pool`` -- so a ``REPRO_POOL_WORKERS`` that is not
+    a positive integer is a ``ValueError`` inside :func:`user_input`,
+    not a traceback from the middle of a run."""
+    if name is None or name.lower() == "pool":
         from repro.pool.workers import default_worker_count
 
         default_worker_count()

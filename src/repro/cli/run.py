@@ -184,6 +184,19 @@ def _cmd_align(args: argparse.Namespace) -> int:
     return 0
 
 
+def _vm_hwm_mib(pid: str) -> float:
+    """``VmHWM`` of process ``pid`` (``"self"`` or a number) in MiB, 0
+    where ``/proc`` does not have it."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 2**10
+    except OSError:
+        pass
+    return 0.0
+
+
 def _peak_rss_mib() -> float:
     """This process's peak resident set so far, MiB: ``VmHWM`` where
     there is a ``/proc`` (Linux's ``ru_maxrss`` also counts the image
@@ -191,16 +204,21 @@ def _peak_rss_mib() -> float:
     else ``ru_maxrss``."""
     import resource
 
-    try:
-        with open("/proc/self/status", encoding="ascii") as fh:
-            for line in fh:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 2**10
-    except OSError:
-        pass
+    peak = _vm_hwm_mib("self")
+    if peak:
+        return peak
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     # Linux reports KiB, macOS bytes.
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def _worker_peak_rss_mib(pool) -> float:
+    """The summed ``VmHWM`` of a pool's live workers, MiB (0 without a
+    pool): the memory a run placed on ``pool`` used outside this
+    process."""
+    if pool is None:
+        return 0.0
+    return sum(_vm_hwm_mib(str(pid)) for pid in pool.stats()["worker_pids"])
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -240,6 +258,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     try:
         ticket = gateway.submit(request, client_id="trace")
         result = ticket.wait()
+        # Before close: a pool the request was placed on closes with it.
+        worker_rss = _worker_peak_rss_mib(gateway.pool)
     finally:
         gateway.close()
         disable_tracing()
@@ -247,8 +267,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     write_chrome_trace(args.output, records)
     breakdown = stage_breakdown(records)
 
+    placements = sorted({
+        r.attrs["placement"] for r in records
+        if r.name == "spmd.dispatch" and "placement" in r.attrs
+    })
     row_kernel = {
-        **kernel().describe(), "malloc.arena_max": bound_malloc_arenas()
+        **kernel().describe(),
+        "malloc.arena_max": bound_malloc_arenas(),
+        "spmd.placement": ", ".join(placements) or "none (no SPMD stage)",
     }
     peak_rss = _peak_rss_mib()
     payload = {
@@ -257,6 +283,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "n_sequences": len(seqs),
         "wall_time_s": result.wall_time,
         "peak_rss_mib": peak_rss,
+        "worker_peak_rss_mib": worker_rss,
         "n_spans": len(records),
         "trace_file": args.output,
         "stage_breakdown": breakdown,
@@ -267,7 +294,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
     print(
         f"{args.engine}: N={len(seqs)} wall={result.wall_time:.3f}s "
-        f"peak_rss_mib={peak_rss:.1f} ({len(records)} spans)"
+        f"peak_rss_mib={peak_rss:.1f} "
+        f"worker_peak_rss_mib={worker_rss:.1f} ({len(records)} spans)"
     )
     _print_stage_table(breakdown)
     for key, value in row_kernel.items():

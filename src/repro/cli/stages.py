@@ -131,7 +131,9 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         "about the serial work, modeled-time fidelity\n"
         "  pool:      persistent warm worker processes, payloads "
         "pickled onto queues -- wall clock scales with host cores, identical "
-        "output; more ranks than pool slots run cold on a one-shot pool\n"
+        "output; more ranks than workers share them, a block per worker\n"
+        "  (unset):   Sample-Align-D on a pool of every usable core from "
+        "AUTO_POOL_MIN_CELLS of work (N x mean length^2), else threads\n"
         "\ndistance estimators (--distance; engines marked +distance route "
         "their guide-tree stage through repro.distance.all_pairs):"
     )

@@ -17,12 +17,50 @@ import numpy as np
 from repro.align.scoring import sp_score
 from repro.core.algorithm import RankDiagnostics, sample_align_d_spmd
 from repro.core.config import SampleAlignDConfig
+from repro.parcomp.backends import Placement, place
 from repro.parcomp.cost import CostModel, TimingLedger
 from repro.parcomp.launcher import run_spmd
 from repro.seq.alignment import Alignment
 from repro.seq.sequence import Sequence, SequenceSet
 
-__all__ = ["MsaResult", "sample_align_d"]
+__all__ = [
+    "AUTO_POOL_MIN_CELLS",
+    "MsaResult",
+    "placement",
+    "sad_cells",
+    "sample_align_d",
+]
+
+#: :func:`sad_cells` of a job from which an unset backend runs its ranks
+#: on a ``pool`` of every usable core (M:N) instead of one at a time on
+#: ``threads``.  On a 2-vCPU host (``benchmarks/bench_placement_grid.py``:
+#: N x L x p over {8..128} x {60, 120, 200} x {2, 4, 16}, warm workers,
+#: four runs) two workers beat ``threads`` at p = 16 from about 0.06 M
+#: cells and at p = 4 from about 0.45 M (but up to 1.13x slower at
+#: L = 200 below 3.8 M); at p = 2, one rank per worker, they stayed
+#: within 0.8-1.13x of it at every shape.  At 128 x 200 (5.1 M) every
+#: p was at par or better (p = 16: 0.71-0.77x, p = 4: 0.86-0.93x,
+#: p = 2: 0.80-1.03x), so one constant for every p sits just below it;
+#: the benchmark's set-up probe, 6 x 60, is 0.02 M.
+AUTO_POOL_MIN_CELLS = 4_000_000
+
+
+def sad_cells(seqs: TSequence[Sequence]) -> int:
+    """The work of a Sample-Align-D job, known before any compute:
+    ``N * mean_L ** 2`` -- the profile DP cells of its local alignments
+    summed over the buckets, up to a constant."""
+    n = len(seqs)
+    total = sum(len(s) for s in seqs)
+    return total * total // n if n else 0
+
+
+def placement(seqs: TSequence[Sequence], n_procs: int) -> Placement:
+    """Where ``sample_align_d(seqs, n_procs)`` runs with the backend
+    unset: :func:`~repro.parcomp.backends.place` on :func:`sad_cells`
+    against :data:`AUTO_POOL_MIN_CELLS` -- ``threads`` for one rank."""
+    if n_procs < 2:
+        return Placement("threads")
+    return place(sad_cells(seqs), AUTO_POOL_MIN_CELLS, gil_free=False)
 
 
 @dataclass
@@ -52,6 +90,9 @@ class MsaResult:
     backend:
         Name of the execution backend that ran the SPMD ranks
         (``"threads"`` or ``"pool"``).
+    placement:
+        Where the ranks ran: backend, worker processes ``k`` and ranks
+        per worker (:attr:`~repro.parcomp.backends.SpmdResult.placement`).
     """
 
     alignment: Alignment
@@ -63,6 +104,7 @@ class MsaResult:
     global_ancestor: Optional[Sequence]
     config: SampleAlignDConfig
     backend: str = "threads"
+    placement: str = ""
 
     @property
     def modeled_time(self) -> float:
@@ -124,9 +166,9 @@ def sample_align_d(
         input regardless.
     backend:
         Execution backend name (``"threads"``/``"pool"``; see
-        :mod:`repro.parcomp.backends`); ``None`` means the launcher
-        default (``"threads"``).  The alignment is byte-identical either
-        way.
+        :mod:`repro.parcomp.backends`); ``None`` lets :func:`placement`
+        choose from the job's work and the usable cores.  The alignment
+        is byte-identical either way.
     """
     sset = seqs if isinstance(seqs, SequenceSet) else SequenceSet(seqs)
     if len(sset) == 0:
@@ -141,6 +183,8 @@ def sample_align_d(
         order = rng.permutation(len(sset))
         placed = SequenceSet([sset[int(i)] for i in order])
     parts = placed.split(n_procs)
+    if backend is None:
+        backend = placement(sset, n_procs).backend
 
     t0 = time.perf_counter()
     spmd = run_spmd(
@@ -168,4 +212,5 @@ def sample_align_d(
         global_ancestor=root.get("global_ancestor"),
         config=config,
         backend=spmd.backend,
+        placement=spmd.placement,
     )

@@ -71,7 +71,7 @@ from repro.distance.tilestore import (
 )
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.tracing import span
-from repro.parcomp.backends import get_backend, in_spmd_rank, usable_cores
+from repro.parcomp.backends import get_backend, place, usable_cores
 from repro.seq.sequence import Sequence
 
 __all__ = [
@@ -109,24 +109,23 @@ def auto_workers(
     """Ranks the unset placement (``backend=None, workers=None``) runs
     the stage on: ``1`` is the serial path, more are ``threads`` ranks.
 
-    More than one only when every condition holds: the tiles run in the
-    compiled entry that drops the interpreter lock (``full-dp`` with
-    ``kernel().identity_codes`` loaded), at least two cores are usable,
-    the caller is not itself an SPMD rank, and the stage's
-    :func:`dp_cells` -- known before any compute -- reach
-    :data:`AUTO_THREADS_MIN_CELLS`.  Then it is ``min(usable cores,
-    pairs)``.
+    Only tiles that run in the compiled entry that drops the
+    interpreter lock (``full-dp`` with ``kernel().identity_codes``
+    loaded) can use more than one; for those the one placement rule,
+    :func:`~repro.parcomp.backends.place`, decides on the stage's
+    :func:`dp_cells` -- known before any compute -- against
+    :data:`AUTO_THREADS_MIN_CELLS`: every usable core from the
+    crossover up, unless the caller is itself an SPMD rank.  The
+    answer is then ``min(usable cores, pairs)``.
     """
     from repro.align.dp import kernel
 
     if not isinstance(estimator, FullDpDistance):
         return 1
-    if kernel().identity_codes is None or in_spmd_rank():
+    if kernel().identity_codes is None:
         return 1
-    cores = usable_cores()
-    if cores < 2 or dp_cells(seqs) < AUTO_THREADS_MIN_CELLS:
-        return 1
-    return min(cores, condensed_size(len(seqs)))
+    placement = place(dp_cells(seqs), AUTO_THREADS_MIN_CELLS, gil_free=True)
+    return min(placement.workers, condensed_size(len(seqs)))
 
 
 def dp_cells(seqs: TSequence[Sequence]) -> int:

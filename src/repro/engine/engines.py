@@ -79,7 +79,8 @@ class SampleAlignDEngine:
         Alpha-beta communication model for the modeled cluster time.
     backend:
         Execution backend of every run through this engine instance
-        (``"threads"``/``"pool"``; ``None``: the launcher default).  A
+        (``"threads"``/``"pool"``; ``None``: per run,
+        :func:`repro.core.driver.placement` chooses).  A
         request selects it with ``engine_kwargs={"backend": ...}``, which
         builds the engine with it.
     """
@@ -118,6 +119,7 @@ class SampleAlignDEngine:
             "bucket_sizes": [int(b) for b in result.bucket_sizes],
             "local_aligner": result.config.local_aligner,
             "backend": result.backend,
+            "placement": result.placement,
         }
         return AlignResult(
             alignment=result.alignment,

@@ -23,7 +23,13 @@ enabled it:
    and unwraps them at the parent: spans are stitched under the
    dispatch span, and the delta is merged into the parent's registry --
    but only for foreign pids (the ``threads`` backend's ranks share the
-   parent's registry; absorbing their delta would double-count).
+   parent's registry; absorbing their delta would double-count).  The
+   ranks one process hosts share its registry too (a ``pool`` worker
+   hosts a block of them), so the delta is taken once per fabric: from
+   when the first of its ranks starts to when the last one ends, and
+   shipped by that last one,
+5. names where the ranks ran on the dispatch span (``placement``:
+   backend, worker processes ``k`` and ranks per worker).
 
 The rank-side buffer never tees into the worker's global buffer for the
 same reason: under ``threads`` the "worker" global buffer *is* the
@@ -33,6 +39,7 @@ parent's, and the spans will arrive again via the explicit ship-back.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
@@ -74,6 +81,35 @@ class _TracedReturn:
     metrics: Optional[MetricsSnapshot] = None
 
 
+_WINDOW_LOCK = threading.Lock()
+
+
+class _MetricsWindow:
+    """The registry delta of the ranks one fabric hosts in this process:
+    opened by the first of them to start, closed by the last to end."""
+
+    def __init__(self, n_ranks: int) -> None:
+        self.before = registry().snapshot()
+        self.open = n_ranks
+
+    @staticmethod
+    def enter(fabric: Any) -> "_MetricsWindow":
+        with _WINDOW_LOCK:
+            window = getattr(fabric, "_metrics_window", None)
+            if window is None:
+                window = _MetricsWindow(len(fabric.ranks))
+                fabric._metrics_window = window
+            return window
+
+    def leave(self) -> Optional[MetricsSnapshot]:
+        """The delta for the last rank to leave, ``None`` for the rest."""
+        with _WINDOW_LOCK:
+            self.open -= 1
+            if self.open:
+                return None
+        return registry().snapshot().diff(self.before)
+
+
 class _TracedRankFn:
     """Picklable wrapper installing the trace context around a rank fn."""
 
@@ -87,7 +123,7 @@ class _TracedRankFn:
 
         buf, token = install_context(self.ctx)
         try:
-            before = registry().snapshot()
+            window = _MetricsWindow.enter(comm.fabric)
             with span(f"{self.stage}.rank", rank=comm.rank) as rank_span:
                 result = self.fn(comm, *args, **kwargs)
                 fabric = comm.fabric
@@ -98,12 +134,11 @@ class _TracedRankFn:
                         parked_s=fabric.parked_s[comm.rank],
                         overlap_s=fabric.overlap_s[comm.rank],
                     )
-            delta = registry().snapshot().diff(before)
             return _TracedReturn(
                 result=result,
                 spans=buf.drain(),
                 pid=os.getpid(),
-                metrics=delta,
+                metrics=window.leave(),
             )
         finally:
             restore_context(token)
@@ -135,12 +170,15 @@ def run_traced(
             n_ranks, fn, args=args, rank_args=rank_args,
             cost_model=cost_model, **kwargs,
         )
-    with span(f"{stage}.dispatch", backend=b.name, ranks=n_ranks):
+    with span(
+        f"{stage}.dispatch", backend=b.name, ranks=n_ranks
+    ) as dispatch_span:
         ctx = propagation_context()
         spmd = b.run(
             n_ranks, _TracedRankFn(ctx, fn, stage), args=args,
             rank_args=rank_args, cost_model=cost_model, **kwargs,
         )
+        dispatch_span.set(placement=spmd.placement)
         my_pid = os.getpid()
         reg = registry()
         for i, ret in enumerate(spmd.results):

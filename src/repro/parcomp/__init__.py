@@ -16,9 +16,11 @@ is about the serial work and the modeled clocks are free of contention;
 only compiled calls that drop the interpreter lock, which a rank runs
 with its run token parked, overlap on real cores) or ``"pool"``
 (persistent warm worker processes from :mod:`repro.pool`, payloads
-pickled onto queues -- real parallel compute on multi-core hosts; a run
-with more ranks than the pool has slots runs cold on a one-shot pool).
+pickled onto queues -- real parallel compute on multi-core hosts; with
+more ranks than workers each worker hosts a block of them as threads).
 Both produce byte-identical program results and equivalent ledgers.
+:func:`place` is the one rule for a job whose caller left the backend
+unset.
 
 - :mod:`repro.parcomp.cost` -- cost model, payload sizing, event ledger.
 - :mod:`repro.parcomp.comm` -- the transport seam and :class:`VirtualComm`.
@@ -41,11 +43,13 @@ from repro.parcomp.comm import (
 from repro.parcomp.backends import (
     DEFAULT_BACKEND,
     ExecutionBackend,
+    Placement,
     SpmdResult,
     ThreadBackend,
     available_backends,
     get_backend,
     in_spmd_rank,
+    place,
     usable_cores,
 )
 from repro.parcomp.launcher import run_spmd
@@ -56,6 +60,7 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ExecutionBackend",
     "Fabric",
+    "Placement",
     "SpmdAbort",
     "SpmdResult",
     "ThreadBackend",
@@ -66,6 +71,7 @@ __all__ = [
     "estimate_nbytes",
     "get_backend",
     "in_spmd_rank",
+    "place",
     "run_spmd",
     "run_token_parked",
     "usable_cores",

@@ -19,16 +19,24 @@ it.  Two backends ship:
 - ``"pool"`` (:class:`repro.pool.PoolBackend`) -- real cores: a
   persistent pool of worker processes (:mod:`repro.pool`)
   created once and reused across runs, each payload pickled once by its
-  sender onto a queue.  A run with more ranks than the pool has slots
-  runs cold, on a one-shot pool sized for it.
+  sender onto a queue.  ``p`` ranks on ``k`` workers are placed M:N:
+  each worker hosts a block of at most ``ceil(p/k)`` ranks as threads
+  over its own run token (:func:`run_rank_threads`, the runner
+  ``threads`` uses), so a 16-rank run on two workers uses both cores.
 
-Rule of thumb: ``threads`` for studying the paper's communication model
-and for stages made of GIL-free compiled calls, ``pool`` for actually
-aligning fast -- especially the serving stack's repeated short jobs.
+Rule of thumb: leave the backend unset.  :func:`place` then keeps a
+small job, a one-core host and a job started inside a rank on
+``threads``, runs GIL-free compiled stages on ``threads`` ranks over
+every core, and puts a Sample-Align-D run big enough to pay a pool
+dispatch on a ``pool`` of every usable core.  Choose ``threads`` to
+study the paper's communication model one rank at a time, ``pool`` to
+put even small jobs on real cores.
 
 Callers select a backend by name, a string the whole stack -- driver,
 engine, service, gateway, CLI -- passes through unchanged, and
-:func:`get_backend` resolves it against the fixed table of these two.
+:func:`get_backend` resolves it against the fixed table of these two
+(``None`` is ``"threads"``; the unset rule lives with the callers that
+know the job's work, and calls :func:`place`).
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from typing import (
     List,
     Optional,
     Sequence as TSequence,
+    Tuple,
     Union,
 )
 
@@ -61,11 +70,14 @@ from repro.parcomp.cost import CostModel, TimingLedger
 
 __all__ = [
     "ExecutionBackend",
+    "Placement",
     "SpmdResult",
     "ThreadBackend",
     "available_backends",
     "get_backend",
     "in_spmd_rank",
+    "place",
+    "run_rank_threads",
     "usable_cores",
     "bound_malloc_arenas",
     "DEFAULT_BACKEND",
@@ -138,17 +150,99 @@ bound_malloc_arenas()
 def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity set where the
     platform has one (a container pinned to 1 CPU of 64 gets 1), else
-    ``os.cpu_count()``."""
+    ``os.cpu_count()`` -- and no more than its cgroup's CPU quota
+    (:func:`_cpu_quota_cores`), so 64 cores of affinity under a 2-CPU
+    ``cpu.max`` give 2."""
     try:
-        return max(len(os.sched_getaffinity(0)), 1)
+        cores = max(len(os.sched_getaffinity(0)), 1)
     except (AttributeError, OSError):
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    quota = _cpu_quota_cores()
+    return cores if quota is None else min(cores, quota)
+
+
+def _read_cpu_max() -> Optional[str]:
+    """The text of this process's cgroup-v2 ``cpu.max`` (``"<quota>
+    <period>"`` or ``"max <period>"``), or ``None`` where there is none.
+    Only reads: the cgroup named in ``/proc/self/cgroup``, else the
+    root of the cgroup mount."""
+    paths = []
+    try:
+        with open("/proc/self/cgroup", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("0::"):
+                    paths.append(
+                        "/sys/fs/cgroup" + line[3:].strip().rstrip("/")
+                        + "/cpu.max"
+                    )
+    except OSError:
+        pass
+    paths.append("/sys/fs/cgroup/cpu.max")
+    for path in paths:
+        try:
+            with open(path, encoding="ascii") as fh:
+                return fh.read()
+        except OSError:
+            continue
+    return None
+
+
+def _cpu_quota_cores() -> Optional[int]:
+    """The cgroup CPU quota in whole cores, ``ceil(quota / period)`` --
+    ``None`` when there is no quota (``max``) or no readable
+    ``cpu.max``."""
+    text = _read_cpu_max()
+    if not text:
+        return None
+    fields = text.split()
+    try:
+        quota, period = int(fields[0]), int(fields[1])
+    except (IndexError, ValueError):
+        return None  # "max <period>", or nothing we understand
+    if quota <= 0 or period <= 0:
+        return None
+    return max(-(-quota // period), 1)
 
 
 def in_spmd_rank() -> bool:
     """Whether the caller runs as an SPMD rank: on a ``threads`` rank
     thread, or anywhere in a ``pool`` worker process."""
     return current_rank() is not None or bool(os.environ.get(POOL_WORKER_ENV))
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where an unset backend runs a job: ``backend`` and the ``workers``
+    (cores) its ranks use -- one for ``threads`` ranks that take turns,
+    every usable core for ``pool`` workers or for ``threads`` ranks that
+    park their run token around compiled calls."""
+
+    backend: str
+    workers: int = 1
+
+
+def place(work: int, crossover: int, *, gil_free: bool) -> Placement:
+    """The one placement rule for a job whose caller left the backend
+    unset.
+
+    On one usable core (:func:`usable_cores`), inside an SPMD rank
+    (:func:`in_spmd_rank`: its peers already use the cores) or below
+    ``crossover`` units of ``work`` the job stays in this process on
+    one core: ``Placement("threads", 1)``.  Otherwise it gets every
+    usable core ``k``: ranks whose work is compiled calls that drop the
+    interpreter lock (``gil_free``, the ``full-dp`` distance tiles) as
+    ``k`` ``threads`` ranks; Python ranks (Sample-Align-D) on a ``pool``
+    of ``k`` workers, each hosting a block of the ranks.  The callers
+    fix ``work`` and ``crossover`` as module constants measured on a
+    2-vCPU host: :data:`repro.distance.allpairs.AUTO_THREADS_MIN_CELLS`
+    and :data:`repro.core.driver.AUTO_POOL_MIN_CELLS`.
+    """
+    if work < crossover or in_spmd_rank():
+        return Placement("threads", 1)
+    cores = usable_cores()
+    if cores < 2:
+        return Placement("threads", 1)
+    return Placement("threads" if gil_free else "pool", cores)
 
 
 @dataclass
@@ -159,6 +253,8 @@ class SpmdResult:
     ledger: TimingLedger
     #: Name of the execution backend that produced this result.
     backend: str = DEFAULT_BACKEND
+    #: Processes the ranks ran in (``threads``: this one).
+    workers: int = 1
 
     @property
     def n_ranks(self) -> int:
@@ -166,6 +262,14 @@ class SpmdResult:
 
     def modeled_time(self) -> float:
         return self.ledger.modeled_time()
+
+    @property
+    def placement(self) -> str:
+        """Backend, worker processes ``k`` and the most ranks one of them
+        hosted, e.g. ``"pool k=2 ranks/worker=8"`` (the ``placement``
+        attribute of a ``<stage>.dispatch`` span)."""
+        per = -(-self.n_ranks // self.workers)
+        return f"{self.backend} k={self.workers} ranks/worker={per}"
 
 
 class ExecutionBackend(ABC):
@@ -263,54 +367,9 @@ class ThreadBackend(ExecutionBackend):
     ) -> SpmdResult:
         self._validate(n_ranks, rank_args)
         fabric = Fabric(n_ranks, cost_model)
-        results: List[Any] = [None] * n_ranks
-        errors: List[tuple] = []
-
-        def runner(rank: int) -> None:
-            _THREAD_RANK.slot = (fabric, rank)
-            fabric.acquire(rank)
-            comm = VirtualComm(fabric, rank)
-            try:
-                extra = tuple(rank_args[rank]) if rank_args is not None else ()
-                results[rank] = fn(comm, *extra, *args, **kwargs)
-            except SpmdAbort:
-                pass  # somebody else failed first; stay quiet
-            except BaseException as exc:  # noqa: BLE001 - propagated to caller
-                errors.append((rank, exc))
-                fabric.fail(exc)
-            finally:
-                comm.finalize()
-                fabric.release(rank)
-
-        threads = [
-            threading.Thread(
-                target=runner, args=(r,), name=f"rank-{r}", daemon=True
-            )
-            for r in range(n_ranks)
-        ]
-        for t in threads:
-            t.start()
-
-        # Join with a post-failure deadline: a healthy run joins all ranks
-        # unconditionally, but once a rank has failed the survivors get a
-        # bounded grace period to unwind (they wake from blocking waits
-        # immediately; only a rank deep in compute can overstay).
-        deadline: Optional[float] = None
-        leaked: List[str] = []
-        pending = deque(threads)
-        while pending:
-            t = pending.popleft()
-            t.join(0.1)
-            if not t.is_alive():
-                continue
-            if errors:
-                if deadline is None:
-                    deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
-                if time.monotonic() >= deadline:
-                    leaked.append(t.name)
-                    continue
-            pending.append(t)
-
+        results, errors, leaked = run_rank_threads(
+            fabric, range(n_ranks), fn, args, rank_args, kwargs
+        )
         if errors:
             rank, exc = errors[0]
             note = (
@@ -318,7 +377,89 @@ class ThreadBackend(ExecutionBackend):
                 f"{', '.join(leaked)})" if leaked else ""
             )
             raise RuntimeError(f"rank {rank} failed: {exc!r}{note}") from exc
-        return SpmdResult(results, fabric.ledger, backend=self.name)
+        return SpmdResult(
+            [results[r] for r in range(n_ranks)], fabric.ledger,
+            backend=self.name,
+        )
+
+
+def run_rank_threads(
+    fabric: Fabric,
+    ranks: TSequence[int],
+    fn: Callable[..., Any],
+    args: TSequence[Any],
+    rank_args: Optional[Any],
+    kwargs: Dict[str, Any],
+    inline: bool = False,
+) -> Tuple[Dict[int, Any], List[Tuple[int, BaseException]], List[str]]:
+    """Run ``fn`` once for each of ``ranks``, one daemon thread per rank
+    over ``fabric``, and join them; ``(results, errors, leaked)``.
+
+    The one thread-rank runner: :class:`ThreadBackend` runs every rank
+    of a job with it over a plain :class:`Fabric`, and a ``pool`` worker
+    runs the block of ranks it hosts with it over the worker's fabric,
+    ``inline``: the block's first rank on the worker's own thread, whose
+    DP buffers (:class:`~repro.align.tablepool.TablePool`) and malloc
+    arena stay warm from run to run, so a worker hosting one rank starts
+    no thread at all.  ``rank_args[r]`` (indexable by rank, or ``None``)
+    are rank ``r``'s leading arguments.  ``results`` maps a rank to what
+    ``fn`` returned (``None`` for a rank that failed or aborted);
+    ``errors`` lists ``(rank, exception)`` in the order the ranks
+    failed; ``leaked`` names the rank threads still unwinding when the
+    join gave up on them, :data:`ABORT_JOIN_TIMEOUT_S` after the first
+    failure.
+    """
+    results: Dict[int, Any] = {r: None for r in ranks}
+    errors: List[Tuple[int, BaseException]] = []
+
+    def runner(rank: int) -> None:
+        _THREAD_RANK.slot = (fabric, rank)
+        fabric.acquire(rank)
+        comm = VirtualComm(fabric, rank)
+        try:
+            extra = tuple(rank_args[rank]) if rank_args is not None else ()
+            results[rank] = fn(comm, *extra, *args, **kwargs)
+        except SpmdAbort:
+            pass  # somebody else failed first; stay quiet
+        except BaseException as exc:  # noqa: BLE001 - propagated to caller
+            errors.append((rank, exc))
+            fabric.fail(exc)
+        finally:
+            comm.finalize()
+            fabric.release(rank)
+            _THREAD_RANK.slot = None
+
+    threads = [
+        threading.Thread(
+            target=runner, args=(r,), name=f"rank-{r}", daemon=True
+        )
+        for r in (ranks[1:] if inline else ranks)
+    ]
+    for t in threads:
+        t.start()
+    if inline:
+        runner(ranks[0])
+
+    # Join with a post-failure deadline: a healthy run joins all ranks
+    # unconditionally, but once a rank has failed the survivors get a
+    # bounded grace period to unwind (they wake from blocking waits
+    # immediately; only a rank deep in compute can overstay).
+    deadline: Optional[float] = None
+    leaked: List[str] = []
+    pending = deque(threads)
+    while pending:
+        t = pending.popleft()
+        t.join(0.1)
+        if not t.is_alive():
+            continue
+        if errors:
+            if deadline is None:
+                deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
+            if time.monotonic() >= deadline:
+                leaked.append(t.name)
+                continue
+        pending.append(t)
+    return results, errors, leaked
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ bytes actually move.  :class:`Fabric` is the in-process implementation
 (one shared mailbox, rank threads that hand one run token to each other
 at blocking calls, and give it up across a GIL-free compiled call --
 :func:`run_token_parked`); the ``pool`` backend in
-:mod:`repro.pool.workers` provides a queue implementation with one
-worker process per rank.
+:mod:`repro.pool.workers` extends it across processes: each worker
+process hosts a block of the ranks on such a fabric, and a message to a
+rank in another worker rides that worker's queue.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ class Transport(abc.ABC):
     """What :class:`VirtualComm` needs from a message-moving substrate.
 
     One instance is visible to each rank (the threads backend shares a
-    single :class:`Fabric` across rank threads; the pool backend gives
-    every rank's worker process its own per-rank proxy).  Implementations
+    single :class:`Fabric` across rank threads; the pool backend shares
+    one per worker process across the ranks that process hosts).
+    Implementations
     own a :class:`~repro.parcomp.cost.TimingLedger` that the rank's
     :meth:`VirtualComm.finalize` writes its totals into.
     """
@@ -76,8 +78,9 @@ class Transport(abc.ABC):
         """Block until the matching message arrives; ``(payload, ready)``."""
 
     @abc.abstractmethod
-    def barrier(self, clock: float) -> float:
-        """Synchronise all ranks; returns the max clock across them."""
+    def barrier(self, rank: int, clock: float) -> float:
+        """Synchronise all ranks (``rank`` is the caller); returns the
+        max clock across them."""
 
     @abc.abstractmethod
     def fail(self, exc: BaseException) -> None:
@@ -117,6 +120,9 @@ class Fabric(Transport):
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         self.n_ranks = n_ranks
+        #: The ranks whose threads share this fabric (all of them here;
+        #: a ``pool`` worker's fabric hosts a block).
+        self.ranks = range(n_ranks)
         self.cost_model = cost_model or CostModel()
         self.ledger = TimingLedger(n_ranks, self.cost_model)
         self._lock = threading.Lock()
@@ -246,7 +252,7 @@ class Fabric(Transport):
 
     # -- barrier ----------------------------------------------------------------------
 
-    def barrier(self, clock: float) -> float:
+    def barrier(self, rank: int, clock: float) -> float:
         """Synchronise all ranks; returns the max clock across them."""
         with self._cond:
             self.check_failed()
@@ -300,7 +306,7 @@ class VirtualComm:
     pickle path; there is no upper-case buffer API because payload sizes,
     not bytes, are what the cost model meters.  The communicator is
     backend-agnostic: it talks to any :class:`Transport` (the in-process
-    :class:`Fabric`, or the pool backend's per-rank queue proxy) and
+    :class:`Fabric`, or the pool backend's per-worker extension of it) and
     keeps all clock bookkeeping on this side of the seam so every backend
     meters communication identically.
     """
@@ -372,7 +378,7 @@ class VirtualComm:
 
     def barrier(self) -> None:
         self._absorb_compute()
-        self._clock = self.fabric.barrier(self._clock)
+        self._clock = self.fabric.barrier(self.rank, self._clock)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Binomial-tree broadcast (log2(p) rounds, like real MPI)."""

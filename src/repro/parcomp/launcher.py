@@ -5,9 +5,9 @@ rank, each rank with its own :class:`~repro.parcomp.comm.VirtualComm`.
 *Where* the ranks execute is a backend choice (see
 :mod:`repro.parcomp.backends`): ``backend="threads"`` (default) is the
 in-process virtual cluster, whose ranks run one at a time;
-``backend="pool"`` gives every rank a warm worker process, so the
-program runs on real cores (more ranks than pool slots: a one-shot pool,
-cold).  Either way the first rank failure aborts the whole job
+``backend="pool"`` spreads the ranks over warm worker processes, so the
+program runs on real cores (more ranks than workers: each worker hosts
+a block of them).  Either way the first rank failure aborts the whole job
 (surviving ranks raise :class:`~repro.parcomp.comm.SpmdAbort` out of
 their next blocking wait) and the original exception is re-raised to the
 caller with the failing rank attached.
@@ -17,11 +17,18 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Sequence as TSequence, Union
 
+from repro.obs.metrics import registry
 from repro.obs.propagate import run_traced
 from repro.parcomp.backends import ExecutionBackend, SpmdResult
 from repro.parcomp.cost import CostModel
 
 __all__ = ["SpmdResult", "run_spmd"]
+
+# SPMD runs per backend that ran them (``spmd.placement.threads`` /
+# ``spmd.placement.pool`` at ``/metrics``), made here so both read 0
+# before the first run.
+for _name in ("threads", "pool"):
+    registry().counter(f"spmd.placement.{_name}")
 
 
 def run_spmd(
@@ -54,11 +61,13 @@ def run_spmd(
     Returns
     -------
     :class:`SpmdResult` with per-rank return values (rank order) and the
-    byte/clock ledger; ``result.backend`` names the backend that ran it.
+    byte/clock ledger; ``result.backend`` names the backend that ran it
+    and ``result.placement`` where (it counts in
+    ``spmd.placement.<backend>``).
     """
     # run_traced is get_backend(backend).run(...) plus span/metrics
     # propagation when tracing is on (one flag check when it is off).
-    return run_traced(
+    result = run_traced(
         backend,
         n_ranks,
         fn,
@@ -68,3 +77,5 @@ def run_spmd(
         cost_model=cost_model,
         **kwargs,
     )
+    registry().counter(f"spmd.placement.{result.backend}").inc()
+    return result

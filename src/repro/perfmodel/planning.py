@@ -143,8 +143,8 @@ def measure_backend_throughput(
     The calibrated model predicts *cluster* time assuming every rank has
     its own processor; the ``threads`` backend does not (its ranks run
     one at a time, so its wall time is about the serial work) while
-    ``pool`` honours it up to the host's core count (and its slot
-    count: more ranks than slots run cold on a one-shot pool).  This
+    ``pool`` honours it up to the host's core count (and its worker
+    count: more ranks than workers share them, a block per worker).  This
     probe aligns an evenly-spaced subsample of ``seqs`` (at most
     ``probe_size`` sequences) at each rank count in ``procs`` with the
     given backend and measures real wall time, so a plan can recommend

@@ -6,8 +6,11 @@ worker processes warm and reuses them for every SPMD run -- a
 Sample-Align-D run, an all-pairs distance schedule -- so repeated short
 jobs pay a queue round-trip instead of a process start.  Every payload
 is pickled once by its sender and rides a :mod:`multiprocessing` queue
-as bytes.  A run with more ranks than the pool has slots runs cold, on
-a one-shot pool sized for it.  The pool's settings are fixed constants
+as bytes.  A run with more ranks than the pool has workers is placed
+M:N: each worker hosts a block of the ranks as threads, and a message
+crosses a process boundary only between two blocks.  An unset backend
+lands here when :func:`~repro.parcomp.backends.place` says the job is
+worth a pool.  The pool's settings are fixed constants
 of :mod:`repro.pool.workers`; only the slot count is chosen
 (``max_workers``, or ``REPRO_POOL_WORKERS`` for the default pool).
 
@@ -28,6 +31,7 @@ CLI -- or hand a sized :class:`WorkerPool` to :class:`PoolBackend` /
 
 from repro.pool.backend import (
     PoolBackend,
+    adopt_default_pool,
     close_default_pool,
     get_default_pool,
     set_default_pool,
@@ -38,6 +42,7 @@ __all__ = [
     "PoolBackend",
     "WorkerCrashError",
     "WorkerPool",
+    "adopt_default_pool",
     "close_default_pool",
     "get_default_pool",
     "set_default_pool",

@@ -3,35 +3,31 @@
 :class:`PoolBackend` is the ``"pool"`` face of :mod:`repro.pool`: it
 satisfies the :class:`~repro.parcomp.backends.ExecutionBackend` contract
 (same program semantics, same abort semantics, byte-identical results)
-while executing ranks on a warm :class:`~repro.pool.workers.WorkerPool`.
-Two behaviours are layered on top of the raw pool:
-
-- **crash retry** -- a :class:`~repro.pool.workers.WorkerCrashError`
-  means a worker *process* died or stopped beating, not that the
-  program failed.  The rank
-  programs this repo runs (distance tiles, Sample-Align-D) are
-  deterministic and side-effect-free, so the whole run is retried on
-  the replaced workers -- the caller still gets the byte-identical
-  result or, after :data:`MAX_RETRIES` retries that crash too, a
-  ``RuntimeError``.  Program exceptions are never retried.
-- **capacity fallback** -- a pool has a fixed slot count; a run asking
-  for more ranks than that runs cold, on a one-shot
-  :class:`~repro.pool.workers.WorkerPool` with one slot per rank that is
-  closed when the run ends (counted in ``pool.stats()["fallback_runs"]``).
-  It is dispatched, traced and crash-retried exactly like a run that
-  fits.
+while executing ranks on a warm :class:`~repro.pool.workers.WorkerPool`
+-- any number of them: with more ranks than workers, each worker hosts
+a block of the ranks (M:N, :func:`~repro.pool.workers.rank_blocks`).
+One behaviour is layered on top of the raw pool, **crash retry**: a
+:class:`~repro.pool.workers.WorkerCrashError` means a worker *process*
+died or stopped beating, not that the program failed.  The rank
+programs this repo runs (distance tiles, Sample-Align-D) are
+deterministic and side-effect-free, so the whole run -- every rank of
+it, whichever worker hosted them -- is retried on the replaced workers:
+the caller still gets the byte-identical result or, after
+:data:`MAX_RETRIES` retries that crash too, a ``RuntimeError``.
+Program exceptions are never retried.
 
 Most callers never construct a pool: ``backend="pool"`` anywhere in the
-stack resolves to :func:`get_default_pool`, one process-wide pool created
-on first use and closed at interpreter exit.  Long-lived owners (the
-serving gateway) install their own pool with :func:`set_default_pool` so
-every layer underneath them dispatches onto it.
+stack -- or an unset backend that :func:`~repro.parcomp.backends.place`
+puts on ``pool`` -- resolves to :func:`get_default_pool`, one
+process-wide pool created on first use and closed at interpreter exit.
+Long-lived owners (the serving gateway) install their own pool with
+:func:`set_default_pool` so every layer underneath them dispatches onto
+it.
 """
 
 from __future__ import annotations
 
 import atexit
-import contextlib
 import os
 import threading
 from typing import Any, Callable, Optional, Sequence
@@ -48,6 +44,7 @@ from repro.pool.workers import WorkerCrashError, WorkerPool
 
 __all__ = [
     "PoolBackend",
+    "adopt_default_pool",
     "close_default_pool",
     "get_default_pool",
     "set_default_pool",
@@ -74,14 +71,12 @@ class PoolBackend(ExecutionBackend):
     here holds the process's compute token
     (:data:`~repro.parcomp.token.COMPUTE_TOKEN`), and all it does from
     here on is wait for other processes.  :meth:`run` therefore parks
-    the token around every ``run_spmd`` dispatch -- the warm pool, a
-    one-shot overflow pool and each crash retry alike -- and takes it
-    back before returning (the wait to get it back is the
-    ``pool.token_wait`` span), so the next in-process compute runs
-    meanwhile, and so do dispatches onto *other* pools (two overflow
-    runs, each on its one-shot pool).  Two runs on one
-    :class:`WorkerPool` still go one after the other: that is the
-    pool's own dispatch lock (rank ``r`` runs on slot ``r``), as before
+    the token around every ``run_spmd`` dispatch -- the first attempt
+    and each crash retry alike -- and takes it back before returning
+    (the wait to get it back is the ``pool.token_wait`` span), so the
+    next in-process compute runs meanwhile, and so do dispatches onto
+    *other* pools.  Two runs on one :class:`WorkerPool` still go one
+    after the other: that is the pool's own dispatch lock, as before
     the token existed.  A caller that does not hold the token (a
     direct ``run_request``, a rank thread of a ``threads`` run) neither
     acquires nor releases it.
@@ -107,27 +102,21 @@ class PoolBackend(ExecutionBackend):
     ) -> SpmdResult:
         self._validate(n_ranks, rank_args)
         pool = self.pool
-        overflow = n_ranks > pool.max_workers
-        if overflow:
-            pool.note_fallback()
         last_crash: Optional[WorkerCrashError] = None
         attempts = MAX_RETRIES + 1
         for attempt in range(attempts):
             try:
-                # Fixed slot count: a run that does not fit gets a
-                # one-shot pool of its own size, per attempt, opened
-                # inside the span and closed on the way out.
                 with span(
                     "pool.dispatch", ranks=n_ranks, attempt=attempt
-                ) as dispatch_span, (
-                    WorkerPool(max_workers=n_ranks)
-                    if overflow else contextlib.nullcontext(pool)
-                ) as runner:
+                ) as dispatch_span:
                     with COMPUTE_TOKEN.parked():
-                        result = runner.run_spmd(
+                        result = pool.run_spmd(
                             n_ranks, fn, args, rank_args, cost_model, **kwargs
                         )
-                    dispatch_span.set(**runner.stats()["transport"])
+                    dispatch_span.set(
+                        placement=result.placement,
+                        **pool.stats()["transport"],
+                    )
                     return result
             except WorkerCrashError as exc:
                 last_crash = exc
@@ -161,6 +150,22 @@ def get_default_pool() -> WorkerPool:
     with _default_lock:
         if _default_pool is None or _default_pool.closed:
             _default_pool = WorkerPool()
+        return _default_pool
+
+
+def adopt_default_pool() -> Optional[WorkerPool]:
+    """Install a new :class:`WorkerPool` as the process default unless a
+    live one is installed already; return it, or ``None`` when there
+    was one.  The caller owns the pool it got: it closes it and puts
+    the slot back with :func:`set_default_pool` (how a gateway creates
+    its pool on the first request it places on ``pool``)."""
+    global _default_pool
+    if os.environ.get(POOL_WORKER_ENV):
+        return None  # get_default_pool() explains the refusal
+    with _default_lock:
+        if _default_pool is not None and not _default_pool.closed:
+            return None
+        _default_pool = WorkerPool()
         return _default_pool
 
 

@@ -11,11 +11,21 @@ schedule -- reuses them, paying only a queue round-trip.
 Topology (fixed at construction, because :mod:`multiprocessing` queues
 can only be shared with a child at creation time):
 
-- one *task queue* per slot (rank dispatch + stop control),
-- one *message queue* per slot (SPMD point-to-point; rank ``r`` runs on
-  slot ``r``, so peers address ``msg_qs[dst]`` directly),
-- one shared *result queue* (rank reports, ready/bye),
+- one *task queue* per slot (a run's block of ranks + stop control),
+- one *message queue* per slot (SPMD point-to-point between workers,
+  each message tagged with its destination rank),
+- one shared *result queue* (worker reports, ready/bye),
 - a shared failure :class:`~multiprocessing.Event` and a heartbeat array.
+
+Placement is M:N (:func:`rank_blocks`): ``p`` ranks on ``k`` slots use
+the first ``min(p, k)`` slots, each hosting a contiguous block of at
+most ``ceil(p/k)`` ranks as threads over the worker's own run token
+(:func:`~repro.parcomp.backends.run_rank_threads`, the runner of the
+``threads`` backend, over :class:`_WorkerFabric`; the block's first
+rank runs on the worker's own thread).  A message between ranks of one
+worker stays in that worker's mailbox; one to a rank of another worker
+rides that worker's message queue.  With ``p <= k`` every worker hosts
+one rank.
 
 Runs are serialised under a dispatch lock -- the pool is a reusable
 *substrate*, not a concurrent scheduler -- and every in-flight message is
@@ -37,8 +47,9 @@ non-zero exit code or its heartbeat is older than the hang threshold
 (each worker beats from a daemon thread that runs through any amount of
 compute, so a stale beat means the process is wedged or stopped, not
 busy).  Before queueing ranks, a bad slot anywhere forces the pool-wide
-reset; while collecting reports, a rank whose slot goes bad (or dies
-without reporting) becomes a :class:`WorkerCrashError`.
+reset; while collecting reports, a worker that goes bad (or dies
+without reporting) becomes a :class:`WorkerCrashError` for the run,
+however many ranks it hosted.
 
 Crash semantics: a worker that dies or stops mid-run surfaces as
 :class:`WorkerCrashError` after the pool is reset -- infrastructure
@@ -65,12 +76,13 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.parcomp.backends import (
     POOL_WORKER_ENV,
     SpmdResult,
+    run_rank_threads,
     usable_cores,
 )
-from repro.parcomp.comm import SpmdAbort, Transport, VirtualComm
+from repro.parcomp.comm import Fabric, SpmdAbort
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
 
-__all__ = ["WorkerCrashError", "WorkerPool"]
+__all__ = ["WorkerCrashError", "WorkerPool", "rank_blocks"]
 
 #: :mod:`multiprocessing` start method: ``fork`` where the platform has
 #: it, else the platform default.  Programs and arguments are *always*
@@ -147,106 +159,182 @@ def _count(meter: Counter, blob: bytes) -> bytes:
 # Worker side (runs in the slot process).
 
 
-class _PoolRankTransport(Transport):
-    """Queue transport for one SPMD rank hosted on a pool slot.
+def rank_blocks(n_ranks: int, n_workers: int) -> List[range]:
+    """The M:N placement of ``n_ranks`` ranks on a pool of ``n_workers``:
+    one contiguous block of ranks per worker used, ``min(n_ranks,
+    n_workers)`` blocks whose sizes differ by at most one, so no worker
+    hosts more than ``ceil(n_ranks / n_workers)`` ranks.  The larger
+    blocks go last: rank 0, the root of every collective, shares its
+    worker with the fewest peers.  Contiguous blocks keep the binomial
+    trees of ``bcast``/``reduce`` inside a worker below their top
+    level."""
+    used = min(n_ranks, n_workers)
+    base, extra = divmod(n_ranks, used)
+    blocks, start = [], 0
+    for w in range(used):
+        size = base + (1 if w >= used - extra else 0)
+        blocks.append(range(start, start + size))
+        start += size
+    return blocks
 
-    Each rank owns an inbox queue: ``post`` puts into the destination's
-    inbox, ``collect`` drains the own inbox into a local ``(src, tag)``
-    buffer until the wanted message arrives, and the barrier is a linear
-    exchange on the control tag.  Payloads are pickled bytes, and every
-    message carries the ``run_id`` so stale traffic from a previous
-    aborted run is dropped instead of delivered.  Send events are
-    recorded locally and shipped to the pool with the rank's report,
-    where the per-rank ledgers merge into one.
+
+class _WorkerFabric(Fabric):
+    """The transport of the block of ranks one worker hosts in one run.
+
+    A :class:`~repro.parcomp.comm.Fabric` over the local ranks -- they
+    run as threads that take turns on the worker's own run token, and a
+    message between two of them stays in the mailbox -- extended to the
+    ranks of the other workers: a message to one of those rides the
+    message queue (``inbox``) of the worker that hosts it, tagged with
+    its destination rank, as pickled bytes.  Nobody else reads a
+    worker's queue: a local rank parked for a message from another
+    worker reads it itself, filing what it reads for its peers in the
+    mailbox and dropping traffic of any other run, while at most one
+    rank at a time does so (the others wait on the fabric's condition
+    and are woken by what it files).  The pool's failure event counts
+    as a failed fabric once the inbox has been quiet for a poll.  The
+    barrier is a linear clock-max exchange on the control tag at rank 0,
+    unmetered like the in-process one.  The send events of the local
+    ranks go into the fabric's ledger and back to the pool with the
+    worker's report.
     """
 
     def __init__(
         self,
-        rank: int,
         n_ranks: int,
         cost_model: Optional[CostModel],
+        ranks: range,
+        owner: List[int],
         msg_qs: List[Any],
+        inbox: Any,
         fail_event: Any,
         run_id: int,
         meter: Counter,
     ) -> None:
-        self.rank = rank
-        self.n_ranks = n_ranks
-        self.cost_model = cost_model or CostModel()
-        self.ledger = TimingLedger(n_ranks, self.cost_model)
+        super().__init__(n_ranks, cost_model)
+        self.ranks = ranks
+        self._holder = ranks[0]
+        self._owner = owner
         self._msg_qs = msg_qs
+        self._inbox = inbox
         self._fail_event = fail_event
         self._run_id = run_id
         self._meter = meter
-        self._buffer: Dict[Tuple[int, Any], deque] = {}
+        #: Whether a parked rank is reading the inbox right now.
+        self._draining = False
+        # Rank spans carry parked/overlap seconds on ``threads`` only.
+        self.parked_s = self.overlap_s = None
 
     # -- failure propagation ------------------------------------------------
 
     def fail(self, exc: BaseException) -> None:
         self._fail_event.set()
-
-    def check_failed(self) -> None:
-        if self._fail_event.is_set():
-            raise SpmdAbort("another rank failed")
+        super().fail(exc)
 
     # -- point-to-point -----------------------------------------------------
 
-    def _put(self, dst: int, src: int, tag: Any, payload: Any,
-             ready_time: float) -> None:
-        self._msg_qs[dst].put(
-            ("p2p", self._run_id, src, tag,
-             _count(self._meter, _dumps(payload)), ready_time)
-        )
-
     def post(self, src: int, dst: int, tag: int, payload: Any,
              ready_time: float, nbytes: int, kind: str) -> None:
-        self.ledger.events.append(
-            CommEvent(kind, src, dst, nbytes, tag, send_clock=ready_time)
-        )
-        self._put(dst, src, tag, payload, ready_time)
+        if dst in self.ranks:
+            super().post(src, dst, tag, payload, ready_time, nbytes, kind)
+            return
+        with self._lock:
+            self.ledger.events.append(
+                CommEvent(kind, src, dst, nbytes, tag, send_clock=ready_time)
+            )
+        self._send(src, dst, tag, payload, ready_time)
 
-    def collect(self, dst: int, src: int, tag: int) -> Tuple[Any, float]:
-        key = (src, tag)
-        inbox = self._msg_qs[dst]
-        while True:
-            box = self._buffer.get(key)
-            if box:
-                blob, ready = box.popleft()
-                return pickle.loads(blob), ready
-            self.check_failed()
-            try:
-                item = inbox.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                continue
-            _, m_run, m_src, m_tag, blob, ready = item
-            if m_run == self._run_id:  # else a leftover from an aborted run
-                self._buffer.setdefault((m_src, m_tag), deque()).append(
-                    (blob, ready)
+    def _send(self, src: int, dst: int, tag: Any, payload: Any,
+              ready: float) -> None:
+        """Deliver one unmetered message: into the mailbox for a local
+        rank (the token holder sends, so no one needs waking), onto the
+        hosting worker's queue otherwise."""
+        if dst in self.ranks:
+            with self._lock:
+                self._mail.setdefault((dst, src, tag), deque()).append(
+                    (payload, ready)
                 )
+            return
+        self._msg_qs[self._owner[dst]].put(
+            ("p2p", self._run_id, src, dst, tag,
+             _count(self._meter, _dumps(payload)), ready)
+        )
+
+    def collect(self, dst: int, src: int, tag: Any) -> Tuple[Any, float]:
+        if src in self.ranks:
+            return super().collect(dst, src, tag)
+        key = (dst, src, tag)
+        with self._cond:
+            self.check_failed()
+            if not self._mail.get(key):
+                self._park_remote(key)
+            return self._mail[key].popleft()
+
+    def _park_remote(self, key: Tuple[int, int, Any]) -> None:
+        """:meth:`Fabric._park` for a message from another worker: hand
+        the token over, read the inbox while no other rank does, and
+        take the token back once the message is filed and the token is
+        free.  Called, and returns, with the lock held."""
+        rank = self._holder
+        self._holder = None
+        self._cond.notify_all()
+        while True:
+            self.check_failed()
+            if self._mail.get(key):
+                if self._holder is None:
+                    break
+                self._cond.wait()
+            elif self._draining:
+                self._cond.wait()  # woken by what the reader files
+            else:
+                self._draining = True
+                self._lock.release()
+                try:
+                    item = self._inbox.get(timeout=_POLL_S)
+                except queue_mod.Empty:
+                    item = None
+                finally:
+                    self._lock.acquire()
+                    self._draining = False
+                if item is None:
+                    # The event is shared by every process of the pool
+                    # (a lock they all take to read it), so it is read
+                    # only when the inbox has gone quiet.
+                    if self._failed is None and self._fail_event.is_set():
+                        self._failed = SpmdAbort(
+                            "a rank of another worker failed"
+                        )
+                elif item[1] == self._run_id:
+                    _, _, src, dst, tag, blob, ready = item
+                    self._mail.setdefault((dst, src, tag), deque()).append(
+                        (pickle.loads(blob), ready)
+                    )
+                # Whatever was filed may be another rank's; the reading
+                # is free for whoever waits on the inbox next.
+                self._cond.notify_all()
+        self._holder = rank
 
     # -- barrier ------------------------------------------------------------
 
-    def barrier(self, clock: float) -> float:
-        """Linear clock-max fan-in/out on the control tag, unmetered --
-        the same zero-event footprint the threads fabric's shared barrier
-        has, so ledgers stay comparable across backends."""
+    def barrier(self, rank: int, clock: float) -> float:
         if self.n_ranks == 1:
             return clock
-        if self.rank == 0:
+        if rank == 0:
             mx = clock
             for src in range(1, self.n_ranks):
                 other, _ = self.collect(0, src, _CTRL_TAG)
                 mx = max(mx, other)
             for dst in range(1, self.n_ranks):
-                self._put(dst, 0, _CTRL_TAG, mx, 0.0)
+                self._send(0, dst, _CTRL_TAG, mx, 0.0)
             return mx
-        self._put(0, self.rank, _CTRL_TAG, clock, 0.0)
-        result, _ = self.collect(self.rank, 0, _CTRL_TAG)
+        self._send(rank, 0, _CTRL_TAG, clock, 0.0)
+        result, _ = self.collect(rank, 0, _CTRL_TAG)
         return float(result)
 
 
 def _report_blob(report: Dict[str, Any]) -> bytes:
-    """Pickle a report, downgrading unpicklable payloads to an error.
+    """Pickle a worker's report, downgrading each rank whose result or
+    exception does not pickle to that rank's error.
 
     ``Queue.put`` pickles on a feeder thread, where an unpicklable
     report would fail *silently* and leave the pool waiting forever, so
@@ -257,21 +345,27 @@ def _report_blob(report: Dict[str, Any]) -> bytes:
     try:
         return _dumps(report)
     except Exception:
-        what = "result" if report["status"] == "ok" else "exception"
-        bad = report["result"] if report["status"] == "ok" else report["error"]
-        report = dict(
-            report,
-            result=None,
-            status="error",
-            error=RuntimeError(
-                f"rank {report['rank']} produced an unpicklable "
-                f"{what}: {bad!r}"
-            ),
-        )
-        return _dumps(report)
+        pass
+    ranks = dict(report["ranks"])
+    for rank, entry in ranks.items():
+        try:
+            _dumps(entry)
+        except Exception:
+            ok = entry["status"] == "ok"
+            what = "result" if ok else "exception"
+            bad = entry["result"] if ok else entry["error"]
+            ranks[rank] = dict(
+                entry,
+                result=None,
+                status="error",
+                error=RuntimeError(
+                    f"rank {rank} produced an unpicklable {what}: {bad!r}"
+                ),
+            )
+    return _dumps(dict(report, ranks=ranks))
 
 
-def _run_one_rank(
+def _run_block(
     slot: int,
     item: tuple,
     msg_qs: List[Any],
@@ -279,41 +373,88 @@ def _run_one_rank(
     fail_event: Any,
     meter: Counter,
 ) -> None:
-    _, run_id, rank, n_ranks, extra_blob, run_blob = item
-    transport = _PoolRankTransport(
-        rank, n_ranks, None, msg_qs, fail_event, run_id, meter
-    )
-    comm: Optional[VirtualComm] = None
-    status, result, error = "ok", None, None
+    """Run this worker's block of one run's ranks and report them."""
+    _, run_id, start, stop, n_ranks, n_workers, extras_blob, run_blob = item
+    ranks = range(start, stop)
+    fabric: Optional[_WorkerFabric] = None
+    results: Dict[int, Any] = {}
+    errors: List[Tuple[int, BaseException]] = []
     try:
-        extra = pickle.loads(extra_blob)
+        extras = pickle.loads(extras_blob)
         fn, args, kwargs, cost_model = pickle.loads(run_blob)
-        transport.cost_model = cost_model or CostModel()
-        transport.ledger = TimingLedger(n_ranks, transport.cost_model)
-        comm = VirtualComm(transport, rank)
-        result = fn(comm, *extra, *args, **kwargs)
-    except SpmdAbort:
-        status = "abort"
-    except BaseException as exc:  # noqa: BLE001 - shipped to the pool
-        status, error = "error", exc
-        transport.fail(exc)
-    finally:
-        if comm is not None:
-            comm.finalize()
-        report = {
-            "rank": rank,
-            "status": status,
-            "result": result,
-            "error": error,
-            "compute": float(transport.ledger.compute[rank]),
-            "clock": float(transport.ledger.clock[rank]),
-            "events": list(transport.ledger.events),
-            "transport": dict(meter),
-        }
-        blob = _report_blob(report)
-        if report["status"] == "error" and status == "ok":
-            fail_event.set()  # unpicklable result fails the run
-        result_q.put(("rank-report", slot, run_id, rank, blob))
+        owner = [
+            w for w, block in enumerate(rank_blocks(n_ranks, n_workers))
+            for _ in block
+        ]
+        fabric = _WorkerFabric(
+            n_ranks, cost_model, ranks, owner, msg_qs, msg_qs[slot],
+            fail_event, run_id, meter,
+        )
+        results, errors, _ = run_rank_threads(
+            fabric, ranks, fn, args, dict(zip(ranks, extras)), kwargs,
+            inline=True,
+        )
+    except BaseException as exc:  # noqa: BLE001 - the run did not load
+        errors = [(r, exc) for r in ranks]
+        fail_event.set()
+    failed = dict(errors)
+    ledger = fabric.ledger if fabric is not None else None
+    report = {
+        "ranks": {
+            r: {
+                "status": "error" if r in failed else "ok",
+                "result": results.get(r),
+                "error": failed.get(r),
+                "compute": float(ledger.compute[r]) if ledger else 0.0,
+                "clock": float(ledger.clock[r]) if ledger else 0.0,
+            }
+            for r in ranks
+        },
+        "events": list(ledger.events) if ledger else [],
+        "transport": dict(meter),
+    }
+    result_q.put(("report", slot, run_id, _report_blob(report)))
+
+
+#: ``set_num_threads`` of the OpenBLAS builds numpy links, by symbol.
+_BLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def one_blas_thread() -> bool:
+    """Run this process's BLAS on one thread; whether that was possible.
+
+    A worker is one of ``k`` processes on ``k`` cores, but OpenBLAS
+    keeps a thread per core in every process: two workers multiplying
+    profiles (``profile_align``'s ``Fx @ M @ Fy.T``) kept four busy
+    threads on two cores, and a 128 x 200, p = 16 run on two workers
+    took 0.55 s against 0.35 s on ``threads``.  The OpenBLAS loaded in
+    this process is found in ``/proc/self/maps``; without one (no
+    ``/proc``, another BLAS) nothing changes.
+    """
+    import ctypes
+    import re
+
+    try:
+        with open("/proc/self/maps", encoding="ascii", errors="replace") as fh:
+            libs = set(re.findall(r"(/\S*openblas\S*\.so\S*)", fh.read()))
+    except OSError:
+        return False
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter(1)
+                return True
+    return False
 
 
 def _worker_main(
@@ -330,6 +471,7 @@ def _worker_main(
     # A rank program must not open *another* pool inside a worker --
     # get_default_pool() refuses when this marker is set.
     os.environ[POOL_WORKER_ENV] = "1"
+    one_blas_thread()
     meter = Counter(msgs=0, bytes=0)
 
     stop_beat = threading.Event()
@@ -353,7 +495,7 @@ def _worker_main(
                 continue
             if item[0] == "stop":
                 break
-            _run_one_rank(slot, item, msg_qs, result_q, fail_event, meter)
+            _run_block(slot, item, msg_qs, result_q, fail_event, meter)
     finally:
         stop_beat.set()
         result_q.put(("bye", slot))
@@ -386,9 +528,9 @@ class WorkerPool:
 
     ``max_workers`` is the slot count (default: :func:`default_worker_count`),
     fixed for the pool's lifetime because queues must exist before workers
-    are born.  Runs needing more ranks than this do not fit --
-    :class:`~repro.pool.backend.PoolBackend` runs those cold, on a one-shot
-    pool with one slot per rank.  Everything else the pool does is set by
+    are born.  A run of more ranks than slots is placed M:N
+    (:func:`rank_blocks`): every slot hosts a block of the ranks as
+    threads.  Everything else the pool does is set by
     the module constants (:data:`START_METHOD`, :data:`HEARTBEAT_S`,
     :data:`ABORT_JOIN_TIMEOUT_S`); a started worker runs until
     :meth:`close`, and a dead or hung one is replaced by the next
@@ -428,7 +570,6 @@ class WorkerPool:
         self.respawns = 0
         self.runs = 0
         self.tasks_served = 0
-        self.fallback_runs = 0
         self._retired_transport = Counter(msgs=0, bytes=0)
 
     # -- lifecycle -----------------------------------------------------------
@@ -597,52 +738,55 @@ class WorkerPool:
         cost_model: Optional[CostModel] = None,
         **kwargs: Any,
     ) -> SpmdResult:
-        """Execute an SPMD program on warm workers (rank ``r`` on slot ``r``).
+        """Execute an SPMD program on warm workers, worker ``w`` hosting
+        the ranks of ``rank_blocks(n_ranks, max_workers)[w]``.
 
         Semantics are identical to the other backends: program errors
         raise ``RuntimeError("rank r failed: ...")``, infrastructure
-        deaths raise :class:`WorkerCrashError` (after the dead slots are
-        respawned) so the caller may retry on fresh workers.
+        deaths raise :class:`WorkerCrashError` (after the pool is reset)
+        so the caller may retry on fresh workers.
         """
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
         if rank_args is not None and len(rank_args) != n_ranks:
             raise ValueError("rank_args must provide one tuple per rank")
-        if n_ranks > self.max_workers:
-            raise ValueError(
-                f"n_ranks={n_ranks} exceeds pool capacity "
-                f"{self.max_workers} (PoolBackend runs such a job on a "
-                "one-shot pool)"
-            )
         cost_model = cost_model or CostModel()
+        blocks = rank_blocks(n_ranks, self.max_workers)
         with self._dispatch_lock:
             self._require_open()
-            self._ensure_workers(n_ranks)
+            self._ensure_workers(len(blocks))
             self._fail_event.clear()
             with self._state_lock:
                 self._run_seq += 1
                 run_id = self._run_seq
             # The program and its arguments (the sequence batches,
-            # estimator state, profiles) are pickled once; every rank's
-            # task carries the same bytes.
+            # estimator state, profiles) are pickled once; every
+            # worker's task carries the same bytes.
             run = (fn, tuple(args), dict(kwargs), cost_model)
             run_blob = _count(self._meter, _dumps(run))
-            for r in range(n_ranks):
-                extra = tuple(rank_args[r]) if rank_args is not None else ()
-                self._task_qs[r].put(
-                    ("rank", run_id, r, n_ranks,
-                     _count(self._meter, _dumps(extra)), run_blob)
+            for w, ranks in enumerate(blocks):
+                extras = [
+                    tuple(rank_args[r]) if rank_args is not None else ()
+                    for r in ranks
+                ]
+                self._task_qs[w].put(
+                    ("ranks", run_id, ranks.start, ranks.stop, n_ranks,
+                     len(blocks), _count(self._meter, _dumps(extras)),
+                     run_blob)
                 )
-            reports, crashed = self._collect_reports(run_id, n_ranks)
-            return self._assemble(n_ranks, cost_model, reports, crashed)
+            reports, crashed = self._collect_reports(run_id, len(blocks))
+            return self._assemble(
+                n_ranks, blocks, cost_model, reports, crashed
+            )
 
     def _collect_reports(
-        self, run_id: int, n_ranks: int
+        self, run_id: int, n_used: int
     ) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, BaseException]]:
+        """Each used worker's report, or its crash, by worker index."""
         reports: Dict[int, Dict[str, Any]] = {}
         crashed: Dict[int, BaseException] = {}
         abort_deadline: Optional[float] = None
-        while len(reports.keys() | crashed.keys()) < n_ranks:
+        while len(reports.keys() | crashed.keys()) < n_used:
             if abort_deadline is None and (
                 crashed or self._fail_event.is_set()
             ):
@@ -657,9 +801,9 @@ class WorkerPool:
                 # reports: detect it, fail the survivors out of their
                 # waits.
                 now = time.monotonic()
-                for r in range(n_ranks):
-                    slot = self._slots[r]
-                    if (r in reports or r in crashed
+                for w in range(n_used):
+                    slot = self._slots[w]
+                    if (w in reports or w in crashed
                             or slot.alive and not self._slot_bad(slot, now)):
                         continue
                     what = (
@@ -667,34 +811,36 @@ class WorkerPool:
                         if slot.alive
                         else f"died (exitcode {slot.proc.exitcode})"
                     )
-                    crashed[r] = WorkerCrashError(
-                        f"worker {r} of pool {self.name!r} {what} mid-run"
+                    crashed[w] = WorkerCrashError(
+                        f"worker {w} of pool {self.name!r} {what} mid-run"
                     )
                     self._fail_event.set()
                 continue
-            if entry[0] != "rank-report":
+            if entry[0] != "report":
                 continue  # "ready"/"bye" control entries need no action
-            _, slot_idx, rid, rank, blob = entry
+            _, w, rid, blob = entry
             if rid != run_id:  # straggler from an aborted run
                 continue
             report = pickle.loads(_count(self._meter, blob))
-            reports[rank] = report
+            reports[w] = report
             with self._state_lock:
-                self._slots[slot_idx].transport = report["transport"]
+                self._slots[w].transport = report["transport"]
         return reports, crashed
 
     def _assemble(
         self,
         n_ranks: int,
+        blocks: List[range],
         cost_model: CostModel,
         reports: Dict[int, Dict[str, Any]],
         crashed: Dict[int, BaseException],
     ) -> SpmdResult:
         stuck = [
-            r for r in range(n_ranks)
-            if r not in reports and r not in crashed
+            r for w, ranks in enumerate(blocks)
+            if w not in reports and w not in crashed
+            for r in ranks
         ]
-        # Any slot that did not come back clean -- crashed (already
+        # Any worker that did not come back clean -- crashed (already
         # dead) or stuck (never observed the abort; deep in compute) --
         # may have poisoned shared queue locks, so recovery rebuilds
         # the whole substrate.
@@ -705,22 +851,26 @@ class WorkerPool:
             self.runs += 1
             self.tasks_served += n_ranks
 
+        entries = {
+            r: entry
+            for report in reports.values()
+            for r, entry in report["ranks"].items()
+        }
         reported_errors = {
-            r: rep["error"] for r, rep in reports.items()
-            if rep["status"] == "error"
+            r: entry["error"] for r, entry in entries.items()
+            if entry["status"] == "error"
         }
         if reported_errors:
             rank = min(reported_errors)
             exc = reported_errors[rank]
             note = (
-                f" ({len(stuck)} rank worker(s) terminated while "
-                f"unwinding: {', '.join(f'rank-{r}' for r in stuck)})"
+                f" ({len(stuck)} rank(s) terminated while unwinding: "
+                f"{', '.join(f'rank-{r}' for r in stuck)})"
                 if stuck else ""
             )
             raise RuntimeError(f"rank {rank} failed: {exc!r}{note}") from exc
         if crashed:
-            rank = min(crashed)
-            raise crashed[rank]
+            raise crashed[min(crashed)]
         if stuck:
             raise RuntimeError(
                 f"rank(s) {', '.join(str(r) for r in stuck)} never "
@@ -730,20 +880,18 @@ class WorkerPool:
         ledger = TimingLedger(n_ranks, cost_model)
         results: List[Any] = [None] * n_ranks
         for r in range(n_ranks):
-            rep = reports[r]
-            results[r] = rep["result"]
-            ledger.compute[r] = rep["compute"]
-            ledger.clock[r] = rep["clock"]
-        for r in sorted(reports):  # rank-major merge: identical ledgers
-            ledger.events.extend(reports[r]["events"])
-        return SpmdResult(results, ledger, backend="pool")
+            results[r] = entries[r]["result"]
+            ledger.compute[r] = entries[r]["compute"]
+            ledger.clock[r] = entries[r]["clock"]
+        # Rank-major merge (stable: each rank's sends in program order),
+        # so the ledger does not depend on how turns fell in a worker.
+        events = [e for w in sorted(reports) for e in reports[w]["events"]]
+        ledger.events.extend(sorted(events, key=lambda e: e.src))
+        return SpmdResult(
+            results, ledger, backend="pool", workers=len(blocks)
+        )
 
     # -- introspection -------------------------------------------------------
-
-    def note_fallback(self) -> None:
-        """Record one run that overflowed onto a one-shot pool."""
-        with self._state_lock:
-            self.fallback_runs += 1
 
     def stats(self) -> Dict[str, Any]:
         """Live pool counters (the gateway surfaces these at ``/metrics``).
@@ -769,7 +917,6 @@ class WorkerPool:
                 "respawns": self.respawns,
                 "runs": self.runs,
                 "tasks_served": self.tasks_served,
-                "fallback_runs": self.fallback_runs,
                 "transport": {
                     "msgs": transport["msgs"], "bytes": transport["bytes"]
                 },

@@ -44,7 +44,7 @@ from repro.distance import DistanceConfig, validate_backend_name
 from repro.engine.api import AlignRequest, AlignResult
 from repro.engine.registry import available_engines, engine_stages
 from repro.engine.service import AlignmentService
-from repro.obs.metrics import Histogram, HistogramSnapshot
+from repro.obs.metrics import Histogram, HistogramSnapshot, registry
 from repro.obs.tracing import span
 from repro.parcomp.backends import bound_malloc_arenas
 from repro.tree import STAGE_CONFIGS, TreeConfig
@@ -177,6 +177,20 @@ class Ticket:
         }
 
 
+def _places_on_pool(request: AlignRequest) -> bool:
+    """Whether a request's ranks go to a ``pool``: a Sample-Align-D
+    request that asks for it, or leaves the backend unset and is big
+    enough that :func:`repro.core.driver.placement` puts it there."""
+    if request.engine.lower() != "sample-align-d":
+        return False
+    backend = request.engine_kwargs.get("backend")
+    if backend is not None:
+        return str(backend).lower() == "pool"
+    from repro.core.driver import placement
+
+    return placement(request.sequences, request.n_procs).backend == "pool"
+
+
 #: Queue item priority used for shutdown sentinels (after every real class).
 _SENTINEL_PRIORITY = max(PRIORITIES.values()) + 1
 
@@ -240,10 +254,16 @@ class AlignmentGateway:
         the first request), installs it as the process default so every
         engine / distance dispatch underneath lands on it, exposes its
         live counters under ``metrics()["pool"]``, and -- if it created
-        the pool itself -- closes it on :meth:`close`.  The pool keeps
-        its workers until then; the next dispatch replaces one that
-        died or stopped beating, and a request it was serving is
-        retried on the fresh workers.
+        the pool itself -- closes it on :meth:`close`.  Without one, the
+        first request the gateway places on ``pool`` -- a Sample-Align-D
+        request whose ``backend`` is ``"pool"``, or unset and big enough
+        that :func:`repro.core.driver.placement` says so -- makes it
+        create that pool then (unless a live process default exists
+        already), with the same ownership: installed as the default
+        (direct ``run_request`` solves reuse it), closed by
+        :meth:`close`.  The pool keeps its workers until then; the next
+        dispatch replaces one that died or stopped beating, and a
+        request it was serving is retried on the fresh workers.
     """
 
     def __init__(
@@ -326,6 +346,7 @@ class AlignmentGateway:
         self._pool: Optional[Any] = None
         self._own_pool = False
         self._prev_default_pool: Optional[Any] = None
+        self._pool_lock = threading.Lock()
         distance = self._stage_defaults.get("distance")
         wants_pool = pool is not None or "pool" in {
             self._default_backend, distance and distance.backend,
@@ -542,6 +563,7 @@ class AlignmentGateway:
                 self._queue.task_done()
                 return
             try:
+                self._pool_for(entry.request)
                 with span(
                     "gateway.compute",
                     request_hash=entry.key[:12],
@@ -562,6 +584,19 @@ class AlignmentGateway:
                         self._counters["failed"] += 1
                 entry.done.set()
                 self._queue.task_done()
+
+    def _pool_for(self, request: AlignRequest) -> None:
+        """Create the gateway's pool on the first request it places on
+        ``pool`` (see the ``pool`` parameter)."""
+        if self._pool is not None or not _places_on_pool(request):
+            return
+        from repro.pool import adopt_default_pool
+
+        with self._pool_lock:
+            if self._pool is None:
+                pool = adopt_default_pool()
+                if pool is not None:
+                    self._pool, self._own_pool = pool, True
 
     # -- introspection -----------------------------------------------------
 
@@ -590,6 +625,9 @@ class AlignmentGateway:
         out["service"] = self._service.stats
         out.update(dp_kernel().describe())
         out["malloc.arena_max"] = bound_malloc_arenas()
+        for name in ("threads", "pool"):
+            key = f"spmd.placement.{name}"
+            out[key] = registry().counter(key).value
         if self._pool is not None:
             out["pool"] = self._pool.stats()
         return out

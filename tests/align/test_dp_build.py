@@ -144,10 +144,13 @@ class TestLoadSpan:
         assert kern.name == ("c" if trusted else "numpy")
 
     def test_one_load_span_on_sixteen_rank_threads(self, empty_cache, tmp_path):
-        """A fresh process's ``threads`` run resolves the kernel on one
-        rank: the probe calls the raw entries, so that rank keeps its run
-        token and no other rank starts a resolution of its own -- with
-        an empty cache (a build) and then a warm one (a load)."""
+        """A fresh process's run of sixteen rank threads resolves the
+        kernel on one rank per process that hosts them: the probe calls
+        the raw entries, so that rank keeps its run token and no other
+        rank starts a resolution of its own -- with an empty cache (a
+        build) and then a warm one (a load).  At this shape an unset
+        backend puts the ranks on a pool of every usable core, a block
+        of them per worker, so each worker resolves once."""
         env = {**os.environ, "PYTHONPATH": SRC}
         for cache in ("empty", "warm"):
             out = tmp_path / f"{cache}.json"
@@ -158,8 +161,12 @@ class TestLoadSpan:
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
-            names = [e["name"] for e in json.loads(out.read_text())["traceEvents"]]
-            assert names.count("dp.kernel_load") == 1, cache
+            events = json.loads(out.read_text())["traceEvents"]
+            rank_pids = {e["pid"] for e in events if e["name"] == "spmd.rank"}
+            load_pids = [
+                e["pid"] for e in events if e["name"] == "dp.kernel_load"
+            ]
+            assert sorted(load_pids) == sorted(rank_pids), cache
             assert len(_libraries(empty_cache)) == 1
 
 

@@ -165,8 +165,9 @@ def pool():
 
     The build host may have a single core, in which case the
     process-default pool holds only two slots and anything needing more
-    ranks silently runs cold on a one-shot pool -- defeating every test
-    of the warm path.  Each module that runs ``backend="pool"`` therefore
+    ranks shares them, several ranks per worker -- so a test of one rank
+    per worker would not test that.  Each module that runs
+    ``backend="pool"`` therefore
     asks for this fixture, and tears it down asserting the acceptance
     bar: a closed pool leaves no worker process alive.
     """
@@ -199,11 +200,11 @@ def compute_token():
 
 
 @pytest.fixture()
-def one_shot_backend():
-    """A ``PoolBackend`` over a one-slot pool: a run of two or more ranks
-    does not fit and gets fresh worker processes for the call (the
-    one-shot overflow path; asserted taken at teardown)."""
+def one_slot_backend():
+    """A ``PoolBackend`` over a one-slot pool: every rank of a run is
+    hosted by the one worker (M:N with k = 1, the ranks taking turns on
+    the worker's run token); asserted used at teardown."""
     with WorkerPool(max_workers=1) as one_slot:
         yield PoolBackend(one_slot)
-        assert one_slot.stats()["fallback_runs"] >= 1
-        assert one_slot.stats()["runs"] == 0
+        assert one_slot.stats()["runs"] >= 1
+        assert one_slot.stats()["max_workers"] == 1

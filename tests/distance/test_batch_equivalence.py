@@ -48,8 +48,8 @@ class TestBatchedMatchesPerPair:
         got = all_pairs(family, name, backend="threads", workers=3)
         assert got.tobytes() == per_pair_base
 
-    def test_processes(self, one_shot_backend, family, per_pair_base, name):
-        got = all_pairs(family, name, backend=one_shot_backend, workers=2)
+    def test_processes(self, one_slot_backend, family, per_pair_base, name):
+        got = all_pairs(family, name, backend=one_slot_backend, workers=2)
         assert got.tobytes() == per_pair_base
 
     def test_pool(self, pool, family, per_pair_base, name):

@@ -52,8 +52,9 @@ class TestEveryEstimatorEveryPlacement:
 
 
 class TestEverySchedule:
-    """ktuple across serial / threads / pool (warm and one-shot) / SPMD: the
-    memmap store holds the same bytes no matter who wrote the tiles."""
+    """ktuple across serial / threads / pool (warm, and both ranks on one
+    worker) / SPMD: the memmap store holds the same bytes no matter who
+    wrote the tiles."""
 
     @pytest.fixture(scope="class")
     def expected(self, family):
@@ -66,9 +67,9 @@ class TestEverySchedule:
         )
         assert mm.condensed.tobytes() == expected
 
-    def test_processes(self, one_shot_backend, family, expected, tmp_path):
+    def test_processes(self, one_slot_backend, family, expected, tmp_path):
         mm = all_pairs(
-            family, "ktuple", backend=one_shot_backend, workers=2,
+            family, "ktuple", backend=one_slot_backend, workers=2,
             out="memmap", store_dir=tmp_path / "s",
         )
         assert mm.condensed.tobytes() == expected

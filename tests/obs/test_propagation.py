@@ -39,13 +39,14 @@ def canonical(records):
     Drops per-rank identity (pids, tids, ids, timings -- including the
     ``compute_s``/``parked_s``/``overlap_s`` seconds a ``threads`` rank
     span carries), the dispatch/pool spans' backend-specific attributes
-    and the ``schedule`` the stage span names; keeps names,
+    (``backend``, ``placement``) and the ``schedule`` the stage span
+    names; keeps names,
     logical attributes, and each span's parent *name* -- which pins the
     tree shape without depending on id values.
     """
     by_id = {r.span_id: r for r in records}
     drop_attrs = {"backend", "rank", "attempt", "compute_s", "parked_s",
-                  "overlap_s", "schedule"}
+                  "overlap_s", "schedule", "placement"}
     lines = []
     for r in records:
         if r.name == "pool.dispatch":

@@ -5,8 +5,8 @@ is invisible to the program: identical results, identical message
 patterns, identical failure semantics.  Everything here is parametrized
 over both backends and, where it matters, asserts cross-backend equality
 outright.  ``"pool"`` resolves to the explicit five-slot pool of
-``tests/conftest.py``, so only the runs that ask for more than five ranks
-(and ``TestPoolOverflow``) take the one-shot overflow path.
+``tests/conftest.py``, so the runs that ask for more than five ranks
+(and ``TestPoolHostsRanksMN``) put several ranks on one worker.
 """
 
 import multiprocessing as mp
@@ -199,7 +199,7 @@ class TestSampleAlignDEquivalence:
     def runs(self, family):
         """``{n_procs: {backend: result}}`` at a small p and at the
         paper's 16 ranks (more ranks than cores, buckets of one or two;
-        on ``pool`` also more ranks than slots: the one-shot overflow)."""
+        on ``pool`` also more ranks than workers: M:N hosting)."""
         return {
             p: {
                 name: sample_align_d(family, n_procs=p, backend=name)
@@ -379,7 +379,7 @@ class TestHardenedShutdown:
             WorkerPool(max_workers=1, abort_join_timeout=-1.0)
 
 
-# -- more ranks than pool slots: the one-shot pool --------------------------
+# -- more ranks than pool workers: M:N hosting ------------------------------
 
 
 def _kill_rank_three_once(comm, sentinel):
@@ -391,17 +391,19 @@ def _kill_rank_three_once(comm, sentinel):
     return _ring(comm)
 
 
-class TestPoolOverflow:
-    """Five ranks on a two-slot pool: same answers as ``threads``, one
-    ``pool.dispatch`` span, crash retry, and nothing left behind."""
+class TestPoolHostsRanksMN:
+    """Five ranks on a two-worker pool, hosted M:N (ranks 0-1 on one
+    worker, 2-4 on the other): same answers as ``threads``, one
+    ``pool.dispatch`` span naming the placement, crash retry of the
+    whole run, and nothing left behind."""
 
     @pytest.fixture()
     def own(self, pool):
         before = _children()
         with WorkerPool(max_workers=2) as own:
             yield own
-            assert own.stats()["runs"] == 0  # never touched the warm slots
-            assert own.stats()["workers_alive"] == 0
+            assert own.stats()["runs"] >= 1  # ran on this pool's workers
+            assert own.stats()["workers_alive"] == 2
         assert _leaked(before, pool) == []
 
     @pytest.mark.parametrize("program", [_ring, _collective_mix])
@@ -421,13 +423,15 @@ class TestPoolOverflow:
             drain_spans()
         assert pooled.results == threads.results
         assert pooled.backend == "pool"
+        assert pooled.placement == "pool k=2 ranks/worker=3"
         assert pooled.ledger.n_messages() == threads.ledger.n_messages() > 0
         assert pooled.ledger.total_bytes() == threads.ledger.total_bytes()
-        assert own.stats()["fallback_runs"] == 1
+        assert own.stats()["runs"] == 1
         dispatches = [r for r in buf.records() if r.name == "pool.dispatch"]
-        assert [(r.attrs["ranks"], r.attrs["attempt"]) for r in dispatches] == [
-            (5, 0)
-        ]
+        assert [
+            (r.attrs["ranks"], r.attrs["attempt"], r.attrs["placement"])
+            for r in dispatches
+        ] == [(5, 0, "pool k=2 ranks/worker=3")]
 
     def test_sample_align_d_matches_threads(self, own, diverse_family):
         family = list(diverse_family.sequences)[:24]
@@ -437,20 +441,23 @@ class TestPoolOverflow:
         assert pooled.ledger.n_messages() == threads.ledger.n_messages() > 0
         assert pooled.ledger.total_bytes() == threads.ledger.total_bytes()
         assert pooled.backend == "pool"
-        assert own.stats()["fallback_runs"] == 1
+        assert pooled.placement == "pool k=2 ranks/worker=3"
 
     def test_killed_rank_is_retried(self, own, tmp_path):
+        """Rank 3 SIGKILLs the worker that hosts it and ranks 2 and 4:
+        the whole run is retried on fresh workers and answers right."""
         sentinel = str(tmp_path / "crashed-once")
         res = PoolBackend(own).run(5, _kill_rank_three_once, args=(sentinel,))
         assert res.results == [(r - 1) % 5 for r in range(5)]
         assert os.path.exists(sentinel)  # the crash really happened
-        assert own.stats()["fallback_runs"] == 1  # one run, two attempts
+        assert own.stats()["respawns"] == 2  # the pool-wide reset
+        assert own.stats()["runs"] == 2  # one run, two attempts
 
     def test_token_holder_parks_on_every_attempt(
         self, own, tmp_path, compute_token
     ):
-        """The one-shot pool and the crash retry go through the same park
-        as a run that fits: a caller holding the compute token gives it
+        """The first attempt and the crash retry of an M:N run go through
+        the same park: a caller holding the compute token gives it
         up for each ``run_spmd`` (another thread gets it meanwhile) and
         has it back when ``run`` returns."""
         from repro.obs.tracing import (

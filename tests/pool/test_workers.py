@@ -116,7 +116,7 @@ class TestLifecycle:
         s = pool.stats()
         for key in (
             "name", "start_method", "max_workers", "workers_alive", "worker_pids", "respawns", "runs",
-            "tasks_served", "fallback_runs", "transport", "closed",
+            "tasks_served", "transport", "closed",
         ):
             assert key in s
         assert set(s["transport"]) == {"msgs", "bytes"}
@@ -177,9 +177,17 @@ class TestRunSpmd:
             own.run_spmd(2, _ring)
             assert own.stats()["transport"]["msgs"] > before["msgs"]
 
-    def test_capacity_is_a_hard_limit_on_the_pool_itself(self, pool):
-        with pytest.raises(ValueError, match="exceeds pool capacity"):
-            pool.run_spmd(pool.max_workers + 1, _ring)
+    def test_more_ranks_than_workers_share_them(self, pool):
+        n = 2 * pool.max_workers + 1
+        before = pool.stats()["transport"]["msgs"]
+        res = pool.run_spmd(n, _ring)
+        assert res.results == [(r - 1) % n for r in range(n)]
+        assert res.placement == f"pool k={pool.max_workers} ranks/worker=3"
+        # One run blob; one argument blob and one report per worker; the
+        # ring's messages that cross from one worker's block to the next.
+        crossing = pool.max_workers
+        after = pool.stats()["transport"]["msgs"]
+        assert after == before + 1 + 2 * pool.max_workers + crossing
 
     def test_program_error_semantics_match_other_backends(self, pool):
         with pytest.raises(RuntimeError, match="rank 1 failed") as exc_info:
@@ -202,40 +210,42 @@ class TestRunSpmd:
         assert res.results == [(r - 1) % 3 for r in range(3)]
 
 
-class TestRankTransport:
-    def test_a_stale_message_from_an_aborted_run_is_dropped(self):
-        inboxes = [queue.Queue(), queue.Queue()]
-        transport = workers._PoolRankTransport(
-            1, 2, None, inboxes, threading.Event(), 7, Counter()
-        )
-        for run_id, word in ((6, "stale"), (7, "fresh")):
-            inboxes[1].put(("p2p", run_id, 0, 5, pickle.dumps(word), 0.0))
-        assert transport.collect(1, 0, 5) == ("fresh", 0.0)
-        assert inboxes[1].empty()
+class TestWorkerFabric:
+    """The transport of a worker's block of ranks, two blocks wired to
+    each other's in-process inboxes (what the pool's queues are)."""
 
     @staticmethod
-    def _pair(run_id=1):
-        """Two rank transports wired to each other's in-process inboxes,
-        plus rank 0's send meter."""
-        inboxes = [queue.Queue(), queue.Queue()]
+    def _pair(run_id=1, blocks=(range(0, 1), range(1, 2))):
+        """One fabric per block over ``n`` ranks, plus block 0's send
+        meter."""
+        inboxes = [queue.Queue() for _ in blocks]
+        owner = [w for w, block in enumerate(blocks) for _ in block]
         fail = threading.Event()
         meter = Counter()
-        sender = workers._PoolRankTransport(
-            0, 2, None, inboxes, fail, run_id, meter
-        )
-        receiver = workers._PoolRankTransport(
-            1, 2, None, inboxes, fail, run_id, Counter()
-        )
-        return sender, receiver, inboxes, meter
+        fabrics = [
+            workers._WorkerFabric(
+                len(owner), None, block, owner, inboxes, inboxes[w], fail,
+                run_id, meter if w == 0 else Counter(),
+            )
+            for w, block in enumerate(blocks)
+        ]
+        return fabrics, inboxes, meter
+
+    def test_a_stale_message_from_an_aborted_run_is_dropped(self):
+        (_, receiver), inboxes, _ = self._pair(run_id=7)
+        for run_id, word in ((6, "stale"), (7, "fresh")):
+            inboxes[1].put(("p2p", run_id, 0, 1, 5, pickle.dumps(word), 0.0))
+        assert receiver.collect(1, 0, 5) == ("fresh", 0.0)
+        assert inboxes[1].empty()
 
     def test_a_payload_rides_the_inbox_as_pickled_bytes(self):
-        sender, receiver, inboxes, _ = self._pair()
+        (sender, receiver), inboxes, _ = self._pair()
         obj = {"text": "x" * 100, "array": np.arange(64.0),
                "nested": [(1, 2.5), None, b"bytes"]}
         sender.post(0, 1, 3, obj, 2.0, 0, "send")
         item = inboxes[1].queue[0]
-        assert item[:4] == ("p2p", 1, 0, 3)
-        assert isinstance(item[4], bytes)
+        assert item[:5] == ("p2p", 1, 0, 1, 3)
+        assert isinstance(item[5], bytes)
         out, ready = receiver.collect(1, 0, 3)
         assert ready == 2.0
         assert out["text"] == obj["text"]
@@ -244,23 +254,34 @@ class TestRankTransport:
 
     @pytest.mark.parametrize("size", [64, 256 * 1024, 1 << 20])
     def test_every_payload_size_takes_the_same_lane(self, size):
-        sender, receiver, inboxes, meter = self._pair()
+        (sender, receiver), inboxes, meter = self._pair()
         big = np.arange(size, dtype=np.uint8)
         sender.post(0, 1, 3, big, 0.0, size, "send")
-        assert isinstance(inboxes[1].queue[0][4], bytes)
+        assert isinstance(inboxes[1].queue[0][5], bytes)
         assert meter["msgs"] == 1
         assert np.array_equal(receiver.collect(1, 0, 3)[0], big)
 
     def test_the_sender_meters_each_message_and_its_bytes(self):
-        sender, _, inboxes, meter = self._pair()
+        (sender, _), inboxes, meter = self._pair()
         for tag in (1, 2):
             sender.post(0, 1, tag, "payload", 0.0, 7, "send")
-        blobs = [item[4] for item in inboxes[1].queue]
+        blobs = [item[5] for item in inboxes[1].queue]
         assert meter == {"msgs": 2, "bytes": sum(map(len, blobs))}
         assert [e.tag for e in sender.ledger.events] == [1, 2]
 
+    def test_a_message_within_the_block_stays_in_the_mailbox(self):
+        (local, _), inboxes, meter = self._pair(
+            blocks=(range(0, 2), range(2, 3))
+        )
+        mine = np.arange(8)
+        local.post(0, 1, 4, mine, 1.5, mine.nbytes, "send")
+        assert inboxes[0].empty() and inboxes[1].empty()
+        assert meter["msgs"] == 0  # nothing pickled
+        assert local.collect(1, 0, 4) == (mine, 1.5)
+        assert [(e.src, e.dst) for e in local.ledger.events] == [(0, 1)]
+
     def test_a_received_array_is_a_writable_copy(self):
-        sender, receiver, _, _ = self._pair()
+        (sender, receiver), _, _ = self._pair()
         mine = np.arange(512, dtype=np.int64)
         sender.post(0, 1, 3, mine, 0.0, mine.nbytes, "send")
         mine[0] = 99  # the sender keeps using its own array
@@ -270,53 +291,93 @@ class TestRankTransport:
         assert mine[1] == 1
 
     def test_messages_are_matched_by_tag_and_kept_in_order(self):
-        sender, receiver, _, _ = self._pair()
+        (sender, receiver), _, _ = self._pair()
         for tag, word in ((1, "a1"), (2, "b1"), (1, "a2"), (2, "b2")):
             sender.post(0, 1, tag, word, 0.0, 2, "send")
         got = [receiver.collect(1, 0, tag)[0] for tag in (2, 1, 1, 2)]
         assert got == ["b1", "a1", "a2", "b2"]
 
     def test_a_failed_peer_aborts_a_blocked_collect(self):
-        sender, receiver, _, _ = self._pair()
+        (sender, receiver), _, _ = self._pair()
         sender.fail(ValueError("boom"))
         with pytest.raises(SpmdAbort):
             receiver.collect(1, 0, 3)
 
     def test_the_barrier_returns_the_latest_clock_to_every_rank(self):
-        sender, receiver, _, _ = self._pair()
+        (sender, receiver), _, _ = self._pair()
         out = {}
         peer = threading.Thread(
-            target=lambda: out.setdefault(1, receiver.barrier(5.0))
+            target=lambda: out.setdefault(1, receiver.barrier(1, 5.0))
         )
         peer.start()
-        out[0] = sender.barrier(2.0)
+        out[0] = sender.barrier(0, 2.0)
         peer.join(10.0)
         assert out == {0: 5.0, 1: 5.0}
         assert sender.ledger.events == [] == receiver.ledger.events
 
 
+class TestRankBlocks:
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3, 5, 8, 16, 17])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3, 5])
+    def test_contiguous_balanced_blocks(self, n_ranks, n_workers):
+        blocks = workers.rank_blocks(n_ranks, n_workers)
+        assert len(blocks) == min(n_ranks, n_workers)
+        assert [r for b in blocks for r in b] == list(range(n_ranks))
+        sizes = [len(b) for b in blocks]
+        assert max(sizes) == -(-n_ranks // n_workers)
+        assert max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes)  # rank 0's worker hosts the fewest
+
+
 class TestReportBlob:
+    @staticmethod
+    def _report(**ranks):
+        return {
+            "ranks": {
+                int(r[1:]): {"status": status, "result": result,
+                             "error": error, "compute": 0.0, "clock": 0.0}
+                for r, (status, result, error) in ranks.items()
+            },
+            "events": [],
+            "transport": {"msgs": 0, "bytes": 0},
+        }
+
     def test_an_unpicklable_exception_becomes_the_ranks_error(self):
-        report = {"rank": 2, "status": "error", "result": None,
-                  "error": ValueError(threading.Lock())}
+        report = self._report(
+            r2=("error", None, ValueError(threading.Lock())),
+            r3=("ok", [1], None),
+        )
         out = pickle.loads(workers._report_blob(report))
-        assert out["status"] == "error" and out["result"] is None
-        assert "rank 2 produced an unpicklable exception" in str(out["error"])
+        two = out["ranks"][2]
+        assert two["status"] == "error" and two["result"] is None
+        assert "rank 2 produced an unpicklable exception" in str(two["error"])
+        assert out["ranks"][3]["result"] == [1]  # its peer ships as it was
+
+    def test_an_unpicklable_result_becomes_the_ranks_error(self):
+        out = pickle.loads(workers._report_blob(
+            self._report(r0=("ok", threading.Lock(), None))
+        ))
+        assert "rank 0 produced an unpicklable result" in str(
+            out["ranks"][0]["error"]
+        )
 
     def test_a_picklable_report_is_shipped_as_is(self):
-        report = {"rank": 0, "status": "ok", "result": [1, 2], "error": None}
+        report = self._report(r0=("ok", [1, 2], None))
         assert pickle.loads(workers._report_blob(report)) == report
 
 
-class TestOverflowFallback:
-    def test_overflow_runs_cold_but_still_reports_pool(self):
+class TestMNHosting:
+    def test_more_ranks_than_workers_run_warm_on_the_pool(self):
         with WorkerPool(max_workers=2) as own:
+            own.warm_up()
+            pids = set(own.stats()["worker_pids"])
             backend = PoolBackend(pool=own)
             res = backend.run(3, _ring)
             assert res.results == [(r - 1) % 3 for r in range(3)]
             assert res.backend == "pool"
-            assert own.stats()["fallback_runs"] == 1
-            assert own.stats()["runs"] == 0  # never touched the warm slots
+            assert res.placement == "pool k=2 ranks/worker=2"
+            assert own.stats()["runs"] == 1  # on the warm workers
+            assert set(own.stats()["worker_pids"]) == pids
 
 
 class TestConstruction:

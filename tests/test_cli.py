@@ -414,16 +414,18 @@ class TestBackendFlag:
 
     @pytest.mark.parametrize("command", [
         ["align", "{fasta}", "-p", "2", "--backend", "pool"],
+        ["align", "{fasta}", "-p", "2"],
         ["distances", "{fasta}", "--backend", "pool"],
         ["plan", "{fasta}", "--backend", "Pool"],
         ["serve", "--backend", "pool"],
-    ], ids=["align", "distances", "plan", "serve"])
+    ], ids=["align", "align-unset", "distances", "plan", "serve"])
     def test_bad_pool_size_is_one_error_line(
         self, fasta_file, capsys, monkeypatch, command
     ):
         """A ``REPRO_POOL_WORKERS`` that is not a positive integer is
-        read where the command resolves ``--backend pool``: rc 2 and one
-        ``error:`` line, not a traceback from inside the run."""
+        read where the command resolves ``--backend pool`` (or an unset
+        backend, which may resolve to it): rc 2 and one ``error:`` line,
+        not a traceback from inside the run."""
         monkeypatch.setenv("REPRO_POOL_WORKERS", "two")
         argv = [arg.format(fasta=fasta_file) for arg in command]
         assert main(argv) == 2

@@ -90,9 +90,10 @@ class TestAllModesIdentical:
         )
         assert coop == [serial] * ranks
 
-    def test_larger_family_processes(self, one_shot_backend, small_family):
-        """Cooperative ranks in worker processes: the clades cross a
-        process boundary each level and the bytes do not move."""
+    def test_larger_family_processes(self, one_slot_backend, small_family):
+        """Cooperative ranks hosted by a pool worker (both on its one
+        slot, the clades pickled into the worker and back) and the bytes
+        do not move."""
         from repro.tree import UpgmaBuilder
 
         seqs = list(small_family.sequences)
@@ -101,7 +102,7 @@ class TestAllModesIdentical:
         serial = progressive_align(seqs, tree).to_fasta()
         procs = run_spmd(
             2, _cooperative_fasta, args=(seqs, tree),
-            backend=one_shot_backend,
+            backend=one_slot_backend,
         ).results
         assert procs == [serial] * 2
 
