@@ -12,10 +12,11 @@ enabled it:
    (so propagation rides whatever wire the backend already has --
    a thread closure, or the pool's pickled run blob),
 3. wraps each rank's work in a ``<stage>.rank`` span recorded into a
-   rank-local buffer; on the ``threads`` backend, where ranks run one at
-   a time, the span also carries ``compute_s`` (the rank's
-   ``thread_time`` total, as the ledger has it), ``parked_s`` (wall
-   seconds it spent without the run token in a blocking call) and
+   rank-local buffer; on either backend, where the ranks of one fabric
+   run one at a time, the span also carries ``compute_s`` (the rank's
+   ``thread_time`` total, exactly as the ledger has it), ``parked_s``
+   (wall seconds it spent without the run token in a blocking call,
+   a wait for another ``pool`` worker's message included) and
    ``overlap_s`` (wall seconds in compiled calls it ran with the token
    parked, overlapping other ranks), so overlapping rank spans read as
    running versus parked,
@@ -119,21 +120,18 @@ class _TracedRankFn:
         self.stage = stage
 
     def __call__(self, comm: Any, *args: Any, **kwargs: Any) -> "_TracedReturn":
-        from repro.parcomp.comm import Fabric
-
         buf, token = install_context(self.ctx)
         try:
-            window = _MetricsWindow.enter(comm.fabric)
+            fabric = comm.fabric
+            window = _MetricsWindow.enter(fabric)
             with span(f"{self.stage}.rank", rank=comm.rank) as rank_span:
                 result = self.fn(comm, *args, **kwargs)
-                fabric = comm.fabric
-                if isinstance(fabric, Fabric) and fabric.parked_s is not None:
-                    comm.finalize()  # publish the compute total now
-                    rank_span.set(
-                        compute_s=float(fabric.ledger.compute[comm.rank]),
-                        parked_s=fabric.parked_s[comm.rank],
-                        overlap_s=fabric.overlap_s[comm.rank],
-                    )
+                comm.finalize()  # publish the compute total now
+                rank_span.set(
+                    compute_s=float(fabric.ledger.compute[comm.rank]),
+                    parked_s=fabric.parked_s[comm.rank],
+                    overlap_s=fabric.overlap_s[comm.rank],
+                )
             return _TracedReturn(
                 result=result,
                 spans=buf.drain(),

@@ -20,9 +20,11 @@ it.  Two backends ship:
   persistent pool of worker processes (:mod:`repro.pool`)
   created once and reused across runs, each payload pickled once by its
   sender onto a queue.  ``p`` ranks on ``k`` workers are placed M:N:
-  each worker hosts a block of at most ``ceil(p/k)`` ranks as threads
-  over its own run token (:func:`run_rank_threads`, the runner
-  ``threads`` uses), so a 16-rank run on two workers uses both cores.
+  each worker hosts a block of at most ``ceil(p/k)`` ranks over its
+  own run token, so a 16-rank run on two workers uses both cores.
+
+Both host ranks with :func:`run_rank_threads` (``threads`` as one
+block) and end a run with :func:`assemble`.
 
 Rule of thumb: leave the backend unset.  :func:`place` then keeps a
 small job, a one-core host and a job started inside a rank on
@@ -47,7 +49,7 @@ import threading
 import time
 from abc import ABC, abstractmethod
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -55,7 +57,6 @@ from typing import (
     List,
     Optional,
     Sequence as TSequence,
-    Tuple,
     Union,
 )
 
@@ -69,10 +70,12 @@ from repro.parcomp.comm import (
 from repro.parcomp.cost import CostModel, TimingLedger
 
 __all__ = [
+    "BlockReport",
     "ExecutionBackend",
     "Placement",
     "SpmdResult",
     "ThreadBackend",
+    "assemble",
     "available_backends",
     "get_backend",
     "in_spmd_rank",
@@ -82,21 +85,17 @@ __all__ = [
     "bound_malloc_arenas",
     "DEFAULT_BACKEND",
     "MALLOC_ARENA_MAX",
-    "POOL_WORKER_ENV",
 ]
 
 #: The backend used when a caller does not choose one.
 DEFAULT_BACKEND = "threads"
 
-#: Set in every ``pool`` worker process (by :mod:`repro.pool.workers`).
-POOL_WORKER_ENV = "REPRO_POOL_IN_WORKER"
-
-#: How long a ``threads`` run waits for surviving rank threads after a
-#: rank failure before giving up on them.  Parked ranks leave at once; a
-#: rank stuck in a long compute phase (it only observes the abort at its
-#: next communication call) is left behind as a daemon thread rather
-#: than hanging the caller, and the raised error notes the leak.
-ABORT_JOIN_TIMEOUT_S = 30.0
+#: The one abort grace.  Once the run failed, a rank host
+#: (:func:`run_rank_threads`) waits this long for its rank threads and
+#: reports the rest as still unwinding: parked ranks leave at once, a
+#: rank deep in compute is left behind as a daemon thread.  A ``pool``
+#: parent waits twice as long for the workers' reports.
+ABORT_JOIN_TIMEOUT_S = 10.0
 
 #: The malloc arenas a process may keep (glibc's ``M_ARENA_MAX``).
 #: glibc gives each new thread an arena of its own, and an arena keeps
@@ -205,9 +204,10 @@ def _cpu_quota_cores() -> Optional[int]:
 
 
 def in_spmd_rank() -> bool:
-    """Whether the caller runs as an SPMD rank: on a ``threads`` rank
-    thread, or anywhere in a ``pool`` worker process."""
-    return current_rank() is not None or bool(os.environ.get(POOL_WORKER_ENV))
+    """Whether the caller runs as an SPMD rank: every rank program, on
+    ``threads`` or in a ``pool`` worker, runs on a thread of
+    :func:`run_rank_threads`."""
+    return current_rank() is not None
 
 
 @dataclass(frozen=True)
@@ -276,10 +276,11 @@ class ExecutionBackend(ABC):
     """How to execute ``fn(comm, ...)`` once per rank.
 
     Subclasses implement :meth:`run` with identical semantics: every rank
-    calls ``fn`` exactly once, the first rank failure aborts the job
-    (surviving ranks raise :class:`~repro.parcomp.comm.SpmdAbort` out of
-    their next blocking wait) and the original exception is re-raised to
-    the caller as ``RuntimeError("rank r failed: ...")``.
+    calls ``fn`` once, the first rank failure aborts the job (surviving
+    ranks raise :class:`~repro.parcomp.comm.SpmdAbort` out of their next
+    blocking wait, and a rank that has not started does not start) and
+    the lowest failed rank's exception is re-raised to the caller as
+    ``RuntimeError("rank r failed: ...")`` (:func:`assemble`).
 
     A rank program must not mutate a payload it received.  On ``pool``
     every message is pickled, so the receiver gets its own copy; on
@@ -316,12 +317,148 @@ class ExecutionBackend(ABC):
 
 
 # ---------------------------------------------------------------------------
-# Threads backend (the original virtual cluster).
+# The one rank host, and the one way a run ends.
+
+
+@dataclass
+class BlockReport:
+    """What hosting a block of ranks over one fabric left behind: each
+    rank's return value (``None`` for one that failed or aborted), the
+    exceptions of those that failed, the fabric's ledger (the block's
+    sends; compute and clock of its ranks only) and the ranks still
+    unwinding when the host gave up on them.  Picklable: a ``pool``
+    worker ships it to the parent."""
+
+    results: Dict[int, Any]
+    errors: Dict[int, BaseException] = field(default_factory=dict)
+    ledger: Optional[TimingLedger] = None
+    unwinding: List[int] = field(default_factory=list)
+
+
+def run_rank_threads(
+    fabric: Fabric,
+    ranks: TSequence[int],
+    fn: Callable[..., Any],
+    args: TSequence[Any],
+    rank_args: Optional[Any],
+    kwargs: Dict[str, Any],
+    inline: bool = False,
+) -> BlockReport:
+    """Host ``ranks`` over ``fabric``: run ``fn`` once for each, one
+    daemon thread per rank, join them and report them.
+
+    The one rank host: :class:`ThreadBackend` runs every rank of a job
+    as one block over a plain :class:`Fabric`, and a ``pool`` worker
+    runs the block of ranks it hosts over the worker's fabric,
+    ``inline``: the block's first rank on the worker's own thread, whose
+    DP buffers (:class:`~repro.align.tablepool.TablePool`) and malloc
+    arena stay warm from run to run, so a worker hosting one rank starts
+    no thread at all.  ``rank_args[r]`` (indexable by rank, or ``None``)
+    are rank ``r``'s leading arguments.  A rank that gets the token
+    after the run failed does not start its program; once it failed,
+    the join waits :data:`ABORT_JOIN_TIMEOUT_S` and reports the rank
+    threads still running as ``unwinding``.
+    """
+    report = BlockReport({r: None for r in ranks}, ledger=fabric.ledger)
+
+    def runner(rank: int) -> None:
+        _THREAD_RANK.slot = (fabric, rank)
+        fabric.acquire(rank)
+        comm = VirtualComm(fabric, rank)
+        try:
+            fabric.check_failed()
+            extra = tuple(rank_args[rank]) if rank_args is not None else ()
+            report.results[rank] = fn(comm, *extra, *args, **kwargs)
+        except SpmdAbort:
+            pass  # somebody else failed first; stay quiet
+        except BaseException as exc:  # noqa: BLE001 - propagated to caller
+            report.errors[rank] = exc
+            fabric.fail(exc)
+        finally:
+            comm.finalize()
+            fabric.release(rank)
+            _THREAD_RANK.slot = None
+
+    threads = [
+        (r, threading.Thread(
+            target=runner, args=(r,), name=f"rank-{r}", daemon=True
+        ))
+        for r in (ranks[1:] if inline else ranks)
+    ]
+    for _, t in threads:
+        t.start()
+    if inline:
+        runner(ranks[0])
+
+    # Join with a post-failure deadline: a healthy run joins all ranks
+    # unconditionally, but once the run has failed the survivors get a
+    # bounded grace period to unwind (they wake from blocking waits
+    # immediately; only a rank deep in compute can overstay).
+    deadline: Optional[float] = None
+    pending = deque(threads)
+    while pending:
+        r, t = pending.popleft()
+        t.join(0.1)
+        if not t.is_alive():
+            continue
+        if fabric.failed:
+            if deadline is None:
+                deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
+            if time.monotonic() >= deadline:
+                report.unwinding.append(r)
+                continue
+        pending.append((r, t))
+    return report
+
+
+def assemble(
+    n_ranks: int,
+    blocks: List[BlockReport],
+    cost_model: CostModel,
+    *,
+    backend: str,
+    workers: int = 1,
+    unreported: TSequence[int] = (),
+    crash: Optional[BaseException] = None,
+) -> SpmdResult:
+    """The one way a run ends: its block reports as one
+    :class:`SpmdResult` (events rank-major, each rank's in program
+    order), or one error.  The lowest failed rank's error wins, as
+    ``RuntimeError("rank r failed: ...")`` naming the ranks still
+    unwinding (``unreported``: ranks whose host never reported); then
+    ``crash`` (a ``pool`` worker died); then the unwinding ranks.
+    """
+    errors = {r: exc for b in blocks for r, exc in b.errors.items()}
+    unwinding = sorted({*unreported, *(r for b in blocks for r in b.unwinding)})
+    note = f"rank(s) {', '.join(map(str, unwinding))} still unwinding"
+    if errors:
+        rank = min(errors)
+        suffix = f" ({note})" if unwinding else ""
+        raise RuntimeError(
+            f"rank {rank} failed: {errors[rank]!r}{suffix}"
+        ) from errors[rank]
+    if crash is not None:
+        raise crash
+    if unwinding:
+        raise RuntimeError(f"no rank failed, but {note}")
+    results = {r: value for b in blocks for r, value in b.results.items()}
+    ledger = TimingLedger(n_ranks, cost_model)
+    for b in blocks:
+        ledger.compute += b.ledger.compute
+        ledger.clock += b.ledger.clock
+    events = [e for b in blocks for e in b.ledger.events]
+    ledger.events.extend(sorted(events, key=lambda e: e.src))
+    return SpmdResult(
+        [results[r] for r in range(n_ranks)], ledger,
+        backend=backend, workers=workers,
+    )
 
 
 class ThreadBackend(ExecutionBackend):
-    """One daemon thread per rank over a shared in-process fabric, run
-    one rank at a time.
+    """Every rank as one daemon thread over a shared in-process fabric,
+    run one rank at a time: the in-process, one-block case of the rank
+    host a ``pool`` worker runs (:func:`run_rank_threads`, then
+    :func:`assemble`).
 
     Each run's :class:`~repro.parcomp.comm.Fabric` owns one run token.  A
     rank thread holds it around its whole program and hands it over only
@@ -349,9 +486,7 @@ class ThreadBackend(ExecutionBackend):
     it while it sits in ``join`` -- it does not park it, because its
     ranks *are* in-process compute.  The rank threads never touch that
     token; they hand the fabric's run token among themselves, so the
-    process still runs exactly one thread of Python at a time.  After a
-    rank failure the survivors get :data:`ABORT_JOIN_TIMEOUT_S` to
-    unwind.
+    process still runs exactly one thread of Python at a time.
     """
 
     name = "threads"
@@ -367,99 +502,12 @@ class ThreadBackend(ExecutionBackend):
     ) -> SpmdResult:
         self._validate(n_ranks, rank_args)
         fabric = Fabric(n_ranks, cost_model)
-        results, errors, leaked = run_rank_threads(
+        block = run_rank_threads(
             fabric, range(n_ranks), fn, args, rank_args, kwargs
         )
-        if errors:
-            rank, exc = errors[0]
-            note = (
-                f" ({len(leaked)} rank thread(s) still unwinding: "
-                f"{', '.join(leaked)})" if leaked else ""
-            )
-            raise RuntimeError(f"rank {rank} failed: {exc!r}{note}") from exc
-        return SpmdResult(
-            [results[r] for r in range(n_ranks)], fabric.ledger,
-            backend=self.name,
+        return assemble(
+            n_ranks, [block], fabric.cost_model, backend=self.name
         )
-
-
-def run_rank_threads(
-    fabric: Fabric,
-    ranks: TSequence[int],
-    fn: Callable[..., Any],
-    args: TSequence[Any],
-    rank_args: Optional[Any],
-    kwargs: Dict[str, Any],
-    inline: bool = False,
-) -> Tuple[Dict[int, Any], List[Tuple[int, BaseException]], List[str]]:
-    """Run ``fn`` once for each of ``ranks``, one daemon thread per rank
-    over ``fabric``, and join them; ``(results, errors, leaked)``.
-
-    The one thread-rank runner: :class:`ThreadBackend` runs every rank
-    of a job with it over a plain :class:`Fabric`, and a ``pool`` worker
-    runs the block of ranks it hosts with it over the worker's fabric,
-    ``inline``: the block's first rank on the worker's own thread, whose
-    DP buffers (:class:`~repro.align.tablepool.TablePool`) and malloc
-    arena stay warm from run to run, so a worker hosting one rank starts
-    no thread at all.  ``rank_args[r]`` (indexable by rank, or ``None``)
-    are rank ``r``'s leading arguments.  ``results`` maps a rank to what
-    ``fn`` returned (``None`` for a rank that failed or aborted);
-    ``errors`` lists ``(rank, exception)`` in the order the ranks
-    failed; ``leaked`` names the rank threads still unwinding when the
-    join gave up on them, :data:`ABORT_JOIN_TIMEOUT_S` after the first
-    failure.
-    """
-    results: Dict[int, Any] = {r: None for r in ranks}
-    errors: List[Tuple[int, BaseException]] = []
-
-    def runner(rank: int) -> None:
-        _THREAD_RANK.slot = (fabric, rank)
-        fabric.acquire(rank)
-        comm = VirtualComm(fabric, rank)
-        try:
-            extra = tuple(rank_args[rank]) if rank_args is not None else ()
-            results[rank] = fn(comm, *extra, *args, **kwargs)
-        except SpmdAbort:
-            pass  # somebody else failed first; stay quiet
-        except BaseException as exc:  # noqa: BLE001 - propagated to caller
-            errors.append((rank, exc))
-            fabric.fail(exc)
-        finally:
-            comm.finalize()
-            fabric.release(rank)
-            _THREAD_RANK.slot = None
-
-    threads = [
-        threading.Thread(
-            target=runner, args=(r,), name=f"rank-{r}", daemon=True
-        )
-        for r in (ranks[1:] if inline else ranks)
-    ]
-    for t in threads:
-        t.start()
-    if inline:
-        runner(ranks[0])
-
-    # Join with a post-failure deadline: a healthy run joins all ranks
-    # unconditionally, but once a rank has failed the survivors get a
-    # bounded grace period to unwind (they wake from blocking waits
-    # immediately; only a rank deep in compute can overstay).
-    deadline: Optional[float] = None
-    leaked: List[str] = []
-    pending = deque(threads)
-    while pending:
-        t = pending.popleft()
-        t.join(0.1)
-        if not t.is_alive():
-            continue
-        if errors:
-            if deadline is None:
-                deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
-            if time.monotonic() >= deadline:
-                leaked.append(t.name)
-                continue
-        pending.append(t)
-    return results, errors, leaked
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.obs.tracing import tracing_enabled
 from repro.parcomp.cost import CommEvent, CostModel, TimingLedger, estimate_nbytes
 
 __all__ = [
@@ -61,12 +60,15 @@ class Transport(abc.ABC):
     one per worker process across the ranks that process hosts).
     Implementations
     own a :class:`~repro.parcomp.cost.TimingLedger` that the rank's
-    :meth:`VirtualComm.finalize` writes its totals into.
+    :meth:`VirtualComm.finalize` writes its totals into, and per-rank
+    ``parked_s`` / ``overlap_s`` seconds (see :class:`Fabric`).
     """
 
     n_ranks: int
     cost_model: CostModel
     ledger: TimingLedger
+    parked_s: List[float]
+    overlap_s: List[float]
 
     @abc.abstractmethod
     def post(self, src: int, dst: int, tag: int, payload: Any,
@@ -132,16 +134,11 @@ class Fabric(Transport):
         self._failed: Optional[BaseException] = None
         #: Rank holding the run token; ``None`` while it is free.
         self._holder: Optional[int] = 0
-        #: Per-rank wall seconds parked in collect/barrier without the
-        #: token; kept only while tracing is on (``None`` otherwise).
-        self.parked_s: Optional[List[float]] = (
-            [0.0] * n_ranks if tracing_enabled() else None
-        )
+        #: Per-rank wall seconds parked in collect/barrier (no token).
+        self.parked_s = [0.0] * n_ranks
         #: Per-rank wall seconds inside :meth:`parked` bodies (compiled
-        #: calls that overlap other ranks); kept only while tracing is on.
-        self.overlap_s: Optional[List[float]] = (
-            [0.0] * n_ranks if tracing_enabled() else None
-        )
+        #: calls that overlap other ranks).
+        self.overlap_s = [0.0] * n_ranks
         # Barrier bookkeeping (generation counting).
         self._barrier_count = 0
         self._barrier_gen = 0
@@ -154,9 +151,9 @@ class Fabric(Transport):
         """Block until ``rank`` holds the token (before its program
         starts, and after the body of :meth:`parked`).
 
-        Not an abort point: like any rank that is not inside a blocking
-        call, one that starts after a failure meets it at its first
-        :meth:`collect` or :meth:`barrier`.
+        Not an abort point itself: the rank runner checks the run once
+        a rank holds the token first (one that gets it after a failure
+        does not start its program), and :meth:`parked` after its body.
         """
         with self._cond:
             while self._holder not in (None, rank):
@@ -195,26 +192,31 @@ class Fabric(Transport):
         try:
             yield
         finally:
-            if self.overlap_s is not None:
-                self.overlap_s[rank] += time.perf_counter() - t0
+            self.overlap_s[rank] += time.perf_counter() - t0
             self.acquire(rank)
         self.check_failed()
 
-    def _park(self, ready: Callable[[], Any]) -> None:
-        """Hand the token over until ``ready()`` holds, then take it back.
+    def _park(
+        self,
+        ready: Callable[[], Any],
+        wait: Optional[Callable[[], None]] = None,
+    ) -> None:
+        """Hand the token over until ``ready()`` holds, then take it back;
+        the wall seconds count as the rank's ``parked_s``.
 
-        Called with the lock held by the token holder.  Raises
+        Called with the lock held by the token holder.  ``wait`` is one
+        step of waiting (default: the condition's, woken by whoever
+        gives the token up next, or by :meth:`fail`).  Raises
         :class:`SpmdAbort`, without the token, once the run has failed.
         """
         t0 = time.perf_counter()
         rank = self._holder
         self._holder = None
         self._cond.notify_all()
+        wait = wait or self._cond.wait
         while self._failed is None and not (self._holder is None and ready()):
-            # Woken by whoever gives the token up next, or by fail().
-            self._cond.wait()
-        if self.parked_s is not None:
-            self.parked_s[rank] += time.perf_counter() - t0
+            wait()
+        self.parked_s[rank] += time.perf_counter() - t0
         self.check_failed()
         self._holder = rank
 
@@ -225,6 +227,11 @@ class Fabric(Transport):
             if self._failed is None:
                 self._failed = exc
             self._cond.notify_all()
+
+    @property
+    def failed(self) -> bool:
+        """Whether the run has failed (:meth:`check_failed` raises)."""
+        return self._failed is not None
 
     def check_failed(self) -> None:
         if self._failed is not None:
@@ -270,15 +277,15 @@ class Fabric(Transport):
             return self._barrier_results[gen]
 
 
-#: The ``(fabric, rank)`` of the ``threads`` rank running on this thread
-#: (set by :class:`~repro.parcomp.backends.ThreadBackend` for the life of
-#: the rank's program).
+#: The ``(fabric, rank)`` of the SPMD rank running on this thread (set by
+#: :func:`~repro.parcomp.backends.run_rank_threads` for the life of the
+#: rank's program, on ``threads`` and in a ``pool`` worker alike).
 _THREAD_RANK = threading.local()
 
 
 def current_rank() -> Optional[Tuple[Fabric, int]]:
-    """``(fabric, rank)`` when the calling thread is a ``threads`` rank,
-    else ``None``."""
+    """``(fabric, rank)`` when the calling thread is an SPMD rank, else
+    ``None``."""
     return getattr(_THREAD_RANK, "slot", None)
 
 
@@ -287,8 +294,9 @@ def run_token_parked() -> Iterator[None]:
     """:meth:`Fabric.parked` for the calling thread's rank, if it is one.
 
     Wrap a compiled call that releases the interpreter lock and touches
-    no Python object.  Anywhere else -- the main thread, a service
-    thread, a ``pool`` worker -- it does nothing.
+    no Python object.  A rank of a ``pool`` worker's block parks its
+    worker's token like a ``threads`` rank parks the run's; off a rank
+    -- the main thread, a service thread -- it does nothing.
     """
     slot = current_rank()
     if slot is None:
@@ -317,6 +325,7 @@ class VirtualComm:
         self._clock = 0.0
         self._compute = 0.0
         self._last_cpu = time.thread_time()
+        self._final = False
 
     # -- mpi4py-style introspection ------------------------------------------------
 
@@ -341,7 +350,11 @@ class VirtualComm:
         self._clock += dt
 
     def finalize(self) -> None:
-        """Flush outstanding compute and publish this rank's totals."""
+        """Flush outstanding compute and publish this rank's totals, once
+        (a traced rank's span reads them as its program returns)."""
+        if self._final:
+            return
+        self._final = True
         self._absorb_compute()
         self.fabric.ledger.compute[self.rank] = self._compute
         self.fabric.ledger.clock[self.rank] = self._clock

@@ -9,8 +9,8 @@ in-process virtual cluster, whose ranks run one at a time;
 program runs on real cores (more ranks than workers: each worker hosts
 a block of them).  Either way the first rank failure aborts the whole job
 (surviving ranks raise :class:`~repro.parcomp.comm.SpmdAbort` out of
-their next blocking wait) and the original exception is re-raised to the
-caller with the failing rank attached.
+their next blocking wait) and the lowest failed rank's exception is
+re-raised to the caller with that rank attached.
 """
 
 from __future__ import annotations

@@ -28,15 +28,14 @@ it.
 from __future__ import annotations
 
 import atexit
-import os
 import threading
 from typing import Any, Callable, Optional, Sequence
 
 from repro.obs.tracing import span
 from repro.parcomp.backends import (
-    POOL_WORKER_ENV,
     ExecutionBackend,
     SpmdResult,
+    in_spmd_rank,
 )
 from repro.parcomp.cost import CostModel
 from repro.parcomp.token import COMPUTE_TOKEN
@@ -137,14 +136,16 @@ def get_default_pool() -> WorkerPool:
     """The process-wide pool, created on first use.
 
     Sized by ``REPRO_POOL_WORKERS`` (default: usable cores, min 2) and
-    closed automatically at interpreter exit.  Refuses to run inside a
-    pool worker: a rank program that asked for ``backend="pool"`` again
-    would fork a pool per worker, recursively.
+    closed automatically at interpreter exit.  Refuses to run inside an
+    SPMD rank (:func:`~repro.parcomp.backends.in_spmd_rank`): a rank
+    program that asked for ``backend="pool"`` again would fork a pool
+    per worker, recursively, or wait on the pool it runs in.
     """
-    if os.environ.get(POOL_WORKER_ENV):
+    if in_spmd_rank():
         raise RuntimeError(
-            "backend='pool' is not available inside a pool worker; "
-            "nested runs should use backend='threads'"
+            "backend='pool' is not available inside an SPMD rank "
+            "(no pool inside a pool); nested runs should use "
+            "backend='threads'"
         )
     global _default_pool
     with _default_lock:
@@ -160,7 +161,7 @@ def adopt_default_pool() -> Optional[WorkerPool]:
     the slot back with :func:`set_default_pool` (how a gateway creates
     its pool on the first request it places on ``pool``)."""
     global _default_pool
-    if os.environ.get(POOL_WORKER_ENV):
+    if in_spmd_rank():
         return None  # get_default_pool() explains the refusal
     with _default_lock:
         if _default_pool is not None and not _default_pool.closed:

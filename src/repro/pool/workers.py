@@ -19,13 +19,15 @@ can only be shared with a child at creation time):
 
 Placement is M:N (:func:`rank_blocks`): ``p`` ranks on ``k`` slots use
 the first ``min(p, k)`` slots, each hosting a contiguous block of at
-most ``ceil(p/k)`` ranks as threads over the worker's own run token
-(:func:`~repro.parcomp.backends.run_rank_threads`, the runner of the
-``threads`` backend, over :class:`_WorkerFabric`; the block's first
-rank runs on the worker's own thread).  A message between ranks of one
-worker stays in that worker's mailbox; one to a rank of another worker
-rides that worker's message queue.  With ``p <= k`` every worker hosts
-one rank.
+most ``ceil(p/k)`` ranks with the rank host of the ``threads`` backend
+(:func:`~repro.parcomp.backends.run_rank_threads`) over
+:class:`_WorkerFabric` and the worker's own run token; the block's
+first rank runs on the worker's own thread.  A message between ranks
+of one worker stays in that worker's mailbox; one to a rank of another
+worker rides that worker's message queue.  With ``p <= k`` every
+worker hosts one rank.  The parent ends a run from the workers'
+:class:`~repro.parcomp.backends.BlockReport` with
+:func:`~repro.parcomp.backends.assemble`, as ``threads`` does.
 
 Runs are serialised under a dispatch lock -- the pool is a reusable
 *substrate*, not a concurrent scheduler -- and every in-flight message is
@@ -54,10 +56,16 @@ however many ranks it hosted.
 Crash semantics: a worker that dies or stops mid-run surfaces as
 :class:`WorkerCrashError` after the pool is reset -- infrastructure
 failure, distinct from a *program* exception (which raises
-``RuntimeError("rank r failed: ...")`` exactly like the other backends).
+``RuntimeError("rank r failed: ...")`` exactly like ``threads``).
 The rank programs this repo runs are deterministic and side-effect-free,
 so :class:`~repro.pool.backend.PoolBackend` retries the whole run on
 crash and still returns byte-identical results.
+
+Aborts are those of ``threads``, with its grace
+(:data:`~repro.parcomp.backends.ABORT_JOIN_TIMEOUT_S`; the parent waits
+twice that for the reports); ranks still unwinding in a report, or in
+a worker that never reported, reset the pool and are named in the
+run's error.
 """
 
 from __future__ import annotations
@@ -70,17 +78,20 @@ import threading
 import time
 import uuid
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.parcomp import backends
 from repro.parcomp.backends import (
-    POOL_WORKER_ENV,
+    BlockReport,
+    ExecutionBackend,
     SpmdResult,
+    assemble,
     run_rank_threads,
     usable_cores,
 )
 from repro.parcomp.comm import Fabric, SpmdAbort
-from repro.parcomp.cost import CommEvent, CostModel, TimingLedger
+from repro.parcomp.cost import CommEvent, CostModel
 
 __all__ = ["WorkerCrashError", "WorkerPool", "rank_blocks"]
 
@@ -101,10 +112,6 @@ _HUNG_BEATS = 10.0
 
 #: Floor on the hang threshold: never call a worker hung in under 5 s.
 _HUNG_FLOOR_S = 5.0
-
-#: Grace period for surviving ranks to report after a failure before
-#: they are terminated, and for workers told to stop at close to exit.
-ABORT_JOIN_TIMEOUT_S = 10.0
 
 #: Reserved non-int tag for barrier control traffic (VirtualComm rejects
 #: string tags from programs, so it can never collide with theirs).
@@ -194,9 +201,10 @@ class _WorkerFabric(Fabric):
     and are woken by what it files).  The pool's failure event counts
     as a failed fabric once the inbox has been quiet for a poll.  The
     barrier is a linear clock-max exchange on the control tag at rank 0,
-    unmetered like the in-process one.  The send events of the local
-    ranks go into the fabric's ledger and back to the pool with the
-    worker's report.
+    unmetered like the in-process one.  A rank's wait for a message from
+    another worker counts as its ``parked_s``, like any park.  The send
+    events of the local ranks go into the fabric's ledger and back to
+    the pool with the worker's report.
     """
 
     def __init__(
@@ -222,8 +230,6 @@ class _WorkerFabric(Fabric):
         self._meter = meter
         #: Whether a parked rank is reading the inbox right now.
         self._draining = False
-        # Rank spans carry parked/overlap seconds on ``threads`` only.
-        self.parked_s = self.overlap_s = None
 
     # -- failure propagation ------------------------------------------------
 
@@ -267,52 +273,44 @@ class _WorkerFabric(Fabric):
         with self._cond:
             self.check_failed()
             if not self._mail.get(key):
-                self._park_remote(key)
+                self._park(
+                    lambda: self._mail.get(key),
+                    lambda: self._wait_remote(key),
+                )
             return self._mail[key].popleft()
 
-    def _park_remote(self, key: Tuple[int, int, Any]) -> None:
-        """:meth:`Fabric._park` for a message from another worker: hand
-        the token over, read the inbox while no other rank does, and
-        take the token back once the message is filed and the token is
-        free.  Called, and returns, with the lock held."""
-        rank = self._holder
-        self._holder = None
+    def _wait_remote(self, key: Tuple[int, int, Any]) -> None:
+        """One step of :meth:`Fabric._park` for a message from another
+        worker: read the inbox once while no other rank does, else wait
+        to be woken by what the reader files (or, once the message is
+        here, by the token coming free).  Called, and returns, with the
+        lock held."""
+        if self._draining or self._mail.get(key):
+            self._cond.wait()
+            return
+        self._draining = True
+        self._lock.release()
+        try:
+            item = self._inbox.get(timeout=_POLL_S)
+        except queue_mod.Empty:
+            item = None
+        finally:
+            self._lock.acquire()
+            self._draining = False
+        if item is None:
+            # The event is shared by every process of the pool (a lock
+            # they all take to read it), so it is read only when the
+            # inbox has gone quiet.
+            if self._failed is None and self._fail_event.is_set():
+                self._failed = SpmdAbort("a rank of another worker failed")
+        elif item[1] == self._run_id:
+            _, _, src, dst, tag, blob, ready = item
+            self._mail.setdefault((dst, src, tag), deque()).append(
+                (pickle.loads(blob), ready)
+            )
+        # Whatever was filed may be another rank's; the reading is free
+        # for whoever waits on the inbox next.
         self._cond.notify_all()
-        while True:
-            self.check_failed()
-            if self._mail.get(key):
-                if self._holder is None:
-                    break
-                self._cond.wait()
-            elif self._draining:
-                self._cond.wait()  # woken by what the reader files
-            else:
-                self._draining = True
-                self._lock.release()
-                try:
-                    item = self._inbox.get(timeout=_POLL_S)
-                except queue_mod.Empty:
-                    item = None
-                finally:
-                    self._lock.acquire()
-                    self._draining = False
-                if item is None:
-                    # The event is shared by every process of the pool
-                    # (a lock they all take to read it), so it is read
-                    # only when the inbox has gone quiet.
-                    if self._failed is None and self._fail_event.is_set():
-                        self._failed = SpmdAbort(
-                            "a rank of another worker failed"
-                        )
-                elif item[1] == self._run_id:
-                    _, _, src, dst, tag, blob, ready = item
-                    self._mail.setdefault((dst, src, tag), deque()).append(
-                        (pickle.loads(blob), ready)
-                    )
-                # Whatever was filed may be another rank's; the reading
-                # is free for whoever waits on the inbox next.
-                self._cond.notify_all()
-        self._holder = rank
 
     # -- barrier ------------------------------------------------------------
 
@@ -332,7 +330,7 @@ class _WorkerFabric(Fabric):
         return float(result)
 
 
-def _report_blob(report: Dict[str, Any]) -> bytes:
+def _report_blob(report: BlockReport) -> bytes:
     """Pickle a worker's report, downgrading each rank whose result or
     exception does not pickle to that rank's error.
 
@@ -346,23 +344,20 @@ def _report_blob(report: Dict[str, Any]) -> bytes:
         return _dumps(report)
     except Exception:
         pass
-    ranks = dict(report["ranks"])
-    for rank, entry in ranks.items():
+    results, errors = dict(report.results), dict(report.errors)
+    for rank, result in report.results.items():
+        what, bad = (
+            ("exception", errors[rank]) if rank in errors
+            else ("result", result)
+        )
         try:
-            _dumps(entry)
+            _dumps(bad)
         except Exception:
-            ok = entry["status"] == "ok"
-            what = "result" if ok else "exception"
-            bad = entry["result"] if ok else entry["error"]
-            ranks[rank] = dict(
-                entry,
-                result=None,
-                status="error",
-                error=RuntimeError(
-                    f"rank {rank} produced an unpicklable {what}: {bad!r}"
-                ),
+            results[rank] = None
+            errors[rank] = RuntimeError(
+                f"rank {rank} produced an unpicklable {what}: {bad!r}"
             )
-    return _dumps(dict(report, ranks=ranks))
+    return _dumps(replace(report, results=results, errors=errors))
 
 
 def _run_block(
@@ -373,12 +368,10 @@ def _run_block(
     fail_event: Any,
     meter: Counter,
 ) -> None:
-    """Run this worker's block of one run's ranks and report them."""
+    """Host this worker's block of one run's ranks and report it, with
+    the worker's transport counts."""
     _, run_id, start, stop, n_ranks, n_workers, extras_blob, run_blob = item
     ranks = range(start, stop)
-    fabric: Optional[_WorkerFabric] = None
-    results: Dict[int, Any] = {}
-    errors: List[Tuple[int, BaseException]] = []
     try:
         extras = pickle.loads(extras_blob)
         fn, args, kwargs, cost_model = pickle.loads(run_blob)
@@ -390,30 +383,16 @@ def _run_block(
             n_ranks, cost_model, ranks, owner, msg_qs, msg_qs[slot],
             fail_event, run_id, meter,
         )
-        results, errors, _ = run_rank_threads(
+        report = run_rank_threads(
             fabric, ranks, fn, args, dict(zip(ranks, extras)), kwargs,
             inline=True,
         )
     except BaseException as exc:  # noqa: BLE001 - the run did not load
-        errors = [(r, exc) for r in ranks]
+        report = BlockReport(
+            {r: None for r in ranks}, {r: exc for r in ranks}
+        )
         fail_event.set()
-    failed = dict(errors)
-    ledger = fabric.ledger if fabric is not None else None
-    report = {
-        "ranks": {
-            r: {
-                "status": "error" if r in failed else "ok",
-                "result": results.get(r),
-                "error": failed.get(r),
-                "compute": float(ledger.compute[r]) if ledger else 0.0,
-                "clock": float(ledger.clock[r]) if ledger else 0.0,
-            }
-            for r in ranks
-        },
-        "events": list(ledger.events) if ledger else [],
-        "transport": dict(meter),
-    }
-    result_q.put(("report", slot, run_id, _report_blob(report)))
+    result_q.put(("report", slot, run_id, _report_blob(report), dict(meter)))
 
 
 #: ``set_num_threads`` of the OpenBLAS builds numpy links, by symbol.
@@ -468,9 +447,6 @@ def _worker_main(
     hb_interval: float,
 ) -> None:
     """Slot process entry point (module-level: picklable for spawn)."""
-    # A rank program must not open *another* pool inside a worker --
-    # get_default_pool() refuses when this marker is set.
-    os.environ[POOL_WORKER_ENV] = "1"
     one_blas_thread()
     meter = Counter(msgs=0, bytes=0)
 
@@ -531,8 +507,10 @@ class WorkerPool:
     are born.  A run of more ranks than slots is placed M:N
     (:func:`rank_blocks`): every slot hosts a block of the ranks as
     threads.  Everything else the pool does is set by
-    the module constants (:data:`START_METHOD`, :data:`HEARTBEAT_S`,
-    :data:`ABORT_JOIN_TIMEOUT_S`); a started worker runs until
+    the module constants (:data:`START_METHOD`, :data:`HEARTBEAT_S`) and
+    the one abort grace,
+    :data:`~repro.parcomp.backends.ABORT_JOIN_TIMEOUT_S`; a started
+    worker runs until
     :meth:`close`, and a dead or hung one is replaced by the next
     dispatch.  The pool starts no thread in the parent.
     """
@@ -599,7 +577,8 @@ class WorkerPool:
         Idempotent.  Acquiring the dispatch lock means any run in flight
         completes first; queued stop tokens then wind the workers down,
         with terminate→kill escalation for any that overstay
-        :data:`ABORT_JOIN_TIMEOUT_S`.  Every queue is then closed.
+        :data:`~repro.parcomp.backends.ABORT_JOIN_TIMEOUT_S`.  Every
+        queue is then closed.
         """
         with self._state_lock:
             if self._closed:
@@ -609,7 +588,7 @@ class WorkerPool:
             alive = [s for s in self._slots if s.alive]
             for slot in alive:
                 self._task_qs[slot.index].put(("stop",))
-            deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
+            deadline = time.monotonic() + backends.ABORT_JOIN_TIMEOUT_S
             for slot in alive:
                 slot.proc.join(max(deadline - time.monotonic(), 0.0))
             for slot in self._slots:
@@ -746,10 +725,7 @@ class WorkerPool:
         deaths raise :class:`WorkerCrashError` (after the pool is reset)
         so the caller may retry on fresh workers.
         """
-        if n_ranks < 1:
-            raise ValueError("n_ranks must be >= 1")
-        if rank_args is not None and len(rank_args) != n_ranks:
-            raise ValueError("rank_args must provide one tuple per rank")
+        ExecutionBackend._validate(n_ranks, rank_args)
         cost_model = cost_model or CostModel()
         blocks = rank_blocks(n_ranks, self.max_workers)
         with self._dispatch_lock:
@@ -775,22 +751,44 @@ class WorkerPool:
                      run_blob)
                 )
             reports, crashed = self._collect_reports(run_id, len(blocks))
-            return self._assemble(
-                n_ranks, blocks, cost_model, reports, crashed
+            unreported = [
+                r for w, ranks in enumerate(blocks)
+                if w not in reports and w not in crashed
+                for r in ranks
+            ]
+            # A worker that did not come back clean -- crashed (already
+            # dead), or with ranks still unwinding (deep in compute, in
+            # the worker or in one that never reported) -- may have
+            # poisoned shared queue locks, so recovery rebuilds the
+            # whole substrate.
+            if (crashed or unreported
+                    or any(b.unwinding for b in reports.values())):
+                self._reset_workers()
+            with self._state_lock:
+                self.runs += 1
+                self.tasks_served += n_ranks
+            return assemble(
+                n_ranks, [reports[w] for w in sorted(reports)], cost_model,
+                backend="pool", workers=len(blocks), unreported=unreported,
+                crash=crashed[min(crashed)] if crashed else None,
             )
 
     def _collect_reports(
         self, run_id: int, n_used: int
-    ) -> Tuple[Dict[int, Dict[str, Any]], Dict[int, BaseException]]:
-        """Each used worker's report, or its crash, by worker index."""
-        reports: Dict[int, Dict[str, Any]] = {}
+    ) -> Tuple[Dict[int, BlockReport], Dict[int, BaseException]]:
+        """Each used worker's report, or its crash, by worker index.
+        Once the run failed, the reports get twice the abort grace: a
+        worker's join of its ranks, then as long again to arrive."""
+        reports: Dict[int, BlockReport] = {}
         crashed: Dict[int, BaseException] = {}
         abort_deadline: Optional[float] = None
         while len(reports.keys() | crashed.keys()) < n_used:
             if abort_deadline is None and (
                 crashed or self._fail_event.is_set()
             ):
-                abort_deadline = time.monotonic() + ABORT_JOIN_TIMEOUT_S
+                abort_deadline = (
+                    time.monotonic() + 2 * backends.ABORT_JOIN_TIMEOUT_S
+                )
             if (abort_deadline is not None
                     and time.monotonic() >= abort_deadline):
                 break
@@ -818,78 +816,13 @@ class WorkerPool:
                 continue
             if entry[0] != "report":
                 continue  # "ready"/"bye" control entries need no action
-            _, w, rid, blob = entry
+            _, w, rid, blob, transport = entry
             if rid != run_id:  # straggler from an aborted run
                 continue
-            report = pickle.loads(_count(self._meter, blob))
-            reports[w] = report
+            reports[w] = pickle.loads(_count(self._meter, blob))
             with self._state_lock:
-                self._slots[w].transport = report["transport"]
+                self._slots[w].transport = transport
         return reports, crashed
-
-    def _assemble(
-        self,
-        n_ranks: int,
-        blocks: List[range],
-        cost_model: CostModel,
-        reports: Dict[int, Dict[str, Any]],
-        crashed: Dict[int, BaseException],
-    ) -> SpmdResult:
-        stuck = [
-            r for w, ranks in enumerate(blocks)
-            if w not in reports and w not in crashed
-            for r in ranks
-        ]
-        # Any worker that did not come back clean -- crashed (already
-        # dead) or stuck (never observed the abort; deep in compute) --
-        # may have poisoned shared queue locks, so recovery rebuilds
-        # the whole substrate.
-        if crashed or stuck:
-            self._reset_workers()
-
-        with self._state_lock:
-            self.runs += 1
-            self.tasks_served += n_ranks
-
-        entries = {
-            r: entry
-            for report in reports.values()
-            for r, entry in report["ranks"].items()
-        }
-        reported_errors = {
-            r: entry["error"] for r, entry in entries.items()
-            if entry["status"] == "error"
-        }
-        if reported_errors:
-            rank = min(reported_errors)
-            exc = reported_errors[rank]
-            note = (
-                f" ({len(stuck)} rank(s) terminated while unwinding: "
-                f"{', '.join(f'rank-{r}' for r in stuck)})"
-                if stuck else ""
-            )
-            raise RuntimeError(f"rank {rank} failed: {exc!r}{note}") from exc
-        if crashed:
-            raise crashed[min(crashed)]
-        if stuck:
-            raise RuntimeError(
-                f"rank(s) {', '.join(str(r) for r in stuck)} never "
-                "reported and the pool was recycled"
-            )
-
-        ledger = TimingLedger(n_ranks, cost_model)
-        results: List[Any] = [None] * n_ranks
-        for r in range(n_ranks):
-            results[r] = entries[r]["result"]
-            ledger.compute[r] = entries[r]["compute"]
-            ledger.clock[r] = entries[r]["clock"]
-        # Rank-major merge (stable: each rank's sends in program order),
-        # so the ledger does not depend on how turns fell in a worker.
-        events = [e for w in sorted(reports) for e in reports[w]["events"]]
-        ledger.events.extend(sorted(events, key=lambda e: e.src))
-        return SpmdResult(
-            results, ledger, backend="pool", workers=len(blocks)
-        )
 
     # -- introspection -------------------------------------------------------
 

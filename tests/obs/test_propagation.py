@@ -190,10 +190,44 @@ class TestThreadsRankTiming:
         # Rank 0 runs first and has to wait for rank 2's message.
         assert next(r for r in ranks if r.attrs["rank"] == 0).attrs["parked_s"] > 0
 
-    def test_other_backends_and_untraced_runs_record_neither(self, seqs):
+
+
+class TestRankSpansAreAttributable:
+    """Every ``spmd.rank`` span of a traced Sample-Align-D run carries
+    ``compute_s``, ``parked_s`` and ``overlap_s`` on either backend, and
+    the spans' ``compute_s`` add up to the ledger's compute."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        from repro.datagen.rose import generate_family
+
+        return list(generate_family(
+            n_sequences=64, mean_length=100, seed=5, track_alignment=False,
+        ).sequences)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_sample_align_d_64x100_p4(self, family, backend):
+        from repro.core.driver import sample_align_d
+        from repro.pool import PoolBackend, WorkerPool
+
+        with WorkerPool(max_workers=2) as two:
+            chosen = PoolBackend(two) if backend == "pool" else backend
+            enable_tracing()
+            with collect(tee=False) as buf:
+                res = sample_align_d(family, n_procs=4, backend=chosen)
+        assert res.placement.startswith(f"{backend} k=")
+        ranks = [r for r in buf.records() if r.name == "spmd.rank"]
+        assert sorted(r.attrs["rank"] for r in ranks) == [0, 1, 2, 3]
+        for r in ranks:
+            assert r.attrs["compute_s"] > 0.0
+            assert 0.0 <= r.attrs["parked_s"] <= r.dur
+            assert 0.0 <= r.attrs["overlap_s"] <= r.dur
+        assert sum(r.attrs["compute_s"] for r in ranks) == pytest.approx(
+            res.ledger.total_compute(), abs=1e-9
+        )
+
+    def test_untraced_fabrics_keep_the_timing_too(self):
         from repro.parcomp.comm import Fabric
 
-        assert Fabric(2).parked_s is None  # tracing is off: no timing kept
-        _, records = run_traced_all_pairs(seqs, "pool")
-        for r in records:
-            assert "parked_s" not in r.attrs and "compute_s" not in r.attrs
+        fabric = Fabric(2)  # tracing is off
+        assert fabric.parked_s == [0.0, 0.0] == fabric.overlap_s

@@ -31,6 +31,7 @@ from repro.parcomp import (
     available_backends,
     get_backend,
     run_spmd,
+    run_token_parked,
 )
 from repro.parcomp import backends
 from repro.pool import PoolBackend, WorkerPool, workers
@@ -331,45 +332,58 @@ def test_survivors_observe_spmd_abort(backend):
         run_spmd(3, _abort_observer, backend=backend)
 
 
-def _fail_fast_or_sleep(comm):
-    """Rank 0 fails immediately; rank 1 is stuck in compute (no comm)."""
-    import time as _time
-
-    if comm.rank == 0:
-        raise ValueError("early failure")
-    _time.sleep(5.0)
-    return "slept"
+def _fail_while_peer_parked(comm):
+    """Rank 0 fails while rank 1 is inside a 5 s GIL-free wait
+    (``run_token_parked``), which it leaves only after the abort grace."""
+    if comm.rank == 1:
+        comm.send("parking", 0)
+        with run_token_parked():
+            time.sleep(5.0)
+        return "slept"
+    comm.recv(1)
+    raise ValueError("early failure")
 
 
 class TestHardenedShutdown:
     def test_threads_abort_does_not_wait_for_stuck_rank(self, monkeypatch):
-        import time as _time
-
         monkeypatch.setattr(backends, "ABORT_JOIN_TIMEOUT_S", 0.5)
         backend = ThreadBackend()
-        t0 = _time.monotonic()
+        t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="rank 0 failed") as exc_info:
-            run_spmd(2, _fail_fast_or_sleep, backend=backend)
-        elapsed = _time.monotonic() - t0
-        assert elapsed < 4.0  # did not sit out the 5 s sleep
-        assert "still unwinding" in str(exc_info.value)
+            run_spmd(2, _fail_while_peer_parked, backend=backend)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 4.0  # did not sit out the 5 s wait
+        assert "rank(s) 1 still unwinding" in str(exc_info.value)
 
     def test_processes_abort_terminates_stuck_rank(self, monkeypatch):
-        """The pool recycles the worker of a rank stuck in compute."""
-        import time as _time
-
-        monkeypatch.setattr(workers, "ABORT_JOIN_TIMEOUT_S", 0.5)
+        """The pool recycles the worker of a rank stuck in a long wait."""
+        monkeypatch.setattr(backends, "ABORT_JOIN_TIMEOUT_S", 0.5)
         with WorkerPool(max_workers=2) as own:
-            t0 = _time.monotonic()
+            t0 = time.monotonic()
             with pytest.raises(RuntimeError, match="rank 0 failed") as exc_info:
-                run_spmd(2, _fail_fast_or_sleep, backend=PoolBackend(own))
-            elapsed = _time.monotonic() - t0
+                run_spmd(2, _fail_while_peer_parked, backend=PoolBackend(own))
+            elapsed = time.monotonic() - t0
             assert elapsed < 4.0
-            assert "terminated while unwinding" in str(exc_info.value)
+            assert "rank(s) 1 still unwinding" in str(exc_info.value)
             assert own.stats()["respawns"] > 0
             assert run_spmd(2, _ring, backend=PoolBackend(own)).results == [1, 0]
             pids = own.stats()["worker_pids"]
         assert not _children() & set(pids)
+
+    def test_a_workers_report_names_its_unwinding_rank(self, monkeypatch):
+        """Both ranks on one worker: the worker gives up on rank 1 after
+        the grace and says so in its report, and the parent resets the
+        pool as for a rank that never reported."""
+        monkeypatch.setattr(backends, "ABORT_JOIN_TIMEOUT_S", 1.0)
+        with WorkerPool(max_workers=1) as own:
+            t0 = time.monotonic()
+            with pytest.raises(RuntimeError, match="rank 0 failed") as exc_info:
+                run_spmd(2, _fail_while_peer_parked, backend=PoolBackend(own))
+            # The report came back: the parent gives up only at 2 s.
+            assert time.monotonic() - t0 < 2 * 1.0
+            assert str(exc_info.value).endswith("(rank(s) 1 still unwinding)")
+            assert own.stats()["respawns"] == 1
+            assert run_spmd(2, _ring, backend=PoolBackend(own)).results == [1, 0]
 
     def test_timeout_validation(self):
         """The abort grace is a module constant; no instance sets it."""
@@ -377,6 +391,96 @@ class TestHardenedShutdown:
             ThreadBackend(abort_join_timeout=0.0)
         with pytest.raises(TypeError):
             WorkerPool(max_workers=1, abort_join_timeout=-1.0)
+
+
+# -- one rank host: threads is the one-block case of a pool worker ---------
+
+
+def _early_failure_then_compute(comm):
+    """Rank 0 fails at once; rank 1 computes for 12 s before any
+    communication call."""
+    if comm.rank == 0:
+        raise ValueError("early failure")
+    time.sleep(12.0)
+    return "computed"
+
+
+def _two_ranks_fail(comm):
+    """Rank 1 fails first in time; rank 0 fails later, out of a parked
+    call that was under way when rank 1 failed."""
+    if comm.rank == 0:
+        with run_token_parked():
+            time.sleep(0.2)
+            raise ValueError("rank 0 down, second")
+    raise ValueError(f"rank {comm.rank} down, first")
+
+
+def _send_pattern(res):
+    return [(e.kind, e.src, e.dst, e.nbytes, e.tag) for e in res.ledger.events]
+
+
+@pytest.fixture(scope="module")
+def sized_pools():
+    """``k -> WorkerPool(k)`` for k = 1, 2, 3, warm."""
+    pools = {k: WorkerPool(max_workers=k) for k in (1, 2, 3)}
+    try:
+        for own in pools.values():
+            own.warm_up()
+        yield pools
+    finally:
+        for own in pools.values():
+            own.close()
+
+
+def _host(k, sized_pools):
+    """``threads`` for ``k=None``, else a pool of ``k`` workers."""
+    return ThreadBackend() if k is None else PoolBackend(sized_pools[k])
+
+
+class TestOneRankHost:
+    """``threads`` and every pool size end a run the same way: the same
+    ledger, the same failed rank, no program started after a failure."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("program,size", [(_ring, 5), (_collective_mix, 4)])
+    def test_one_ledger(self, sized_pools, k, program, size):
+        threads = run_spmd(size, program, backend="threads")
+        pooled = run_spmd(size, program, backend=PoolBackend(sized_pools[k]))
+        assert pooled.results == threads.results
+        assert _send_pattern(pooled) == _send_pattern(threads)
+
+    @pytest.mark.parametrize("k", [None, 1, 2, 3])
+    def test_two_failed_ranks_name_the_lowest(self, sized_pools, k):
+        with pytest.raises(RuntimeError, match="rank 0 failed") as exc_info:
+            run_spmd(2, _two_ranks_fail, backend=_host(k, sized_pools))
+        assert "second" in str(exc_info.value.__cause__)
+
+    @pytest.mark.parametrize("k", [None, 1, 2])
+    def test_failed_rank_exception_is_kept(self, sized_pools, k, monkeypatch):
+        """A rank that gets the run token after a failure does not start:
+        rank 1 never computes on one core, and on two workers it is
+        named as still unwinding once the parent's grace is up."""
+        monkeypatch.setattr(backends, "ABORT_JOIN_TIMEOUT_S", 1.0)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError) as exc_info:
+            run_spmd(
+                2, _early_failure_then_compute, backend=_host(k, sized_pools)
+            )
+        elapsed = time.monotonic() - t0
+        message = str(exc_info.value)
+        assert message.startswith(
+            "rank 0 failed: ValueError('early failure')"
+        )
+        assert isinstance(exc_info.value.__cause__, ValueError)
+        if k == 2:  # rank 1 computes on the other worker
+            assert message.endswith("(rank(s) 1 still unwinding)")
+            assert elapsed < 2 * 1.0 + 3.0
+            assert run_spmd(
+                2, _ring, backend=_host(k, sized_pools)
+            ).results == [1, 0]
+        else:
+            assert "unwinding" not in message
+            assert elapsed < 1.0
 
 
 # -- more ranks than pool workers: M:N hosting ------------------------------

@@ -120,6 +120,12 @@ def _raise_while_peer_in_c(comm, seqs, tiles, done):
         raise ValueError("rank 1 down")
 
 
+def _where_is_overlap(comm):
+    with run_token_parked():
+        time.sleep(0.05)
+    return comm.fabric.overlap_s[comm.rank]
+
+
 def _where_am_i(comm):
     fabric, rank = current_rank()
     return fabric is comm.fabric, rank, in_spmd_rank()
@@ -216,8 +222,9 @@ class TestOverlapIsReported:
         for r in (r for r in records if r.name == "spmd.rank"):
             assert 0.04 < r.attrs["overlap_s"] <= r.dur
 
-    def test_untraced_runs_keep_no_overlap(self):
-        assert Fabric(2).overlap_s is None
+    def test_untraced_runs_keep_overlap(self):
+        res = run_spmd(2, _where_is_overlap, backend="threads")
+        assert all(0.04 < overlap for overlap in res.results)
 
 
 class TestFailureWhileParked:

@@ -28,7 +28,7 @@ from repro.datagen.rose import generate_family
 from repro.engine import AlignRequest, run_request
 from repro.obs.metrics import registry
 from repro.obs.prom import render_prometheus
-from repro.parcomp import backends, place, usable_cores
+from repro.parcomp import backends, place, run_spmd, usable_cores
 from repro.pool import PoolBackend, WorkerPool, set_default_pool
 from repro.seq.sequence import Sequence
 from repro.serve import AlignmentGateway
@@ -50,6 +50,10 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     monkeypatch.setattr(backends, "_read_cpu_max", lambda: None)
+
+
+def _place_a_big_job(comm):
+    return place(10**9, 1, gil_free=False)
 
 
 def _uniform(n, length):
@@ -98,12 +102,16 @@ class TestPlacementRule:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert place(10**9, 1, gil_free=False).backend == "threads"
-        monkeypatch.setenv(backends.POOL_WORKER_ENV, "1")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
-        assert place(10**9, 1, gil_free=False) == backends.Placement(
-            "threads", 1
-        )
+        monkeypatch.setattr(backends, "_read_cpu_max", lambda: None)
+        assert place(10**9, 1, gil_free=False).backend == "pool"
+        inside = run_spmd(2, _place_a_big_job, backend="threads")
+        assert inside.results == [backends.Placement("threads", 1)] * 2
+
+    def test_a_pool_workers_ranks_stay_on_threads(self, pool):
+        inside = run_spmd(3, _place_a_big_job, backend=PoolBackend(pool))
+        assert inside.results == [backends.Placement("threads", 1)] * 3
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="no CPU affinity on this platform")

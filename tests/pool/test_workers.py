@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.parcomp import ThreadBackend, run_spmd, usable_cores
+from repro.parcomp.backends import BlockReport
 from repro.parcomp.comm import SpmdAbort
 from repro.pool import (
     PoolBackend,
@@ -37,6 +38,20 @@ def _ring(comm):
     prv = (comm.rank - 1) % comm.size
     comm.send(comm.rank, nxt, tag=1)
     return comm.recv(prv, tag=1)
+
+
+def _ask_for_a_pool(comm):
+    from repro.pool import adopt_default_pool
+
+    try:
+        get_default_pool()
+    except RuntimeError as exc:
+        refusal = "no pool inside a pool" if "inside an SPMD rank" in str(
+            exc
+        ) else str(exc)
+    else:
+        refusal = "got a pool"
+    return refusal, adopt_default_pool()
 
 
 def _fail_on_rank_one(comm):
@@ -332,37 +347,32 @@ class TestRankBlocks:
 class TestReportBlob:
     @staticmethod
     def _report(**ranks):
-        return {
-            "ranks": {
-                int(r[1:]): {"status": status, "result": result,
-                             "error": error, "compute": 0.0, "clock": 0.0}
-                for r, (status, result, error) in ranks.items()
-            },
-            "events": [],
-            "transport": {"msgs": 0, "bytes": 0},
-        }
+        return BlockReport(
+            {int(r[1:]): result for r, (result, _) in ranks.items()},
+            {int(r[1:]): error for r, (_, error) in ranks.items() if error},
+        )
 
     def test_an_unpicklable_exception_becomes_the_ranks_error(self):
         report = self._report(
-            r2=("error", None, ValueError(threading.Lock())),
-            r3=("ok", [1], None),
+            r2=(None, ValueError(threading.Lock())),
+            r3=([1], None),
         )
         out = pickle.loads(workers._report_blob(report))
-        two = out["ranks"][2]
-        assert two["status"] == "error" and two["result"] is None
-        assert "rank 2 produced an unpicklable exception" in str(two["error"])
-        assert out["ranks"][3]["result"] == [1]  # its peer ships as it was
+        assert out.results[2] is None
+        assert "rank 2 produced an unpicklable exception" in str(
+            out.errors[2]
+        )
+        assert out.results[3] == [1] and 3 not in out.errors  # as it was
 
     def test_an_unpicklable_result_becomes_the_ranks_error(self):
         out = pickle.loads(workers._report_blob(
-            self._report(r0=("ok", threading.Lock(), None))
+            self._report(r0=(threading.Lock(), None))
         ))
-        assert "rank 0 produced an unpicklable result" in str(
-            out["ranks"][0]["error"]
-        )
+        assert out.results[0] is None
+        assert "rank 0 produced an unpicklable result" in str(out.errors[0])
 
     def test_a_picklable_report_is_shipped_as_is(self):
-        report = self._report(r0=("ok", [1, 2], None))
+        report = self._report(r0=([1, 2], None))
         assert pickle.loads(workers._report_blob(report)) == report
 
 
@@ -451,7 +461,11 @@ class TestDefaultPool:
             assert set_default_pool(pool) is other
             other.close()
 
-    def test_refused_inside_a_worker(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_IN_WORKER", "1")
-        with pytest.raises(RuntimeError, match="inside a pool worker"):
-            get_default_pool()
+    @pytest.mark.parametrize("backend", ["threads", "pool"])
+    def test_refused_inside_a_rank(self, pool, backend):
+        """No pool inside a pool: a rank program, on a pool worker or on
+        a ``threads`` rank, gets no default pool and adopts none."""
+        chosen = PoolBackend(pool) if backend == "pool" else backend
+        res = run_spmd(2, _ask_for_a_pool, backend=chosen)
+        assert res.results == [("no pool inside a pool", None)] * 2
+        assert get_default_pool() is pool  # outside a rank: as before
