@@ -19,6 +19,7 @@ the <5% assertion's inputs so CI regressions are diagnosable.
 """
 
 import json
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -43,7 +44,10 @@ MAX_DISABLED_NS_PER_CALL = 5_000
 
 
 def _workload():
-    n, length = (60, 200) if FULL else (24, 120)
+    # Long sequences, few merges: one solve takes about 0.12 s compiled
+    # (a solve of a few ms is dominated by the host's scheduling noise),
+    # at the stage granularity the spans are meant for -- three per merge.
+    n, length = (48, 800) if FULL else (32, 800)
     fam = generate_family(
         n_sequences=n,
         mean_length=length,
@@ -69,9 +73,9 @@ def _disabled_span_ns(calls=100_000):
     return (time.perf_counter() - t0) / calls * 1e9
 
 
-def run_obs_overhead(repeats=None):
-    if repeats is None:
-        repeats = 5 if FULL else 3
+def run_obs_overhead(pairs=None):
+    if pairs is None:
+        pairs = 101 if FULL else 81
     request = _workload()
     engine = get_engine("clustalw")
 
@@ -80,37 +84,41 @@ def run_obs_overhead(repeats=None):
     for _ in range(2):  # warm numpy/caches outside the measurement
         _one_wall(engine, request)
 
-    # Interleave the two modes so clock drift, cache state and CPU
-    # frequency hit both alike; compare best-of-N against best-of-N.
-    wall_off = wall_on = None
+    # One traced and one untraced solve per pair, back to back, the
+    # first mode alternating: a burst of the host hits both halves of a
+    # pair alike, and the median of the per-pair ratios ignores the
+    # pairs it split.
+    ratios, walls_off, walls_on = [], [], []
     n_spans = 0
-    for _ in range(repeats):
-        disable_tracing()
-        w = _one_wall(engine, request)
-        if wall_off is None or w < wall_off:
-            wall_off = w
-        enable_tracing()
-        drain_spans()
-        w = _one_wall(engine, request)
-        if wall_on is None or w < wall_on:
-            wall_on = w
-        n_spans += len(drain_spans())
+    for i in range(pairs):
+        wall = {}
+        for traced in (i % 2 == 1, i % 2 == 0):
+            (enable_tracing if traced else disable_tracing)()
+            drain_spans()
+            wall[traced] = _one_wall(engine, request)
+            if traced:
+                n_spans += len(drain_spans())
+        walls_off.append(wall[False])
+        walls_on.append(wall[True])
+        ratios.append(wall[True] / wall[False])
     disable_tracing()
 
-    overhead = wall_on / wall_off - 1.0
+    q1, median_ratio, q3 = statistics.quantiles(ratios, n=4)
+    overhead = median_ratio - 1.0
     noop_ns = _disabled_span_ns()
 
     payload = {
         "workload": {
             "engine": "clustalw",
             "n_sequences": len(request.sequences),
-            "repeats": repeats,
+            "pairs": pairs,
         },
-        "wall_off_s": wall_off,
-        "wall_on_s": wall_on,
+        "wall_off_s": statistics.median(walls_off),
+        "wall_on_s": statistics.median(walls_on),
         "traced_overhead_fraction": overhead,
+        "traced_ratio_quartiles": [q1, q3],
         "max_traced_overhead": MAX_TRACED_OVERHEAD,
-        "spans_per_run": n_spans // repeats,
+        "spans_per_run": n_spans // pairs,
         "disabled_span_ns_per_call": noop_ns,
         "max_disabled_span_ns_per_call": MAX_DISABLED_NS_PER_CALL,
         "traced_within_budget": overhead < MAX_TRACED_OVERHEAD,
@@ -124,9 +132,12 @@ def run_obs_overhead(repeats=None):
     table = fmt_table(
         ["mode", "wall_s", "note"],
         [
-            ["tracing off", f"{wall_off:.4f}", "baseline (no-op spans)"],
-            ["tracing on", f"{wall_on:.4f}",
-             f"{overhead * 100:+.1f}% ({payload['spans_per_run']} spans/run)"],
+            ["tracing off", f"{payload['wall_off_s']:.4f}",
+             f"median of {pairs} (no-op spans)"],
+            ["tracing on", f"{payload['wall_on_s']:.4f}",
+             f"{overhead * 100:+.1f}% median of per-pair ratios, quartiles "
+             f"{(q1 - 1) * 100:+.1f}% / {(q3 - 1) * 100:+.1f}% "
+             f"({payload['spans_per_run']} spans/run)"],
             ["disabled span", f"{noop_ns:.0f}ns/call",
              f"budget {MAX_DISABLED_NS_PER_CALL}ns"],
         ],

@@ -23,9 +23,12 @@ raw service lacks under load:
 
 Every accepted request returns a :class:`Ticket` -- waitable, pollable
 by id (the HTTP frontend's ``GET /jobs/<id>``), and carrying queue and
-latency metadata.  :meth:`AlignmentGateway.metrics` snapshots the whole
-serving surface: queue depth, admission counters, coalesce hits, latency
-percentiles, and the service/cache-backend stats underneath.
+latency metadata.  Once a ticket has handed out its answer the gateway
+keeps only that metadata: a served result lives in the result cache and
+with the client, not in the ticket table.  :meth:`AlignmentGateway.metrics`
+snapshots the whole serving surface: queue depth, admission counters,
+coalesce hits, latency percentiles, the ticket table's size, and the
+service/cache-backend stats underneath.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.align.dp import kernel as dp_kernel
 from repro.distance import DistanceConfig, validate_backend_name
@@ -100,12 +103,19 @@ class TokenBucket:
 
 
 class _Entry:
-    """One admitted computation, shared by every coalesced ticket."""
+    """One admitted computation, shared by every coalesced ticket.
+
+    ``request`` is dropped once the entry leaves the in-flight table (no
+    ticket can join it after that); ``result`` lives as long as some
+    ticket that has not been delivered holds the entry.
+    """
 
     __slots__ = ("key", "request", "priority", "enqueued", "completed",
                  "done", "result", "error")
 
-    def __init__(self, key: str, request: AlignRequest, priority: int) -> None:
+    def __init__(
+        self, key: str, request: Optional[AlignRequest], priority: int
+    ) -> None:
         self.key = key
         self.request = request
         self.priority = priority
@@ -115,10 +125,29 @@ class _Entry:
         self.result: Optional[AlignResult] = None
         self.error: Optional[BaseException] = None
 
+    def without_result(self) -> "_Entry":
+        """A finished copy holding everything but the result and request
+        (it shares the set ``done`` event)."""
+        twin = _Entry(self.key, None, self.priority)
+        twin.enqueued, twin.completed = self.enqueued, self.completed
+        twin.done, twin.error = self.done, self.error
+        return twin
+
 
 @dataclass
 class Ticket:
-    """Handle for one client request admitted by the gateway."""
+    """Handle for one client request admitted by the gateway.
+
+    The first time a ticket hands out its answer -- :meth:`wait`
+    returns (or raises) it, or :attr:`result` is read after completion
+    -- the ticket is *delivered*: the gateway's lookup table swaps it
+    for a result-free twin with the same metadata, status and error, so
+    a served result lives only in the result cache and with the client.
+    This object keeps its result: repeated :meth:`wait` calls still
+    return it.  A twin found by ``get_ticket`` after delivery reports
+    ``done`` with ``result`` ``None``, and its :meth:`wait` raises
+    :class:`LookupError`.
+    """
 
     ticket_id: str
     client_id: str
@@ -126,6 +155,15 @@ class Ticket:
     coalesced: bool  #: attached to an already in-flight identical request
     request_hash: str
     _entry: _Entry = field(repr=False)
+    #: The gateway's slot swap, called on first delivery (then cleared).
+    _on_delivery: Optional[Callable[["Ticket"], None]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def _delivered(self) -> None:
+        hook, self._on_delivery = self._on_delivery, None
+        if hook is not None:
+            hook(self)
 
     @property
     def done(self) -> bool:
@@ -139,8 +177,14 @@ class Ticket:
 
     @property
     def result(self) -> Optional[AlignResult]:
-        """The result if finished successfully (non-blocking); else None."""
-        return self._entry.result if self.done else None
+        """The result if finished successfully (non-blocking); else None.
+
+        Reading it once the ticket has finished delivers the ticket.
+        """
+        if not self.done:
+            return None
+        self._delivered()
+        return self._entry.result
 
     @property
     def completed_at(self) -> Optional[float]:
@@ -158,9 +202,14 @@ class Ticket:
             raise TimeoutError(
                 f"ticket {self.ticket_id} still pending after {timeout}s"
             )
+        self._delivered()
         if self._entry.error is not None:
             raise self._entry.error
-        assert self._entry.result is not None
+        if self._entry.result is None:
+            raise LookupError(
+                f"ticket {self.ticket_id} was delivered already; its result "
+                f"is in the result cache under its request_hash"
+            )
         return self._entry.result
 
     def to_dict(self) -> Dict[str, Any]:
@@ -222,7 +271,10 @@ class AlignmentGateway:
         limiting.
     max_tickets:
         Bound on the ticket lookup table (oldest tickets are forgotten
-        first; their computations are unaffected).
+        first; their computations are unaffected).  A delivered ticket's
+        slot keeps only its metadata (see :class:`Ticket`), so the
+        results the table holds are those of tickets no client has
+        read yet -- at most ``max_tickets`` of them.
     default_backend:
         Execution backend applied to Sample-Align-D requests that do
         not choose one themselves (no ``backend`` engine kwarg) -- how
@@ -477,6 +529,7 @@ class AlignmentGateway:
                 coalesced=coalesced,
                 request_hash=key,
                 _entry=entry,
+                _on_delivery=self._forget_result,
             )
             self._tickets[ticket.ticket_id] = ticket
             while len(self._tickets) > self._max_tickets:
@@ -550,9 +603,23 @@ class AlignmentGateway:
         return self.submit(request, client_id, priority).wait(timeout)
 
     def get_ticket(self, ticket_id: str) -> Optional[Ticket]:
-        """Look a ticket up by id (``None`` when unknown or forgotten)."""
+        """Look a ticket up by id (``None`` when unknown or forgotten).
+
+        Before delivery this is the client's own ticket; after, its
+        result-free twin (see :class:`Ticket`).
+        """
         with self._lock:
             return self._tickets.get(ticket_id)
+
+    def _forget_result(self, ticket: Ticket) -> None:
+        """Swap a delivered ticket's table slot for its result-free twin
+        (a no-op once the slot has been forgotten)."""
+        twin = replace(
+            ticket, _entry=ticket._entry.without_result(), _on_delivery=None
+        )
+        with self._lock:
+            if self._tickets.get(ticket.ticket_id) is ticket:
+                self._tickets[ticket.ticket_id] = twin
 
     # -- dispatch ----------------------------------------------------------
 
@@ -582,8 +649,12 @@ class AlignmentGateway:
                         self._counters["completed"] += 1
                     else:
                         self._counters["failed"] += 1
+                # Out of the in-flight table no ticket can join it.
+                entry.request = None
                 entry.done.set()
                 self._queue.task_done()
+            # The tickets own the entry now: an idle worker pins nothing.
+            del entry
 
     def _pool_for(self, request: AlignRequest) -> None:
         """Create the gateway's pool on the first request it places on
@@ -605,10 +676,18 @@ class AlignmentGateway:
         with self._lock:
             counters = dict(self._counters)
             inflight = len(self._inflight)
+            tickets = len(self._tickets)
+            undelivered = sum(
+                t._on_delivery is not None for t in self._tickets.values()
+            )
         lat = self._latencies.snapshot()
         out: Dict[str, Any] = dict(counters)
         out["queue_depth"] = self._queue.qsize()
         out["inflight"] = inflight
+        # The lookup table's size, and its tickets no client has been
+        # handed the answer of yet (the only slots that pin a result).
+        out["tickets"] = tickets
+        out["tickets_undelivered"] = undelivered
         out["default_backend"] = self._default_backend
         for stage in ("distance", "tree"):
             default = self._stage_defaults.get(stage)

@@ -18,7 +18,10 @@ A thin JSON-over-HTTP surface on top of
   {"backend": "pool"}, ...}}``; a ``backend`` key inside ``config`` is
   an unknown field (400).  Requests that stay silent inherit the
   gateway's ``default_backend`` (the ``repro serve --backend`` flag).
-- ``GET /jobs/<ticket_id>`` -- ticket status, plus the result once done.
+- ``GET /jobs/<ticket_id>`` -- ticket status, plus the result until it
+  has been delivered once: the first poll (or synchronous ``POST``) that
+  hands it out leaves the gateway with the ticket's metadata only, so a
+  later poll answers ``200`` with ``status: "done"`` and no ``result``.
 - ``GET /healthz`` -- liveness (``{"status": "ok"}``).
 - ``GET /metrics`` -- :meth:`AlignmentGateway.metrics` as JSON;
   ``GET /metrics?format=prom`` -- the same surface (plus the process-wide
@@ -272,9 +275,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown ticket: {ticket_id}"})
             return
         payload: Dict[str, Any] = {"ticket": ticket.to_dict()}
-        result = ticket.result
-        if result is not None:
-            payload["result"] = result.to_dict()
+        # Status first: a ticket that finishes between the two reads is
+        # reported pending, not delivered, and hands out its result on
+        # the next poll.
+        if payload["ticket"]["status"] != "pending":
+            result = ticket.result
+            if result is not None:
+                payload["result"] = result.to_dict()
         self._send_json(200, payload)
 
 

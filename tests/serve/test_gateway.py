@@ -277,7 +277,10 @@ class TestSharedService:
         ) as gw:
             ticket = gw.submit(request)
             result = ticket.wait(60)
-        folded = ticket._entry.request.engine_kwargs
+            # The entry drops its request once computed: fold it again.
+            effective = gw._effective_request(request)
+        assert ticket.request_hash == effective.content_hash()
+        folded = effective.engine_kwargs
         assert folded["distance"]["estimator"] == "kmer-fraction"
         assert folded["distance"]["backend"] is None
         assert folded["distance"]["workers"] is None
