@@ -162,10 +162,15 @@ class AlignRequest:
         h = hashlib.sha256(
             json.dumps(self.canonical(), sort_keys=True).encode("utf-8")
         )
-        alphabets = {s.alphabet for s in self.sequences}
-        for alphabet in sorted(alphabets, key=lambda a: (a.name, a.symbols)):
-            h.update(alphabet.name.encode())
-            h.update(alphabet.symbols.encode())
+        # Distinct alphabet objects by identity first (no per-sequence
+        # ``Alphabet.__hash__``), then by (name, symbols) -- alphabet
+        # equality -- so equal alphabets fold in once.
+        distinct = {id(s.alphabet): s.alphabet for s in self.sequences}
+        for name, symbols in sorted(
+            {(a.name, a.symbols) for a in distinct.values()}
+        ):
+            h.update(name.encode())
+            h.update(symbols.encode())
         if self.config is not None:
             h.update(self.config.scoring.matrix.matrix.tobytes())
             h.update(self.config.rank_config.alphabet.symbols.encode())
@@ -184,9 +189,15 @@ class AlignRequest:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "AlignRequest":
+        entries = data["sequences"]
+        # Each distinct alphabet name is resolved once per request.
+        alphabets = {
+            name: get_alphabet(name)
+            for name in dict.fromkeys(d["alphabet"] for d in entries)
+        }
         seqs = tuple(
-            Sequence(d["id"], d["residues"], get_alphabet(d["alphabet"]))
-            for d in data["sequences"]
+            Sequence(d["id"], d["residues"], alphabets[d["alphabet"]])
+            for d in entries
         )
         config = data.get("config")
         return cls(

@@ -66,7 +66,34 @@ GLOBAL_BUFFER_CAP = 100_000
 
 _enabled = False
 _id_counter = itertools.count(1)
-_tls = threading.local()
+
+
+class _ThreadState(threading.local):
+    """This thread's trace state.  The class-level ``None`` defaults make
+    reading a field the thread never set a plain lookup, not a raised
+    and swallowed ``AttributeError`` on every span."""
+
+    sink: Optional["TraceBuffer"] = None
+    stack: Optional[List[str]] = None
+    trace_id: Optional[str] = None
+    base_parent: Optional[str] = None
+
+
+_tls = _ThreadState()
+
+#: This process's pid and the hex prefix of its span and trace ids, read
+#: once per process (a forked child refreshes them) instead of per span.
+_pid = os.getpid()
+_id_prefix = f"{_pid:x}-"
+
+
+def _refresh_pid() -> None:
+    global _pid, _id_prefix
+    _pid = os.getpid()
+    _id_prefix = f"{_pid:x}-"
+
+
+os.register_at_fork(after_in_child=_refresh_pid)
 
 
 @dataclass(frozen=True)
@@ -82,6 +109,16 @@ class SpanRecord:
     t0: float  # wall-clock start (time.time(); cross-process comparable)
     dur: float  # seconds (perf_counter delta; monotonic)
     attrs: Dict[str, Any] = field(default_factory=dict)
+
+
+def _new_record(fields: Dict[str, Any]) -> SpanRecord:
+    """A :class:`SpanRecord` from a complete field dict, without the
+    frozen dataclass ``__init__``'s one guarded ``__setattr__`` per
+    field: the enabled span's hot path.  Equal, picklable and immutable
+    exactly like a constructed one."""
+    record = object.__new__(SpanRecord)
+    record.__dict__.update(fields)
+    return record
 
 
 @dataclass(frozen=True)
@@ -148,21 +185,21 @@ def tracing_enabled() -> bool:
 def _sink() -> TraceBuffer:
     # Explicit None test: an empty TraceBuffer is falsy (len 0), so
     # ``sink or _global_buffer`` would skip a freshly installed buffer.
-    sink = getattr(_tls, "sink", None)
+    sink = _tls.sink
     return _global_buffer if sink is None else sink
 
 
 def _stack() -> List[str]:
-    stack = getattr(_tls, "stack", None)
+    stack = _tls.stack
     if stack is None:
         stack = _tls.stack = []
     return stack
 
 
 def _trace_id() -> str:
-    tid = getattr(_tls, "trace_id", None)
+    tid = _tls.trace_id
     if tid is None:
-        tid = _tls.trace_id = f"{os.getpid():x}-{next(_id_counter):x}"
+        tid = _tls.trace_id = f"{_id_prefix}{next(_id_counter):x}"
     return tid
 
 
@@ -190,7 +227,7 @@ class _Span:
     def __init__(self, name: str, attrs: Dict[str, Any]):
         self.name = name
         self.attrs = attrs
-        self.span_id = f"{os.getpid():x}-{next(_id_counter):x}"
+        self.span_id = f"{_id_prefix}{next(_id_counter):x}"
         self.parent_id: Optional[str] = None
         self._t0 = 0.0
         self._perf0 = 0.0
@@ -200,7 +237,7 @@ class _Span:
 
     def __enter__(self) -> "_Span":
         stack = _stack()
-        self.parent_id = stack[-1] if stack else getattr(_tls, "base_parent", None)
+        self.parent_id = stack[-1] if stack else _tls.base_parent
         stack.append(self.span_id)
         self._t0 = time.time()
         self._perf0 = time.perf_counter()
@@ -214,17 +251,17 @@ class _Span:
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
         _sink().add(
-            SpanRecord(
-                name=self.name,
-                span_id=self.span_id,
-                parent_id=self.parent_id,
-                trace_id=_trace_id(),
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                t0=self._t0,
-                dur=dur,
-                attrs=self.attrs,
-            )
+            _new_record({
+                "name": self.name,
+                "span_id": self.span_id,
+                "parent_id": self.parent_id,
+                "trace_id": _trace_id(),
+                "pid": _pid,
+                "tid": threading.get_ident(),
+                "t0": self._t0,
+                "dur": dur,
+                "attrs": self.attrs,
+            })
         )
 
 
@@ -246,7 +283,7 @@ def collect(tee: bool = True):
     With ``tee=True`` (the default) every span still reaches the sink
     that was active before -- the per-job view is a copy, not a theft.
     """
-    prev = getattr(_tls, "sink", None)
+    prev = _tls.sink
     tee_target = (prev if prev is not None else _global_buffer) if tee else None
     buf = TraceBuffer(tee=tee_target)
     _tls.sink = buf
@@ -279,8 +316,8 @@ def record_spans(records: Iterable[SpanRecord]) -> None:
 
 def propagation_context() -> TraceContext:
     """Capture (trace id, innermost open span) for shipping to a worker."""
-    stack = getattr(_tls, "stack", None)
-    parent = stack[-1] if stack else getattr(_tls, "base_parent", None)
+    stack = _tls.stack
+    parent = stack[-1] if stack else _tls.base_parent
     return TraceContext(trace_id=_trace_id(), parent_id=parent)
 
 
@@ -297,10 +334,10 @@ def install_context(ctx: TraceContext):
     """
     global _enabled
     token = (
-        getattr(_tls, "sink", None),
-        getattr(_tls, "stack", None),
-        getattr(_tls, "trace_id", None),
-        getattr(_tls, "base_parent", None),
+        _tls.sink,
+        _tls.stack,
+        _tls.trace_id,
+        _tls.base_parent,
         _enabled,
     )
     buf = TraceBuffer()

@@ -56,16 +56,18 @@ class Alignment:
         matrix = np.asarray(matrix, dtype=np.uint8)
         if matrix.ndim != 2:
             raise ValueError("alignment matrix must be 2-D")
+        ids = list(ids)
         if len(ids) != matrix.shape[0]:
             raise ValueError("ids/matrix row count mismatch")
-        if len(set(ids)) != len(ids):
+        row_index = dict(zip(ids, range(len(ids))))
+        if len(row_index) != len(ids):
             raise ValueError("duplicate row ids in alignment")
         if matrix.size and int(matrix.max()) > alphabet.gap_code:
             raise ValueError("alignment matrix contains out-of-range codes")
-        self.ids = list(ids)
+        self.ids = ids
         self.matrix = matrix
         self.alphabet = alphabet
-        self._row_index = {rid: i for i, rid in enumerate(self.ids)}
+        self._row_index = row_index
 
     # -- constructors --------------------------------------------------------
 
@@ -76,16 +78,29 @@ class Alignment:
         rows: TSequence[str],
         alphabet: Alphabet = PROTEIN,
     ) -> "Alignment":
-        """Build from gapped row strings (all must have equal length)."""
+        """Build from gapped row strings (all must have equal length).
+
+        The rows are encoded as one string, ``"".join(rows)``, reshaped
+        to ``(n_rows, width)``: a fixed number of numpy calls however
+        many rows there are (every store hit decodes its result here).
+        A character the alphabet cannot encode raises the ``ValueError``
+        a per-row encode would, naming the character and its column
+        within the first row that has one.
+        """
         if not rows:
-            return cls(list(ids), np.zeros((0, 0), dtype=np.uint8), alphabet)
-        lengths = {len(r) for r in rows}
+            return cls(ids, np.zeros((0, 0), dtype=np.uint8), alphabet)
+        lengths = set(map(len, rows))
         if len(lengths) != 1:
             raise ValueError(f"rows have differing lengths: {sorted(lengths)}")
-        mat = np.vstack([alphabet.encode(r) for r in rows]) if rows[0] else (
-            np.zeros((len(rows), 0), dtype=np.uint8)
-        )
-        return cls(list(ids), mat, alphabet)
+        try:
+            codes = alphabet.encode("".join(rows))
+        except ValueError:
+            # Off the hot path: re-encode row by row so the message
+            # carries the position within the offending row.
+            for row in rows:
+                alphabet.encode(row)
+            raise
+        return cls(ids, codes.reshape(len(rows), len(rows[0])), alphabet)
 
     @classmethod
     def from_single(cls, seq: Sequence) -> "Alignment":
@@ -120,8 +135,7 @@ class Alignment:
         return self.n_rows
 
     def __iter__(self) -> Iterator[Tuple[str, str]]:
-        for i, rid in enumerate(self.ids):
-            yield rid, self.row_text(i)
+        return zip(self.ids, self._row_texts())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -143,6 +157,15 @@ class Alignment:
 
     def row_text(self, key) -> str:
         return self.alphabet.decode(self.row(key))
+
+    def _row_texts(self) -> List[str]:
+        """Every row's gapped text, in row order: one decode of the whole
+        matrix, sliced by width."""
+        width = self.n_columns
+        if width == 0:
+            return [""] * self.n_rows
+        text = self.alphabet.decode(self.matrix.ravel())
+        return [text[i : i + width] for i in range(0, len(text), width)]
 
     def column(self, j: int) -> np.ndarray:
         return self.matrix[:, j]
@@ -229,7 +252,7 @@ class Alignment:
         :meth:`from_dict`."""
         return {
             "ids": list(self.ids),
-            "rows": [self.row_text(i) for i in range(self.n_rows)],
+            "rows": self._row_texts(),
             "alphabet": self.alphabet.name,
         }
 
@@ -253,12 +276,11 @@ class Alignment:
 
     def pretty(self, block: int = 60, max_rows: int | None = None) -> str:
         """Human-readable block view (the paper's Fig. 7 style snapshot)."""
-        rows = self.ids if max_rows is None else self.ids[:max_rows]
-        width = max((len(r) for r in rows), default=0) + 2
+        rows = list(zip(self.ids, self._row_texts()))[:max_rows]
+        width = max((len(rid) for rid, _ in rows), default=0) + 2
         lines: List[str] = []
         for start in range(0, self.n_columns, block):
-            for rid in rows:
-                text = self.row_text(rid)[start : start + block]
-                lines.append(f"{rid:<{width}}{text}")
+            for rid, text in rows:
+                lines.append(f"{rid:<{width}}{text[start : start + block]}")
             lines.append("")
         return "\n".join(lines)

@@ -269,17 +269,25 @@ def compressed_alphabets() -> Dict[str, CompressedAlphabet]:
     return {a.name: a for a in (DAYHOFF6, MURPHY10, SE_B14)}
 
 
+#: Every bundled alphabet by name, built once at import: serialization
+#: paths (a served request's sequences, a stored result's rows) resolve
+#: names here on every request.
+_BUNDLED: Dict[str, Alphabet] = {
+    a.name: a for a in (PROTEIN, DNA, DAYHOFF6, MURPHY10, SE_B14)
+}
+
+
 def get_alphabet(name: str) -> Alphabet:
     """Look up a bundled alphabet (plain or compressed) by name.
 
-    The inverse of ``alphabet.name``; serialization paths round-trip
-    alphabets through this lookup.
+    The inverse of ``alphabet.name``, case-insensitive; serialization
+    paths round-trip alphabets through this lookup.  One read of a
+    module-level table built once at import; an unknown name is a
+    ``KeyError`` listing the available ones.
     """
-    registry: Dict[str, Alphabet] = {"protein": PROTEIN, "dna": DNA}
-    registry.update(compressed_alphabets())
-    try:
-        return registry[name.lower()]
-    except KeyError:
+    alphabet = _BUNDLED.get(name.lower())
+    if alphabet is None:
         raise KeyError(
-            f"unknown alphabet {name!r}; available: {sorted(registry)}"
-        ) from None
+            f"unknown alphabet {name!r}; available: {sorted(_BUNDLED)}"
+        )
+    return alphabet

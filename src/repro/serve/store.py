@@ -137,6 +137,15 @@ class ResultStore:
     # -- CacheBackend ------------------------------------------------------
 
     def get(self, key: str) -> Optional[AlignResult]:
+        """The stored result for ``key``, or ``None`` on a miss.
+
+        A hit is one file read, one ``json.loads`` and
+        :meth:`AlignResult.from_dict`, whose alignment decodes with a
+        fixed number of numpy calls however many rows it has
+        (:meth:`~repro.seq.alignment.Alignment.from_rows` encodes the
+        rows as one string).  An unreadable or undecodable entry is
+        deleted and counted as a miss.
+        """
         # File I/O runs outside the lock (reads of content-addressed,
         # atomically-published files are safe concurrently); the lock
         # only guards the index and counters.

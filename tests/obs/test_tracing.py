@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +32,8 @@ from repro.obs.tracing import (
     tracing_enabled,
     write_chrome_trace,
 )
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 class TestDisabledPath:
@@ -96,6 +105,51 @@ class TestEnabledPath:
             record_spans([foreign])
         assert buf.records() == [foreign]
         assert global_records() == [foreign]  # teed like a local span
+
+    def test_recorded_span_is_a_plain_frozen_picklable_record(self):
+        enable_tracing()
+        with span("work", k=1):
+            pass
+        (rec,) = drain_spans()
+        assert rec.pid == os.getpid()
+        assert rec.span_id.startswith(f"{os.getpid():x}-")
+        assert rec == SpanRecord(**dataclasses.asdict(rec))
+        assert pickle.loads(pickle.dumps(rec)) == rec
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.name = "other"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_records_its_own_pid(self):
+        # Forked from a fresh single-threaded interpreter, not from the
+        # test session's threads.
+        script = textwrap.dedent("""
+            import json, os
+            from repro.obs.tracing import collect, enable_tracing, span
+            enable_tracing()
+            with span("in-parent"):
+                pass
+            read_fd, write_fd = os.pipe()
+            child = os.fork()
+            if child == 0:
+                with collect(tee=False) as buf:
+                    with span("in-child"):
+                        pass
+                (rec,) = buf.records()
+                os.write(write_fd, json.dumps([rec.pid, rec.span_id]).encode())
+                os._exit(0)
+            os.close(write_fd)
+            with os.fdopen(read_fd) as fh:
+                pid, span_id = json.loads(fh.read())
+            os.waitpid(child, 0)
+            print(json.dumps([child, pid, span_id]))
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, timeout=60, env={**os.environ, "PYTHONPATH": SRC},
+        ).stdout
+        child, pid, span_id = json.loads(out)
+        assert pid == child
+        assert span_id.startswith(f"{child:x}-")
 
 
 class TestContextPropagation:

@@ -6,7 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.seq.alignment import Alignment
-from repro.seq.alphabet import PROTEIN
+from repro.seq.alphabet import (
+    DAYHOFF6,
+    DNA,
+    MURPHY10,
+    PROTEIN,
+    SE_B14,
+    Alphabet,
+    get_alphabet,
+)
 from repro.seq.sequence import Sequence
 
 
@@ -182,3 +190,140 @@ class TestRendering:
     def test_pretty_max_rows(self):
         out = mk(["MK", "MV", "ML"]).pretty(max_rows=2)
         assert "r2" not in out
+
+
+# -- the per-row code path, kept as the oracle for the vectorised one ---------
+
+
+def _oracle_from_rows(ids, rows, alphabet=PROTEIN):
+    """``Alignment.from_rows`` as it was: one ``encode`` per row."""
+    if not rows:
+        return Alignment(list(ids), np.zeros((0, 0), dtype=np.uint8), alphabet)
+    lengths = {len(r) for r in rows}
+    if len(lengths) != 1:
+        raise ValueError(f"rows have differing lengths: {sorted(lengths)}")
+    mat = np.vstack([alphabet.encode(r) for r in rows]) if rows[0] else (
+        np.zeros((len(rows), 0), dtype=np.uint8)
+    )
+    return Alignment(list(ids), mat, alphabet)
+
+
+def _oracle_texts(aln):
+    """Row texts as they were: one ``row_text`` (one decode) per row."""
+    return [aln.row_text(i) for i in range(aln.n_rows)]
+
+
+def _oracle_fasta(aln, width=60):
+    parts = []
+    for rid, text in zip(aln.ids, _oracle_texts(aln)):
+        parts.append(f">{rid}")
+        parts.extend(text[i : i + width] for i in range(0, len(text), width))
+    return "\n".join(parts) + ("\n" if parts else "")
+
+
+#: (alphabet, rows): lower case, '.' gaps, aliases and wildcard
+#: substitution (characters outside every alphabet become its wildcard).
+DECODE_CASES = [
+    (PROTEIN, ["MKV-LAAGIV", "mkv.lagivw", "MKBZX-LAG*", "JUO?-----#"]),
+    (DNA, ["ACG-T-N", "acgu.nA", "RYKM-SW", "-------"]),
+    (DAYHOFF6, ["MKV-LAAGIV", "mkv.lagivw", "WYF?BZ-x--"]),
+    (MURPHY10, ["MKV-LAAGIV", "mkv.lagivw", "WYF?BZ-x--"]),
+    (SE_B14, ["MKV-LAAGIV", "mkv.lagivw", "WYF?BZ-x--"]),
+    (PROTEIN, ["M"]),  # one row, one column
+    (PROTEIN, ["MKVLAAGIVW" * 13]),  # one row, wraps in FASTA
+    (DNA, ["", "", ""]),  # rows but no columns
+    (PROTEIN, []),  # no rows at all
+]
+
+
+class TestVectorisedDecodeMatchesPerRowOracle:
+    @pytest.mark.parametrize(
+        "alphabet,rows", DECODE_CASES,
+        ids=[f"{a.name}-{len(r)}x{len(r[0]) if r else 0}"
+             for a, r in DECODE_CASES],
+    )
+    def test_every_surface_equals_the_oracle(self, alphabet, rows):
+        ids = [f"s{i}" for i in range(len(rows))]
+        got = Alignment.from_rows(ids, rows, alphabet)
+        want = _oracle_from_rows(ids, rows, alphabet)
+        assert got == want
+        assert got.matrix.dtype == np.uint8
+        assert got.matrix.shape == want.matrix.shape
+        texts = _oracle_texts(want)
+        assert got.to_dict() == {
+            "ids": ids, "rows": texts, "alphabet": alphabet.name,
+        }
+        assert list(got) == list(zip(ids, texts))
+        assert got.to_fasta() == _oracle_fasta(want)
+        assert got.to_fasta(width=7) == _oracle_fasta(want, width=7)
+        assert Alignment.from_dict(got.to_dict()) == want
+
+    @given(
+        st.lists(
+            st.text(alphabet="ACDEFGHIKLMNPQRSTVWYXBZJUO*acgt-.?", min_size=9,
+                     max_size=9),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_random_rows_equal_the_oracle(self, rows):
+        ids = [f"s{i}" for i in range(len(rows))]
+        got = Alignment.from_rows(ids, rows)
+        want = _oracle_from_rows(ids, rows)
+        assert got == want
+        assert got.to_dict()["rows"] == _oracle_texts(want)
+        assert got.to_fasta(width=4) == _oracle_fasta(want, width=4)
+
+    @pytest.mark.parametrize(
+        "alphabet,rows",
+        [
+            # No wildcard: an off-alphabet ASCII character is an error.
+            (Alphabet("ab", "AB"), ["AB-A", "A-BA", "ABCA", "QQQQ"]),
+            (Alphabet("ab", "AB"), ["AB-Q", "A-BA"]),
+            # Non-ASCII never encodes, wildcard or not.
+            (PROTEIN, ["MKV-", "MKé-", "éKVL"]),
+            (DNA, ["AC—T", "ACGT"]),
+        ],
+    )
+    def test_off_alphabet_character_raises_the_per_row_message(
+        self, alphabet, rows
+    ):
+        ids = [f"s{i}" for i in range(len(rows))]
+        with pytest.raises(ValueError) as want:
+            _oracle_from_rows(ids, rows, alphabet)
+        with pytest.raises(ValueError) as got:
+            Alignment.from_rows(ids, rows, alphabet)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_off_alphabet_message_names_the_column_in_its_row(self):
+        with pytest.raises(ValueError, match=r"'C' at position 2 is not in"):
+            Alignment.from_rows(
+                ["a", "b"], ["ABAB", "ABCB"], Alphabet("ab", "AB")
+            )
+
+    def test_rows_of_different_lengths_still_raise(self):
+        rows = ["MKV", "MK", "MKVL"]
+        with pytest.raises(ValueError) as want:
+            _oracle_from_rows(["a", "b", "c"], rows)
+        with pytest.raises(ValueError) as got:
+            Alignment.from_rows(["a", "b", "c"], rows)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == "rows have differing lengths: [2, 3, 4]"
+
+    def test_duplicate_ids_still_raise(self):
+        with pytest.raises(ValueError, match="duplicate row ids"):
+            Alignment.from_rows(["a", "b", "a"], ["MK", "MV", "ML"])
+
+    def test_get_alphabet_is_case_insensitive(self):
+        for alphabet in (PROTEIN, DNA, DAYHOFF6, MURPHY10, SE_B14):
+            for name in (alphabet.name, alphabet.name.upper(),
+                         alphabet.name.title()):
+                assert get_alphabet(name) is alphabet
+
+    def test_get_alphabet_unknown_name_keyerror_text(self):
+        with pytest.raises(KeyError) as exc:
+            get_alphabet("RNA")
+        assert exc.value.args == (
+            "unknown alphabet 'RNA'; available: "
+            "['dayhoff6', 'dna', 'murphy10', 'protein', 'se_b14']",
+        )
